@@ -66,7 +66,6 @@ from .trajectories import (
     JumpRecord,
     TrajectoryStats,
     estimate_stats,
-    max_step,
     no_jump_survival,
     sample_ensemble,
     sample_trajectory,

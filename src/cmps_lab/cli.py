@@ -35,7 +35,7 @@ from .discretizer import convergence_study, lattice_correlators, lattice_tensors
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
 from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
-from .trajectories import estimate_stats, max_step, sample_ensemble
+from .trajectories import estimate_stats, sample_ensemble
 
 COMMANDS = (
     "steady", "gap", "correlate", "g2", "kinetic", "ll-energy",
@@ -79,7 +79,6 @@ _EXTRA_SCHEMA = {
         "seed": ("req", "int"),
         "bins": ("req", "list"),
         "burn_in": ("opt", "num"),
-        "dt": ("opt", "num"),
     },
     "lindblad-check": {
         "moments": ("req", {"psi_dag_sq": ("req", "cplx"), "psi_dag_psi": ("req", "num")}),
@@ -255,7 +254,7 @@ def _spectral(params):
     return steady_state(build_liouvillian(params.K, params.R))
 
 
-def _cmd_steady(cfg, out_path, threads):
+def _cmd_steady(cfg, out_path):
     params = _build_params(cfg)
     data = require_unique_fixed_space(_spectral(params))
     result = {
@@ -270,7 +269,7 @@ def _cmd_steady(cfg, out_path, threads):
     _emit_json(out_path, "steady", cfg, result)
 
 
-def _cmd_gap(cfg, out_path, threads):
+def _cmd_gap(cfg, out_path):
     params = _build_params(cfg)
     data = require_unique_fixed_space(_spectral(params))
     result = {
@@ -284,7 +283,7 @@ def _cmd_gap(cfg, out_path, threads):
     _emit_json(out_path, "gap", cfg, result)
 
 
-def _cmd_correlate(cfg, out_path, threads):
+def _cmd_correlate(cfg, out_path):
     params = _build_params(cfg)
     seps = _float_list(cfg["separations"], "separations", minimum=0.0)
     res = two_point(params, seps)
@@ -292,7 +291,7 @@ def _cmd_correlate(cfg, out_path, threads):
     _emit_csv(out_path, "correlate", cfg, "d,re,im", rows)
 
 
-def _cmd_g2(cfg, out_path, threads):
+def _cmd_g2(cfg, out_path):
     params = _build_params(cfg)
     seps = _float_list(cfg["separations"], "separations", minimum=0.0)
     res = pair_correlation(params, seps)
@@ -300,18 +299,18 @@ def _cmd_g2(cfg, out_path, threads):
     _emit_csv(out_path, "g2", cfg, "d,re,im", rows)
 
 
-def _cmd_kinetic(cfg, out_path, threads):
+def _cmd_kinetic(cfg, out_path):
     params = _build_params(cfg)
     _emit_json(out_path, "kinetic", cfg, {"kinetic_density": kinetic_density(params)})
 
 
-def _cmd_ll_energy(cfg, out_path, threads):
+def _cmd_ll_energy(cfg, out_path):
     params = _build_params(cfg)
     value = lieb_liniger_energy_density(params, cfg["c"], cfg["mu"])
     _emit_json(out_path, "ll-energy", cfg, {"energy_density": value})
 
 
-def _cmd_discretize(cfg, out_path, threads):
+def _cmd_discretize(cfg, out_path):
     params = _build_params(cfg)
     eps_list = _float_list(cfg["epsilons"], "epsilons")
     order = cfg.setdefault("order", 1)
@@ -338,7 +337,7 @@ def _cmd_discretize(cfg, out_path, threads):
     _emit_json(out_path, "discretize", cfg, result)
 
 
-def _cmd_converge(cfg, out_path, threads):
+def _cmd_converge(cfg, out_path):
     params = _build_params(cfg)
     eps_list = _float_list(cfg["epsilons"], "epsilons")
     name = cfg.setdefault("observable", "occupation")
@@ -364,7 +363,7 @@ def _cmd_converge(cfg, out_path, threads):
     _emit_json(out_path, "converge", cfg, result)
 
 
-def _cmd_trajectories(cfg, out_path, threads):
+def _cmd_trajectories(cfg, out_path):
     params = _build_params(cfg, record_length=True)
     if isinstance(params.geometry, Finite):
         length = params.geometry.length
@@ -376,13 +375,11 @@ def _cmd_trajectories(cfg, out_path, threads):
         raise ConfigError("'seed' must be nonnegative")
     bins = _float_list(cfg["bins"], "bins", minimum=0.0)
     burn_in = float(cfg.setdefault("burn_in", 0.0))
-    dt = float(cfg.setdefault("dt", round(max_step(params) * 0.4, 12)))
-    records = sample_ensemble(params, n_traj, length, dt, seed, threads=threads)
+    records = sample_ensemble(params, n_traj, length, seed)
     stats = estimate_stats(records, bins, burn_in=burn_in)
     result = {
         "n_traj": stats.n_traj,
         "length": stats.length,
-        "dt": dt,
         "rate": stats.rate,
         "rate_stderr": stats.rate_stderr,
         "bin_edges": stats.bin_edges,
@@ -395,7 +392,7 @@ def _cmd_trajectories(cfg, out_path, threads):
     _emit_json(out_path, "trajectories", cfg, result)
 
 
-def _cmd_lindblad_check(cfg, out_path, threads):
+def _cmd_lindblad_check(cfg, out_path):
     params = _build_params(cfg)
     node = cfg["moments"]["psi_dag_sq"]
     node.setdefault("im", 0.0)
@@ -417,7 +414,7 @@ def _cmd_lindblad_check(cfg, out_path, threads):
     _emit_json(out_path, "lindblad-check", cfg, result)
 
 
-def _cmd_zfunctional_check(cfg, out_path, threads):
+def _cmd_zfunctional_check(cfg, out_path):
     params = _build_params(cfg)
     n_sites = cfg["n_sites"]
     pair = cfg.setdefault("site_pair", [n_sites // 4, (3 * n_sites) // 4])
@@ -459,7 +456,7 @@ def _parse_insertions(raw, params):
     return out
 
 
-def _cmd_family_deriv(cfg, out_path, threads):
+def _cmd_family_deriv(cfg, out_path):
     params = _build_params(cfg)
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
@@ -492,25 +489,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _resolve_threads(flag_value):
-    if flag_value is None:
-        env = os.environ.get("CMPS_LAB_THREADS", "").strip()
-        if env:
-            try:
-                flag_value = int(env)
-            except ValueError:
-                raise ConfigError(f"CMPS_LAB_THREADS must be an integer, got {env!r}")
-    if flag_value is None or flag_value == 0:
-        return None
-    if flag_value < 0:
-        raise ConfigError("--threads must be >= 0")
-    return flag_value
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text!r} in JSON input")
+    return value
+
+
+def _float_range_int(text):
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"integer {text[:16]}... in JSON input exceeds the float range")
+    return value
+
+
+def _non_finite_literal(name):
+    raise ConfigError(f"non-finite literal {name!r} in JSON input")
+
+
+def _load_json(fh):
+    """Strict JSON: NaN/Infinity literals and overflowing numbers are rejected."""
+    return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
+                     parse_constant=_non_finite_literal)
 
 
 def _apply_tolerance_overrides(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            overrides = _load_json(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read tolerance overrides: {exc}")
     except json.JSONDecodeError as exc:
@@ -531,18 +539,15 @@ def _run(argv):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--output", required=True)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for trajectory sampling (0 = auto)")
     parser.add_argument("--tolerance-overrides", default=None)
     args = parser.parse_args(argv)
 
-    threads = _resolve_threads(args.threads)
     if args.tolerance_overrides:
         _apply_tolerance_overrides(args.tolerance_overrides)
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = _load_json(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -552,7 +557,7 @@ def _run(argv):
     schema.update(_EXTRA_SCHEMA[args.command])
     cfg = copy.deepcopy(cfg)
     _check_schema(cfg, schema)
-    _HANDLERS[args.command](cfg, args.output, threads)
+    _HANDLERS[args.command](cfg, args.output)
     return 0
 
 

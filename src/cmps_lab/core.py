@@ -20,6 +20,7 @@ from .errors import (
     InvalidBoundaryStateError,
     NonHermitianKError,
     ShapeMismatchError,
+    ValidationError,
 )
 
 HERM_TOL = 1e-12
@@ -29,6 +30,8 @@ def _as_complex_matrix(m, name):
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatchError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
     return arr
 
 
@@ -51,8 +54,8 @@ class Finite:
     boundary_rho: np.ndarray
 
     def __post_init__(self):
-        if not (float(self.length) > 0.0):
-            raise ShapeMismatchError("finite geometry needs length > 0")
+        if not (0.0 < float(self.length) < np.inf):
+            raise ShapeMismatchError("finite geometry needs a finite length > 0")
         rho = _as_complex_matrix(self.boundary_rho, "boundary_rho")
         scale = max(1.0, np.abs(rho).max())
         if np.abs(rho - rho.conj().T).max() > HERM_TOL * scale:

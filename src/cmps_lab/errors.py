@@ -52,10 +52,6 @@ class StepNotPositiveError(ValidationError):
     pass
 
 
-class StepTooLargeError(ValidationError):
-    pass
-
-
 class ZeroDensityError(ValidationError):
     pass
 

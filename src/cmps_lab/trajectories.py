@@ -1,42 +1,50 @@
 """Unraveled photon-counting trajectories of the measured field.
 
-A pure internal state phi is stepped with the no-jump contraction
-exp(Q dt) and interrupted by jumps phi -> R phi at rate <phi|R^dag R|phi>,
-renormalizing after every step.  Jump positions along the record are the
-point process whose statistics (intensity, pair correlation, waiting
-times) the state-space correlators predict; the estimators here are the
-empirical side of that comparison.
+A pure internal state phi evolves under the no-jump contraction
+exp(Q tau) until a jump phi -> R phi / ||R phi||.  The probability that no
+jump occurs within tau is the survival S(tau) = ||exp(Q tau) phi||^2, so
+the sampler draws the waiting time to each jump exactly: it draws a
+uniform u and solves S(tau) = u (Dalibard, Castin & Molmer, PRL 68, 580,
+1992).  When S over the rest of the record stays at or above u, the
+trajectory has no further jump and keeps the normalized
+exp(Q * remaining) phi as its final state.  Jump positions along the
+record are the point process whose statistics (intensity, pair
+correlation, waiting times) the state-space correlators predict; the
+estimators here are the empirical side of that comparison.
+
+S is a sum of exponentials in the eigenbasis of Q.  Near an exceptional
+point that basis is ill-conditioned (or Q is defective), and S is then
+evaluated with scipy.linalg.expm instead; the choice follows from the
+condition number of the eigenvector matrix.
 
 Reproducibility: trajectory index i of master seed s draws from
 Generator(PCG64(SeedSequence([s, i]))), consuming one uniform for the
-initial-state draw and then one per step, so results are independent of
-backend, threading, and chunking (up to last-ulp threshold rounding).
+initial-state draw, one per jump and one for the draw that ends the
+record.  Every per-trajectory quantity is computed row by row in a fixed
+order, and a row leaves the root finder as soon as it converges, so a
+record is bit-identical whichever trajectories share its batch: an
+ensemble member equals the single trajectory sampled at its index.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
-from ._kernels import jump_numpy
-from .core import Finite, Thermodynamic, q_matrix
+from .core import Finite, q_matrix
 from .errors import (
     InsufficientDataError,
     NonNormalizableStateError,
-    StepNotPositiveError,
-    StepTooLargeError,
     ValidationError,
     WindowTooSmallError,
 )
 from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
 
-# dt must resolve the fastest jump scale; ceiling keeps the O(dt) scheme
-# bias well below statistical resolution at the accepted ensemble sizes
-DT_CEILING_FACTOR = 0.01
-MEMORY_BUDGET_BYTES = 64 * 2**20
+# the sum of exponentials loses about eps * cond(V)^2 of S (relative); at
+# this bound that stays below 1e-10, beyond it S comes from expm
+EIG_COND_LIMIT = 1e3
+# relative accuracy of each sampled waiting time
+WAIT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,6 @@ class JumpRecord:
     final_state: np.ndarray
     seed_info: tuple
     length: float
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -62,29 +69,6 @@ class TrajectoryStats:
     waiting_probs: np.ndarray
     waiting_stderr: np.ndarray
     n_conditioning_jumps: int
-
-
-def max_step(params):
-    """Largest admissible dt for the given emission operator."""
-    rate_scale = np.linalg.norm(params.R.conj().T @ params.R, 2)
-    return DT_CEILING_FACTOR / max(1.0, rate_scale)
-
-
-def _validate_step(params, length, dt):
-    if dt <= 0:
-        raise StepNotPositiveError("dt must be positive")
-    ceiling = max_step(params)
-    if dt > ceiling * (1 + 1e-12):
-        raise StepTooLargeError(
-            "dt=%g exceeds the stability ceiling %g for this emission operator"
-            % (dt, ceiling)
-        )
-    if length <= 0:
-        raise ValidationError("record length must be positive")
-    n_steps = int(round(length / dt))
-    if n_steps < 1:
-        raise ValidationError("record shorter than one step")
-    return n_steps
 
 
 def _stream(master_seed, index):
@@ -107,110 +91,234 @@ def _initial_ensemble(params):
 
 
 def _pick_initial(u, cum, vecs):
-    idx = min(int(np.searchsorted(cum, u, side="right")), vecs.shape[1] - 1)
-    phi = np.ascontiguousarray(vecs[:, idx])
-    return phi / np.linalg.norm(phi)
+    """Pure initial states, one per uniform, drawn from the ensemble."""
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), vecs.shape[1] - 1)
+    phi = vecs[:, idx].T
+    return phi / np.sqrt((phi.real**2 + phi.imag**2).sum(axis=1))[:, None]
 
 
-def _step_operators(params, dt):
-    q = q_matrix(params).mat
-    step_op = np.ascontiguousarray(scipy.linalg.expm(q * dt))
-    jump_op = np.ascontiguousarray(params.R.copy())
-    rate = params.R.conj().T @ params.R
-    rate_op = np.ascontiguousarray((rate + rate.conj().T) / 2)
-    return step_op, jump_op, rate_op
+def _matvec(mat, vecs):
+    """Row-wise mat @ vecs[b] for a (D, D) or per-row (B, D, D) matrix.
+
+    Accumulates over the columns in a fixed order with elementwise
+    operations, so a row's result never depends on the other rows.
+    """
+    out = mat[..., 0] * vecs[:, :1]
+    for j in range(1, vecs.shape[1]):
+        out = out + mat[..., j] * vecs[:, j:j + 1]
+    return out
 
 
-def sample_trajectory(params, length, dt, master_seed, index=0):
-    records = sample_ensemble(params, 1, length, dt, master_seed,
-                              first_index=index, threads=1)
+def _quadratic(mat, vecs):
+    """Row-wise real part of vecs[b]^dag mat vecs[b]."""
+    return (vecs.conj() * _matvec(mat, vecs)).real.sum(axis=1)
+
+
+class _NoJumpFlow:
+    """exp(Q tau) on a batch of states held in coordinates z = V^-1 phi.
+
+    V diagonalizes Q when it is well conditioned, and propagation is then
+    elementwise; otherwise V is the identity and each row takes its own
+    expm(Q tau).  gram = V^dag V and rate = (R V)^dag (R V) give the
+    survival S = z^dag gram z and the jump density -S' = z^dag rate z of a
+    propagated (unnormalized) row.
+    """
+
+    def __init__(self, params):
+        q = q_matrix(params).mat
+        lam, vecs = np.linalg.eig(q)
+        if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
+            self.lam, self.q, basis = lam, None, vecs
+        else:
+            self.lam, self.q, basis = None, q, np.eye(params.dim, dtype=complex)
+        inv = np.linalg.inv(basis)
+        r_basis = params.R @ basis
+        self.basis = basis
+        self.inv = inv
+        self.gram = basis.conj().T @ basis
+        self.rate = r_basis.conj().T @ r_basis
+        self.jump_op = inv @ r_basis
+
+    def coordinates(self, phi):
+        return _matvec(self.inv, phi)
+
+    def propagate(self, z, taus):
+        if self.lam is not None:
+            return np.exp(taus[:, None] * self.lam) * z
+        return _matvec(scipy.linalg.expm(self.q * taus[:, None, None]), z)
+
+    def survival(self, y):
+        return _quadratic(self.gram, y)
+
+    def jump_density(self, y):
+        return _quadratic(self.rate, y)
+
+    def jump(self, y):
+        """Normalized R phi for every propagated row."""
+        weight = self.jump_density(y)
+        if not np.all(weight > 0.0):
+            raise NonNormalizableStateError("post-jump state has zero norm")
+        return _matvec(self.jump_op, y) / np.sqrt(weight)[:, None]
+
+    def state(self, y):
+        """Normalized phi for every propagated row."""
+        phi = _matvec(self.basis, y)
+        norm = np.sqrt((phi.real**2 + phi.imag**2).sum(axis=1))
+        if not np.all(norm > 0.0):
+            raise NonNormalizableStateError("state norm underflow")
+        return phi / norm[:, None]
+
+
+def _waiting_times(flow, z, u, rem):
+    """Solve S(tau) = u on (0, rem) for each row, where S(rem) < u.
+
+    Newton on log S, safeguarded by bisection of the bracket [lo, hi]
+    (rtsafe, Numerical Recipes 9.4).  Rows leave the iteration as soon as
+    they converge, so each row follows its own sequence of iterates.
+    """
+    n = rem.size
+    out = np.empty(n)
+    rows = np.arange(n)
+    log_u = np.log(u)
+    lo, hi = np.zeros(n), rem.copy()
+    tau = np.zeros(n)
+    dx = dx_old = rem.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while rows.size:
+            y = flow.propagate(z[rows], tau)
+            s = flow.survival(y)
+            g = np.log(s) - log_u[rows]
+            slope = -flow.jump_density(y) / s
+            above = g > 0
+            lo = np.where(above, tau, lo)
+            hi = np.where(above, hi, tau)
+            newton = tau - g / slope
+            close = np.abs(newton - tau) <= WAIT_RTOL * tau
+            bisect = (~((newton > lo) & (newton < hi))
+                      | (np.abs(2.0 * g) > np.abs(dx_old * slope)))
+            dx_old = dx
+            dx = np.where(bisect, 0.5 * (hi - lo), newton - tau)
+            tau = np.where(bisect & ~close, lo + dx, newton)
+            done = close | (np.abs(dx) <= WAIT_RTOL * tau)
+            out[rows[done]] = tau[done]
+            keep = ~done
+            rows, lo, hi, tau, dx, dx_old = (
+                a[keep] for a in (rows, lo, hi, tau, dx, dx_old))
+    return out
+
+
+def sample_trajectory(params, length, master_seed, index=0):
+    records = sample_ensemble(params, 1, length, master_seed, first_index=index)
     return records[0]
 
 
-def sample_ensemble(params, n_traj, length, dt, master_seed,
-                    threads=None, first_index=0):
+def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     """Draw n_traj independent trajectories of the given record length."""
-    n_steps = _validate_step(params, length, dt)
+    length = float(length)
+    if not 0.0 < length < np.inf:
+        raise ValidationError("record length must be finite and positive")
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
-    step_op, jump_op, rate_op = _step_operators(params, dt)
+    flow = _NoJumpFlow(params)
     cum, vecs = _initial_ensemble(params)
     indices = [first_index + i for i in range(n_traj)]
+    gens = [_stream(master_seed, i) for i in indices]
+    z = flow.coordinates(_pick_initial(np.array([g.random() for g in gens]), cum, vecs))
+    t = np.zeros(n_traj)
+    final = np.empty_like(z)
+    jump_rows, jump_pos = [], []
 
-    # compiled kernel has a fixed-size work buffer; huge bond dimensions
-    # fall back to the batched numpy path
-    if _kernels.backend_name() == "cython" and params.dim <= 64:
-        results = _run_compiled(step_op, jump_op, rate_op, cum, vecs,
-                                indices, master_seed, n_steps, dt, threads)
-    else:
-        results = _run_numpy(step_op, jump_op, rate_op, cum, vecs,
-                             indices, master_seed, n_steps, dt)
+    active = np.arange(n_traj)
+    while active.size:
+        u = np.array([gens[b].random() for b in active])
+        rem = length - t[active]
+        y_end = flow.propagate(z[active], rem)
+        ends = flow.survival(y_end) >= u
+        final[active[ends]] = flow.state(y_end[ends])
+        go = ~ends
+        active = active[go]
+        if not active.size:
+            break
+        tau = _waiting_times(flow, z[active], u[go], rem[go])
+        z[active] = flow.jump(flow.propagate(z[active], tau))
+        t[active] += tau
+        jump_rows.append(active)
+        jump_pos.append(t[active])
+
+    rows = np.concatenate(jump_rows) if jump_rows else np.empty(0, dtype=np.intp)
+    pos = np.concatenate(jump_pos) if jump_pos else np.empty(0)
+    order = np.argsort(rows, kind="stable")
+    rows, pos = rows[order], pos[order]
+    bounds = np.searchsorted(rows, np.arange(n_traj + 1))
     return [
-        JumpRecord(positions=pos, final_state=phi,
+        JumpRecord(positions=pos[bounds[b]:bounds[b + 1]].copy(),
+                   final_state=final[b].copy(),
                    seed_info=(int(master_seed), int(idx)),
-                   length=float(length), dt=float(dt))
-        for idx, pos, phi in results
+                   length=length)
+        for b, idx in enumerate(indices)
     ]
 
 
-def _run_compiled(step_op, jump_op, rate_op, cum, vecs, indices,
-                  master_seed, n_steps, dt, threads):
-    kernel = _kernels.jump_cython.run_steps
+def _record_histograms(records, edges, burn_in, window):
+    """Per-record jump counts, pair histograms and waiting-time counts.
 
-    def worker(index):
-        gen = _stream(master_seed, index)
-        phi = _pick_initial(gen.random(), cum, vecs)
-        uniforms = gen.random(n_steps)
-        buf = np.empty(n_steps, dtype=np.int64)
-        n_jumps = kernel(step_op, jump_op, rate_op, phi, uniforms, dt, buf)
-        if n_jumps < 0:
-            raise NonNormalizableStateError(
-                "state norm underflow in trajectory %d at step %d"
-                % (index, -n_jumps - 1)
-            )
-        positions = (buf[:n_jumps] + 1).astype(float) * dt
-        return index, positions, phi
+    Returns (counts, pair_hist, wait_counts, wait_cond): jumps after
+    burn-in, inverse-measure-weighted ordered pairs per separation bin,
+    next-jump gaps per bin, and the conditioning jumps of each record.
+    """
+    n_rec = len(records)
+    n_bins = edges.size - 1
+    tau_max = edges[-1]
+    # every record's jumps after burn-in in one array, record after record;
+    # end[j] is one past the last jump of the record that holds jump j
+    sizes = [rec.positions.size for rec in records]
+    raw = np.concatenate([rec.positions for rec in records])
+    late = raw >= burn_in
+    pos = raw[late] - burn_in
+    rec_of = np.repeat(np.arange(n_rec), sizes)[late]
+    counts = np.bincount(rec_of, minlength=n_rec).astype(float)
+    end = np.cumsum(counts).astype(np.intp)[rec_of]
 
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(indices) == 1:
-        return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices))
+    def histogram(rec, gaps, weights=None):
+        which = np.searchsorted(edges, gaps, side="right") - 1
+        keep = (which >= 0) & (which < n_bins)
+        cells = rec[keep] * n_bins + which[keep]
+        hist = np.bincount(cells, None if weights is None else weights[keep],
+                           minlength=n_rec * n_bins)
+        return hist.astype(float).reshape(n_rec, n_bins)
 
+    # ordered pairs, weighted by the inverse of the admissible left-point
+    # measure so the bin average is the raw pair density; lag k pairs each
+    # jump with the k-th next one, until all partners are past tau_max
+    left = np.arange(pos.size)
+    left_all, right_all = [left[:0]], [left[:0]]
+    lag = 1
+    while left.size:
+        left = left[left + lag < end[left]]
+        left = left[pos[left + lag] < pos[left] + tau_max]
+        left_all.append(left)
+        right_all.append(left + lag)
+        lag += 1
+    left, right = np.concatenate(left_all), np.concatenate(right_all)
+    gaps = pos[right] - pos[left]
+    pair_hist = histogram(rec_of[left], gaps, 1.0 / (window - gaps))
 
-def _run_numpy(step_op, jump_op, rate_op, cum, vecs, indices,
-               master_seed, n_steps, dt):
-    n_traj = len(indices)
-    gens = [_stream(master_seed, i) for i in indices]
-    states = np.empty((n_traj, vecs.shape[0]), dtype=complex)
-    for b, gen in enumerate(gens):
-        states[b] = _pick_initial(gen.random(), cum, vecs)
+    # waiting times conditioned on a jump early enough that any gap up
+    # to tau_max is observable, which removes censoring entirely; the next
+    # jump is the first one strictly later in the same record
+    new_value = np.ones(pos.size, dtype=bool)
+    new_value[1:] = (pos[1:] != pos[:-1]) | (rec_of[1:] != rec_of[:-1])
+    run_start = np.flatnonzero(new_value)
+    run_stop = np.append(run_start[1:], pos.size)
+    nxt = run_stop[np.cumsum(new_value) - 1]
+    left = np.flatnonzero(pos <= window - tau_max)
+    wait_cond = np.bincount(rec_of[left], minlength=n_rec).astype(float)
+    left = left[nxt[left] < end[left]]
+    gaps = pos[nxt[left]] - pos[left]
+    below = gaps < tau_max
+    wait_counts = histogram(rec_of[left][below], gaps[below])
 
-    chunk = max(1, int(MEMORY_BUDGET_BYTES / (8 * n_traj)))
-    all_rows, all_steps = [], []
-    offset = 0
-    while offset < n_steps:
-        size = min(chunk, n_steps - offset)
-        uniforms = np.empty((n_traj, size))
-        for b, gen in enumerate(gens):
-            uniforms[b] = gen.random(size)
-        rows, steps = jump_numpy.run_steps_batch(
-            step_op, jump_op, rate_op, states, uniforms, dt, step_offset=offset)
-        all_rows.append(rows)
-        all_steps.append(steps)
-        offset += size
-    rows = np.concatenate(all_rows) if all_rows else np.empty(0, dtype=np.int64)
-    steps = np.concatenate(all_steps) if all_steps else np.empty(0, dtype=np.int64)
-
-    order = np.argsort(rows, kind="stable")
-    rows, steps = rows[order], steps[order]
-    bounds = np.searchsorted(rows, np.arange(n_traj + 1))
-    out = []
-    for b, index in enumerate(indices):
-        pos = (steps[bounds[b]:bounds[b + 1]] + 1).astype(float) * dt
-        out.append((index, pos, states[b].copy()))
-    return out
+    return counts, pair_hist, wait_counts, wait_cond
 
 
 def estimate_stats(records, bins, burn_in=0.0):
@@ -234,42 +342,12 @@ def estimate_stats(records, bins, burn_in=0.0):
             "record length after burn-in (%g) must exceed the largest bin edge (%g)"
             % (window, tau_max))
 
-    n_rec = len(records)
-    n_bins = edges.size - 1
-    counts = np.empty(n_rec)
-    pair_hist = np.zeros((n_rec, n_bins))
-    wait_counts = np.zeros((n_rec, n_bins))
-    wait_cond = np.zeros(n_rec)
-
-    for i, rec in enumerate(records):
-        if abs(rec.length - length) > 1e-12:
-            raise ValidationError("records must share one length")
-        pos = rec.positions[rec.positions >= burn_in] - burn_in
-        counts[i] = pos.size
-
-        # ordered pairs, weighted by the inverse of the admissible left-point
-        # measure so the bin average is the raw pair density
-        stop = np.searchsorted(pos, pos + tau_max, side="left")
-        for j, left in enumerate(pos):
-            if stop[j] <= j + 1:
-                continue
-            gaps = pos[j + 1:stop[j]] - left
-            which = np.searchsorted(edges, gaps, side="right") - 1
-            keep = (which >= 0) & (which < n_bins)
-            np.add.at(pair_hist[i], which[keep], 1.0 / (window - gaps[keep]))
-
-        # waiting times conditioned on a jump early enough that any gap up
-        # to tau_max is observable, which removes censoring entirely
-        left_ok = pos[pos <= window - tau_max]
-        wait_cond[i] = left_ok.size
-        if left_ok.size:
-            nxt = np.searchsorted(pos, left_ok, side="right")
-            has_next = nxt < pos.size
-            gaps = pos[nxt[has_next]] - left_ok[has_next]
-            gaps = gaps[gaps < tau_max]
-            which = np.searchsorted(edges, gaps, side="right") - 1
-            keep = (which >= 0) & (which < n_bins)
-            np.add.at(wait_counts[i], which[keep], 1.0)
+    lengths = np.array([rec.length for rec in records])
+    if np.any(np.abs(lengths - length) > 1e-12):
+        raise ValidationError("records must share one length")
+    counts, pair_hist, wait_counts, wait_cond = _record_histograms(
+        records, edges, burn_in, window)
+    n_rec, n_bins = pair_hist.shape
 
     rates = counts / window
     rate = float(rates.mean())

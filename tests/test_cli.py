@@ -131,28 +131,19 @@ def test_converge_extrapolates_occupation(tmp_path):
     assert result["orders"][-1] == pytest.approx(1.0, abs=0.3)
 
 
-def test_trajectories_reproducible_across_threads(tmp_path):
-    cfg = rf_config(length=30.0, n_traj=40, seed=3, bins=[0.0, 1.0, 2.0],
-                    burn_in=5.0, dt=0.01)
-    rc1, out1 = run_cli(tmp_path, "trajectories", cfg, tag="t1", extra=("--threads", "1"))
-    rc2, out2 = run_cli(tmp_path, "trajectories", cfg, tag="t2", extra=("--threads", "2"))
-    assert rc1 == 0 and rc2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    result = load_json(out1)["result"]
-    assert 0.0 < result["rate"] < 1.0
-    assert len(result["pair_correlation"]) == 2
-    assert result["n_traj"] == 40
-
-
 def test_output_config_reruns_bit_identically(tmp_path):
     cfg = rf_config(length=30.0, n_traj=30, seed=9, bins=[0.0, 1.0, 2.0])
     rc, out = run_cli(tmp_path, "trajectories", cfg, tag="orig")
     assert rc == 0
-    # the emitted config embeds every filled default (dt, burn_in), so
+    # the emitted config embeds every filled default (burn_in), so
     # feeding it back must reproduce the file byte for byte
     rc2, out2 = run_cli(tmp_path, "trajectories", load_json(out)["config"], tag="replay")
     assert rc2 == 0
     assert out.read_bytes() == out2.read_bytes()
+    result = load_json(out)["result"]
+    assert 0.0 < result["rate"] < 1.0
+    assert len(result["pair_correlation"]) == 2
+    assert result["n_traj"] == 30
 
 
 def test_thermodynamic_trajectories_need_record_length(tmp_path):
@@ -232,15 +223,31 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["steady", "--config", str(bad), "--output", str(out)]) == 1
-    capsys.readouterr()
+    # strict JSON has no NaN/Infinity literals, nor numbers that overflow
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999"):
+        cfg = rf_config(separations=[0.0])
+        text = json.dumps(cfg).replace("[0.0]", f"[{literal}]")
+        bad.write_text(text)
+        assert main(["correlate", "--config", str(bad), "--output", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+    bad.write_text(json.dumps(rf_config(separations=[0.0])).replace("[0.0]", "[1%s]" % ("0" * 400)))
+    assert main(["correlate", "--config", str(bad), "--output", str(out)]) == 1
+    assert "float range" in capsys.readouterr().err
 
 
-def test_trajectory_config_validation(tmp_path):
+def test_trajectory_config_validation(tmp_path, capsys):
     base = dict(length=10.0, n_traj=5, seed=2, bins=[0.0, 1.0])
     bad_seed = rf_config(**{**base, "seed": -1})
     assert run_cli(tmp_path, "trajectories", bad_seed, tag="s")[0] == 1
     bad_bins = rf_config(**{**base, "bins": [-1.0, 1.0]})
     assert run_cli(tmp_path, "trajectories", bad_bins, tag="b")[0] == 1
+    endless = rf_config(**{**base, "length": float("inf")})
+    assert run_cli(tmp_path, "trajectories", endless, tag="inf")[0] == 1
+    capsys.readouterr()
+    # the sampler has no time step: a config carrying one is stale
+    stepped = rf_config(**{**base, "dt": 0.01})
+    assert run_cli(tmp_path, "trajectories", stepped, tag="dt")[0] == 1
+    assert "'dt'" in capsys.readouterr().err
 
 
 def test_converge_observable_validation(tmp_path):
@@ -250,19 +257,6 @@ def test_converge_observable_validation(tmp_path):
                    rf_config(epsilons=[0.1], separation=1.0), tag="b")[0] == 1
     assert run_cli(tmp_path, "converge",
                    rf_config(epsilons=[0.1], observable="hopping"), tag="c")[0] == 1
-
-
-def test_thread_flag_and_env_validation(tmp_path, capsys, monkeypatch):
-    cfg = rf_config()
-    rc, _ = run_cli(tmp_path, "steady", cfg, extra=("--threads", "-1"))
-    assert rc == 1
-    monkeypatch.setenv("CMPS_LAB_THREADS", "abc")
-    rc, _ = run_cli(tmp_path, "steady", cfg, tag="env")
-    assert rc == 1
-    assert "CMPS_LAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("CMPS_LAB_THREADS", "2")
-    rc, _ = run_cli(tmp_path, "steady", cfg, tag="env_ok")
-    assert rc == 0
 
 
 def test_degenerate_fixed_space_exits_two(tmp_path, capsys):
@@ -307,4 +301,9 @@ def test_tolerance_override_validation(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "steady", cfg, tag="v",
                     extra=("--tolerance-overrides", str(bad_val)))
     assert rc == 1
+    for literal in ("NaN", "Infinity"):
+        bad_val.write_text('{"herm_tol": %s}' % literal)
+        rc, _ = run_cli(tmp_path, "steady", cfg, tag="nf",
+                        extra=("--tolerance-overrides", str(bad_val)))
+        assert rc == 1
     capsys.readouterr()

@@ -6,6 +6,7 @@ from cmps_lab.errors import (
     InvalidBoundaryStateError,
     NonHermitianKError,
     ShapeMismatchError,
+    ValidationError,
 )
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat
@@ -47,6 +48,16 @@ def test_hermiticity_enforced_relative_to_scale():
     new_cmps(2, big, RF_R)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_rejected(bad):
+    K = np.array([[bad, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValidationError):
+        new_cmps(2, K, RF_R)
+    R = np.array([[0.0, 0.0], [bad, 0.0]])
+    with pytest.raises(ValidationError):
+        new_cmps(2, RF_K, R)
+
+
 def test_r_needs_no_symmetry():
     rng = np.random.default_rng(0)
     new_cmps(3, rand_herm(3, rng), rand_mat(3, rng))
@@ -60,6 +71,12 @@ def test_finite_geometry_validation():
         Finite(length=-1.0, boundary_rho=rho)
     with pytest.raises(ShapeMismatchError):
         Finite(length=0.0, boundary_rho=rho)
+    for length in (np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            Finite(length=length, boundary_rho=rho)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            Finite(length=1.0, boundary_rho=np.array([[1.0, 0.0], [0.0, bad]]))
     with pytest.raises(InvalidBoundaryStateError):
         Finite(length=1.0, boundary_rho=np.array([[0.5, 0.3], [0.0, 0.5]]))
     with pytest.raises(InvalidBoundaryStateError):

@@ -7,6 +7,7 @@ deterministic 3 sigma test against an independently computed reference.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmps_lab import (
     Finite,
@@ -15,7 +16,6 @@ from cmps_lab import (
     density,
     devectorize,
     estimate_stats,
-    max_step,
     new_cmps,
     no_jump_survival,
     pair_correlation,
@@ -30,54 +30,76 @@ from cmps_lab import (
 )
 from cmps_lab.errors import (
     InsufficientDataError,
-    StepNotPositiveError,
-    StepTooLargeError,
     ValidationError,
     WindowTooSmallError,
 )
+from cmps_lab.trajectories import _record_histograms, _stream
 
 from conftest import EXCITED, RF_K, RF_R, random_instance
 
+# the driven emitter at its exceptional point: Q = -i sigma_x / 4 - |e><e| / 2
+# has the double eigenvalue -1/4 and a single eigenvector
+EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
 
-def _record(positions, length=10.0, dt=0.01):
+
+def _record(positions, length=10.0):
     return JumpRecord(
         positions=np.asarray(positions, dtype=float),
         final_state=np.array([1.0 + 0j, 0.0j]),
         seed_info=(0, 0),
         length=length,
-        dt=dt,
     )
 
 
-def test_max_step_scales_inversely_with_emission_strength(rf):
-    assert max_step(rf) == pytest.approx(0.01)
-    # weak emission is clamped: the ceiling never exceeds the bare step
-    weak = new_cmps(2, RF_K, 0.1 * RF_R)
-    assert max_step(weak) == pytest.approx(0.01)
-    strong = new_cmps(2, RF_K, 3.0 * RF_R)
-    assert max_step(strong) == pytest.approx(0.01 / 9.0)
+def _loop_histograms(records, edges, burn_in, window):
+    """Record-by-record, jump-by-jump reference for _record_histograms."""
+    tau_max = edges[-1]
+    n_rec, n_bins = len(records), edges.size - 1
+    counts = np.empty(n_rec)
+    pair_hist = np.zeros((n_rec, n_bins))
+    wait_counts = np.zeros((n_rec, n_bins))
+    wait_cond = np.zeros(n_rec)
+    for i, rec in enumerate(records):
+        pos = rec.positions[rec.positions >= burn_in] - burn_in
+        counts[i] = pos.size
+        stop = np.searchsorted(pos, pos + tau_max, side="left")
+        for j, left in enumerate(pos):
+            gaps = pos[j + 1:stop[j]] - left
+            which = np.searchsorted(edges, gaps, side="right") - 1
+            keep = (which >= 0) & (which < n_bins)
+            np.add.at(pair_hist[i], which[keep], 1.0 / (window - gaps[keep]))
+        left_ok = pos[pos <= window - tau_max]
+        wait_cond[i] = left_ok.size
+        nxt = np.searchsorted(pos, left_ok, side="right")
+        has_next = nxt < pos.size
+        gaps = pos[nxt[has_next]] - left_ok[has_next]
+        gaps = gaps[gaps < tau_max]
+        which = np.searchsorted(edges, gaps, side="right") - 1
+        keep = (which >= 0) & (which < n_bins)
+        np.add.at(wait_counts[i], which[keep], 1.0)
+    return counts, pair_hist, wait_counts, wait_cond
 
 
 def test_sampler_rejects_bad_steps_and_lengths(rf):
-    with pytest.raises(StepTooLargeError):
-        sample_ensemble(rf, 2, 1.0, 0.02, master_seed=0)
-    with pytest.raises(StepNotPositiveError):
-        sample_ensemble(rf, 2, 1.0, 0.0, master_seed=0)
-    with pytest.raises(StepNotPositiveError):
-        sample_ensemble(rf, 2, 1.0, -0.01, master_seed=0)
+    for length in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            sample_ensemble(rf, 2, length, master_seed=0)
     with pytest.raises(ValidationError):
-        sample_ensemble(rf, 2, -1.0, 0.01, master_seed=0)
-    with pytest.raises(ValidationError):
-        sample_ensemble(rf, 2, 0.001, 0.01, master_seed=0)
-    with pytest.raises(ValidationError):
-        sample_ensemble(rf, 0, 1.0, 0.01, master_seed=0)
+        sample_ensemble(rf, 0, 1.0, master_seed=0)
 
 
 def test_zero_emission_gives_empty_records_and_zero_rate():
     p = new_cmps(2, RF_K, np.zeros((2, 2)), Finite(length=2.0, boundary_rho=np.eye(2) / 2))
-    recs = sample_ensemble(p, 3, 2.0, 0.01, master_seed=5)
-    assert all(r.positions.size == 0 for r in recs)
-    assert all(abs(np.linalg.norm(r.final_state) - 1.0) < 1e-9 for r in recs)
+    recs = sample_ensemble(p, 3, 2.0, master_seed=5)
+    # a large bond dimension with nothing to emit
+    d = 70
+    rho = np.zeros((d, d))
+    rho[0, 0] = 1.0
+    big = new_cmps(d, np.zeros((d, d)), np.zeros((d, d)),
+                   Finite(length=0.5, boundary_rho=rho))
+    big_recs = sample_ensemble(big, n_traj=2, length=0.5, master_seed=1)
+    assert all(r.positions.size == 0 for r in recs + big_recs)
+    assert all(abs(np.linalg.norm(r.final_state) - 1.0) < 1e-9 for r in recs + big_recs)
     stats = estimate_stats(recs, [0.0, 0.5, 1.0])
     assert stats.rate == 0.0
     assert stats.rate_stderr == 0.0
@@ -87,27 +109,53 @@ def test_zero_emission_gives_empty_records_and_zero_rate():
 
 
 def test_pure_decay_jumps_exactly_once(damping_finite):
-    recs = sample_ensemble(damping_finite, 10000, 8.0, 0.01, master_seed=42)
+    recs = sample_ensemble(damping_finite, 10000, 8.0, master_seed=42)
     njumps = np.array([r.positions.size for r in recs])
     # the post-jump state is dark, so a second jump is impossible
     assert njumps.max() <= 1
     # no-jump survival over the whole record is exp(-8)
     assert (njumps == 0).mean() < 2e-3
     pos = np.concatenate([r.positions for r in recs if r.positions.size])
-    # first passage of the per-step hazard has mean exactly 1/rate
+    # first passage at unit rate has mean exactly 1
     assert abs(pos.mean() - 1.0) < 3.5 * pos.std() / np.sqrt(pos.size) + 3e-3
-    # positions land on the step grid
-    assert np.allclose(pos / 0.01, np.round(pos / 0.01), atol=1e-9)
+    # S(tau) = exp(-tau), so a jump lands at -log u for the stream's draw
+    # after the initial-state one
+    for i in range(20):
+        gen = _stream(42, i)
+        gen.random()
+        u = gen.random()
+        if u > np.exp(-8.0):
+            assert recs[i].positions[0] == pytest.approx(-np.log(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [RF_K, EP_K], ids=["emitter", "exceptional"])
+def test_first_jump_times_follow_survival(k, monkeypatch):
+    # from the excited state the first jump has survival S(tau) exactly
+    p = new_cmps(2, k, RF_R, Finite(length=6.0, boundary_rho=EXCITED))
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    recs = sample_ensemble(p, 4000, 6.0, master_seed=2718)
+    monkeypatch.undo()
+    # the emitter's Q is diagonalizable and needs no expm; at the
+    # exceptional point S comes from expm
+    assert bool(calls) == (k is EP_K)
+    edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+    first = np.array([r.positions[0] for r in recs if r.positions.size])
+    observed = np.append(np.histogram(first, edges)[0], len(recs) - first.size) / len(recs)
+    expected = np.append(waiting_bin_probs(p, edges, initial=EXCITED),
+                         no_jump_survival(p, [edges[-1]], initial=EXCITED))
+    stderr = np.sqrt(expected * (1 - expected) / len(recs))
+    assert np.all(np.abs(observed - expected) < 3.0 * stderr)
 
 
 def test_coherent_counts_are_poissonian(coherent):
     p = coherent(r=0.8, k=0.3)
-    recs = sample_ensemble(p, 2000, 50.0, 0.01, master_seed=7)
+    recs = sample_ensemble(p, 2000, 50.0, master_seed=7)
     edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0])
     stats = estimate_stats(recs, edges)
     assert abs(stats.rate - 0.64) < 3.0 * stats.rate_stderr
-    # memoryless emission: flat pair correlation, exponential waiting times.
-    # one grid cell per bin covers the per-step discretization of gaps.
+    # memoryless emission: flat pair correlation, exponential waiting times
     allowance = 0.01 / np.diff(edges)
     assert np.all(np.abs(stats.pair_correlation - 1.0)
                   < 3.0 * stats.pair_stderr + allowance)
@@ -117,22 +165,30 @@ def test_coherent_counts_are_poissonian(coherent):
 
 
 def test_stationary_rate_matches_density(rf):
-    recs = sample_ensemble(rf, 1200, 50.0, 0.002, master_seed=11)
+    recs = sample_ensemble(rf, 1200, 50.0, master_seed=11)
     stats = estimate_stats(recs, [0.0, 1.0, 2.0], burn_in=20.0)
     assert abs(stats.rate - 1.0 / 3.0) < 3.0 * stats.rate_stderr + 1e-3
 
 
 def test_bitwise_reproducibility_and_stream_independence(rf):
-    a = sample_trajectory(rf, 30.0, 0.005, master_seed=123, index=4)
-    b = sample_trajectory(rf, 30.0, 0.005, master_seed=123, index=4)
+    a = sample_trajectory(rf, 30.0, master_seed=123, index=4)
+    b = sample_trajectory(rf, 30.0, master_seed=123, index=4)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.final_state, b.final_state)
     assert a.seed_info == (123, 4)
-    assert a.length == 30.0 and a.dt == 0.005
-    c = sample_trajectory(rf, 30.0, 0.005, master_seed=123, index=5)
-    d = sample_trajectory(rf, 30.0, 0.005, master_seed=124, index=4)
+    assert a.length == 30.0
+    c = sample_trajectory(rf, 30.0, master_seed=123, index=5)
+    d = sample_trajectory(rf, 30.0, master_seed=124, index=4)
     assert not np.array_equal(a.positions, c.positions)
     assert not np.array_equal(a.positions, d.positions)
+
+
+def test_single_trajectory_matches_ensemble_member(rf):
+    recs = sample_ensemble(rf, n_traj=3, length=5.0, master_seed=123)
+    solo = sample_trajectory(rf, length=5.0, master_seed=123, index=2)
+    assert np.array_equal(solo.positions, recs[2].positions)
+    assert np.array_equal(solo.final_state, recs[2].final_state)
+    assert solo.seed_info == (123, 2)
 
 
 def test_estimator_semantics_on_synthetic_records():
@@ -155,6 +211,18 @@ def test_estimator_semantics_on_synthetic_records():
     assert late.waiting_probs[0] == 0.0
     assert late.n_conditioning_jumps == 2
 
+    # the array histograms equal the jump-by-jump loop, with repeated
+    # positions, empty records and burn-in
+    more = recs + [_record([]), _record([0.2, 0.2, 0.9, 3.0, 3.0, 3.4, 7.9]), _record([])]
+    for edges, burn_in in (([0.0, 1.0, 2.0], 0.0), ([0.0, 1.0], 5.0),
+                           ([0.3, 0.5, 2.5], 0.2), ([0.0, 1.0, 2.0], 7.5)):
+        edges = np.asarray(edges)
+        window = 10.0 - burn_in
+        got = _record_histograms(more, edges, burn_in, window)
+        want = _loop_histograms(more, edges, burn_in, window)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
 
 def test_estimator_rejects_malformed_input():
     recs = [_record([1.0]), _record([2.0])]
@@ -175,20 +243,9 @@ def test_estimator_rejects_malformed_input():
         estimate_stats(mixed, [0.0, 1.0])
 
 
-def test_rate_survives_step_refinement(rf):
-    # halving dt must not move the rate by more than the combined noise
-    out = {}
-    for dt in (0.004, 0.002):
-        recs = sample_ensemble(rf, 10000, 50.0, dt, master_seed=31)
-        out[dt] = estimate_stats(recs, [0.0, 1.0], burn_in=20.0)
-    diff = abs(out[0.004].rate - out[0.002].rate)
-    combined = np.hypot(out[0.004].rate_stderr, out[0.002].rate_stderr)
-    assert diff < combined
-
-
 def test_finite_ensemble_tracks_driven_relaxation():
     p = new_cmps(2, RF_K, RF_R, Finite(length=4.0, boundary_rho=EXCITED))
-    recs = sample_ensemble(p, 16000, 3.5, 0.002, master_seed=88)
+    recs = sample_ensemble(p, 16000, 3.5, master_seed=88)
     lv = build_liouvillian(RF_K, RF_R)
     v0 = vectorize(EXCITED)
     half = 0.125
@@ -213,10 +270,9 @@ def test_random_instances_match_spectral_predictions():
         data = require_unique_fixed_space(steady_state(build_liouvillian(p.K, p.R)))
         gap = data.gap
         dens = density(p)
-        dt = min(max_step(p), 0.003)
         burn = 10.0 / gap
         edges = np.array([0.0, 0.5, 1.0, 1.5, 2.5, 4.0]) / gap
-        recs = sample_ensemble(p, 4000, 30.0 / gap + burn, dt, master_seed=ens_seed)
+        recs = sample_ensemble(p, 4000, 30.0 / gap + burn, master_seed=ens_seed)
         stats = estimate_stats(recs, edges, burn_in=burn)
         assert abs(stats.rate - dens) < 3.0 * stats.rate_stderr
         for k in range(edges.size - 1):
@@ -229,7 +285,7 @@ def test_random_instances_match_spectral_predictions():
 
 def test_waiting_histogram_matches_renewal_density(rf):
     edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
-    recs = sample_ensemble(rf, 6000, 60.0, 0.002, master_seed=314)
+    recs = sample_ensemble(rf, 6000, 60.0, master_seed=314)
     stats = estimate_stats(recs, edges, burn_in=20.0)
     ref = waiting_bin_probs(rf, edges)
     z = (stats.waiting_probs - ref) / stats.waiting_stderr
