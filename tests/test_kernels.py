@@ -1,157 +1,30 @@
-import os
-import subprocess
-import sys
+"""Sampler cases that outlived the fixed-step kernels this module once tested.
+
+They keep their original test ids: a trajectory must not depend on the rows
+that share its batch, and a large bond dimension must sample like a small one.
+"""
 
 import numpy as np
-import pytest
 
 from cmps_lab import Finite, new_cmps, sample_ensemble, sample_trajectory
-from cmps_lab import _kernels
-from cmps_lab._kernels import jump_numpy
-from cmps_lab.errors import NonNormalizableStateError
-from cmps_lab.trajectories import _step_operators, _stream
-
-from conftest import RF_K, RF_R
-
-needs_compiled = pytest.mark.skipif(
-    not _kernels.have_compiled(), reason="compiled kernel not built"
-)
-
-
-def test_backend_selection_reports_something_sane():
-    assert _kernels.backend_name() in ("cython", "numpy")
-
-
-def test_env_override_selects_numpy():
-    code = (
-        "import cmps_lab._kernels as k; print(k.backend_name())"
-    )
-    env = dict(os.environ, CMPS_LAB_KERNEL="numpy")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_override_rejects_unknown_backend():
-    env = dict(os.environ, CMPS_LAB_KERNEL="fortran")
-    out = subprocess.run([sys.executable, "-c", "import cmps_lab._kernels"],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "CMPS_LAB_KERNEL" in out.stderr
-
-
-@needs_compiled
-def test_backends_agree_on_identical_streams(rf):
-    length, dt, seed = 30.0, 0.004, 77
-    n_steps = int(round(length / dt))
-    step_op, jump_op, rate_op = _step_operators(rf, dt)
-    from cmps_lab._kernels import jump_cython
-
-    for index in range(4):
-        gen = _stream(seed, index)
-        u0 = gen.random()
-        uniforms = gen.random(n_steps)
-        from cmps_lab.trajectories import _initial_ensemble, _pick_initial
-
-        cum, vecs = _initial_ensemble(rf)
-        phi_c = _pick_initial(u0, cum, vecs)
-        phi_n = phi_c.copy()
-
-        buf = np.empty(n_steps, dtype=np.int64)
-        nj = jump_cython.run_steps(step_op, jump_op, rate_op, phi_c, uniforms, dt, buf)
-        states = phi_n[None, :].copy()
-        rows, steps = jump_numpy.run_steps_batch(step_op, jump_op, rate_op,
-                                                 states, uniforms[None, :], dt)
-        assert np.array_equal(buf[:nj], steps)
-        assert np.abs(phi_c - states[0]).max() < 1e-10
-
-
-@needs_compiled
-def test_ensemble_matches_across_backends(rf, monkeypatch):
-    kw = dict(n_traj=20, length=10.0, dt=0.005, master_seed=5)
-    rec_c = sample_ensemble(rf, **kw)
-    monkeypatch.setattr(_kernels, "_active", "numpy")
-    rec_n = sample_ensemble(rf, **kw)
-    for a, b in zip(rec_c, rec_n):
-        assert np.array_equal(a.positions, b.positions)
-        assert np.abs(a.final_state - b.final_state).max() < 1e-10
-
-
-def test_thread_count_does_not_change_records(rf):
-    kw = dict(n_traj=16, length=8.0, dt=0.005, master_seed=9)
-    rec_1 = sample_ensemble(rf, threads=1, **kw)
-    rec_4 = sample_ensemble(rf, threads=4, **kw)
-    for a, b in zip(rec_1, rec_4):
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.final_state, b.final_state)
 
 
 def test_single_trajectory_matches_ensemble_member(rf):
-    recs = sample_ensemble(rf, n_traj=3, length=5.0, dt=0.005, master_seed=123)
-    solo = sample_trajectory(rf, length=5.0, dt=0.005, master_seed=123, index=2)
+    recs = sample_ensemble(rf, n_traj=3, length=5.0, master_seed=123)
+    solo = sample_trajectory(rf, length=5.0, master_seed=123, index=2)
     assert np.array_equal(solo.positions, recs[2].positions)
     assert np.array_equal(solo.final_state, recs[2].final_state)
     assert solo.seed_info == (123, 2)
 
 
 def test_large_dimension_routes_to_numpy_path():
-    # compiled kernel owns a fixed work buffer; D > 64 must still work
+    # a bond dimension above the old compiled kernel's 64-wide work buffer,
+    # with nothing to emit
     d = 70
     rho = np.zeros((d, d))
     rho[0, 0] = 1.0
     p = new_cmps(d, np.zeros((d, d)), np.zeros((d, d)),
                  Finite(length=0.5, boundary_rho=rho))
-    recs = sample_ensemble(p, n_traj=2, length=0.5, dt=0.01, master_seed=1)
-    assert all(len(r.positions) == 0 for r in recs)
-
-
-def test_numpy_kernel_raises_on_norm_underflow():
-    # states renormalize every step, so only a single catastrophic
-    # contraction can cross the floor: use a step map below it outright
-    d = 2
-    step_op = np.ascontiguousarray(1e-200 * np.eye(d, dtype=complex))
-    jump_op = np.ascontiguousarray(np.zeros((d, d), dtype=complex))
-    rate_op = np.ascontiguousarray(np.zeros((d, d), dtype=complex))
-    states = np.array([[1.0 + 0.0j, 0.0j]])
-    uniforms = np.ones((1, 5))  # never below the zero jump hazard
-    with pytest.raises(NonNormalizableStateError):
-        jump_numpy.run_steps_batch(step_op, jump_op, rate_op, states, uniforms, 0.01)
-
-
-@needs_compiled
-def test_cython_kernel_reports_norm_underflow():
-    from cmps_lab._kernels import jump_cython
-
-    d = 2
-    step_op = np.ascontiguousarray(1e-200 * np.eye(d, dtype=complex))
-    jump_op = np.ascontiguousarray(np.zeros((d, d), dtype=complex))
-    rate_op = np.ascontiguousarray(np.zeros((d, d), dtype=complex))
-    phi = np.array([1.0 + 0.0j, 0.0j])
-    buf = np.empty(5, dtype=np.int64)
-    out = jump_cython.run_steps(step_op, jump_op, rate_op, phi,
-                                np.ones(5), 0.01, buf)
-    assert out < 0  # negative sentinel encodes the failing step
-
-
-def test_numpy_batch_respects_step_offset():
-    # two chunks must produce the same global jump steps as one big call
-    rng = np.random.default_rng(3)
-    p = new_cmps(2, RF_K, RF_R)
-    step_op, jump_op, rate_op = _step_operators(p, 0.01)
-    uniforms = rng.random((3, 200))
-    states_a = np.tile(np.array([1.0 + 0j, 0.0j]), (3, 1))
-    rows_a, steps_a = jump_numpy.run_steps_batch(step_op, jump_op, rate_op,
-                                                 states_a, uniforms, 0.01)
-    states_b = np.tile(np.array([1.0 + 0j, 0.0j]), (3, 1))
-    r1, s1 = jump_numpy.run_steps_batch(step_op, jump_op, rate_op, states_b,
-                                        uniforms[:, :120], 0.01)
-    r2, s2 = jump_numpy.run_steps_batch(step_op, jump_op, rate_op, states_b,
-                                        uniforms[:, 120:], 0.01, step_offset=120)
-    rows_b = np.concatenate([r1, r2])
-    steps_b = np.concatenate([s1, s2])
-    order_a = np.lexsort((steps_a, rows_a))
-    order_b = np.lexsort((steps_b, rows_b))
-    assert np.array_equal(rows_a[order_a], rows_b[order_b])
-    assert np.array_equal(steps_a[order_a], steps_b[order_b])
-    assert np.abs(states_a - states_b).max() < 1e-12
+    recs = sample_ensemble(p, n_traj=2, length=0.5, master_seed=1)
+    assert all(r.positions.size == 0 for r in recs)
+    assert all(abs(np.linalg.norm(r.final_state) - 1.0) < 1e-9 for r in recs)
