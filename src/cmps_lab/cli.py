@@ -8,7 +8,7 @@ input, 2 numerical failure.
 """
 
 import argparse
-import copy
+import functools
 import json
 import math
 import os
@@ -222,10 +222,22 @@ def _matrix_out(m):
 
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a fresh temp file beside `path`, then rename it over.
+
+    The temp name is random and created exclusively, so concurrent runs
+    never share one; mode 0o666 lets the umask set the permission bits, as
+    a plain open() would.
+    """
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(16).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
 
 
 def _emit_json(out_path, command, cfg, result):
@@ -250,28 +262,10 @@ def _emit_csv(out_path, command, cfg, header, rows):
     _atomic_write(out_path, "\n".join(lines) + "\n")
 
 
-def _spectral(params):
-    return steady_state(build_liouvillian(params.K, params.R))
-
-
-def _cmd_steady(cfg, out_path):
+def _cmd_spectrum(command, cfg, out_path):
+    """`steady` and `gap`: the spectrum, plus the fixed point for `steady`."""
     params = _build_params(cfg)
-    data = require_unique_fixed_space(_spectral(params))
-    result = {
-        "rho_ss": _matrix_out(data.steady_state),
-        "gap": data.gap,
-        "gapless": data.gapless,
-        "eigenvalues": {
-            "re": data.eigenvalues.real,
-            "im": data.eigenvalues.imag,
-        },
-    }
-    _emit_json(out_path, "steady", cfg, result)
-
-
-def _cmd_gap(cfg, out_path):
-    params = _build_params(cfg)
-    data = require_unique_fixed_space(_spectral(params))
+    data = require_unique_fixed_space(steady_state(build_liouvillian(params.K, params.R)))
     result = {
         "gap": data.gap,
         "gapless": data.gapless,
@@ -280,7 +274,9 @@ def _cmd_gap(cfg, out_path):
             "im": data.eigenvalues.imag,
         },
     }
-    _emit_json(out_path, "gap", cfg, result)
+    if command == "steady":
+        result["rho_ss"] = _matrix_out(data.steady_state)
+    _emit_json(out_path, command, cfg, result)
 
 
 def _cmd_correlate(cfg, out_path):
@@ -469,8 +465,8 @@ def _cmd_family_deriv(cfg, out_path):
 
 
 _HANDLERS = {
-    "steady": _cmd_steady,
-    "gap": _cmd_gap,
+    "steady": functools.partial(_cmd_spectrum, "steady"),
+    "gap": functools.partial(_cmd_spectrum, "gap"),
     "correlate": _cmd_correlate,
     "g2": _cmd_g2,
     "kinetic": _cmd_kinetic,
@@ -515,7 +511,18 @@ def _load_json(fh):
                      parse_constant=_non_finite_literal)
 
 
+def _load_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _load_json(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+
+
 def _apply_tolerance_overrides(path):
+    """Set the tolerances named in the file; return the values they replace."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = _load_json(fh)
@@ -530,8 +537,12 @@ def _apply_tolerance_overrides(path):
             raise ConfigError(f"unknown tolerance '{name}'")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance '{name}' must be a positive number")
+    replaced = []
+    for name, value in overrides.items():
         module, attr = TOLERANCE_TARGETS[name]
+        replaced.append((module, attr, getattr(module, attr)))
         setattr(module, attr, float(value))
+    return replaced
 
 
 def _run(argv):
@@ -542,23 +553,20 @@ def _run(argv):
     parser.add_argument("--tolerance-overrides", default=None)
     args = parser.parse_args(argv)
 
+    replaced = []
     if args.tolerance_overrides:
-        _apply_tolerance_overrides(args.tolerance_overrides)
-
+        replaced = _apply_tolerance_overrides(args.tolerance_overrides)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = _load_json(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-
-    schema = dict(_BASE_SCHEMA)
-    schema.update(_EXTRA_SCHEMA[args.command])
-    cfg = copy.deepcopy(cfg)
-    _check_schema(cfg, schema)
-    _HANDLERS[args.command](cfg, args.output)
-    return 0
+        cfg = _load_config(args.config)
+        schema = dict(_BASE_SCHEMA)
+        schema.update(_EXTRA_SCHEMA[args.command])
+        _check_schema(cfg, schema)
+        _HANDLERS[args.command](cfg, args.output)
+        return 0
+    finally:
+        # overrides hold for one run; later runs in the process are strict
+        for module, attr, value in replaced:
+            setattr(module, attr, value)
 
 
 def main(argv=None):

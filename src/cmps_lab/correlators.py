@@ -2,13 +2,14 @@
 
 Field operators acting on the physical state translate into superoperators
 applied to the flattened boundary state, read left to right in position
-order:
+order.  Each is a sandwich rho -> a rho b^dag, built by
+`liouville.sandwich(a, b)`:
 
-    annihilation at x      rho -> R rho            (R kron 1)
-    creation at x          rho -> rho R^dag        (1 kron conj R)
-    derivative annihil.    rho -> X rho            X = -[Q, R]
-    derivative creation    rho -> rho X^dag        (1 kron conj X)
-    pair density at x      rho -> R rho R^dag      (R kron conj R)
+    annihilation at x      rho -> R rho            sandwich(R, 1)
+    creation at x          rho -> rho R^dag        sandwich(1, R)
+    derivative annihil.    rho -> X rho            sandwich(X, 1),  X = -[Q, R]
+    derivative creation    rho -> rho X^dag        sandwich(1, X)
+    pair density at x      rho -> R rho R^dag      sandwich(R, R)
 
 with free propagation exp(L dx) between consecutive insertion points and
 the trace functional closing the chain.  Translation invariance makes the
@@ -19,13 +20,20 @@ are anchored at the left edge (the first insertion sits at x1 = 0 for
 separation grids), and the chain is closed by propagating to the right
 edge and dividing by the norm.
 
+Every correlator walks its chain with one scan, `_Chain.scan`: the only
+place where exp(L dx) is applied to a vector.  It carries the opening
+state (or, for the backward march of `family_derivative`, the trace
+functional) through ascending positions, applies each insertion as it
+passes it, and hands back the vector at requested stops.
+
 A two-point function <create(0) annihilate(d)> therefore evaluates to
-vec(1)^dag (R kron 1) exp(L d) (1 kron conj R) vec(rho_ss), and the pair
+vec(1)^dag sandwich(R, 1) exp(L d) sandwich(1, R) vec(rho_ss), and the pair
 correlator g2(d) divides the double pair-density insertion by the squared
 density.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +53,7 @@ from .errors import (
 from .liouville import (
     build_liouvillian,
     require_unique_fixed_space,
+    sandwich,
     steady_state,
     trace_functional,
     vectorize,
@@ -62,13 +71,11 @@ class Insertion:
 
 
 def annihilate(params):
-    d = params.dim
-    return Insertion("annihilate", np.kron(params.R, np.eye(d)))
+    return Insertion("annihilate", sandwich(params.R, np.eye(params.dim)))
 
 
 def create(params):
-    d = params.dim
-    return Insertion("create", np.kron(np.eye(d), params.R.conj()))
+    return Insertion("create", sandwich(np.eye(params.dim), params.R))
 
 
 def _deriv_matrix(params):
@@ -77,17 +84,15 @@ def _deriv_matrix(params):
 
 
 def deriv_annihilate(params):
-    d = params.dim
-    return Insertion("deriv_annihilate", np.kron(_deriv_matrix(params), np.eye(d)))
+    return Insertion("deriv_annihilate", sandwich(_deriv_matrix(params), np.eye(params.dim)))
 
 
 def deriv_create(params):
-    d = params.dim
-    return Insertion("deriv_create", np.kron(np.eye(d), _deriv_matrix(params).conj()))
+    return Insertion("deriv_create", sandwich(np.eye(params.dim), _deriv_matrix(params)))
 
 
 def pair_density(params):
-    return Insertion("pair_density", np.kron(params.R, params.R.conj()))
+    return Insertion("pair_density", sandwich(params.R, params.R))
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,14 @@ class CorrelatorResult:
 
 
 class _Chain:
-    """Shared evaluation state: generator, boundary vectors, exp(L dx) cache."""
+    """Shared evaluation state: generator, boundary vectors, exp(L dx) cache.
+
+    A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
+    then apply op, which is a superoperator matrix, None (nothing) or STOP
+    (hand back the vector there).
+    """
+
+    STOP = object()
 
     def __init__(self, params):
         self.params = params
@@ -126,40 +138,82 @@ class _Chain:
             self._cache[key] = mat
         return mat
 
-    def advance(self, v, dx):
-        mat = self.step(dx)
-        return v if mat is None else mat @ v
+    def legs(self, items, start):
+        """Legs from `start` through (position, Insertion or STOP) items.
 
-    def norm_value(self):
+        Positions must ascend and, in a finite geometry, lie in the window.
+        """
+        positions = [float(p) for p, _ in items]
+        if any(b < a for a, b in zip(positions, positions[1:])):
+            raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
+        if self.length is not None and positions:
+            if positions[0] < 0.0 or positions[-1] > self.length + 1e-12:
+                raise PositionOutOfRangeError(
+                    f"positions {positions[0]} to {positions[-1]} outside [0, {self.length}]"
+                )
+        legs, prev = [], start
+        for pos, (_, op) in zip(positions, items):
+            if op is not self.STOP:
+                if op.superop.shape != (self.dim**2, self.dim**2):
+                    raise ShapeMismatchError("insertion dimension does not match parameters")
+                op = op.superop
+            legs.append((pos - prev, op))
+            prev = pos
+        return legs
+
+    def scan(self, v, legs, adjoint=False):
+        """Carry v along the legs and return the vectors at the stops, one per row.
+
+        With adjoint=True, v is a row vector carried backward: the legs run
+        in reverse, each applying its op before its propagation, so the
+        stops come back in forward order and line up with a forward scan.
+        """
+        stop = self.STOP
+        steps = {dx: self.step(dx) for dx in {dx for dx, _ in legs}}
+        stops = np.empty((sum(op is stop for _, op in legs), v.size), dtype=complex)
+        if adjoint:
+            k = len(stops)
+            for dx, op in reversed(legs):
+                if op is stop:
+                    k -= 1
+                    stops[k] = v
+                elif op is not None:
+                    v = v @ op
+                if steps[dx] is not None:
+                    v = v @ steps[dx]
+            return stops
+        k = 0
+        for dx, op in legs:
+            if steps[dx] is not None:
+                v = steps[dx] @ v
+            if op is stop:
+                stops[k] = v
+                k += 1
+            elif op is not None:
+                v = op @ v
+        return stops
+
+    @cached_property
+    def norm(self):
+        """Trace of the opening state carried across the window (1 if infinite)."""
         if self.length is None:
             return 1.0
-        val = (self.left @ self.advance(self.right, self.length)).real
-        return float(val)
+        (v,) = self.scan(self.right, [(self.length, self.STOP)])
+        return float((self.left @ v).real)
+
+    def close(self, v, pos):
+        """End a chain at `pos`: carry v to the right edge, trace, divide by the norm."""
+        if self.length is None:
+            return complex(self.left @ v)
+        (v,) = self.scan(v, [(self.length - pos, self.STOP)])
+        return complex(self.left @ v) / self.norm
 
     def evaluate(self, insertions):
         """Close a chain of (position, Insertion) pairs, ascending order."""
-        if not insertions:
-            return complex(self.norm_value() / self.norm_value())
-        positions = [float(p) for p, _ in insertions]
-        if any(b < a for a, b in zip(positions, positions[1:])):
-            raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
-        if self.length is not None:
-            if positions[0] < 0.0 or positions[-1] > self.length + 1e-12:
-                raise PositionOutOfRangeError(
-                    f"positions {positions} outside [0, {self.length}]"
-                )
-        v = self.right
-        prev = positions[0] if self.length is None else 0.0
-        for pos, ins in insertions:
-            if ins.superop.shape != (self.dim**2, self.dim**2):
-                raise ShapeMismatchError("insertion dimension does not match parameters")
-            v = self.advance(v, pos - prev)
-            v = ins.superop @ v
-            prev = pos
-        if self.length is not None:
-            v = self.advance(v, self.length - prev)
-            return complex(self.left @ v) / self.norm_value()
-        return complex(self.left @ v)
+        end = float(insertions[-1][0]) if insertions else 0.0
+        start = float(insertions[0][0]) if insertions and self.length is None else 0.0
+        (v,) = self.scan(self.right, self.legs([*insertions, (end, self.STOP)], start))
+        return self.close(v, end)
 
 
 def expectation(params, insertions):
@@ -180,67 +234,47 @@ def density(params, chain=None):
     return float(val.real)
 
 
+def _separation_scan(chain, separations, first, second):
+    """<first(0) second(d)> on a grid of separations d >= 0.
+
+    One scan carries first(0) through the sorted separations; at each stop
+    the second insertion is applied and the chain closed.
+    """
+    seps = np.atleast_1d(np.asarray(separations, dtype=float))
+    if seps.size and seps.min() < 0:
+        raise NegativeDistanceError("separations must be >= 0")
+    order = np.argsort(seps, kind="stable")
+    items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
+    values = np.empty(seps.size, dtype=complex)
+    for i, w in zip(order, chain.scan(chain.right, chain.legs(items, 0.0))):
+        values[i] = chain.close(second.superop @ w, float(seps[i]))
+    return seps, values
+
+
 def two_point(params, separations):
     """<create(x1) annihilate(x2)> on a grid of separations d = x2 - x1 >= 0.
 
     The d = 0 value coincides with the density.  Finite geometry anchors
     x1 = 0.
     """
-    seps = np.atleast_1d(np.asarray(separations, dtype=float))
-    if seps.size and seps.min() < 0:
-        raise NegativeDistanceError("separations must be >= 0")
     chain = _Chain(params)
-    order = np.argsort(seps, kind="stable")
-    values = np.empty(seps.size, dtype=complex)
-    w = create(params).superop @ chain.right
-    ann = annihilate(params).superop
-    prev = 0.0
-    for idx in order:
-        d = float(seps[idx])
-        w = chain.advance(w, d - prev)
-        prev = d
-        v = ann @ w
-        if chain.length is not None:
-            if d > chain.length + 1e-12:
-                raise PositionOutOfRangeError(f"separation {d} exceeds length {chain.length}")
-            v = chain.advance(v, chain.length - d)
-            values[idx] = complex(chain.left @ v) / chain.norm_value()
-        else:
-            values[idx] = complex(chain.left @ v)
+    seps, values = _separation_scan(chain, separations, create(params), annihilate(params))
     return CorrelatorResult(
         separations=seps,
         values=values,
-        normalization=chain.norm_value(),
+        normalization=chain.norm,
         estimator="insertion-calculus",
     )
 
 
 def pair_correlation(params, separations):
     """Normalized pair correlator g2(d); requires nonzero density."""
-    seps = np.atleast_1d(np.asarray(separations, dtype=float))
-    if seps.size and seps.min() < 0:
-        raise NegativeDistanceError("separations must be >= 0")
     chain = _Chain(params)
     n = density(params, chain)
     if n <= 0.0 or n * n < 1e-28:
         raise ZeroDensityError("pair correlator undefined at zero density")
-    order = np.argsort(seps, kind="stable")
-    values = np.empty(seps.size, dtype=complex)
-    pd = pair_density(params).superop
-    w = pd @ chain.right
-    prev = 0.0
-    for idx in order:
-        d = float(seps[idx])
-        w = chain.advance(w, d - prev)
-        prev = d
-        v = pd @ w
-        if chain.length is not None:
-            if d > chain.length + 1e-12:
-                raise PositionOutOfRangeError(f"separation {d} exceeds length {chain.length}")
-            v = chain.advance(v, chain.length - d)
-            values[idx] = complex(chain.left @ v) / chain.norm_value()
-        else:
-            values[idx] = complex(chain.left @ v)
+    pd = pair_density(params)
+    seps, values = _separation_scan(chain, separations, pd, pd)
     return CorrelatorResult(
         separations=seps,
         values=values / n**2,
@@ -347,19 +381,18 @@ def decay_fit(params, d_min, d_max, n_points=33):
 # -- family derivative -------------------------------------------------------
 
 
-def _generator_derivative(params, dK, dR):
-    """Directional derivative of the vectorized generator along (dK, dR)."""
-    d = params.dim
-    eye = np.eye(d)
+def _q_derivative(params, dK, dR):
+    """Directional derivative of Q = -i K - (1/2) R^dag R along (dK, dR)."""
     R = params.R
-    s = dR.conj().T @ R + R.conj().T @ dR
-    return (
-        -1j * np.kron(dK, eye)
-        + 1j * np.kron(eye, dK.T)
-        - 0.5 * (np.kron(s, eye) + np.kron(eye, s.T))
-        + np.kron(dR, R.conj())
-        + np.kron(R, dR.conj())
-    )
+    return -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
+
+
+def _generator_derivative(params, dK, dR):
+    """Directional derivative of L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R)."""
+    eye = np.eye(params.dim)
+    R = params.R
+    dq = _q_derivative(params, dK, dR)
+    return sandwich(dq, eye) + sandwich(eye, dq) + sandwich(dR, R) + sandwich(R, dR)
 
 
 def _insertion_derivative(params, ins, dK, dR):
@@ -369,23 +402,22 @@ def _insertion_derivative(params, ins, dK, dR):
     family; the product rule needs their variation alongside the generator's.
     Returns None when the variation vanishes identically.
     """
-    d = params.dim
-    eye = np.eye(d)
+    eye = np.eye(params.dim)
     R = params.R
     if ins.kind == "annihilate":
-        dsup = np.kron(dR, eye)
+        dsup = sandwich(dR, eye)
     elif ins.kind == "create":
-        dsup = np.kron(eye, dR.conj())
+        dsup = sandwich(eye, dR)
     elif ins.kind == "pair_density":
-        dsup = np.kron(dR, R.conj()) + np.kron(R, dR.conj())
+        dsup = sandwich(dR, R) + sandwich(R, dR)
     elif ins.kind in ("deriv_annihilate", "deriv_create"):
         q = q_matrix(params).mat
-        dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
+        dq = _q_derivative(params, dK, dR)
         dx = -(dq @ R - R @ dq) - (q @ dR - dR @ q)
         if ins.kind == "deriv_annihilate":
-            dsup = np.kron(dx, eye)
+            dsup = sandwich(dx, eye)
         else:
-            dsup = np.kron(eye, dx.conj())
+            dsup = sandwich(eye, dx)
     else:
         raise ShapeMismatchError(
             f"cannot differentiate insertion of unknown kind {ins.kind!r}"
@@ -395,18 +427,16 @@ def _insertion_derivative(params, ins, dK, dR):
     return dsup
 
 
-def _simpson_nodes(a, b, max_step):
-    """Even-count uniform subdivision of [a, b] and its Simpson weights."""
-    length = b - a
+def _simpson_rule(length, max_step):
+    """Even step count n, step h and Simpson weights for a segment of `length`."""
     n = max(2, int(np.ceil(length / max_step)))
     if n % 2:
         n += 1
-    xs = np.linspace(a, b, n + 1)
     h = length / n
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return xs, w * (h / 3.0)
+    return n, h, w * (h / 3.0)
 
 
 def family_derivative(params, dK, dR, insertions, grid_step=None, window=None):
@@ -429,9 +459,6 @@ def family_derivative(params, dK, dR, insertions, grid_step=None, window=None):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
-    positions = [float(p) for p, _ in insertions]
-    if any(b < a for a, b in zip(positions, positions[1:])):
-        raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
 
     chain = _Chain(params)
     dgen = _generator_derivative(params, dK, dR)
@@ -441,70 +468,33 @@ def family_derivative(params, dK, dR, insertions, grid_step=None, window=None):
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
         width = (20.0 / gap) if window is None else float(window)
-        start = positions[0] - width
+        start = float(insertions[0][0]) - width
         step_cap = min(0.01, 0.1 / gap) if grid_step is None else float(grid_step)
     else:
-        if positions[0] < 0.0 or positions[-1] > chain.length + 1e-12:
-            raise PositionOutOfRangeError(f"positions {positions} outside [0, {chain.length}]")
         start = 0.0
         step_cap = 0.01 if grid_step is None else float(grid_step)
     if step_cap <= 0:
         raise StepNotPositiveError("grid step must be positive")
 
-    # Segment breakpoints: window start, then each insertion position.
-    breaks = [start]
-    for p in positions:
-        if p > breaks[-1]:
-            breaks.append(p)
-
-    # Right vectors marched forward; insertion superoperators applied when
-    # their position is passed (at a breakpoint, after the propagation).
-    seg_nodes, seg_weights, seg_right = [], [], []
-    v = chain.right
-    ins_iter = iter(insertions)
-    pending = next(ins_iter, None)
-    # apply any insertion sitting exactly at the start
-    while pending is not None and float(pending[0]) <= start:
-        v = pending[1].superop @ v
-        pending = next(ins_iter, None)
-    for a, b in zip(breaks, breaks[1:]):
-        xs, wts = _simpson_nodes(a, b, step_cap)
-        stepmat = chain.step(xs[1] - xs[0])
-        rights = np.empty((xs.size, v.size), dtype=complex)
-        rights[0] = v
-        for i in range(1, xs.size):
-            v = stepmat @ v if stepmat is not None else v
-            rights[i] = v
-        seg_nodes.append(xs)
-        seg_weights.append(wts)
-        seg_right.append(rights)
-        while pending is not None and abs(float(pending[0]) - b) <= 1e-12:
-            v = pending[1].superop @ v
-            pending = next(ins_iter, None)
-
-    # Left row vectors marched backward from the closed end.
+    # Every leg of the chain that moves is a smooth segment: a Simpson grid
+    # of stops, with the insertion applied at its end.  The forward scan
+    # gives the right vectors at the nodes, the adjoint one the left rows.
+    legs, weights = [], []
+    for dx, op in chain.legs(insertions, start):
+        if dx > 0.0:
+            n, h, w = _simpson_rule(dx, step_cap)
+            legs += [(0.0, chain.STOP)] + [(h, chain.STOP)] * n
+            weights.append(w)
+        legs.append((0.0, op))
+    rights = chain.scan(chain.right, legs)
+    if chain.length is not None:
+        legs.append((chain.length - float(insertions[-1][0]), chain.STOP))
+    lefts = chain.scan(chain.left, legs, adjoint=True)[:len(rights)]
     value = 0.0j
-    left = chain.left.copy()
-    if chain.length is not None:
-        mat = chain.step(chain.length - positions[-1])
-        if mat is not None:
-            left = left @ mat
-    remaining = list(insertions)
-    for seg in range(len(breaks) - 2, -1, -1):
-        b = breaks[seg + 1]
-        while remaining and float(remaining[-1][0]) >= b - 1e-12:
-            left = left @ remaining.pop()[1].superop
-        xs = seg_nodes[seg]
-        stepmat = chain.step(xs[1] - xs[0])
-        lefts = np.empty((xs.size, left.size), dtype=complex)
-        lefts[-1] = left
-        for i in range(xs.size - 2, -1, -1):
-            left = left @ stepmat if stepmat is not None else left
-            lefts[i] = left
-        mids = seg_right[seg] @ dgen.T  # row i: (dgen @ rights[i])^T
-        value += np.sum(seg_weights[seg] * np.einsum("ij,ij->i", lefts, mids))
-    if chain.length is not None:
-        value /= chain.norm_value()
+    if weights:
+        mids = rights @ dgen.T  # row i: (dgen @ rights[i])^T
+        value = np.sum(np.concatenate(weights) * np.einsum("ij,ij->i", lefts, mids))
+        value /= chain.norm
 
     # Product rule: the insertions themselves are built from (K, R) and move
     # with the family.  The norm needs no such term (it is stationary).
@@ -549,9 +539,10 @@ def generating_functional(params, sources, eps):
     """Discretized source functional Z[J].
 
     Z multiplies per-site transfer factors exp[eps (L + J_r)] with
-    J_r = lam_r (R kron 1) + conj(lam_r)(1 kron conj R)
-        + mu_r (X kron 1) + conj(mu_r)(1 kron conj X),  X = -[Q, R],
-    between the opening state and the trace functional.  All sources zero
+    J_r = lam_r sandwich(R, 1) + conj(lam_r) sandwich(1, R)
+        + mu_r sandwich(X, 1) + conj(mu_r) sandwich(1, X),  X = -[Q, R],
+    between the opening state and the trace functional; a site without
+    sources is the free step exp(eps L) of the chain's scan.  All sources zero
     gives exactly the state norm (1 for both geometries).  Wirtinger
     derivatives with respect to lam_r / conj(lam_r) reproduce eps times the
     annihilation / creation insertions up to O(eps) lattice error.
@@ -572,22 +563,19 @@ def generating_functional(params, sources, eps):
     cre = create(params).superop
     dann = deriv_annihilate(params).superop
     dcre = deriv_create(params).superop
-    free = scipy.linalg.expm(chain.L.mat * eps)
-    v = chain.right
-    norm_v = chain.right
-    for r in range(n):
-        lam = complex(sources.lam[r])
-        mu = complex(sources.mu[r])
+    legs = []
+    for lam, mu in zip(sources.lam, sources.mu):
+        lam, mu = complex(lam), complex(mu)
         if lam == 0 and mu == 0:
-            v = free @ v
+            legs.append((eps, None))
         else:
             j = lam * ann + np.conj(lam) * cre + mu * dann + np.conj(mu) * dcre
-            v = scipy.linalg.expm((chain.L.mat + j) * eps) @ v
-        if chain.length is not None:
-            norm_v = free @ norm_v
-    if chain.length is not None:
-        return complex(chain.left @ v) / complex(chain.left @ norm_v)
-    return complex(chain.left @ v)
+            legs.append((0.0, scipy.linalg.expm((chain.L.mat + j) * eps)))
+    (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
+    if chain.length is None:
+        return complex(chain.left @ v)
+    (norm_v,) = chain.scan(chain.right, [(eps, None)] * n + [(0.0, chain.STOP)])
+    return complex(chain.left @ v) / complex(chain.left @ norm_v)
 
 
 def _wirtinger_pair(f, h):

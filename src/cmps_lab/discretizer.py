@@ -7,7 +7,8 @@ tensors
 
 where the particle number carried by a site is the tensor index.  The site
 update of the flattened density matrix is the transfer matrix
-E = sum_n A^n kron conj(A^n); it reproduces the continuum generator to
+E = sum_n sandwich(A^n, A^n), the superoperator of
+rho -> sum_n A^n rho (A^n)^dag; it reproduces the continuum generator to
 first order, E = 1 + eps L + O(eps^2).  Lattice expectation values
 (occupation / eps, hopping / eps, pair occupation / eps^2) converge to the
 continuum density, two-point function and pair correlator with O(eps)
@@ -30,6 +31,7 @@ from .errors import (
     StepNotPositiveError,
     WindowTooSmallError,
 )
+from .liouville import sandwich
 
 FIXED_POINT_TOL = 1e-10
 
@@ -64,31 +66,22 @@ def lattice_tensors(params, eps, order=1):
 
 
 def transfer_matrix(tensors):
-    """E = sum_n A^n kron conj(A^n) acting on row-stacked density matrices."""
-    mat = sum(np.kron(a, a.conj()) for a in tensors.matrices)
+    """E = sum_n sandwich(A^n, A^n) acting on row-stacked density matrices."""
+    mat = sum(sandwich(a, a) for a in tensors.matrices)
     return TransferMatrix(mat=mat, eps=tensors.eps, dim=tensors.dim)
 
 
 def _site_superops(tensors, observable):
     """Superoperators whose chain contraction gives the lattice estimator."""
     mats = tensors.matrices
-    if observable == "occupation":
-        number = sum(n * np.kron(a, a.conj()) for n, a in enumerate(mats) if n)
-        return (number,)
     if observable == "hopping":
-        lower = sum(
-            np.sqrt(n) * np.kron(mats[n], mats[n - 1].conj())
-            for n in range(1, len(mats))
-        )
-        raise_ = sum(
-            np.sqrt(n) * np.kron(mats[n - 1], mats[n].conj())
-            for n in range(1, len(mats))
-        )
+        lower = sum(np.sqrt(n) * sandwich(mats[n], mats[n - 1]) for n in range(1, len(mats)))
+        raise_ = sum(np.sqrt(n) * sandwich(mats[n - 1], mats[n]) for n in range(1, len(mats)))
         return (lower, raise_)
-    if observable == "pair":
-        number = sum(n * np.kron(a, a.conj()) for n, a in enumerate(mats) if n)
-        return (number, number)
-    raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
+    if observable not in ("occupation", "pair"):
+        raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
+    number = sum(n * sandwich(a, a) for n, a in enumerate(mats) if n)
+    return (number,) if observable == "occupation" else (number, number)
 
 
 def _dominant_pair(emat):

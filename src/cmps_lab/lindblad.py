@@ -41,6 +41,7 @@ from .liouville import (
     Superoperator,
     build_liouvillian,
     choi_min_eigenvalue,
+    sandwich,
     trace_functional,
 )
 
@@ -99,20 +100,27 @@ class JumpSet:
     K: np.ndarray
 
 
+def _hamiltonian(k):
+    """Vectorized rho -> -i[K, rho]."""
+    h = -1j * np.asarray(k, dtype=complex)
+    eye = np.eye(h.shape[0])
+    return sandwich(h, eye) + sandwich(eye, h)
+
+
 def _dissipator(m):
     """Vectorized D[M]: rho -> M rho M^dag - (1/2){M^dag M, rho}."""
     m = np.asarray(m, dtype=complex)
     eye = np.eye(m.shape[0])
     mdm = m.conj().T @ m
-    return np.kron(m, m.conj()) - 0.5 * (np.kron(mdm, eye) + np.kron(eye, mdm.T))
+    return sandwich(m, m) - 0.5 * (sandwich(mdm, eye) + sandwich(eye, mdm))
 
 
 def _double_commutator(r):
-    """Vectorized rho -> [R, [R, rho]]."""
+    """Vectorized rho -> [R, [R, rho]] = R^2 rho - 2 R rho R + rho R^2."""
     r = np.asarray(r, dtype=complex)
     eye = np.eye(r.shape[0])
     r2 = r @ r
-    return np.kron(r2, eye) - 2.0 * np.kron(r, r.T) + np.kron(eye, r2.T)
+    return sandwich(r2, eye) - 2.0 * sandwich(r, r.conj().T) + sandwich(eye, r2.conj().T)
 
 
 def build_general_generator(K, R, moments):
@@ -129,9 +137,7 @@ def build_general_generator(K, R, moments):
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
     if moments.psi_dag_sq == 0 and moments.psi_dag_psi == 0.0:
         return build_liouvillian(K, R)
-    d = K.shape[0]
-    eye = np.eye(d)
-    mat = -1j * np.kron(K, eye) + 1j * np.kron(eye, K.T)
+    mat = _hamiltonian(K)
     alpha = moments.psi_dag_sq
     if alpha != 0:
         dc = _double_commutator(R)
@@ -139,7 +145,7 @@ def build_general_generator(K, R, moments):
         mat = mat + 0.5 * (alpha * dc + np.conj(alpha) * dc_conj)
     mat = mat + moments.psi_dag_psi * _dissipator(R.conj().T)
     mat = mat + moments.psi_psi_dag * _dissipator(R)
-    return Superoperator(mat=mat, dim=d)
+    return Superoperator(mat=mat, dim=K.shape[0])
 
 
 def jump_decomposition(K, R, moments):
@@ -189,12 +195,10 @@ def compare_forms(K, R, moments, dx=0.1):
     """
     gen = build_general_generator(K, R, moments)
     jumps = jump_decomposition(K, R, moments)
-    d = gen.dim
-    eye = np.eye(d)
-    jmat = -1j * np.kron(jumps.K, eye) + 1j * np.kron(eye, jumps.K.T)
+    jmat = _hamiltonian(jumps.K)
     for m in jumps.operators:
         jmat = jmat + _dissipator(m)
-    tr = trace_functional(d)
+    tr = trace_functional(gen.dim)
     return FormComparison(
         max_difference=float(np.abs(gen.mat - jmat).max()),
         trace_defect_general=float(np.abs(tr @ gen.mat).max()),

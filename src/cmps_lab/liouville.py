@@ -1,15 +1,18 @@
 """Vectorized evolution generator and its spectrum.
 
 Density matrices are flattened row-major ("row stacking"): entry (j, k) of M
-sits at index j*D + k of vec(M), so vec(A M B) = (A kron B^T) vec(M).  Under
-this convention the generator of
+sits at index j*D + k of vec(M).  Every superoperator in the package is a
+sum of sandwiches rho -> a rho b^dag, and `sandwich(a, b)` is the only code
+that knows how the row-stacking layout turns one into a matrix:
+vec(a rho b^dag) = (a kron conj(b)) vec(rho).  (`choi_matrix` reads such a
+matrix back.)  The generator of
 
     d rho / dx = -i[K, rho] + R rho R^dag - (1/2){R^dag R, rho}
+               = Q rho + rho Q^dag + R rho R^dag,   Q = -i K - (1/2) R^dag R,
 
-is the D^2 x D^2 matrix
+is therefore the D^2 x D^2 matrix
 
-    L = -i K kron 1 + i 1 kron K^T
-        - (1/2)(R^dag R kron 1 - 2 R kron conj(R) + 1 kron R^T conj(R)).
+    L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R).
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane; the fixed
@@ -46,16 +49,9 @@ def devectorize(v):
     return v.reshape(d, d)
 
 
-def left_multiplier(a):
-    """Superoperator for rho -> a rho."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(a, np.eye(a.shape[0]))
-
-
-def right_multiplier(b):
-    """Superoperator for rho -> rho b."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(np.eye(b.shape[0]), b.T)
+def sandwich(a, b):
+    """Superoperator of rho -> a rho b^dag on row-stacked matrices."""
+    return np.kron(a, np.conj(b))
 
 
 def trace_functional(dim):
@@ -98,12 +94,8 @@ def build_liouvillian(K, R):
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
     d = K.shape[0]
     eye = np.eye(d)
-    rdr = R.conj().T @ R
-    mat = (
-        -1j * np.kron(K, eye)
-        + 1j * np.kron(eye, K.T)
-        - 0.5 * (np.kron(rdr, eye) - 2.0 * np.kron(R, R.conj()) + np.kron(eye, rdr.T))
-    )
+    q = -1j * K - 0.5 * (R.conj().T @ R)
+    mat = sandwich(q, eye) + sandwich(eye, q) + sandwich(R, R)
     return Superoperator(mat=mat, dim=d)
 
 

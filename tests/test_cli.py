@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cmps_lab import (__version__, core, family_derivative, liouville,
-                      new_cmps, pair_correlation, pair_density)
+from cmps_lab import (__version__, family_derivative, new_cmps, pair_correlation,
+                      pair_density)
+from cmps_lab import cli
 from cmps_lab.cli import main
 
 RF_MODEL = {
@@ -63,6 +64,61 @@ def test_steady_reports_stationary_state(tmp_path):
     assert rho[1, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert payload["result"]["gap"] == pytest.approx(0.5, abs=1e-12)
     assert payload["result"]["gapless"] is False
+
+
+# The emitter's spectrum and fixed point as written by the separate steady
+# and gap handlers before they were merged; the roundoff-level entries come
+# from LAPACK and are specific to the numpy build that recorded them.
+EMITTER_SPECTRUM = {
+    "eigenvalues": {
+        "im": [-2.1490888363650447e-16, 0.0, 0.9682458365518535, -0.9682458365518544],
+        "re": [-2.550411903210582e-16, -0.5, -0.7499999999999996, -0.75],
+    },
+    "gap": 0.5,
+    "gapless": False,
+}
+EMITTER_RHO_SS = {
+    "im": [[0.0, -0.3333333333333334], [0.3333333333333334, 0.0]],
+    "re": [[0.33333333333333315, -6.119529214533549e-18],
+           [-6.119529214533549e-18, 0.6666666666666667]],
+}
+
+
+@pytest.mark.parametrize("command", ["steady", "gap"])
+def test_spectrum_outputs_match_recorded_bytes(tmp_path, command):
+    rc, out = run_cli(tmp_path, command, rf_config())
+    assert rc == 0
+    result = dict(EMITTER_SPECTRUM)
+    if command == "steady":
+        result["rho_ss"] = EMITTER_RHO_SS
+    config = rf_config()
+    for node in (config["model"]["K"], config["model"]["R"]):
+        node["im"] = [[0.0, 0.0], [0.0, 0.0]]
+    payload = {"version": __version__, "command": command, "config": config, "result": result}
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_output_temp_file_is_private_and_cleaned(tmp_path, monkeypatch):
+    # a directory squatting on the old fixed temp name must not matter
+    (tmp_path / "out.json.tmp").mkdir()
+    rc, out = run_cli(tmp_path, "steady", rf_config())
+    assert rc == 0
+    assert load_json(out)["command"] == "steady"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["out.json", "out.json.tmp", "out_cfg.json"]
+    # permission bits are those of a file opened plainly for writing
+    plain = tmp_path / "plain.json"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    assert out.stat().st_mode == plain.stat().st_mode
+    # a failed write leaves no temp file behind
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli._atomic_write(str(tmp_path / "again.json"), "{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.json", "out.json.tmp", "out_cfg.json", "plain.json"]
 
 
 def test_gap_reports_spectrum(tmp_path):
@@ -268,11 +324,7 @@ def test_degenerate_fixed_space_exits_two(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-def test_tolerance_overrides_loosen_hermiticity(tmp_path, monkeypatch):
-    # overrides mutate module tolerances; pin the originals for restoration
-    monkeypatch.setattr(core, "HERM_TOL", core.HERM_TOL)
-    monkeypatch.setattr(liouville, "ZERO_REAL_TOL", liouville.ZERO_REAL_TOL)
-    monkeypatch.setattr(liouville, "RESIDUAL_TOL", liouville.RESIDUAL_TOL)
+def test_tolerance_overrides_loosen_hermiticity(tmp_path):
     cfg = rf_config()
     cfg["model"]["K"]["re"][0][1] = 0.5 + 1e-7
     rc, _ = run_cli(tmp_path, "steady", cfg, tag="strict")
@@ -287,6 +339,10 @@ def test_tolerance_overrides_loosen_hermiticity(tmp_path, monkeypatch):
                       extra=("--tolerance-overrides", str(overrides)))
     assert rc == 0
     assert load_json(out)["result"]["gap"] == pytest.approx(0.5, abs=1e-5)
+
+    # the overrides end with their run: the next one is strict again
+    rc, _ = run_cli(tmp_path, "steady", cfg, tag="strict_again")
+    assert rc == 1
 
 
 def test_tolerance_override_validation(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_pure_decay_jumps_exactly_once(damping_finite):
     assert (njumps == 0).mean() < 2e-3
     pos = np.concatenate([r.positions for r in recs if r.positions.size])
     # first passage at unit rate has mean exactly 1
-    assert abs(pos.mean() - 1.0) < 3.5 * pos.std() / np.sqrt(pos.size) + 3e-3
+    assert abs(pos.mean() - 1.0) < 3.5 * pos.std() / np.sqrt(pos.size)
     # S(tau) = exp(-tau), so a jump lands at -log u for the stream's draw
     # after the initial-state one
     for i in range(20):
@@ -149,18 +149,15 @@ def test_coherent_counts_are_poissonian(coherent):
     stats = estimate_stats(recs, edges)
     assert abs(stats.rate - 0.64) < 3.0 * stats.rate_stderr
     # memoryless emission: flat pair correlation, exponential waiting times
-    allowance = 0.01 / np.diff(edges)
-    assert np.all(np.abs(stats.pair_correlation - 1.0)
-                  < 3.0 * stats.pair_stderr + allowance)
+    assert np.all(np.abs(stats.pair_correlation - 1.0) < 3.0 * stats.pair_stderr)
     ref = waiting_bin_probs(p, edges)
-    assert np.all(np.abs(stats.waiting_probs - ref)
-                  < 3.0 * stats.waiting_stderr + 0.0064 * ref + 1e-4)
+    assert np.all(np.abs(stats.waiting_probs - ref) < 3.0 * stats.waiting_stderr)
 
 
 def test_stationary_rate_matches_density(rf):
     recs = sample_ensemble(rf, 1200, 50.0, master_seed=11)
     stats = estimate_stats(recs, [0.0, 1.0, 2.0], burn_in=20.0)
-    assert abs(stats.rate - 1.0 / 3.0) < 3.0 * stats.rate_stderr + 1e-3
+    assert abs(stats.rate - 1.0 / 3.0) < 3.0 * stats.rate_stderr
 
 
 def test_bitwise_reproducibility_and_stream_independence(rf):
@@ -245,7 +242,7 @@ def test_finite_ensemble_tracks_driven_relaxation():
             for s in grid
         ]
         expected = np.trapezoid(exact, grid) / (2 * half)
-        assert abs(empirical - expected) < 3.5 * stderr + 2e-3
+        assert abs(empirical - expected) < 3.5 * stderr
 
 
 def test_random_instances_match_spectral_predictions():
