@@ -8,6 +8,7 @@ input, 2 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,13 @@ from .correlators import (
     source_consistency_check,
     two_point,
 )
-from .discretizer import convergence_study, lattice_correlators, lattice_tensors, transfer_matrix
+from .discretizer import (
+    convergence_study,
+    finite_site_count,
+    lattice_correlators,
+    lattice_tensors,
+    transfer_matrix,
+)
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
 from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
@@ -94,7 +101,6 @@ _EXTRA_SCHEMA = {
         "dK": ("req", _MAT),
         "dR": ("req", _MAT),
         "insertions": ("req", "list"),
-        "grid_step": ("opt", "num"),
     },
 }
 
@@ -226,15 +232,18 @@ def _atomic_write(path, text):
 
     The temp name is random and created exclusively, so concurrent runs
     never share one; mode 0o666 lets the umask set the permission bits, as
-    a plain open() would.
+    a plain open() would.  A path that cannot be written (a directory, a
+    missing parent) is bad input.
     """
     head, tail = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(16).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output '{path}': {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
             os.unlink(tmp)
@@ -279,20 +288,14 @@ def _cmd_spectrum(command, cfg, out_path):
     _emit_json(out_path, command, cfg, result)
 
 
-def _cmd_correlate(cfg, out_path):
+def _cmd_separations(command, cfg, out_path):
+    """`correlate` and `g2`: two-point function or g2 on separations, as CSV."""
     params = _build_params(cfg)
     seps = _float_list(cfg["separations"], "separations", minimum=0.0)
-    res = two_point(params, seps)
+    correlator = two_point if command == "correlate" else pair_correlation
+    res = correlator(params, seps)
     rows = [(d, v.real, v.imag) for d, v in zip(res.separations, res.values)]
-    _emit_csv(out_path, "correlate", cfg, "d,re,im", rows)
-
-
-def _cmd_g2(cfg, out_path):
-    params = _build_params(cfg)
-    seps = _float_list(cfg["separations"], "separations", minimum=0.0)
-    res = pair_correlation(params, seps)
-    rows = [(d, v.real, v.imag) for d, v in zip(res.separations, res.values)]
-    _emit_csv(out_path, "g2", cfg, "d,re,im", rows)
+    _emit_csv(out_path, command, cfg, "d,re,im", rows)
 
 
 def _cmd_kinetic(cfg, out_path):
@@ -318,7 +321,7 @@ def _cmd_discretize(cfg, out_path):
         emat = transfer_matrix(tensors).mat
         defects.append(float(np.linalg.norm(emat - eye - eps * superop.mat)))
         if isinstance(params.geometry, Finite):
-            n_sites = max(1, int(round(params.geometry.length / eps)))
+            n_sites = finite_site_count(params.geometry.length, eps)
             occ = lattice_correlators(tensors, "occupation", n_sites=n_sites,
                                       boundary_rho=params.geometry.boundary_rho)
         else:
@@ -373,19 +376,7 @@ def _cmd_trajectories(cfg, out_path):
     burn_in = float(cfg.setdefault("burn_in", 0.0))
     records = sample_ensemble(params, n_traj, length, seed)
     stats = estimate_stats(records, bins, burn_in=burn_in)
-    result = {
-        "n_traj": stats.n_traj,
-        "length": stats.length,
-        "rate": stats.rate,
-        "rate_stderr": stats.rate_stderr,
-        "bin_edges": stats.bin_edges,
-        "pair_correlation": stats.pair_correlation,
-        "pair_stderr": stats.pair_stderr,
-        "waiting_probs": stats.waiting_probs,
-        "waiting_stderr": stats.waiting_stderr,
-        "n_conditioning_jumps": stats.n_conditioning_jumps,
-    }
-    _emit_json(out_path, "trajectories", cfg, result)
+    _emit_json(out_path, "trajectories", cfg, dataclasses.asdict(stats))
 
 
 def _cmd_lindblad_check(cfg, out_path):
@@ -400,14 +391,7 @@ def _cmd_lindblad_check(cfg, out_path):
     )
     dx = float(cfg.setdefault("dx", 0.1))
     comp = compare_forms(params.K, params.R, moments, dx=dx)
-    result = {
-        "max_difference": comp.max_difference,
-        "trace_defect_general": comp.trace_defect_general,
-        "trace_defect_jump_form": comp.trace_defect_jump_form,
-        "choi_min_general": comp.choi_min_general,
-        "choi_min_jump_form": comp.choi_min_jump_form,
-    }
-    _emit_json(out_path, "lindblad-check", cfg, result)
+    _emit_json(out_path, "lindblad-check", cfg, dataclasses.asdict(comp))
 
 
 def _cmd_zfunctional_check(cfg, out_path):
@@ -457,8 +441,7 @@ def _cmd_family_deriv(cfg, out_path):
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
     insertions = _parse_insertions(cfg["insertions"], params)
-    grid_step = cfg.get("grid_step")
-    value = family_derivative(params, dk, dr, insertions, grid_step=grid_step)
+    value = family_derivative(params, dk, dr, insertions)
     _fill_matrix_default(cfg["dK"])
     _fill_matrix_default(cfg["dR"])
     _emit_json(out_path, "family-deriv", cfg, {"derivative": complex(value)})
@@ -467,8 +450,8 @@ def _cmd_family_deriv(cfg, out_path):
 _HANDLERS = {
     "steady": functools.partial(_cmd_spectrum, "steady"),
     "gap": functools.partial(_cmd_spectrum, "gap"),
-    "correlate": _cmd_correlate,
-    "g2": _cmd_g2,
+    "correlate": functools.partial(_cmd_separations, "correlate"),
+    "g2": functools.partial(_cmd_separations, "g2"),
     "kinetic": _cmd_kinetic,
     "ll-energy": _cmd_ll_energy,
     "discretize": _cmd_discretize,

@@ -22,9 +22,12 @@ edge and dividing by the norm.
 
 Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
-state (or, for the backward march of `family_derivative`, the trace
-functional) through ascending positions, applies each insertion as it
-passes it, and hands back the vector at requested stops.
+state through ascending positions, applies each insertion as it passes it,
+and hands back the vector at requested stops.  `family_derivative` walks
+the same legs forward once, carrying the tangent of the vector alongside
+it: each leg applies exp(L dx) together with its Frechet derivative, so
+the derivative along a family of states needs no backward march and no
+quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag sandwich(R, 1) exp(L d) sandwich(1, R) vec(rho_ss), and the pair
@@ -161,27 +164,11 @@ class _Chain:
             prev = pos
         return legs
 
-    def scan(self, v, legs, adjoint=False):
-        """Carry v along the legs and return the vectors at the stops, one per row.
-
-        With adjoint=True, v is a row vector carried backward: the legs run
-        in reverse, each applying its op before its propagation, so the
-        stops come back in forward order and line up with a forward scan.
-        """
+    def scan(self, v, legs):
+        """Carry v along the legs and return the vectors at the stops, one per row."""
         stop = self.STOP
         steps = {dx: self.step(dx) for dx in {dx for dx, _ in legs}}
         stops = np.empty((sum(op is stop for _, op in legs), v.size), dtype=complex)
-        if adjoint:
-            k = len(stops)
-            for dx, op in reversed(legs):
-                if op is stop:
-                    k -= 1
-                    stops[k] = v
-                elif op is not None:
-                    v = v @ op
-                if steps[dx] is not None:
-                    v = v @ steps[dx]
-            return stops
         k = 0
         for dx, op in legs:
             if steps[dx] is not None:
@@ -400,56 +387,37 @@ def _insertion_derivative(params, ins, dK, dR):
 
     The factory insertions are built from (K, R), so they move with the
     family; the product rule needs their variation alongside the generator's.
-    Returns None when the variation vanishes identically.
     """
     eye = np.eye(params.dim)
     R = params.R
     if ins.kind == "annihilate":
-        dsup = sandwich(dR, eye)
-    elif ins.kind == "create":
-        dsup = sandwich(eye, dR)
-    elif ins.kind == "pair_density":
-        dsup = sandwich(dR, R) + sandwich(R, dR)
-    elif ins.kind in ("deriv_annihilate", "deriv_create"):
+        return sandwich(dR, eye)
+    if ins.kind == "create":
+        return sandwich(eye, dR)
+    if ins.kind == "pair_density":
+        return sandwich(dR, R) + sandwich(R, dR)
+    if ins.kind in ("deriv_annihilate", "deriv_create"):
         q = q_matrix(params).mat
         dq = _q_derivative(params, dK, dR)
         dx = -(dq @ R - R @ dq) - (q @ dR - dR @ q)
-        if ins.kind == "deriv_annihilate":
-            dsup = sandwich(dx, eye)
-        else:
-            dsup = sandwich(eye, dx)
-    else:
-        raise ShapeMismatchError(
-            f"cannot differentiate insertion of unknown kind {ins.kind!r}"
-        )
-    if not np.any(dsup):
-        return None
-    return dsup
+        return sandwich(dx, eye) if ins.kind == "deriv_annihilate" else sandwich(eye, dx)
+    raise ShapeMismatchError(f"cannot differentiate insertion of unknown kind {ins.kind!r}")
 
 
-def _simpson_rule(length, max_step):
-    """Even step count n, step h and Simpson weights for a segment of `length`."""
-    n = max(2, int(np.ceil(length / max_step)))
-    if n % 2:
-        n += 1
-    h = length / n
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return n, h, w * (h / 3.0)
-
-
-def family_derivative(params, dK, dR, insertions, grid_step=None, window=None):
+def family_derivative(params, dK, dR, insertions):
     """d/dt of an insertion expectation along (K + t dK, R + t dR) at t = 0.
 
-    The derivative is the position integral of the generator-derivative
-    insertion threaded through the observable chain.  Contributions beyond
-    the last observable insertion vanish identically (the trace functional
-    annihilates the generator derivative), so the integral runs from the
-    window start to the last insertion.  Thermodynamic windows extend
-    20/gap before the first insertion, enough to capture the stationary
-    state's own dependence on the family; the quadrature is composite
-    Simpson with step <= min(0.01, 0.1/gap) on each smooth segment.
+    One forward pass over the chain's legs carries the vector v together
+    with its tangent dv.  A leg of length dx maps (v, dv) to
+    (E v, E dv + dE v), where E = exp(L dx) and dE is the Frechet derivative
+    of the exponential at L dx in the direction dL dx; an insertion S maps
+    it to (S v, S dv + dS v), because the insertions are built from (K, R)
+    and move with the family.  A thermodynamic chain opens on the stationary
+    state, whose tangent solves (L + |rho><1|) drho = -dL rho (invertible
+    when the gap is nonzero; the solution is traceless); a finite chain
+    opens on the fixed boundary state, dv = 0.  Closing the chain adds no
+    dE term and the norm does not move, because <1| dL = 0.  The result is
+    exact up to roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -462,50 +430,21 @@ def family_derivative(params, dK, dR, insertions, grid_step=None, window=None):
 
     chain = _Chain(params)
     dgen = _generator_derivative(params, dK, dR)
-
+    v = chain.right
     if chain.length is None:
-        gap = chain.spectral.gap
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
-        width = (20.0 / gap) if window is None else float(window)
-        start = float(insertions[0][0]) - width
-        step_cap = min(0.01, 0.1 / gap) if grid_step is None else float(grid_step)
+        start = float(insertions[0][0])
+        dv = np.linalg.solve(chain.L.mat + np.outer(v, chain.left), -(dgen @ v))
     else:
         start = 0.0
-        step_cap = 0.01 if grid_step is None else float(grid_step)
-    if step_cap <= 0:
-        raise StepNotPositiveError("grid step must be positive")
-
-    # Every leg of the chain that moves is a smooth segment: a Simpson grid
-    # of stops, with the insertion applied at its end.  The forward scan
-    # gives the right vectors at the nodes, the adjoint one the left rows.
-    legs, weights = [], []
-    for dx, op in chain.legs(insertions, start):
+        dv = np.zeros_like(v)
+    for (dx, op), (_, ins) in zip(chain.legs(insertions, start), insertions):
         if dx > 0.0:
-            n, h, w = _simpson_rule(dx, step_cap)
-            legs += [(0.0, chain.STOP)] + [(h, chain.STOP)] * n
-            weights.append(w)
-        legs.append((0.0, op))
-    rights = chain.scan(chain.right, legs)
-    if chain.length is not None:
-        legs.append((chain.length - float(insertions[-1][0]), chain.STOP))
-    lefts = chain.scan(chain.left, legs, adjoint=True)[:len(rights)]
-    value = 0.0j
-    if weights:
-        mids = rights @ dgen.T  # row i: (dgen @ rights[i])^T
-        value = np.sum(np.concatenate(weights) * np.einsum("ij,ij->i", lefts, mids))
-        value /= chain.norm
-
-    # Product rule: the insertions themselves are built from (K, R) and move
-    # with the family.  The norm needs no such term (it is stationary).
-    for idx, (pos, ins) in enumerate(insertions):
-        dsup = _insertion_derivative(params, ins, dK, dR)
-        if dsup is None:
-            continue
-        replaced = list(insertions)
-        replaced[idx] = (pos, Insertion(ins.kind, dsup))
-        value += chain.evaluate(replaced)
-    return complex(value)
+            e, de = scipy.linalg.expm_frechet(chain.L.mat * dx, dgen * dx)
+            v, dv = e @ v, e @ dv + de @ v
+        v, dv = op @ v, op @ dv + _insertion_derivative(params, ins, dK, dR) @ v
+    return chain.close(dv, float(insertions[-1][0]))
 
 
 # -- discretized generating functional ---------------------------------------

@@ -183,6 +183,14 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     return values
 
 
+def finite_site_count(length, eps):
+    """Number of step-eps sites that tile a finite window of `length` exactly."""
+    n_sites = int(round(length / eps))
+    if n_sites < 1 or abs(n_sites * eps - length) > 1e-9:
+        raise ShapeMismatchError(f"eps {eps} does not divide the length {length}")
+    return n_sites
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     eps: np.ndarray
@@ -213,10 +221,8 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
         tensors = lattice_tensors(params, eps, order=order)
         kwargs = {}
         if finite:
-            n_sites = int(round(params.geometry.length / eps))
-            if abs(n_sites * eps - params.geometry.length) > 1e-9:
-                raise ShapeMismatchError(f"eps {eps} does not divide the length")
-            kwargs = {"n_sites": n_sites, "boundary_rho": params.geometry.boundary_rho}
+            kwargs = {"n_sites": finite_site_count(params.geometry.length, eps),
+                      "boundary_rho": params.geometry.boundary_rho}
         if observable == "occupation":
             values.append(lattice_correlators(tensors, "occupation", **kwargs))
         else:

@@ -9,6 +9,7 @@ from cmps_lab import (__version__, family_derivative, new_cmps, pair_correlation
                       pair_density)
 from cmps_lab import cli
 from cmps_lab.cli import main
+from cmps_lab.errors import ConfigError
 
 RF_MODEL = {
     "dim": 2,
@@ -115,10 +116,23 @@ def test_output_temp_file_is_private_and_cleaned(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
     monkeypatch.setattr(cli.os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match="rename refused"):
         cli._atomic_write(str(tmp_path / "again.json"), "{}")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "out.json", "out.json.tmp", "out_cfg.json", "plain.json"]
+
+
+@pytest.mark.parametrize("target", ["existing_dir", "missing_dir/out.json"])
+def test_unwritable_output_exits_one(tmp_path, capsys, target):
+    (tmp_path / "existing_dir").mkdir()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(rf_config()))
+    out_path = str(tmp_path / target)
+    rc = main(["steady", "--config", str(cfg_path), "--output", out_path])
+    assert rc == 1
+    assert f"cannot write output '{out_path}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "existing_dir"]
+    assert not any((tmp_path / "existing_dir").iterdir())
 
 
 def test_gap_reports_spectrum(tmp_path):
@@ -176,6 +190,17 @@ def test_discretize_defect_shrinks_quadratically(tmp_path):
     defects = result["transfer_defect"]
     assert defects[1] < defects[0] / 2.0
     assert abs(result["occupation"][1] - 1.0 / 3.0) < 0.05
+
+
+def test_discretize_rejects_eps_that_does_not_tile_the_window(tmp_path, capsys):
+    # 7 sites of 0.3 would cover 2.1, not the window of length 2
+    cfg = damp_finite_config(length=2.0, epsilons=[0.5, 0.3])
+    rc, out = run_cli(tmp_path, "discretize", cfg)
+    assert rc == 1
+    assert "eps 0.3 does not divide the length 2.0" in capsys.readouterr().err
+    assert not out.exists()
+    rc, _ = run_cli(tmp_path, "discretize", damp_finite_config(length=2.0, epsilons=[0.5, 0.25]))
+    assert rc == 0
 
 
 def test_converge_extrapolates_occupation(tmp_path):
@@ -246,6 +271,15 @@ def test_family_deriv_matches_library(tmp_path):
                              [(0.7, pair_density(params))])
     assert got["re"] == pytest.approx(want.real, abs=1e-12)
     assert got["im"] == pytest.approx(want.imag, abs=1e-12)
+
+
+def test_family_deriv_grid_step_is_an_unknown_key(tmp_path, capsys):
+    cfg = rf_config(dK={"re": [[0.0, 0.1], [0.1, 0.0]]}, dR={"re": [[0.0, 0.0], [0.05, 0.0]]},
+                    insertions=[{"kind": "pair_density", "position": 0.7}], grid_step=0.01)
+    rc, out = run_cli(tmp_path, "family-deriv", cfg)
+    assert rc == 1
+    assert "unknown key 'grid_step'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mangle", [

@@ -3,7 +3,9 @@ import pytest
 
 from cmps_lab import (
     Finite,
+    Thermodynamic,
     annihilate,
+    build_liouvillian,
     create,
     decay_fit,
     density,
@@ -18,6 +20,7 @@ from cmps_lab import (
     pair_density,
     source_consistency_check,
     spectral_envelope,
+    steady_state,
     two_point,
 )
 from cmps_lab.correlators import SourceField
@@ -208,20 +211,55 @@ def test_family_derivative_matches_central_differences():
     rng = np.random.default_rng(21)
     d = 3
     K, R = rand_herm(d, rng), 0.6 * rand_mat(d, rng)
-    base = new_cmps(d, K, R)
     dK, dR = 0.3 * rand_herm(d, rng), 0.3 * rand_mat(d, rng)
-    val = family_derivative(base, dK, dR,
-                            [(0.0, create(base)), (0.9, deriv_annihilate(base)),
-                             (1.4, annihilate(base))])
+    rho = rand_mat(d, rng)
+    rho = rho @ rho.conj().T
+    window = Finite(length=2.0, boundary_rho=rho / np.trace(rho).real)
+    for geometry in (Thermodynamic(), window):
+        base = new_cmps(d, K, R, geometry)
+        val = family_derivative(base, dK, dR,
+                                [(0.0, create(base)), (0.9, deriv_annihilate(base)),
+                                 (1.4, annihilate(base))])
 
-    def observable(t):
-        p = new_cmps(d, K + t * dK, R + t * dR)
-        return expectation(p, [(0.0, create(p)), (0.9, deriv_annihilate(p)),
-                               (1.4, annihilate(p))])
+        def observable(t):
+            p = new_cmps(d, K + t * dK, R + t * dR, geometry)
+            return expectation(p, [(0.0, create(p)), (0.9, deriv_annihilate(p)),
+                                   (1.4, annihilate(p))])
 
-    errs = [abs((observable(h) - observable(-h)) / (2 * h) - val) for h in (0.02, 0.01)]
-    assert 3.5 < errs[0] / errs[1] < 4.5
-    assert errs[1] < 1e-3
+        errs = [abs((observable(h) - observable(-h)) / (2 * h) - val) for h in (0.02, 0.01)]
+        assert 3.5 < errs[0] / errs[1] < 4.5
+        assert errs[1] < 1e-3
+
+
+def test_family_derivative_is_exact_on_a_stiff_instance():
+    """Unit gap, but K makes ||L||_1 about 115: fast oscillation that a
+    quadrature grid at a fixed step resolves only to about 1e-4."""
+    rng = np.random.default_rng(0)
+    d = 3
+    K, R = 30.0 * rand_herm(d, rng), rand_mat(d, rng)
+    gap = steady_state(build_liouvillian(K, R)).gap
+    K, R = K / gap, R / np.sqrt(gap)  # a change of length unit: unit gap
+    dK, dR = 0.5 * rand_herm(d, rng), 0.5 * rand_mat(d, rng)
+    rho = rand_mat(d, rng)
+    rho = rho @ rho.conj().T
+    window = Finite(length=2.0, boundary_rho=rho / np.trace(rho).real)
+    for geometry in (Thermodynamic(), window):
+
+        def chain(p):
+            return [(0.5, create(p)), (1.5, annihilate(p))]
+
+        def observable(t):
+            p = new_cmps(d, K + t * dK, R + t * dR, geometry)
+            return expectation(p, chain(p))
+
+        def central(h):
+            return (observable(h) - observable(-h)) / (2 * h)
+
+        h = 1e-4
+        richardson = (4.0 * central(h / 2) - central(h)) / 3.0
+        base = new_cmps(d, K, R, geometry)
+        val = family_derivative(base, dK, dR, chain(base))
+        assert abs(val - richardson) < 1e-8 * abs(richardson)
 
 
 def test_generating_functional_normalization(rf):
