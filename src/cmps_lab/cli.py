@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, core, correlators, lindblad, liouville
+from . import __version__, core, lindblad, liouville
 from .core import Finite, Thermodynamic, new_cmps
 from .correlators import (
     annihilate,
@@ -41,7 +41,7 @@ from .discretizer import (
 )
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
-from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
+from .liouville import build_liouvillian
 from .trajectories import estimate_stats, sample_ensemble
 
 COMMANDS = (
@@ -55,7 +55,6 @@ TOLERANCE_TARGETS = {
     "herm_tol": (core, "HERM_TOL"),
     "zero_real_tol": (liouville, "ZERO_REAL_TOL"),
     "residual_tol": (liouville, "RESIDUAL_TOL"),
-    "signal_floor": (correlators, "SIGNAL_FLOOR"),
     "moment_tol": (lindblad, "MOMENT_TOL"),
 }
 
@@ -274,7 +273,7 @@ def _emit_csv(out_path, command, cfg, header, rows):
 def _cmd_spectrum(command, cfg, out_path):
     """`steady` and `gap`: the spectrum, plus the fixed point for `steady`."""
     params = _build_params(cfg)
-    data = require_unique_fixed_space(steady_state(build_liouvillian(params.K, params.R)))
+    data = params.stationary
     result = {
         "gap": data.gap,
         "gapless": data.gapless,

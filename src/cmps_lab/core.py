@@ -13,6 +13,7 @@ matrix at x = 0.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
 
 HERM_TOL = 1e-12
 
@@ -73,12 +75,23 @@ Geometry = Thermodynamic | Finite
 
 @dataclass(frozen=True)
 class CmpsParams:
-    """Validated (dim, K, R, geometry) bundle.  Arrays are read-only."""
+    """Validated (dim, K, R, geometry) bundle.  Arrays are read-only.
+
+    `stationary` is the spectrum and unique fixed point of the generator,
+    computed once per parameter set on first use and then shared by every
+    consumer.  It is computed with the tolerances of `liouville` in force
+    at that first use.
+    """
 
     dim: int
     K: np.ndarray
     R: np.ndarray
     geometry: Geometry = field(default_factory=Thermodynamic)
+
+    @cached_property
+    def stationary(self):
+        """SpectralData of the generator; raises when the fixed space is degenerate."""
+        return require_unique_fixed_space(steady_state(build_liouvillian(self.K, self.R)))
 
 
 @dataclass(frozen=True)

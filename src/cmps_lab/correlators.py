@@ -53,14 +53,7 @@ from .errors import (
     UnsortedPositionsError,
     ZeroDensityError,
 )
-from .liouville import (
-    build_liouvillian,
-    require_unique_fixed_space,
-    sandwich,
-    steady_state,
-    trace_functional,
-    vectorize,
-)
+from .liouville import build_liouvillian, sandwich, trace_functional, vectorize
 
 SIGNAL_FLOOR = 1e-13
 
@@ -107,23 +100,26 @@ class CorrelatorResult:
 
 
 class _Chain:
-    """Shared evaluation state: generator, boundary vectors, exp(L dx) cache.
+    """Shared evaluation state: generator, boundary vectors, one propagator.
 
     A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
     then apply op, which is a superoperator matrix, None (nothing) or STOP
-    (hand back the vector there).
+    (hand back the vector there).  There is no propagator cache: the chain
+    holds one propagator exp(L dx) at a time, built when a leg of a new
+    length is reached and reused while the following legs share that
+    length.  The stationary state is the parameter set's own
+    (`CmpsParams.stationary`).
     """
 
     STOP = object()
 
     def __init__(self, params):
         self.params = params
-        self.L = build_liouvillian(params.K, params.R)
         self.dim = params.dim
         self.left = trace_functional(params.dim)
-        self._cache = {}
+        self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
-            self.spectral = require_unique_fixed_space(steady_state(self.L))
+            self.spectral = params.stationary
             self.right = vectorize(self.spectral.steady_state)
             self.length = None
         else:
@@ -131,15 +127,11 @@ class _Chain:
             self.right = vectorize(params.geometry.boundary_rho)
             self.length = params.geometry.length
 
-    def step(self, dx):
-        if dx == 0.0:
-            return None
-        key = float(dx)
-        mat = self._cache.get(key)
-        if mat is None:
-            mat = scipy.linalg.expm(self.L.mat * dx)
-            self._cache[key] = mat
-        return mat
+    @cached_property
+    def L(self):
+        """The generator, built when a leg first needs it: a chain whose
+        insertions all share one point never propagates."""
+        return build_liouvillian(self.params.K, self.params.R)
 
     def legs(self, items, start):
         """Legs from `start` through (position, Insertion or STOP) items.
@@ -167,12 +159,13 @@ class _Chain:
     def scan(self, v, legs):
         """Carry v along the legs and return the vectors at the stops, one per row."""
         stop = self.STOP
-        steps = {dx: self.step(dx) for dx in {dx for dx, _ in legs}}
         stops = np.empty((sum(op is stop for _, op in legs), v.size), dtype=complex)
         k = 0
         for dx, op in legs:
-            if steps[dx] is not None:
-                v = steps[dx] @ v
+            if dx != 0.0:
+                if dx != self._leg[0]:
+                    self._leg = (dx, scipy.linalg.expm(self.L.mat * dx))
+                v = self._leg[1] @ v
             if op is stop:
                 stops[k] = v
                 k += 1
@@ -214,11 +207,9 @@ def expectation(params, insertions):
     return _Chain(params).evaluate(insertions)
 
 
-def density(params, chain=None):
+def density(params):
     """Particle density n = tr(R rho R^dag) at the anchor point."""
-    chain = chain or _Chain(params)
-    val = chain.evaluate([(0.0, pair_density(params))])
-    return float(val.real)
+    return float(expectation(params, [(0.0, pair_density(params))]).real)
 
 
 def _separation_scan(chain, separations, first, second):
@@ -257,10 +248,10 @@ def two_point(params, separations):
 def pair_correlation(params, separations):
     """Normalized pair correlator g2(d); requires nonzero density."""
     chain = _Chain(params)
-    n = density(params, chain)
+    pd = pair_density(params)
+    n = float(chain.evaluate([(0.0, pd)]).real)  # the density, on this chain
     if n <= 0.0 or n * n < 1e-28:
         raise ZeroDensityError("pair correlator undefined at zero density")
-    pd = pair_density(params)
     seps, values = _separation_scan(chain, separations, pd, pd)
     return CorrelatorResult(
         separations=seps,

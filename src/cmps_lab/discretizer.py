@@ -24,6 +24,7 @@ left edge like the continuum convention.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import Finite, q_matrix
 from .errors import (
@@ -85,16 +86,14 @@ def _site_superops(tensors, observable):
 
 
 def _dominant_pair(emat):
-    """Dominant eigenvalue with left/right eigenvectors of E."""
-    evals, vr = np.linalg.eig(emat)
+    """Dominant eigenvalue with left/right eigenvectors of E, from one eigensolve."""
+    evals, vl, vr = scipy.linalg.eig(emat, left=True, right=True)
     i = int(np.argmax(np.abs(evals)))
     eta = evals[i]
     mags = np.sort(np.abs(evals))[::-1]
     if mags.size > 1 and mags[0] - mags[1] < 1e-12 * max(1.0, mags[0]):
         raise WindowTooSmallError("dominant transfer eigenvalue is degenerate")
-    evals_l, vl = np.linalg.eig(emat.conj().T)
-    j = int(np.argmin(np.abs(evals_l - np.conj(eta))))
-    left = vl[:, j]
+    left = vl[:, i]
     right = vr[:, i]
     res = max(
         np.abs(emat @ right - eta * right).max(),
@@ -106,6 +105,11 @@ def _dominant_pair(emat):
     if abs(overlap) < 1e-12:
         raise WindowTooSmallError("left/right transfer fixed points are orthogonal")
     return eta, left.conj() / overlap, right
+
+
+def _span(observable, m):
+    """Sites a chain with insertions at site 0 and (for pairs) site m covers."""
+    return 1 if observable == "occupation" else m + 1
 
 
 def lattice_correlators(tensors, observable, distances=None, n_sites=None, boundary_rho=None):
@@ -138,41 +142,39 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         return float(vals[0]) if observable == "occupation" else vals
 
     if n_sites is None:
-        eta, left, right = _dominant_pair(emat)
-        close = left
-        open_vec = right
-        total_sites = None
+        eta, close, open_vec = _dominant_pair(emat)
     else:
         n_sites = int(n_sites)
         if boundary_rho is None:
             raise ShapeMismatchError("finite chains need boundary_rho")
-        span = 1 if observable == "occupation" else max(distances) + 1
+        span = max(_span(observable, m) for m in distances)
         if n_sites < span:
             raise WindowTooSmallError(f"chain of {n_sites} sites cannot hold span {span}")
-        close = np.eye(d, dtype=complex).reshape(-1)
         open_vec = np.asarray(boundary_rho, dtype=complex).reshape(-1)
-        eta = 1.0  # finite chains normalize by the full-norm contraction instead
-        total_sites = n_sites
+        # closing covectors <1| E^k, walked once, kept at the k a chain
+        # closes on: the tail after each insertion span, and the full norm
+        needed = {n_sites - _span(observable, m) for m in distances} | {n_sites}
+        w = np.eye(d, dtype=complex).reshape(-1)
+        tails = {0: w}
+        for k in range(1, n_sites + 1):
+            w = w @ emat
+            if k in needed:
+                tails[k] = w
+        norm = tails[n_sites] @ open_vec
 
     def contract(m):
         """Chain value with insertions at site 0 and (for pairs) site m."""
         if observable == "occupation":
             v = superops[0] @ open_vec
-            used = 1
         else:
             v = superops[1] @ open_vec  # creation-side insertion at site 0
             for _ in range(m - 1):
                 v = emat @ v
             v = superops[0] @ v
-            used = m + 1
-        if total_sites is None:
+        used = _span(observable, m)
+        if n_sites is None:
             return (close @ v) / (close @ open_vec) / eta**used
-        for _ in range(total_sites - used):
-            v = emat @ v
-        norm_v = open_vec
-        for _ in range(total_sites):
-            norm_v = emat @ norm_v
-        return (close @ v) / (close @ norm_v)
+        return (tails[n_sites - used] @ v) / norm
 
     scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
     values = np.array([contract(m) for m in distances]) / scale

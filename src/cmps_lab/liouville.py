@@ -32,7 +32,9 @@ from .errors import (
     ShapeMismatchError,
 )
 
-ZERO_REAL_TOL = 1e-10   # |Re lambda| below this counts as a fixed-space mode
+# Both relative to the generator's 1-norm, so that a change of length unit
+# (K -> s K, R -> sqrt(s) R, hence L -> s L) leaves every verdict unchanged.
+ZERO_REAL_TOL = 1e-10   # |Re lambda| up to this counts as a fixed-space mode
 RESIDUAL_TOL = 1e-10
 
 
@@ -70,16 +72,21 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (descending real part), fixed point, and gap."""
+    """Eigenvalues (descending real part), fixed point, and gap.
+
+    zero_real_tol is the threshold up to which |Re lambda| counts as zero:
+    ZERO_REAL_TOL times the generator's 1-norm.  The arrays are read-only.
+    """
 
     eigenvalues: np.ndarray
     steady_state: np.ndarray
     gap: float
     degenerate_fixed_space: bool
+    zero_real_tol: float
 
     @property
     def gapless(self):
-        return self.gap <= ZERO_REAL_TOL
+        return self.gap <= self.zero_real_tol
 
 
 def build_liouvillian(K, R):
@@ -106,10 +113,13 @@ def steady_state(superop):
     the Hermitized, trace-normalized fixed point, the spectral gap (0.0 for
     the one-dimensional case, which is gapless by convention), and a flag
     marking a degenerate fixed space (more than one eigenvalue with
-    |Re| < 1e-10; gap-based claims are unreliable when set).
+    |Re| <= ZERO_REAL_TOL ||L||_1; gap-based claims are unreliable when
+    set).  The fixed point's residual ||L rho||_max must not exceed
+    RESIDUAL_TOL ||L||_1.
     """
     mat = superop.mat
-    d = superop.dim
+    scale = float(np.linalg.norm(mat, 1))
+    zero_tol = ZERO_REAL_TOL * scale
     try:
         evals, evecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
@@ -118,7 +128,7 @@ def steady_state(superop):
     evals = evals[order]
     evecs = evecs[:, order]
 
-    near_zero = np.flatnonzero(np.abs(evals.real) < ZERO_REAL_TOL)
+    near_zero = np.flatnonzero(np.abs(evals.real) <= zero_tol)
     degenerate = near_zero.size > 1
 
     # Fixed point: among near-zero modes prefer the one carrying the most
@@ -142,21 +152,26 @@ def steady_state(superop):
     rho = rho / np.trace(rho).real
 
     residual = np.abs(mat @ vectorize(rho)).max()
-    if residual > RESIDUAL_TOL and not degenerate:
-        raise NoConvergenceError(f"fixed-point residual {residual:.3e} above {RESIDUAL_TOL}")
+    if residual > RESIDUAL_TOL * scale and not degenerate:
+        raise NoConvergenceError(
+            f"fixed-point residual {residual:.3e} above {RESIDUAL_TOL * scale:.3e}"
+            f" ({RESIDUAL_TOL} x ||L||_1)")
 
     rest = [ev.real for i, ev in enumerate(evals) if i != best]
     if not rest:
         gap = 0.0
     else:
         second = max(rest)
-        gap = -second if second < -ZERO_REAL_TOL else 0.0
+        gap = -second if second < -zero_tol else 0.0
 
+    evals.setflags(write=False)
+    rho.setflags(write=False)
     return SpectralData(
         eigenvalues=evals,
         steady_state=rho,
         gap=float(gap),
         degenerate_fixed_space=bool(degenerate),
+        zero_real_tol=zero_tol,
     )
 
 

@@ -38,7 +38,6 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
 
 # the sum of exponentials loses about eps * cond(V)^2 of S (relative); at
 # this bound that stays below 1e-10, beyond it S comes from expm
@@ -82,8 +81,7 @@ def _initial_ensemble(params):
     if isinstance(params.geometry, Finite):
         rho = params.geometry.boundary_rho
     else:
-        rho = require_unique_fixed_space(
-            steady_state(build_liouvillian(params.K, params.R))).steady_state
+        rho = params.stationary.steady_state
     vals, vecs = np.linalg.eigh(rho)
     probs = np.clip(vals.real, 0.0, None)
     probs = probs / probs.sum()
@@ -402,8 +400,7 @@ def estimate_stats(records, bins, burn_in=0.0):
 
 def _post_jump_state(params):
     """Stationary state immediately after a jump, or None when R = 0."""
-    data = require_unique_fixed_space(steady_state(build_liouvillian(params.K, params.R)))
-    rho = params.R @ data.steady_state @ params.R.conj().T
+    rho = params.R @ params.stationary.steady_state @ params.R.conj().T
     weight = np.trace(rho).real
     if weight <= 1e-300:
         return None

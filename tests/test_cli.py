@@ -386,6 +386,14 @@ def test_tolerance_override_validation(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "steady", cfg, tag="n",
                     extra=("--tolerance-overrides", str(bad_name)))
     assert rc == 1
+    # the signal floor only ever served decay_fit, which no command runs
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({"signal_floor": 1e-12}))
+    capsys.readouterr()
+    rc, _ = run_cli(tmp_path, "steady", cfg, tag="r",
+                    extra=("--tolerance-overrides", str(retired)))
+    assert rc == 1
+    assert "unknown tolerance 'signal_floor'" in capsys.readouterr().err
     bad_val = tmp_path / "bad_val.json"
     bad_val.write_text(json.dumps({"herm_tol": -1.0}))
     rc, _ = run_cli(tmp_path, "steady", cfg, tag="v",

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from cmps_lab import Finite, Thermodynamic, new_cmps, q_matrix
+from cmps_lab import (
+    Finite,
+    Thermodynamic,
+    new_cmps,
+    no_jump_survival,
+    q_matrix,
+    sample_ensemble,
+    source_consistency_check,
+)
 from cmps_lab.errors import (
     InvalidBoundaryStateError,
     NonHermitianKError,
@@ -103,3 +111,23 @@ def test_q_matrix_rf_value():
     q = q_matrix(new_cmps(2, RF_K, RF_R)).mat
     expected = -1j * RF_K - 0.5 * np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.abs(q - expected).max() < 1e-15
+
+
+def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch):
+    # the correlators, the sampler and the waiting-time oracle all open on
+    # the fixed point: between them one D^2 x D^2 eigendecomposition
+    rng = np.random.default_rng(5)
+    d = 3
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    eig = np.linalg.eig
+    shapes = []
+
+    def counting_eig(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    source_consistency_check(p, eps=0.05, h=0.01, n_sites=8)
+    sample_ensemble(p, 4, 2.0, 7)
+    no_jump_survival(p, [0.0, 0.5, 1.0])
+    assert shapes.count((d * d, d * d)) == 1

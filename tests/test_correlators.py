@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,21 @@ def test_kinetic_density_matches_lattice_stencil(rf):
         ests.append(2.0 * (occ - hop.real) / eps**2)
     richardson = 2.0 * ests[1] - ests[0]
     assert abs(richardson - kin) / kin < 1e-4
+
+
+def test_two_point_holds_one_propagator_at_a_time():
+    # every one of 200 distinct separations needs its own exp(L dx); a chain
+    # that kept them would hold 200 propagators of (D^2)^2 complex entries
+    rng = np.random.default_rng(11)
+    d = 8
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    seps = np.sort(rng.uniform(0.0, 10.0, 200))
+    assert np.unique(np.diff(seps)).size == seps.size - 1
+    propagator_bytes = (d * d) ** 2 * 16
+    tracemalloc.start()
+    try:
+        two_point(p, seps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * propagator_bytes

@@ -5,7 +5,9 @@ from cmps_lab import (
     build_liouvillian,
     choi_matrix,
     choi_min_eigenvalue,
+    density,
     devectorize,
+    new_cmps,
     propagate,
     require_unique_fixed_space,
     steady_state,
@@ -54,6 +56,19 @@ def test_liouvillian_matches_dense_action():
 def test_build_liouvillian_validates_shapes():
     with pytest.raises(ShapeMismatchError):
         build_liouvillian(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-6, 1.0, 1e6])
+def test_fixed_point_does_not_depend_on_the_length_unit(s):
+    # K -> s K, R -> sqrt(s) R is a change of length unit: L -> s L, every
+    # rate scales by s and the stationary state stays put
+    ref = require_unique_fixed_space(steady_state(build_liouvillian(RF_K, RF_R)))
+    p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
+    spec = require_unique_fixed_space(steady_state(build_liouvillian(p.K, p.R)))
+    assert not spec.gapless
+    assert spec.gap / s == pytest.approx(ref.gap, rel=1e-8)
+    assert density(p) / s == pytest.approx(density(new_cmps(2, RF_K, RF_R)), rel=1e-8)
+    assert np.abs(spec.steady_state - ref.steady_state).max() < 1e-8 * np.abs(ref.steady_state).max()
 
 
 def test_rf_spectrum_and_steady_state():
