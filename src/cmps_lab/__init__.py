@@ -13,6 +13,7 @@ from .core import CmpsParams, Finite, GeneratorQ, Thermodynamic, new_cmps, q_mat
 from .liouville import (
     SpectralData,
     Superoperator,
+    Tolerances,
     build_liouvillian,
     choi_matrix,
     choi_min_eigenvalue,

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, core, lindblad, liouville
+from . import __version__
 from .core import Finite, Thermodynamic, new_cmps
 from .correlators import (
     annihilate,
@@ -41,22 +41,8 @@ from .discretizer import (
 )
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
-from .liouville import build_liouvillian
+from .liouville import Tolerances, build_liouvillian
 from .trajectories import estimate_stats, sample_ensemble
-
-COMMANDS = (
-    "steady", "gap", "correlate", "g2", "kinetic", "ll-energy",
-    "discretize", "converge", "trajectories", "lindblad-check",
-    "zfunctional-check", "family-deriv",
-)
-
-# dotted tolerance names adjustable via --tolerance-overrides
-TOLERANCE_TARGETS = {
-    "herm_tol": (core, "HERM_TOL"),
-    "zero_real_tol": (liouville, "ZERO_REAL_TOL"),
-    "residual_tol": (liouville, "RESIDUAL_TOL"),
-    "moment_tol": (lindblad, "MOMENT_TOL"),
-}
 
 _MAT = "mat"
 _BASE_SCHEMA = {
@@ -174,7 +160,7 @@ def _fill_matrix_default(node):
         node["im"] = [[0.0] * len(row) for row in node["re"]]
 
 
-def _build_params(cfg, record_length=False):
+def _build_params(cfg, tol, record_length=False):
     model = cfg["model"]
     k = _complex_matrix(model["K"], "model.K")
     r = _complex_matrix(model["R"], "model.R")
@@ -191,10 +177,10 @@ def _build_params(cfg, record_length=False):
         if "length" not in cfg or "boundary_rho" not in cfg:
             raise ConfigError("finite geometry requires 'length' and 'boundary_rho'")
         rho = _complex_matrix(cfg["boundary_rho"], "boundary_rho")
-        geometry = Finite(length=float(cfg["length"]), boundary_rho=rho)
+        geometry = Finite(length=float(cfg["length"]), boundary_rho=rho, tol=tol)
     else:
         raise ConfigError("'geometry' must be 'thermodynamic' or 'finite'")
-    params = new_cmps(model["dim"], k, r, geometry)
+    params = new_cmps(model["dim"], k, r, geometry, tol)
     _fill_matrix_default(model["K"])
     _fill_matrix_default(model["R"])
     if "boundary_rho" in cfg:
@@ -270,9 +256,8 @@ def _emit_csv(out_path, command, cfg, header, rows):
     _atomic_write(out_path, "\n".join(lines) + "\n")
 
 
-def _cmd_spectrum(command, cfg, out_path):
+def _cmd_spectrum(command, cfg, params, out_path):
     """`steady` and `gap`: the spectrum, plus the fixed point for `steady`."""
-    params = _build_params(cfg)
     data = params.stationary
     result = {
         "gap": data.gap,
@@ -287,9 +272,8 @@ def _cmd_spectrum(command, cfg, out_path):
     _emit_json(out_path, command, cfg, result)
 
 
-def _cmd_separations(command, cfg, out_path):
+def _cmd_separations(command, cfg, params, out_path):
     """`correlate` and `g2`: two-point function or g2 on separations, as CSV."""
-    params = _build_params(cfg)
     seps = _float_list(cfg["separations"], "separations", minimum=0.0)
     correlator = two_point if command == "correlate" else pair_correlation
     res = correlator(params, seps)
@@ -297,19 +281,16 @@ def _cmd_separations(command, cfg, out_path):
     _emit_csv(out_path, command, cfg, "d,re,im", rows)
 
 
-def _cmd_kinetic(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_kinetic(cfg, params, out_path):
     _emit_json(out_path, "kinetic", cfg, {"kinetic_density": kinetic_density(params)})
 
 
-def _cmd_ll_energy(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_ll_energy(cfg, params, out_path):
     value = lieb_liniger_energy_density(params, cfg["c"], cfg["mu"])
     _emit_json(out_path, "ll-energy", cfg, {"energy_density": value})
 
 
-def _cmd_discretize(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_discretize(cfg, params, out_path):
     eps_list = _float_list(cfg["epsilons"], "epsilons")
     order = cfg.setdefault("order", 1)
     superop = build_liouvillian(params.K, params.R)
@@ -335,8 +316,7 @@ def _cmd_discretize(cfg, out_path):
     _emit_json(out_path, "discretize", cfg, result)
 
 
-def _cmd_converge(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_converge(cfg, params, out_path):
     eps_list = _float_list(cfg["epsilons"], "epsilons")
     name = cfg.setdefault("observable", "occupation")
     order = cfg.setdefault("order", 1)
@@ -361,8 +341,7 @@ def _cmd_converge(cfg, out_path):
     _emit_json(out_path, "converge", cfg, result)
 
 
-def _cmd_trajectories(cfg, out_path):
-    params = _build_params(cfg, record_length=True)
+def _cmd_trajectories(cfg, params, out_path):
     if isinstance(params.geometry, Finite):
         length = params.geometry.length
     else:
@@ -378,23 +357,21 @@ def _cmd_trajectories(cfg, out_path):
     _emit_json(out_path, "trajectories", cfg, dataclasses.asdict(stats))
 
 
-def _cmd_lindblad_check(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_lindblad_check(cfg, params, out_path):
     node = cfg["moments"]["psi_dag_sq"]
     node.setdefault("im", 0.0)
     alpha = complex(node["re"], node["im"])
     n = float(cfg["moments"]["psi_dag_psi"])
     moments = FieldMoments(
         psi_dag_sq=alpha, psi_sq=np.conj(alpha),
-        psi_dag_psi=n, psi_psi_dag=n + 1.0,
+        psi_dag_psi=n, psi_psi_dag=n + 1.0, tol=params.tol,
     )
     dx = float(cfg.setdefault("dx", 0.1))
     comp = compare_forms(params.K, params.R, moments, dx=dx)
     _emit_json(out_path, "lindblad-check", cfg, dataclasses.asdict(comp))
 
 
-def _cmd_zfunctional_check(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_zfunctional_check(cfg, params, out_path):
     n_sites = cfg["n_sites"]
     pair = cfg.setdefault("site_pair", [n_sites // 4, (3 * n_sites) // 4])
     if len(pair) != 2 or any(isinstance(p, bool) or not isinstance(p, int) for p in pair):
@@ -435,8 +412,7 @@ def _parse_insertions(raw, params):
     return out
 
 
-def _cmd_family_deriv(cfg, out_path):
-    params = _build_params(cfg)
+def _cmd_family_deriv(cfg, params, out_path):
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
     insertions = _parse_insertions(cfg["insertions"], params)
@@ -503,8 +479,8 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _apply_tolerance_overrides(path):
-    """Set the tolerances named in the file; return the values they replace."""
+def _load_tolerances(path):
+    """The run's Tolerances: defaults, overridden where the file names `<field>_tol`."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = _load_json(fh)
@@ -514,41 +490,33 @@ def _apply_tolerance_overrides(path):
         raise ConfigError(f"tolerance overrides are not valid JSON: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError("tolerance overrides must be a JSON object")
+    names = {f"{f.name}_tol": f.name for f in dataclasses.fields(Tolerances)}
     for name, value in overrides.items():
-        if name not in TOLERANCE_TARGETS:
+        if name not in names:
             raise ConfigError(f"unknown tolerance '{name}'")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance '{name}' must be a positive number")
-    replaced = []
-    for name, value in overrides.items():
-        module, attr = TOLERANCE_TARGETS[name]
-        replaced.append((module, attr, getattr(module, attr)))
-        setattr(module, attr, float(value))
-    return replaced
+    return Tolerances(**{names[name]: float(value) for name, value in overrides.items()})
 
 
 def _run(argv):
     parser = _Parser(prog="cmps-lab", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--output", required=True)
     parser.add_argument("--tolerance-overrides", default=None)
     args = parser.parse_args(argv)
 
-    replaced = []
+    tol = Tolerances()
     if args.tolerance_overrides:
-        replaced = _apply_tolerance_overrides(args.tolerance_overrides)
-    try:
-        cfg = _load_config(args.config)
-        schema = dict(_BASE_SCHEMA)
-        schema.update(_EXTRA_SCHEMA[args.command])
-        _check_schema(cfg, schema)
-        _HANDLERS[args.command](cfg, args.output)
-        return 0
-    finally:
-        # overrides hold for one run; later runs in the process are strict
-        for module, attr, value in replaced:
-            setattr(module, attr, value)
+        tol = _load_tolerances(args.tolerance_overrides)
+    cfg = _load_config(args.config)
+    schema = dict(_BASE_SCHEMA)
+    schema.update(_EXTRA_SCHEMA[args.command])
+    _check_schema(cfg, schema)
+    params = _build_params(cfg, tol, record_length=args.command == "trajectories")
+    _HANDLERS[args.command](cfg, params, args.output)
+    return 0
 
 
 def main(argv=None):

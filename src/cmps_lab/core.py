@@ -23,9 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .liouville import build_liouvillian, require_unique_fixed_space, steady_state
-
-HERM_TOL = 1e-12
+from .liouville import Tolerances, build_liouvillian, require_unique_fixed_space, steady_state
 
 
 def _as_complex_matrix(m, name):
@@ -50,17 +48,23 @@ class Thermodynamic:
 
 @dataclass(frozen=True)
 class Finite:
-    """Interval [0, length] with boundary state rho(0) = boundary_rho."""
+    """Interval [0, length] with boundary state rho(0) = boundary_rho.
+
+    boundary_rho is Hermitian to within tol.herm; its trace and positivity
+    are checked to an absolute 1e-12, because a density matrix is
+    dimensionless and does not change with the length unit.
+    """
 
     length: float
     boundary_rho: np.ndarray
+    tol: Tolerances = Tolerances()
 
     def __post_init__(self):
         if not (0.0 < float(self.length) < np.inf):
             raise ShapeMismatchError("finite geometry needs a finite length > 0")
         rho = _as_complex_matrix(self.boundary_rho, "boundary_rho")
         scale = max(1.0, np.abs(rho).max())
-        if np.abs(rho - rho.conj().T).max() > HERM_TOL * scale:
+        if np.abs(rho - rho.conj().T).max() > self.tol.herm * scale:
             raise InvalidBoundaryStateError("boundary_rho is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
             raise InvalidBoundaryStateError("boundary_rho must have trace 1")
@@ -75,23 +79,25 @@ Geometry = Thermodynamic | Finite
 
 @dataclass(frozen=True)
 class CmpsParams:
-    """Validated (dim, K, R, geometry) bundle.  Arrays are read-only.
+    """Validated (dim, K, R, geometry, tol) bundle.  Arrays are read-only.
 
     `stationary` is the spectrum and unique fixed point of the generator,
     computed once per parameter set on first use and then shared by every
-    consumer.  It is computed with the tolerances of `liouville` in force
-    at that first use.
+    consumer.  It is certified against the set's own `tol`, whose spectral
+    thresholds are relative to the generator's term norm
+    2 ||Q||_1 + ||R||_1^2.
     """
 
     dim: int
     K: np.ndarray
     R: np.ndarray
     geometry: Geometry = field(default_factory=Thermodynamic)
+    tol: Tolerances = Tolerances()
 
     @cached_property
     def stationary(self):
         """SpectralData of the generator; raises when the fixed space is degenerate."""
-        return require_unique_fixed_space(steady_state(build_liouvillian(self.K, self.R)))
+        return require_unique_fixed_space(steady_state(build_liouvillian(self.K, self.R), self.tol))
 
 
 @dataclass(frozen=True)
@@ -101,13 +107,14 @@ class GeneratorQ:
     mat: np.ndarray
 
 
-def new_cmps(dim, K, R, geometry=None):
+def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
     """Validate and freeze a parameter set.
 
-    K must be Hermitian to within 1e-12 relative to its largest entry;
-    symmetrize explicitly ((K + K^dag)/2) if an input is only approximately
-    Hermitian.  For finite geometry the boundary state must be a density
-    matrix (Hermitian, PSD, trace 1) of matching dimension.
+    tol is bound to the set: K must be Hermitian to within tol.herm
+    relative to its largest entry, and `stationary` is certified against
+    it.  Symmetrize explicitly ((K + K^dag)/2) if an input is only
+    approximately Hermitian.  For finite geometry the boundary state must
+    be a density matrix (Hermitian, PSD, trace 1) of matching dimension.
     """
     dim = int(dim)
     if dim < 1:
@@ -119,15 +126,15 @@ def new_cmps(dim, K, R, geometry=None):
             f"K and R must be {dim} x {dim}, got {K.shape} and {R.shape}"
         )
     scale = max(1.0, np.abs(K).max())
-    if np.abs(K - K.conj().T).max() > HERM_TOL * scale:
-        raise NonHermitianKError("K must be Hermitian within 1e-12 (relative)")
+    if np.abs(K - K.conj().T).max() > tol.herm * scale:
+        raise NonHermitianKError(f"K must be Hermitian within {tol.herm} (relative)")
     if geometry is None:
         geometry = Thermodynamic()
     if isinstance(geometry, Finite) and geometry.boundary_rho.shape != (dim, dim):
         raise ShapeMismatchError("boundary_rho dimension does not match dim")
     if not isinstance(geometry, (Thermodynamic, Finite)):
         raise ShapeMismatchError(f"unknown geometry {geometry!r}")
-    return CmpsParams(dim=dim, K=_frozen(K), R=_frozen(R), geometry=geometry)
+    return CmpsParams(dim=dim, K=_frozen(K), R=_frozen(R), geometry=geometry, tol=tol)
 
 
 def q_matrix(params):

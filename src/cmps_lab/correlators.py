@@ -42,6 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import CmpsParams, Finite, Thermodynamic, q_matrix
+from .discretizer import finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
@@ -142,7 +143,7 @@ class _Chain:
         if any(b < a for a, b in zip(positions, positions[1:])):
             raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
         if self.length is not None and positions:
-            if positions[0] < 0.0 or positions[-1] > self.length + 1e-12:
+            if positions[0] < 0.0 or positions[-1] > self.length * (1.0 + 1e-12):
                 raise PositionOutOfRangeError(
                     f"positions {positions[0]} to {positions[-1]} outside [0, {self.length}]"
                 )
@@ -250,7 +251,8 @@ def pair_correlation(params, separations):
     chain = _Chain(params)
     pd = pair_density(params)
     n = float(chain.evaluate([(0.0, pd)]).real)  # the density, on this chain
-    if n <= 0.0 or n * n < 1e-28:
+    # zero relative to ||R||_F^2, which bounds n and scales with it
+    if n <= 1e-14 * np.linalg.norm(params.R) ** 2:
         raise ZeroDensityError("pair correlator undefined at zero density")
     seps, values = _separation_scan(chain, separations, pd, pd)
     return CorrelatorResult(
@@ -404,8 +406,9 @@ def family_derivative(params, dK, dR, insertions):
     of the exponential at L dx in the direction dL dx; an insertion S maps
     it to (S v, S dv + dS v), because the insertions are built from (K, R)
     and move with the family.  A thermodynamic chain opens on the stationary
-    state, whose tangent solves (L + |rho><1|) drho = -dL rho (invertible
-    when the gap is nonzero; the solution is traceless); a finite chain
+    state, whose tangent solves (L + c |rho><1|) drho = -dL rho with c the
+    term norm of L, which scales like L (invertible when the gap is nonzero;
+    the solution is traceless, so free of c); a finite chain
     opens on the fixed boundary state, dv = 0.  Closing the chain adds no
     dE term and the norm does not move, because <1| dL = 0.  The result is
     exact up to roundoff: there is no quadrature grid.
@@ -414,7 +417,7 @@ def family_derivative(params, dK, dR, insertions):
     dR = np.asarray(dR, dtype=complex)
     if dK.shape != (params.dim, params.dim) or dR.shape != (params.dim, params.dim):
         raise ShapeMismatchError("dK and dR must match the parameter dimension")
-    if np.abs(dK - dK.conj().T).max() > 1e-12 * max(1.0, np.abs(dK).max()):
+    if np.abs(dK - dK.conj().T).max() > params.tol.herm * max(1.0, np.abs(dK).max()):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
@@ -426,7 +429,7 @@ def family_derivative(params, dK, dR, insertions):
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
         start = float(insertions[0][0])
-        dv = np.linalg.solve(chain.L.mat + np.outer(v, chain.left), -(dgen @ v))
+        dv = np.linalg.solve(chain.L.mat + chain.L.scale * np.outer(v, chain.left), -(dgen @ v))
     else:
         start = 0.0
         dv = np.zeros_like(v)
@@ -484,11 +487,8 @@ def generating_functional(params, sources, eps):
         raise StepNotPositiveError(f"lattice step must be positive, got {eps}")
     chain = _Chain(params)
     n = sources.n_sites
-    if chain.length is not None:
-        if abs(n * eps - chain.length) > 1e-9 * max(1.0, chain.length):
-            raise ShapeMismatchError(
-                f"{n} sites of step {eps} do not cover length {chain.length}"
-            )
+    if chain.length is not None and finite_site_count(chain.length, eps) != n:
+        raise ShapeMismatchError(f"{n} sites of step {eps} do not cover length {chain.length}")
     ann = annihilate(params).superop
     cre = create(params).superop
     dann = deriv_annihilate(params).superop

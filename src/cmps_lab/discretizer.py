@@ -34,6 +34,8 @@ from .errors import (
 )
 from .liouville import sandwich
 
+# absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
+# in every length unit: the site map is dimensionless
 FIXED_POINT_TOL = 1e-10
 
 
@@ -186,9 +188,13 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
 
 
 def finite_site_count(length, eps):
-    """Number of step-eps sites that tile a finite window of `length` exactly."""
+    """Number of step-eps sites that tile a finite window of `length` exactly.
+
+    Exactly means to 1e-9 of the length, so the verdict holds in every
+    length unit.
+    """
     n_sites = int(round(length / eps))
-    if n_sites < 1 or abs(n_sites * eps - length) > 1e-9:
+    if n_sites < 1 or abs(n_sites * eps - length) > 1e-9 * length:
         raise ShapeMismatchError(f"eps {eps} does not divide the length {length}")
     return n_sites
 
@@ -230,7 +236,7 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
         else:
             kind, sep = observable
             m = int(round(sep / eps))
-            if abs(m * eps - sep) > 1e-9 * max(1.0, sep):
+            if abs(m * eps - sep) > 1e-9 * abs(sep):
                 raise ShapeMismatchError(f"separation {sep} is not a multiple of eps {eps}")
             val = lattice_correlators(tensors, kind, distances=[m], **kwargs)[0]
             values.append(val.real if np.iscomplexobj(val) else val)

@@ -39,23 +39,24 @@ import scipy.linalg
 from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,
+    Tolerances,
     build_liouvillian,
     choi_min_eigenvalue,
     sandwich,
     trace_functional,
 )
 
-MOMENT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FieldMoments:
-    """Validated second moments of the input field (per meter)."""
+    """Validated second moments of the input field (per meter), checked
+    to within tol.moment."""
 
     psi_dag_sq: complex
     psi_sq: complex
     psi_dag_psi: float
     psi_psi_dag: float
+    tol: Tolerances = Tolerances()
 
     def __post_init__(self):
         a = complex(self.psi_dag_sq)
@@ -63,14 +64,14 @@ class FieldMoments:
         n = complex(self.psi_dag_psi)
         nt = complex(self.psi_psi_dag)
         scale = 1.0 + max(abs(a), abs(n))
-        if abs(b - a.conjugate()) > MOMENT_TOL * scale:
+        if abs(b - a.conjugate()) > self.tol.moment * scale:
             raise InvalidMomentsError("psi_sq must equal conj(psi_dag_sq)")
-        if abs(n.imag) > MOMENT_TOL * scale or n.real < -MOMENT_TOL:
+        if abs(n.imag) > self.tol.moment * scale or n.real < -self.tol.moment:
             raise InvalidMomentsError("psi_dag_psi must be real and nonnegative")
-        if abs(nt - n - 1.0) > MOMENT_TOL * scale:
+        if abs(nt - n - 1.0) > self.tol.moment * scale:
             raise InvalidMomentsError("psi_psi_dag must equal psi_dag_psi + 1")
         # Gaussian admissibility: |<a a>|^2 <= <a^dag a> <a a^dag>
-        if abs(a) ** 2 > n.real * (n.real + 1.0) + MOMENT_TOL * scale:
+        if abs(a) ** 2 > n.real * (n.real + 1.0) + self.tol.moment * scale:
             raise InvalidMomentsError(
                 "anomalous moment too large: |psi_dag_sq|^2 must not exceed "
                 "psi_dag_psi * psi_psi_dag"
@@ -145,7 +146,10 @@ def build_general_generator(K, R, moments):
         mat = mat + 0.5 * (alpha * dc + np.conj(alpha) * dc_conj)
     mat = mat + moments.psi_dag_psi * _dissipator(R.conj().T)
     mat = mat + moments.psi_psi_dag * _dissipator(R)
-    return Superoperator(mat=mat, dim=K.shape[0])
+    # term norm, bounded: each sandwich of R and R^dag factors has 1-norm <= r^2
+    r = max(np.linalg.norm(R, 1), np.linalg.norm(R, np.inf))
+    scale = 2.0 * np.linalg.norm(K, 1) + (4.0 * (abs(alpha) + moments.psi_dag_psi) + 2.0) * r**2
+    return Superoperator(mat=mat, dim=K.shape[0], scale=float(scale))
 
 
 def jump_decomposition(K, R, moments):

@@ -32,10 +32,18 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Both relative to the generator's 1-norm, so that a change of length unit
-# (K -> s K, R -> sqrt(s) R, hence L -> s L) leaves every verdict unchanged.
-ZERO_REAL_TOL = 1e-10   # |Re lambda| up to this counts as a fixed-space mode
-RESIDUAL_TOL = 1e-10
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Thresholds of a parameter set: herm for K, dK and boundary_rho
+    (relative to the largest entry), zero_real and residual for the fixed
+    point (relative to the generator's term norm, which a change of length
+    unit scales like L), moment for the field moments."""
+
+    herm: float = 1e-12
+    zero_real: float = 1e-10
+    residual: float = 1e-10
+    moment: float = 1e-12
 
 
 def vectorize(m):
@@ -63,11 +71,13 @@ def trace_functional(dim):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense generator acting on row-stacked density matrices."""
+    """Dense generator acting on row-stacked density matrices.  scale, its
+    term norm, sums the 1-norms of the sandwiches it is built from: it
+    bounds ||mat||_1 but is not roundoff where they cancel, as at D = 1."""
 
     mat: np.ndarray
     dim: int
-    convention: str = "row-stacking"
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,8 @@ class SpectralData:
     """Eigenvalues (descending real part), fixed point, and gap.
 
     zero_real_tol is the threshold up to which |Re lambda| counts as zero:
-    ZERO_REAL_TOL times the generator's 1-norm.  The arrays are read-only.
+    Tolerances.zero_real times the generator's term norm.  The arrays are
+    read-only.
     """
 
     eigenvalues: np.ndarray
@@ -103,23 +114,23 @@ def build_liouvillian(K, R):
     eye = np.eye(d)
     q = -1j * K - 0.5 * (R.conj().T @ R)
     mat = sandwich(q, eye) + sandwich(eye, q) + sandwich(R, R)
-    return Superoperator(mat=mat, dim=d)
+    scale = 2.0 * np.linalg.norm(q, 1) + np.linalg.norm(R, 1) ** 2
+    return Superoperator(mat=mat, dim=d, scale=float(scale))
 
 
-def steady_state(superop):
+def steady_state(superop, tol=Tolerances()):
     """Dense eigendecomposition of the generator.
 
     Returns SpectralData with eigenvalues sorted by descending real part,
     the Hermitized, trace-normalized fixed point, the spectral gap (0.0 for
     the one-dimensional case, which is gapless by convention), and a flag
     marking a degenerate fixed space (more than one eigenvalue with
-    |Re| <= ZERO_REAL_TOL ||L||_1; gap-based claims are unreliable when
-    set).  The fixed point's residual ||L rho||_max must not exceed
-    RESIDUAL_TOL ||L||_1.
+    |Re| <= tol.zero_real times the term norm `superop.scale`; gap-based
+    claims are unreliable when set).  The fixed point's residual
+    ||L rho||_max must not exceed tol.residual times the term norm.
     """
     mat = superop.mat
-    scale = float(np.linalg.norm(mat, 1))
-    zero_tol = ZERO_REAL_TOL * scale
+    zero_tol = tol.zero_real * superop.scale
     try:
         evals, evecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
@@ -152,10 +163,11 @@ def steady_state(superop):
     rho = rho / np.trace(rho).real
 
     residual = np.abs(mat @ vectorize(rho)).max()
-    if residual > RESIDUAL_TOL * scale and not degenerate:
+    limit = tol.residual * superop.scale
+    if residual > limit and not degenerate:
         raise NoConvergenceError(
-            f"fixed-point residual {residual:.3e} above {RESIDUAL_TOL * scale:.3e}"
-            f" ({RESIDUAL_TOL} x ||L||_1)")
+            f"fixed-point residual {residual:.3e} above {limit:.3e}"
+            f" ({tol.residual} x term norm)")
 
     rest = [ev.real for i, ev in enumerate(evals) if i != best]
     if not rest:

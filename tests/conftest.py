@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cmps_lab import Finite, new_cmps
+
+# property tests draw the same examples on every run and stay bounded in time
+settings.register_profile("cmps-lab", derandomize=True, max_examples=50, deadline=None,
+                          database=None)
+settings.load_profile("cmps-lab")
 
 # driven two-level emitter: K = (Omega/2) sigma_x with Omega = 1, R = sigma_minus.
 # Exact stationary values used throughout: density 1/3, Liouvillian gap 1/2,

@@ -358,6 +358,24 @@ def test_degenerate_fixed_space_exits_two(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_coherent_state_with_complex_emission_exits_zero(tmp_path):
+    # at D = 1 the generator's terms cancel exactly; its certificates must
+    # not be scaled by the roundoff that is left
+    model = {"dim": 1, "K": {"re": [[0.3]]}, "R": {"re": [[1.3]], "im": [[-0.2]]}}
+    cfg = {"model": model, "geometry": "thermodynamic"}
+    rc, out = run_cli(tmp_path, "steady", cfg, tag="steady")
+    assert rc == 0
+    assert load_json(out)["result"]["rho_ss"]["re"] == [[1.0]]
+    rc, out = run_cli(tmp_path, "kinetic", cfg, tag="kinetic")
+    assert rc == 0
+    assert load_json(out)["result"]["kinetic_density"] == pytest.approx(0.0, abs=1e-12)
+    rc, out = run_cli(tmp_path, "correlate", {**cfg, "separations": [0.0, 1.0]}, tag="corr")
+    assert rc == 0
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    re_parts = np.array([float(row.split(",")[1]) for row in rows])
+    assert np.abs(re_parts - 1.73).max() < 1e-12  # |R|^2 at every separation
+
+
 def test_tolerance_overrides_loosen_hermiticity(tmp_path):
     cfg = rf_config()
     cfg["model"]["K"]["re"][0][1] = 0.5 + 1e-7

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cmps_lab import (
+    FieldMoments,
     Finite,
     Thermodynamic,
+    Tolerances,
     new_cmps,
     no_jump_survival,
     q_matrix,
@@ -12,6 +14,7 @@ from cmps_lab import (
 )
 from cmps_lab.errors import (
     InvalidBoundaryStateError,
+    InvalidMomentsError,
     NonHermitianKError,
     ShapeMismatchError,
     ValidationError,
@@ -131,3 +134,38 @@ def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch):
     sample_ensemble(p, 4, 2.0, 7)
     no_jump_survival(p, [0.0, 0.5, 1.0])
     assert shapes.count((d * d, d * d)) == 1
+
+
+@pytest.mark.parametrize("strict_first", [True, False])
+def test_parameter_sets_with_different_tolerances_coexist(strict_first):
+    # a slightly non-Hermitian K also nudges the zero mode off the axis,
+    # so the loose set loosens the spectral certificates alongside herm
+    k = RF_K.copy()
+    k[0, 1] += 1e-7
+    loose = Tolerances(herm=1e-6, zero_real=1e-5, residual=1e-5)
+
+    def strict_raises():
+        with pytest.raises(NonHermitianKError, match="within 1e-12"):
+            new_cmps(2, k, RF_R)
+
+    if strict_first:
+        strict_raises()
+    p = new_cmps(2, k, RF_R, tol=loose)
+    assert p.tol == loose
+    assert p.stationary.gap == pytest.approx(0.5, abs=1e-5)
+    strict_raises()
+    with pytest.raises(NonHermitianKError, match="within 1e-08"):
+        new_cmps(2, k, RF_R, tol=Tolerances(herm=1e-8))
+    assert new_cmps(2, RF_K, RF_R).stationary.gap == pytest.approx(0.5, abs=1e-12)
+
+
+def test_finite_and_field_moments_honour_their_tolerances():
+    rho = np.array([[0.5, 1e-9], [0.0, 0.5]])
+    with pytest.raises(InvalidBoundaryStateError):
+        Finite(length=1.0, boundary_rho=rho)
+    window = Finite(length=1.0, boundary_rho=rho, tol=Tolerances(herm=1e-6))
+    assert window.boundary_rho[0, 1] == 1e-9
+    with pytest.raises(InvalidMomentsError):
+        FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9)
+    moments = FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9, tol=Tolerances(moment=1e-6))
+    assert moments.psi_psi_dag == 1.5

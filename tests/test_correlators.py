@@ -35,7 +35,7 @@ from cmps_lab.errors import (
     ZeroDensityError,
 )
 
-from conftest import RF_K, RF_R, rand_herm, rand_mat, random_instance
+from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat, random_instance
 
 def master_equation_g2(K, R, taus, rtol=1e-11):
     """Independent pair-correlation oracle: integrate the master equation
@@ -87,6 +87,29 @@ def test_rf_density_and_moments(rf):
     e = lieb_liniger_energy_density(rf, 2.0, 0.5)
     pair = expectation(rf, [(0.0, pair_density(rf)), (0.0, pair_density(rf))])
     assert abs(e - (1.0 / 6.0 + 2.0 * pair.real - 0.5 / 3.0)) < 1e-12
+
+
+def test_pair_correlation_does_not_depend_on_the_length_unit(rf):
+    # g2 is dimensionless: at s = 1e-15 the density is 3.3e-16 per unit
+    # length, small in that unit but far from zero relative to ||R||^2
+    s = 1e-15
+    p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
+    d = np.array([0.0, 0.5, 2.0])
+    assert density(p) / s == pytest.approx(1.0 / 3.0, rel=1e-8)
+    got = pair_correlation(p, d / s).values
+    assert np.abs(got - pair_correlation(rf, d).values).max() < 1e-8
+    with pytest.raises(ZeroDensityError):
+        pair_correlation(new_cmps(2, s * DAMP_K, np.sqrt(s) * DAMP_R), d / s)  # dark
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6])
+def test_window_end_is_reachable_in_every_length_unit(s):
+    # 3 * (0.1 / s) overshoots 0.3 / s by one rounding step in every unit
+    window = Finite(length=0.3 / s, boundary_rho=np.eye(2) / 2)
+    p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R, window)
+    unit = new_cmps(2, RF_K, RF_R, Finite(length=0.3, boundary_rho=np.eye(2) / 2))
+    got = expectation(p, [(3 * (0.1 / s), annihilate(p))]) / np.sqrt(s)
+    assert got == pytest.approx(expectation(unit, [(0.3, annihilate(unit))]), rel=1e-10)
 
 
 def test_rf_pair_correlation_against_integrated_master_equation(rf):

@@ -177,6 +177,25 @@ def test_convergence_study_hopping_observable(rf):
     assert abs(study.extrapolated - exact) < 1e-4
 
 
+@pytest.mark.parametrize("s", [1e-10, 1.0, 1e6])
+def test_finite_window_tiles_in_every_length_unit(s):
+    # K -> s K, R -> sqrt(s) R with the window and steps scaled by 1/s
+    # leaves the site tensors unchanged, so the lattice occupation scales by s
+    def study(unit):
+        window = Finite(length=0.7 / unit, boundary_rho=EXCITED)
+        p = new_cmps(2, unit * RF_K, np.sqrt(unit) * RF_R, window)
+        return convergence_study(p, [0.02 / unit, 0.01 / unit]).values / unit
+
+    np.testing.assert_allclose(study(s), study(1.0), rtol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e9])
+def test_separation_off_the_grid_is_rejected_in_every_length_unit(s):
+    p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
+    with pytest.raises(ShapeMismatchError, match="not a multiple"):
+        convergence_study(p, [0.02 / s, 0.01 / s], observable=("hopping", 1.005 / s))
+
+
 def test_dark_lattice_is_zero():
     p = new_cmps(2, RF_K, np.zeros((2, 2)),
                  Finite(length=1.0, boundary_rho=np.eye(2) / 2))

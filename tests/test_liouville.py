@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from cmps_lab import (
+    annihilate,
     build_liouvillian,
     choi_matrix,
     choi_min_eigenvalue,
+    create,
     density,
     devectorize,
+    family_derivative,
     new_cmps,
     propagate,
     require_unique_fixed_space,
@@ -69,6 +72,14 @@ def test_fixed_point_does_not_depend_on_the_length_unit(s):
     assert spec.gap / s == pytest.approx(ref.gap, rel=1e-8)
     assert density(p) / s == pytest.approx(density(new_cmps(2, RF_K, RF_R)), rel=1e-8)
     assert np.abs(spec.steady_state - ref.steady_state).max() < 1e-8 * np.abs(ref.steady_state).max()
+
+    # the derivative along the ray (s K, sqrt(s) R) of <create(0) annihilate(1/s)>
+    def along_ray(q, scale):
+        chain = [(0.0, create(q)), (1.0 / scale, annihilate(q))]
+        return family_derivative(q, q.K, q.R, chain) / scale
+
+    unit = new_cmps(2, RF_K, RF_R)
+    assert along_ray(p, s) == pytest.approx(along_ray(unit, 1.0), rel=1e-10)
 
 
 def test_rf_spectrum_and_steady_state():
