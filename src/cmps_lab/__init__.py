@@ -18,7 +18,6 @@ from .liouville import (
     choi_matrix,
     choi_min_eigenvalue,
     devectorize,
-    propagate,
     require_unique_fixed_space,
     steady_state,
     trace_functional,

@@ -20,15 +20,12 @@ import numpy as np
 from . import __version__
 from .core import Finite, Thermodynamic, new_cmps
 from .correlators import (
-    annihilate,
-    create,
-    deriv_annihilate,
-    deriv_create,
+    INSERTIONS,
     family_derivative,
+    insertion,
     kinetic_density,
     lieb_liniger_energy_density,
     pair_correlation,
-    pair_density,
     source_consistency_check,
     two_point,
 )
@@ -382,13 +379,6 @@ def _cmd_zfunctional_check(cfg, params, out_path):
 
 
 def _parse_insertions(raw, params):
-    factories = {
-        "annihilate": annihilate,
-        "create": create,
-        "deriv_annihilate": deriv_annihilate,
-        "deriv_create": deriv_create,
-        "pair_density": pair_density,
-    }
     out = []
     for i, item in enumerate(raw):
         path = f"insertions[{i}]"
@@ -400,13 +390,13 @@ def _parse_insertions(raw, params):
         if "kind" not in item or "position" not in item:
             raise ConfigError(f"'{path}' requires 'kind' and 'position'")
         kind = item["kind"]
-        if kind not in factories:
+        if not isinstance(kind, str) or kind not in INSERTIONS:
             raise ConfigError(
-                f"'{path}.kind' must be one of {sorted(factories)}")
+                f"'{path}.kind' must be one of {sorted(INSERTIONS)}")
         pos = item["position"]
         if isinstance(pos, bool) or not isinstance(pos, (int, float)):
             raise ConfigError(f"'{path}.position' must be a number")
-        out.append((float(pos), factories[kind](params)))
+        out.append((float(pos), insertion(params, kind)))
     if not out:
         raise ConfigError("'insertions' must not be empty")
     return out

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .liouville import Tolerances, build_liouvillian, require_unique_fixed_space, steady_state
+from .liouville import Tolerances, build_liouvillian, fields, require_unique_fixed_space, steady_state
 
 
 def _as_complex_matrix(m, name):
@@ -139,6 +139,4 @@ def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
 
 def q_matrix(params):
     """Return GeneratorQ for a parameter set; Q + Q^dag = -R^dag R to rounding."""
-    K, R = params.K, params.R
-    q = -1j * K - 0.5 * (R.conj().T @ R)
-    return GeneratorQ(mat=_frozen(q))
+    return GeneratorQ(mat=_frozen(fields(params.K, params.R)["Q"]))

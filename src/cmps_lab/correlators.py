@@ -2,17 +2,21 @@
 
 Field operators acting on the physical state translate into superoperators
 applied to the flattened boundary state, read left to right in position
-order.  Each is a sandwich rho -> a rho b^dag, built by
-`liouville.sandwich(a, b)`:
+order.  Each is a sandwich rho -> a rho b^dag over the field table
+`liouville.fields` (1, Q, R and X = -[Q, R]), and `INSERTIONS` holds the
+whole dictionary as one (a, b) pair per kind:
 
-    annihilation at x      rho -> R rho            sandwich(R, 1)
-    creation at x          rho -> rho R^dag        sandwich(1, R)
-    derivative annihil.    rho -> X rho            sandwich(X, 1),  X = -[Q, R]
-    derivative creation    rho -> rho X^dag        sandwich(1, X)
-    pair density at x      rho -> R rho R^dag      sandwich(R, R)
+    annihilate        psi at x          rho -> R rho          (R, 1)
+    create            psi^dag at x      rho -> rho R^dag      (1, R)
+    deriv_annihilate  d psi at x        rho -> X rho          (X, 1)
+    deriv_create      d psi^dag at x    rho -> rho X^dag      (1, X)
+    pair_density      psi^dag psi at x  rho -> R rho R^dag    (R, R)
 
-with free propagation exp(L dx) between consecutive insertion points and
-the trace functional closing the chain.  Translation invariance makes the
+`insertion(params, kind)` builds one with `liouville.superop`, and
+`family_derivative` differentiates it with `liouville.superop_tangent`,
+so the table is the only place the dictionary is written.  Free
+propagation exp(L dx) runs between consecutive insertion points and the
+trace functional closes the chain.  Translation invariance makes the
 derivative insertions commutator form exact (no explicit x dependence of
 R).  In the thermodynamic geometry the chain opens on the stationary state;
 in a finite geometry it opens on the boundary state at x = 0, insertions
@@ -32,7 +36,10 @@ quadrature.
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag sandwich(R, 1) exp(L d) sandwich(1, R) vec(rho_ss), and the pair
 correlator g2(d) divides the double pair-density insertion by the squared
-density.
+density.  A source on the field only changes the boundary generator: the
+source term lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X)
+equals the shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
+`generating_functional` builds a site that carries sources.
 """
 
 from dataclasses import dataclass
@@ -41,7 +48,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import CmpsParams, Finite, Thermodynamic, q_matrix
+from .core import CmpsParams, Finite, Thermodynamic
 from .discretizer import finite_site_count
 from .errors import (
     GaplessStateError,
@@ -54,9 +61,27 @@ from .errors import (
     UnsortedPositionsError,
     ZeroDensityError,
 )
-from .liouville import build_liouvillian, sandwich, trace_functional, vectorize
+from .liouville import (
+    GENERATOR,
+    build_liouvillian,
+    fields,
+    superop,
+    superop_tangent,
+    trace_functional,
+    vectorize,
+)
 
+# relative to the largest |two_point| on a fit grid, the roundoff scale of
+# the values
 SIGNAL_FLOOR = 1e-13
+
+INSERTIONS = {
+    "annihilate": (("R", "1"),),
+    "create": (("1", "R"),),
+    "deriv_annihilate": (("X", "1"),),
+    "deriv_create": (("1", "X"),),
+    "pair_density": (("R", "R"),),
+}
 
 
 @dataclass(frozen=True)
@@ -67,29 +92,31 @@ class Insertion:
     superop: np.ndarray
 
 
+def insertion(params, kind):
+    """The point insertion of one `INSERTIONS` kind, built from (K, R)."""
+    if kind not in INSERTIONS:
+        raise ShapeMismatchError(f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
+    return Insertion(kind, superop(INSERTIONS[kind], fields(params.K, params.R)))
+
+
 def annihilate(params):
-    return Insertion("annihilate", sandwich(params.R, np.eye(params.dim)))
+    return insertion(params, "annihilate")
 
 
 def create(params):
-    return Insertion("create", sandwich(np.eye(params.dim), params.R))
-
-
-def _deriv_matrix(params):
-    q = q_matrix(params).mat
-    return -(q @ params.R - params.R @ q)
+    return insertion(params, "create")
 
 
 def deriv_annihilate(params):
-    return Insertion("deriv_annihilate", sandwich(_deriv_matrix(params), np.eye(params.dim)))
+    return insertion(params, "deriv_annihilate")
 
 
 def deriv_create(params):
-    return Insertion("deriv_create", sandwich(np.eye(params.dim), _deriv_matrix(params)))
+    return insertion(params, "deriv_create")
 
 
 def pair_density(params):
-    return Insertion("pair_density", sandwich(params.R, params.R))
+    return insertion(params, "pair_density")
 
 
 @dataclass(frozen=True)
@@ -326,8 +353,9 @@ def decay_fit(params, d_min, d_max, n_points=33):
 
     Fits log |two_point(d) - c0| over [d_min, d_max], where c0 is the
     fixed-point-mode constant (subtracting it is what makes the fit see the
-    slowest genuinely decaying mode).  Points below the 1e-13 signal floor
-    are dropped; fewer than two surviving points is an error.  Complex slow
+    slowest genuinely decaying mode).  Points below SIGNAL_FLOOR times the
+    largest |two_point| on the grid (a floor in any length unit) are
+    dropped; fewer than two surviving points is an error.  Complex slow
     modes make the envelope oscillate, so the fitted rate is then only an
     envelope-scale estimate (callers should check the residual).
     """
@@ -340,10 +368,11 @@ def decay_fit(params, d_min, d_max, n_points=33):
     grid = np.linspace(d_min, d_max, n_points)
     vals = two_point(params, grid).values
     y = np.abs(vals - c0)
-    mask = y > SIGNAL_FLOOR
+    floor = SIGNAL_FLOOR * np.abs(vals).max()
+    mask = y > floor
     if mask.sum() < 2:
         raise SignalBelowFloorError(
-            f"connected signal below {SIGNAL_FLOOR} on [{d_min}, {d_max}]"
+            f"connected signal below {floor:.3e} on [{d_min}, {d_max}]"
         )
     x = grid[mask]
     logy = np.log(y[mask])
@@ -361,42 +390,6 @@ def decay_fit(params, d_min, d_max, n_points=33):
 # -- family derivative -------------------------------------------------------
 
 
-def _q_derivative(params, dK, dR):
-    """Directional derivative of Q = -i K - (1/2) R^dag R along (dK, dR)."""
-    R = params.R
-    return -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
-
-
-def _generator_derivative(params, dK, dR):
-    """Directional derivative of L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R)."""
-    eye = np.eye(params.dim)
-    R = params.R
-    dq = _q_derivative(params, dK, dR)
-    return sandwich(dq, eye) + sandwich(eye, dq) + sandwich(dR, R) + sandwich(R, dR)
-
-
-def _insertion_derivative(params, ins, dK, dR):
-    """Directional derivative of a point insertion's superoperator.
-
-    The factory insertions are built from (K, R), so they move with the
-    family; the product rule needs their variation alongside the generator's.
-    """
-    eye = np.eye(params.dim)
-    R = params.R
-    if ins.kind == "annihilate":
-        return sandwich(dR, eye)
-    if ins.kind == "create":
-        return sandwich(eye, dR)
-    if ins.kind == "pair_density":
-        return sandwich(dR, R) + sandwich(R, dR)
-    if ins.kind in ("deriv_annihilate", "deriv_create"):
-        q = q_matrix(params).mat
-        dq = _q_derivative(params, dK, dR)
-        dx = -(dq @ R - R @ dq) - (q @ dR - dR @ q)
-        return sandwich(dx, eye) if ins.kind == "deriv_annihilate" else sandwich(eye, dx)
-    raise ShapeMismatchError(f"cannot differentiate insertion of unknown kind {ins.kind!r}")
-
-
 def family_derivative(params, dK, dR, insertions):
     """d/dt of an insertion expectation along (K + t dK, R + t dR) at t = 0.
 
@@ -405,11 +398,12 @@ def family_derivative(params, dK, dR, insertions):
     (E v, E dv + dE v), where E = exp(L dx) and dE is the Frechet derivative
     of the exponential at L dx in the direction dL dx; an insertion S maps
     it to (S v, S dv + dS v), because the insertions are built from (K, R)
-    and move with the family.  A thermodynamic chain opens on the stationary
-    state, whose tangent solves (L + c |rho><1|) drho = -dL rho with c the
-    term norm of L, which scales like L (invertible when the gap is nonzero;
-    the solution is traceless, so free of c); a finite chain
-    opens on the fixed boundary state, dv = 0.  Closing the chain adds no
+    and move with the family (dL and dS are `superop_tangent`s; a kind
+    outside `INSERTIONS` cannot be differentiated).  A thermodynamic chain
+    opens on the stationary state, whose tangent solves
+    (L + c |rho><1|) drho = -dL rho with c the term norm of L, which scales
+    like L (invertible when the gap is nonzero; the solution is traceless,
+    so free of c); a finite chain opens on the fixed boundary state, dv = 0.  Closing the chain adds no
     dE term and the norm does not move, because <1| dL = 0.  The result is
     exact up to roundoff: there is no quadrature grid.
     """
@@ -421,9 +415,15 @@ def family_derivative(params, dK, dR, insertions):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
+    for _, ins in insertions:
+        if ins.kind not in INSERTIONS:
+            raise ShapeMismatchError(f"cannot differentiate insertion of unknown kind {ins.kind!r}")
 
     chain = _Chain(params)
-    dgen = _generator_derivative(params, dK, dR)
+    R, f = params.R, fields(params.K, params.R)
+    dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
+    df = {"Q": dq, "R": dR, "X": -(dq @ R - R @ dq) - (f["Q"] @ dR - dR @ f["Q"])}
+    dgen = superop_tangent(GENERATOR, f, df)
     v = chain.right
     if chain.length is None:
         if chain.spectral.gapless:
@@ -437,7 +437,7 @@ def family_derivative(params, dK, dR, insertions):
         if dx > 0.0:
             e, de = scipy.linalg.expm_frechet(chain.L.mat * dx, dgen * dx)
             v, dv = e @ v, e @ dv + de @ v
-        v, dv = op @ v, op @ dv + _insertion_derivative(params, ins, dK, dR) @ v
+        v, dv = op @ v, op @ dv + superop_tangent(INSERTIONS[ins.kind], f, df) @ v
     return chain.close(dv, float(insertions[-1][0]))
 
 
@@ -474,9 +474,10 @@ def generating_functional(params, sources, eps):
     Z multiplies per-site transfer factors exp[eps (L + J_r)] with
     J_r = lam_r sandwich(R, 1) + conj(lam_r) sandwich(1, R)
         + mu_r sandwich(X, 1) + conj(mu_r) sandwich(1, X),  X = -[Q, R],
-    between the opening state and the trace functional; a site without
-    sources is the free step exp(eps L) of the chain's scan.  All sources zero
-    gives exactly the state norm (1 for both geometries).  Wirtinger
+    between the opening state and the trace functional (L + J_r is the
+    generator with Q -> Q + lam_r R + mu_r X); a site without sources is
+    the free step exp(eps L) of the chain's scan.  All sources zero gives
+    exactly the state norm (1 for both geometries).  Wirtinger
     derivatives with respect to lam_r / conj(lam_r) reproduce eps times the
     annihilation / creation insertions up to O(eps) lattice error.
     """
@@ -489,18 +490,15 @@ def generating_functional(params, sources, eps):
     n = sources.n_sites
     if chain.length is not None and finite_site_count(chain.length, eps) != n:
         raise ShapeMismatchError(f"{n} sites of step {eps} do not cover length {chain.length}")
-    ann = annihilate(params).superop
-    cre = create(params).superop
-    dann = deriv_annihilate(params).superop
-    dcre = deriv_create(params).superop
+    f = fields(params.K, params.R)
     legs = []
     for lam, mu in zip(sources.lam, sources.mu):
         lam, mu = complex(lam), complex(mu)
         if lam == 0 and mu == 0:
             legs.append((eps, None))
         else:
-            j = lam * ann + np.conj(lam) * cre + mu * dann + np.conj(mu) * dcre
-            legs.append((0.0, scipy.linalg.expm((chain.L.mat + j) * eps)))
+            shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
+            legs.append((0.0, scipy.linalg.expm(superop(GENERATOR, shifted) * eps)))
     (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
     if chain.length is None:
         return complex(chain.left @ v)

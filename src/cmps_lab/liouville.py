@@ -14,6 +14,14 @@ is therefore the D^2 x D^2 matrix
 
     L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R).
 
+The exact calculus writes each of its superoperators as a list of (a, b)
+names into one field table, `fields(K, R)` = {1, Q, R, X = -[Q, R]}: the
+generator is `GENERATOR` = (Q, 1), (1, Q), (R, R), and the insertions of
+`correlators.INSERTIONS` are one pair each.  `superop` is the only code
+that turns such a list into a matrix, and `superop_tangent` its only
+derivative (the product rule over the moving fields); a matrix-free
+calculus swaps the bodies of these two functions.
+
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane; the fixed
 point is the eigenvector of the eigenvalue closest to zero, Hermitized and
@@ -21,16 +29,11 @@ trace-normalized, and the gap is minus the largest remaining real part.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DegenerateFixedSpaceError,
-    NegativeDistanceError,
-    NoConvergenceError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,39 @@ def devectorize(v):
 def sandwich(a, b):
     """Superoperator of rho -> a rho b^dag on row-stacked matrices."""
     return np.kron(a, np.conj(b))
+
+
+GENERATOR = (("Q", "1"), ("1", "Q"), ("R", "R"))
+
+
+def fields(K, R):
+    """The field table: the boundary matrices every superoperator is made of.
+
+    "1" is the identity, "Q" = -i K - (1/2) R^dag R the no-jump generator,
+    "R" the emission, and "X" = -[Q, R] the derivative field.
+    """
+    q = -1j * K - 0.5 * (R.conj().T @ R)
+    return {"1": np.eye(K.shape[0]), "Q": q, "R": R, "X": -(q @ R - R @ q)}
+
+
+def superop(terms, f):
+    """Superoperator of rho -> sum over (a, b) in terms of f[a] rho f[b]^dag."""
+    return reduce(np.add, (sandwich(f[a], f[b]) for a, b in terms))
+
+
+def superop_tangent(terms, f, df):
+    """Directional derivative of `superop(terms, f)` when the fields move by df.
+
+    The product rule gives sandwich(df[a], f[b]) + sandwich(f[a], df[b]) per
+    term; the identity does not move, so it contributes no piece.
+    """
+    pieces = []
+    for a, b in terms:
+        if a != "1":
+            pieces.append(sandwich(df[a], f[b]))
+        if b != "1":
+            pieces.append(sandwich(f[a], df[b]))
+    return reduce(np.add, pieces)
 
 
 def trace_functional(dim):
@@ -110,12 +146,9 @@ def build_liouvillian(K, R):
     R = np.asarray(R, dtype=complex)
     if K.ndim != 2 or K.shape != R.shape or K.shape[0] != K.shape[1]:
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
-    d = K.shape[0]
-    eye = np.eye(d)
-    q = -1j * K - 0.5 * (R.conj().T @ R)
-    mat = sandwich(q, eye) + sandwich(eye, q) + sandwich(R, R)
-    scale = 2.0 * np.linalg.norm(q, 1) + np.linalg.norm(R, 1) ** 2
-    return Superoperator(mat=mat, dim=d, scale=float(scale))
+    f = fields(K, R)
+    scale = 2.0 * np.linalg.norm(f["Q"], 1) + np.linalg.norm(R, 1) ** 2
+    return Superoperator(mat=superop(GENERATOR, f), dim=K.shape[0], scale=float(scale))
 
 
 def steady_state(superop, tol=Tolerances()):
@@ -185,22 +218,6 @@ def steady_state(superop, tol=Tolerances()):
         degenerate_fixed_space=bool(degenerate),
         zero_real_tol=zero_tol,
     )
-
-
-def propagate(superop, v, dx):
-    """Apply exp(L dx) to a flattened state; dx = 0 returns v unchanged.
-
-    Uses dense scaling-and-squaring.  For a trace-preserving generator the
-    trace functional of the result equals that of v (to roundoff).
-    """
-    if dx < 0:
-        raise NegativeDistanceError(f"propagation distance must be >= 0, got {dx}")
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (superop.mat.shape[0],):
-        raise ShapeMismatchError(f"state length {v.shape} does not match superoperator {superop.mat.shape}")
-    if dx == 0:
-        return v.copy()
-    return scipy.linalg.expm(superop.mat * dx) @ v
 
 
 def choi_matrix(channel_mat):

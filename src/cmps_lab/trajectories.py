@@ -415,20 +415,26 @@ def _resolve_initial(params, initial):
     return _post_jump_state(params)
 
 
-def no_jump_survival(params, taus, initial=None):
-    """Probability that no jump occurs up to each tau."""
+def _no_jump_oracle(params, taus, initial, weight, dark):
+    """weight(exp(Q tau) rho0 exp(Q tau)^dag) at each tau >= 0, where rho0 is
+    the resolved initial state; `dark` everywhere when there is none (R = 0)."""
     taus = np.asarray(taus, dtype=float)
     rho0 = _resolve_initial(params, initial)
     if rho0 is None:
-        return np.ones_like(taus)
+        return np.full_like(taus, dark)
     q = q_matrix(params).mat
     out = np.empty(taus.shape)
     for i, tau in enumerate(taus.ravel()):
         if tau < 0:
             raise ValidationError("tau must be nonnegative")
         prop = scipy.linalg.expm(q * tau)
-        out.ravel()[i] = np.trace(prop @ rho0 @ prop.conj().T).real
+        out.ravel()[i] = weight(prop @ rho0 @ prop.conj().T)
     return out
+
+
+def no_jump_survival(params, taus, initial=None):
+    """Probability that no jump occurs up to each tau."""
+    return _no_jump_oracle(params, taus, initial, lambda sigma: np.trace(sigma).real, 1.0)
 
 
 def waiting_time_analytic(params, taus, initial=None):
@@ -437,20 +443,9 @@ def waiting_time_analytic(params, taus, initial=None):
     S is the no-jump survival; w integrates to at most 1 and is defective
     when dark states can trap the evolution.
     """
-    taus = np.asarray(taus, dtype=float)
-    rho0 = _resolve_initial(params, initial)
-    if rho0 is None:
-        return np.zeros_like(taus)
-    q = q_matrix(params).mat
     r = params.R
-    out = np.empty(taus.shape)
-    for i, tau in enumerate(taus.ravel()):
-        if tau < 0:
-            raise ValidationError("tau must be nonnegative")
-        prop = scipy.linalg.expm(q * tau)
-        sigma = prop @ rho0 @ prop.conj().T
-        out.ravel()[i] = np.trace(r @ sigma @ r.conj().T).real
-    return out
+    return _no_jump_oracle(params, taus, initial,
+                           lambda sigma: np.trace(r @ sigma @ r.conj().T).real, 0.0)
 
 
 def waiting_bin_probs(params, edges, initial=None):

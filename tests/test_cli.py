@@ -282,6 +282,17 @@ def test_family_deriv_grid_step_is_an_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["bogus", ["pair_density"]])
+def test_family_deriv_unknown_kind_exits_one(tmp_path, capsys, kind):
+    cfg = rf_config(dK={"re": [[0.0, 0.1], [0.1, 0.0]]}, dR={"re": [[0.0, 0.0], [0.05, 0.0]]},
+                    insertions=[{"kind": kind, "position": 0.7}])
+    rc, out = run_cli(tmp_path, "family-deriv", cfg)
+    assert rc == 1
+    assert ("'insertions[0].kind' must be one of ['annihilate', 'create', 'deriv_annihilate',"
+            " 'deriv_create', 'pair_density']") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mangle", [
     lambda c: c.update(bogus=1),
     lambda c: c["model"].pop("K"),

@@ -25,7 +25,7 @@ from cmps_lab import (
     steady_state,
     two_point,
 )
-from cmps_lab.correlators import SourceField
+from cmps_lab.correlators import INSERTIONS, Insertion, SourceField, insertion
 from cmps_lab.errors import (
     GaplessStateError,
     NonHermitianKError,
@@ -179,6 +179,17 @@ def test_damping_two_point_and_fit(damping_finite):
     assert fit.residual < 1e-8
 
 
+def test_decay_fit_does_not_depend_on_the_length_unit(rf):
+    # the signal floor is relative to the values, which scale like 1/length
+    ref = decay_fit(rf, 1.0, 30.0)
+    assert ref.n_used == 33
+    for s in (1e-8, 1e-12):
+        p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
+        fit = decay_fit(p, 1.0 / s, 30.0 / s)
+        assert fit.n_used == 33
+        assert fit.rate / s == pytest.approx(ref.rate, rel=1e-8)
+
+
 def test_rf_decay_fit_sees_slowest_mode(rf):
     # connected correlator decays at the gap rate, which is real for this
     # instance (the oscillatory pair lies deeper)
@@ -254,6 +265,47 @@ def test_family_derivative_matches_central_differences():
         errs = [abs((observable(h) - observable(-h)) / (2 * h) - val) for h in (0.02, 0.01)]
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert errs[1] < 1e-3
+
+
+@pytest.mark.parametrize("geometry", ["thermodynamic", "finite"])
+@pytest.mark.parametrize("kind", sorted(INSERTIONS))
+def test_family_derivative_of_each_kind_matches_central_differences(kind, geometry):
+    # the kind sits at the opening point and again after a free leg, so its
+    # tangent enters both before and after the propagation moves
+    rng = np.random.default_rng(23)
+    d = 3
+    K, R = rand_herm(d, rng), 0.6 * rand_mat(d, rng)
+    dK, dR = 0.3 * rand_herm(d, rng), 0.3 * rand_mat(d, rng)
+    rho = rand_mat(d, rng)
+    rho = rho @ rho.conj().T
+    geom = (Thermodynamic() if geometry == "thermodynamic"
+            else Finite(length=2.0, boundary_rho=rho / np.trace(rho).real))
+
+    def chain(p):
+        return [(0.0, insertion(p, kind)), (0.7, create(p)), (1.4, insertion(p, kind))]
+
+    def observable(t):
+        p = new_cmps(d, K + t * dK, R + t * dR, geom)
+        return expectation(p, chain(p))
+
+    def central(h):
+        return (observable(h) - observable(-h)) / (2 * h)
+
+    h = 1e-3
+    richardson = (4.0 * central(h / 2) - central(h)) / 3.0
+    base = new_cmps(d, K, R, geom)
+    val = family_derivative(base, dK, dR, chain(base))
+    assert abs(richardson) > 1e-3
+    assert abs(val - richardson) < 1e-8 * abs(richardson)
+
+
+def test_family_derivative_rejects_an_insertion_of_unknown_kind(rf):
+    custom = Insertion("custom", annihilate(rf).superop)
+    with pytest.raises(ShapeMismatchError, match="unknown kind 'custom'"):
+        family_derivative(rf, np.zeros((2, 2)), np.zeros((2, 2)),
+                          [(0.0, create(rf)), (0.5, custom)])
+    with pytest.raises(ShapeMismatchError, match="unknown insertion kind 'custom'"):
+        insertion(rf, "custom")
 
 
 def test_family_derivative_is_exact_on_a_stiff_instance():

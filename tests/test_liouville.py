@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmps_lab import (
     annihilate,
@@ -8,16 +9,18 @@ from cmps_lab import (
     choi_min_eigenvalue,
     create,
     density,
+    deriv_annihilate,
+    deriv_create,
     devectorize,
     family_derivative,
     new_cmps,
-    propagate,
     require_unique_fixed_space,
     steady_state,
     trace_functional,
     vectorize,
 )
 from cmps_lab.errors import DegenerateFixedSpaceError, ShapeMismatchError
+from cmps_lab.liouville import GENERATOR, fields, superop
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat
 
@@ -127,32 +130,17 @@ def test_degenerate_fixed_space_detected():
         require_unique_fixed_space(spec)
 
 
-def test_propagate_matches_expm_action():
-    rng = np.random.default_rng(3)
-    d = 3
-    L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
-    rho = rand_herm(d, rng)
-    v = vectorize(rho)
-    import scipy.linalg
-
-    direct = scipy.linalg.expm(L.mat * 0.7) @ v
-    assert np.abs(propagate(L, v, 0.7) - direct).max() < 1e-12
-    assert np.array_equal(propagate(L, v, 0.0), v)
-
-
 def test_propagation_preserves_trace_and_positivity():
     rng = np.random.default_rng(4)
     d = 3
     L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-    out = devectorize(propagate(L, vectorize(rho), 1.3))
+    out = devectorize(scipy.linalg.expm(L.mat * 1.3) @ vectorize(rho))
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-12
 
 
 def test_choi_positivity_random_channels():
-    import scipy.linalg
-
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         d = int(rng.integers(2, 6))
@@ -166,3 +154,18 @@ def test_choi_positivity_random_channels():
         d2 = int(np.sqrt(c.shape[0]))
         pt = c.reshape(d2, d2, d2, d2).trace(axis1=0, axis2=2)
         assert np.abs(pt - np.eye(d2)).max() < 1e-10
+
+
+def test_source_term_is_a_shift_of_q():
+    # lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X) is the
+    # generator with Q -> Q + lam R + mu X
+    rng = np.random.default_rng(17)
+    d = 3
+    p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
+    lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
+    source = (lam * annihilate(p).superop + np.conj(lam) * create(p).superop
+              + mu * deriv_annihilate(p).superop + np.conj(mu) * deriv_create(p).superop)
+    want = build_liouvillian(p.K, p.R).mat + source
+    f = fields(p.K, p.R)
+    got = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()

@@ -19,7 +19,6 @@ from cmps_lab import (
     new_cmps,
     no_jump_survival,
     pair_correlation,
-    propagate,
     require_unique_fixed_space,
     sample_ensemble,
     sample_trajectory,
@@ -238,7 +237,7 @@ def test_finite_ensemble_tracks_driven_relaxation():
         stderr = in_bin.std(ddof=1) / np.sqrt(in_bin.size) / (2 * half)
         grid = np.linspace(center - half, center + half, 61)
         exact = [
-            np.trace(RF_R @ devectorize(propagate(lv, v0, s)) @ RF_R.conj().T).real
+            np.trace(RF_R @ devectorize(scipy.linalg.expm(lv.mat * s) @ v0) @ RF_R.conj().T).real
             for s in grid
         ]
         expected = np.trapezoid(exact, grid) / (2 * half)
