@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .liouville import Tolerances, build_liouvillian, fields, require_unique_fixed_space, steady_state
+from .liouville import Tolerances, build_liouvillian, fields, steady_state
 
 
 def _as_complex_matrix(m, name):
@@ -81,7 +81,8 @@ Geometry = Thermodynamic | Finite
 class CmpsParams:
     """Validated (dim, K, R, geometry, tol) bundle.  Arrays are read-only.
 
-    `stationary` is the spectrum and unique fixed point of the generator,
+    `stationary` is the spectrum and unique fixed point of the generator
+    (eigenvalues and one bordered solve, `liouville.steady_state`),
     computed once per parameter set on first use and then shared by every
     consumer.  It is certified against the set's own `tol`, whose spectral
     thresholds are relative to the generator's term norm
@@ -97,7 +98,7 @@ class CmpsParams:
     @cached_property
     def stationary(self):
         """SpectralData of the generator; raises when the fixed space is degenerate."""
-        return require_unique_fixed_space(steady_state(build_liouvillian(self.K, self.R), self.tol))
+        return steady_state(build_liouvillian(self.K, self.R), self.tol)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from .errors import (
 )
 from .liouville import (
     GENERATOR,
+    bordered,
     build_liouvillian,
     fields,
     superop,
@@ -401,9 +402,10 @@ def family_derivative(params, dK, dR, insertions):
     and move with the family (dL and dS are `superop_tangent`s; a kind
     outside `INSERTIONS` cannot be differentiated).  A thermodynamic chain
     opens on the stationary state, whose tangent solves
-    (L + c |rho><1|) drho = -dL rho with c the term norm of L, which scales
-    like L (invertible when the gap is nonzero; the solution is traceless,
-    so free of c); a finite chain opens on the fixed boundary state, dv = 0.  Closing the chain adds no
+    `bordered`(L) drho = -dL rho, the fixed point's own bordered system
+    (invertible when the gap is nonzero; the solution is traceless, so the
+    border drops out); a finite chain opens on the fixed boundary state,
+    dv = 0.  Closing the chain adds no
     dE term and the norm does not move, because <1| dL = 0.  The result is
     exact up to roundoff: there is no quadrature grid.
     """
@@ -429,7 +431,7 @@ def family_derivative(params, dK, dR, insertions):
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
         start = float(insertions[0][0])
-        dv = np.linalg.solve(chain.L.mat + chain.L.scale * np.outer(v, chain.left), -(dgen @ v))
+        dv = np.linalg.solve(bordered(chain.L), -(dgen @ v))
     else:
         start = 0.0
         dv = np.zeros_like(v)

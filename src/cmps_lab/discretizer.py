@@ -153,15 +153,21 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         if n_sites < span:
             raise WindowTooSmallError(f"chain of {n_sites} sites cannot hold span {span}")
         open_vec = np.asarray(boundary_rho, dtype=complex).reshape(-1)
-        # closing covectors <1| E^k, walked once, kept at the k a chain
-        # closes on: the tail after each insertion span, and the full norm
+        # closing covectors <1| E^k at the k a chain closes on: the tail
+        # after each insertion span, and the full norm.  Each k is reached
+        # from the one before by the binary powers E^(2^j), squared once.
         needed = {n_sites - _span(observable, m) for m in distances} | {n_sites}
         w = np.eye(d, dtype=complex).reshape(-1)
-        tails = {0: w}
-        for k in range(1, n_sites + 1):
-            w = w @ emat
-            if k in needed:
-                tails[k] = w
+        tails, at, powers = {}, 0, [emat]
+        for k in sorted(needed):
+            step, j = k - at, 0
+            while step:
+                if j == len(powers):
+                    powers.append(powers[-1] @ powers[-1])
+                if step & 1:
+                    w = w @ powers[j]
+                step, j = step >> 1, j + 1
+            tails[k], at = w, k
         norm = tails[n_sites] @ open_vec
 
     def contract(m):

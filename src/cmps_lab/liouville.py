@@ -23,9 +23,10 @@ derivative (the product rule over the moving fields); a matrix-free
 calculus swaps the bodies of these two functions.
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
-vec(1)^dag L = 0.  Spectra live in the closed left half plane; the fixed
-point is the eigenvector of the eigenvalue closest to zero, Hermitized and
-trace-normalized, and the gap is minus the largest remaining real part.
+vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The
+eigenvalues alone certify a one-dimensional fixed space and give the gap,
+minus the largest remaining real part; the fixed point comes from one
+linear solve with the `bordered` generator, not from an eigenvector.
 """
 
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (descending real part), fixed point, and gap.
+    """Eigenvalues (descending real part), the unique fixed point, and gap.
 
     zero_real_tol is the threshold up to which |Re lambda| counts as zero:
     Tolerances.zero_real times the generator's term norm.  The arrays are
@@ -128,7 +129,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     steady_state: np.ndarray
     gap: float
-    degenerate_fixed_space: bool
     zero_real_tol: float
 
     @property
@@ -151,63 +151,59 @@ def build_liouvillian(K, R):
     return Superoperator(mat=superop(GENERATOR, f), dim=K.shape[0], scale=float(scale))
 
 
-def steady_state(superop, tol=Tolerances()):
-    """Dense eigendecomposition of the generator.
+def bordered(superop):
+    """L + c |e><1| with e = vec(1)/D and c the term norm, which scales like L.
 
-    Returns SpectralData with eigenvalues sorted by descending real part,
-    the Hermitized, trace-normalized fixed point, the spectral gap (0.0 for
-    the one-dimensional case, which is gapless by convention), and a flag
-    marking a degenerate fixed space (more than one eigenvalue with
-    |Re| <= tol.zero_real times the term norm `superop.scale`; gap-based
-    claims are unreliable when set).  The fixed point's residual
-    ||L rho||_max must not exceed tol.residual times the term norm.
+    Invertible exactly when the fixed space of L is one-dimensional; as
+    <1| L = 0 and <1|e> = 1, a solution of bordered x = b has <1|x> = <1|b>/c.
+    """
+    one = trace_functional(superop.dim)
+    return superop.mat + np.outer(one * (superop.scale / superop.dim), one)
+
+
+def steady_state(superop, tol=Tolerances()):
+    """Eigenvalues (no eigenvectors), unique fixed point and gap of the generator.
+
+    More than one eigenvalue with |Re| <= tol.zero_real times the term norm
+    `superop.scale` raises DegenerateFixedSpaceError.  The fixed point
+    solves bordered(superop) x = c e (so <1|x> = 1 and L x = 0), Hermitized
+    and trace-normalized; its residual ||L rho||_max must not exceed
+    tol.residual times the term norm.  The gap is 0.0 for the
+    one-dimensional case, which is gapless by convention.
     """
     mat = superop.mat
     zero_tol = tol.zero_real * superop.scale
     try:
-        evals, evecs = np.linalg.eig(mat)
+        evals = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    order = np.lexsort((evals.imag, -evals.real))
-    evals = evals[order]
-    evecs = evecs[:, order]
+        raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    evals = evals[np.lexsort((evals.imag, -evals.real))]
 
     near_zero = np.flatnonzero(np.abs(evals.real) <= zero_tol)
-    degenerate = near_zero.size > 1
+    if near_zero.size > 1:
+        raise DegenerateFixedSpaceError(
+            "fixed space is degenerate; stationary quantities are ill-defined")
 
-    # Fixed point: among near-zero modes prefer the one carrying the most
-    # trace (degenerate spaces can hide the physical state in a traceless
-    # combination); fall back to the eigenvalue closest to zero.
-    candidates = near_zero if near_zero.size else np.array([np.argmin(np.abs(evals))])
-    best, best_trace = None, 0.0
-    for idx in candidates:
-        rho = devectorize(evecs[:, idx])
-        rho = (rho + rho.conj().T) / 2
-        nrm = np.linalg.norm(rho)
-        if nrm == 0.0:
-            continue
-        tr = abs(np.trace(rho)) / nrm
-        if tr > best_trace:
-            best, best_trace = idx, tr
-    if best is None or best_trace < 1e-8:
-        raise NoConvergenceError("no trace-carrying fixed point found")
-    rho = devectorize(evecs[:, best])
+    one = trace_functional(superop.dim)
+    try:
+        x = np.linalg.solve(bordered(superop), one * (superop.scale / superop.dim))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"bordered fixed-point solve failed: {exc}") from exc
+    rho = devectorize(x)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
 
     residual = np.abs(mat @ vectorize(rho)).max()
     limit = tol.residual * superop.scale
-    if residual > limit and not degenerate:
+    if residual > limit:
         raise NoConvergenceError(
             f"fixed-point residual {residual:.3e} above {limit:.3e}"
             f" ({tol.residual} x term norm)")
 
-    rest = [ev.real for i, ev in enumerate(evals) if i != best]
-    if not rest:
-        gap = 0.0
-    else:
-        second = max(rest)
-        gap = -second if second < -zero_tol else 0.0
+    best = near_zero[0] if near_zero.size else np.argmin(np.abs(evals))
+    rest = np.delete(evals.real, best)
+    second = rest.max() if rest.size else 0.0
+    gap = -second if second < -zero_tol else 0.0
 
     evals.setflags(write=False)
     rho.setflags(write=False)
@@ -215,7 +211,6 @@ def steady_state(superop, tol=Tolerances()):
         eigenvalues=evals,
         steady_state=rho,
         gap=float(gap),
-        degenerate_fixed_space=bool(degenerate),
         zero_real_tol=zero_tol,
     )
 
@@ -238,13 +233,3 @@ def choi_matrix(channel_mat):
 
 def choi_min_eigenvalue(channel_mat):
     return float(np.linalg.eigvalsh(choi_matrix(channel_mat)).min())
-
-
-def require_unique_fixed_space(spectral):
-    """Guard used by bulk correlators: degenerate fixed spaces have no
-    well-defined stationary expectations."""
-    if spectral.degenerate_fixed_space:
-        raise DegenerateFixedSpaceError(
-            "fixed space is degenerate; stationary quantities are ill-defined"
-        )
-    return spectral

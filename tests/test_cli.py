@@ -67,9 +67,10 @@ def test_steady_reports_stationary_state(tmp_path):
     assert payload["result"]["gapless"] is False
 
 
-# The emitter's spectrum and fixed point as written by the separate steady
-# and gap handlers before they were merged; the roundoff-level entries come
-# from LAPACK and are specific to the numpy build that recorded them.
+# The emitter's spectrum as written by the separate steady and gap handlers
+# before they were merged, and its fixed point as the bordered solve writes
+# it; the roundoff-level entries come from LAPACK and are specific to the
+# numpy build that recorded them.
 EMITTER_SPECTRUM = {
     "eigenvalues": {
         "im": [-2.1490888363650447e-16, 0.0, 0.9682458365518535, -0.9682458365518544],
@@ -79,9 +80,8 @@ EMITTER_SPECTRUM = {
     "gapless": False,
 }
 EMITTER_RHO_SS = {
-    "im": [[0.0, -0.3333333333333334], [0.3333333333333334, 0.0]],
-    "re": [[0.33333333333333315, -6.119529214533549e-18],
-           [-6.119529214533549e-18, 0.6666666666666667]],
+    "im": [[0.0, -0.33333333333333326], [0.33333333333333326, 0.0]],
+    "re": [[0.3333333333333333, 0.0], [0.0, 0.6666666666666666]],
 }
 
 
@@ -361,12 +361,13 @@ def test_converge_observable_validation(tmp_path):
 
 
 def test_degenerate_fixed_space_exits_two(tmp_path, capsys):
-    cfg = rf_config()
-    cfg["model"]["K"] = {"re": [[0.0, 0.0], [0.0, 0.0]]}
-    cfg["model"]["R"] = {"re": [[0.0, 0.0], [0.0, 0.0]]}
-    rc, _ = run_cli(tmp_path, "steady", cfg)
-    assert rc == 2
-    assert "numerical failure:" in capsys.readouterr().err
+    for command, k_diag in (("steady", [0.0, 0.0]), ("kinetic", [1.0, 2.0])):
+        cfg = rf_config()
+        cfg["model"]["K"] = {"re": np.diag(k_diag).tolist()}
+        cfg["model"]["R"] = {"re": [[0.0, 0.0], [0.0, 0.0]]}
+        rc, _ = run_cli(tmp_path, command, cfg, tag=command)
+        assert rc == 2
+        assert "numerical failure:" in capsys.readouterr().err
 
 
 def test_coherent_state_with_complex_emission_exits_zero(tmp_path):

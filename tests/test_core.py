@@ -6,6 +6,7 @@ from cmps_lab import (
     Finite,
     Thermodynamic,
     Tolerances,
+    kinetic_density,
     new_cmps,
     no_jump_survival,
     q_matrix,
@@ -118,22 +119,32 @@ def test_q_matrix_rf_value():
 
 def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch):
     # the correlators, the sampler and the waiting-time oracle all open on
-    # the fixed point: between them one D^2 x D^2 eigendecomposition
+    # the fixed point: between them one D^2 x D^2 eigenvalue solve, and no
+    # D^2 x D^2 eigenvectors
     rng = np.random.default_rng(5)
     d = 3
     p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
-    eig = np.linalg.eig
-    shapes = []
-
-    def counting_eig(a):
-        shapes.append(np.shape(a))
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    shapes = {"eig": [], "eigvals": [], "solve": []}
+    for name in shapes:
+        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    big = (d * d, d * d)
     source_consistency_check(p, eps=0.05, h=0.01, n_sites=8)
     sample_ensemble(p, 4, 2.0, 7)
     no_jump_survival(p, [0.0, 0.5, 1.0])
-    assert shapes.count((d * d, d * d)) == 1
+    assert shapes["eigvals"].count(big) == 1
+    assert shapes["eig"].count(big) == 0
+
+    # work count of one bulk expectation on a fresh parameter set: the
+    # spectrum from eigenvalues alone, the fixed point from one bordered solve
+    for calls in shapes.values():
+        calls.clear()
+    kinetic_density(new_cmps(d, p.K, p.R))
+    assert shapes["eigvals"].count(big) == 1
+    assert shapes["solve"].count(big) == 1
+    assert shapes["eig"].count(big) == 0
 
 
 @pytest.mark.parametrize("strict_first", [True, False])

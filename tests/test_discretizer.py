@@ -202,3 +202,25 @@ def test_dark_lattice_is_zero():
     t = lattice_tensors(p, 0.01)
     assert lattice_correlators(t, "occupation", n_sites=100,
                                boundary_rho=np.eye(2) / 2) == 0.0
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 7, 64])
+def test_finite_occupation_matches_site_by_site_chain(n_sites):
+    # the closing covectors <1| E^k come from binary powers of E; walking
+    # the chain one site at a time must give the same value
+    rng = np.random.default_rng(41)
+    d = 3
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    t = lattice_tensors(p, 0.05)
+    emat = transfer_matrix(t).mat
+    number = np.kron(t.matrices[1], t.matrices[1].conj())
+    w = np.eye(d, dtype=complex).reshape(-1)
+    tails = [w]
+    for _ in range(n_sites):
+        w = w @ emat
+        tails.append(w)
+    v = rho0.reshape(-1)
+    want = (tails[n_sites - 1] @ (number @ v)) / (tails[n_sites] @ v) / t.eps
+    got = lattice_correlators(t, "occupation", n_sites=n_sites, boundary_rho=rho0)
+    assert got == pytest.approx(want.real, rel=1e-12)

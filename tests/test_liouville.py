@@ -14,13 +14,12 @@ from cmps_lab import (
     devectorize,
     family_derivative,
     new_cmps,
-    require_unique_fixed_space,
     steady_state,
     trace_functional,
     vectorize,
 )
-from cmps_lab.errors import DegenerateFixedSpaceError, ShapeMismatchError
-from cmps_lab.liouville import GENERATOR, fields, superop
+from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
+from cmps_lab.liouville import GENERATOR, Tolerances, fields, superop
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat
 
@@ -68,9 +67,9 @@ def test_build_liouvillian_validates_shapes():
 def test_fixed_point_does_not_depend_on_the_length_unit(s):
     # K -> s K, R -> sqrt(s) R is a change of length unit: L -> s L, every
     # rate scales by s and the stationary state stays put
-    ref = require_unique_fixed_space(steady_state(build_liouvillian(RF_K, RF_R)))
+    ref = steady_state(build_liouvillian(RF_K, RF_R))
     p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
-    spec = require_unique_fixed_space(steady_state(build_liouvillian(p.K, p.R)))
+    spec = steady_state(build_liouvillian(p.K, p.R))
     assert not spec.gapless
     assert spec.gap / s == pytest.approx(ref.gap, rel=1e-8)
     assert density(p) / s == pytest.approx(density(new_cmps(2, RF_K, RF_R)), rel=1e-8)
@@ -94,7 +93,6 @@ def test_rf_spectrum_and_steady_state():
     )
     assert np.abs(ev - expected).max() < 1e-10
     assert abs(spec.gap - 0.5) < 1e-12
-    assert not spec.degenerate_fixed_space
     rho = spec.steady_state
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert abs(rho[0, 0] - 1.0 / 3.0) < 1e-12
@@ -114,7 +112,7 @@ def test_steady_state_random_instances_are_density_matrices():
         rng = np.random.default_rng(100 + seed)
         d = int(rng.integers(2, 6))
         L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
-        spec = require_unique_fixed_space(steady_state(L))
+        spec = steady_state(L)
         rho = spec.steady_state
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-10
@@ -122,12 +120,44 @@ def test_steady_state_random_instances_are_density_matrices():
         assert spec.gap > 0
 
 
-def test_degenerate_fixed_space_detected():
-    # no dissipation: every K-eigenprojector is stationary
-    spec = steady_state(build_liouvillian(np.diag([1.0, 2.0]), np.zeros((2, 2))))
-    assert spec.degenerate_fixed_space
+def test_degenerate_fixed_space_detected(monkeypatch):
+    # no dissipation: every K-eigenprojector is stationary.  The eigenvalues
+    # alone decide it, before any fixed-point solve
+    def no_solve(*args):
+        raise AssertionError("solved for a fixed point of a degenerate generator")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
     with pytest.raises(DegenerateFixedSpaceError):
-        require_unique_fixed_space(spec)
+        steady_state(build_liouvillian(np.diag([1.0, 2.0]), np.zeros((2, 2))))
+
+
+def _zero_mode_reference(superop):
+    """Eigenvector of the eigenvalue closest to zero, Hermitized and trace-normalized."""
+    evals, evecs = np.linalg.eig(superop.mat)
+    rho = devectorize(evecs[:, np.argmin(np.abs(evals))])
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def test_bordered_fixed_point_matches_zero_mode_eigenvector():
+    instances = [build_liouvillian(DAMP_K, DAMP_R)]  # dark state diag(0, 1)
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        d = int(rng.integers(2, 7))
+        instances.append(build_liouvillian(rand_herm(d, rng), rand_mat(d, rng)))
+    assert {lv.dim for lv in instances[1:]} == {2, 3, 4, 5, 6}
+    for lv in instances:
+        rho = steady_state(lv).steady_state
+        assert np.abs(rho - _zero_mode_reference(lv)).max() < 1e-12
+
+
+def test_residual_certificate_fires():
+    lv = build_liouvillian(RF_K, RF_R)
+    with pytest.raises(NoConvergenceError, match="fixed-point residual"):
+        steady_state(lv, Tolerances(residual=1e-30))
+    p = new_cmps(2, RF_K, RF_R, tol=Tolerances(residual=1e-30))
+    with pytest.raises(NoConvergenceError):
+        p.stationary
 
 
 def test_propagation_preserves_trace_and_positivity():

@@ -19,7 +19,6 @@ from cmps_lab import (
     new_cmps,
     no_jump_survival,
     pair_correlation,
-    require_unique_fixed_space,
     sample_ensemble,
     sample_trajectory,
     steady_state,
@@ -248,7 +247,7 @@ def test_random_instances_match_spectral_predictions():
     # two bond-dimension-3 instances with well-separated gaps
     for inst_seed, ens_seed in ((5002, 7702), (5007, 7707)):
         p = random_instance(inst_seed, dims=(3, 4))
-        data = require_unique_fixed_space(steady_state(build_liouvillian(p.K, p.R)))
+        data = steady_state(build_liouvillian(p.K, p.R))
         gap = data.gap
         dens = density(p)
         burn = 10.0 / gap
