@@ -9,7 +9,7 @@ The package exists to compute each and to check them against each other.
 
 __version__ = "0.1.0"
 
-from .core import CmpsParams, Finite, GeneratorQ, Thermodynamic, new_cmps, q_matrix
+from .core import CmpsParams, Finite, Thermodynamic, new_cmps
 from .liouville import (
     SpectralData,
     Superoperator,
@@ -25,21 +25,15 @@ from .liouville import (
 from .correlators import (
     CorrelatorResult,
     DecayFit,
-    Insertion,
     SourceField,
-    annihilate,
-    create,
     decay_fit,
     density,
-    deriv_annihilate,
-    deriv_create,
     expectation,
     family_derivative,
     generating_functional,
     kinetic_density,
     lieb_liniger_energy_density,
     pair_correlation,
-    pair_density,
     source_consistency_check,
     spectral_envelope,
     two_point,

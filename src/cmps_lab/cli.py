@@ -22,7 +22,6 @@ from .core import Finite, Thermodynamic, new_cmps
 from .correlators import (
     INSERTIONS,
     family_derivative,
-    insertion,
     kinetic_density,
     lieb_liniger_energy_density,
     pair_correlation,
@@ -378,7 +377,7 @@ def _cmd_zfunctional_check(cfg, params, out_path):
     _emit_json(out_path, "zfunctional-check", cfg, report)
 
 
-def _parse_insertions(raw, params):
+def _parse_insertions(raw):
     out = []
     for i, item in enumerate(raw):
         path = f"insertions[{i}]"
@@ -396,7 +395,7 @@ def _parse_insertions(raw, params):
         pos = item["position"]
         if isinstance(pos, bool) or not isinstance(pos, (int, float)):
             raise ConfigError(f"'{path}.position' must be a number")
-        out.append((float(pos), insertion(params, kind)))
+        out.append((float(pos), kind))
     if not out:
         raise ConfigError("'insertions' must not be empty")
     return out
@@ -405,7 +404,7 @@ def _parse_insertions(raw, params):
 def _cmd_family_deriv(cfg, params, out_path):
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
-    insertions = _parse_insertions(cfg["insertions"], params)
+    insertions = _parse_insertions(cfg["insertions"])
     value = family_derivative(params, dk, dr, insertions)
     _fill_matrix_default(cfg["dK"])
     _fill_matrix_default(cfg["dR"])

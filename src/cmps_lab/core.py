@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .liouville import Tolerances, build_liouvillian, fields, steady_state
+from .liouville import Tolerances, build_liouvillian, steady_state
 
 
 def _as_complex_matrix(m, name):
@@ -101,13 +101,6 @@ class CmpsParams:
         return steady_state(build_liouvillian(self.K, self.R), self.tol)
 
 
-@dataclass(frozen=True)
-class GeneratorQ:
-    """No-jump generator Q = -i K - (1/2) R^dag R."""
-
-    mat: np.ndarray
-
-
 def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
     """Validate and freeze a parameter set.
 
@@ -136,8 +129,3 @@ def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
     if not isinstance(geometry, (Thermodynamic, Finite)):
         raise ShapeMismatchError(f"unknown geometry {geometry!r}")
     return CmpsParams(dim=dim, K=_frozen(K), R=_frozen(R), geometry=geometry, tol=tol)
-
-
-def q_matrix(params):
-    """Return GeneratorQ for a parameter set; Q + Q^dag = -R^dag R to rounding."""
-    return GeneratorQ(mat=_frozen(fields(params.K, params.R)["Q"]))

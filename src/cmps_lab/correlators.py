@@ -12,9 +12,13 @@ whole dictionary as one (a, b) pair per kind:
     deriv_create      d psi^dag at x    rho -> rho X^dag      (1, X)
     pair_density      psi^dag psi at x  rho -> R rho R^dag    (R, R)
 
-`insertion(params, kind)` builds one with `liouville.superop`, and
-`family_derivative` differentiates it with `liouville.superop_tangent`,
-so the table is the only place the dictionary is written.  Free
+An insertion is its kind name, for example
+`expectation(params, [(0.0, "create"), (1.0, "annihilate")])`: it belongs
+to no parameter set.  Each chain resolves the names against its own
+parameter set's field table, builds each kind with `liouville.superop`
+(once per chain) and, in `family_derivative`, differentiates it with
+`liouville.superop_tangent` over the same table, so the table is the only
+place the dictionary is written.  Free
 propagation exp(L dx) runs between consecutive insertion points and the
 trace functional closes the chain.  Translation invariance makes the
 derivative insertions commutator form exact (no explicit x dependence of
@@ -34,7 +38,8 @@ the derivative along a family of states needs no backward march and no
 quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
-vec(1)^dag sandwich(R, 1) exp(L d) sandwich(1, R) vec(rho_ss), and the pair
+vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
+superoperator, and the pair
 correlator g2(d) divides the double pair-density insertion by the squared
 density.  A source on the field only changes the boundary generator: the
 source term lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X)
@@ -48,7 +53,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import CmpsParams, Finite, Thermodynamic
+from .core import Finite, Thermodynamic
 from .discretizer import finite_site_count
 from .errors import (
     GaplessStateError,
@@ -59,6 +64,7 @@ from .errors import (
     SignalBelowFloorError,
     StepNotPositiveError,
     UnsortedPositionsError,
+    ValidationError,
     ZeroDensityError,
 )
 from .liouville import (
@@ -86,41 +92,6 @@ INSERTIONS = {
 
 
 @dataclass(frozen=True)
-class Insertion:
-    """A point operator of the calculus: a kind tag plus its superoperator."""
-
-    kind: str
-    superop: np.ndarray
-
-
-def insertion(params, kind):
-    """The point insertion of one `INSERTIONS` kind, built from (K, R)."""
-    if kind not in INSERTIONS:
-        raise ShapeMismatchError(f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
-    return Insertion(kind, superop(INSERTIONS[kind], fields(params.K, params.R)))
-
-
-def annihilate(params):
-    return insertion(params, "annihilate")
-
-
-def create(params):
-    return insertion(params, "create")
-
-
-def deriv_annihilate(params):
-    return insertion(params, "deriv_annihilate")
-
-
-def deriv_create(params):
-    return insertion(params, "deriv_create")
-
-
-def pair_density(params):
-    return insertion(params, "pair_density")
-
-
-@dataclass(frozen=True)
 class CorrelatorResult:
     separations: np.ndarray
     values: np.ndarray
@@ -129,23 +100,26 @@ class CorrelatorResult:
 
 
 class _Chain:
-    """Shared evaluation state: generator, boundary vectors, one propagator.
+    """Shared evaluation state: field table, generator, boundary vectors,
+    one propagator.
 
     A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
     then apply op, which is a superoperator matrix, None (nothing) or STOP
-    (hand back the vector there).  There is no propagator cache: the chain
-    holds one propagator exp(L dx) at a time, built when a leg of a new
-    length is reached and reused while the following legs share that
-    length.  The stationary state is the parameter set's own
-    (`CmpsParams.stationary`).
+    (hand back the vector there).  Insertions are `INSERTIONS` kind names;
+    the chain resolves each against its own parameter set's field table,
+    once per kind.  There is no propagator cache: the chain holds one
+    propagator exp(L dx) at a time, built when a leg of a new length is
+    reached and reused while the following legs share that length.  The
+    stationary state is the parameter set's own (`CmpsParams.stationary`).
     """
 
     STOP = object()
 
     def __init__(self, params):
         self.params = params
-        self.dim = params.dim
+        self.fields = fields(params.K, params.R)
         self.left = trace_functional(params.dim)
+        self._ops = {}
         self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
             self.spectral = params.stationary
@@ -162,12 +136,21 @@ class _Chain:
         insertions all share one point never propagates."""
         return build_liouvillian(self.params.K, self.params.R)
 
-    def legs(self, items, start):
-        """Legs from `start` through (position, Insertion or STOP) items.
+    def insertion(self, kind):
+        """Superoperator of an `INSERTIONS` kind over this chain's fields."""
+        if kind not in self._ops:
+            self._ops[kind] = superop(INSERTIONS[kind], self.fields)
+        return self._ops[kind]
 
-        Positions must ascend and, in a finite geometry, lie in the window.
+    def legs(self, items, start):
+        """Legs from `start` through (position, kind name or STOP) items.
+
+        Positions must be finite and ascend and, in a finite geometry, lie
+        in the window; a kind outside `INSERTIONS` is rejected here.
         """
         positions = [float(p) for p, _ in items]
+        if not np.isfinite(positions).all():
+            raise ValidationError(f"insertion positions must be finite, got {positions}")
         if any(b < a for a, b in zip(positions, positions[1:])):
             raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
         if self.length is not None and positions:
@@ -176,11 +159,13 @@ class _Chain:
                     f"positions {positions[0]} to {positions[-1]} outside [0, {self.length}]"
                 )
         legs, prev = [], start
-        for pos, (_, op) in zip(positions, items):
-            if op is not self.STOP:
-                if op.superop.shape != (self.dim**2, self.dim**2):
-                    raise ShapeMismatchError("insertion dimension does not match parameters")
-                op = op.superop
+        for pos, (_, kind) in zip(positions, items):
+            op = kind
+            if kind is not self.STOP:
+                if not (isinstance(kind, str) and kind in INSERTIONS):
+                    raise ShapeMismatchError(
+                        f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
+                op = self.insertion(kind)
             legs.append((pos - prev, op))
             prev = pos
         return legs
@@ -218,7 +203,7 @@ class _Chain:
         return complex(self.left @ v) / self.norm
 
     def evaluate(self, insertions):
-        """Close a chain of (position, Insertion) pairs, ascending order."""
+        """Close a chain of (position, kind) pairs, ascending order."""
         end = float(insertions[-1][0]) if insertions else 0.0
         start = float(insertions[0][0]) if insertions and self.length is None else 0.0
         (v,) = self.scan(self.right, self.legs([*insertions, (end, self.STOP)], start))
@@ -226,23 +211,25 @@ class _Chain:
 
 
 def expectation(params, insertions):
-    """Evaluate one normal-ordered product given as [(position, Insertion)].
+    """Evaluate one normal-ordered product given as [(position, kind)].
 
-    Positions must be ascending; insertions sharing a position are applied
-    in list order.  Thermodynamic chains open on the stationary state, so
-    only position differences matter; finite chains are normalized by the
-    norm of the fully propagated boundary state.
+    Each kind is a key of `INSERTIONS`, for example
+    [(0.0, "create"), (1.0, "annihilate")].  Positions must be finite and
+    ascending; insertions sharing a position are applied in list order.
+    Thermodynamic chains open on the stationary state, so only position
+    differences matter; finite chains are normalized by the norm of the
+    fully propagated boundary state.
     """
     return _Chain(params).evaluate(insertions)
 
 
 def density(params):
     """Particle density n = tr(R rho R^dag) at the anchor point."""
-    return float(expectation(params, [(0.0, pair_density(params))]).real)
+    return float(expectation(params, [(0.0, "pair_density")]).real)
 
 
 def _separation_scan(chain, separations, first, second):
-    """<first(0) second(d)> on a grid of separations d >= 0.
+    """<first(0) second(d)> on a grid of separations d >= 0, two kind names.
 
     One scan carries first(0) through the sorted separations; at each stop
     the second insertion is applied and the chain closed.
@@ -254,7 +241,7 @@ def _separation_scan(chain, separations, first, second):
     items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
     values = np.empty(seps.size, dtype=complex)
     for i, w in zip(order, chain.scan(chain.right, chain.legs(items, 0.0))):
-        values[i] = chain.close(second.superop @ w, float(seps[i]))
+        values[i] = chain.close(chain.insertion(second) @ w, float(seps[i]))
     return seps, values
 
 
@@ -265,7 +252,7 @@ def two_point(params, separations):
     x1 = 0.
     """
     chain = _Chain(params)
-    seps, values = _separation_scan(chain, separations, create(params), annihilate(params))
+    seps, values = _separation_scan(chain, separations, "create", "annihilate")
     return CorrelatorResult(
         separations=seps,
         values=values,
@@ -277,12 +264,11 @@ def two_point(params, separations):
 def pair_correlation(params, separations):
     """Normalized pair correlator g2(d); requires nonzero density."""
     chain = _Chain(params)
-    pd = pair_density(params)
-    n = float(chain.evaluate([(0.0, pd)]).real)  # the density, on this chain
+    n = float(chain.evaluate([(0.0, "pair_density")]).real)  # the density, on this chain
     # zero relative to ||R||_F^2, which bounds n and scales with it
     if n <= 1e-14 * np.linalg.norm(params.R) ** 2:
         raise ZeroDensityError("pair correlator undefined at zero density")
-    seps, values = _separation_scan(chain, separations, pd, pd)
+    seps, values = _separation_scan(chain, separations, "pair_density", "pair_density")
     return CorrelatorResult(
         separations=seps,
         values=values / n**2,
@@ -294,19 +280,16 @@ def pair_correlation(params, separations):
 def kinetic_density(params):
     """<derivative-create derivative-annihilate> at one point; nonnegative."""
     chain = _Chain(params)
-    val = chain.evaluate([(0.0, deriv_create(params)), (0.0, deriv_annihilate(params))])
+    val = chain.evaluate([(0.0, "deriv_create"), (0.0, "deriv_annihilate")])
     return float(val.real)
 
 
 def lieb_liniger_energy_density(params, c, mu):
     """Energy density e = kinetic + c <pair pair at 0> - mu * density."""
     chain = _Chain(params)
-    kin = chain.evaluate(
-        [(0.0, deriv_create(params)), (0.0, deriv_annihilate(params))]
-    ).real
-    pd = pair_density(params)
-    inter = chain.evaluate([(0.0, pd), (0.0, pd)]).real
-    n = chain.evaluate([(0.0, pd)]).real
+    kin = chain.evaluate([(0.0, "deriv_create"), (0.0, "deriv_annihilate")]).real
+    inter = chain.evaluate([(0.0, "pair_density"), (0.0, "pair_density")]).real
+    n = chain.evaluate([(0.0, "pair_density")]).real
     return float(kin + c * inter - mu * n)
 
 
@@ -332,8 +315,8 @@ def spectral_envelope(params):
         winv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
-    row = chain.left @ annihilate(params).superop
-    col = create(params).superop @ chain.right
+    row = chain.left @ chain.insertion("annihilate")
+    col = chain.insertion("create") @ chain.right
     coefs = (row @ vecs) * (winv @ col)
     zero_idx = int(np.argmin(np.abs(evals)))
     c0 = complex(coefs[zero_idx])
@@ -399,15 +382,15 @@ def family_derivative(params, dK, dR, insertions):
     (E v, E dv + dE v), where E = exp(L dx) and dE is the Frechet derivative
     of the exponential at L dx in the direction dL dx; an insertion S maps
     it to (S v, S dv + dS v), because the insertions are built from (K, R)
-    and move with the family (dL and dS are `superop_tangent`s; a kind
-    outside `INSERTIONS` cannot be differentiated).  A thermodynamic chain
-    opens on the stationary state, whose tangent solves
-    `bordered`(L) drho = -dL rho, the fixed point's own bordered system
-    (invertible when the gap is nonzero; the solution is traceless, so the
-    border drops out); a finite chain opens on the fixed boundary state,
-    dv = 0.  Closing the chain adds no
-    dE term and the norm does not move, because <1| dL = 0.  The result is
-    exact up to roundoff: there is no quadrature grid.
+    and move with the family (S and dS are the `superop` and the
+    `superop_tangent` of its kind over the chain's one field table, and dL
+    is the generator's).  A thermodynamic chain opens on the stationary
+    state, whose tangent solves `bordered`(L) drho = -dL rho, the fixed
+    point's own bordered system (invertible when the gap is nonzero; the
+    solution is traceless, so the border drops out); a finite chain opens
+    on the fixed boundary state, dv = 0.  Closing the chain adds no dE term
+    and the norm does not move, because <1| dL = 0.  The result is exact up
+    to roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -417,12 +400,11 @@ def family_derivative(params, dK, dR, insertions):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
-    for _, ins in insertions:
-        if ins.kind not in INSERTIONS:
-            raise ShapeMismatchError(f"cannot differentiate insertion of unknown kind {ins.kind!r}")
 
     chain = _Chain(params)
-    R, f = params.R, fields(params.K, params.R)
+    start = float(insertions[0][0]) if chain.length is None else 0.0
+    legs = chain.legs(insertions, start)
+    R, f = params.R, chain.fields
     dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
     df = {"Q": dq, "R": dR, "X": -(dq @ R - R @ dq) - (f["Q"] @ dR - dR @ f["Q"])}
     dgen = superop_tangent(GENERATOR, f, df)
@@ -430,16 +412,14 @@ def family_derivative(params, dK, dR, insertions):
     if chain.length is None:
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
-        start = float(insertions[0][0])
         dv = np.linalg.solve(bordered(chain.L), -(dgen @ v))
     else:
-        start = 0.0
         dv = np.zeros_like(v)
-    for (dx, op), (_, ins) in zip(chain.legs(insertions, start), insertions):
+    for (dx, op), (_, kind) in zip(legs, insertions):
         if dx > 0.0:
             e, de = scipy.linalg.expm_frechet(chain.L.mat * dx, dgen * dx)
             v, dv = e @ v, e @ dv + de @ v
-        v, dv = op @ v, op @ dv + superop_tangent(INSERTIONS[ins.kind], f, df) @ v
+        v, dv = op @ v, op @ dv + superop_tangent(INSERTIONS[kind], f, df) @ v
     return chain.close(dv, float(insertions[-1][0]))
 
 
@@ -474,9 +454,9 @@ def generating_functional(params, sources, eps):
     """Discretized source functional Z[J].
 
     Z multiplies per-site transfer factors exp[eps (L + J_r)] with
-    J_r = lam_r sandwich(R, 1) + conj(lam_r) sandwich(1, R)
-        + mu_r sandwich(X, 1) + conj(mu_r) sandwich(1, X),  X = -[Q, R],
-    between the opening state and the trace functional (L + J_r is the
+    J_r = lam_r (R, 1) + conj(lam_r) (1, R) + mu_r (X, 1) + conj(mu_r) (1, X)
+    over the field table (X = -[Q, R]), between the opening state and the
+    trace functional (L + J_r is the
     generator with Q -> Q + lam_r R + mu_r X); a site without sources is
     the free step exp(eps L) of the chain's scan.  All sources zero gives
     exactly the state norm (1 for both geometries).  Wirtinger
@@ -492,7 +472,7 @@ def generating_functional(params, sources, eps):
     n = sources.n_sites
     if chain.length is not None and finite_site_count(chain.length, eps) != n:
         raise ShapeMismatchError(f"{n} sites of step {eps} do not cover length {chain.length}")
-    f = fields(params.K, params.R)
+    f = chain.fields
     legs = []
     for lam, mu in zip(sources.lam, sources.mu):
         lam, mu = complex(lam), complex(mu)
@@ -545,8 +525,8 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
         return generating_functional(params, SourceField(lam, zeros), eps)
 
     d_lam, d_lam_bar = _wirtinger_pair(z_single, h)
-    single_ann = expectation(params, [(r * eps, annihilate(params))])
-    single_cre = expectation(params, [(r * eps, create(params))])
+    single_ann = expectation(params, [(r * eps, "annihilate")])
+    single_cre = expectation(params, [(r * eps, "create")])
     err_single = max(
         abs(d_lam / eps - single_ann),
         abs(d_lam_bar / eps - single_cre),
@@ -565,7 +545,7 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
 
     _, mixed = _wirtinger_pair(d_dlam_s, h)
     lo, hi = sorted((r, s))
-    kinds = {r: create(params), s: annihilate(params)}
+    kinds = {r: "create", s: "annihilate"}
     pair_val = expectation(params, [(lo * eps, kinds[lo]), (hi * eps, kinds[hi])])
     err_pair = abs(mixed / eps**2 - pair_val)
     return {

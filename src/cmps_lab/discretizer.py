@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, q_matrix
+from .core import Finite
 from .errors import (
     ShapeMismatchError,
     StepNotPositiveError,
+    ValidationError,
     WindowTooSmallError,
 )
-from .liouville import sandwich
+from .liouville import fields, sandwich
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
 # in every length unit: the site map is dimensionless
@@ -61,7 +62,7 @@ def lattice_tensors(params, eps, order=1):
         raise StepNotPositiveError(f"lattice step must be positive, got {eps}")
     if order not in (1, 2):
         raise ShapeMismatchError(f"tensor order must be 1 or 2, got {order}")
-    q = q_matrix(params).mat
+    q = fields(params.K, params.R)["Q"]
     mats = [np.eye(params.dim, dtype=complex) + eps * q, np.sqrt(eps) * params.R]
     if order == 2:
         mats.append((eps / np.sqrt(2.0)) * (params.R @ params.R))
@@ -218,7 +219,8 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     """Lattice values across eps with Richardson-extrapolated errors.
 
     observable is "occupation" or a tuple ("hopping"/"pair", separation);
-    separations must be integer multiples of every eps.  The reference
+    separations must be integer multiples of every eps, and the steps must
+    be distinct.  The reference
     value extrapolates the two finest steps assuming first-order
     convergence, so the error column should shrink by the eps ratio (the
     empirical orders report the observed exponents).
@@ -228,6 +230,8 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
         raise ShapeMismatchError("need at least two eps values")
     if np.any(eps_arr <= 0):
         raise StepNotPositiveError("eps values must be positive")
+    if np.any(eps_arr[1:] == eps_arr[:-1]):
+        raise ValidationError(f"eps values must be distinct, got {eps_arr.tolist()}")
 
     finite = isinstance(params.geometry, Finite)
     values = []

@@ -29,6 +29,19 @@ reproduces the diagonal-moment part exactly, but the cross terms of M1 and
 M2 cancel pairwise, so sum_j D[M_j] cannot represent the anomalous
 double-commutator part.  `compare_forms` therefore measures the discrepancy
 instead of asserting it away; it vanishes (to roundoff) iff psi_dag_sq = 0.
+
+Both generators here have the shape of the exact calculus's:
+G rho + rho G^dag + sum a rho b^dag, written as a field table
+(G, 1), (1, G), (a_j, b_j) and built by `liouville.superop`.  For the
+moment generator (n = psi_dag_psi, alpha = psi_dag_sq)
+
+    G = -i K - (1/2)(n + 1) R^dag R - (1/2) n R R^dag
+        + (1/2)(alpha R^2 + conj(alpha) R^dag^2),
+    pairs (sqrt(n + 1) R, sqrt(n + 1) R), (sqrt(n) R^dag, sqrt(n) R^dag),
+          (-alpha R, R^dag), (-conj(alpha) R^dag, R);
+
+the jump-sum form has G_J = -i K - (1/2) sum_j M_j^dag M_j and the pairs
+(M_j, M_j).
 """
 
 from dataclasses import dataclass
@@ -40,9 +53,8 @@ from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,
     Tolerances,
-    build_liouvillian,
     choi_min_eigenvalue,
-    sandwich,
+    superop,
     trace_functional,
 )
 
@@ -101,34 +113,23 @@ class JumpSet:
     K: np.ndarray
 
 
-def _hamiltonian(k):
-    """Vectorized rho -> -i[K, rho]."""
-    h = -1j * np.asarray(k, dtype=complex)
-    eye = np.eye(h.shape[0])
-    return sandwich(h, eye) + sandwich(eye, h)
-
-
-def _dissipator(m):
-    """Vectorized D[M]: rho -> M rho M^dag - (1/2){M^dag M, rho}."""
-    m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[0])
-    mdm = m.conj().T @ m
-    return sandwich(m, m) - 0.5 * (sandwich(mdm, eye) + sandwich(eye, mdm))
-
-
-def _double_commutator(r):
-    """Vectorized rho -> [R, [R, rho]] = R^2 rho - 2 R rho R + rho R^2."""
-    r = np.asarray(r, dtype=complex)
-    eye = np.eye(r.shape[0])
-    r2 = r @ r
-    return sandwich(r2, eye) - 2.0 * sandwich(r, r.conj().T) + sandwich(eye, r2.conj().T)
+def _dissipative_form(g, pairs):
+    """Superoperator of rho -> G rho + rho G^dag + sum over (a, b) in pairs of
+    a rho b^dag, as one field table read by `superop`."""
+    f = {"1": np.eye(g.shape[0]), "G": g}
+    terms = [("G", "1"), ("1", "G")]
+    for j, (a, b) in enumerate(pairs):
+        f[f"a{j}"], f[f"b{j}"] = a, b
+        terms.append((f"a{j}", f"b{j}"))
+    return superop(terms, f)
 
 
 def build_general_generator(K, R, moments):
     """Vectorized generator for the given field moments.
 
-    Reduces exactly to `build_liouvillian(K, R)` at vacuum moments and is
-    trace preserving for every admissible moment set.
+    The field table of the module docstring.  Equals
+    `build_liouvillian(K, R)` entrywise at vacuum moments and is trace
+    preserving for every admissible moment set.
     """
     if not isinstance(moments, FieldMoments):
         moments = FieldMoments(*moments)
@@ -136,19 +137,16 @@ def build_general_generator(K, R, moments):
     R = np.asarray(R, dtype=complex)
     if K.shape != R.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
-    if moments.psi_dag_sq == 0 and moments.psi_dag_psi == 0.0:
-        return build_liouvillian(K, R)
-    mat = _hamiltonian(K)
-    alpha = moments.psi_dag_sq
-    if alpha != 0:
-        dc = _double_commutator(R)
-        dc_conj = _double_commutator(R.conj().T)
-        mat = mat + 0.5 * (alpha * dc + np.conj(alpha) * dc_conj)
-    mat = mat + moments.psi_dag_psi * _dissipator(R.conj().T)
-    mat = mat + moments.psi_psi_dag * _dissipator(R)
+    alpha, n = moments.psi_dag_sq, moments.psi_dag_psi
+    rd = R.conj().T
+    g = (-1j * K - 0.5 * moments.psi_psi_dag * (rd @ R) - 0.5 * n * (R @ rd)
+         + 0.5 * (alpha * (R @ R) + np.conj(alpha) * (rd @ rd)))
+    up, down = np.sqrt(n), np.sqrt(moments.psi_psi_dag)
+    mat = _dissipative_form(g, [(down * R, down * R), (up * rd, up * rd),
+                                (-alpha * R, rd), (-np.conj(alpha) * rd, R)])
     # term norm, bounded: each sandwich of R and R^dag factors has 1-norm <= r^2
     r = max(np.linalg.norm(R, 1), np.linalg.norm(R, np.inf))
-    scale = 2.0 * np.linalg.norm(K, 1) + (4.0 * (abs(alpha) + moments.psi_dag_psi) + 2.0) * r**2
+    scale = 2.0 * np.linalg.norm(K, 1) + (4.0 * (abs(alpha) + n) + 2.0) * r**2
     return Superoperator(mat=mat, dim=K.shape[0], scale=float(scale))
 
 
@@ -199,9 +197,8 @@ def compare_forms(K, R, moments, dx=0.1):
     """
     gen = build_general_generator(K, R, moments)
     jumps = jump_decomposition(K, R, moments)
-    jmat = _hamiltonian(jumps.K)
-    for m in jumps.operators:
-        jmat = jmat + _dissipator(m)
+    g = -1j * jumps.K - 0.5 * sum(m.conj().T @ m for m in jumps.operators)
+    jmat = _dissipative_form(g, [(m, m) for m in jumps.operators])
     tr = trace_functional(gen.dim)
     return FormComparison(
         max_difference=float(np.abs(gen.mat - jmat).max()),

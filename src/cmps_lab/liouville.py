@@ -14,10 +14,13 @@ is therefore the D^2 x D^2 matrix
 
     L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R).
 
-The exact calculus writes each of its superoperators as a list of (a, b)
-names into one field table, `fields(K, R)` = {1, Q, R, X = -[Q, R]}: the
-generator is `GENERATOR` = (Q, 1), (1, Q), (R, R), and the insertions of
-`correlators.INSERTIONS` are one pair each.  `superop` is the only code
+Every boundary generator is a field table: a list of (a, b) names into a
+dict of D x D matrices.  The exact calculus reads one table,
+`fields(K, R)` = {1, Q, R, X = -[Q, R]}: the generator is `GENERATOR` =
+(Q, 1), (1, Q), (R, R), and the insertions of `correlators.INSERTIONS`
+are one pair each, named by their kind.  `lindblad` writes the
+general-moment generator and its jump-sum form as tables of the same
+shape, (G, 1), (1, G) plus one pair per jump.  `superop` is the only code
 that turns such a list into a matrix, and `superop_tangent` its only
 derivative (the product rule over the moving fields); a matrix-free
 calculus swaps the bodies of these two functions.

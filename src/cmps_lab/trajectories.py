@@ -31,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, q_matrix
+from .core import Finite
 from .errors import (
     InsufficientDataError,
     NonNormalizableStateError,
     ValidationError,
     WindowTooSmallError,
 )
+from .liouville import fields
 
 # the sum of exponentials loses about eps * cond(V)^2 of S (relative); at
 # this bound that stays below 1e-10, beyond it S comes from expm
@@ -123,7 +124,7 @@ class _NoJumpFlow:
     """
 
     def __init__(self, params):
-        q = q_matrix(params).mat
+        q = fields(params.K, params.R)["Q"]
         lam, vecs = np.linalg.eig(q)
         if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
             self.lam, self.q, basis = lam, None, vecs
@@ -340,8 +341,9 @@ def estimate_stats(records, bins, burn_in=0.0):
             "record length after burn-in (%g) must exceed the largest bin edge (%g)"
             % (window, tau_max))
 
+    # relative, so that the verdict holds in every length unit
     lengths = np.array([rec.length for rec in records])
-    if np.any(np.abs(lengths - length) > 1e-12):
+    if np.any(np.abs(lengths - length) > 1e-12 * length):
         raise ValidationError("records must share one length")
     counts, pair_hist, wait_counts, wait_cond = _record_histograms(
         records, edges, burn_in, window)
@@ -422,7 +424,7 @@ def _no_jump_oracle(params, taus, initial, weight, dark):
     rho0 = _resolve_initial(params, initial)
     if rho0 is None:
         return np.full_like(taus, dark)
-    q = q_matrix(params).mat
+    q = fields(params.K, params.R)["Q"]
     out = np.empty(taus.shape)
     for i, tau in enumerate(taus.ravel()):
         if tau < 0:

@@ -13,11 +13,9 @@ import scipy.linalg
 
 from cmps_lab import (
     FieldMoments,
-    annihilate,
     build_general_generator,
     build_liouvillian,
     compare_forms,
-    create,
     decay_fit,
     density,
     estimate_stats,
@@ -28,7 +26,6 @@ from cmps_lab import (
     lattice_tensors,
     new_cmps,
     pair_correlation,
-    pair_density,
     sample_ensemble,
     source_consistency_check,
     spectral_envelope,
@@ -39,7 +36,8 @@ from cmps_lab import (
     vectorize,
 )
 from cmps_lab.cli import main
-from cmps_lab.liouville import choi_min_eigenvalue
+from cmps_lab.correlators import INSERTIONS
+from cmps_lab.liouville import choi_min_eigenvalue, fields, superop
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat, random_instance
 
@@ -133,8 +131,9 @@ def _slow_mode_window(params):
     data = steady_state(lv)
     evals, vecs = np.linalg.eig(lv.mat)
     winv = np.linalg.inv(vecs)
-    row = trace_functional(params.dim) @ annihilate(params).superop
-    col = create(params).superop @ vectorize(data.steady_state)
+    f = fields(params.K, params.R)
+    row = trace_functional(params.dim) @ superop(INSERTIONS["annihilate"], f)
+    col = superop(INSERTIONS["create"], f) @ vectorize(data.steady_state)
     coefs = (row @ vecs) * (winv @ col)
     zero_idx = int(np.argmin(np.abs(evals)))
     keep = [k for k in range(evals.size) if k != zero_idx and abs(coefs[k]) > 1e-12]
@@ -246,15 +245,14 @@ def test_criterion_08_family_derivative_is_second_order(rf):
         dk = rand_herm(2, rng)
         dr = 0.5 * rand_mat(2, rng)
         if i % 2 == 0:
-            build = lambda q: [(0.8, pair_density(q))]
+            chain = [(0.8, "pair_density")]
         else:
-            build = lambda q: [(0.5, create(q)), (1.3, annihilate(q))]
+            chain = [(0.5, "create"), (1.3, "annihilate")]
 
-        exact = family_derivative(rf, dk, dr, build(rf))
+        exact = family_derivative(rf, dk, dr, chain)
 
         def objective(h):
-            q = new_cmps(2, RF_K + h * dk, RF_R + h * dr)
-            return expectation(q, build(q))
+            return expectation(new_cmps(2, RF_K + h * dk, RF_R + h * dr), chain)
 
         fd_errs = []
         for h in (0.01, 0.005):

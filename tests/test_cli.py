@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cmps_lab import (__version__, family_derivative, new_cmps, pair_correlation,
-                      pair_density)
+from cmps_lab import __version__, family_derivative, new_cmps, pair_correlation
 from cmps_lab import cli
 from cmps_lab.cli import main
 from cmps_lab.errors import ConfigError
@@ -212,6 +211,13 @@ def test_converge_extrapolates_occupation(tmp_path):
     assert result["orders"][-1] == pytest.approx(1.0, abs=0.3)
 
 
+def test_converge_repeated_epsilons_exit_one(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, "converge", rf_config(epsilons=[0.01, 0.01, 0.02]))
+    assert rc == 1
+    assert "eps values must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_config_reruns_bit_identically(tmp_path):
     cfg = rf_config(length=30.0, n_traj=30, seed=9, bins=[0.0, 1.0, 2.0])
     rc, out = run_cli(tmp_path, "trajectories", cfg, tag="orig")
@@ -268,7 +274,7 @@ def test_family_deriv_matches_library(tmp_path):
     got = load_json(out)["result"]["derivative"]
     params = new_cmps(2, np.array(RF_MODEL["K"]["re"]), np.array(RF_MODEL["R"]["re"]))
     want = family_derivative(params, np.array(dk), np.array(dr),
-                             [(0.7, pair_density(params))])
+                             [(0.7, "pair_density")])
     assert got["re"] == pytest.approx(want.real, abs=1e-12)
     assert got["im"] == pytest.approx(want.imag, abs=1e-12)
 

@@ -9,7 +9,6 @@ from cmps_lab import (
     kinetic_density,
     new_cmps,
     no_jump_survival,
-    q_matrix,
     sample_ensemble,
     source_consistency_check,
 )
@@ -20,6 +19,7 @@ from cmps_lab.errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from cmps_lab.liouville import fields
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat
 
@@ -105,14 +105,14 @@ def test_q_matrix_dissipation_identity():
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))
         p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
-        q = q_matrix(p).mat
+        q = fields(p.K, p.R)["Q"]
         gram = p.R.conj().T @ p.R
         scale = max(1.0, np.abs(gram).max())
         assert np.abs(q + q.conj().T + gram).max() < 1e-14 * scale
 
 
 def test_q_matrix_rf_value():
-    q = q_matrix(new_cmps(2, RF_K, RF_R)).mat
+    q = fields(RF_K, RF_R)["Q"]
     expected = -1j * RF_K - 0.5 * np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.abs(q - expected).max() < 1e-15
 

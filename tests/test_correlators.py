@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,9 @@ import pytest
 from cmps_lab import (
     Finite,
     Thermodynamic,
-    annihilate,
     build_liouvillian,
-    create,
     decay_fit,
     density,
-    deriv_annihilate,
     expectation,
     family_derivative,
     generating_functional,
@@ -19,19 +17,19 @@ from cmps_lab import (
     lieb_liniger_energy_density,
     new_cmps,
     pair_correlation,
-    pair_density,
     source_consistency_check,
     spectral_envelope,
     steady_state,
     two_point,
 )
-from cmps_lab.correlators import INSERTIONS, Insertion, SourceField, insertion
+from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
     GaplessStateError,
     NonHermitianKError,
     PositionOutOfRangeError,
     ShapeMismatchError,
     UnsortedPositionsError,
+    ValidationError,
     ZeroDensityError,
 )
 
@@ -85,7 +83,7 @@ def test_rf_density_and_moments(rf):
     # e = kinetic + c <pair> - mu <n>; the emitter never holds two photons
     assert abs(lieb_liniger_energy_density(rf, 1.0, 1.0) - (1.0 / 6.0 - 1.0 / 3.0)) < 1e-12
     e = lieb_liniger_energy_density(rf, 2.0, 0.5)
-    pair = expectation(rf, [(0.0, pair_density(rf)), (0.0, pair_density(rf))])
+    pair = expectation(rf, [(0.0, "pair_density"), (0.0, "pair_density")])
     assert abs(e - (1.0 / 6.0 + 2.0 * pair.real - 0.5 / 3.0)) < 1e-12
 
 
@@ -108,8 +106,8 @@ def test_window_end_is_reachable_in_every_length_unit(s):
     window = Finite(length=0.3 / s, boundary_rho=np.eye(2) / 2)
     p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R, window)
     unit = new_cmps(2, RF_K, RF_R, Finite(length=0.3, boundary_rho=np.eye(2) / 2))
-    got = expectation(p, [(3 * (0.1 / s), annihilate(p))]) / np.sqrt(s)
-    assert got == pytest.approx(expectation(unit, [(0.3, annihilate(unit))]), rel=1e-10)
+    got = expectation(p, [(3 * (0.1 / s), "annihilate")]) / np.sqrt(s)
+    assert got == pytest.approx(expectation(unit, [(0.3, "annihilate")]), rel=1e-10)
 
 
 def test_rf_pair_correlation_against_integrated_master_equation(rf):
@@ -135,8 +133,8 @@ def test_two_point_approaches_density_at_least_linearly(rf):
 def test_two_point_hermitian_symmetry():
     p = random_instance(42)
     d = 1.3
-    fwd = expectation(p, [(0.0, create(p)), (d, annihilate(p))])
-    rev = expectation(p, [(0.0, annihilate(p)), (d, create(p))])
+    fwd = expectation(p, [(0.0, "create"), (d, "annihilate")])
+    rev = expectation(p, [(0.0, "annihilate"), (d, "create")])
     assert abs(fwd - np.conj(rev)) < 1e-12
 
 
@@ -205,17 +203,47 @@ def test_gapless_and_validation_errors(coherent):
         decay_fit(p1, 1.0, 5.0)
     p = new_cmps(2, RF_K, RF_R)
     with pytest.raises(UnsortedPositionsError):
-        expectation(p, [(1.0, create(p)), (0.5, annihilate(p))])
-    with pytest.raises(ShapeMismatchError):
-        q = new_cmps(3, np.zeros((3, 3)), np.ones((3, 3)))
-        expectation(p, [(0.0, create(q))])
+        expectation(p, [(1.0, "create"), (0.5, "annihilate")])
+    for kind in ("bogus", ["pair_density"]):
+        with pytest.raises(ShapeMismatchError, match="unknown insertion kind"):
+            expectation(p, [(0.0, "create"), (0.5, kind)])
     fin = new_cmps(2, RF_K, RF_R, Finite(length=2.0, boundary_rho=np.eye(2) / 2))
     with pytest.raises(PositionOutOfRangeError):
-        expectation(fin, [(0.0, create(fin)), (3.0, annihilate(fin))])
+        expectation(fin, [(0.0, "create"), (3.0, "annihilate")])
     dark = new_cmps(2, RF_K, np.zeros((2, 2)),
                     Finite(length=2.0, boundary_rho=np.eye(2) / 2))
     with pytest.raises(ZeroDensityError):
         pair_correlation(dark, np.array([1.0]))
+
+
+def test_an_insertion_belongs_to_no_parameter_set():
+    # a kind name is resolved against the field table of the set it is
+    # evaluated on, so two sets of one dimension cannot be mixed
+    rng = np.random.default_rng(1)
+    a = new_cmps(3, rand_herm(3, rng), rand_mat(3, rng))
+    b = new_cmps(3, rand_herm(3, rng), rand_mat(3, rng))
+    d = 1.0
+    chain = [(0.0, "create"), (d, "annihilate")]
+    assert expectation(b, chain) == two_point(b, [d]).values[0]
+    assert expectation(a, chain) == two_point(a, [d]).values[0]
+    assert abs(expectation(a, chain) - expectation(b, chain)) > 0.1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("geometry", ["thermodynamic", "finite"])
+def test_non_finite_positions_are_bad_input(bad, geometry):
+    geom = (Thermodynamic() if geometry == "thermodynamic"
+            else Finite(length=2.0, boundary_rho=np.eye(2) / 2))
+    p = new_cmps(2, RF_K, RF_R, geom)
+    with pytest.raises(ValidationError, match="finite"):
+        two_point(p, np.array([0.5, bad]))
+    with pytest.raises(ValidationError, match="finite"):
+        expectation(p, [(0.0, "create"), (bad, "annihilate")])
+    with pytest.raises(ValidationError, match="finite"):
+        expectation(p, [(bad, "pair_density")])
+    with pytest.raises(ValidationError, match="finite"):
+        family_derivative(p, 0.1 * np.eye(2), np.zeros((2, 2)),
+                          [(0.0, "create"), (bad, "annihilate")])
 
 
 def test_negative_separation_rejected(rf):
@@ -227,7 +255,7 @@ def test_negative_separation_rejected(rf):
 
 def test_family_derivative_trivial_directions(rf):
     zero = np.zeros((2, 2))
-    val = family_derivative(rf, zero, zero, [(0.0, pair_density(rf))])
+    val = family_derivative(rf, zero, zero, [(0.0, "pair_density")])
     assert abs(val) < 1e-12
     # no insertions: the norm is stationary along any admissible family
     rng = np.random.default_rng(5)
@@ -237,10 +265,10 @@ def test_family_derivative_trivial_directions(rf):
 def test_family_derivative_rejects_nonhermitian_dk(rf):
     with pytest.raises(NonHermitianKError):
         family_derivative(rf, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)),
-                          [(0.0, pair_density(rf))])
+                          [(0.0, "pair_density")])
     with pytest.raises(ShapeMismatchError):
         family_derivative(rf, np.zeros((3, 3)), np.zeros((3, 3)),
-                          [(0.0, pair_density(rf))])
+                          [(0.0, "pair_density")])
 
 
 def test_family_derivative_matches_central_differences():
@@ -253,14 +281,11 @@ def test_family_derivative_matches_central_differences():
     window = Finite(length=2.0, boundary_rho=rho / np.trace(rho).real)
     for geometry in (Thermodynamic(), window):
         base = new_cmps(d, K, R, geometry)
-        val = family_derivative(base, dK, dR,
-                                [(0.0, create(base)), (0.9, deriv_annihilate(base)),
-                                 (1.4, annihilate(base))])
+        chain = [(0.0, "create"), (0.9, "deriv_annihilate"), (1.4, "annihilate")]
+        val = family_derivative(base, dK, dR, chain)
 
         def observable(t):
-            p = new_cmps(d, K + t * dK, R + t * dR, geometry)
-            return expectation(p, [(0.0, create(p)), (0.9, deriv_annihilate(p)),
-                                   (1.4, annihilate(p))])
+            return expectation(new_cmps(d, K + t * dK, R + t * dR, geometry), chain)
 
         errs = [abs((observable(h) - observable(-h)) / (2 * h) - val) for h in (0.02, 0.01)]
         assert 3.5 < errs[0] / errs[1] < 4.5
@@ -281,12 +306,10 @@ def test_family_derivative_of_each_kind_matches_central_differences(kind, geomet
     geom = (Thermodynamic() if geometry == "thermodynamic"
             else Finite(length=2.0, boundary_rho=rho / np.trace(rho).real))
 
-    def chain(p):
-        return [(0.0, insertion(p, kind)), (0.7, create(p)), (1.4, insertion(p, kind))]
+    chain = [(0.0, kind), (0.7, "create"), (1.4, kind)]
 
     def observable(t):
-        p = new_cmps(d, K + t * dK, R + t * dR, geom)
-        return expectation(p, chain(p))
+        return expectation(new_cmps(d, K + t * dK, R + t * dR, geom), chain)
 
     def central(h):
         return (observable(h) - observable(-h)) / (2 * h)
@@ -294,18 +317,16 @@ def test_family_derivative_of_each_kind_matches_central_differences(kind, geomet
     h = 1e-3
     richardson = (4.0 * central(h / 2) - central(h)) / 3.0
     base = new_cmps(d, K, R, geom)
-    val = family_derivative(base, dK, dR, chain(base))
+    val = family_derivative(base, dK, dR, chain)
     assert abs(richardson) > 1e-3
     assert abs(val - richardson) < 1e-8 * abs(richardson)
 
 
 def test_family_derivative_rejects_an_insertion_of_unknown_kind(rf):
-    custom = Insertion("custom", annihilate(rf).superop)
-    with pytest.raises(ShapeMismatchError, match="unknown kind 'custom'"):
-        family_derivative(rf, np.zeros((2, 2)), np.zeros((2, 2)),
-                          [(0.0, create(rf)), (0.5, custom)])
-    with pytest.raises(ShapeMismatchError, match="unknown insertion kind 'custom'"):
-        insertion(rf, "custom")
+    for kind in ("custom", ["pair_density"]):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"unknown insertion kind {kind!r}")):
+            family_derivative(rf, np.zeros((2, 2)), np.zeros((2, 2)),
+                              [(0.0, "create"), (0.5, kind)])
 
 
 def test_family_derivative_is_exact_on_a_stiff_instance():
@@ -322,12 +343,10 @@ def test_family_derivative_is_exact_on_a_stiff_instance():
     window = Finite(length=2.0, boundary_rho=rho / np.trace(rho).real)
     for geometry in (Thermodynamic(), window):
 
-        def chain(p):
-            return [(0.5, create(p)), (1.5, annihilate(p))]
+        chain = [(0.5, "create"), (1.5, "annihilate")]
 
         def observable(t):
-            p = new_cmps(d, K + t * dK, R + t * dR, geometry)
-            return expectation(p, chain(p))
+            return expectation(new_cmps(d, K + t * dK, R + t * dR, geometry), chain)
 
         def central(h):
             return (observable(h) - observable(-h)) / (2 * h)
@@ -335,7 +354,7 @@ def test_family_derivative_is_exact_on_a_stiff_instance():
         h = 1e-4
         richardson = (4.0 * central(h / 2) - central(h)) / 3.0
         base = new_cmps(d, K, R, geometry)
-        val = family_derivative(base, dK, dR, chain(base))
+        val = family_derivative(base, dK, dR, chain)
         assert abs(val - richardson) < 1e-8 * abs(richardson)
 
 

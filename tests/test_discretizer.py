@@ -9,14 +9,14 @@ from cmps_lab import (
     lattice_tensors,
     new_cmps,
     pair_correlation,
-    q_matrix,
     transfer_matrix,
     two_point,
 )
-from cmps_lab.liouville import build_liouvillian
+from cmps_lab.liouville import build_liouvillian, fields
 from cmps_lab.errors import (
     ShapeMismatchError,
     StepNotPositiveError,
+    ValidationError,
     WindowTooSmallError,
 )
 
@@ -26,7 +26,7 @@ from conftest import EXCITED, RF_K, RF_R, rand_herm, rand_mat
 def test_tensor_formulas(rf):
     eps = 0.01
     t = lattice_tensors(rf, eps)
-    q = q_matrix(rf).mat
+    q = fields(rf.K, rf.R)["Q"]
     assert len(t.matrices) == 2
     assert np.abs(t.matrices[0] - (np.eye(2) + eps * q)).max() < 1e-15
     assert np.abs(t.matrices[1] - np.sqrt(eps) * RF_R).max() < 1e-15
@@ -102,7 +102,7 @@ def test_coherent_lattice_values_exact_to_derived_order(coherent):
     # D=1: occupation estimator is |r|^2/(1 + eps^2 |q|^2) exactly, so the
     # deviation is O(eps^2); hopping picks up an O(eps) phase factor
     p = coherent(r=0.8, k=0.3)
-    q = complex(q_matrix(p).mat[0, 0])
+    q = complex(fields(p.K, p.R)["Q"][0, 0])
     for eps in (0.02, 0.01):
         t = lattice_tensors(p, eps)
         occ = lattice_correlators(t, "occupation")
@@ -169,6 +169,13 @@ def test_convergence_study_rf(rf):
         convergence_study(rf, [0.01])
     with pytest.raises(StepNotPositiveError):
         convergence_study(rf, [0.01, -0.005])
+
+
+@pytest.mark.parametrize("eps", [[0.01, 0.01, 0.02], [0.02, 0.01, 0.02]])
+def test_convergence_study_rejects_repeated_steps(rf, eps):
+    # equal steps make the Richardson ratio or an order's log ratio 1
+    with pytest.raises(ValidationError, match="distinct"):
+        convergence_study(rf, eps)
 
 
 def test_convergence_study_hopping_observable(rf):

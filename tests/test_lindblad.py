@@ -9,10 +9,17 @@ from cmps_lab import (
     jump_decomposition,
     trace_functional,
 )
-from cmps_lab.lindblad import _dissipator
 from cmps_lab.errors import InvalidMomentsError, ShapeMismatchError
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat
+
+
+def _dissipator(m):
+    """Plain-kron reference for D[M]: rho -> M rho M^dag - (1/2){M^dag M, rho}
+    on row-stacked matrices, vec(a rho b) = (a kron b^T) vec(rho)."""
+    eye = np.eye(m.shape[0])
+    mdm = m.conj().T @ m
+    return np.kron(m, m.conj()) - 0.5 * (np.kron(mdm, eye) + np.kron(eye, mdm.T))
 
 
 def test_moment_validation():
@@ -58,6 +65,30 @@ def test_thermal_generator_is_two_channel_dissipation():
         + n * _dissipator(R.conj().T)
     )
     assert np.abs(gen.mat - manual).max() < 1e-12
+
+
+def test_anomalous_generator_matches_the_double_commutator_expansion():
+    # -i[K, rho] + (1/2)(alpha [R, [R, rho]] + h.c.) + n D[R^dag] + (n + 1) D[R],
+    # written out with plain krons
+    rng = np.random.default_rng(15)
+    d = 3
+    K, R = rand_herm(d, rng), rand_mat(d, rng)
+    alpha, n = 0.4 - 0.3j, 0.8
+    eye = np.eye(d)
+
+    def double_commutator(r):
+        r2 = r @ r
+        return np.kron(r2, eye) - 2.0 * np.kron(r, r.T) + np.kron(eye, r2.T)
+
+    manual = (
+        -1j * np.kron(K, eye)
+        + 1j * np.kron(eye, K.T)
+        + 0.5 * (alpha * double_commutator(R) + np.conj(alpha) * double_commutator(R.conj().T))
+        + (n + 1.0) * _dissipator(R)
+        + n * _dissipator(R.conj().T)
+    )
+    gen = build_general_generator(K, R, FieldMoments(alpha, np.conj(alpha), n, n + 1.0))
+    assert np.abs(gen.mat - manual).max() < 1e-13 * np.abs(manual).max()
 
 
 def test_generator_always_trace_preserving():

@@ -3,14 +3,10 @@ import pytest
 import scipy.linalg
 
 from cmps_lab import (
-    annihilate,
     build_liouvillian,
     choi_matrix,
     choi_min_eigenvalue,
-    create,
     density,
-    deriv_annihilate,
-    deriv_create,
     devectorize,
     family_derivative,
     new_cmps,
@@ -19,6 +15,7 @@ from cmps_lab import (
     vectorize,
 )
 from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
+from cmps_lab.correlators import INSERTIONS
 from cmps_lab.liouville import GENERATOR, Tolerances, fields, superop
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat
@@ -77,7 +74,7 @@ def test_fixed_point_does_not_depend_on_the_length_unit(s):
 
     # the derivative along the ray (s K, sqrt(s) R) of <create(0) annihilate(1/s)>
     def along_ray(q, scale):
-        chain = [(0.0, create(q)), (1.0 / scale, annihilate(q))]
+        chain = [(0.0, "create"), (1.0 / scale, "annihilate")]
         return family_derivative(q, q.K, q.R, chain) / scale
 
     unit = new_cmps(2, RF_K, RF_R)
@@ -193,9 +190,10 @@ def test_source_term_is_a_shift_of_q():
     d = 3
     p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
     lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
-    source = (lam * annihilate(p).superop + np.conj(lam) * create(p).superop
-              + mu * deriv_annihilate(p).superop + np.conj(mu) * deriv_create(p).superop)
-    want = build_liouvillian(p.K, p.R).mat + source
     f = fields(p.K, p.R)
+    coef = {"annihilate": lam, "create": np.conj(lam),
+            "deriv_annihilate": mu, "deriv_create": np.conj(mu)}
+    source = sum(c * superop(INSERTIONS[k], f) for k, c in coef.items())
+    want = build_liouvillian(p.K, p.R).mat + source
     got = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()

@@ -4,8 +4,6 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from cmps_lab import (
-    annihilate,
-    create,
     density,
     family_derivative,
     kinetic_density,
@@ -44,7 +42,7 @@ def test_exact_outputs_are_covariant_under_a_change_of_length_unit(seed, dim, lo
           pair_correlation(unit, SEPARATIONS).values)
 
     def derivative(p, unit_scale):
-        chain = [(0.0, create(p)), (1.3 / unit_scale, annihilate(p))]
+        chain = [(0.0, "create"), (1.3 / unit_scale, "annihilate")]
         return family_derivative(p, unit_scale * dk, np.sqrt(unit_scale) * dr, chain) / unit_scale
 
     close(derivative(scaled, s), derivative(unit, 1.0))

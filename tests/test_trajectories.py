@@ -223,6 +223,19 @@ def test_estimator_rejects_malformed_input():
         estimate_stats(mixed, [0.0, 1.0])
 
 
+def test_shared_length_check_does_not_depend_on_the_length_unit():
+    # K -> K / s, R -> R / sqrt(s): records of length 1e-13 and 2e-13 are
+    # as different as records of length 10 and 20 in the unit s = 1
+    s = 1e-14
+    p = new_cmps(2, RF_K / s, RF_R / np.sqrt(s))
+    short = sample_ensemble(p, 3, 10.0 * s, 4)
+    long = sample_ensemble(p, 3, 20.0 * s, 5)
+    edges = [0.0, 1.0 * s, 2.0 * s]
+    assert estimate_stats(short, edges).n_traj == 3
+    with pytest.raises(ValidationError, match="share one length"):
+        estimate_stats(short + long, edges)
+
+
 def test_finite_ensemble_tracks_driven_relaxation():
     p = new_cmps(2, RF_K, RF_R, Finite(length=4.0, boundary_rho=EXCITED))
     recs = sample_ensemble(p, 16000, 3.5, master_seed=88)
