@@ -31,11 +31,17 @@ edge and dividing by the norm.
 Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
 state through ascending positions, applies each insertion as it passes it,
-and hands back the vector at requested stops.  `family_derivative` walks
-the same legs forward once, carrying the tangent of the vector alongside
-it: each leg applies exp(L dx) together with its Frechet derivative, so
-the derivative along a family of states needs no backward march and no
-quadrature.
+and hands back the vector at requested stops.  A chain works in the
+Hermitian basis of `liouville.hermitian_basis`: the generator preserves
+Hermiticity, so each propagator exp(L dx) is the exponential of the real
+matrix `Superoperator.hmat`, and so are the sourced sites of
+`generating_functional`.  The vectors and the insertion superoperators are
+carried in the same basis but stay complex, because an insertion need not
+preserve Hermiticity; the trace functional closes the chain unchanged.
+`family_derivative` walks the same legs forward once, carrying the tangent
+of the vector alongside it: each leg applies exp(L dx) together with its
+Frechet derivative (both real), so the derivative along a family of states
+needs no backward march and no quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
@@ -72,6 +78,8 @@ from .liouville import (
     bordered,
     build_liouvillian,
     fields,
+    fields_tangent,
+    hermitian_basis,
     superop,
     superop_tangent,
     trace_functional,
@@ -118,17 +126,19 @@ class _Chain:
     def __init__(self, params):
         self.params = params
         self.fields = fields(params.K, params.R)
+        self.basis = hermitian_basis(params.dim)
         self.left = trace_functional(params.dim)
         self._ops = {}
         self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
             self.spectral = params.stationary
-            self.right = vectorize(self.spectral.steady_state)
+            rho = self.spectral.steady_state
             self.length = None
         else:
             self.spectral = None
-            self.right = vectorize(params.geometry.boundary_rho)
+            rho = params.geometry.boundary_rho
             self.length = params.geometry.length
+        self.right = self.basis.coords(vectorize(rho))
 
     @cached_property
     def L(self):
@@ -137,9 +147,11 @@ class _Chain:
         return build_liouvillian(self.params.K, self.params.R)
 
     def insertion(self, kind):
-        """Superoperator of an `INSERTIONS` kind over this chain's fields."""
+        """Superoperator of an `INSERTIONS` kind over this chain's fields, in
+        the Hermitian basis (complex: an insertion need not preserve
+        Hermiticity)."""
         if kind not in self._ops:
-            self._ops[kind] = superop(INSERTIONS[kind], self.fields)
+            self._ops[kind] = self.basis.transform(superop(INSERTIONS[kind], self.fields))
         return self._ops[kind]
 
     def legs(self, items, start):
@@ -178,7 +190,7 @@ class _Chain:
         for dx, op in legs:
             if dx != 0.0:
                 if dx != self._leg[0]:
-                    self._leg = (dx, scipy.linalg.expm(self.L.mat * dx))
+                    self._leg = (dx, scipy.linalg.expm(self.L.hmat * dx))
                 v = self._leg[1] @ v
             if op is stop:
                 stops[k] = v
@@ -310,7 +322,7 @@ def spectral_envelope(params):
     spec = chain.spectral
     if spec.gapless:
         raise GaplessStateError("no spectral gap; correlations need not decay")
-    evals, vecs = np.linalg.eig(chain.L.mat)
+    evals, vecs = np.linalg.eig(chain.L.hmat)
     try:
         winv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
@@ -404,22 +416,23 @@ def family_derivative(params, dK, dR, insertions):
     chain = _Chain(params)
     start = float(insertions[0][0]) if chain.length is None else 0.0
     legs = chain.legs(insertions, start)
-    R, f = params.R, chain.fields
-    dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
-    df = {"Q": dq, "R": dR, "X": -(dq @ R - R @ dq) - (f["Q"] @ dR - dR @ f["Q"])}
-    dgen = superop_tangent(GENERATOR, f, df)
+    f, basis = chain.fields, chain.basis
+    df = fields_tangent(f, dK, dR)
+    dgen = basis.transform(superop_tangent(GENERATOR, f, df)).real
     v = chain.right
     if chain.length is None:
         if chain.spectral.gapless:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
-        dv = np.linalg.solve(bordered(chain.L), -(dgen @ v))
+        # the fixed point's coordinates are real, so the tangent solve is real
+        dv = np.linalg.solve(bordered(chain.L), -(dgen @ v.real))
     else:
         dv = np.zeros_like(v)
     for (dx, op), (_, kind) in zip(legs, insertions):
         if dx > 0.0:
-            e, de = scipy.linalg.expm_frechet(chain.L.mat * dx, dgen * dx)
+            e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
             v, dv = e @ v, e @ dv + de @ v
-        v, dv = op @ v, op @ dv + superop_tangent(INSERTIONS[kind], f, df) @ v
+        dop = basis.transform(superop_tangent(INSERTIONS[kind], f, df))
+        v, dv = op @ v, op @ dv + dop @ v
     return chain.close(dv, float(insertions[-1][0]))
 
 
@@ -442,6 +455,10 @@ class SourceField:
             raise ShapeMismatchError(
                 f"lam and mu must be equal-length 1d arrays, got {lam.shape}, {mu.shape}"
             )
+        for name, values in (("lam", lam), ("mu", mu)):
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValidationError(f"source {name} must be finite, got {bad[0]}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 
@@ -465,9 +482,7 @@ def generating_functional(params, sources, eps):
     """
     if not isinstance(sources, SourceField):
         raise ShapeMismatchError("sources must be a SourceField")
-    eps = float(eps)
-    if eps <= 0:
-        raise StepNotPositiveError(f"lattice step must be positive, got {eps}")
+    eps = _lattice_step(eps, "lattice step")
     chain = _Chain(params)
     n = sources.n_sites
     if chain.length is not None and finite_site_count(chain.length, eps) != n:
@@ -480,12 +495,23 @@ def generating_functional(params, sources, eps):
             legs.append((eps, None))
         else:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            legs.append((0.0, scipy.linalg.expm(superop(GENERATOR, shifted) * eps)))
+            site = chain.basis.transform(superop(GENERATOR, shifted)).real
+            legs.append((0.0, scipy.linalg.expm(site * eps)))
     (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
     if chain.length is None:
         return complex(chain.left @ v)
     (norm_v,) = chain.scan(chain.right, [(eps, None)] * n + [(0.0, chain.STOP)])
     return complex(chain.left @ v) / complex(chain.left @ norm_v)
+
+
+def _lattice_step(value, name):
+    """A step as a float: finite (ValidationError) and positive."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise StepNotPositiveError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _wirtinger_pair(f, h):
@@ -505,11 +531,9 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
     Returns a dict of absolute errors (after dividing out the eps powers);
     both shrink under simultaneous refinement of eps and h (O(eps) + O(h^2)).
     """
-    eps = float(eps)
-    h = float(h)
+    eps = _lattice_step(eps, "eps")
+    h = _lattice_step(h, "h")
     n_sites = int(n_sites)
-    if eps <= 0 or h <= 0:
-        raise StepNotPositiveError("eps and h must be positive")
     if n_sites < 4:
         raise ShapeMismatchError("need at least 4 lattice sites")
     if site_pair is None:

@@ -5,7 +5,8 @@ sits at index j*D + k of vec(M).  Every superoperator in the package is a
 sum of sandwiches rho -> a rho b^dag, and `sandwich(a, b)` is the only code
 that knows how the row-stacking layout turns one into a matrix:
 vec(a rho b^dag) = (a kron conj(b)) vec(rho).  (`choi_matrix` reads such a
-matrix back.)  The generator of
+matrix back, and `HermitianBasis` moves it to the Hermitian basis below.)
+The generator of
 
     d rho / dx = -i[K, rho] + R rho R^dag - (1/2){R^dag R, rho}
                = Q rho + rho Q^dag + R rho R^dag,   Q = -i K - (1/2) R^dag R,
@@ -25,6 +26,19 @@ that turns such a list into a matrix, and `superop_tangent` its only
 derivative (the product rule over the moving fields); a matrix-free
 calculus swaps the bodies of these two functions.
 
+The dense kernels of the exact calculus run in a second layout, the
+Hermitian basis (Alicki and Lendi's coherence vector), which lives here
+and nowhere else.  `hermitian_basis(D)` is a unitary U that keeps
+the diagonal entries E_jj and replaces each off-diagonal pair E_jk, E_kj
+by the Hermitian matrices (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.
+A Hermitian matrix has real coordinates there, and a superoperator that
+maps Hermitian matrices to Hermitian matrices, as every generator does,
+is the real matrix U^dag S U (`Superoperator.hmat`).  Real eigenvalue
+solves, linear solves and exponentials cost a fraction of complex ones.
+`mat`, `vectorize`, `trace_functional` and `choi_matrix` stay row-stacked;
+the trace functional is the same vector in both layouts, because U leaves
+the diagonal alone.
+
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The
 eigenvalues alone certify a one-dimensional fixed space and give the gap,
@@ -33,7 +47,7 @@ linear solve with the `bordered` generator, not from an eigenvector.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -67,8 +81,13 @@ def devectorize(v):
 
 
 def sandwich(a, b):
-    """Superoperator of rho -> a rho b^dag on row-stacked matrices."""
-    return np.kron(a, np.conj(b))
+    """Superoperator of rho -> a rho b^dag on row-stacked matrices.
+
+    Entry (i D + k, j D + l) is a[i, j] conj(b[k, l]): np.kron(a, conj(b)),
+    written as one broadcast product.
+    """
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * np.conj(b)[None, :, None, :]).reshape(n, n)
 
 
 GENERATOR = (("Q", "1"), ("1", "Q"), ("R", "R"))
@@ -104,9 +123,74 @@ def superop_tangent(terms, f, df):
     return reduce(np.add, pieces)
 
 
+def fields_tangent(f, dK, dR):
+    """Derivative of the field table `f` along K + t dK, R + t dR at t = 0.
+
+    dQ = -i dK - (1/2)(dR^dag R + R^dag dR), and X = -[Q, R] moves by
+    -[dQ, R] - [Q, dR]; the identity does not move.
+    """
+    R, q = f["R"], f["Q"]
+    dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
+    return {"Q": dq, "R": dR, "X": -(dq @ R - R @ dq) - (q @ dR - dR @ q)}
+
+
 def trace_functional(dim):
     """Row vector implementing M -> tr(M) on flattened matrices."""
     return vectorize(np.eye(dim)).conj()
+
+
+_R2 = np.sqrt(0.5)
+
+
+class HermitianBasis:
+    """Orthonormal Hermitian basis of the D x D matrices, as a unitary U.
+
+    Column j D + j of U is vec(E_jj); for each pair j < k, with a = j D + k
+    and b = k D + j, columns a and b are vec((E_jk + E_kj)/sqrt 2) and
+    vec(i (E_jk - E_kj)/sqrt 2).  U mixes each index pair (a, b) with one
+    2 x 2 block and leaves the diagonal alone, so it is applied by indexing
+    and never stored.  The coordinates U^dag vec(M) of a Hermitian M are
+    real, and a superoperator that maps Hermitian matrices to Hermitian
+    matrices is real in this basis, U^dag S U.  The trace functional is the
+    same row vector in both layouts: it reads only the diagonal.
+    """
+
+    def __init__(self, dim):
+        j, k = np.triu_indices(dim, 1)
+        self.a = j * dim + k
+        self.b = k * dim + j
+
+    def _mix(self, m, phase, axis):
+        """Apply U^dag (phase -i) or U^T (phase +i) along `axis` of a copy of m."""
+        out = np.array(m, dtype=complex)
+        view = out if axis == 0 else out.T
+        va, vb = view[self.a], view[self.b]
+        view[self.a] = (va + vb) * _R2
+        view[self.b] = (va - vb) * (phase * _R2)
+        return out
+
+    def coords(self, v):
+        """U^dag v: coordinates of row-stacked vectors (along the first axis)."""
+        return self._mix(v, -1j, 0)
+
+    def vec(self, x):
+        """U x: the row-stacked vector of coordinates x (along the first axis)."""
+        out = np.array(x, dtype=complex)
+        xa, xb = out[self.a], out[self.b] * (1j * _R2)
+        out[self.a] = xa * _R2 + xb
+        out[self.b] = xa * _R2 - xb
+        return out
+
+    def transform(self, m):
+        """U^dag m U: a row-stacked superoperator matrix in this basis (real
+        up to roundoff when the superoperator preserves Hermiticity)."""
+        return self.coords(self._mix(m, 1j, 1))
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(dim):
+    """The `HermitianBasis` of D x D matrices, one per D."""
+    return HermitianBasis(dim)
 
 
 @dataclass(frozen=True)
@@ -118,6 +202,12 @@ class Superoperator:
     mat: np.ndarray
     dim: int
     scale: float
+
+    @cached_property
+    def hmat(self):
+        """mat in the Hermitian basis: a real matrix, because the generator
+        maps Hermitian matrices to Hermitian matrices."""
+        return hermitian_basis(self.dim).transform(self.mat).real
 
 
 @dataclass(frozen=True)
@@ -157,27 +247,31 @@ def build_liouvillian(K, R):
 def bordered(superop):
     """L + c |e><1| with e = vec(1)/D and c the term norm, which scales like L.
 
-    Invertible exactly when the fixed space of L is one-dimensional; as
-    <1| L = 0 and <1|e> = 1, a solution of bordered x = b has <1|x> = <1|b>/c.
+    A real matrix in the Hermitian basis (`Superoperator.hmat`), where vec(1)
+    keeps its coordinates.  Invertible exactly when the fixed space of L is
+    one-dimensional; as <1| L = 0 and <1|e> = 1, a solution of
+    bordered x = b has <1|x> = <1|b>/c.
     """
-    one = trace_functional(superop.dim)
-    return superop.mat + np.outer(one * (superop.scale / superop.dim), one)
+    one = trace_functional(superop.dim).real
+    return superop.hmat + np.outer(one * (superop.scale / superop.dim), one)
 
 
 def steady_state(superop, tol=Tolerances()):
     """Eigenvalues (no eigenvectors), unique fixed point and gap of the generator.
 
-    More than one eigenvalue with |Re| <= tol.zero_real times the term norm
-    `superop.scale` raises DegenerateFixedSpaceError.  The fixed point
-    solves bordered(superop) x = c e (so <1|x> = 1 and L x = 0), Hermitized
-    and trace-normalized; its residual ||L rho||_max must not exceed
+    Both solves run on the real matrix of the Hermitian basis, so complex
+    eigenvalues come in exactly conjugate pairs.  More than one eigenvalue
+    with |Re| <= tol.zero_real times the term norm `superop.scale` raises
+    DegenerateFixedSpaceError.  The fixed point solves
+    bordered(superop) x = c e (so <1|x> = 1 and L x = 0); its coordinates
+    are real, so it is Hermitian exactly, and it is trace-normalized.  Its
+    residual ||L rho||_max, taken on the row-stacked `mat`, must not exceed
     tol.residual times the term norm.  The gap is 0.0 for the
     one-dimensional case, which is gapless by convention.
     """
-    mat = superop.mat
     zero_tol = tol.zero_real * superop.scale
     try:
-        evals = np.linalg.eigvals(mat)
+        evals = np.linalg.eigvals(superop.hmat).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
     evals = evals[np.lexsort((evals.imag, -evals.real))]
@@ -187,16 +281,15 @@ def steady_state(superop, tol=Tolerances()):
         raise DegenerateFixedSpaceError(
             "fixed space is degenerate; stationary quantities are ill-defined")
 
-    one = trace_functional(superop.dim)
+    one = trace_functional(superop.dim).real
     try:
         x = np.linalg.solve(bordered(superop), one * (superop.scale / superop.dim))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"bordered fixed-point solve failed: {exc}") from exc
-    rho = devectorize(x)
-    rho = (rho + rho.conj().T) / 2
+    rho = devectorize(hermitian_basis(superop.dim).vec(x))
     rho = rho / np.trace(rho).real
 
-    residual = np.abs(mat @ vectorize(rho)).max()
+    residual = np.abs(superop.mat @ vectorize(rho)).max()
     limit = tol.residual * superop.scale
     if residual > limit:
         raise NoConvergenceError(

@@ -66,21 +66,24 @@ def test_steady_reports_stationary_state(tmp_path):
     assert payload["result"]["gapless"] is False
 
 
-# The emitter's spectrum as written by the separate steady and gap handlers
-# before they were merged, and its fixed point as the bordered solve writes
-# it; the roundoff-level entries come from LAPACK and are specific to the
-# numpy build that recorded them.
+# The emitter's spectrum and fixed point as the real solves in the Hermitian
+# basis write them (the eigenvalues, the eigenvalue solve; rho, the bordered
+# solve); the roundoff-level entries come from LAPACK and are specific to the
+# numpy build that recorded them.  Each number lies within 1e-15 of its exact
+# value: eigenvalues 0, -1/2, -3/4 -+ i sqrt(15)/4, gap 1/2,
+# rho = [[1/3, -i/3], [i/3, 2/3]].
 EMITTER_SPECTRUM = {
     "eigenvalues": {
-        "im": [-2.1490888363650447e-16, 0.0, 0.9682458365518535, -0.9682458365518544],
-        "re": [-2.550411903210582e-16, -0.5, -0.7499999999999996, -0.75],
+        "im": [0.0, 0.0, -0.9682458365518546, 0.9682458365518546],
+        "re": [1.577533096956222e-16, -0.5000000000000001, -0.7500000000000003,
+               -0.7500000000000003],
     },
-    "gap": 0.5,
+    "gap": 0.5000000000000001,
     "gapless": False,
 }
 EMITTER_RHO_SS = {
-    "im": [[0.0, -0.33333333333333326], [0.33333333333333326, 0.0]],
-    "re": [[0.3333333333333333, 0.0], [0.0, 0.6666666666666666]],
+    "im": [[0.0, -0.33333333333333337], [0.33333333333333337, 0.0]],
+    "re": [[0.33333333333333337, -0.0], [0.0, 0.6666666666666666]],
 }
 
 

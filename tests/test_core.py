@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmps_lab import (
     FieldMoments,
@@ -11,6 +12,7 @@ from cmps_lab import (
     no_jump_survival,
     sample_ensemble,
     source_consistency_check,
+    two_point,
 )
 from cmps_lab.errors import (
     InvalidBoundaryStateError,
@@ -127,24 +129,49 @@ def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch):
     shapes = {"eig": [], "eigvals": [], "solve": []}
     for name in shapes:
         def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            shapes[_name].append(np.shape(a))
+            shapes[_name].append((np.shape(a), np.asarray(a).dtype))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
-    big = (d * d, d * d)
+    big = ((d * d, d * d), np.dtype(np.float64))
+
+    def count(name):
+        return sum(shape == big[0] for shape, _ in shapes[name])
+
     source_consistency_check(p, eps=0.05, h=0.01, n_sites=8)
     sample_ensemble(p, 4, 2.0, 7)
     no_jump_survival(p, [0.0, 0.5, 1.0])
-    assert shapes["eigvals"].count(big) == 1
-    assert shapes["eig"].count(big) == 0
+    assert count("eigvals") == 1
+    assert count("eig") == 0
 
     # work count of one bulk expectation on a fresh parameter set: the
-    # spectrum from eigenvalues alone, the fixed point from one bordered solve
+    # spectrum from eigenvalues alone, the fixed point from one bordered
+    # solve, both on the real generator of the Hermitian basis
     for calls in shapes.values():
         calls.clear()
     kinetic_density(new_cmps(d, p.K, p.R))
-    assert shapes["eigvals"].count(big) == 1
-    assert shapes["solve"].count(big) == 1
-    assert shapes["eig"].count(big) == 0
+    assert shapes["eigvals"] == [big]
+    assert shapes["solve"] == [big]
+    assert count("eig") == 0
+
+
+def test_two_point_propagates_with_real_exponentials(monkeypatch):
+    # every propagator exp(L dx) of a scan is a real D^2 x D^2 exponential
+    rng = np.random.default_rng(6)
+    d = 3
+    expm = scipy.linalg.expm
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype))
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    for geometry in (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d)):
+        calls.clear()
+        p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng), geometry)
+        two_point(p, [0.0, 0.3, 0.3, 1.1, 2.0])
+        assert len(calls) >= 3
+        assert set(calls) == {((d * d, d * d), np.dtype(np.float64))}
 
 
 @pytest.mark.parametrize("strict_first", [True, False])

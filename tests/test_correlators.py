@@ -246,6 +246,22 @@ def test_non_finite_positions_are_bad_input(bad, geometry):
                           [(0.0, "create"), (bad, "annihilate")])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_steps_and_sources_are_bad_input(rf, bad):
+    # a NaN step fails every comparison, so "eps <= 0" alone let it through
+    zeros = np.zeros(8)
+    named = f"finite, got {bad}"
+    with pytest.raises(ValidationError, match=named):
+        generating_functional(rf, SourceField(zeros, zeros), bad)
+    with pytest.raises(ValidationError, match=named):
+        source_consistency_check(rf, 0.1, bad, 8)
+    with pytest.raises(ValidationError, match=named):
+        source_consistency_check(rf, bad, 0.01, 8)
+    for lam, mu in ((zeros + bad, zeros), (zeros, zeros + 1j * bad)):
+        with pytest.raises(ValidationError, match="finite"):
+            SourceField(lam, mu)
+
+
 def test_negative_separation_rejected(rf):
     from cmps_lab.errors import NegativeDistanceError
 

@@ -16,7 +16,16 @@ from cmps_lab import (
 )
 from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
 from cmps_lab.correlators import INSERTIONS
-from cmps_lab.liouville import GENERATOR, Tolerances, fields, superop
+from cmps_lab.liouville import (
+    GENERATOR,
+    Tolerances,
+    fields,
+    fields_tangent,
+    hermitian_basis,
+    sandwich,
+    superop,
+    superop_tangent,
+)
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat
 
@@ -197,3 +206,40 @@ def test_source_term_is_a_shift_of_q():
     want = build_liouvillian(p.K, p.R).mat + source
     got = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sandwich_is_the_kronecker_product(d):
+    rng = np.random.default_rng(40 + d)
+    a, b = rand_mat(d, rng), rand_mat(d, rng)
+    assert np.array_equal(sandwich(a, b), np.kron(a, np.conj(b)))
+    assert np.array_equal(sandwich(np.eye(d), b), np.kron(np.eye(d), np.conj(b)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_is_unitary_and_makes_generators_real(d):
+    # D = 1 has no off-diagonal pairs: the basis is the identity
+    basis = hermitian_basis(d)
+    n = d * d
+    rng = np.random.default_rng(60 + d)
+    u = basis.vec(np.eye(n))
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.abs(basis.vec(basis.coords(v)) - v).max() <= 1e-15 * np.abs(v).max()
+    m = rand_mat(n, rng)
+    assert np.abs(basis.transform(m) - u.conj().T @ m @ u).max() <= 1e-14 * np.abs(m).max()
+    # the trace functional reads the diagonal, which the basis leaves alone
+    assert np.array_equal(trace_functional(d) @ u, trace_functional(d))
+    h = rand_herm(d, rng)
+    assert np.abs(basis.coords(vectorize(h)).imag).max() == 0.0
+
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    lv = build_liouvillian(k, r)
+    f = fields(k, r)
+    df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
+    lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
+    site = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
+    for mat in (lv.mat, superop_tangent(GENERATOR, f, df), site):
+        assert np.abs(basis.transform(mat).imag).max() <= 1e-14 * lv.scale
+    assert lv.hmat.dtype == np.float64
+    assert np.array_equal(lv.hmat, basis.transform(lv.mat).real)
