@@ -60,7 +60,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Finite, Thermodynamic
-from .discretizer import finite_site_count
+from .discretizer import _lattice_step, finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
@@ -68,7 +68,6 @@ from .errors import (
     PositionOutOfRangeError,
     ShapeMismatchError,
     SignalBelowFloorError,
-    StepNotPositiveError,
     UnsortedPositionsError,
     ValidationError,
     ZeroDensityError,
@@ -355,6 +354,8 @@ def decay_fit(params, d_min, d_max, n_points=33):
     modes make the envelope oscillate, so the fitted rate is then only an
     envelope-scale estimate (callers should check the residual).
     """
+    if not (np.isfinite(d_min) and np.isfinite(d_max)):
+        raise ValidationError(f"fit window must be finite, got [{d_min}, {d_max}]")
     if d_max <= d_min:
         raise NegativeDistanceError("need d_max > d_min")
     if isinstance(params.geometry, Finite):
@@ -502,16 +503,6 @@ def generating_functional(params, sources, eps):
         return complex(chain.left @ v)
     (norm_v,) = chain.scan(chain.right, [(eps, None)] * n + [(0.0, chain.STOP)])
     return complex(chain.left @ v) / complex(chain.left @ norm_v)
-
-
-def _lattice_step(value, name):
-    """A step as a float: finite (ValidationError) and positive."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    if value <= 0:
-        raise StepNotPositiveError(f"{name} must be positive, got {value}")
-    return value
 
 
 def _wirtinger_pair(f, h):

@@ -16,24 +16,40 @@ error, which is what makes this module an independent check on the
 insertion calculus: everything here is contracted directly from the
 tensors, with no use of the continuum generator or its exponential.
 
-Thermodynamic values use the dominant left/right eigenvectors of E; finite
+The contractions run in real arithmetic.  The site map preserves
+Hermiticity, so in the Hermitian basis of `liouville.hermitian_basis` E is
+a real matrix (`TransferMatrix.hmat`; `mat` stays row-stacked), and so is
+the number superoperator of the occupation and pair estimators; the
+hopping superoperators move a particle on one side of rho only and stay
+complex.  The oracle takes the field table, `sandwich` and the basis from
+`liouville`, never the continuum generator.
+
+Thermodynamic values use the dominant left/right eigenvectors of the real
+E, from one LAPACK dgeev call: E is a positive map, so its spectral radius
+is an eigenvalue with a positive fixed point (Evans and Hoegh-Krohn,
+J. London Math. Soc. 17, 345, 1978), and both vectors are real.  Finite
 chains contract the full product with the boundary state, anchored at the
-left edge like the continuum convention.
+left edge like the continuum convention; the binary powers of E, the
+closing covectors and the opening state are real.  `_lattice_step` is the
+one rule for a lattice step, here and in `correlators`: a non-finite or
+non-positive step is a `ValidationError` that names the value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .core import Finite
 from .errors import (
+    NoConvergenceError,
     ShapeMismatchError,
     StepNotPositiveError,
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import fields, sandwich
+from .liouville import fields, hermitian_basis, sandwich, trace_functional, vectorize
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
 # in every length unit: the site map is dimensionless
@@ -50,16 +66,34 @@ class LatticeTensors:
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """E on row-stacked density matrices (`mat`) and in the Hermitian basis
+    (`hmat`)."""
+
     mat: np.ndarray
     eps: float
     dim: int
 
+    @cached_property
+    def hmat(self):
+        """mat in the Hermitian basis: a real matrix, because the site map
+        takes Hermitian matrices to Hermitian matrices.  Contiguous, since
+        a chain applies it once per site."""
+        return np.ascontiguousarray(hermitian_basis(self.dim).transform(self.mat).real)
+
+
+def _lattice_step(value, name):
+    """A lattice step as a float: finite (ValidationError) and positive."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise StepNotPositiveError(f"{name} must be positive, got {value}")
+    return value
+
 
 def lattice_tensors(params, eps, order=1):
     """Site tensors at step eps; order 2 adds the two-particle tensor."""
-    eps = float(eps)
-    if eps <= 0:
-        raise StepNotPositiveError(f"lattice step must be positive, got {eps}")
+    eps = _lattice_step(eps, "lattice step")
     if order not in (1, 2):
         raise ShapeMismatchError(f"tensor order must be 1 or 2, got {order}")
     q = fields(params.K, params.R)["Q"]
@@ -76,38 +110,52 @@ def transfer_matrix(tensors):
 
 
 def _site_superops(tensors, observable):
-    """Superoperators whose chain contraction gives the lattice estimator."""
+    """Superoperators, in the Hermitian basis, whose chain contraction gives
+    the lattice estimator.  The number superoperator preserves Hermiticity
+    and is real there; the hopping pair moves one particle on one side of
+    rho only and stays complex."""
     mats = tensors.matrices
+    basis = hermitian_basis(tensors.dim)
     if observable == "hopping":
         lower = sum(np.sqrt(n) * sandwich(mats[n], mats[n - 1]) for n in range(1, len(mats)))
         raise_ = sum(np.sqrt(n) * sandwich(mats[n - 1], mats[n]) for n in range(1, len(mats)))
-        return (lower, raise_)
+        return (basis.transform(lower), basis.transform(raise_))
     if observable not in ("occupation", "pair"):
         raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
-    number = sum(n * sandwich(a, a) for n, a in enumerate(mats) if n)
+    number = basis.transform(sum(n * sandwich(a, a) for n, a in enumerate(mats) if n)).real
     return (number,) if observable == "occupation" else (number, number)
 
 
 def _dominant_pair(emat):
-    """Dominant eigenvalue with left/right eigenvectors of E, from one eigensolve."""
-    evals, vl, vr = scipy.linalg.eig(emat, left=True, right=True)
-    i = int(np.argmax(np.abs(evals)))
-    eta = evals[i]
-    mags = np.sort(np.abs(evals))[::-1]
+    """Dominant eigenvalue with left/right eigenvectors of the real matrix E
+    (`TransferMatrix.hmat`), from one LAPACK dgeev call.
+
+    E is a positive map, so its spectral radius is an eigenvalue with a
+    positive fixed point.  A dominant eigenvalue of a complex pair has a
+    partner of equal modulus and fails the degeneracy check, so the
+    eigenvalue and both vectors returned are real.
+    """
+    wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(emat, compute_vl=1, compute_vr=1)
+    if info != 0:
+        raise NoConvergenceError(f"transfer eigensolve failed (LAPACK info {info})")
+    mags = np.hypot(wr, wi)
+    i = int(np.argmax(mags))
+    eta = wr[i]
+    mags = np.sort(mags)[::-1]
     if mags.size > 1 and mags[0] - mags[1] < 1e-12 * max(1.0, mags[0]):
         raise WindowTooSmallError("dominant transfer eigenvalue is degenerate")
     left = vl[:, i]
     right = vr[:, i]
     res = max(
         np.abs(emat @ right - eta * right).max(),
-        np.abs(emat.conj().T @ left - np.conj(eta) * left).max(),
+        np.abs(left @ emat - eta * left).max(),
     )
     if res > FIXED_POINT_TOL * max(1.0, abs(eta)):
         raise WindowTooSmallError(f"transfer fixed-point residual {res:.3e}")
-    overlap = left.conj() @ right
+    overlap = left @ right
     if abs(overlap) < 1e-12:
         raise WindowTooSmallError("left/right transfer fixed points are orthogonal")
-    return eta, left.conj() / overlap, right
+    return eta, left / overlap, right
 
 
 def _span(observable, m):
@@ -123,13 +171,15 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     Thermodynamic contraction (n_sites None) uses the dominant fixed points
     of E; a finite chain of n_sites sites contracts the boundary state at
     the left edge against the trace functional, insertions anchored at
-    site 0.  Values are rescaled by the eps powers that map lattice
-    operators to field operators.
+    site 0.  Only the Hermitian part of boundary_rho enters: a density
+    matrix is Hermitian, and the chain runs on real coordinates.  Values
+    are rescaled by the eps powers that map lattice operators to field
+    operators.
     """
     eps = tensors.eps
     d = tensors.dim
     superops = _site_superops(tensors, observable)
-    emat = transfer_matrix(tensors).mat
+    emat = transfer_matrix(tensors).hmat
 
     if observable == "occupation":
         distances = [0]
@@ -153,12 +203,12 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         span = max(_span(observable, m) for m in distances)
         if n_sites < span:
             raise WindowTooSmallError(f"chain of {n_sites} sites cannot hold span {span}")
-        open_vec = np.asarray(boundary_rho, dtype=complex).reshape(-1)
+        open_vec = hermitian_basis(d).coords(vectorize(boundary_rho)).real
         # closing covectors <1| E^k at the k a chain closes on: the tail
         # after each insertion span, and the full norm.  Each k is reached
         # from the one before by the binary powers E^(2^j), squared once.
         needed = {n_sites - _span(observable, m) for m in distances} | {n_sites}
-        w = np.eye(d, dtype=complex).reshape(-1)
+        w = trace_functional(d).real
         tails, at, powers = {}, 0, [emat]
         for k in sorted(needed):
             step, j = k - at, 0
@@ -225,11 +275,10 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     convergence, so the error column should shrink by the eps ratio (the
     empirical orders report the observed exponents).
     """
-    eps_arr = np.sort(np.atleast_1d(np.asarray(eps_list, dtype=float)))[::-1]
+    eps_arr = np.asarray(eps_list, dtype=float).ravel()
     if eps_arr.size < 2:
         raise ShapeMismatchError("need at least two eps values")
-    if np.any(eps_arr <= 0):
-        raise StepNotPositiveError("eps values must be positive")
+    eps_arr = np.sort([_lattice_step(eps, "eps") for eps in eps_arr])[::-1]
     if np.any(eps_arr[1:] == eps_arr[:-1]):
         raise ValidationError(f"eps values must be distinct, got {eps_arr.tolist()}")
 

@@ -26,18 +26,22 @@ that turns such a list into a matrix, and `superop_tangent` its only
 derivative (the product rule over the moving fields); a matrix-free
 calculus swaps the bodies of these two functions.
 
-The dense kernels of the exact calculus run in a second layout, the
-Hermitian basis (Alicki and Lendi's coherence vector), which lives here
-and nowhere else.  `hermitian_basis(D)` is a unitary U that keeps
-the diagonal entries E_jj and replaces each off-diagonal pair E_jk, E_kj
-by the Hermitian matrices (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.
-A Hermitian matrix has real coordinates there, and a superoperator that
-maps Hermitian matrices to Hermitian matrices, as every generator does,
-is the real matrix U^dag S U (`Superoperator.hmat`).  Real eigenvalue
-solves, linear solves and exponentials cost a fraction of complex ones.
-`mat`, `vectorize`, `trace_functional` and `choi_matrix` stay row-stacked;
-the trace functional is the same vector in both layouts, because U leaves
-the diagonal alone.
+The dense kernels run in a second layout, the Hermitian basis (Alicki
+and Lendi's coherence vector), which lives here and nowhere else.
+`hermitian_basis(D)` is a unitary U that keeps the diagonal entries E_jj
+and replaces each off-diagonal pair E_jk, E_kj by the Hermitian matrices
+(E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.  A Hermitian matrix has
+real coordinates there, and a superoperator that maps Hermitian matrices
+to Hermitian matrices, as every generator and every transfer matrix does,
+is the real matrix U^dag S U.  Real eigenvalue solves, linear solves and
+exponentials cost a fraction of complex ones.  Three layers use the
+basis: the exact calculus (`Superoperator.hmat`: the fixed point, the
+spectrum and every propagator of `correlators`), the lattice oracle
+(`discretizer.TransferMatrix.hmat` and its site superoperators) and the
+Choi test of `lindblad.compare_forms`, which maps exp(G dx) back with
+`HermitianBasis.rowstacked`.  `mat`, `vectorize`, `trace_functional` and
+`choi_matrix` stay row-stacked; the trace functional is the same vector
+in both layouts, because U leaves the diagonal alone.
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The
@@ -173,18 +177,28 @@ class HermitianBasis:
         """U^dag v: coordinates of row-stacked vectors (along the first axis)."""
         return self._mix(v, -1j, 0)
 
+    def _unmix(self, x, phase, axis):
+        """Apply U (phase +i) or conj(U) (phase -i) along `axis` of a copy of x."""
+        out = np.array(x, dtype=complex)
+        view = out if axis == 0 else out.T
+        xa, xb = view[self.a], view[self.b] * (phase * _R2)
+        view[self.a] = xa * _R2 + xb
+        view[self.b] = xa * _R2 - xb
+        return out
+
     def vec(self, x):
         """U x: the row-stacked vector of coordinates x (along the first axis)."""
-        out = np.array(x, dtype=complex)
-        xa, xb = out[self.a], out[self.b] * (1j * _R2)
-        out[self.a] = xa * _R2 + xb
-        out[self.b] = xa * _R2 - xb
-        return out
+        return self._unmix(x, 1j, 0)
 
     def transform(self, m):
         """U^dag m U: a row-stacked superoperator matrix in this basis (real
         up to roundoff when the superoperator preserves Hermiticity)."""
         return self.coords(self._mix(m, 1j, 1))
+
+    def rowstacked(self, x):
+        """U x U^dag: the row-stacked matrix of a superoperator x given in
+        this basis, the inverse of `transform`."""
+        return self.vec(self._unmix(x, -1j, 1))
 
 
 @lru_cache(maxsize=None)

@@ -419,16 +419,18 @@ def _resolve_initial(params, initial):
 
 def _no_jump_oracle(params, taus, initial, weight, dark):
     """weight(exp(Q tau) rho0 exp(Q tau)^dag) at each tau >= 0, where rho0 is
-    the resolved initial state; `dark` everywhere when there is none (R = 0)."""
+    the resolved initial state; `dark` everywhere when there is none (R = 0).
+    Every tau must be finite and nonnegative (ValidationError)."""
     taus = np.asarray(taus, dtype=float)
+    bad = taus[~(np.isfinite(taus) & (taus >= 0))]
+    if bad.size:
+        raise ValidationError(f"tau must be finite and nonnegative, got {bad[0]}")
     rho0 = _resolve_initial(params, initial)
     if rho0 is None:
         return np.full_like(taus, dark)
     q = fields(params.K, params.R)["Q"]
     out = np.empty(taus.shape)
     for i, tau in enumerate(taus.ravel()):
-        if tau < 0:
-            raise ValidationError("tau must be nonnegative")
         prop = scipy.linalg.expm(q * tau)
         out.ravel()[i] = weight(prop @ rho0 @ prop.conj().T)
     return out

@@ -1,14 +1,21 @@
 """Batch CLI: happy paths, strict config validation, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmps_lab
 from cmps_lab import __version__, family_derivative, new_cmps, pair_correlation
 from cmps_lab import cli
 from cmps_lab.cli import main
 from cmps_lab.errors import ConfigError
+
+from conftest import rand_herm, rand_mat
 
 RF_MODEL = {
     "dim": 2,
@@ -444,3 +451,71 @@ def test_tolerance_override_validation(tmp_path, capsys):
                         extra=("--tolerance-overrides", str(bad_val)))
         assert rc == 1
     capsys.readouterr()
+
+
+# The reproducibility contract: outputs are byte-identical across reruns
+# at a fixed BLAS thread count (criterion 09), and agree to roundoff across
+# thread counts, because OpenBLAS splits its kernels by thread count and
+# the last bits move with the split.  Measured between 1 and 2 threads:
+# at D = 12, rho 5.4e-15 and the two-point values 4.8e-16 of their largest
+# entry, eigenvalues and converge identical; at D = 24, up to 2e-14
+# relative and 1.6e-13 absolute on eigenvalues of modulus ~100.  The
+# lattice values carry the 1 / eps conditioning of the transfer fixed
+# points (see test_discretizer.THERMO_RTOL_TIMES_EPS).
+THREAD_RTOL = 1e-12
+LATTICE_RTOL_TIMES_EPS = 5e-14
+
+
+def _run_in_subprocess(tmp_path, threads, commands):
+    """Run (command, config path) pairs through cli.main in one fresh
+    interpreter with OPENBLAS_NUM_THREADS=threads; return the output paths."""
+    outs = [tmp_path / f"{command}-{threads}.out" for command, _ in commands]
+    calls = "".join(
+        f"assert main([{command!r}, '--config', {str(cfg)!r}, '--output', {str(out)!r}]) == 0\n"
+        for (command, cfg), out in zip(commands, outs))
+    src = str(Path(cmps_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", "from cmps_lab.cli import main\n" + calls],
+                   env=env, check=True, timeout=300)
+    return outs
+
+
+def _csv_values(path):
+    lines = [ln for ln in path.read_text().splitlines() if ln and ln[0].isdigit()]
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines])
+
+
+def _close(a, b, rtol):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b).max() <= rtol * np.abs(a).max()
+
+
+def test_outputs_agree_across_blas_thread_counts(tmp_path):
+    rng = np.random.default_rng(12)
+    d = 12
+    k, r = 0.5 * rand_herm(d, rng), 0.4 * rand_mat(d, rng)
+    model = {"dim": d, "K": {"re": k.real.tolist(), "im": k.imag.tolist()},
+             "R": {"re": r.real.tolist(), "im": r.imag.tolist()}}
+    base = {"model": model, "geometry": "thermodynamic"}
+    eps = [0.02, 0.01, 0.005]
+    configs = {"steady": base,
+               "correlate": {**base, "separations": [0.0, 0.3, 1.0, 2.5, 6.0]},
+               "converge": {**base, "epsilons": eps}}
+    commands = []
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        commands.append((command, path))
+    one, two = (_run_in_subprocess(tmp_path, n, commands) for n in (1, 2))
+
+    steady = [load_json(path)["result"] for path in (one[0], two[0])]
+    for key in ("eigenvalues", "rho_ss"):
+        for part in ("re", "im"):
+            assert _close(steady[0][key][part], steady[1][key][part], THREAD_RTOL), key
+    assert _close(steady[0]["gap"], steady[1]["gap"], THREAD_RTOL)
+    assert _close(_csv_values(one[1]), _csv_values(two[1]), THREAD_RTOL)
+    converge = [load_json(path)["result"] for path in (one[2], two[2])]
+    for key in ("extrapolated", "values"):
+        a, b = (c[key]["re"] if key == "values" else c[key] for c in converge)
+        assert _close(a, b, LATTICE_RTOL_TIMES_EPS / min(eps)), key

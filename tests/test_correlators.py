@@ -262,6 +262,16 @@ def test_non_finite_steps_and_sources_are_bad_input(rf, bad):
             SourceField(lam, mu)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fit_window_is_bad_input(rf, bad):
+    # an infinite end made the fit grid non-finite (a RuntimeWarning), not
+    # an error
+    with pytest.raises(ValidationError, match=f"finite, got .*{bad}"):
+        decay_fit(rf, 0.0, bad)
+    with pytest.raises(ValidationError, match=f"finite, got .*{bad}"):
+        decay_fit(rf, bad, 10.0)
+
+
 def test_negative_separation_rejected(rf):
     from cmps_lab.errors import NegativeDistanceError
 

@@ -12,7 +12,8 @@ from cmps_lab import (
     transfer_matrix,
     two_point,
 )
-from cmps_lab.liouville import build_liouvillian, fields
+from cmps_lab.discretizer import _dominant_pair
+from cmps_lab.liouville import build_liouvillian, fields, hermitian_basis
 from cmps_lab.errors import (
     ShapeMismatchError,
     StepNotPositiveError,
@@ -40,6 +41,16 @@ def test_tensor_validation(rf):
         lattice_tensors(rf, 0.0)
     with pytest.raises(ShapeMismatchError):
         lattice_tensors(rf, 0.01, order=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_lattice_steps_are_bad_input(rf, bad):
+    # a NaN step fails every comparison, so "eps <= 0" alone let it through
+    named = f"finite, got {bad}"
+    with pytest.raises(ValidationError, match=named):
+        lattice_tensors(rf, bad)
+    with pytest.raises(ValidationError, match=named):
+        convergence_study(rf, [0.01, bad])
 
 
 def test_transfer_defect_second_order(rf):
@@ -231,3 +242,112 @@ def test_finite_occupation_matches_site_by_site_chain(n_sites):
     want = (tails[n_sites - 1] @ (number @ v)) / (tails[n_sites] @ v) / t.eps
     got = lattice_correlators(t, "occupation", n_sites=n_sites, boundary_rho=rho0)
     assert got == pytest.approx(want.real, rel=1e-12)
+
+
+def _reference_lattice(tensors, observable, distances, n_sites=None, rho0=None):
+    """The lattice estimators by a complex row-stacked contraction written
+    out here: np.kron superoperators, np.linalg.eig fixed points of E and
+    E^dag, a finite chain walked one site at a time."""
+    mats = tensors.matrices
+
+    def kron(a, b):
+        return np.kron(a, b.conj())
+
+    emat = sum(kron(a, a) for a in mats)
+    if observable == "hopping":
+        lower = sum(np.sqrt(n) * kron(mats[n], mats[n - 1]) for n in range(1, len(mats)))
+        raise_ = sum(np.sqrt(n) * kron(mats[n - 1], mats[n]) for n in range(1, len(mats)))
+    else:
+        lower = raise_ = sum(n * kron(a, a) for n, a in enumerate(mats))
+    one = np.eye(tensors.dim).reshape(-1)
+    if n_sites is None:
+        w, vr = np.linalg.eig(emat)
+        i = np.argmax(np.abs(w))
+        eta, opening = w[i], vr[:, i]
+        wl, vl = np.linalg.eig(emat.conj().T)
+        left = vl[:, np.argmin(np.abs(wl - np.conj(eta)))].conj()
+        close = left / (left @ opening)
+    else:
+        opening = rho0.reshape(-1).astype(complex)
+        norm = one.astype(complex)
+        for _ in range(n_sites):
+            norm = norm @ emat
+    values = []
+    for m in distances:
+        if observable == "occupation":
+            v, used = lower @ opening, 1
+        else:
+            v = raise_ @ opening
+            for _ in range(m - 1):
+                v = emat @ v
+            v, used = lower @ v, m + 1
+        if n_sites is None:
+            values.append(close @ v / eta**used)
+        else:
+            tail = one.astype(complex)
+            for _ in range(n_sites - used):
+                tail = tail @ emat
+            values.append((tail @ v) / (norm @ opening))
+    return np.array(values) / tensors.eps ** (2 if observable == "pair" else 1)
+
+
+# Roundoff of the real Hermitian-basis lattice against _reference_lattice,
+# measured over 2000 random draws (D = 1-6, eps 0.002-0.1, both tensor
+# orders, distances 1, 3, 7), relative to the largest reference value:
+# thermodynamic values within 1.1e-14 / eps, finite chains of 40 sites
+# within 3.0e-14.  The thermodynamic fixed points of E are conditioned like
+# 1 / (eps gap), because every eigenvalue of E is 1 + O(eps), and the
+# estimators divide by eps.  A 40-digit mpmath contraction puts the
+# real-basis and the complex eigensolver paths at the same distance from
+# the exact value.  The bounds leave a factor of about 5.
+THERMO_RTOL_TIMES_EPS = 5e-14
+FINITE_RTOL = 2e-13
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_real_basis_lattice_matches_complex_row_stacked_contraction(seed):
+    rng = np.random.default_rng(700 + seed)
+    d = 1 + seed % 6
+    eps = (0.05, 0.01, 0.002)[seed % 3]
+    order = 1 + seed % 2
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    a = rand_mat(d, rng)
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    t = lattice_tensors(p, eps, order=order)
+    for n_sites, rtol in ((None, THERMO_RTOL_TIMES_EPS / eps), (40, FINITE_RTOL)):
+        finite = {} if n_sites is None else {"n_sites": n_sites, "boundary_rho": rho0}
+        for observable in ("occupation", "hopping", "pair"):
+            distances = [0] if observable == "occupation" else [1, 3, 7]
+            got = np.atleast_1d(lattice_correlators(
+                t, observable, distances=None if observable == "occupation" else distances,
+                **finite))
+            want = _reference_lattice(t, observable, distances, n_sites, rho0)
+            if observable != "hopping":
+                assert got.dtype == np.float64
+                want = want.real
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= rtol, (observable, n_sites, err)
+
+
+def test_transfer_hmat_is_the_real_hermitian_basis_image(rf):
+    tm = transfer_matrix(lattice_tensors(rf, 0.01, order=2))
+    basis = hermitian_basis(2)
+    assert tm.hmat.dtype == np.float64
+    assert np.array_equal(tm.hmat, basis.transform(tm.mat).real)
+    assert np.abs(basis.rowstacked(tm.hmat) - tm.mat).max() < 1e-15
+
+
+def test_degenerate_transfer_fixed_points_still_raise():
+    # K = R = 0 gives E = 1 (to the basis change's roundoff); every state
+    # is dark, so the chains never reach the eigensolve and it is asked
+    # directly
+    zero = np.zeros((2, 2))
+    identity = transfer_matrix(lattice_tensors(new_cmps(2, zero, zero), 0.01))
+    assert np.abs(identity.hmat - np.eye(4)).max() < 1e-15
+    with pytest.raises(WindowTooSmallError, match="degenerate"):
+        _dominant_pair(identity.hmat)
+    # R = 1 makes E = (1 + eps^2 / 4) 1 while the number operator is not zero
+    p = new_cmps(2, zero, np.eye(2))
+    with pytest.raises(WindowTooSmallError, match="degenerate"):
+        lattice_correlators(lattice_tensors(p, 0.01), "occupation")

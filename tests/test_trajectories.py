@@ -306,6 +306,19 @@ def test_waiting_closed_forms(damping_finite):
         waiting_bin_probs(damping_finite, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+def test_no_jump_oracle_rejects_bad_taus(rf, damping_finite, bad):
+    # NaN used to come back as a NaN survival and inf as a RuntimeWarning;
+    # a dark state (R = 0) checks its taus like any other
+    dark = new_cmps(2, RF_K, np.zeros((2, 2)))
+    for p in (rf, damping_finite, dark):
+        for oracle in (no_jump_survival, waiting_time_analytic):
+            with pytest.raises(ValidationError, match=f"finite and nonnegative, got {bad}"):
+                oracle(p, [0.0, bad])
+        with pytest.raises(ValidationError):
+            waiting_bin_probs(p, [0.0, 1.0, bad])
+
+
 def test_waiting_density_integrates_to_bin_masses(rf):
     # w = -dS/dtau, so quadrature of w over a bin recovers S(a) - S(b)
     edges = np.array([0.0, 0.8, 2.0, 4.0])
