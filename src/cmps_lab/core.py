@@ -81,12 +81,14 @@ Geometry = Thermodynamic | Finite
 class CmpsParams:
     """Validated (dim, K, R, geometry, tol) bundle.  Arrays are read-only.
 
-    `stationary` is the spectrum and unique fixed point of the generator
-    (eigenvalues and one bordered solve, `liouville.steady_state`),
-    computed once per parameter set on first use and then shared by every
-    consumer.  It is certified against the set's own `tol`, whose spectral
-    thresholds are relative to the generator's term norm
-    2 ||Q||_1 + ||R||_1^2.
+    `stationary` is the unique fixed point of the generator
+    (`liouville.steady_state`: one LU factorization of the bordered
+    generator, no eigenvalues), computed once per parameter set on first
+    use and then shared by every consumer, with the generator it was
+    certified on.  The spectrum rides on the same object and is computed
+    only where it is read (`steady`, `gap`, `spectral_envelope`).  Both are
+    certified against the set's own `tol`, whose thresholds are relative to
+    the generator's term norm 2 ||Q||_1 + ||R||_1^2.
     """
 
     dim: int

@@ -74,7 +74,6 @@ from .errors import (
 )
 from .liouville import (
     GENERATOR,
-    bordered,
     build_liouvillian,
     fields,
     fields_tangent,
@@ -117,7 +116,8 @@ class _Chain:
     once per kind.  There is no propagator cache: the chain holds one
     propagator exp(L dx) at a time, built when a leg of a new length is
     reached and reused while the following legs share that length.  The
-    stationary state is the parameter set's own (`CmpsParams.stationary`).
+    stationary state is the parameter set's own (`CmpsParams.stationary`),
+    and so, in the thermodynamic geometry, is the generator.
     """
 
     STOP = object()
@@ -141,8 +141,11 @@ class _Chain:
 
     @cached_property
     def L(self):
-        """The generator, built when a leg first needs it: a chain whose
-        insertions all share one point never propagates."""
+        """The generator: the one the stationary state was certified on, or,
+        in a finite geometry, built when a leg first needs it (a chain whose
+        insertions all share one point never propagates)."""
+        if self.spectral is not None:
+            return self.spectral.generator
         return build_liouvillian(self.params.K, self.params.R)
 
     def insertion(self, kind):
@@ -399,11 +402,14 @@ def family_derivative(params, dK, dR, insertions):
     `superop_tangent` of its kind over the chain's one field table, and dL
     is the generator's).  A thermodynamic chain opens on the stationary
     state, whose tangent solves `bordered`(L) drho = -dL rho, the fixed
-    point's own bordered system (invertible when the gap is nonzero; the
+    point's own bordered system, with the LU factors the fixed point was
+    solved with (invertible when the fixed space is one-dimensional; the
     solution is traceless, so the border drops out); a finite chain opens
-    on the fixed boundary state, dv = 0.  Closing the chain adds no dE term
-    and the norm does not move, because <1| dL = 0.  The result is exact up
-    to roundoff: there is no quadrature grid.
+    on the fixed boundary state, dv = 0.  D = 1 is gapless by convention
+    and raises GaplessStateError in the thermodynamic geometry.  Closing
+    the chain adds no dE term and the norm does not move, because
+    <1| dL = 0.  The result is exact up to roundoff: there is no
+    quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -422,10 +428,10 @@ def family_derivative(params, dK, dR, insertions):
     dgen = basis.transform(superop_tangent(GENERATOR, f, df)).real
     v = chain.right
     if chain.length is None:
-        if chain.spectral.gapless:
+        if params.dim == 1:
             raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
         # the fixed point's coordinates are real, so the tangent solve is real
-        dv = np.linalg.solve(bordered(chain.L), -(dgen @ v.real))
+        dv = chain.spectral.solve(-(dgen @ v.real))
     else:
         dv = np.zeros_like(v)
     for (dx, op), (_, kind) in zip(legs, insertions):

@@ -178,6 +178,9 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     """
     eps = tensors.eps
     d = tensors.dim
+    if boundary_rho is not None and np.shape(boundary_rho) != (d, d):
+        raise ShapeMismatchError(
+            f"boundary_rho has shape {np.shape(boundary_rho)}, the chain needs {(d, d)}")
     superops = _site_superops(tensors, observable)
     emat = transfer_matrix(tensors).hmat
 

@@ -44,16 +44,19 @@ Choi test of `lindblad.compare_forms`, which maps exp(G dx) back with
 in both layouts, because U leaves the diagonal alone.
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
-vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The
-eigenvalues alone certify a one-dimensional fixed space and give the gap,
-minus the largest remaining real part; the fixed point comes from one
-linear solve with the `bordered` generator, not from an eigenvector.
+vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The fixed
+point needs no spectrum: one LU factorization of the `bordered` generator
+gives it by a linear solve, and a condition estimate of the same factors
+certifies that the fixed space is one-dimensional.  The eigenvalues, and
+the gap (minus the largest real part after the fixed point's zero), are
+computed only where they are read.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
 
@@ -226,17 +229,52 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (descending real part), the unique fixed point, and gap.
+    """The unique fixed point of a generator, and its spectrum on demand.
 
-    zero_real_tol is the threshold up to which |Re lambda| counts as zero:
-    Tolerances.zero_real times the generator's term norm.  The arrays are
-    read-only.
+    generator is the `Superoperator` the fixed point was certified on, and
+    lu, piv the LAPACK LU factors of its `bordered` matrix, which `solve`
+    reuses.  zero_real_tol is Tolerances.zero_real times the generator's
+    term norm.  eigenvalues (descending real part), gap and gapless are
+    computed from the generator when first read, by one eigenvalue solve of
+    its real matrix `hmat`; the read raises DegenerateFixedSpaceError when
+    more than one eigenvalue has |Re| <= zero_real_tol.  The gap is minus
+    the largest real part after the fixed point's zero, and 0.0 for the
+    one-dimensional generator, which is gapless by convention.  The arrays
+    are read-only.
     """
 
-    eigenvalues: np.ndarray
+    generator: Superoperator
     steady_state: np.ndarray
-    gap: float
     zero_real_tol: float
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, b):
+        """x with bordered(generator) x = b, for real b, from the stored factors."""
+        x, _ = scipy.linalg.lapack.dgetrs(self.lu, self.piv, b)
+        return x
+
+    @cached_property
+    def eigenvalues(self):
+        try:
+            evals = np.linalg.eigvals(self.generator.hmat).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+        evals = evals[np.lexsort((evals.imag, -evals.real))]
+        if np.count_nonzero(np.abs(evals.real) <= self.zero_real_tol) > 1:
+            raise DegenerateFixedSpaceError(
+                "fixed space is degenerate; stationary quantities are ill-defined")
+        evals.setflags(write=False)
+        return evals
+
+    @cached_property
+    def gap(self):
+        evals = self.eigenvalues
+        near_zero = np.flatnonzero(np.abs(evals.real) <= self.zero_real_tol)
+        best = near_zero[0] if near_zero.size else np.argmin(np.abs(evals))
+        rest = np.delete(evals.real, best)
+        second = rest.max() if rest.size else 0.0
+        return float(-second) if second < -self.zero_real_tol else 0.0
 
     @property
     def gapless(self):
@@ -271,35 +309,39 @@ def bordered(superop):
 
 
 def steady_state(superop, tol=Tolerances()):
-    """Eigenvalues (no eigenvectors), unique fixed point and gap of the generator.
+    """Unique fixed point of the generator, certified from one LU factorization.
 
-    Both solves run on the real matrix of the Hermitian basis, so complex
-    eigenvalues come in exactly conjugate pairs.  More than one eigenvalue
-    with |Re| <= tol.zero_real times the term norm `superop.scale` raises
-    DegenerateFixedSpaceError.  The fixed point solves
-    bordered(superop) x = c e (so <1|x> = 1 and L x = 0); its coordinates
-    are real, so it is Hermitian exactly, and it is trace-normalized.  Its
-    residual ||L rho||_max, taken on the row-stacked `mat`, must not exceed
-    tol.residual times the term norm.  The gap is 0.0 for the
-    one-dimensional case, which is gapless by convention.
+    The real bordered matrix B = `bordered(superop)` of the Hermitian basis
+    is factored once (LAPACK dgetrf), and the fixed point solves
+    B x = c e (so <1|x> = 1 and L x = 0); its coordinates are real, so it
+    is Hermitian exactly, and it is trace-normalized.  B is invertible
+    exactly when the fixed space is one-dimensional, and every eigenvalue
+    lambda of L other than the fixed point's zero is an eigenvalue of B, so
+    ||B^-1||_1 >= 1 / |lambda|.  An exactly singular B, or one whose
+    ||B^-1||_1 (estimated from the factors by dgecon) times the term norm
+    `superop.scale` reaches 1 / tol.zero_real, raises
+    DegenerateFixedSpaceError.  The residual ||L rho||_max, taken on the
+    row-stacked `mat`, must not exceed tol.residual times the term norm.
+    No spectrum is computed here: `SpectralData` computes it when read.
     """
-    zero_tol = tol.zero_real * superop.scale
-    try:
-        evals = np.linalg.eigvals(superop.hmat).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    evals = evals[np.lexsort((evals.imag, -evals.real))]
-
-    near_zero = np.flatnonzero(np.abs(evals.real) <= zero_tol)
-    if near_zero.size > 1:
+    if not np.isfinite(superop.scale):
+        raise NoConvergenceError("generator has non-finite entries")
+    b = bordered(superop)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(b)
+    if info > 0:
         raise DegenerateFixedSpaceError(
-            "fixed space is degenerate; stationary quantities are ill-defined")
+            "fixed space is degenerate (the bordered generator is singular);"
+            " stationary quantities are ill-defined")
+    # ||B^-1||_1 = 1 / (rcond ||B||_1), up to the estimate
+    anorm = np.abs(b).sum(axis=0).max()
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    if rcond * anorm <= tol.zero_real * superop.scale:
+        raise DegenerateFixedSpaceError(
+            f"fixed space is degenerate (||B^-1||_1 x term norm reaches"
+            f" 1 / {tol.zero_real}); stationary quantities are ill-defined")
 
     one = trace_functional(superop.dim).real
-    try:
-        x = np.linalg.solve(bordered(superop), one * (superop.scale / superop.dim))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"bordered fixed-point solve failed: {exc}") from exc
+    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, one * (superop.scale / superop.dim))
     rho = devectorize(hermitian_basis(superop.dim).vec(x))
     rho = rho / np.trace(rho).real
 
@@ -310,18 +352,14 @@ def steady_state(superop, tol=Tolerances()):
             f"fixed-point residual {residual:.3e} above {limit:.3e}"
             f" ({tol.residual} x term norm)")
 
-    best = near_zero[0] if near_zero.size else np.argmin(np.abs(evals))
-    rest = np.delete(evals.real, best)
-    second = rest.max() if rest.size else 0.0
-    gap = -second if second < -zero_tol else 0.0
-
-    evals.setflags(write=False)
-    rho.setflags(write=False)
+    for arr in (rho, lu, piv):
+        arr.setflags(write=False)
     return SpectralData(
-        eigenvalues=evals,
+        generator=superop,
         steady_state=rho,
-        gap=float(gap),
-        zero_real_tol=zero_tol,
+        zero_real_tol=tol.zero_real * superop.scale,
+        lu=lu,
+        piv=piv,
     )
 
 

@@ -33,6 +33,25 @@ def rand_mat(n, rng):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+def coupled_blocks(t, coupling="K", seed=0):
+    """(K, R) of two dissipative D = 3 blocks, coupled with strength t.
+
+    Each block alone has a unique fixed point, so at t = 0 the fixed space
+    is two-dimensional; the coupling, through K or through R, lifts the
+    second zero eigenvalue by about t^2 times the term norm.
+    """
+    rng = np.random.default_rng(seed)
+    K = np.zeros((6, 6), dtype=complex)
+    R = np.zeros((6, 6), dtype=complex)
+    for block in (slice(0, 3), slice(3, 6)):
+        K[block, block] = rand_herm(3, rng)
+        R[block, block] = rand_mat(3, rng)
+    c = np.zeros((6, 6), dtype=complex)
+    c[:3, 3:] = rand_mat(3, rng)
+    c = t * (c + c.conj().T)
+    return (K + c, R) if coupling == "K" else (K, R + c)
+
+
 def random_instance(seed, dims=(2, 5), scale=0.7):
     """Seeded random thermodynamic instance with Hermitian K."""
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from cmps_lab import cli
 from cmps_lab.cli import main
 from cmps_lab.errors import ConfigError
 
-from conftest import rand_herm, rand_mat
+from conftest import coupled_blocks, rand_herm, rand_mat
 
 RF_MODEL = {
     "dim": 2,
@@ -384,6 +384,24 @@ def test_degenerate_fixed_space_exits_two(tmp_path, capsys):
         rc, _ = run_cli(tmp_path, command, cfg, tag=command)
         assert rc == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_zero_real_override_moves_the_fixed_space_threshold(tmp_path):
+    # coupled blocks: ||B^-1||_1 x term norm ~ 1e9 at t = 1e-4 and ~ 1e11
+    # at t = 1e-5, against 1 / zero_real_tol
+    def model(t):
+        k, r = coupled_blocks(t)
+        return {"dim": 6, "K": {"re": k.real.tolist(), "im": k.imag.tolist()},
+                "R": {"re": r.real.tolist(), "im": r.imag.tolist()}}
+
+    for t, default_rc, zero_real, override_rc in ((1e-4, 0, 1e-8, 2), (1e-5, 2, 1e-12, 0)):
+        cfg = {"model": model(t), "geometry": "thermodynamic"}
+        assert run_cli(tmp_path, "kinetic", cfg, tag=f"{t}")[0] == default_rc
+        overrides = tmp_path / "tol.json"
+        overrides.write_text(json.dumps({"zero_real_tol": zero_real}))
+        rc, _ = run_cli(tmp_path, "kinetic", cfg, tag=f"{t}-override",
+                        extra=("--tolerance-overrides", str(overrides)))
+        assert rc == override_rc
 
 
 def test_coherent_state_with_complex_emission_exits_zero(tmp_path):

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from cmps_lab import (
     FieldMoments,
@@ -14,6 +17,8 @@ from cmps_lab import (
     source_consistency_check,
     two_point,
 )
+from cmps_lab import core, correlators
+from cmps_lab.cli import main
 from cmps_lab.errors import (
     InvalidBoundaryStateError,
     InvalidMomentsError,
@@ -119,39 +124,63 @@ def test_q_matrix_rf_value():
     assert np.abs(q - expected).max() < 1e-15
 
 
-def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch):
+def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch, tmp_path):
     # the correlators, the sampler and the waiting-time oracle all open on
-    # the fixed point: between them one D^2 x D^2 eigenvalue solve, and no
-    # D^2 x D^2 eigenvectors
+    # the fixed point: between them one generator, one bordered LU
+    # factorization and no D^2 x D^2 eigenvalue solve.  Only steady and gap,
+    # which print the spectrum, pay for one
     rng = np.random.default_rng(5)
     d = 3
     p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
-    shapes = {"eig": [], "eigvals": [], "solve": []}
-    for name in shapes:
-        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+    kernels = {"eig": np.linalg, "eigvals": np.linalg, "dgetrf": scipy.linalg.lapack}
+    shapes = {name: [] for name in kernels}
+    for name, module in kernels.items():
+        def counting(a, *args, _name=name, _fn=getattr(module, name), **kwargs):
             shapes[_name].append((np.shape(a), np.asarray(a).dtype))
             return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
+    builds = []
+    for module in (core, correlators):
+        def building(*args, _fn=module.build_liouvillian):
+            builds.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(module, "build_liouvillian", building)
     big = ((d * d, d * d), np.dtype(np.float64))
 
     def count(name):
         return sum(shape == big[0] for shape, _ in shapes[name])
 
+    def clear():
+        builds.clear()
+        for calls in shapes.values():
+            calls.clear()
+
     source_consistency_check(p, eps=0.05, h=0.01, n_sites=8)
     sample_ensemble(p, 4, 2.0, 7)
     no_jump_survival(p, [0.0, 0.5, 1.0])
-    assert count("eigvals") == 1
+    assert shapes["dgetrf"] == [big]
+    assert len(builds) == 1
+    assert count("eigvals") == 0
     assert count("eig") == 0
 
-    # work count of one bulk expectation on a fresh parameter set: the
-    # spectrum from eigenvalues alone, the fixed point from one bordered
-    # solve, both on the real generator of the Hermitian basis
-    for calls in shapes.values():
-        calls.clear()
+    # one bulk expectation on a fresh parameter set: one bordered
+    # factorization of the real generator of the Hermitian basis
+    clear()
     kinetic_density(new_cmps(d, p.K, p.R))
-    assert shapes["eigvals"] == [big]
-    assert shapes["solve"] == [big]
+    assert shapes["dgetrf"] == [big]
+    assert count("eigvals") == 0
     assert count("eig") == 0
+
+    model = {"dim": d, "K": {"re": p.K.real.tolist(), "im": p.K.imag.tolist()},
+             "R": {"re": p.R.real.tolist(), "im": p.R.imag.tolist()}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "geometry": "thermodynamic"}))
+    for command in ("steady", "gap"):
+        clear()
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        assert shapes["eigvals"] == [big]
+        assert shapes["dgetrf"] == [big]
+        assert count("eig") == 0
 
 
 def test_two_point_propagates_with_real_exponentials(monkeypatch):

@@ -201,6 +201,9 @@ def test_gapless_and_validation_errors(coherent):
         spectral_envelope(p1)
     with pytest.raises(GaplessStateError):
         decay_fit(p1, 1.0, 5.0)
+    with pytest.raises(GaplessStateError):
+        family_derivative(p1, np.zeros((1, 1)), np.ones((1, 1)),
+                          [(0.0, "create"), (1.0, "annihilate")])
     p = new_cmps(2, RF_K, RF_R)
     with pytest.raises(UnsortedPositionsError):
         expectation(p, [(1.0, "create"), (0.5, "annihilate")])

@@ -171,6 +171,15 @@ def test_lattice_validation_errors(rf):
                             boundary_rho=np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("dim", [3, 1])
+def test_wrong_shape_boundary_state_is_a_shape_mismatch(rf, dim):
+    t = lattice_tensors(rf, 0.1)
+    for observable, kwargs in (("occupation", {}), ("hopping", {"distances": [2]})):
+        with pytest.raises(ShapeMismatchError, match=rf"\({dim}, {dim}\).*\(2, 2\)"):
+            lattice_correlators(t, observable, n_sites=10,
+                                boundary_rho=np.eye(dim) / dim, **kwargs)
+
+
 def test_convergence_study_rf(rf):
     study = convergence_study(rf, [0.01, 0.005, 0.0025])
     assert np.all(study.eps[:-1] > study.eps[1:])

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from cmps_lab import (
     build_liouvillian,
@@ -9,6 +12,7 @@ from cmps_lab import (
     density,
     devectorize,
     family_derivative,
+    kinetic_density,
     new_cmps,
     steady_state,
     trace_functional,
@@ -27,7 +31,7 @@ from cmps_lab.liouville import (
     superop_tangent,
 )
 
-from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat
+from conftest import DAMP_K, DAMP_R, RF_K, RF_R, coupled_blocks, rand_herm, rand_mat
 
 
 def test_vectorize_roundtrip():
@@ -127,14 +131,71 @@ def test_steady_state_random_instances_are_density_matrices():
 
 
 def test_degenerate_fixed_space_detected(monkeypatch):
-    # no dissipation: every K-eigenprojector is stationary.  The eigenvalues
-    # alone decide it, before any fixed-point solve
+    # no dissipation: every K-eigenprojector is stationary.  The bordered
+    # factorization decides it, before any fixed-point solve
     def no_solve(*args):
         raise AssertionError("solved for a fixed point of a degenerate generator")
 
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", no_solve)
     with pytest.raises(DegenerateFixedSpaceError):
         steady_state(build_liouvillian(np.diag([1.0, 2.0]), np.zeros((2, 2))))
+
+
+def test_exactly_singular_bordered_generator_raises_without_warning():
+    # K = diag(1, 2), R = 0: eigenvalues 0, 0 (the populations) and -+ i (the
+    # coherence), so the bordered generator is exactly singular
+    k, r = np.diag([1.0, 2.0]), np.zeros((2, 2))
+    lv = build_liouvillian(k, r)
+    ev = np.sort_complex(np.linalg.eigvals(lv.hmat))
+    np.testing.assert_allclose(ev, [-1j, 0.0, 0.0, 1j], atol=1e-15)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateFixedSpaceError, match="singular"):
+            steady_state(lv)
+        with pytest.raises(DegenerateFixedSpaceError):
+            kinetic_density(new_cmps(2, k, r))
+    assert caught == []
+
+
+BLOCK_COUPLINGS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 0.0]
+
+
+def _bulk_refuses(k, r):
+    try:
+        kinetic_density(new_cmps(k.shape[0], k, r))
+    except DegenerateFixedSpaceError:
+        return True
+    return False
+
+
+def _count_refuses(k, r):
+    lv = build_liouvillian(k, r)
+    near_zero = np.abs(np.linalg.eigvals(lv.hmat).real) <= Tolerances().zero_real * lv.scale
+    return int(near_zero.sum()) > 1
+
+
+@pytest.mark.parametrize("coupling", ["K", "R"])
+def test_bordered_certificate_agrees_with_the_eigenvalue_count(coupling):
+    # two dissipative blocks whose coupling t lifts the second zero
+    # eigenvalue by ~t^2: the bulk path refuses from t = 1e-5 down, as the
+    # eigenvalue count does.  The condition estimate bounds 1/|lambda_2|
+    # from above, by 6-9x on these blocks, so between t = 1e-5 and 1e-4
+    # (at 3e-5) it refuses a fixed point that the count still passes
+    decisions = []
+    for t in BLOCK_COUPLINGS:
+        k, r = coupled_blocks(t, coupling)
+        bulk = _bulk_refuses(k, r)
+        assert bulk == _count_refuses(k, r), t
+        decisions.append(bulk)
+    assert decisions == [t <= 1e-5 for t in BLOCK_COUPLINGS]
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e6])
+def test_fixed_space_decision_holds_in_every_length_unit(s):
+    cases = [(RF_K, RF_R, False), (np.diag([1.0, 2.0]), np.zeros((2, 2)), True)]
+    cases += [(*coupled_blocks(t), t <= 1e-5) for t in BLOCK_COUPLINGS]
+    for k, r, refused in cases:
+        assert _bulk_refuses(s * k, np.sqrt(s) * r) == refused
 
 
 def _zero_mode_reference(superop):
@@ -164,6 +225,12 @@ def test_residual_certificate_fires():
     p = new_cmps(2, RF_K, RF_R, tol=Tolerances(residual=1e-30))
     with pytest.raises(NoConvergenceError):
         p.stationary
+
+
+def test_non_finite_generator_is_not_certified():
+    k = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NoConvergenceError, match="non-finite"):
+        steady_state(build_liouvillian(k, np.eye(2)))
 
 
 def test_propagation_preserves_trace_and_positivity():
