@@ -33,7 +33,6 @@ from .discretizer import (
     finite_site_count,
     lattice_correlators,
     lattice_tensors,
-    transfer_matrix,
 )
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
@@ -294,7 +293,7 @@ def _cmd_discretize(cfg, params, out_path):
     occupations, defects = [], []
     for eps in eps_list:
         tensors = lattice_tensors(params, eps, order=order)
-        emat = transfer_matrix(tensors).mat
+        emat = tensors.transfer.mat
         defects.append(float(np.linalg.norm(emat - eye - eps * superop.mat)))
         if isinstance(params.geometry, Finite):
             n_sites = finite_site_count(params.geometry.length, eps)

@@ -15,18 +15,20 @@ whole dictionary as one (a, b) pair per kind:
 An insertion is its kind name, for example
 `expectation(params, [(0.0, "create"), (1.0, "annihilate")])`: it belongs
 to no parameter set.  Each chain resolves the names against its own
-parameter set's field table, builds each kind with `liouville.superop`
-(once per chain) and, in `family_derivative`, differentiates it with
-`liouville.superop_tangent` over the same table, so the table is the only
-place the dictionary is written.  Free
-propagation exp(L dx) runs between consecutive insertion points and the
-trace functional closes the chain.  Translation invariance makes the
-derivative insertions commutator form exact (no explicit x dependence of
-R).  In the thermodynamic geometry the chain opens on the stationary state;
-in a finite geometry it opens on the boundary state at x = 0, insertions
-are anchored at the left edge (the first insertion sits at x1 = 0 for
-separation grids), and the chain is closed by propagating to the right
-edge and dividing by the norm.
+parameter set's field table and applies each kind as its D x D action
+`liouville.action`, at O(D^3), without building its D^2 x D^2 matrix;
+`family_derivative` differentiates it with `liouville.action_tangent`
+over the same table, so the table is the only place the dictionary is
+written.  Free propagation exp(L dx) runs between consecutive insertion
+points and the trace functional closes the chain; a thermodynamic chain
+that ends on an insertion S closes with the covector <1| S, computed once
+from the adjoint action as the coordinate form of sum f[b]^dag f[a].
+Translation invariance makes the derivative insertions commutator form
+exact (no explicit x dependence of R).  In the thermodynamic geometry the
+chain opens on the stationary state; in a finite geometry it opens on the
+boundary state at x = 0, insertions are anchored at the left edge (the
+first insertion sits at x1 = 0 for separation grids), and the chain is
+closed by propagating to the right edge and dividing by the norm.
 
 Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
@@ -35,21 +37,23 @@ and hands back the vector at requested stops.  A chain works in the
 Hermitian basis of `liouville.hermitian_basis`: the generator preserves
 Hermiticity, so each propagator exp(L dx) is the exponential of the real
 matrix `Superoperator.hmat`, and so are the sourced sites of
-`generating_functional`.  The vectors and the insertion superoperators are
-carried in the same basis but stay complex, because an insertion need not
-preserve Hermiticity; the trace functional closes the chain unchanged.
-`family_derivative` walks the same legs forward once, carrying the tangent
-of the vector alongside it: each leg applies exp(L dx) together with its
-Frechet derivative (both real), so the derivative along a family of states
-needs no backward march and no quadrature.
+`generating_functional`.  The vectors are carried in the same basis but
+stay complex, because an insertion need not preserve Hermiticity: an
+insertion turns them into D x D matrices (`HermitianBasis.vec`), acts,
+and turns the result back (`HermitianBasis.coords`).  The trace
+functional closes the chain unchanged.  `family_derivative` walks the
+same legs forward once, carrying the tangent of the vector alongside it:
+each leg applies exp(L dx) together with its Frechet derivative (both
+real), so the derivative along a family of states needs no backward march
+and no quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
-superoperator, and the pair
-correlator g2(d) divides the double pair-density insertion by the squared
-density.  A source on the field only changes the boundary generator: the
-source term lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X)
-equals the shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
+action, and the pair correlator g2(d) divides the double pair-density
+insertion by the squared density.  A source on the field only changes the
+boundary generator: the source term
+lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X) equals the
+shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
 `generating_functional` builds a site that carries sources.
 """
 
@@ -74,9 +78,13 @@ from .errors import (
 )
 from .liouville import (
     GENERATOR,
+    action,
+    action_adjoint,
+    action_tangent,
     build_liouvillian,
     fields,
     fields_tangent,
+    fixed_mode,
     hermitian_basis,
     superop,
     superop_tangent,
@@ -110,14 +118,18 @@ class _Chain:
     one propagator.
 
     A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
-    then apply op, which is a superoperator matrix, None (nothing) or STOP
-    (hand back the vector there).  Insertions are `INSERTIONS` kind names;
-    the chain resolves each against its own parameter set's field table,
-    once per kind.  There is no propagator cache: the chain holds one
-    propagator exp(L dx) at a time, built when a leg of a new length is
-    reached and reused while the following legs share that length.  The
-    stationary state is the parameter set's own (`CmpsParams.stationary`),
-    and so, in the thermodynamic geometry, is the generator.
+    then apply op, which is an `INSERTIONS` kind name, a superoperator
+    matrix (a sourced site), None (nothing) or STOP (hand back the vector
+    there).  A kind is never built as a matrix: `act` turns coordinates
+    into D x D matrices, applies the kind's `liouville.action` over this
+    chain's own field table and turns the result back, and `covector`
+    gives <1| S, the closing of a thermodynamic chain that ends on kind S,
+    from the adjoint action.  There is no propagator cache: the chain
+    holds one propagator exp(L dx) at a time, built when a leg of a new
+    length is reached and reused while the following legs share that
+    length.  The stationary state is the parameter set's own
+    (`CmpsParams.stationary`), and so, in the thermodynamic geometry, is
+    the generator.
     """
 
     STOP = object()
@@ -127,7 +139,6 @@ class _Chain:
         self.fields = fields(params.K, params.R)
         self.basis = hermitian_basis(params.dim)
         self.left = trace_functional(params.dim)
-        self._ops = {}
         self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
             self.spectral = params.stationary
@@ -148,13 +159,30 @@ class _Chain:
             return self.spectral.generator
         return build_liouvillian(self.params.K, self.params.R)
 
-    def insertion(self, kind):
-        """Superoperator of an `INSERTIONS` kind over this chain's fields, in
-        the Hermitian basis (complex: an insertion need not preserve
-        Hermiticity)."""
-        if kind not in self._ops:
-            self._ops[kind] = self.basis.transform(superop(INSERTIONS[kind], self.fields))
-        return self._ops[kind]
+    def matrices(self, x):
+        """The D x D matrices of coordinate vectors x, one per row, as a
+        stack (k, D, D); a single vector gives a stack of one."""
+        d = self.params.dim
+        return self.basis.vec(x.T).T.reshape(-1, d, d)
+
+    def coordinates(self, m):
+        """The coordinate vectors of a stack of D x D matrices, one per row."""
+        k, d, _ = m.shape
+        return self.basis.coords(m.reshape(k, d * d).T).T
+
+    def act(self, kind, x):
+        """The insertion `kind` on coordinate vectors x, one per row (or x
+        alone), through its D x D action (complex: an insertion need not
+        preserve Hermiticity)."""
+        out = self.coordinates(action(INSERTIONS[kind], self.fields, self.matrices(x)))
+        return out.reshape(x.shape)
+
+    def covector(self, kind):
+        """<1| S for the insertion S of `kind`, in coordinates: tr(S(rho))
+        = tr(M rho) with M = sum f[b]^dag f[a], the adjoint of the action's
+        image of the identity, whose coordinates conjugated read the trace."""
+        m = action_adjoint(INSERTIONS[kind], self.fields, np.eye(self.params.dim))
+        return self.basis.coords(vectorize(m)).conj()
 
     def legs(self, items, start):
         """Legs from `start` through (position, kind name or STOP) items.
@@ -174,13 +202,10 @@ class _Chain:
                 )
         legs, prev = [], start
         for pos, (_, kind) in zip(positions, items):
-            op = kind
-            if kind is not self.STOP:
-                if not (isinstance(kind, str) and kind in INSERTIONS):
-                    raise ShapeMismatchError(
-                        f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
-                op = self.insertion(kind)
-            legs.append((pos - prev, op))
+            if kind is not self.STOP and not (isinstance(kind, str) and kind in INSERTIONS):
+                raise ShapeMismatchError(
+                    f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
+            legs.append((pos - prev, kind))
             prev = pos
         return legs
 
@@ -197,6 +222,8 @@ class _Chain:
             if op is stop:
                 stops[k] = v
                 k += 1
+            elif isinstance(op, str):
+                v = self.act(op, v)
             elif op is not None:
                 v = op @ v
         return stops
@@ -217,10 +244,17 @@ class _Chain:
         return complex(self.left @ v) / self.norm
 
     def evaluate(self, insertions):
-        """Close a chain of (position, kind) pairs, ascending order."""
+        """Close a chain of (position, kind) pairs, ascending order.  A
+        thermodynamic chain reads the vector before its last kind with that
+        kind's covector; a finite one applies it and closes."""
         end = float(insertions[-1][0]) if insertions else 0.0
         start = float(insertions[0][0]) if insertions and self.length is None else 0.0
-        (v,) = self.scan(self.right, self.legs([*insertions, (end, self.STOP)], start))
+        legs = self.legs(insertions, start)
+        if self.length is None and legs:
+            *legs, (dx, last) = legs
+            stops = self.scan(self.right, [*legs, (dx, self.STOP)])
+            return complex((stops @ self.covector(last))[0])
+        (v,) = self.scan(self.right, [*legs, (0.0, self.STOP)])
         return self.close(v, end)
 
 
@@ -245,8 +279,10 @@ def density(params):
 def _separation_scan(chain, separations, first, second):
     """<first(0) second(d)> on a grid of separations d >= 0, two kind names.
 
-    One scan carries first(0) through the sorted separations; at each stop
-    the second insertion is applied and the chain closed.
+    One scan carries first(0) through the sorted separations.  A
+    thermodynamic chain closes every stop at once with the second kind's
+    covector; a finite one applies the second kind to all stops in one
+    action and carries each to the right edge.
     """
     seps = np.atleast_1d(np.asarray(separations, dtype=float))
     if seps.size and seps.min() < 0:
@@ -254,8 +290,12 @@ def _separation_scan(chain, separations, first, second):
     order = np.argsort(seps, kind="stable")
     items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
     values = np.empty(seps.size, dtype=complex)
-    for i, w in zip(order, chain.scan(chain.right, chain.legs(items, 0.0))):
-        values[i] = chain.close(chain.insertion(second) @ w, float(seps[i]))
+    stops = chain.scan(chain.right, chain.legs(items, 0.0))
+    if chain.length is None:
+        values[order] = stops @ chain.covector(second)
+    else:
+        for i, w in zip(order, chain.act(second, stops)):
+            values[i] = chain.close(w, float(seps[i]))
     return seps, values
 
 
@@ -317,25 +357,28 @@ def spectral_envelope(params):
     fixed-point mode, the sum of the remaining coefficient magnitudes, and
     the spectral gap.  Every nonzero mode decays at least as fast as
     e^{-gap d}, so |two_point(d) - c0| <= prefactor * e^{-gap d} pointwise.
+    The gap and the modes come from one eigensolve of the generator, read
+    by the rule of `liouville.fixed_mode` that the fixed point's
+    `SpectralData` reads too.
     """
     chain = _Chain(params)
     if chain.spectral is None:
         raise ShapeMismatchError("spectral envelope is a thermodynamic quantity")
-    spec = chain.spectral
-    if spec.gapless:
-        raise GaplessStateError("no spectral gap; correlations need not decay")
+    tol = chain.spectral.zero_real_tol
     evals, vecs = np.linalg.eig(chain.L.hmat)
+    zero_idx, gap = fixed_mode(evals, tol)
+    if gap <= tol:
+        raise GaplessStateError("no spectral gap; correlations need not decay")
     try:
         winv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
-    row = chain.left @ chain.insertion("annihilate")
-    col = chain.insertion("create") @ chain.right
+    row = chain.covector("annihilate")
+    col = chain.act("create", chain.right)
     coefs = (row @ vecs) * (winv @ col)
-    zero_idx = int(np.argmin(np.abs(evals)))
     c0 = complex(coefs[zero_idx])
     pref = float(sum(abs(coefs[k]) for k in range(coefs.size) if k != zero_idx))
-    return c0, pref, spec.gap
+    return c0, pref, gap
 
 
 @dataclass(frozen=True)
@@ -398,18 +441,19 @@ def family_derivative(params, dK, dR, insertions):
     (E v, E dv + dE v), where E = exp(L dx) and dE is the Frechet derivative
     of the exponential at L dx in the direction dL dx; an insertion S maps
     it to (S v, S dv + dS v), because the insertions are built from (K, R)
-    and move with the family (S and dS are the `superop` and the
-    `superop_tangent` of its kind over the chain's one field table, and dL
-    is the generator's).  A thermodynamic chain opens on the stationary
-    state, whose tangent solves `bordered`(L) drho = -dL rho, the fixed
-    point's own bordered system, with the LU factors the fixed point was
-    solved with (invertible when the fixed space is one-dimensional; the
-    solution is traceless, so the border drops out); a finite chain opens
-    on the fixed boundary state, dv = 0.  D = 1 is gapless by convention
-    and raises GaplessStateError in the thermodynamic geometry.  Closing
-    the chain adds no dE term and the norm does not move, because
-    <1| dL = 0.  The result is exact up to roundoff: there is no
-    quadrature grid.
+    and move with the family.  S acts on v and dv as one stack of two
+    D x D matrices (`liouville.action`), and dS v is the `action_tangent`
+    of its kind over the chain's one field table, so no insertion is built
+    as a matrix; dL is the generator's `superop_tangent`.  A thermodynamic
+    chain opens on the stationary state, whose tangent solves
+    `bordered`(L) drho = -dL rho, the fixed point's own bordered system,
+    with the LU factors the fixed point was solved with (invertible when
+    the fixed space is one-dimensional; the solution is traceless, so the
+    border drops out); a finite chain opens on the fixed boundary state,
+    dv = 0.  D = 1 is gapless by convention and raises GaplessStateError in
+    the thermodynamic geometry.  Closing the chain adds no dE term and the
+    norm does not move, because <1| dL = 0.  The result is exact up to
+    roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -423,9 +467,9 @@ def family_derivative(params, dK, dR, insertions):
     chain = _Chain(params)
     start = float(insertions[0][0]) if chain.length is None else 0.0
     legs = chain.legs(insertions, start)
-    f, basis = chain.fields, chain.basis
+    f = chain.fields
     df = fields_tangent(f, dK, dR)
-    dgen = basis.transform(superop_tangent(GENERATOR, f, df)).real
+    dgen = chain.basis.transform(superop_tangent(GENERATOR, f, df)).real
     v = chain.right
     if chain.length is None:
         if params.dim == 1:
@@ -434,12 +478,15 @@ def family_derivative(params, dK, dR, insertions):
         dv = chain.spectral.solve(-(dgen @ v.real))
     else:
         dv = np.zeros_like(v)
-    for (dx, op), (_, kind) in zip(legs, insertions):
+    for dx, kind in legs:
         if dx > 0.0:
             e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
             v, dv = e @ v, e @ dv + de @ v
-        dop = basis.transform(superop_tangent(INSERTIONS[kind], f, df))
-        v, dv = op @ v, op @ dv + dop @ v
+        terms = INSERTIONS[kind]
+        m = chain.matrices(np.stack([v, dv]))
+        w = action(terms, f, m)
+        w[1] += action_tangent(terms, f, df, m[0])
+        v, dv = chain.coordinates(w)
     return chain.close(dv, float(insertions[-1][0]))
 
 

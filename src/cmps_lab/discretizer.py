@@ -63,6 +63,12 @@ class LatticeTensors:
     dim: int
     order: int
 
+    @cached_property
+    def transfer(self):
+        """The `TransferMatrix` of these tensors, built once however many
+        readers it has."""
+        return transfer_matrix(self)
+
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -182,7 +188,7 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         raise ShapeMismatchError(
             f"boundary_rho has shape {np.shape(boundary_rho)}, the chain needs {(d, d)}")
     superops = _site_superops(tensors, observable)
-    emat = transfer_matrix(tensors).hmat
+    emat = tensors.transfer.hmat
 
     if observable == "occupation":
         distances = [0]

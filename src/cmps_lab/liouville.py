@@ -21,10 +21,17 @@ dict of D x D matrices.  The exact calculus reads one table,
 (Q, 1), (1, Q), (R, R), and the insertions of `correlators.INSERTIONS`
 are one pair each, named by their kind.  `lindblad` writes the
 general-moment generator and its jump-sum form as tables of the same
-shape, (G, 1), (1, G) plus one pair per jump.  `superop` is the only code
-that turns such a list into a matrix, and `superop_tangent` its only
-derivative (the product rule over the moving fields); a matrix-free
-calculus swaps the bodies of these two functions.
+shape, (G, 1), (1, G) plus one pair per jump.  A table acts on D x D
+matrices by `action`, rho -> sum f[a] rho f[b]^dag at O(D^3) per matrix,
+on a stack of shape (..., D, D); `action_adjoint` is its Hilbert-Schmidt
+adjoint, sum f[a]^dag m f[b], and `action_tangent` its derivative by the
+product rule over the moving fields (`fields_tangent`).  Every insertion
+runs through these three.  `superop` is the dense form of the action, the
+only code that turns a table into a D^2 x D^2 matrix, and
+`superop_tangent` the dense form of its tangent; they are built only
+where the matrix is exponentiated, factored or eigen-solved: the
+generator, its tangent, the sourced sites of
+`correlators.generating_functional` and `lindblad`'s forms.
 
 The dense kernels run in a second layout, the Hermitian basis (Alicki
 and Lendi's coherence vector), which lives here and nowhere else.
@@ -130,6 +137,42 @@ def superop_tangent(terms, f, df):
     return reduce(np.add, pieces)
 
 
+def _sandwiched(a, m, b):
+    """a m b^dag on a stack m of shape (..., D, D); None is the identity,
+    which is never multiplied."""
+    if a is not None:
+        m = a @ m
+    return m if b is None else m @ b.conj().T
+
+
+def action(terms, f, m):
+    """sum over (a, b) in terms of f[a] m f[b]^dag, on a stack m of shape
+    (..., D, D): `superop(terms, f)` applied without building it, at
+    O(D^3) per matrix instead of O(D^4) to build and O(D^4) to apply."""
+    g = {**f, "1": None}
+    return reduce(np.add, (_sandwiched(g[a], m, g[b]) for a, b in terms))
+
+
+def action_adjoint(terms, f, m):
+    """sum over (a, b) in terms of f[a]^dag m f[b], the Hilbert-Schmidt
+    adjoint of `action`: the action over the table of adjoint fields."""
+    return action(terms, {name: x.conj().T for name, x in f.items()}, m)
+
+
+def action_tangent(terms, f, df, m):
+    """Directional derivative of `action(terms, f, m)` at fixed m when the
+    fields move by df: `superop_tangent(terms, f, df)` applied without
+    building it, by the same product rule."""
+    g = {**f, "1": None}
+    pieces = []
+    for a, b in terms:
+        if a != "1":
+            pieces.append(_sandwiched(df[a], m, g[b]))
+        if b != "1":
+            pieces.append(_sandwiched(g[a], m, df[b]))
+    return reduce(np.add, pieces)
+
+
 def fields_tangent(f, dK, dR):
     """Derivative of the field table `f` along K + t dK, R + t dR at t = 0.
 
@@ -227,6 +270,26 @@ class Superoperator:
         return hermitian_basis(self.dim).transform(self.mat).real
 
 
+def fixed_mode(evals, zero_real_tol):
+    """(index of the fixed point's zero among evals, gap), in any order of
+    evals.
+
+    More than one eigenvalue with |Re| <= zero_real_tol raises
+    DegenerateFixedSpaceError.  The zero is that eigenvalue, or else the
+    one of least modulus; the gap is minus the largest real part of the
+    others, and 0.0 when that is not below -zero_real_tol or when there
+    are no others (D = 1, gapless by convention).
+    """
+    near_zero = np.flatnonzero(np.abs(evals.real) <= zero_real_tol)
+    if near_zero.size > 1:
+        raise DegenerateFixedSpaceError(
+            "fixed space is degenerate; stationary quantities are ill-defined")
+    zero = int(near_zero[0]) if near_zero.size else int(np.argmin(np.abs(evals)))
+    rest = np.delete(evals.real, zero)
+    second = rest.max() if rest.size else 0.0
+    return zero, float(-second) if second < -zero_real_tol else 0.0
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """The unique fixed point of a generator, and its spectrum on demand.
@@ -236,11 +299,11 @@ class SpectralData:
     reuses.  zero_real_tol is Tolerances.zero_real times the generator's
     term norm.  eigenvalues (descending real part), gap and gapless are
     computed from the generator when first read, by one eigenvalue solve of
-    its real matrix `hmat`; the read raises DegenerateFixedSpaceError when
-    more than one eigenvalue has |Re| <= zero_real_tol.  The gap is minus
-    the largest real part after the fixed point's zero, and 0.0 for the
-    one-dimensional generator, which is gapless by convention.  The arrays
-    are read-only.
+    its real matrix `hmat`, and read by `fixed_mode`: the read raises
+    DegenerateFixedSpaceError when more than one eigenvalue has
+    |Re| <= zero_real_tol, and the gap is minus the largest real part after
+    the fixed point's zero (0.0 for the one-dimensional generator, which
+    is gapless by convention).  The arrays are read-only.
     """
 
     generator: Superoperator
@@ -261,20 +324,13 @@ class SpectralData:
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
         evals = evals[np.lexsort((evals.imag, -evals.real))]
-        if np.count_nonzero(np.abs(evals.real) <= self.zero_real_tol) > 1:
-            raise DegenerateFixedSpaceError(
-                "fixed space is degenerate; stationary quantities are ill-defined")
+        fixed_mode(evals, self.zero_real_tol)  # refuses a degenerate fixed space
         evals.setflags(write=False)
         return evals
 
     @cached_property
     def gap(self):
-        evals = self.eigenvalues
-        near_zero = np.flatnonzero(np.abs(evals.real) <= self.zero_real_tol)
-        best = near_zero[0] if near_zero.size else np.argmin(np.abs(evals))
-        rest = np.delete(evals.real, best)
-        second = rest.max() if rest.size else 0.0
-        return float(-second) if second < -self.zero_real_tol else 0.0
+        return fixed_mode(self.eigenvalues, self.zero_real_tol)[1]
 
     @property
     def gapless(self):

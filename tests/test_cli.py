@@ -201,6 +201,19 @@ def test_discretize_defect_shrinks_quadratically(tmp_path):
     assert abs(result["occupation"][1] - 1.0 / 3.0) < 0.05
 
 
+@pytest.mark.parametrize("cfg", [rf_config(epsilons=[0.1, 0.05]),
+                                 damp_finite_config(epsilons=[0.5, 0.25])])
+def test_discretize_builds_each_transfer_matrix_once(tmp_path, monkeypatch, cfg):
+    # the defect and the occupation read one transfer matrix per step
+    build = cmps_lab.discretizer.TransferMatrix
+    steps = []
+    monkeypatch.setattr(cmps_lab.discretizer, "TransferMatrix",
+                        lambda **kw: steps.append(kw["eps"]) or build(**kw))
+    rc, _ = run_cli(tmp_path, "discretize", cfg)
+    assert rc == 0
+    assert steps == cfg["epsilons"]
+
+
 def test_discretize_rejects_eps_that_does_not_tile_the_window(tmp_path, capsys):
     # 7 sites of 0.3 would cover 2.1, not the window of length 2
     cfg = damp_finite_config(length=2.0, epsilons=[0.5, 0.3])

@@ -15,12 +15,15 @@ from cmps_lab import (
     generating_functional,
     kinetic_density,
     lieb_liniger_energy_density,
+    liouville,
     new_cmps,
     pair_correlation,
     source_consistency_check,
     spectral_envelope,
     steady_state,
+    trace_functional,
     two_point,
+    vectorize,
 )
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
@@ -32,6 +35,7 @@ from cmps_lab.errors import (
     ValidationError,
     ZeroDensityError,
 )
+from cmps_lab.liouville import fields, superop
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, rand_herm, rand_mat, random_instance
 
@@ -435,3 +439,62 @@ def test_two_point_holds_one_propagator_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 32 * propagator_bytes
+
+
+def test_insertions_act_without_building_a_superoperator(monkeypatch):
+    # an insertion acts on D x D matrices: the only D^2 x D^2 sandwiches are
+    # the generator's three terms and, in family_derivative, the four pieces
+    # of its tangent, and only those reach the Hermitian basis
+    d = 6
+    rng = np.random.default_rng(12)
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    dk, dr = rand_herm(d, rng), rand_mat(d, rng)
+    built, moved = [], []
+    sandwich, transform = liouville.sandwich, liouville.HermitianBasis.transform
+    monkeypatch.setattr(liouville, "sandwich",
+                        lambda a, b: built.append(a.shape) or sandwich(a, b))
+    monkeypatch.setattr(liouville.HermitianBasis, "transform",
+                        lambda self, m: moved.append(m.shape) or transform(self, m))
+    chain = [(0.0, "create"), (0.7, "pair_density"), (1.3, "deriv_annihilate")]
+    jobs = [(kinetic_density, 3, 1),
+            (lambda p: lieb_liniger_energy_density(p, 1.0, 0.5), 3, 1),
+            (lambda p: two_point(p, [0.0, 0.4, 1.1]), 3, 1),
+            (lambda p: pair_correlation(p, [0.0, 0.4]), 3, 1),
+            (lambda p: family_derivative(p, dk, dr, chain), 7, 2)]
+    for geometry in (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d)):
+        for job, sandwiches, transforms in jobs:
+            built.clear()
+            moved.clear()
+            job(new_cmps(d, k, r, geometry))
+            assert built == [(d, d)] * sandwiches
+            assert moved == [(d * d, d * d)] * transforms
+
+
+def test_spectral_envelope_runs_one_eigensolve(rf, monkeypatch):
+    # the gap and the modes come from one eig of the real generator; they
+    # match the decomposition of the complex row-stacked superoperators
+    p = random_instance(7003)
+    refs = []
+    for q in (rf, p):
+        f = fields(q.K, q.R)
+        evals, vecs = np.linalg.eig(build_liouvillian(q.K, q.R).mat)
+        row = trace_functional(q.dim) @ superop(INSERTIONS["annihilate"], f)
+        col = superop(INSERTIONS["create"], f) @ vectorize(q.stationary.steady_state)
+        coefs = (row @ vecs) * np.linalg.solve(vecs, col)
+        zero = np.argmin(np.abs(evals))
+        rest = np.delete(coefs, zero)
+        refs.append((coefs[zero], np.abs(rest).sum(), -np.delete(evals.real, zero).max()))
+    calls = []
+    for name in ("eig", "eigvals"):
+        def counting(a, _name=name, _fn=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _fn(a)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for q, want in zip((rf, p), refs):
+        calls.clear()
+        got = spectral_envelope(q)
+        assert calls == ["eig"]
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, abs(want[0]))
+        calls.clear()
+        decay_fit(new_cmps(q.dim, q.K, q.R), 1.0, 5.0)
+        assert calls == ["eig"]

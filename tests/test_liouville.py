@@ -19,10 +19,13 @@ from cmps_lab import (
     vectorize,
 )
 from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
-from cmps_lab.correlators import INSERTIONS
+from cmps_lab.correlators import INSERTIONS, _Chain
 from cmps_lab.liouville import (
     GENERATOR,
     Tolerances,
+    action,
+    action_adjoint,
+    action_tangent,
     fields,
     fields_tangent,
     hermitian_basis,
@@ -310,3 +313,45 @@ def test_hermitian_basis_is_unitary_and_makes_generators_real(d):
         assert np.abs(basis.transform(mat).imag).max() <= 1e-14 * lv.scale
     assert lv.hmat.dtype == np.float64
     assert np.array_equal(lv.hmat, basis.transform(lv.mat).real)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_field_table_actions_match_the_dense_superoperators(d):
+    # `action`, its adjoint and its tangent are `superop`, its adjoint and
+    # `superop_tangent` applied without being built, on one matrix and on a
+    # stack; a chain's insertions and closing covectors are the same maps in
+    # the Hermitian basis.  Relative to the sum of |term| |x| over the terms,
+    # the roundoff scale: the D = 1 generator's terms cancel to zero
+    rng = np.random.default_rng(80 + d)
+    p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
+    f = fields(p.K, p.R)
+    df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
+    chain, basis, one = _Chain(p), hermitian_basis(d), trace_functional(d)
+    stack = np.array([rand_mat(d, rng) for _ in range(3)])
+    rows = stack.reshape(3, d * d)  # row-stacked, one matrix per row
+    coords = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+
+    def close(got, dense, x, bound=None):
+        """got against the rows of x times dense^T; bound sums |term|."""
+        want = x @ dense.T
+        scale = (np.abs(x) @ np.abs(dense if bound is None else bound).T).max()
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+    absf = {name: np.abs(x) for name, x in f.items()}
+    absdf = {name: np.abs(x) for name, x in df.items()}
+    tables = {**INSERTIONS, "generator": GENERATOR}
+    for kind, terms in tables.items():
+        s, ds = superop(terms, f), superop_tangent(terms, f, df)
+        bound = superop(terms, absf)  # |sandwich(a, b)| = sandwich(|a|, |b|)
+        dbound = superop_tangent(terms, absf, absdf)
+        for dense, bnd, act in ((s, bound, lambda m: action(terms, f, m)),
+                                (s.conj().T, bound.T, lambda m: action_adjoint(terms, f, m)),
+                                (ds, dbound, lambda m: action_tangent(terms, f, df, m))):
+            close(act(stack).reshape(3, d * d), dense, rows, bnd)
+            close(act(stack[0]).reshape(d * d), dense, rows[0], bnd)
+        if kind in INSERTIONS:
+            h = basis.transform(s)
+            close(chain.act(kind, coords), h, coords)
+            close(chain.act(kind, coords[0]), h, coords[0])
+            close(chain.covector(kind), h.T, one)
