@@ -24,10 +24,13 @@ hopping superoperators move a particle on one side of rho only and stay
 complex.  The oracle takes the field table, `sandwich` and the basis from
 `liouville`, never the continuum generator.
 
-Thermodynamic values use the dominant left/right eigenvectors of the real
-E, from one LAPACK dgeev call: E is a positive map, so its spectral radius
-is an eigenvalue with a positive fixed point (Evans and Hoegh-Krohn,
-J. London Math. Soc. 17, 345, 1978), and both vectors are real.  Finite
+Thermodynamic values use the dominant left/right fixed points of the real
+E: E is a positive map, so its spectral radius is an eigenvalue with a
+positive fixed point (Evans and Hoegh-Krohn, J. London Math. Soc. 17, 345,
+1978), and both vectors are real.  One LAPACK dgeev call computes the
+eigenvalues only, and both fixed points come from one LU factorization of
+E - eta bordered by the trace functional, as the continuum fixed point in
+`liouville.steady_state`, solved forward and transposed.  Finite
 chains contract the full product with the boundary state, anchored at the
 left edge like the continuum convention; the binary powers of E, the
 closing covectors and the opening state are real.  `_lattice_step` is the
@@ -35,6 +38,7 @@ one rule for a lattice step, here and in `correlators`: a non-finite or
 non-positive step is a `ValidationError` that names the value.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,15 +137,24 @@ def _site_superops(tensors, observable):
 
 
 def _dominant_pair(emat):
-    """Dominant eigenvalue with left/right eigenvectors of the real matrix E
-    (`TransferMatrix.hmat`), from one LAPACK dgeev call.
+    """Dominant eigenvalue eta with left/right fixed points of the real
+    matrix E (`TransferMatrix.hmat`), as (eta, left / <left|right>, right).
 
+    The eigenvalues come from one LAPACK dgeev call without eigenvectors.
     E is a positive map, so its spectral radius is an eigenvalue with a
-    positive fixed point.  A dominant eigenvalue of a complex pair has a
-    partner of equal modulus and fails the degeneracy check, so the
-    eigenvalue and both vectors returned are real.
+    positive fixed point; a dominant eigenvalue of a complex pair has a
+    partner of equal modulus and fails the degeneracy check, so eta is
+    real.  Both fixed points then come from one LU factorization (dgetrf)
+    of the bordered matrix B = E - eta + |eta| e <1|, with e = vec(1)/D and
+    <1| the trace functional, as in `liouville.bordered`: B x = <1|^T and
+    B^T y = <1|^T solve for multiples of the right and left fixed points,
+    because <1| is not in the range of (E - eta)^T and e is not in the
+    range of E - eta when the fixed points are positive.  A singular B
+    raises.  Both vectors are scaled to unit 2-norm before the residual
+    check, so FIXED_POINT_TOL bounds the same quantity as for unit
+    eigenvectors.
     """
-    wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(emat, compute_vl=1, compute_vr=1)
+    wr, wi, _, _, info = scipy.linalg.lapack.dgeev(emat, compute_vl=0, compute_vr=0)
     if info != 0:
         raise NoConvergenceError(f"transfer eigensolve failed (LAPACK info {info})")
     mags = np.hypot(wr, wi)
@@ -150,8 +163,22 @@ def _dominant_pair(emat):
     mags = np.sort(mags)[::-1]
     if mags.size > 1 and mags[0] - mags[1] < 1e-12 * max(1.0, mags[0]):
         raise WindowTooSmallError("dominant transfer eigenvalue is degenerate")
-    left = vl[:, i]
-    right = vr[:, i]
+    n = emat.shape[0]
+    d = math.isqrt(n)
+    # <1| and vec(1) are nonzero, and equal to 1, at the coordinates j (D + 1)
+    one = np.zeros(n)
+    one[::d + 1] = 1.0
+    b = np.array(emat, order="F")  # dgetrf factors a Fortran array in place
+    b.flat[::n + 1] -= eta
+    b[::d + 1, ::d + 1] += abs(eta) / d
+    lu, piv, info = scipy.linalg.lapack.dgetrf(b, overwrite_a=1)
+    if info > 0:
+        raise WindowTooSmallError(
+            "bordered transfer matrix is singular: the dominant fixed point is not unique")
+    right, _ = scipy.linalg.lapack.dgetrs(lu, piv, one)
+    left, _ = scipy.linalg.lapack.dgetrs(lu, piv, one, trans=1)
+    right /= math.sqrt(right @ right)
+    left /= math.sqrt(left @ left)
     res = max(
         np.abs(emat @ right - eta * right).max(),
         np.abs(left @ emat - eta * left).max(),
@@ -269,7 +296,7 @@ def finite_site_count(length, eps):
 class ConvergenceStudy:
     eps: np.ndarray
     values: np.ndarray
-    extrapolated: float
+    extrapolated: float  # complex for the hopping observable
     errors: np.ndarray
     orders: np.ndarray
 
@@ -282,7 +309,9 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     be distinct.  The reference
     value extrapolates the two finest steps assuming first-order
     convergence, so the error column should shrink by the eps ratio (the
-    empirical orders report the observed exponents).
+    empirical orders report the observed exponents).  Hopping values and
+    their extrapolation are complex, and the errors are the moduli of the
+    complex differences; occupation and pair values are real.
     """
     eps_arr = np.asarray(eps_list, dtype=float).ravel()
     if eps_arr.size < 2:
@@ -306,9 +335,9 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
             m = int(round(sep / eps))
             if abs(m * eps - sep) > 1e-9 * abs(sep):
                 raise ShapeMismatchError(f"separation {sep} is not a multiple of eps {eps}")
-            val = lattice_correlators(tensors, kind, distances=[m], **kwargs)[0]
-            values.append(val.real if np.iscomplexobj(val) else val)
-    values = np.asarray(values, dtype=float)
+            values.append(lattice_correlators(tensors, kind, distances=[m], **kwargs)[0])
+    hopping = observable != "occupation" and observable[0] == "hopping"
+    values = np.asarray(values, dtype=complex if hopping else float)
 
     ratio = eps_arr[-2] / eps_arr[-1]
     extrapolated = (ratio * values[-1] - values[-2]) / (ratio - 1.0)
@@ -318,7 +347,7 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     return ConvergenceStudy(
         eps=eps_arr,
         values=values,
-        extrapolated=float(extrapolated),
+        extrapolated=extrapolated.item(),
         errors=errors,
         orders=orders,
     )

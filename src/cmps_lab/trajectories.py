@@ -18,12 +18,15 @@ evaluated with scipy.linalg.expm instead; the choice follows from the
 condition number of the eigenvector matrix.
 
 Reproducibility: trajectory index i of master seed s draws from
-Generator(PCG64(SeedSequence([s, i]))), consuming one uniform for the
+Generator(PCG64(SeedSequence([s, i]))), using one uniform for the
 initial-state draw, one per jump and one for the draw that ends the
-record.  Every per-trajectory quantity is computed row by row in a fixed
-order, and a row leaves the root finder as soon as it converges, so a
-record is bit-identical whichever trajectories share its batch: an
-ensemble member equals the single trajectory sampled at its index.
+record.  The stream is read ahead in blocks (`_Uniforms`), and
+Generator.random(k) yields the same doubles as k scalar draws, so the
+values a record uses do not change with the block size.  Every
+per-trajectory quantity is computed row by row in a fixed order, and a
+row leaves the root finder as soon as it converges, so a record is
+bit-identical whichever trajectories share its batch: an ensemble member
+equals the single trajectory sampled at its index.
 """
 
 from dataclasses import dataclass
@@ -75,6 +78,28 @@ def _stream(master_seed, index):
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([int(master_seed), int(index)]))
     )
+
+
+class _Uniforms:
+    """The uniforms of a batch of streams, one row per stream, read from
+    each stream `BLOCK` at a time and refilled when a row runs out."""
+
+    BLOCK = 16
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.buf = np.empty((len(gens), self.BLOCK))
+        self.used = np.full(len(gens), self.BLOCK)
+
+    def draw(self, rows):
+        """The next uniform of each stream in rows."""
+        empty = rows[self.used[rows] == self.BLOCK]
+        for b in empty:
+            self.buf[b] = self.gens[b].random(self.BLOCK)
+        self.used[empty] = 0
+        u = self.buf[rows, self.used[rows]]
+        self.used[rows] += 1
+        return u
 
 
 def _initial_ensemble(params):
@@ -221,15 +246,15 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     flow = _NoJumpFlow(params)
     cum, vecs = _initial_ensemble(params)
     indices = [first_index + i for i in range(n_traj)]
-    gens = [_stream(master_seed, i) for i in indices]
-    z = flow.coordinates(_pick_initial(np.array([g.random() for g in gens]), cum, vecs))
+    uniforms = _Uniforms([_stream(master_seed, i) for i in indices])
+    active = np.arange(n_traj)
+    z = flow.coordinates(_pick_initial(uniforms.draw(active), cum, vecs))
     t = np.zeros(n_traj)
     final = np.empty_like(z)
     jump_rows, jump_pos = [], []
 
-    active = np.arange(n_traj)
     while active.size:
-        u = np.array([gens[b].random() for b in active])
+        u = uniforms.draw(active)
         rem = length - t[active]
         y_end = flow.propagate(z[active], rem)
         ends = flow.survival(y_end) >= u

@@ -234,6 +234,27 @@ def test_converge_extrapolates_occupation(tmp_path):
     assert result["orders"][-1] == pytest.approx(1.0, abs=0.3)
 
 
+def test_converge_writes_complex_extrapolation_for_hopping_only(tmp_path):
+    rng = np.random.default_rng(3)
+    k, r = rand_herm(2, rng), 0.7 * rand_mat(2, rng)
+    model = {"dim": 2, "K": {"re": k.real.tolist(), "im": k.imag.tolist()},
+             "R": {"re": r.real.tolist(), "im": r.imag.tolist()}}
+    base = {"model": model, "geometry": "thermodynamic", "epsilons": [0.02, 0.01]}
+    rc, out = run_cli(tmp_path, "converge", {**base, "observable": "hopping",
+                                             "separation": 0.2}, tag="hop")
+    assert rc == 0
+    result = load_json(out)["result"]
+    assert set(result["extrapolated"]) == {"re", "im"}
+    assert result["extrapolated"]["im"] != 0.0
+    assert all(v != 0.0 for v in result["values"]["im"])
+    for observable in ("occupation", "pair"):
+        extra = {} if observable == "occupation" else {"separation": 0.2}
+        rc, out = run_cli(tmp_path, "converge", {**base, "observable": observable, **extra},
+                          tag=observable)
+        assert rc == 0
+        assert isinstance(load_json(out)["result"]["extrapolated"], float)
+
+
 def test_converge_repeated_epsilons_exit_one(tmp_path, capsys):
     rc, out = run_cli(tmp_path, "converge", rf_config(epsilons=[0.01, 0.01, 0.02]))
     assert rc == 1

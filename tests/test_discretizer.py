@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from cmps_lab import (
     Finite,
@@ -12,6 +14,7 @@ from cmps_lab import (
     transfer_matrix,
     two_point,
 )
+from cmps_lab import discretizer
 from cmps_lab.discretizer import _dominant_pair
 from cmps_lab.liouville import build_liouvillian, fields, hermitian_basis
 from cmps_lab.errors import (
@@ -21,7 +24,7 @@ from cmps_lab.errors import (
     WindowTooSmallError,
 )
 
-from conftest import EXCITED, RF_K, RF_R, rand_herm, rand_mat
+from conftest import EXCITED, RF_K, RF_R, rand_herm, rand_mat, random_instance
 
 
 def test_tensor_formulas(rf):
@@ -200,8 +203,19 @@ def test_convergence_study_rejects_repeated_steps(rf, eps):
 
 def test_convergence_study_hopping_observable(rf):
     study = convergence_study(rf, [0.01, 0.005], observable=("hopping", 1.0))
-    exact = complex(two_point(rf, np.array([1.0])).values[0]).real
+    exact = complex(two_point(rf, np.array([1.0])).values[0])
+    assert isinstance(study.extrapolated, complex)
     assert abs(study.extrapolated - exact) < 1e-4
+    # a D = 3 instance whose hopping correlator has an imaginary part: the
+    # study keeps it in the values and in the extrapolation
+    p = random_instance(3, dims=(3, 4))
+    study = convergence_study(p, [0.01, 0.005], observable=("hopping", 0.2))
+    exact = complex(two_point(p, np.array([0.2])).values[0])
+    assert abs(exact.imag) > 1e-3
+    assert study.values.dtype == complex
+    assert abs(study.extrapolated - exact) <= study.errors[-1]
+    assert abs(study.extrapolated.imag - exact.imag) < 0.01 * abs(exact.imag)
+    np.testing.assert_array_equal(study.errors, np.abs(study.values - study.extrapolated))
 
 
 @pytest.mark.parametrize("s", [1e-10, 1.0, 1e6])
@@ -253,10 +267,30 @@ def test_finite_occupation_matches_site_by_site_chain(n_sites):
     assert got == pytest.approx(want.real, rel=1e-12)
 
 
-def _reference_lattice(tensors, observable, distances, n_sites=None, rho0=None):
+def _one_sided_fixed_points(emat):
+    """(eta, left / <left|right>, right) from np.linalg.eig of E and of E^dag."""
+    w, vr = np.linalg.eig(emat)
+    i = np.argmax(np.abs(w))
+    eta, right = w[i], vr[:, i]
+    wl, vl = np.linalg.eig(emat.conj().T)
+    left = vl[:, np.argmin(np.abs(wl - np.conj(eta)))].conj()
+    return eta, left / (left @ right), right
+
+
+def _two_sided_fixed_points(emat):
+    """(eta, left / <left|right>, right) from one scipy.linalg.eig call with
+    left and right eigenvectors."""
+    w, vl, vr = scipy.linalg.eig(emat, left=True, right=True)
+    i = np.argmax(np.abs(w))
+    left = vl[:, i].conj()
+    return w[i], left / (left @ vr[:, i]), vr[:, i]
+
+
+def _reference_lattice(tensors, observable, distances, n_sites=None, rho0=None,
+                       fixed_points=_one_sided_fixed_points):
     """The lattice estimators by a complex row-stacked contraction written
-    out here: np.kron superoperators, np.linalg.eig fixed points of E and
-    E^dag, a finite chain walked one site at a time."""
+    out here: np.kron superoperators, the dominant eigenvectors of E from
+    `fixed_points`, a finite chain walked one site at a time."""
     mats = tensors.matrices
 
     def kron(a, b):
@@ -270,12 +304,7 @@ def _reference_lattice(tensors, observable, distances, n_sites=None, rho0=None):
         lower = raise_ = sum(n * kron(a, a) for n, a in enumerate(mats))
     one = np.eye(tensors.dim).reshape(-1)
     if n_sites is None:
-        w, vr = np.linalg.eig(emat)
-        i = np.argmax(np.abs(w))
-        eta, opening = w[i], vr[:, i]
-        wl, vl = np.linalg.eig(emat.conj().T)
-        left = vl[:, np.argmin(np.abs(wl - np.conj(eta)))].conj()
-        close = left / (left @ opening)
+        eta, close, opening = fixed_points(emat)
     else:
         opening = rho0.reshape(-1).astype(complex)
         norm = one.astype(complex)
@@ -337,6 +366,63 @@ def test_real_basis_lattice_matches_complex_row_stacked_contraction(seed):
                 want = want.real
             err = np.abs(got - want).max() / np.abs(want).max()
             assert err <= rtol, (observable, n_sites, err)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_thermodynamic_lattice_matches_two_sided_eigenvectors(seed):
+    # the bordered-LU fixed points against the left and right eigenvectors
+    # of one two-sided complex eigensolve, at the roundoff scale above
+    rng = np.random.default_rng(860 + seed)
+    d = 2 + seed % 5
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    for eps in (0.02, 0.01, 0.005):
+        for order in (1, 2):
+            t = lattice_tensors(p, eps, order=order)
+            for observable in ("occupation", "hopping", "pair"):
+                distances = [0] if observable == "occupation" else [1, 3, 7]
+                got = np.atleast_1d(lattice_correlators(
+                    t, observable, distances=None if observable == "occupation" else distances))
+                want = _reference_lattice(t, observable, distances,
+                                          fixed_points=_two_sided_fixed_points)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= THERMO_RTOL_TIMES_EPS / eps, (eps, order, observable, err)
+
+
+def test_thermodynamic_chain_runs_one_eigenvalue_only_dgeev(monkeypatch):
+    # the fixed points come from a factorization, not from eigenvectors
+    dgeev = scipy.linalg.lapack.dgeev
+    calls = []
+
+    def counting_dgeev(a, compute_vl=1, compute_vr=1, **kwargs):
+        calls.append((compute_vl, compute_vr))
+        return dgeev(a, compute_vl=compute_vl, compute_vr=compute_vr, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting_dgeev)
+    p = random_instance(5, dims=(4, 5))
+    t = lattice_tensors(p, 0.01, order=2)
+    for observable, distances in (("occupation", None), ("hopping", [1, 3]), ("pair", [2])):
+        calls.clear()
+        lattice_correlators(t, observable, distances=distances)
+        assert calls == [(0, 0)], observable
+
+
+def test_transfer_fixed_point_refusals(rf, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(discretizer, "FIXED_POINT_TOL", 1e-30)
+        with pytest.raises(WindowTooSmallError, match="residual"):
+            lattice_correlators(lattice_tensors(rf, 0.01), "occupation")
+    # D = 2 layout, trace functional on coordinates 0 and 3.  The dominant
+    # eigenvalue 2 is simple, but its fixed point e_1 is traceless, so the
+    # bordered matrix has a zero column
+    with pytest.raises(WindowTooSmallError, match="singular"):
+        _dominant_pair(np.diag([0.5, 2.0, 0.3, 0.1]))
+    # the dominant eigenvalue 1 is simple with right fixed point e_0, and
+    # the left one is (1, 0, 0, 2a) with a = 2^40: the pair overlaps to
+    # 1 / sqrt(1 + 4 a^2) < 1e-12.  Powers of two keep every step exact
+    emat = np.diag([1.0, 0.125, 0.125, 0.5])
+    emat[0, 3] = 2.0**40
+    with pytest.raises(WindowTooSmallError, match="orthogonal"):
+        _dominant_pair(emat)
 
 
 def test_transfer_hmat_is_the_real_hermitian_basis_image(rf):

@@ -119,6 +119,25 @@ def test_pure_decay_jumps_exactly_once(damping_finite):
             assert recs[i].positions[0] == pytest.approx(-np.log(u), rel=1e-12)
 
 
+def test_jump_positions_read_the_stream_across_blocks(coherent):
+    # at D = 1, S(tau) = exp(-r^2 tau) from every state, so the k-th jump
+    # lies at the running sum of -log(u) / r^2 over the stream's scalar
+    # draws 2 .. k + 1 (draw 1 picks the initial state).  Records of more
+    # than 40 jumps read their stream across several blocks
+    r = 1.1
+    length = 50.0
+    recs = sample_ensemble(coherent(r=r), 3, length, master_seed=99, first_index=7)
+    for rec in recs:
+        assert rec.positions.size >= 40
+        gen = _stream(*rec.seed_info)
+        gen.random()
+        waits = [-np.log(gen.random()) / r**2 for _ in range(rec.positions.size + 1)]
+        expected = np.cumsum(waits)
+        np.testing.assert_allclose(rec.positions, expected[:-1], rtol=1e-12, atol=0)
+        # the next draw ends the record
+        assert expected[-1] > length
+
+
 @pytest.mark.parametrize("k", [RF_K, EP_K], ids=["emitter", "exceptional"])
 def test_first_jump_times_follow_survival(k, monkeypatch):
     # from the excited state the first jump has survival S(tau) exactly
