@@ -49,7 +49,6 @@ from .lindblad import (
 from .discretizer import (
     ConvergenceStudy,
     LatticeTensors,
-    TransferMatrix,
     convergence_study,
     lattice_correlators,
     lattice_tensors,

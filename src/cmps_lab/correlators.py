@@ -14,15 +14,16 @@ whole dictionary as one (a, b) pair per kind:
 
 An insertion is its kind name, for example
 `expectation(params, [(0.0, "create"), (1.0, "annihilate")])`: it belongs
-to no parameter set.  Each chain resolves the names against its own
-parameter set's field table and applies each kind as its D x D action
+to no parameter set.  Each chain resolves the names against its
+generator's field table and applies each kind as its D x D action
 `liouville.action`, at O(D^3), without building its D^2 x D^2 matrix;
-`family_derivative` differentiates it with `liouville.action_tangent`
-over the same table, so the table is the only place the dictionary is
-written.  Free propagation exp(L dx) runs between consecutive insertion
-points and the trace functional closes the chain; a thermodynamic chain
-that ends on an insertion S closes with the covector <1| S, computed once
-from the adjoint action as the coordinate form of sum f[b]^dag f[a].
+`family_derivative` differentiates it by the action of
+`liouville.tangent_terms(kind)`, so the table is the only place the
+dictionary is written.  Free propagation exp(L dx) runs between
+consecutive insertion points and the trace functional closes the chain;
+a thermodynamic chain that ends on an insertion S closes with the
+covector <1| S, computed once from the adjoint action as the coordinate
+form of sum f[b]^dag f[a].
 Translation invariance makes the derivative insertions commutator form
 exact (no explicit x dependence of R).  In the thermodynamic geometry the
 chain opens on the stationary state; in a finite geometry it opens on the
@@ -34,18 +35,19 @@ Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
 state through ascending positions, applies each insertion as it passes it,
 and hands back the vector at requested stops.  A chain works in the
-Hermitian basis of `liouville.hermitian_basis`: the generator preserves
-Hermiticity, so each propagator exp(L dx) is the exponential of the real
-matrix `Superoperator.hmat`, and so are the sourced sites of
-`generating_functional`.  The vectors are carried in the same basis but
-stay complex, because an insertion need not preserve Hermiticity: an
-insertion turns them into D x D matrices (`HermitianBasis.vec`), acts,
-and turns the result back (`HermitianBasis.coords`).  The trace
-functional closes the chain unchanged.  `family_derivative` walks the
-same legs forward once, carrying the tangent of the vector alongside it:
-each leg applies exp(L dx) together with its Frechet derivative (both
-real), so the derivative along a family of states needs no backward march
-and no quadrature.
+Hermitian basis of `liouville.hermitian_basis`: the generator, a
+`liouville.Superoperator`, preserves Hermiticity, so each propagator
+exp(L dx) is the exponential of its real matrix `hmat`, as are the
+sourced sites of `generating_functional`.  The vectors are carried in
+the same basis but stay complex, because an insertion need not preserve
+Hermiticity: an insertion turns them into D x D matrices
+(`HermitianBasis.vec`), acts, and turns the result back
+(`HermitianBasis.coords`).  The trace functional closes the chain
+unchanged.  `family_derivative` walks the same legs forward once,
+carrying the tangent of the vector alongside it: each leg applies
+exp(L dx) together with its Frechet derivative (both real), so the
+derivative along a family of states needs no backward march and no
+quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
@@ -64,10 +66,11 @@ import numpy as np
 import scipy.linalg
 
 from .core import Finite, Thermodynamic
-from .discretizer import _lattice_step, finite_site_count
+from .discretizer import _integer, _lattice_step, finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
+    NoConvergenceError,
     NonHermitianKError,
     PositionOutOfRangeError,
     ShapeMismatchError,
@@ -78,16 +81,14 @@ from .errors import (
 )
 from .liouville import (
     GENERATOR,
+    Superoperator,
     action,
     action_adjoint,
-    action_tangent,
     build_liouvillian,
-    fields,
     fields_tangent,
     fixed_mode,
     hermitian_basis,
-    superop,
-    superop_tangent,
+    tangent_terms,
     trace_functional,
     vectorize,
 )
@@ -129,35 +130,29 @@ class _Chain:
     length is reached and reused while the following legs share that
     length.  The stationary state is the parameter set's own
     (`CmpsParams.stationary`), and so, in the thermodynamic geometry, is
-    the generator.
+    the generator L, whose field table the chain reads; a finite chain
+    builds its own, whose matrix is built when a leg first reads it.
     """
 
     STOP = object()
 
     def __init__(self, params):
         self.params = params
-        self.fields = fields(params.K, params.R)
         self.basis = hermitian_basis(params.dim)
         self.left = trace_functional(params.dim)
         self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
             self.spectral = params.stationary
+            self.L = self.spectral.generator
             rho = self.spectral.steady_state
             self.length = None
         else:
             self.spectral = None
+            self.L = build_liouvillian(params.K, params.R)
             rho = params.geometry.boundary_rho
             self.length = params.geometry.length
+        self.fields = self.L.fields
         self.right = self.basis.coords(vectorize(rho))
-
-    @cached_property
-    def L(self):
-        """The generator: the one the stationary state was certified on, or,
-        in a finite geometry, built when a leg first needs it (a chain whose
-        insertions all share one point never propagates)."""
-        if self.spectral is not None:
-            return self.spectral.generator
-        return build_liouvillian(self.params.K, self.params.R)
 
     def matrices(self, x):
         """The D x D matrices of coordinate vectors x, one per row, as a
@@ -404,6 +399,9 @@ def decay_fit(params, d_min, d_max, n_points=33):
         raise ValidationError(f"fit window must be finite, got [{d_min}, {d_max}]")
     if d_max <= d_min:
         raise NegativeDistanceError("need d_max > d_min")
+    n_points = _integer(n_points, "n_points")
+    if n_points < 2:
+        raise ValidationError(f"a decay fit needs n_points >= 2, got {n_points}")
     if isinstance(params.geometry, Finite):
         c0 = 0.0  # boundary-driven signal, no stationary mode to subtract
     else:
@@ -442,9 +440,12 @@ def family_derivative(params, dK, dR, insertions):
     of the exponential at L dx in the direction dL dx; an insertion S maps
     it to (S v, S dv + dS v), because the insertions are built from (K, R)
     and move with the family.  S acts on v and dv as one stack of two
-    D x D matrices (`liouville.action`), and dS v is the `action_tangent`
-    of its kind over the chain's one field table, so no insertion is built
-    as a matrix; dL is the generator's `superop_tangent`.  A thermodynamic
+    D x D matrices (`liouville.action`); by the product rule over the
+    chain's table merged with `fields_tangent`, dS v is the action of
+    `tangent_terms(S)` and dL the `Superoperator` of
+    `tangent_terms(GENERATOR)`, so no insertion is built as a matrix.  A
+    non-finite dK or dR raises ValidationError, and a tangent generator
+    whose term norm overflows NoConvergenceError.  A thermodynamic
     chain opens on the stationary state, whose tangent solves
     `bordered`(L) drho = -dL rho, the fixed point's own bordered system,
     with the LU factors the fixed point was solved with (invertible when
@@ -459,6 +460,9 @@ def family_derivative(params, dK, dR, insertions):
     dR = np.asarray(dR, dtype=complex)
     if dK.shape != (params.dim, params.dim) or dR.shape != (params.dim, params.dim):
         raise ShapeMismatchError("dK and dR must match the parameter dimension")
+    for name, m in (("dK", dK), ("dR", dR)):
+        if not np.isfinite(m).all():
+            raise ValidationError(f"{name} must be finite, got {m[~np.isfinite(m)][0]}")
     if np.abs(dK - dK.conj().T).max() > params.tol.herm * max(1.0, np.abs(dK).max()):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
@@ -468,8 +472,11 @@ def family_derivative(params, dK, dR, insertions):
     start = float(insertions[0][0]) if chain.length is None else 0.0
     legs = chain.legs(insertions, start)
     f = chain.fields
-    df = fields_tangent(f, dK, dR)
-    dgen = chain.basis.transform(superop_tangent(GENERATOR, f, df)).real
+    moving = f | fields_tangent(f, dK, dR)
+    tangent = Superoperator(tangent_terms(GENERATOR), moving)
+    if not np.isfinite(tangent.scale):
+        raise NoConvergenceError("tangent generator's term norm is not finite")
+    dgen = tangent.hmat
     v = chain.right
     if chain.length is None:
         if params.dim == 1:
@@ -485,7 +492,7 @@ def family_derivative(params, dK, dR, insertions):
         terms = INSERTIONS[kind]
         m = chain.matrices(np.stack([v, dv]))
         w = action(terms, f, m)
-        w[1] += action_tangent(terms, f, df, m[0])
+        w[1] += action(tangent_terms(terms), moving, m[0])
         v, dv = chain.coordinates(w)
     return chain.close(dv, float(insertions[-1][0]))
 
@@ -549,7 +556,7 @@ def generating_functional(params, sources, eps):
             legs.append((eps, None))
         else:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            site = chain.basis.transform(superop(GENERATOR, shifted)).real
+            site = Superoperator(GENERATOR, shifted).hmat
             legs.append((0.0, scipy.linalg.expm(site * eps)))
     (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
     if chain.length is None:
@@ -577,12 +584,12 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
     """
     eps = _lattice_step(eps, "eps")
     h = _lattice_step(h, "h")
-    n_sites = int(n_sites)
+    n_sites = _integer(n_sites, "n_sites")
     if n_sites < 4:
         raise ShapeMismatchError("need at least 4 lattice sites")
     if site_pair is None:
         site_pair = (n_sites // 4, (3 * n_sites) // 4)
-    r, s = int(site_pair[0]), int(site_pair[1])
+    r, s = _integer(site_pair[0], "site index"), _integer(site_pair[1], "site index")
     if not (0 <= r < n_sites and 0 <= s < n_sites and r != s):
         raise ShapeMismatchError(f"site pair {site_pair} invalid for {n_sites} sites")
     zeros = np.zeros(n_sites, dtype=complex)

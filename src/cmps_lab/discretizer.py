@@ -6,22 +6,23 @@ tensors
     A0 = 1 + eps Q,   A1 = sqrt(eps) R,   A2 = (eps / sqrt 2) R^2 (order 2),
 
 where the particle number carried by a site is the tensor index.  The site
-update of the flattened density matrix is the transfer matrix
-E = sum_n sandwich(A^n, A^n), the superoperator of
-rho -> sum_n A^n rho (A^n)^dag; it reproduces the continuum generator to
-first order, E = 1 + eps L + O(eps^2).  Lattice expectation values
-(occupation / eps, hopping / eps, pair occupation / eps^2) converge to the
-continuum density, two-point function and pair correlator with O(eps)
-error, which is what makes this module an independent check on the
-insertion calculus: everything here is contracted directly from the
-tensors, with no use of the continuum generator or its exponential.
+update of the flattened density matrix is the transfer matrix E of
+rho -> sum_n A^n rho (A^n)^dag, a `liouville.Superoperator` over the
+field table (A0, A0), (A1, A1), ...; it reproduces the continuum
+generator to first order, E = 1 + eps L + O(eps^2).  Lattice expectation
+values (occupation / eps, hopping / eps, pair occupation / eps^2)
+converge to the continuum density, two-point function and pair
+correlator with O(eps) error, which is what makes this module an
+independent check on the insertion calculus: everything here is
+contracted directly from the tensors, with no use of the continuum
+generator or its exponential.
 
 The contractions run in real arithmetic.  The site map preserves
 Hermiticity, so in the Hermitian basis of `liouville.hermitian_basis` E is
-a real matrix (`TransferMatrix.hmat`; `mat` stays row-stacked), and so is
-the number superoperator of the occupation and pair estimators; the
-hopping superoperators move a particle on one side of rho only and stay
-complex.  The oracle takes the field table, `sandwich` and the basis from
+a real matrix (`Superoperator.hmat`), and so is the number superoperator
+of the occupation and pair estimators; the hopping superoperators move a
+particle on one side of rho only and stay complex.  The oracle takes the
+field table, the `Superoperator` type, `sandwich` and the basis from
 `liouville`, never the continuum generator.
 
 Thermodynamic values use the dominant left/right fixed points of the real
@@ -34,11 +35,13 @@ E - eta bordered by the trace functional, as the continuum fixed point in
 chains contract the full product with the boundary state, anchored at the
 left edge like the continuum convention; the binary powers of E, the
 closing covectors and the opening state are real.  `_lattice_step` is the
-one rule for a lattice step, here and in `correlators`: a non-finite or
-non-positive step is a `ValidationError` that names the value.
+one rule for a step, here, in `correlators` and for `lindblad`'s dx, and
+`_integer` for a count: a value that breaks it is a `ValidationError`
+that names the value.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,7 +56,7 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import fields, hermitian_basis, sandwich, trace_functional, vectorize
+from .liouville import Superoperator, fields, hermitian_basis, sandwich, trace_functional, vectorize
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
 # in every length unit: the site map is dimensionless
@@ -69,26 +72,9 @@ class LatticeTensors:
 
     @cached_property
     def transfer(self):
-        """The `TransferMatrix` of these tensors, built once however many
+        """The transfer matrix E of these tensors, built once however many
         readers it has."""
         return transfer_matrix(self)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """E on row-stacked density matrices (`mat`) and in the Hermitian basis
-    (`hmat`)."""
-
-    mat: np.ndarray
-    eps: float
-    dim: int
-
-    @cached_property
-    def hmat(self):
-        """mat in the Hermitian basis: a real matrix, because the site map
-        takes Hermitian matrices to Hermitian matrices.  Contiguous, since
-        a chain applies it once per site."""
-        return np.ascontiguousarray(hermitian_basis(self.dim).transform(self.mat).real)
 
 
 def _lattice_step(value, name):
@@ -99,6 +85,15 @@ def _lattice_step(value, name):
     if value <= 0:
         raise StepNotPositiveError(f"{name} must be positive, got {value}")
     return value
+
+
+def _integer(value, name):
+    """A count or a site distance as an int: a value that is not a whole
+    number (1.5, nan, a string) is a ValidationError, never truncated."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def lattice_tensors(params, eps, order=1):
@@ -114,9 +109,9 @@ def lattice_tensors(params, eps, order=1):
 
 
 def transfer_matrix(tensors):
-    """E = sum_n sandwich(A^n, A^n) acting on row-stacked density matrices."""
-    mat = sum(sandwich(a, a) for a in tensors.matrices)
-    return TransferMatrix(mat=mat, eps=tensors.eps, dim=tensors.dim)
+    """E, the `Superoperator` of the table (A0, A0), (A1, A1), ... of the tensors."""
+    f = {f"A{n}": a for n, a in enumerate(tensors.matrices)}
+    return Superoperator(tuple((name, name) for name in f), f)
 
 
 def _site_superops(tensors, observable):
@@ -138,7 +133,7 @@ def _site_superops(tensors, observable):
 
 def _dominant_pair(emat):
     """Dominant eigenvalue eta with left/right fixed points of the real
-    matrix E (`TransferMatrix.hmat`), as (eta, left / <left|right>, right).
+    matrix E (`Superoperator.hmat`), as (eta, left / <left|right>, right).
 
     The eigenvalues come from one LAPACK dgeev call without eigenvectors.
     E is a positive map, so its spectral radius is an eigenvalue with a
@@ -222,18 +217,19 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     else:
         if distances is None:
             raise ShapeMismatchError("hopping/pair observables need distances")
-        distances = [int(m) for m in np.atleast_1d(distances)]
+        distances = [_integer(m, "site distance") for m in np.atleast_1d(distances)]
         if any(m < 1 for m in distances):
             raise ShapeMismatchError("site distances must be >= 1")
+    if n_sites is not None:
+        n_sites = _integer(n_sites, "n_sites")
 
     if all(np.abs(s).max() == 0.0 for s in superops):
-        vals = np.zeros(len(distances))
+        vals = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
         return float(vals[0]) if observable == "occupation" else vals
 
     if n_sites is None:
         eta, close, open_vec = _dominant_pair(emat)
     else:
-        n_sites = int(n_sites)
         if boundary_rho is None:
             raise ShapeMismatchError("finite chains need boundary_rho")
         span = max(_span(observable, m) for m in distances)

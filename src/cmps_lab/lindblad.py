@@ -32,8 +32,8 @@ instead of asserting it away; it vanishes (to roundoff) iff psi_dag_sq = 0.
 
 Both generators here have the shape of the exact calculus's:
 G rho + rho G^dag + sum a rho b^dag, written as a field table
-(G, 1), (1, G), (a_j, b_j) and built by `liouville.superop`.  For the
-moment generator (n = psi_dag_psi, alpha = psi_dag_sq)
+(G, 1), (1, G), (a_j, b_j) and held as a `liouville.Superoperator`.  For
+the moment generator (n = psi_dag_psi, alpha = psi_dag_sq)
 
     G = -i K - (1/2)(n + 1) R^dag R - (1/2) n R R^dag
         + (1/2)(alpha R^2 + conj(alpha) R^dag^2),
@@ -45,9 +45,9 @@ the jump-sum form has G_J = -i K - (1/2) sum_j M_j^dag M_j and the pairs
 
 Both generators map Hermitian matrices to Hermitian matrices, so
 `compare_forms` exponentiates them as real matrices in the Hermitian basis
-(`liouville.hermitian_basis`) and maps each exp(G dx) back to row-stacked
-form (`HermitianBasis.rowstacked`) for the Choi test; the matrix
-difference and the trace defects are read on the row-stacked matrices.
+(`Superoperator.hmat`) and maps each exp(G dx) back to row-stacked form
+(`HermitianBasis.rowstacked`) for the Choi test; the matrix difference
+and the trace defects are read on the row-stacked matrices (`mat`).
 """
 
 from dataclasses import dataclass
@@ -55,13 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .discretizer import _lattice_step
 from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,
     Tolerances,
     choi_min_eigenvalue,
     hermitian_basis,
-    superop,
     trace_functional,
 )
 
@@ -121,14 +121,14 @@ class JumpSet:
 
 
 def _dissipative_form(g, pairs):
-    """Superoperator of rho -> G rho + rho G^dag + sum over (a, b) in pairs of
-    a rho b^dag, as one field table read by `superop`."""
+    """The `Superoperator` of rho -> G rho + rho G^dag + sum over (a, b) in
+    pairs of a rho b^dag, as one field table."""
     f = {"1": np.eye(g.shape[0]), "G": g}
     terms = [("G", "1"), ("1", "G")]
     for j, (a, b) in enumerate(pairs):
         f[f"a{j}"], f[f"b{j}"] = a, b
         terms.append((f"a{j}", f"b{j}"))
-    return superop(terms, f)
+    return Superoperator(tuple(terms), f)
 
 
 def build_general_generator(K, R, moments):
@@ -149,12 +149,8 @@ def build_general_generator(K, R, moments):
     g = (-1j * K - 0.5 * moments.psi_psi_dag * (rd @ R) - 0.5 * n * (R @ rd)
          + 0.5 * (alpha * (R @ R) + np.conj(alpha) * (rd @ rd)))
     up, down = np.sqrt(n), np.sqrt(moments.psi_psi_dag)
-    mat = _dissipative_form(g, [(down * R, down * R), (up * rd, up * rd),
-                                (-alpha * R, rd), (-np.conj(alpha) * rd, R)])
-    # term norm, bounded: each sandwich of R and R^dag factors has 1-norm <= r^2
-    r = max(np.linalg.norm(R, 1), np.linalg.norm(R, np.inf))
-    scale = 2.0 * np.linalg.norm(K, 1) + (4.0 * (abs(alpha) + n) + 2.0) * r**2
-    return Superoperator(mat=mat, dim=K.shape[0], scale=float(scale))
+    return _dissipative_form(g, [(down * R, down * R), (up * rd, up * rd),
+                                 (-alpha * R, rd), (-np.conj(alpha) * rd, R)])
 
 
 def jump_decomposition(K, R, moments):
@@ -200,12 +196,13 @@ def compare_forms(K, R, moments, dx=0.1):
     the minimum Choi eigenvalue of exp(G dx) for both.  Nothing is
     asserted here; callers decide what counts as agreement (diagonal
     moments should give max_difference at roundoff, anomalous moments a
-    finite discrepancy).
+    finite discrepancy).  A dx that is not finite and positive is refused.
     """
+    dx = _lattice_step(dx, "dx")
     gen = build_general_generator(K, R, moments)
     jumps = jump_decomposition(K, R, moments)
     g = -1j * jumps.K - 0.5 * sum(m.conj().T @ m for m in jumps.operators)
-    jmat = _dissipative_form(g, [(m, m) for m in jumps.operators])
+    jform = _dissipative_form(g, [(m, m) for m in jumps.operators])
     tr = trace_functional(gen.dim)
     basis = hermitian_basis(gen.dim)
 
@@ -214,9 +211,9 @@ def compare_forms(K, R, moments, dx=0.1):
         return choi_min_eigenvalue(basis.rowstacked(scipy.linalg.expm(hmat * dx)))
 
     return FormComparison(
-        max_difference=float(np.abs(gen.mat - jmat).max()),
+        max_difference=float(np.abs(gen.mat - jform.mat).max()),
         trace_defect_general=float(np.abs(tr @ gen.mat).max()),
-        trace_defect_jump_form=float(np.abs(tr @ jmat).max()),
+        trace_defect_jump_form=float(np.abs(tr @ jform.mat).max()),
         choi_min_general=choi_min(gen.hmat),
-        choi_min_jump_form=choi_min(basis.transform(jmat).real),
+        choi_min_jump_form=choi_min(jform.hmat),
     )

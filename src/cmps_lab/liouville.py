@@ -15,23 +15,22 @@ is therefore the D^2 x D^2 matrix
 
     L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R).
 
-Every boundary generator is a field table: a list of (a, b) names into a
-dict of D x D matrices.  The exact calculus reads one table,
+Every D^2 x D^2 map of the package is one `Superoperator`: a field table,
+a tuple of (a, b) names into a dict f of D x D matrices, read as
+rho -> sum f[a] rho f[b]^dag, whose dense forms are computed from the
+table when first read.  The exact calculus reads one table,
 `fields(K, R)` = {1, Q, R, X = -[Q, R]}: the generator is `GENERATOR` =
 (Q, 1), (1, Q), (R, R), and the insertions of `correlators.INSERTIONS`
-are one pair each, named by their kind.  `lindblad` writes the
-general-moment generator and its jump-sum form as tables of the same
-shape, (G, 1), (1, G) plus one pair per jump.  A table acts on D x D
-matrices by `action`, rho -> sum f[a] rho f[b]^dag at O(D^3) per matrix,
-on a stack of shape (..., D, D); `action_adjoint` is its Hilbert-Schmidt
-adjoint, sum f[a]^dag m f[b], and `action_tangent` its derivative by the
-product rule over the moving fields (`fields_tangent`).  Every insertion
-runs through these three.  `superop` is the dense form of the action, the
-only code that turns a table into a D^2 x D^2 matrix, and
-`superop_tangent` the dense form of its tangent; they are built only
-where the matrix is exponentiated, factored or eigen-solved: the
-generator, its tangent, the sourced sites of
-`correlators.generating_functional` and `lindblad`'s forms.
+are one pair each, named by their kind.  `lindblad`'s two generator
+forms are tables (G, 1), (1, G) plus one pair per jump, and the lattice
+transfer matrix is (A0, A0), (A1, A1), ... over the site tensors.  A
+table acts on a stack of D x D matrices by `action`, at O(D^3) per
+matrix, and by its adjoint `action_adjoint`; every insertion runs
+through these two, and only the maps that are exponentiated, factored or
+eigen-solved read `Superoperator.mat` or `hmat`.  The product rule is one
+table transform: along K + t dK, R + t dR the fields move by
+`fields_tangent` (dQ, dR, dX), and the map of `terms` moves by the map of
+`tangent_terms(terms)` over the merged table f | df.
 
 The dense kernels run in a second layout, the Hermitian basis (Alicki
 and Lendi's coherence vector), which lives here and nowhere else.
@@ -39,16 +38,13 @@ and Lendi's coherence vector), which lives here and nowhere else.
 and replaces each off-diagonal pair E_jk, E_kj by the Hermitian matrices
 (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.  A Hermitian matrix has
 real coordinates there, and a superoperator that maps Hermitian matrices
-to Hermitian matrices, as every generator and every transfer matrix does,
-is the real matrix U^dag S U.  Real eigenvalue solves, linear solves and
-exponentials cost a fraction of complex ones.  Three layers use the
-basis: the exact calculus (`Superoperator.hmat`: the fixed point, the
-spectrum and every propagator of `correlators`), the lattice oracle
-(`discretizer.TransferMatrix.hmat` and its site superoperators) and the
-Choi test of `lindblad.compare_forms`, which maps exp(G dx) back with
-`HermitianBasis.rowstacked`.  `mat`, `vectorize`, `trace_functional` and
-`choi_matrix` stay row-stacked; the trace functional is the same vector
-in both layouts, because U leaves the diagonal alone.
+to Hermitian matrices, as every table above does, is the real matrix
+U^dag S U, `Superoperator.hmat`, on which every dense kernel runs: real
+eigenvalue solves, linear solves and exponentials cost a fraction of
+complex ones.  The Choi test of `lindblad.compare_forms` maps exp(G dx)
+back with `HermitianBasis.rowstacked`.  `vectorize`, `trace_functional`
+and `choi_matrix` are row-stacked; the trace functional is the same
+vector in both layouts, because U leaves the diagonal alone.
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The fixed
@@ -118,23 +114,22 @@ def fields(K, R):
 
 
 def superop(terms, f):
-    """Superoperator of rho -> sum over (a, b) in terms of f[a] rho f[b]^dag."""
+    """Row-stacked matrix of rho -> sum over (a, b) in terms of f[a] rho f[b]^dag."""
     return reduce(np.add, (sandwich(f[a], f[b]) for a, b in terms))
 
 
-def superop_tangent(terms, f, df):
-    """Directional derivative of `superop(terms, f)` when the fields move by df.
-
-    The product rule gives sandwich(df[a], f[b]) + sandwich(f[a], df[b]) per
-    term; the identity does not move, so it contributes no piece.
-    """
-    pieces = []
+def tangent_terms(terms):
+    """The product rule as a table transform, read over the merged table
+    f | df (`fields_tangent` names each moving field "d" + name): each
+    (a, b) gives ("d" + a, b) and (a, "d" + b); the identity does not move
+    and gives no piece."""
+    out = []
     for a, b in terms:
         if a != "1":
-            pieces.append(sandwich(df[a], f[b]))
+            out.append(("d" + a, b))
         if b != "1":
-            pieces.append(sandwich(f[a], df[b]))
-    return reduce(np.add, pieces)
+            out.append((a, "d" + b))
+    return tuple(out)
 
 
 def _sandwiched(a, m, b):
@@ -147,8 +142,8 @@ def _sandwiched(a, m, b):
 
 def action(terms, f, m):
     """sum over (a, b) in terms of f[a] m f[b]^dag, on a stack m of shape
-    (..., D, D): `superop(terms, f)` applied without building it, at
-    O(D^3) per matrix instead of O(D^4) to build and O(D^4) to apply."""
+    (..., D, D): the map of the table applied without building its matrix,
+    at O(D^3) per matrix instead of O(D^4) to build and O(D^4) to apply."""
     g = {**f, "1": None}
     return reduce(np.add, (_sandwiched(g[a], m, g[b]) for a, b in terms))
 
@@ -159,29 +154,16 @@ def action_adjoint(terms, f, m):
     return action(terms, {name: x.conj().T for name, x in f.items()}, m)
 
 
-def action_tangent(terms, f, df, m):
-    """Directional derivative of `action(terms, f, m)` at fixed m when the
-    fields move by df: `superop_tangent(terms, f, df)` applied without
-    building it, by the same product rule."""
-    g = {**f, "1": None}
-    pieces = []
-    for a, b in terms:
-        if a != "1":
-            pieces.append(_sandwiched(df[a], m, g[b]))
-        if b != "1":
-            pieces.append(_sandwiched(g[a], m, df[b]))
-    return reduce(np.add, pieces)
-
-
 def fields_tangent(f, dK, dR):
-    """Derivative of the field table `f` along K + t dK, R + t dR at t = 0.
+    """The moving fields dQ, dR, dX of the table `f` along K + t dK,
+    R + t dR at t = 0.
 
     dQ = -i dK - (1/2)(dR^dag R + R^dag dR), and X = -[Q, R] moves by
     -[dQ, R] - [Q, dR]; the identity does not move.
     """
     R, q = f["R"], f["Q"]
     dq = -1j * dK - 0.5 * (dR.conj().T @ R + R.conj().T @ dR)
-    return {"Q": dq, "R": dR, "X": -(dq @ R - R @ dq) - (q @ dR - dR @ q)}
+    return {"dQ": dq, "dR": dR, "dX": -(dq @ R - R @ dq) - (q @ dR - dR @ q)}
 
 
 def trace_functional(dim):
@@ -211,40 +193,38 @@ class HermitianBasis:
         self.b = k * dim + j
 
     def _mix(self, m, phase, axis):
-        """Apply U^dag (phase -i) or U^T (phase +i) along `axis` of a copy of m."""
-        out = np.array(m, dtype=complex)
-        view = out if axis == 0 else out.T
+        """Apply U^dag (phase -i) or U^T (phase +i) along `axis` of complex m, in place."""
+        view = m if axis == 0 else m.T
         va, vb = view[self.a], view[self.b]
         view[self.a] = (va + vb) * _R2
         view[self.b] = (va - vb) * (phase * _R2)
-        return out
+        return m
 
     def coords(self, v):
         """U^dag v: coordinates of row-stacked vectors (along the first axis)."""
-        return self._mix(v, -1j, 0)
+        return self._mix(np.array(v, dtype=complex), -1j, 0)
 
     def _unmix(self, x, phase, axis):
-        """Apply U (phase +i) or conj(U) (phase -i) along `axis` of a copy of x."""
-        out = np.array(x, dtype=complex)
-        view = out if axis == 0 else out.T
+        """Apply U (phase +i) or conj(U) (phase -i) along `axis` of complex x, in place."""
+        view = x if axis == 0 else x.T
         xa, xb = view[self.a], view[self.b] * (phase * _R2)
         view[self.a] = xa * _R2 + xb
         view[self.b] = xa * _R2 - xb
-        return out
+        return x
 
     def vec(self, x):
         """U x: the row-stacked vector of coordinates x (along the first axis)."""
-        return self._unmix(x, 1j, 0)
+        return self._unmix(np.array(x, dtype=complex), 1j, 0)
 
     def transform(self, m):
         """U^dag m U: a row-stacked superoperator matrix in this basis (real
         up to roundoff when the superoperator preserves Hermiticity)."""
-        return self.coords(self._mix(m, 1j, 1))
+        return self._mix(self._mix(np.array(m, dtype=complex), 1j, 1), -1j, 0)
 
     def rowstacked(self, x):
         """U x U^dag: the row-stacked matrix of a superoperator x given in
         this basis, the inverse of `transform`."""
-        return self.vec(self._unmix(x, -1j, 1))
+        return self._unmix(self._unmix(np.array(x, dtype=complex), -1j, 1), 1j, 0)
 
 
 @lru_cache(maxsize=None)
@@ -255,19 +235,37 @@ def hermitian_basis(dim):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense generator acting on row-stacked density matrices.  scale, its
-    term norm, sums the 1-norms of the sandwiches it is built from: it
-    bounds ||mat||_1 but is not roundoff where they cancel, as at D = 1."""
+    """rho -> sum over (a, b) in terms of f[a] rho f[b]^dag over the table
+    `fields`, with its dense forms computed when first read: mat, the
+    row-stacked matrix (`superop`); hmat, mat in the Hermitian basis, real
+    (every map whose hmat is read preserves Hermiticity) and contiguous;
+    scale, the term norm sum ||f[a]||_1 ||f[b]||_1, which bounds ||mat||_1
+    but is not roundoff where the terms cancel (the generator at D = 1)."""
 
-    mat: np.ndarray
-    dim: int
-    scale: float
+    terms: tuple
+    fields: dict
+
+    @property
+    def dim(self):
+        return self.fields[self.terms[0][0]].shape[0]
+
+    @cached_property
+    def mat(self):
+        return superop(self.terms, self.fields)
 
     @cached_property
     def hmat(self):
-        """mat in the Hermitian basis: a real matrix, because the generator
-        maps Hermitian matrices to Hermitian matrices."""
-        return hermitian_basis(self.dim).transform(self.mat).real
+        return np.ascontiguousarray(hermitian_basis(self.dim).transform(self.mat).real)
+
+    @cached_property
+    def scale(self):
+        # "1" is the identity; a square term is a power, so the generator's is
+        # 2 ||Q||_1 + ||R||_1 ** 2 to the bit (pow(x, 2) and x * x can differ in
+        # the last bit); an overflow gives inf, which the readers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            names = set().union(*self.terms) - {"1"}
+            norm = {"1": 1.0} | {name: np.abs(self.fields[name]).sum(axis=0).max() for name in names}
+            return float(sum(norm[a] ** 2 if a == b else norm[a] * norm[b] for a, b in self.terms))
 
 
 def fixed_mode(evals, zero_real_tol):
@@ -347,9 +345,7 @@ def build_liouvillian(K, R):
     R = np.asarray(R, dtype=complex)
     if K.ndim != 2 or K.shape != R.shape or K.shape[0] != K.shape[1]:
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
-    f = fields(K, R)
-    scale = 2.0 * np.linalg.norm(f["Q"], 1) + np.linalg.norm(R, 1) ** 2
-    return Superoperator(mat=superop(GENERATOR, f), dim=K.shape[0], scale=float(scale))
+    return Superoperator(GENERATOR, fields(K, R))
 
 
 def bordered(superop):

@@ -350,14 +350,18 @@ def estimate_stats(records, bins, burn_in=0.0):
 
     bins is one ascending edge array shared by the pair-separation and
     waiting-time histograms; its last edge is the waiting-time horizon.
+    Non-finite edges and a negative or non-finite burn_in are refused.
     """
     if len(records) < 2:
         raise InsufficientDataError("need at least 2 trajectories")
     edges = np.asarray(bins, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValidationError("bin edges must be a 1d ascending array")
+    if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+            or np.any(np.diff(edges) <= 0)):
+        raise ValidationError(f"bin edges must be a finite ascending 1d array, got {edges.tolist()}")
     if edges[0] < 0:
         raise ValidationError("bin edges must be nonnegative")
+    if not 0.0 <= burn_in < np.inf:
+        raise ValidationError(f"burn_in must be finite and nonnegative, got {burn_in}")
     length = records[0].length
     tau_max = edges[-1]
     window = length - burn_in

@@ -205,10 +205,10 @@ def test_discretize_defect_shrinks_quadratically(tmp_path):
                                  damp_finite_config(epsilons=[0.5, 0.25])])
 def test_discretize_builds_each_transfer_matrix_once(tmp_path, monkeypatch, cfg):
     # the defect and the occupation read one transfer matrix per step
-    build = cmps_lab.discretizer.TransferMatrix
+    build = cmps_lab.discretizer.transfer_matrix
     steps = []
-    monkeypatch.setattr(cmps_lab.discretizer, "TransferMatrix",
-                        lambda **kw: steps.append(kw["eps"]) or build(**kw))
+    monkeypatch.setattr(cmps_lab.discretizer, "transfer_matrix",
+                        lambda tensors: steps.append(tensors.eps) or build(tensors))
     rc, _ = run_cli(tmp_path, "discretize", cfg)
     assert rc == 0
     assert steps == cfg["epsilons"]
@@ -571,3 +571,30 @@ def test_outputs_agree_across_blas_thread_counts(tmp_path):
     for key in ("extrapolated", "values"):
         a, b = (c[key]["re"] if key == "values" else c[key] for c in converge)
         assert _close(a, b, LATTICE_RTOL_TIMES_EPS / min(eps)), key
+
+
+def test_trajectories_negative_burn_in_exits_one(tmp_path, capsys):
+    cfg = rf_config(length=30.0, n_traj=20, seed=3, bins=[0.0, 0.5, 1.0], burn_in=-10.0)
+    rc, out = run_cli(tmp_path, "trajectories", cfg)
+    assert rc == 1
+    assert "burn_in must be finite and nonnegative, got -10.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dx", [-1.0, 0.0])
+def test_lindblad_check_step_that_is_not_positive_exits_one(tmp_path, capsys, dx):
+    cfg = rf_config(moments={"psi_dag_sq": {"re": 0.3}, "psi_dag_psi": 0.5}, dx=dx)
+    rc, out = run_cli(tmp_path, "lindblad-check", cfg)
+    assert rc == 1
+    assert f"dx must be positive, got {dx}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_family_deriv_overflowing_direction_exits_two(tmp_path, capsys):
+    cfg = rf_config(dK={"re": [[1e308, 0.0], [0.0, 0.0]]}, dR={"re": [[0.0, 0.0], [0.0, 0.0]]},
+                    insertions=[{"kind": "create", "position": 0.0},
+                                {"kind": "annihilate", "position": 1.0}])
+    rc, out = run_cli(tmp_path, "family-deriv", cfg)
+    assert rc == 2
+    assert "term norm is not finite" in capsys.readouterr().err
+    assert not out.exists()

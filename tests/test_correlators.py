@@ -28,6 +28,7 @@ from cmps_lab import (
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
     GaplessStateError,
+    NoConvergenceError,
     NonHermitianKError,
     PositionOutOfRangeError,
     ShapeMismatchError,
@@ -498,3 +499,36 @@ def test_spectral_envelope_runs_one_eigensolve(rf, monkeypatch):
         calls.clear()
         decay_fit(new_cmps(q.dim, q.K, q.R), 1.0, 5.0)
         assert calls == ["eig"]
+
+
+@pytest.mark.parametrize("bad", ["nan_dK", "inf_dR"])
+def test_family_derivative_rejects_a_direction_that_is_not_finite(rf, bad):
+    dk, dr = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
+    if bad == "nan_dK":
+        dk[0, 0] = np.nan
+    else:
+        dr[1, 0] = np.inf
+    name = bad[-2:]
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        family_derivative(rf, dk, dr, [(0.0, "create"), (1.0, "annihilate")])
+
+
+def test_family_derivative_refuses_an_overflowing_tangent(rf):
+    # every entry is finite, but the tangent generator's term norm is not
+    dk = np.array([[1e308, 0.0], [0.0, 0.0]])
+    with pytest.raises(NoConvergenceError, match="term norm is not finite"):
+        family_derivative(rf, dk, np.zeros((2, 2)), [(0.0, "create"), (1.0, "annihilate")])
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 2.5, -3])
+def test_decay_fit_rejects_too_few_or_fractional_points(rf, n_points):
+    with pytest.raises(ValidationError, match="n_points"):
+        decay_fit(rf, 1.0, 5.0, n_points=n_points)
+
+
+def test_source_check_rejects_fractional_sites(rf):
+    # 8.5 sites or site 2.5 used to be truncated to 8 and 2
+    with pytest.raises(ValidationError, match="n_sites must be an integer, got 8.5"):
+        source_consistency_check(rf, 0.1, 0.01, 8.5)
+    with pytest.raises(ValidationError, match="site index must be an integer, got 2.5"):
+        source_consistency_check(rf, 0.1, 0.01, 8, site_pair=(2.5, 6))

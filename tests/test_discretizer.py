@@ -446,3 +446,25 @@ def test_degenerate_transfer_fixed_points_still_raise():
     p = new_cmps(2, zero, np.eye(2))
     with pytest.raises(WindowTooSmallError, match="degenerate"):
         lattice_correlators(lattice_tensors(p, 0.01), "occupation")
+
+
+def test_lattice_arguments_that_are_not_integers_are_refused(rf):
+    # a distance of 1.5 sites or a chain of 10.7 sites used to be truncated
+    t = lattice_tensors(rf, 0.01)
+    with pytest.raises(ValidationError, match="site distance must be an integer, got .*1.5"):
+        lattice_correlators(t, "hopping", distances=[1.5])
+    with pytest.raises(ValidationError, match="n_sites must be an integer, got 10.7"):
+        lattice_correlators(t, "occupation", n_sites=10.7, boundary_rho=np.eye(2) / 2)
+    with pytest.raises(ValidationError, match="site distance must be an integer"):
+        lattice_correlators(t, "pair", distances=[float("nan")])
+    # whole numbers given as floats are the same distances
+    assert np.array_equal(lattice_correlators(t, "hopping", distances=[2.0, 3]),
+                          lattice_correlators(t, "hopping", distances=[2, 3]))
+
+
+def test_dark_chain_hopping_is_complex():
+    # R = 0 short-cuts every estimator to zero; hopping stays complex
+    dark = lattice_tensors(new_cmps(2, np.eye(2), np.zeros((2, 2))), 0.01)
+    hop = lattice_correlators(dark, "hopping", distances=[1, 2])
+    assert hop.dtype == np.complex128 and not hop.any()
+    assert lattice_correlators(dark, "pair", distances=[1]).dtype == np.float64

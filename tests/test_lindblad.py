@@ -10,7 +10,7 @@ from cmps_lab import (
     jump_decomposition,
     trace_functional,
 )
-from cmps_lab.errors import InvalidMomentsError, ShapeMismatchError
+from cmps_lab.errors import InvalidMomentsError, ShapeMismatchError, ValidationError
 from cmps_lab.liouville import choi_min_eigenvalue
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat
@@ -182,3 +182,11 @@ def test_compare_forms_choi_minima_match_the_complex_exponential(seed):
         want = choi_min_eigenvalue(scipy.linalg.expm(mat * dx))
         scale = max(1.0, np.abs(mat).sum(axis=0).max() * dx)
         assert abs(got - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dx", [-1.0, 0.0, float("nan"), float("inf")])
+def test_compare_forms_rejects_a_step_that_is_not_finite_and_positive(dx):
+    # exp(G dx) is a channel only forward in x: a negative dx reported a
+    # negative Choi eigenvalue as if it were a finding
+    with pytest.raises(ValidationError, match=f"dx must be (finite|positive), got {dx}"):
+        compare_forms(RF_K, RF_R, FieldMoments(0.2, 0.2, 0.5, 1.5), dx=dx)

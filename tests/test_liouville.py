@@ -22,16 +22,16 @@ from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, Shape
 from cmps_lab.correlators import INSERTIONS, _Chain
 from cmps_lab.liouville import (
     GENERATOR,
+    Superoperator,
     Tolerances,
     action,
     action_adjoint,
-    action_tangent,
     fields,
     fields_tangent,
     hermitian_basis,
     sandwich,
     superop,
-    superop_tangent,
+    tangent_terms,
 )
 
 from conftest import DAMP_K, DAMP_R, RF_K, RF_R, coupled_blocks, rand_herm, rand_mat
@@ -309,7 +309,7 @@ def test_hermitian_basis_is_unitary_and_makes_generators_real(d):
     df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
     lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
     site = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
-    for mat in (lv.mat, superop_tangent(GENERATOR, f, df), site):
+    for mat in (lv.mat, superop(tangent_terms(GENERATOR), f | df), site):
         assert np.abs(basis.transform(mat).imag).max() <= 1e-14 * lv.scale
     assert lv.hmat.dtype == np.float64
     assert np.array_equal(lv.hmat, basis.transform(lv.mat).real)
@@ -317,10 +317,11 @@ def test_hermitian_basis_is_unitary_and_makes_generators_real(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_field_table_actions_match_the_dense_superoperators(d):
-    # `action`, its adjoint and its tangent are `superop`, its adjoint and
-    # `superop_tangent` applied without being built, on one matrix and on a
-    # stack; a chain's insertions and closing covectors are the same maps in
-    # the Hermitian basis.  Relative to the sum of |term| |x| over the terms,
+    # `action`, its adjoint and the action of its `tangent_terms` are
+    # `superop`, its adjoint and the tangent terms' `superop` applied
+    # without being built, on one matrix and on a stack; a chain's
+    # insertions and closing covectors are the same maps in the Hermitian
+    # basis.  Relative to the sum of |term| |x| over the terms,
     # the roundoff scale: the D = 1 generator's terms cancel to zero
     rng = np.random.default_rng(80 + d)
     p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
@@ -342,12 +343,12 @@ def test_field_table_actions_match_the_dense_superoperators(d):
     absdf = {name: np.abs(x) for name, x in df.items()}
     tables = {**INSERTIONS, "generator": GENERATOR}
     for kind, terms in tables.items():
-        s, ds = superop(terms, f), superop_tangent(terms, f, df)
+        s, ds = superop(terms, f), superop(tangent_terms(terms), f | df)
         bound = superop(terms, absf)  # |sandwich(a, b)| = sandwich(|a|, |b|)
-        dbound = superop_tangent(terms, absf, absdf)
+        dbound = superop(tangent_terms(terms), absf | absdf)
         for dense, bnd, act in ((s, bound, lambda m: action(terms, f, m)),
                                 (s.conj().T, bound.T, lambda m: action_adjoint(terms, f, m)),
-                                (ds, dbound, lambda m: action_tangent(terms, f, df, m))):
+                                (ds, dbound, lambda m: action(tangent_terms(terms), f | df, m))):
             close(act(stack).reshape(3, d * d), dense, rows, bnd)
             close(act(stack[0]).reshape(d * d), dense, rows[0], bnd)
         if kind in INSERTIONS:
@@ -355,3 +356,31 @@ def test_field_table_actions_match_the_dense_superoperators(d):
             close(chain.act(kind, coords), h, coords)
             close(chain.act(kind, coords[0]), h, coords[0])
             close(chain.covector(kind), h.T, one)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_tangent_terms_match_a_central_difference_of_the_maps(d):
+    # the product rule against the maps it differentiates: along
+    # (K + t dK, R + t dR) every field is a polynomial of degree at most 3
+    # in t (X = -[Q, R] is cubic), and so is every table's matrix, which
+    # the fourth-order central difference differentiates exactly.  What is
+    # left is roundoff, relative to the stencil's sum of |term|: the D = 1
+    # generator's terms cancel to zero
+    rng = np.random.default_rng(90 + d)
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    dk, dr = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    f = fields(k, r)
+    moving = f | fields_tangent(f, dk, dr)
+    h = 0.25
+    stencil = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
+    at = {j: fields(k + j * h * dk, r + j * h * dr) for j in stencil}
+    for kind, terms in {**INSERTIONS, "generator": GENERATOR}.items():
+        got = Superoperator(tangent_terms(terms), moving).mat
+        want = sum(c * Superoperator(terms, at[j]).mat for j, c in stencil.items()) / (12 * h)
+        bound = sum(abs(c) * Superoperator(terms, {n: np.abs(x) for n, x in at[j].items()}).mat
+                    for j, c in stencil.items()).max() / (12 * h)
+        assert np.abs(got - want).max() <= 1e-14 * bound, kind
+
+    # the generator's term norm is 2 ||Q||_1 + ||R||_1^2 to the bit
+    gen = build_liouvillian(k, r)
+    assert gen.scale == 2.0 * np.linalg.norm(f["Q"], 1) + np.linalg.norm(f["R"], 1) ** 2

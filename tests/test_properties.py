@@ -20,7 +20,7 @@ from cmps_lab import (
     vectorize,
 )
 from cmps_lab.correlators import INSERTIONS, SourceField
-from cmps_lab.liouville import GENERATOR, fields, fields_tangent, superop, superop_tangent
+from cmps_lab.liouville import GENERATOR, fields, fields_tangent, superop, tangent_terms
 
 from conftest import rand_herm, rand_mat
 
@@ -86,8 +86,8 @@ def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geom
     f = fields(p.K, p.R)
     df = fields_tangent(f, dk, dr)
     ins = {kind: superop(INSERTIONS[kind], f) for kind in INSERTIONS}
-    dins = {kind: superop_tangent(INSERTIONS[kind], f, df) for kind in INSERTIONS}
-    dmat = superop_tangent(GENERATOR, f, df)
+    dins = {kind: superop(tangent_terms(INSERTIONS[kind]), f | df) for kind in INSERTIONS}
+    dmat = superop(tangent_terms(GENERATOR), f | df)
 
     def close(got, want, rel=1e-12):
         got, want = np.asarray(got), np.asarray(want)

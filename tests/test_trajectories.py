@@ -351,3 +351,20 @@ def test_waiting_density_integrates_to_bin_masses(rf):
     wide = np.linspace(0.0, 40.0, 1501)
     total = np.trapezoid(waiting_time_analytic(rf, wide), wide)
     assert total < 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("burn_in", [-10.0, -1e-300, float("nan"), float("inf")])
+def test_estimator_rejects_a_burn_in_that_is_negative_or_not_finite(burn_in):
+    # a negative burn-in would widen the window past the record's start
+    # and bias the rate low
+    recs = [_record([1.0, 5.0]), _record([2.0])]
+    with pytest.raises(ValidationError, match=f"burn_in must be finite and nonnegative, got {burn_in}"):
+        estimate_stats(recs, [0.0, 0.5, 1.0], burn_in=burn_in)
+
+
+@pytest.mark.parametrize("edges", [[0.0, float("nan")], [0.0, 1.0, float("inf")],
+                                   [float("inf"), float("inf")]])
+def test_estimator_rejects_bin_edges_that_are_not_finite(edges):
+    recs = [_record([1.0, 5.0]), _record([2.0])]
+    with pytest.raises(ValidationError, match="bin edges must be a finite ascending 1d array, got"):
+        estimate_stats(recs, edges)
