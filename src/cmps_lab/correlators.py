@@ -16,38 +16,31 @@ An insertion is its kind name, for example
 `expectation(params, [(0.0, "create"), (1.0, "annihilate")])`: it belongs
 to no parameter set.  Each chain resolves the names against its
 generator's field table and applies each kind as its D x D action
-`liouville.action`, at O(D^3), without building its D^2 x D^2 matrix;
-`family_derivative` differentiates it by the action of
-`liouville.tangent_terms(kind)`, so the table is the only place the
-dictionary is written.  Free propagation exp(L dx) runs between
-consecutive insertion points and the trace functional closes the chain;
-a thermodynamic chain that ends on an insertion S closes with the
-covector <1| S, computed once from the adjoint action as the coordinate
-form of sum f[b]^dag f[a].
-Translation invariance makes the derivative insertions commutator form
-exact (no explicit x dependence of R).  In the thermodynamic geometry the
-chain opens on the stationary state; in a finite geometry it opens on the
-boundary state at x = 0, insertions are anchored at the left edge (the
-first insertion sits at x1 = 0 for separation grids), and the chain is
-closed by propagating to the right edge and dividing by the norm.
+`liouville.action`, at O(D^3), through `HermitianBasis.act`, as the
+lattice oracle's estimators act; `family_derivative` differentiates it by
+the action of `liouville.tangent_terms(kind)`, so the table is the only
+place the dictionary is written.  Translation invariance makes the
+derivative insertions commutator form exact (no explicit x dependence of
+R).
 
 Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
-state through ascending positions, applies each insertion as it passes it,
-and hands back the vector at requested stops.  A chain works in the
-Hermitian basis of `liouville.hermitian_basis`: the generator, a
+state through ascending positions, applies each insertion as it passes
+it, and hands back the vector at requested stops.  In the thermodynamic
+geometry the chain opens on the stationary state, and one that ends on
+an insertion S closes with the covector <1| S from the adjoint action;
+in a finite geometry it opens on the boundary state at x = 0, insertions
+are anchored at the left edge (the first insertion sits at x1 = 0 for
+separation grids), and the chain is closed by propagating to the right
+edge, tracing and dividing by the norm.  The generator, a
 `liouville.Superoperator`, preserves Hermiticity, so each propagator
-exp(L dx) is the exponential of its real matrix `hmat`, as are the
-sourced sites of `generating_functional`.  The vectors are carried in
-the same basis but stay complex, because an insertion need not preserve
-Hermiticity: an insertion turns them into D x D matrices
-(`HermitianBasis.vec`), acts, and turns the result back
-(`HermitianBasis.coords`).  The trace functional closes the chain
-unchanged.  `family_derivative` walks the same legs forward once,
-carrying the tangent of the vector alongside it: each leg applies
-exp(L dx) together with its Frechet derivative (both real), so the
-derivative along a family of states needs no backward march and no
-quadrature.
+exp(L dx) is the exponential of its real Hermitian-basis matrix `hmat`,
+as are the sourced sites of `generating_functional`; the vectors stay
+complex, because an insertion need not preserve Hermiticity.
+`family_derivative` walks the same legs forward once, carrying the
+tangent of the vector alongside it: each leg applies exp(L dx) together
+with its Frechet derivative (both real), so the derivative along a
+family of states needs no backward march and no quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
@@ -121,17 +114,19 @@ class _Chain:
     A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
     then apply op, which is an `INSERTIONS` kind name, a superoperator
     matrix (a sourced site), None (nothing) or STOP (hand back the vector
-    there).  A kind is never built as a matrix: `act` turns coordinates
-    into D x D matrices, applies the kind's `liouville.action` over this
-    chain's own field table and turns the result back, and `covector`
-    gives <1| S, the closing of a thermodynamic chain that ends on kind S,
-    from the adjoint action.  There is no propagator cache: the chain
-    holds one propagator exp(L dx) at a time, built when a leg of a new
-    length is reached and reused while the following legs share that
-    length.  The stationary state is the parameter set's own
-    (`CmpsParams.stationary`), and so, in the thermodynamic geometry, is
-    the generator L, whose field table the chain reads; a finite chain
-    builds its own, whose matrix is built when a leg first reads it.
+    there).  A kind is never built as a matrix: `act` applies its
+    `liouville.action` over this chain's own field table to coordinates
+    (`HermitianBasis.act`), and `covector` gives <1| S, the closing of a
+    thermodynamic chain that ends on kind S, from the adjoint action.
+    There is no propagator cache: the chain holds one propagator
+    exp(L dx) at a time, built when a leg of a new length is reached and
+    reused while the following legs share that length.  The stationary
+    state is the parameter set's own (`CmpsParams.stationary`), and so, in
+    the thermodynamic geometry, is the generator L, whose field table the
+    chain reads; a finite chain builds its own, whose matrix is built when
+    a leg first reads it, and refuses it as NoConvergenceError when its
+    term norm is not finite, as the fixed point refuses the thermodynamic
+    one.
     """
 
     STOP = object()
@@ -149,28 +144,17 @@ class _Chain:
         else:
             self.spectral = None
             self.L = build_liouvillian(params.K, params.R)
+            if not np.isfinite(self.L.scale):
+                raise NoConvergenceError("generator has a non-finite term norm")
             rho = params.geometry.boundary_rho
             self.length = params.geometry.length
         self.fields = self.L.fields
         self.right = self.basis.coords(vectorize(rho))
 
-    def matrices(self, x):
-        """The D x D matrices of coordinate vectors x, one per row, as a
-        stack (k, D, D); a single vector gives a stack of one."""
-        d = self.params.dim
-        return self.basis.vec(x.T).T.reshape(-1, d, d)
-
-    def coordinates(self, m):
-        """The coordinate vectors of a stack of D x D matrices, one per row."""
-        k, d, _ = m.shape
-        return self.basis.coords(m.reshape(k, d * d).T).T
-
     def act(self, kind, x):
         """The insertion `kind` on coordinate vectors x, one per row (or x
-        alone), through its D x D action (complex: an insertion need not
-        preserve Hermiticity)."""
-        out = self.coordinates(action(INSERTIONS[kind], self.fields, self.matrices(x)))
-        return out.reshape(x.shape)
+        alone), through its D x D action."""
+        return self.basis.act(INSERTIONS[kind], self.fields, x).reshape(x.shape)
 
     def covector(self, kind):
         """<1| S for the insertion S of `kind`, in coordinates: tr(S(rho))
@@ -490,10 +474,10 @@ def family_derivative(params, dK, dR, insertions):
             e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
             v, dv = e @ v, e @ dv + de @ v
         terms = INSERTIONS[kind]
-        m = chain.matrices(np.stack([v, dv]))
+        m = chain.basis.matrices(np.stack([v, dv]))
         w = action(terms, f, m)
         w[1] += action(tangent_terms(terms), moving, m[0])
-        v, dv = chain.coordinates(w)
+        v, dv = chain.basis.coordinates(w)
     return chain.close(dv, float(insertions[-1][0]))
 
 
@@ -594,24 +578,19 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
         raise ShapeMismatchError(f"site pair {site_pair} invalid for {n_sites} sites")
     zeros = np.zeros(n_sites, dtype=complex)
 
-    def z_single(lam_r):
+    def z_pair(lam_r, lam_s):
         lam = zeros.copy()
         lam[r] = lam_r
+        lam[s] = lam_s
         return generating_functional(params, SourceField(lam, zeros), eps)
 
-    d_lam, d_lam_bar = _wirtinger_pair(z_single, h)
+    d_lam, d_lam_bar = _wirtinger_pair(lambda x: z_pair(x, 0.0), h)
     single_ann = expectation(params, [(r * eps, "annihilate")])
     single_cre = expectation(params, [(r * eps, "create")])
     err_single = max(
         abs(d_lam / eps - single_ann),
         abs(d_lam_bar / eps - single_cre),
     )
-
-    def z_pair(lam_r, lam_s):
-        lam = zeros.copy()
-        lam[r] = lam_r
-        lam[s] = lam_s
-        return generating_functional(params, SourceField(lam, zeros), eps)
 
     # d2 Z / d lam_s d conj(lam_r): creation at site r, annihilation at site s.
     def d_dlam_s(lam_r):

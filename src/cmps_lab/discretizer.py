@@ -5,39 +5,34 @@ tensors
 
     A0 = 1 + eps Q,   A1 = sqrt(eps) R,   A2 = (eps / sqrt 2) R^2 (order 2),
 
-where the particle number carried by a site is the tensor index.  The site
-update of the flattened density matrix is the transfer matrix E of
-rho -> sum_n A^n rho (A^n)^dag, a `liouville.Superoperator` over the
-field table (A0, A0), (A1, A1), ...; it reproduces the continuum
-generator to first order, E = 1 + eps L + O(eps^2).  Lattice expectation
-values (occupation / eps, hopping / eps, pair occupation / eps^2)
-converge to the continuum density, two-point function and pair
-correlator with O(eps) error, which is what makes this module an
-independent check on the insertion calculus: everything here is
-contracted directly from the tensors, with no use of the continuum
-generator or its exponential.
+where the particle number carried by a site is the tensor index.  Their
+field table `LatticeTensors.fields` adds B_n = sqrt(n) A_n for n >= 1.
+The transfer matrix E, rho -> sum_n A_n rho A_n^dag, is the
+`liouville.Superoperator` of the table (A0, A0), (A1, A1), ...; it
+reproduces the continuum generator to first order, E = 1 + eps L +
+O(eps^2).  The estimators are tables over the same fields (`ESTIMATORS`)
+that act on D x D matrices by `liouville.action`, at O(D^3), as the
+continuum insertions do.  Lattice expectation values (occupation / eps,
+hopping / eps, pair occupation / eps^2) converge to the continuum
+density, two-point function and pair correlator with O(eps) error, which
+is what makes this module an independent check on the insertion
+calculus: everything here is contracted directly from the tensors, with
+no use of the continuum generator or its exponential.
 
-The contractions run in real arithmetic.  The site map preserves
-Hermiticity, so in the Hermitian basis of `liouville.hermitian_basis` E is
-a real matrix (`Superoperator.hmat`), and so is the number superoperator
-of the occupation and pair estimators; the hopping superoperators move a
-particle on one side of rho only and stay complex.  The oracle takes the
-field table, the `Superoperator` type, `sandwich` and the basis from
-`liouville`, never the continuum generator.
+E preserves Hermiticity, so in the Hermitian basis of
+`liouville.hermitian_basis` it is a real matrix (`Superoperator.hmat`),
+the only map of the oracle that is built, and the walk between the
+estimators runs in real arithmetic; they act through `HermitianBasis.act`.
 
 Thermodynamic values use the dominant left/right fixed points of the real
-E: E is a positive map, so its spectral radius is an eigenvalue with a
-positive fixed point (Evans and Hoegh-Krohn, J. London Math. Soc. 17, 345,
-1978), and both vectors are real.  One LAPACK dgeev call computes the
-eigenvalues only, and both fixed points come from one LU factorization of
-E - eta bordered by the trace functional, as the continuum fixed point in
-`liouville.steady_state`, solved forward and transposed.  Finite
-chains contract the full product with the boundary state, anchored at the
-left edge like the continuum convention; the binary powers of E, the
-closing covectors and the opening state are real.  `_lattice_step` is the
-one rule for a step, here, in `correlators` and for `lindblad`'s dx, and
-`_integer` for a count: a value that breaks it is a `ValidationError`
-that names the value.
+E, both real because E is a positive map (Evans and Hoegh-Krohn, J.
+London Math. Soc. 17, 345, 1978), from one eigenvalue-only dgeev call and
+one bordered LU factorization (`_dominant_pair`).  Finite chains open on
+the boundary state at the left edge, like the continuum convention, and
+close on covectors <1| E^k from the real binary powers of E.
+`_lattice_step` is the one rule for a step, here, in `correlators` and
+for `lindblad`'s dx, and `_integer` for a count: a value that breaks it is
+a `ValidationError` that names the value.
 """
 
 import math
@@ -56,7 +51,7 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import Superoperator, fields, hermitian_basis, sandwich, trace_functional, vectorize
+from .liouville import Superoperator, fields, hermitian_basis, trace_functional, vectorize
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
 # in every length unit: the site map is dimensionless
@@ -71,9 +66,15 @@ class LatticeTensors:
     order: int
 
     @cached_property
+    def fields(self):
+        """The field table of the chain: the site tensors A_n, and
+        B_n = sqrt(n) A_n for n >= 1, which carry the estimators' weights."""
+        f = {f"A{n}": a for n, a in enumerate(self.matrices)}
+        return f | {f"B{n}": math.sqrt(n) * a for n, a in enumerate(self.matrices) if n}
+
+    @cached_property
     def transfer(self):
-        """The transfer matrix E of these tensors, built once however many
-        readers it has."""
+        """E (`transfer_matrix`), built once however many readers it has."""
         return transfer_matrix(self)
 
 
@@ -109,26 +110,21 @@ def lattice_tensors(params, eps, order=1):
 
 
 def transfer_matrix(tensors):
-    """E, the `Superoperator` of the table (A0, A0), (A1, A1), ... of the tensors."""
-    f = {f"A{n}": a for n, a in enumerate(tensors.matrices)}
-    return Superoperator(tuple((name, name) for name in f), f)
+    """E, the `Superoperator` of the table (A0, A0), (A1, A1), ... over `tensors.fields`."""
+    return Superoperator(tuple((f"A{n}",) * 2 for n in range(tensors.order + 1)), tensors.fields)
 
 
-def _site_superops(tensors, observable):
-    """Superoperators, in the Hermitian basis, whose chain contraction gives
-    the lattice estimator.  The number superoperator preserves Hermiticity
-    and is real there; the hopping pair moves one particle on one side of
-    rho only and stays complex."""
-    mats = tensors.matrices
-    basis = hermitian_basis(tensors.dim)
-    if observable == "hopping":
-        lower = sum(np.sqrt(n) * sandwich(mats[n], mats[n - 1]) for n in range(1, len(mats)))
-        raise_ = sum(np.sqrt(n) * sandwich(mats[n - 1], mats[n]) for n in range(1, len(mats)))
-        return (basis.transform(lower), basis.transform(raise_))
-    if observable not in ("occupation", "pair"):
-        raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
-    number = basis.transform(sum(n * sandwich(a, a) for n, a in enumerate(mats) if n)).real
-    return (number,) if observable == "occupation" else (number, number)
+# The estimators as tables over `LatticeTensors.fields`, one pair per
+# particle number n >= 1 of a site: number rho -> sum n A_n rho A_n^dag,
+# lowering sum sqrt(n) A_n rho A_{n-1}^dag, raising sum sqrt(n) A_{n-1} rho A_n^dag
+ESTIMATORS = {
+    "number": lambda n: (f"B{n}", f"B{n}"),
+    "lowering": lambda n: (f"B{n}", f"A{n - 1}"),
+    "raising": lambda n: (f"A{n - 1}", f"B{n}"),
+}
+# each observable's estimator at site 0 and, for a pair, the one at site m
+_SITES = {"occupation": ("number",), "hopping": ("raising", "lowering"),
+          "pair": ("number", "number")}
 
 
 def _dominant_pair(emat):
@@ -186,32 +182,27 @@ def _dominant_pair(emat):
     return eta, left / overlap, right
 
 
-def _span(observable, m):
-    """Sites a chain with insertions at site 0 and (for pairs) site m covers."""
-    return 1 if observable == "occupation" else m + 1
-
-
 def lattice_correlators(tensors, observable, distances=None, n_sites=None, boundary_rho=None):
     """Lattice estimators of continuum observables.
 
     observable: "occupation" (scalar density), "hopping" or "pair" (values
-    at integer site distances >= 1, continuum separation = distance * eps).
-    Thermodynamic contraction (n_sites None) uses the dominant fixed points
-    of E; a finite chain of n_sites sites contracts the boundary state at
-    the left edge against the trace functional, insertions anchored at
-    site 0.  Only the Hermitian part of boundary_rho enters: a density
-    matrix is Hermitian, and the chain runs on real coordinates.  Values
-    are rescaled by the eps powers that map lattice operators to field
-    operators.
+    at integer site distances >= 1, in any order, continuum separation =
+    distance * eps; no distances give an empty array).  The first
+    estimator acts at site 0, one walk with E keeps the vector at each
+    sorted distance, and the second acts on all of them at once.  A
+    thermodynamic chain (n_sites None) opens and closes on the dominant
+    fixed points of E; a finite one of n_sites sites opens on the boundary
+    state (its Hermitian part) and closes each distance with its tail
+    <1| E^k.  Values are rescaled by the eps powers that map lattice
+    operators to field operators.
     """
     eps = tensors.eps
     d = tensors.dim
     if boundary_rho is not None and np.shape(boundary_rho) != (d, d):
         raise ShapeMismatchError(
             f"boundary_rho has shape {np.shape(boundary_rho)}, the chain needs {(d, d)}")
-    superops = _site_superops(tensors, observable)
-    emat = tensors.transfer.hmat
-
+    if observable not in _SITES:
+        raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
     if observable == "occupation":
         distances = [0]
     else:
@@ -222,27 +213,34 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
             raise ShapeMismatchError("site distances must be >= 1")
     if n_sites is not None:
         n_sites = _integer(n_sites, "n_sites")
+        if boundary_rho is None:
+            raise ShapeMismatchError("finite chains need boundary_rho")
+        # a chain with insertions at sites 0 and m covers m + 1 sites
+        if distances and n_sites < max(distances) + 1:
+            raise WindowTooSmallError(
+                f"chain of {n_sites} sites cannot hold span {max(distances) + 1}")
 
-    if all(np.abs(s).max() == 0.0 for s in superops):
-        vals = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
-        return float(vals[0]) if observable == "occupation" else vals
+    tables = [tuple(ESTIMATORS[kind](n) for n in range(1, tensors.order + 1))
+              for kind in _SITES[observable]]
+    # a chain that emits nothing (every B_n zero) has every estimator zero
+    if not distances or not any(a.any() for a in tensors.matrices[1:]):
+        values = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
+        return float(values[0]) if observable == "occupation" else values
 
+    emat = tensors.transfer.hmat
+    basis = hermitian_basis(d)
+    ms = sorted(set(distances))
+    used = [m + 1 for m in ms]
     if n_sites is None:
         eta, close, open_vec = _dominant_pair(emat)
     else:
-        if boundary_rho is None:
-            raise ShapeMismatchError("finite chains need boundary_rho")
-        span = max(_span(observable, m) for m in distances)
-        if n_sites < span:
-            raise WindowTooSmallError(f"chain of {n_sites} sites cannot hold span {span}")
-        open_vec = hermitian_basis(d).coords(vectorize(boundary_rho)).real
+        open_vec = basis.coords(vectorize(boundary_rho)).real
         # closing covectors <1| E^k at the k a chain closes on: the tail
-        # after each insertion span, and the full norm.  Each k is reached
-        # from the one before by the binary powers E^(2^j), squared once.
-        needed = {n_sites - _span(observable, m) for m in distances} | {n_sites}
+        # after each span, and the full norm.  Each k is reached from the
+        # one before by the binary powers E^(2^j), squared once.
         w = trace_functional(d).real
         tails, at, powers = {}, 0, [emat]
-        for k in sorted(needed):
+        for k in sorted({n_sites - u for u in used} | {n_sites}):
             step, j = k - at, 0
             while step:
                 if j == len(powers):
@@ -251,24 +249,26 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
                     w = w @ powers[j]
                 step, j = step >> 1, j + 1
             tails[k], at = w, k
-        norm = tails[n_sites] @ open_vec
 
-    def contract(m):
-        """Chain value with insertions at site 0 and (for pairs) site m."""
-        if observable == "occupation":
-            v = superops[0] @ open_vec
-        else:
-            v = superops[1] @ open_vec  # creation-side insertion at site 0
-            for _ in range(m - 1):
-                v = emat @ v
-            v = superops[0] @ v
-        used = _span(observable, m)
-        if n_sites is None:
-            return (close @ v) / (close @ open_vec) / eta**used
-        return (tails[n_sites - used] @ v) / norm
+    first, *second = tables
+    stops = basis.act(first, tensors.fields, open_vec)
+    if second:
+        # E is real: walk the real and imaginary parts as two columns
+        x = np.column_stack([stops[0].real, stops[0].imag])
+        walk = np.empty((len(ms), *x.shape))
+        for i, (prev, m) in enumerate(zip([1, *ms], ms)):
+            for _ in range(m - prev):
+                x = emat @ x
+            walk[i] = x
+        stops = basis.act(second[0], tensors.fields, walk[..., 0] + 1j * walk[..., 1])
+    if n_sites is None:
+        values = (stops @ close) / (close @ open_vec) / eta ** np.array(used)
+    else:
+        values = np.array([tails[n_sites - u] @ v for u, v in zip(used, stops)])
+        values /= tails[n_sites] @ open_vec
 
     scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
-    values = np.array([contract(m) for m in distances]) / scale
+    values = values[np.searchsorted(ms, distances)] / scale
     if observable == "occupation":
         return float(values[0].real)
     if observable == "pair":
@@ -316,18 +316,19 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     if np.any(eps_arr[1:] == eps_arr[:-1]):
         raise ValidationError(f"eps values must be distinct, got {eps_arr.tolist()}")
 
+    if observable != "occupation":
+        kind, sep = observable
+        if not np.isfinite(sep):
+            raise ValidationError(f"separation must be finite, got {sep}")
     finite = isinstance(params.geometry, Finite)
     values = []
     for eps in eps_arr:
         tensors = lattice_tensors(params, eps, order=order)
-        kwargs = {}
-        if finite:
-            kwargs = {"n_sites": finite_site_count(params.geometry.length, eps),
-                      "boundary_rho": params.geometry.boundary_rho}
+        kwargs = {"n_sites": finite_site_count(params.geometry.length, eps),
+                  "boundary_rho": params.geometry.boundary_rho} if finite else {}
         if observable == "occupation":
             values.append(lattice_correlators(tensors, "occupation", **kwargs))
         else:
-            kind, sep = observable
             m = int(round(sep / eps))
             if abs(m * eps - sep) > 1e-9 * abs(sep):
                 raise ShapeMismatchError(f"separation {sep} is not a multiple of eps {eps}")

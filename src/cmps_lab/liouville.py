@@ -4,9 +4,10 @@ Density matrices are flattened row-major ("row stacking"): entry (j, k) of M
 sits at index j*D + k of vec(M).  Every superoperator in the package is a
 sum of sandwiches rho -> a rho b^dag, and `sandwich(a, b)` is the only code
 that knows how the row-stacking layout turns one into a matrix:
-vec(a rho b^dag) = (a kron conj(b)) vec(rho).  (`choi_matrix` reads such a
-matrix back, and `HermitianBasis` moves it to the Hermitian basis below.)
-The generator of
+vec(a rho b^dag) = (a kron conj(b)) vec(rho).  Only `superop` calls it.
+(`choi_matrix` reads such a matrix back, and `HermitianBasis.transform`,
+called only by `Superoperator.hmat`, moves it to the Hermitian basis
+below.)  The generator of
 
     d rho / dx = -i[K, rho] + R rho R^dag - (1/2){R^dag R, rho}
                = Q rho + rho Q^dag + R rho R^dag,   Q = -i K - (1/2) R^dag R,
@@ -23,14 +24,15 @@ table when first read.  The exact calculus reads one table,
 (Q, 1), (1, Q), (R, R), and the insertions of `correlators.INSERTIONS`
 are one pair each, named by their kind.  `lindblad`'s two generator
 forms are tables (G, 1), (1, G) plus one pair per jump, and the lattice
-transfer matrix is (A0, A0), (A1, A1), ... over the site tensors.  A
-table acts on a stack of D x D matrices by `action`, at O(D^3) per
-matrix, and by its adjoint `action_adjoint`; every insertion runs
-through these two, and only the maps that are exponentiated, factored or
-eigen-solved read `Superoperator.mat` or `hmat`.  The product rule is one
-table transform: along K + t dK, R + t dR the fields move by
-`fields_tangent` (dQ, dR, dX), and the map of `terms` moves by the map of
-`tangent_terms(terms)` over the merged table f | df.
+transfer matrix (A0, A0), (A1, A1), ... and its estimators are tables
+over the site tensors.  A table acts on a stack of D x D matrices by
+`action`, at O(D^3) per matrix, and by its adjoint `action_adjoint`;
+every insertion and estimator runs through these two, and only the maps
+that are exponentiated, factored or eigen-solved read `Superoperator.mat`
+or `hmat`.  The product rule is one table transform: along K + t dK,
+R + t dR the fields move by `fields_tangent` (dQ, dR, dX), and the map of
+`terms` moves by the map of `tangent_terms(terms)` over the merged table
+f | df.
 
 The dense kernels run in a second layout, the Hermitian basis (Alicki
 and Lendi's coherence vector), which lives here and nowhere else.
@@ -41,8 +43,10 @@ real coordinates there, and a superoperator that maps Hermitian matrices
 to Hermitian matrices, as every table above does, is the real matrix
 U^dag S U, `Superoperator.hmat`, on which every dense kernel runs: real
 eigenvalue solves, linear solves and exponentials cost a fraction of
-complex ones.  The Choi test of `lindblad.compare_forms` maps exp(G dx)
-back with `HermitianBasis.rowstacked`.  `vectorize`, `trace_functional`
+complex ones.  `HermitianBasis.matrices` and `coordinates` are the one
+conversion between coordinates and D x D matrices, which `act` wraps
+around a table's `action`; `rowstacked` maps exp(G dx) back for the Choi
+test of `lindblad.compare_forms`.  `vectorize`, `trace_functional`
 and `choi_matrix` are row-stacked; the trace functional is the same
 vector in both layouts, because U leaves the diagonal alone.
 
@@ -189,6 +193,7 @@ class HermitianBasis:
 
     def __init__(self, dim):
         j, k = np.triu_indices(dim, 1)
+        self.dim = dim
         self.a = j * dim + k
         self.b = k * dim + j
 
@@ -215,6 +220,20 @@ class HermitianBasis:
     def vec(self, x):
         """U x: the row-stacked vector of coordinates x (along the first axis)."""
         return self._unmix(np.array(x, dtype=complex), 1j, 0)
+
+    def matrices(self, x):
+        """The D x D matrices of coordinate vectors x, one per row, as a
+        stack (k, D, D); a single vector gives a stack of one."""
+        return self.vec(x.T).T.reshape(-1, self.dim, self.dim)
+
+    def coordinates(self, m):
+        """The coordinate vectors of a stack of D x D matrices, one per row."""
+        return self.coords(m.reshape(len(m), -1).T).T
+
+    def act(self, terms, f, x):
+        """The `action` of a table on coordinate vectors x, one per row (or
+        x alone), as coordinates, one per row."""
+        return self.coordinates(action(terms, f, self.matrices(x)))
 
     def transform(self, m):
         """U^dag m U: a row-stacked superoperator matrix in this basis (real

@@ -598,3 +598,12 @@ def test_family_deriv_overflowing_direction_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "term norm is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_finite_generator_whose_term_norm_overflows_exits_two(tmp_path, capsys):
+    cfg = damp_finite_config(separations=[0.5])
+    cfg["model"]["K"] = {"re": [[1e308, 1e308], [1e308, 1e308]]}
+    rc, out = run_cli(tmp_path, "correlate", cfg)
+    assert rc == 2
+    assert "generator has a non-finite term norm" in capsys.readouterr().err
+    assert not out.exists()

@@ -520,6 +520,16 @@ def test_family_derivative_refuses_an_overflowing_tangent(rf):
         family_derivative(rf, dk, np.zeros((2, 2)), [(0.0, "create"), (1.0, "annihilate")])
 
 
+@pytest.mark.parametrize("geometry", [Thermodynamic(),
+                                      Finite(length=2.0, boundary_rho=np.eye(2) / 2)])
+def test_a_generator_whose_term_norm_overflows_is_refused_in_both_geometries(geometry):
+    # every entry of K, R and the fields is finite, but ||Q||_1 is not; a
+    # finite chain used to walk on and return nan+nanj after overflow warnings
+    p = new_cmps(2, 1e308 * np.ones((2, 2)), RF_R, geometry)
+    with pytest.raises(NoConvergenceError, match="non-finite"):
+        two_point(p, [0.5])
+
+
 @pytest.mark.parametrize("n_points", [0, 1, 2.5, -3])
 def test_decay_fit_rejects_too_few_or_fractional_points(rf, n_points):
     with pytest.raises(ValidationError, match="n_points"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse.linalg
 
 from cmps_lab import (
     Finite,
@@ -14,7 +15,8 @@ from cmps_lab import (
     transfer_matrix,
     two_point,
 )
-from cmps_lab import discretizer
+import cmps_lab
+from cmps_lab import core, correlators, discretizer, liouville
 from cmps_lab.discretizer import _dominant_pair
 from cmps_lab.liouville import build_liouvillian, fields, hermitian_basis
 from cmps_lab.errors import (
@@ -468,3 +470,75 @@ def test_dark_chain_hopping_is_complex():
     hop = lattice_correlators(dark, "hopping", distances=[1, 2])
     assert hop.dtype == np.complex128 and not hop.any()
     assert lattice_correlators(dark, "pair", distances=[1]).dtype == np.float64
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_unsorted_and_repeated_distances_match_the_reference(order):
+    # one walk reads the sorted distinct distances and hands them back in
+    # the order asked, repeats included
+    rng = np.random.default_rng(53)
+    d, eps, distances = 3, 0.01, [7, 1, 3, 3]
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    t = lattice_tensors(p, eps, order=order)
+    for n_sites, rtol in ((None, THERMO_RTOL_TIMES_EPS / eps), (40, FINITE_RTOL)):
+        finite = {} if n_sites is None else {"n_sites": n_sites, "boundary_rho": rho0}
+        for observable in ("hopping", "pair"):
+            got = lattice_correlators(t, observable, distances=distances, **finite)
+            want = _reference_lattice(t, observable, distances, n_sites, rho0)
+            assert got.shape == (4,) and got[2] == got[3]
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= rtol, (observable, n_sites, err)
+
+
+def test_lattice_oracle_builds_only_the_transfer_matrix(monkeypatch):
+    # the oracle is independent of the continuum calculus: no generator and
+    # no exponential.  Its one D^2 x D^2 map is E, whose order + 1 sandwiches
+    # are its only ones and whose hmat is its only basis transform; the
+    # estimators act on D x D matrices
+    d = 4
+    rng = np.random.default_rng(19)
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    built, moved, continuum = [], [], []
+    sandwich, transform = liouville.sandwich, liouville.HermitianBasis.transform
+    monkeypatch.setattr(liouville, "sandwich",
+                        lambda a, b: built.append(a.shape) or sandwich(a, b))
+    monkeypatch.setattr(liouville.HermitianBasis, "transform",
+                        lambda self, m: moved.append(m.shape) or transform(self, m))
+    for module, name in ((liouville, "build_liouvillian"), (core, "build_liouvillian"),
+                         (correlators, "build_liouvillian"), (cmps_lab, "build_liouvillian"),
+                         (scipy.linalg, "expm"), (scipy.linalg, "expm_frechet"),
+                         (scipy.sparse.linalg, "expm_multiply")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            continuum.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    for order in (1, 2):
+        for finite in ({}, {"n_sites": 12, "boundary_rho": rho0}):
+            for observable, distances in (("occupation", None), ("hopping", [1, 4]),
+                                          ("pair", [5, 2])):
+                t = lattice_tensors(p, 0.05, order=order)
+                built.clear()
+                moved.clear()
+                lattice_correlators(t, observable, distances=distances, **finite)
+                assert built == [(d, d)] * (order + 1), (order, observable)
+                assert moved == [(d * d, d * d)], (order, observable)
+    assert continuum == []
+
+
+def test_no_distances_give_an_empty_array_of_the_observables_type(rf):
+    # as two_point does for no separations, in both geometries
+    assert two_point(rf, []).values.shape == (0,)
+    t = lattice_tensors(rf, 0.01)
+    for finite in ({}, {"n_sites": 10, "boundary_rho": np.eye(2) / 2}):
+        for observable, dtype in (("hopping", np.complex128), ("pair", np.float64)):
+            got = lattice_correlators(t, observable, distances=[], **finite)
+            assert got.shape == (0,) and got.dtype == dtype, (observable, finite)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_convergence_study_refuses_a_separation_that_is_not_finite(rf, bad):
+    # int(round(sep / eps)) raised a bare ValueError or OverflowError
+    with pytest.raises(ValidationError, match=f"separation must be finite, got {bad}"):
+        convergence_study(rf, [0.01, 0.005], observable=("hopping", bad))
