@@ -27,16 +27,19 @@ Every correlator walks its chain with one scan, `_Chain.scan`: the only
 place where exp(L dx) is applied to a vector.  It carries the opening
 state through ascending positions, applies each insertion as it passes
 it, and hands back the vector at requested stops.  In the thermodynamic
-geometry the chain opens on the stationary state, and one that ends on
-an insertion S closes with the covector <1| S from the adjoint action;
-in a finite geometry it opens on the boundary state at x = 0, insertions
-are anchored at the left edge (the first insertion sits at x1 = 0 for
-separation grids), and the chain is closed by propagating to the right
-edge, tracing and dividing by the norm.  The generator, a
-`liouville.Superoperator`, preserves Hermiticity, so each propagator
-exp(L dx) is the exponential of its real Hermitian-basis matrix `hmat`,
-as are the sourced sites of `generating_functional`; the vectors stay
-complex, because an insertion need not preserve Hermiticity.
+geometry the chain opens on the stationary state; in a finite geometry
+it opens on the boundary state at x = 0, and insertions are anchored at
+the left edge (the first insertion sits at x1 = 0 for separation grids).
+Both close alike: a chain that ends on an insertion S reads the vector
+before S with the covector <1| S and divides by the opening state's
+trace.  The boundary right of the last insertion is never read, and the
+generator preserves the trace, <1| exp(L x) = <1|, so a finite window is
+not walked to its edge (Osborne, Eisert & Verstraete, PRL 105, 260401,
+2010).  The generator, a `liouville.Superoperator`, preserves
+Hermiticity, so each propagator exp(L dx) is the exponential of its real
+Hermitian-basis matrix `hmat`, as are the sourced sites of
+`generating_functional`; the vectors stay complex, because an insertion
+need not preserve Hermiticity.
 `family_derivative` walks the same legs forward once, carrying the
 tangent of the vector alongside it: each leg applies exp(L dx) together
 with its Frechet derivative (both real), so the derivative along a
@@ -53,7 +56,6 @@ shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -109,15 +111,16 @@ class CorrelatorResult:
 
 class _Chain:
     """Shared evaluation state: field table, generator, boundary vectors,
-    one propagator.
+    norm, one propagator.
 
     A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
     then apply op, which is an `INSERTIONS` kind name, a superoperator
     matrix (a sourced site), None (nothing) or STOP (hand back the vector
     there).  A kind is never built as a matrix: `act` applies its
     `liouville.action` over this chain's own field table to coordinates
-    (`HermitianBasis.act`), and `covector` gives <1| S, the closing of a
-    thermodynamic chain that ends on kind S, from the adjoint action.
+    (`HermitianBasis.act`), and `covector` gives <1| S from the adjoint
+    action: a chain that ends on kind S closes on it, divided by `norm`,
+    the opening state's trace (1, or tr boundary_rho in a finite window).
     There is no propagator cache: the chain holds one propagator
     exp(L dx) at a time, built when a leg of a new length is reached and
     reused while the following legs share that length.  The stationary
@@ -141,6 +144,7 @@ class _Chain:
             self.L = self.spectral.generator
             rho = self.spectral.steady_state
             self.length = None
+            self.norm = 1.0
         else:
             self.spectral = None
             self.L = build_liouvillian(params.K, params.R)
@@ -148,6 +152,7 @@ class _Chain:
                 raise NoConvergenceError("generator has a non-finite term norm")
             rho = params.geometry.boundary_rho
             self.length = params.geometry.length
+            self.norm = float(np.trace(rho).real)
         self.fields = self.L.fields
         self.right = self.basis.coords(vectorize(rho))
 
@@ -207,34 +212,16 @@ class _Chain:
                 v = op @ v
         return stops
 
-    @cached_property
-    def norm(self):
-        """Trace of the opening state carried across the window (1 if infinite)."""
-        if self.length is None:
-            return 1.0
-        (v,) = self.scan(self.right, [(self.length, self.STOP)])
-        return float((self.left @ v).real)
-
-    def close(self, v, pos):
-        """End a chain at `pos`: carry v to the right edge, trace, divide by the norm."""
-        if self.length is None:
-            return complex(self.left @ v)
-        (v,) = self.scan(v, [(self.length - pos, self.STOP)])
-        return complex(self.left @ v) / self.norm
-
     def evaluate(self, insertions):
-        """Close a chain of (position, kind) pairs, ascending order.  A
-        thermodynamic chain reads the vector before its last kind with that
-        kind's covector; a finite one applies it and closes."""
-        end = float(insertions[-1][0]) if insertions else 0.0
+        """Close a chain of (position, kind) pairs, ascending order: read
+        the vector before its last kind with that kind's covector."""
         start = float(insertions[0][0]) if insertions and self.length is None else 0.0
         legs = self.legs(insertions, start)
-        if self.length is None and legs:
-            *legs, (dx, last) = legs
-            stops = self.scan(self.right, [*legs, (dx, self.STOP)])
-            return complex((stops @ self.covector(last))[0])
-        (v,) = self.scan(self.right, [*legs, (0.0, self.STOP)])
-        return self.close(v, end)
+        if not legs:
+            return complex(self.left @ self.right) / self.norm
+        *legs, (dx, last) = legs
+        stops = self.scan(self.right, [*legs, (dx, self.STOP)])
+        return complex((stops @ self.covector(last))[0]) / self.norm
 
 
 def expectation(params, insertions):
@@ -244,8 +231,8 @@ def expectation(params, insertions):
     [(0.0, "create"), (1.0, "annihilate")].  Positions must be finite and
     ascending; insertions sharing a position are applied in list order.
     Thermodynamic chains open on the stationary state, so only position
-    differences matter; finite chains are normalized by the norm of the
-    fully propagated boundary state.
+    differences matter; finite chains open on the boundary state at x = 0
+    and are normalized by its trace.
     """
     return _Chain(params).evaluate(insertions)
 
@@ -258,10 +245,8 @@ def density(params):
 def _separation_scan(chain, separations, first, second):
     """<first(0) second(d)> on a grid of separations d >= 0, two kind names.
 
-    One scan carries first(0) through the sorted separations.  A
-    thermodynamic chain closes every stop at once with the second kind's
-    covector; a finite one applies the second kind to all stops in one
-    action and carries each to the right edge.
+    One scan carries first(0) through the sorted separations, and the
+    second kind's covector closes every stop at once, in both geometries.
     """
     seps = np.atleast_1d(np.asarray(separations, dtype=float))
     if seps.size and seps.min() < 0:
@@ -270,11 +255,7 @@ def _separation_scan(chain, separations, first, second):
     items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
     values = np.empty(seps.size, dtype=complex)
     stops = chain.scan(chain.right, chain.legs(items, 0.0))
-    if chain.length is None:
-        values[order] = stops @ chain.covector(second)
-    else:
-        for i, w in zip(order, chain.act(second, stops)):
-            values[i] = chain.close(w, float(seps[i]))
+    values[order] = stops @ chain.covector(second) / chain.norm
     return seps, values
 
 
@@ -436,8 +417,9 @@ def family_derivative(params, dK, dR, insertions):
     the fixed space is one-dimensional; the solution is traceless, so the
     border drops out); a finite chain opens on the fixed boundary state,
     dv = 0.  D = 1 is gapless by convention and raises GaplessStateError in
-    the thermodynamic geometry.  Closing the chain adds no dE term and the
-    norm does not move, because <1| dL = 0.  The result is exact up to
+    the thermodynamic geometry.  The chain closes on <1| dv / norm after
+    its last insertion: nothing to its right adds a dE term and the norm
+    does not move, because <1| L = <1| dL = 0.  The result is exact up to
     roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
@@ -478,7 +460,7 @@ def family_derivative(params, dK, dR, insertions):
         w = action(terms, f, m)
         w[1] += action(tangent_terms(terms), moving, m[0])
         v, dv = chain.basis.coordinates(w)
-    return chain.close(dv, float(insertions[-1][0]))
+    return complex(chain.left @ dv) / chain.norm
 
 
 # -- discretized generating functional ---------------------------------------
@@ -518,10 +500,10 @@ def generating_functional(params, sources, eps):
     Z multiplies per-site transfer factors exp[eps (L + J_r)] with
     J_r = lam_r (R, 1) + conj(lam_r) (1, R) + mu_r (X, 1) + conj(mu_r) (1, X)
     over the field table (X = -[Q, R]), between the opening state and the
-    trace functional (L + J_r is the
+    trace functional, divided by the chain's norm (L + J_r is the
     generator with Q -> Q + lam_r R + mu_r X); a site without sources is
     the free step exp(eps L) of the chain's scan.  All sources zero gives
-    exactly the state norm (1 for both geometries).  Wirtinger
+    1 in both geometries, up to roundoff.  Wirtinger
     derivatives with respect to lam_r / conj(lam_r) reproduce eps times the
     annihilation / creation insertions up to O(eps) lattice error.
     """
@@ -543,10 +525,7 @@ def generating_functional(params, sources, eps):
             site = Superoperator(GENERATOR, shifted).hmat
             legs.append((0.0, scipy.linalg.expm(site * eps)))
     (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
-    if chain.length is None:
-        return complex(chain.left @ v)
-    (norm_v,) = chain.scan(chain.right, [(eps, None)] * n + [(0.0, chain.STOP)])
-    return complex(chain.left @ v) / complex(chain.left @ norm_v)
+    return complex(chain.left @ v) / chain.norm
 
 
 def _wirtinger_pair(f, h):

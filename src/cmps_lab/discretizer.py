@@ -51,7 +51,14 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import Superoperator, fields, hermitian_basis, trace_functional, vectorize
+from .liouville import (
+    Superoperator,
+    bordered_lu,
+    fields,
+    hermitian_basis,
+    trace_functional,
+    vectorize,
+)
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
 # in every length unit: the site map is dimensionless
@@ -105,7 +112,8 @@ def lattice_tensors(params, eps, order=1):
     q = fields(params.K, params.R)["Q"]
     mats = [np.eye(params.dim, dtype=complex) + eps * q, np.sqrt(eps) * params.R]
     if order == 2:
-        mats.append((eps / np.sqrt(2.0)) * (params.R @ params.R))
+        with np.errstate(over="ignore", invalid="ignore"):  # the term norm refuses it
+            mats.append((eps / np.sqrt(2.0)) * (params.R @ params.R))
     return LatticeTensors(eps=eps, matrices=tuple(mats), dim=params.dim, order=order)
 
 
@@ -135,9 +143,9 @@ def _dominant_pair(emat):
     E is a positive map, so its spectral radius is an eigenvalue with a
     positive fixed point; a dominant eigenvalue of a complex pair has a
     partner of equal modulus and fails the degeneracy check, so eta is
-    real.  Both fixed points then come from one LU factorization (dgetrf)
-    of the bordered matrix B = E - eta + |eta| e <1|, with e = vec(1)/D and
-    <1| the trace functional, as in `liouville.bordered`: B x = <1|^T and
+    real.  Both fixed points then come from one LU factorization
+    (`liouville.bordered_lu`) of the bordered matrix B = E - eta + |eta| e <1|,
+    with e = vec(1)/D and <1| the trace functional: B x = <1|^T and
     B^T y = <1|^T solve for multiples of the right and left fixed points,
     because <1| is not in the range of (E - eta)^T and e is not in the
     range of E - eta when the fixed points are positive.  A singular B
@@ -154,15 +162,8 @@ def _dominant_pair(emat):
     mags = np.sort(mags)[::-1]
     if mags.size > 1 and mags[0] - mags[1] < 1e-12 * max(1.0, mags[0]):
         raise WindowTooSmallError("dominant transfer eigenvalue is degenerate")
-    n = emat.shape[0]
-    d = math.isqrt(n)
-    # <1| and vec(1) are nonzero, and equal to 1, at the coordinates j (D + 1)
-    one = np.zeros(n)
-    one[::d + 1] = 1.0
-    b = np.array(emat, order="F")  # dgetrf factors a Fortran array in place
-    b.flat[::n + 1] -= eta
-    b[::d + 1, ::d + 1] += abs(eta) / d
-    lu, piv, info = scipy.linalg.lapack.dgetrf(b, overwrite_a=1)
+    one = trace_functional(math.isqrt(emat.shape[0])).real
+    lu, piv, info = bordered_lu(emat, eta, abs(eta))
     if info > 0:
         raise WindowTooSmallError(
             "bordered transfer matrix is singular: the dominant fixed point is not unique")
@@ -194,7 +195,8 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     fixed points of E; a finite one of n_sites sites opens on the boundary
     state (its Hermitian part) and closes each distance with its tail
     <1| E^k.  Values are rescaled by the eps powers that map lattice
-    operators to field operators.
+    operators to field operators.  A transfer matrix whose term norm is
+    not finite is refused as NoConvergenceError before it is built.
     """
     eps = tensors.eps
     d = tensors.dim
@@ -227,6 +229,8 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         values = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
         return float(values[0]) if observable == "occupation" else values
 
+    if not np.isfinite(tensors.transfer.scale):
+        raise NoConvergenceError("transfer matrix has a non-finite term norm")
     emat = tensors.transfer.hmat
     basis = hermitian_basis(d)
     ms = sorted(set(distances))

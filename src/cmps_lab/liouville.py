@@ -52,13 +52,14 @@ vector in both layouts, because U leaves the diagonal alone.
 
 The trace functional is the row vector vec(1)^dag; trace preservation reads
 vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The fixed
-point needs no spectrum: one LU factorization of the `bordered` generator
-gives it by a linear solve, and a condition estimate of the same factors
-certifies that the fixed space is one-dimensional.  The eigenvalues, and
-the gap (minus the largest real part after the fixed point's zero), are
-computed only where they are read.
+point needs no spectrum: one LU factorization of the bordered generator
+(`bordered_lu`) gives it by a linear solve, and a condition estimate of
+the same factors certifies that the fixed space is one-dimensional.  The
+eigenvalues, and the gap (minus the largest real part after the fixed
+point's zero), are computed only where they are read.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -111,10 +112,12 @@ def fields(K, R):
     """The field table: the boundary matrices every superoperator is made of.
 
     "1" is the identity, "Q" = -i K - (1/2) R^dag R the no-jump generator,
-    "R" the emission, and "X" = -[Q, R] the derivative field.
+    "R" the emission, and "X" = -[Q, R] the derivative field.  An overflow
+    leaves a field non-finite, silently: its readers refuse it.
     """
-    q = -1j * K - 0.5 * (R.conj().T @ R)
-    return {"1": np.eye(K.shape[0]), "Q": q, "R": R, "X": -(q @ R - R @ q)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -1j * K - 0.5 * (R.conj().T @ R)
+        return {"1": np.eye(K.shape[0]), "Q": q, "R": R, "X": -(q @ R - R @ q)}
 
 
 def superop(terms, f):
@@ -312,15 +315,15 @@ class SpectralData:
     """The unique fixed point of a generator, and its spectrum on demand.
 
     generator is the `Superoperator` the fixed point was certified on, and
-    lu, piv the LAPACK LU factors of its `bordered` matrix, which `solve`
-    reuses.  zero_real_tol is Tolerances.zero_real times the generator's
-    term norm.  eigenvalues (descending real part), gap and gapless are
-    computed from the generator when first read, by one eigenvalue solve of
-    its real matrix `hmat`, and read by `fixed_mode`: the read raises
-    DegenerateFixedSpaceError when more than one eigenvalue has
-    |Re| <= zero_real_tol, and the gap is minus the largest real part after
-    the fixed point's zero (0.0 for the one-dimensional generator, which
-    is gapless by convention).  The arrays are read-only.
+    lu, piv the LAPACK LU factors of its bordered matrix (`bordered_lu`),
+    which `solve` reuses.  zero_real_tol is Tolerances.zero_real times the
+    generator's term norm.  eigenvalues (descending real part), gap and
+    gapless are computed from the generator when first read, by one
+    eigenvalue solve of its real matrix `hmat`, and read by `fixed_mode`:
+    the read raises DegenerateFixedSpaceError when more than one eigenvalue
+    has |Re| <= zero_real_tol, and the gap is minus the largest real part
+    after the fixed point's zero (0.0 for the one-dimensional generator,
+    which is gapless by convention).  The arrays are read-only.
     """
 
     generator: Superoperator
@@ -330,7 +333,7 @@ class SpectralData:
     piv: np.ndarray
 
     def solve(self, b):
-        """x with bordered(generator) x = b, for real b, from the stored factors."""
+        """x with B x = b, for real b and B the bordered generator, from the factors."""
         x, _ = scipy.linalg.lapack.dgetrs(self.lu, self.piv, b)
         return x
 
@@ -367,46 +370,48 @@ def build_liouvillian(K, R):
     return Superoperator(GENERATOR, fields(K, R))
 
 
-def bordered(superop):
-    """L + c |e><1| with e = vec(1)/D and c the term norm, which scales like L.
+def bordered_lu(hmat, shift, weight):
+    """LAPACK dgetrf's (lu, piv, info) of B = hmat - shift + weight e <1|,
+    e = vec(1)/D, written into one Fortran copy of the real Hermitian-basis
+    matrix hmat, where <1| and vec(1) are 1 at the coordinates j (D + 1).
 
-    A real matrix in the Hermitian basis (`Superoperator.hmat`), where vec(1)
-    keeps its coordinates.  Invertible exactly when the fixed space of L is
-    one-dimensional; as <1| L = 0 and <1|e> = 1, a solution of
-    bordered x = b has <1|x> = <1|b>/c.
+    For a generator L with shift 0 and weight c, B is invertible exactly
+    when the fixed space of L is one-dimensional; as <1| L = 0 and
+    <1|e> = 1, a solution of B x = b has <1|x> = <1|b>/c.
     """
-    one = trace_functional(superop.dim).real
-    return superop.hmat + np.outer(one * (superop.scale / superop.dim), one)
+    n = hmat.shape[0]
+    d = math.isqrt(n)
+    b = np.array(hmat, order="F")
+    b.flat[::n + 1] -= shift
+    b[::d + 1, ::d + 1] += weight / d
+    return scipy.linalg.lapack.dgetrf(b, overwrite_a=1)
 
 
 def steady_state(superop, tol=Tolerances()):
     """Unique fixed point of the generator, certified from one LU factorization.
 
-    The real bordered matrix B = `bordered(superop)` of the Hermitian basis
-    is factored once (LAPACK dgetrf), and the fixed point solves
-    B x = c e (so <1|x> = 1 and L x = 0); its coordinates are real, so it
-    is Hermitian exactly, and it is trace-normalized.  B is invertible
-    exactly when the fixed space is one-dimensional, and every eigenvalue
-    lambda of L other than the fixed point's zero is an eigenvalue of B, so
-    ||B^-1||_1 >= 1 / |lambda|.  An exactly singular B, or one whose
-    ||B^-1||_1 (estimated from the factors by dgecon) times the term norm
-    `superop.scale` reaches 1 / tol.zero_real, raises
+    The real bordered matrix B = L + c e <1|, c the term norm
+    `superop.scale`, is factored once (`bordered_lu`), and the fixed point
+    solves B x = c e (so <1|x> = 1 and L x = 0); its coordinates are real,
+    so it is Hermitian exactly, and it is trace-normalized.  B is
+    invertible exactly when the fixed space is one-dimensional, and every
+    eigenvalue lambda of L other than the fixed point's zero is one of B,
+    so ||B^-1||_1 >= 1 / |lambda|.  An exactly singular B, or one whose
+    ||B^-1||_1 (dgecon's estimate, told ||B||_1 = 1) times c reaches
+    1 / tol.zero_real, raises
     DegenerateFixedSpaceError.  The residual ||L rho||_max, taken on the
     row-stacked `mat`, must not exceed tol.residual times the term norm.
     No spectrum is computed here: `SpectralData` computes it when read.
     """
     if not np.isfinite(superop.scale):
         raise NoConvergenceError("generator has non-finite entries")
-    b = bordered(superop)
-    lu, piv, info = scipy.linalg.lapack.dgetrf(b)
+    lu, piv, info = bordered_lu(superop.hmat, 0.0, superop.scale)
     if info > 0:
         raise DegenerateFixedSpaceError(
             "fixed space is degenerate (the bordered generator is singular);"
             " stationary quantities are ill-defined")
-    # ||B^-1||_1 = 1 / (rcond ||B||_1), up to the estimate
-    anorm = np.abs(b).sum(axis=0).max()
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if rcond * anorm <= tol.zero_real * superop.scale:
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, 1.0, norm="1")
+    if rcond <= tol.zero_real * superop.scale:
         raise DegenerateFixedSpaceError(
             f"fixed space is degenerate (||B^-1||_1 x term norm reaches"
             f" 1 / {tol.zero_real}); stationary quantities are ill-defined")

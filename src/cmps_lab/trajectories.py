@@ -37,6 +37,7 @@ import scipy.linalg
 from .core import Finite
 from .errors import (
     InsufficientDataError,
+    NoConvergenceError,
     NonNormalizableStateError,
     ValidationError,
     WindowTooSmallError,
@@ -72,6 +73,14 @@ class TrajectoryStats:
     waiting_probs: np.ndarray
     waiting_stderr: np.ndarray
     n_conditioning_jumps: int
+
+
+def _no_jump_generator(params):
+    """Q, refused as NoConvergenceError when its fields overflow."""
+    q = fields(params.K, params.R)["Q"]
+    if not np.isfinite(q).all():
+        raise NoConvergenceError("no-jump generator Q has non-finite entries")
+    return q
 
 
 def _stream(master_seed, index):
@@ -149,7 +158,7 @@ class _NoJumpFlow:
     """
 
     def __init__(self, params):
-        q = fields(params.K, params.R)["Q"]
+        q = _no_jump_generator(params)
         lam, vecs = np.linalg.eig(q)
         if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
             self.lam, self.q, basis = lam, None, vecs
@@ -457,7 +466,7 @@ def _no_jump_oracle(params, taus, initial, weight, dark):
     rho0 = _resolve_initial(params, initial)
     if rho0 is None:
         return np.full_like(taus, dark)
-    q = fields(params.K, params.R)["Q"]
+    q = _no_jump_generator(params)
     out = np.empty(taus.shape)
     for i, tau in enumerate(taus.ravel()):
         prop = scipy.linalg.expm(q * tau)

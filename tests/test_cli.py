@@ -607,3 +607,19 @@ def test_finite_generator_whose_term_norm_overflows_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "generator has a non-finite term norm" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["thermodynamic", "finite"])
+def test_trajectories_whose_fields_overflow_exit_two(tmp_path, capsys, geometry):
+    # K = 1e300 sigma_x / 2 and R = 1e160 sigma_minus: R^dag R overflows,
+    # and no warning (an error under this suite's settings) may escape first
+    model = {"dim": 2, "K": {"re": [[0.0, 5e299], [5e299, 0.0]]},
+             "R": {"re": [[0.0, 0.0], [1e160, 0.0]]}}
+    cfg = {"model": model, "geometry": geometry, "length": 1.0, "n_traj": 3, "seed": 1,
+           "bins": [0.0, 0.5]}
+    if geometry == "finite":
+        cfg["boundary_rho"] = {"re": [[0.5, 0.0], [0.0, 0.5]]}
+    rc, out = run_cli(tmp_path, "trajectories", cfg)
+    assert rc == 2
+    assert "no-jump generator Q has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()

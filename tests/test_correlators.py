@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmps_lab import (
     Finite,
@@ -445,7 +446,8 @@ def test_two_point_holds_one_propagator_at_a_time():
 def test_insertions_act_without_building_a_superoperator(monkeypatch):
     # an insertion acts on D x D matrices: the only D^2 x D^2 sandwiches are
     # the generator's three terms and, in family_derivative, the four pieces
-    # of its tangent, and only those reach the Hermitian basis
+    # of its tangent, and only those reach the Hermitian basis.  A finite
+    # chain at one point walks no leg, so it builds no D^2 x D^2 map at all
     d = 6
     rng = np.random.default_rng(12)
     k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
@@ -457,18 +459,57 @@ def test_insertions_act_without_building_a_superoperator(monkeypatch):
     monkeypatch.setattr(liouville.HermitianBasis, "transform",
                         lambda self, m: moved.append(m.shape) or transform(self, m))
     chain = [(0.0, "create"), (0.7, "pair_density"), (1.3, "deriv_annihilate")]
-    jobs = [(kinetic_density, 3, 1),
-            (lambda p: lieb_liniger_energy_density(p, 1.0, 0.5), 3, 1),
-            (lambda p: two_point(p, [0.0, 0.4, 1.1]), 3, 1),
-            (lambda p: pair_correlation(p, [0.0, 0.4]), 3, 1),
-            (lambda p: family_derivative(p, dk, dr, chain), 7, 2)]
-    for geometry in (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d)):
-        for job, sandwiches, transforms in jobs:
+    # (job, sandwiches, transforms) in the thermodynamic geometry, then
+    # in the finite one
+    jobs = [(kinetic_density, (3, 1), (0, 0)),
+            (lambda p: lieb_liniger_energy_density(p, 1.0, 0.5), (3, 1), (0, 0)),
+            (lambda p: two_point(p, [0.0, 0.4, 1.1]), (3, 1), (3, 1)),
+            (lambda p: pair_correlation(p, [0.0, 0.4]), (3, 1), (3, 1)),
+            (lambda p: family_derivative(p, dk, dr, chain), (7, 2), (7, 2))]
+    geometries = (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d))
+    for g, geometry in enumerate(geometries):
+        for job, *counts in jobs:
+            sandwiches, transforms = counts[g]
             built.clear()
             moved.clear()
             job(new_cmps(d, k, r, geometry))
             assert built == [(d, d)] * sandwiches
             assert moved == [(d * d, d * d)] * transforms
+
+
+@pytest.mark.parametrize("seps, legs", [([0.0, 0.3, 0.3, 1.1, 2.0], 3), ([0.5, 1.0, 1.5], 1)])
+def test_finite_two_point_runs_one_exponential_per_leg_length(monkeypatch, seps, legs):
+    # the generator preserves the trace, so nothing right of the last
+    # insertion is walked: a finite scan makes one expm per distinct
+    # nonzero leg, as a thermodynamic one does
+    rng = np.random.default_rng(13)
+    d = 3
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    for geometry in (Thermodynamic(), Finite(length=2.5, boundary_rho=np.eye(d) / d)):
+        p = new_cmps(d, k, r, geometry)
+        calls.clear()
+        two_point(p, seps)
+        assert calls == [(d * d, d * d)] * legs
+
+
+def test_a_finite_chain_at_one_point_reads_the_boundary_state():
+    # a single-point observable is tr(S rho0) / tr rho0, and the norm of a
+    # finite chain is tr rho0, here 1 + 5e-13 (inside the trace check)
+    rng = np.random.default_rng(14)
+    d = 4
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    a = rand_mat(d, rng)
+    rho = a @ a.conj().T
+    rho *= (1.0 + 5e-13) / np.trace(rho).real
+    p = new_cmps(d, k, r, Finite(length=3.0, boundary_rho=rho))
+    f = fields(k, r)
+    trace = np.trace(rho).real
+    for got, s in ((kinetic_density(p), f["X"]), (density(p), f["R"])):
+        want = np.trace(s @ rho @ s.conj().T).real / trace
+        assert abs(got - want) <= 1e-14 * want
+    assert abs(two_point(p, [0.5]).normalization - trace) <= 1e-15
 
 
 def test_spectral_envelope_runs_one_eigensolve(rf, monkeypatch):

@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 
 from cmps_lab import (
     Finite,
+    Thermodynamic,
     convergence_study,
     density,
     lattice_correlators,
@@ -20,6 +21,7 @@ from cmps_lab import core, correlators, discretizer, liouville
 from cmps_lab.discretizer import _dominant_pair
 from cmps_lab.liouville import build_liouvillian, fields, hermitian_basis
 from cmps_lab.errors import (
+    NoConvergenceError,
     ShapeMismatchError,
     StepNotPositiveError,
     ValidationError,
@@ -542,3 +544,18 @@ def test_convergence_study_refuses_a_separation_that_is_not_finite(rf, bad):
     # int(round(sep / eps)) raised a bare ValueError or OverflowError
     with pytest.raises(ValidationError, match=f"separation must be finite, got {bad}"):
         convergence_study(rf, [0.01, 0.005], observable=("hopping", bad))
+
+
+@pytest.mark.parametrize("geometry", [Thermodynamic(),
+                                      Finite(length=1.0, boundary_rho=np.eye(2) / 2)])
+@pytest.mark.parametrize("k, r, order", [(1e308 * np.ones((2, 2)), RF_R, 1),
+                                         (np.zeros((2, 2)), np.diag([1e160, 0.0]), 2)])
+def test_a_transfer_matrix_whose_term_norm_overflows_is_refused(geometry, k, r, order, capfd):
+    # every entry of the first tensors is finite, but ||A0||_1^2 is not:
+    # the bulk chain used to hand inf to LAPACK, which printed
+    # illegal-value lines, and the finite chain returned nan after overflow
+    # warnings.  The second overflows R^dag R and, at order 2, R^2
+    p = new_cmps(2, k, r, geometry)
+    with pytest.raises(NoConvergenceError, match="transfer matrix has a non-finite term norm"):
+        convergence_study(p, [0.01, 0.005], order=order)
+    assert capfd.readouterr() == ("", "")

@@ -26,6 +26,7 @@ from cmps_lab.liouville import (
     Tolerances,
     action,
     action_adjoint,
+    bordered_lu,
     fields,
     fields_tangent,
     hermitian_basis,
@@ -384,3 +385,20 @@ def test_tangent_terms_match_a_central_difference_of_the_maps(d):
     # the generator's term norm is 2 ||Q||_1 + ||R||_1^2 to the bit
     gen = build_liouvillian(k, r)
     assert gen.scale == 2.0 * np.linalg.norm(f["Q"], 1) + np.linalg.norm(f["R"], 1) ** 2
+
+
+def test_bordered_lu_factors_the_bordered_matrix_without_touching_hmat():
+    # hmat - shift + weight e <1| is written into a copy, never into hmat,
+    # which is a cached field every reader of the generator shares; the
+    # factors are dgetrf's of the same matrix built densely
+    rng = np.random.default_rng(15)
+    for d in (1, 3, 5):
+        h = rng.normal(size=(d * d, d * d))
+        before = h.copy()
+        one = trace_functional(d).real
+        for shift, weight in ((0.0, 2.5), (0.9, 0.9)):
+            dense = h - shift * np.eye(d * d) + np.outer(one * (weight / d), one)
+            for got, want in zip(bordered_lu(h, shift, weight),
+                                 scipy.linalg.lapack.dgetrf(dense)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(h, before)

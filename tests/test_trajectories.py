@@ -12,6 +12,7 @@ import scipy.linalg
 from cmps_lab import (
     Finite,
     JumpRecord,
+    Thermodynamic,
     build_liouvillian,
     density,
     devectorize,
@@ -22,12 +23,14 @@ from cmps_lab import (
     sample_ensemble,
     sample_trajectory,
     steady_state,
+    two_point,
     vectorize,
     waiting_bin_probs,
     waiting_time_analytic,
 )
 from cmps_lab.errors import (
     InsufficientDataError,
+    NoConvergenceError,
     ValidationError,
     WindowTooSmallError,
 )
@@ -368,3 +371,19 @@ def test_estimator_rejects_bin_edges_that_are_not_finite(edges):
     recs = [_record([1.0, 5.0]), _record([2.0])]
     with pytest.raises(ValidationError, match="bin edges must be a finite ascending 1d array, got"):
         estimate_stats(recs, edges)
+
+
+@pytest.mark.parametrize("geometry", [Thermodynamic(),
+                                      Finite(length=1.0, boundary_rho=np.eye(2) / 2)])
+def test_fields_that_overflow_are_refused_without_a_warning(geometry):
+    # every entry of K and R is finite, but R^dag R reaches 1e320: the
+    # fields used to warn (an error under this suite's settings) before any
+    # reader refused them, the sampler then raised a bare LinAlgError, and
+    # a finite survival returned nan
+    p = new_cmps(2, 1e300 * RF_K, 1e160 * RF_R, geometry)
+    for call in (lambda: sample_ensemble(p, 3, 1.0, 1),
+                 lambda: no_jump_survival(p, [0.5]),
+                 lambda: waiting_time_analytic(p, [0.5]),
+                 lambda: two_point(p, [0.5])):
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            call()
