@@ -1,15 +1,21 @@
 """Batch front end: JSON config in, JSON or CSV results out.
 
-Every run embeds the tool version and the fully resolved config (defaults
-filled in) into its output, so a result file is sufficient to reproduce
-itself bit for bit.  Configs are strict: unknown or missing keys fail
-with the offending dotted key named.  Exit codes: 0 success, 1 invalid
-input, 2 numerical failure.
+One schema table per command owns the config format (`_BASE_SCHEMA` plus
+`_EXTRA_SCHEMA[command]`): each key's kind, the element kind of an
+array, the choices of a string, a minimum where one applies, and the
+default of each optional key.  `_check_schema` walks a config against it
+and fills the defaults in, so the handlers read a resolved config, and
+every run embeds that config and the tool version into its output: a
+result file is sufficient to reproduce itself bit for bit.  Configs are
+strict: unknown, missing or malformed keys fail with the offending dotted
+key named.  Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,55 +40,71 @@ from .discretizer import (
     lattice_correlators,
     lattice_tensors,
 )
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NoConvergenceError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
 from .liouville import Tolerances, build_liouvillian
 from .trajectories import estimate_stats, sample_ensemble
 
-_MAT = "mat"
-_BASE_SCHEMA = {
-    "model": ("req", {"dim": ("req", "int"), "K": ("req", _MAT), "R": ("req", _MAT)}),
-    "geometry": ("req", "str"),
-    "length": ("opt", "num"),
-    "boundary_rho": ("opt", _MAT),
-}
+# A schema maps each key of a JSON object to a _Key:
+#   kind     "num" (a JSON number, not a bool), "int", a tuple of the allowed
+#            strings, a dict (a nested object's schema), or [kind], a
+#            non-empty array of that kind whose entries are named key[i];
+#   default  _REQUIRED; None for an optional key left absent; the value
+#            filled in; or a function of the object that returns it;
+#   minimum  the least value of a number, or of each number of an array.
+_REQUIRED = object()
+_Key = collections.namedtuple("_Key", "kind default minimum", defaults=(_REQUIRED, None))
 
+_NUMS = ["num"]
+_MAT = {"re": _Key([_NUMS]),
+        "im": _Key([_NUMS], lambda m: [[0.0] * len(row) for row in m["re"]])}
+_CPLX = {"re": _Key("num"), "im": _Key("num", 0.0)}
+_BASE_SCHEMA = {
+    "model": _Key({"dim": _Key("int"), "K": _Key(_MAT), "R": _Key(_MAT)}),
+    "geometry": _Key(("thermodynamic", "finite")),
+    "length": _Key("num", None),
+    "boundary_rho": _Key(_MAT, None),
+}
 _EXTRA_SCHEMA = {
     "steady": {},
     "gap": {},
     "kinetic": {},
-    "correlate": {"separations": ("req", "list")},
-    "g2": {"separations": ("req", "list")},
-    "ll-energy": {"c": ("req", "num"), "mu": ("req", "num")},
-    "discretize": {"epsilons": ("req", "list"), "order": ("opt", "int")},
+    "correlate": {"separations": _Key(_NUMS, minimum=0.0)},
+    "g2": {"separations": _Key(_NUMS, minimum=0.0)},
+    "ll-energy": {"c": _Key("num"), "mu": _Key("num")},
+    "discretize": {"epsilons": _Key(_NUMS), "order": _Key("int", 1)},
     "converge": {
-        "epsilons": ("req", "list"),
-        "observable": ("opt", "str"),
-        "separation": ("opt", "num"),
-        "order": ("opt", "int"),
+        "epsilons": _Key(_NUMS),
+        "observable": _Key(("occupation", "hopping", "pair"), "occupation"),
+        "separation": _Key("num", None),
+        "order": _Key("int", 1),
     },
     "trajectories": {
-        "n_traj": ("req", "int"),
-        "seed": ("req", "int"),
-        "bins": ("req", "list"),
-        "burn_in": ("opt", "num"),
+        "n_traj": _Key("int"),
+        "seed": _Key("int", minimum=0),
+        "bins": _Key(_NUMS, minimum=0.0),
+        "burn_in": _Key("num", 0.0),
     },
     "lindblad-check": {
-        "moments": ("req", {"psi_dag_sq": ("req", "cplx"), "psi_dag_psi": ("req", "num")}),
-        "dx": ("opt", "num"),
+        "moments": _Key({"psi_dag_sq": _Key(_CPLX), "psi_dag_psi": _Key("num")}),
+        "dx": _Key("num", 0.1),
     },
     "zfunctional-check": {
-        "eps": ("req", "num"),
-        "h": ("req", "num"),
-        "n_sites": ("req", "int"),
-        "site_pair": ("opt", "list"),
+        "eps": _Key("num"),
+        "h": _Key("num"),
+        "n_sites": _Key("int"),
+        "site_pair": _Key(["int"], None),
     },
     "family-deriv": {
-        "dK": ("req", _MAT),
-        "dR": ("req", _MAT),
-        "insertions": ("req", "list"),
+        "dK": _Key(_MAT),
+        "dR": _Key(_MAT),
+        "insertions": _Key([{"kind": _Key(tuple(INSERTIONS)), "position": _Key("num")}]),
     },
 }
+
+# the Python types that json gives a number of each kind (a bool is not one)
+_NUMBER_TYPES = {"num": {int, float}, "int": {int}}
+_NUMBER_NAMES = {"num": "a number", "int": "an integer"}
 
 
 def _dot(path, key):
@@ -90,77 +112,72 @@ def _dot(path, key):
 
 
 def _check_schema(obj, schema, path=""):
-    where = path or "config"
+    """Check the JSON object `obj` against `schema`, filling in its defaults."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"'{where}' must be a JSON object")
+        raise ConfigError(f"'{path or 'config'}' must be a JSON object")
     for key in obj:
         if key not in schema:
             raise ConfigError(f"unknown key '{_dot(path, key)}'")
-    for key, (flag, kind) in schema.items():
-        if key not in obj:
-            if flag == "req":
-                raise ConfigError(f"missing required key '{_dot(path, key)}'")
-            continue
-        val = obj[key]
-        sub = _dot(path, key)
-        if kind == _MAT:
-            _check_schema(val, {"re": ("req", "list"), "im": ("opt", "list")}, sub)
-        elif kind == "cplx":
-            _check_schema(val, {"re": ("req", "num"), "im": ("opt", "num")}, sub)
-        elif isinstance(kind, dict):
-            _check_schema(val, kind, sub)
-        elif kind == "num":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"'{sub}' must be a number")
-        elif kind == "int":
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"'{sub}' must be an integer")
-        elif kind == "str":
-            if not isinstance(val, str):
-                raise ConfigError(f"'{sub}' must be a string")
-        elif kind == "list":
-            if not isinstance(val, list):
-                raise ConfigError(f"'{sub}' must be an array")
-        else:  # pragma: no cover - schema table typo guard
-            raise AssertionError(kind)
+    for key, (kind, default, minimum) in schema.items():
+        if key in obj:
+            _check_value(obj[key], kind, minimum, _dot(path, key))
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{_dot(path, key)}'")
+        elif default is not None:
+            obj[key] = default(obj) if callable(default) else default
+
+
+def _check_value(value, kind, minimum, path):
+    if isinstance(kind, dict):
+        _check_schema(value, kind, path)
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"'{path}' must be one of {sorted(kind)}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be an array")
+        if not value:
+            raise ConfigError(f"'{path}' must not be empty")
+        (entry,) = kind
+        if _all_numbers(value, entry, minimum):
+            return
+        for i, item in enumerate(value):
+            _check_value(item, entry, minimum, f"{path}[{i}]")
+    elif type(value) not in _NUMBER_TYPES[kind]:
+        raise ConfigError(f"'{path}' must be {_NUMBER_NAMES[kind]}")
+    elif minimum is not None and value < minimum:
+        raise ConfigError(f"'{path}' must be >= {minimum}")
+
+
+def _all_numbers(items, kind, minimum):
+    """Whether each item is a number of `kind`, at least `minimum`, or for
+    kind [k] a non-empty array of them: a good vector or matrix is checked
+    whole, at C speed, and only a bad one is walked to name its entry."""
+    if isinstance(kind, list):
+        if set(map(type, items)) != {list} or not all(items):
+            return False
+        items, (kind,) = list(itertools.chain.from_iterable(items)), kind
+    return (isinstance(kind, str) and set(map(type, items)) <= _NUMBER_TYPES[kind]
+            and (minimum is None or min(items) >= minimum))
 
 
 def _complex_matrix(node, path):
     try:
         re = np.asarray(node["re"], dtype=float)
-        im_raw = node.get("im")
-        im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        im = np.asarray(node["im"], dtype=float)
+    except ValueError as exc:
         raise ConfigError(f"'{path}' entries must be rectangular numeric arrays: {exc}")
-    if re.ndim != 2 or im.shape != re.shape:
+    if im.shape != re.shape:
         raise ConfigError(f"'{path}' re/im must be matching 2d row-major matrices")
     return re + 1j * im
 
 
-def _float_list(values, path, minimum=None):
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"'{path}[{i}]' must be a number")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"'{path}[{i}]' must be >= {minimum}")
-        out.append(float(v))
-    if not out:
-        raise ConfigError(f"'{path}' must not be empty")
-    return np.asarray(out)
-
-
-def _fill_matrix_default(node):
-    if "im" not in node:
-        node["im"] = [[0.0] * len(row) for row in node["re"]]
-
-
 def _build_params(cfg, tol, record_length=False):
+    """The parameter set, after the rules that depend on the geometry."""
     model = cfg["model"]
     k = _complex_matrix(model["K"], "model.K")
     r = _complex_matrix(model["R"], "model.R")
-    geo = cfg["geometry"]
-    if geo == "thermodynamic":
+    if cfg["geometry"] == "thermodynamic":
         if "boundary_rho" in cfg:
             raise ConfigError("'boundary_rho' is only valid for finite geometry")
         if "length" in cfg and not record_length:
@@ -168,19 +185,12 @@ def _build_params(cfg, tol, record_length=False):
         if record_length and "length" not in cfg:
             raise ConfigError("missing required key 'length' (record length)")
         geometry = Thermodynamic()
-    elif geo == "finite":
+    else:
         if "length" not in cfg or "boundary_rho" not in cfg:
             raise ConfigError("finite geometry requires 'length' and 'boundary_rho'")
         rho = _complex_matrix(cfg["boundary_rho"], "boundary_rho")
         geometry = Finite(length=float(cfg["length"]), boundary_rho=rho, tol=tol)
-    else:
-        raise ConfigError("'geometry' must be 'thermodynamic' or 'finite'")
-    params = new_cmps(model["dim"], k, r, geometry, tol)
-    _fill_matrix_default(model["K"])
-    _fill_matrix_default(model["R"])
-    if "boundary_rho" in cfg:
-        _fill_matrix_default(cfg["boundary_rho"])
-    return params
+    return new_cmps(model["dim"], k, r, geometry, tol)
 
 
 def _jsonable(value):
@@ -269,9 +279,8 @@ def _cmd_spectrum(command, cfg, params, out_path):
 
 def _cmd_separations(command, cfg, params, out_path):
     """`correlate` and `g2`: two-point function or g2 on separations, as CSV."""
-    seps = _float_list(cfg["separations"], "separations", minimum=0.0)
     correlator = two_point if command == "correlate" else pair_correlation
-    res = correlator(params, seps)
+    res = correlator(params, cfg["separations"])
     rows = [(d, v.real, v.imag) for d, v in zip(res.separations, res.values)]
     _emit_csv(out_path, command, cfg, "d,re,im", rows)
 
@@ -286,13 +295,16 @@ def _cmd_ll_energy(cfg, params, out_path):
 
 
 def _cmd_discretize(cfg, params, out_path):
-    eps_list = _float_list(cfg["epsilons"], "epsilons")
-    order = cfg.setdefault("order", 1)
+    eps_list = np.asarray(cfg["epsilons"], dtype=float)
     superop = build_liouvillian(params.K, params.R)
+    if not np.isfinite(superop.scale):
+        raise NoConvergenceError("generator has a non-finite term norm")
     eye = np.eye(superop.mat.shape[0])
     occupations, defects = [], []
     for eps in eps_list:
-        tensors = lattice_tensors(params, eps, order=order)
+        tensors = lattice_tensors(params, eps, order=cfg["order"])
+        if not np.isfinite(tensors.transfer.scale):
+            raise NoConvergenceError("transfer matrix has a non-finite term norm")
         emat = tensors.transfer.mat
         defects.append(float(np.linalg.norm(emat - eye - eps * superop.mat)))
         if isinstance(params.geometry, Finite):
@@ -306,26 +318,21 @@ def _cmd_discretize(cfg, params, out_path):
         "epsilons": eps_list,
         "occupation": occupations,
         "transfer_defect": defects,
-        "order": order,
+        "order": cfg["order"],
     }
     _emit_json(out_path, "discretize", cfg, result)
 
 
 def _cmd_converge(cfg, params, out_path):
-    eps_list = _float_list(cfg["epsilons"], "epsilons")
-    name = cfg.setdefault("observable", "occupation")
-    order = cfg.setdefault("order", 1)
-    if name == "occupation":
+    observable = cfg["observable"]
+    if observable == "occupation":
         if "separation" in cfg:
             raise ConfigError("'separation' is only valid for hopping/pair observables")
-        observable = "occupation"
-    elif name in ("hopping", "pair"):
-        if "separation" not in cfg:
-            raise ConfigError(f"missing required key 'separation' for observable '{name}'")
-        observable = (name, float(cfg["separation"]))
     else:
-        raise ConfigError("'observable' must be one of occupation, hopping, pair")
-    study = convergence_study(params, eps_list, observable=observable, order=order)
+        if "separation" not in cfg:
+            raise ConfigError(f"missing required key 'separation' for observable '{observable}'")
+        observable = (observable, float(cfg["separation"]))
+    study = convergence_study(params, cfg["epsilons"], observable=observable, order=cfg["order"])
     result = {
         "epsilons": study.eps,
         "values": {"re": study.values.real, "im": study.values.imag},
@@ -341,72 +348,34 @@ def _cmd_trajectories(cfg, params, out_path):
         length = params.geometry.length
     else:
         length = float(cfg["length"])
-    n_traj = cfg["n_traj"]
-    seed = cfg["seed"]
-    if seed < 0:
-        raise ConfigError("'seed' must be nonnegative")
-    bins = _float_list(cfg["bins"], "bins", minimum=0.0)
-    burn_in = float(cfg.setdefault("burn_in", 0.0))
-    records = sample_ensemble(params, n_traj, length, seed)
-    stats = estimate_stats(records, bins, burn_in=burn_in)
+    records = sample_ensemble(params, cfg["n_traj"], length, cfg["seed"])
+    stats = estimate_stats(records, cfg["bins"], burn_in=float(cfg["burn_in"]))
     _emit_json(out_path, "trajectories", cfg, dataclasses.asdict(stats))
 
 
 def _cmd_lindblad_check(cfg, params, out_path):
-    node = cfg["moments"]["psi_dag_sq"]
-    node.setdefault("im", 0.0)
-    alpha = complex(node["re"], node["im"])
+    alpha = complex(cfg["moments"]["psi_dag_sq"]["re"], cfg["moments"]["psi_dag_sq"]["im"])
     n = float(cfg["moments"]["psi_dag_psi"])
     moments = FieldMoments(
         psi_dag_sq=alpha, psi_sq=np.conj(alpha),
         psi_dag_psi=n, psi_psi_dag=n + 1.0, tol=params.tol,
     )
-    dx = float(cfg.setdefault("dx", 0.1))
-    comp = compare_forms(params.K, params.R, moments, dx=dx)
+    comp = compare_forms(params.K, params.R, moments, dx=cfg["dx"])
     _emit_json(out_path, "lindblad-check", cfg, dataclasses.asdict(comp))
 
 
 def _cmd_zfunctional_check(cfg, params, out_path):
-    n_sites = cfg["n_sites"]
-    pair = cfg.setdefault("site_pair", [n_sites // 4, (3 * n_sites) // 4])
-    if len(pair) != 2 or any(isinstance(p, bool) or not isinstance(p, int) for p in pair):
-        raise ConfigError("'site_pair' must be two integer site indices")
-    report = source_consistency_check(params, cfg["eps"], cfg["h"], n_sites,
-                                      site_pair=tuple(pair))
+    report = source_consistency_check(params, cfg["eps"], cfg["h"], cfg["n_sites"],
+                                      site_pair=cfg.get("site_pair"))
+    cfg["site_pair"] = report["sites"]
     _emit_json(out_path, "zfunctional-check", cfg, report)
-
-
-def _parse_insertions(raw):
-    out = []
-    for i, item in enumerate(raw):
-        path = f"insertions[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"'{path}' must be an object")
-        for key in item:
-            if key not in ("kind", "position"):
-                raise ConfigError(f"unknown key '{path}.{key}'")
-        if "kind" not in item or "position" not in item:
-            raise ConfigError(f"'{path}' requires 'kind' and 'position'")
-        kind = item["kind"]
-        if not isinstance(kind, str) or kind not in INSERTIONS:
-            raise ConfigError(
-                f"'{path}.kind' must be one of {sorted(INSERTIONS)}")
-        pos = item["position"]
-        if isinstance(pos, bool) or not isinstance(pos, (int, float)):
-            raise ConfigError(f"'{path}.position' must be a number")
-        out.append((float(pos), kind))
-    if not out:
-        raise ConfigError("'insertions' must not be empty")
-    return out
 
 
 def _cmd_family_deriv(cfg, params, out_path):
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
-    insertions = _parse_insertions(cfg["insertions"])
+    insertions = [(float(item["position"]), item["kind"]) for item in cfg["insertions"]]
     value = family_derivative(params, dk, dr, insertions)
-    _fill_matrix_default(cfg["dK"])
-    _fill_matrix_default(cfg["dR"])
     _emit_json(out_path, "family-deriv", cfg, {"derivative": complex(value)})
 
 
@@ -451,31 +420,22 @@ def _non_finite_literal(name):
     raise ConfigError(f"non-finite literal {name!r} in JSON input")
 
 
-def _load_json(fh):
-    """Strict JSON: NaN/Infinity literals and overflowing numbers are rejected."""
-    return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
-                     parse_constant=_non_finite_literal)
-
-
-def _load_config(path):
+def _read_json(path, what):
+    """The file's strict JSON: NaN/Infinity literals and overflowing numbers
+    are rejected; `what` names the file in the errors."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _load_json(fh)
+            return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
+                             parse_constant=_non_finite_literal)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
+        raise ConfigError(f"cannot read {what}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
 
 
 def _load_tolerances(path):
     """The run's Tolerances: defaults, overridden where the file names `<field>_tol`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            overrides = _load_json(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read tolerance overrides: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"tolerance overrides are not valid JSON: {exc}")
+    overrides = _read_json(path, "tolerance overrides file")
     if not isinstance(overrides, dict):
         raise ConfigError("tolerance overrides must be a JSON object")
     names = {f"{f.name}_tol": f.name for f in dataclasses.fields(Tolerances)}
@@ -498,10 +458,8 @@ def _run(argv):
     tol = Tolerances()
     if args.tolerance_overrides:
         tol = _load_tolerances(args.tolerance_overrides)
-    cfg = _load_config(args.config)
-    schema = dict(_BASE_SCHEMA)
-    schema.update(_EXTRA_SCHEMA[args.command])
-    _check_schema(cfg, schema)
+    cfg = _read_json(args.config, "config")
+    _check_schema(cfg, _BASE_SCHEMA | _EXTRA_SCHEMA[args.command])
     params = _build_params(cfg, tol, record_length=args.command == "trajectories")
     _HANDLERS[args.command](cfg, params, args.output)
     return 0

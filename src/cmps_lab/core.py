@@ -12,6 +12,7 @@ regime) or `Finite(length, boundary_rho)` with an explicit boundary density
 matrix at x = 0.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,15 @@ from .errors import (
     ValidationError,
 )
 from .liouville import Tolerances, build_liouvillian, steady_state
+
+
+def _integer(value, name):
+    """A count, an index or a seed as an int: a value that is not a whole
+    number (1.5, nan, a string) is a ValidationError, never truncated."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_complex_matrix(m, name):
@@ -112,7 +122,7 @@ def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
     approximately Hermitian.  For finite geometry the boundary state must
     be a density matrix (Hermitian, PSD, trace 1) of matching dimension.
     """
-    dim = int(dim)
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise ShapeMismatchError("dim must be >= 1")
     K = _as_complex_matrix(K, "K")

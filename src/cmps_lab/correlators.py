@@ -55,13 +55,15 @@ shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
 `generating_functional` builds a site that carries sources.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, Thermodynamic
-from .discretizer import _integer, _lattice_step, finite_site_count
+from .core import Finite, Thermodynamic, _integer
+from .discretizer import _lattice_step, finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
@@ -409,8 +411,11 @@ def family_derivative(params, dK, dR, insertions):
     chain's table merged with `fields_tangent`, dS v is the action of
     `tangent_terms(S)` and dL the `Superoperator` of
     `tangent_terms(GENERATOR)`, so no insertion is built as a matrix.  A
-    non-finite dK or dR raises ValidationError, and a tangent generator
-    whose term norm overflows NoConvergenceError.  A thermodynamic
+    non-finite dK or dR raises ValidationError.  The derivative is linear
+    in the direction, so the walk runs on (dK, dR) scaled exactly by a
+    power of two to entries below 2 and the value is scaled back; a
+    direction whose tangent generator's term norm overflows, or whose
+    value does, raises NoConvergenceError.  A thermodynamic
     chain opens on the stationary state, whose tangent solves
     `bordered`(L) drho = -dL rho, the fixed point's own bordered system,
     with the LU factors the fixed point was solved with (invertible when
@@ -434,13 +439,20 @@ def family_derivative(params, dK, dR, insertions):
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
 
+    # the derivative is linear in (dK, dR): the walk runs on the direction
+    # scaled by 1 / unit to entries below 2, which is exact, and the value is
+    # scaled back, so a large but finite direction cannot overflow the walk
+    parts = np.concatenate([dK, dR]).view(float)
+    k = math.frexp(np.abs(parts).max())[1] - 1
+    scaled = np.ldexp(parts, -k).view(complex)
+    dK, dR, unit = scaled[:params.dim], scaled[params.dim:], math.ldexp(1.0, k)
     chain = _Chain(params)
     start = float(insertions[0][0]) if chain.length is None else 0.0
     legs = chain.legs(insertions, start)
     f = chain.fields
     moving = f | fields_tangent(f, dK, dR)
     tangent = Superoperator(tangent_terms(GENERATOR), moving)
-    if not np.isfinite(tangent.scale):
+    if not math.isfinite(tangent.scale * unit):  # the unscaled direction's term norm
         raise NoConvergenceError("tangent generator's term norm is not finite")
     dgen = tangent.hmat
     v = chain.right
@@ -460,7 +472,11 @@ def family_derivative(params, dK, dR, insertions):
         w = action(terms, f, m)
         w[1] += action(tangent_terms(terms), moving, m[0])
         v, dv = chain.basis.coordinates(w)
-    return complex(chain.left @ dv) / chain.norm
+    value = complex(chain.left @ dv) / chain.norm
+    value = complex(value.real * unit, value.imag * unit)
+    if not cmath.isfinite(value):
+        raise NoConvergenceError("family derivative overflows")
+    return value
 
 
 # -- discretized generating functional ---------------------------------------
@@ -552,7 +568,11 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
         raise ShapeMismatchError("need at least 4 lattice sites")
     if site_pair is None:
         site_pair = (n_sites // 4, (3 * n_sites) // 4)
-    r, s = _integer(site_pair[0], "site index"), _integer(site_pair[1], "site index")
+    try:
+        r, s = site_pair
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"site_pair must be two site indices, got {site_pair!r}") from None
+    r, s = _integer(r, "site index"), _integer(s, "site index")
     if not (0 <= r < n_sites and 0 <= s < n_sites and r != s):
         raise ShapeMismatchError(f"site pair {site_pair} invalid for {n_sites} sites")
     zeros = np.zeros(n_sites, dtype=complex)

@@ -31,19 +31,18 @@ one bordered LU factorization (`_dominant_pair`).  Finite chains open on
 the boundary state at the left edge, like the continuum convention, and
 close on covectors <1| E^k from the real binary powers of E.
 `_lattice_step` is the one rule for a step, here, in `correlators` and
-for `lindblad`'s dx, and `_integer` for a count: a value that breaks it is
-a `ValidationError` that names the value.
+for `lindblad`'s dx, and `core._integer` for a count: a value that breaks
+it is a `ValidationError` that names the value.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack
 
-from .core import Finite
+from .core import Finite, _integer
 from .errors import (
     NoConvergenceError,
     ShapeMismatchError,
@@ -95,18 +94,10 @@ def _lattice_step(value, name):
     return value
 
 
-def _integer(value, name):
-    """A count or a site distance as an int: a value that is not a whole
-    number (1.5, nan, a string) is a ValidationError, never truncated."""
-    if isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer()):
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 def lattice_tensors(params, eps, order=1):
     """Site tensors at step eps; order 2 adds the two-particle tensor."""
     eps = _lattice_step(eps, "lattice step")
+    order = _integer(order, "tensor order")
     if order not in (1, 2):
         raise ShapeMismatchError(f"tensor order must be 1 or 2, got {order}")
     q = fields(params.K, params.R)["Q"]
@@ -321,7 +312,13 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
         raise ValidationError(f"eps values must be distinct, got {eps_arr.tolist()}")
 
     if observable != "occupation":
-        kind, sep = observable
+        try:
+            kind, sep = observable
+        except (TypeError, ValueError):
+            kind = None
+        if kind not in ("hopping", "pair"):
+            raise ShapeMismatchError(f"observable must be 'occupation' or a ('hopping' or"
+                                     f" 'pair', separation) pair, got {observable!r}")
         if not np.isfinite(sep):
             raise ValidationError(f"separation must be finite, got {sep}")
     finite = isinstance(params.geometry, Finite)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Finite
+from .core import Finite, _integer
 from .errors import (
     InsufficientDataError,
     NoConvergenceError,
@@ -85,7 +85,7 @@ def _no_jump_generator(params):
 
 def _stream(master_seed, index):
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(master_seed), int(index)]))
+        np.random.PCG64(np.random.SeedSequence([master_seed, index]))
     )
 
 
@@ -250,8 +250,14 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     length = float(length)
     if not 0.0 < length < np.inf:
         raise ValidationError("record length must be finite and positive")
+    n_traj = _integer(n_traj, "n_traj")
+    master_seed = _integer(master_seed, "master_seed")
+    first_index = _integer(first_index, "first_index")
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
+    if master_seed < 0 or first_index < 0:
+        raise ValidationError(
+            f"master_seed and first_index must be >= 0, got {master_seed} and {first_index}")
     flow = _NoJumpFlow(params)
     cum, vecs = _initial_ensemble(params)
     indices = [first_index + i for i in range(n_traj)]
@@ -286,7 +292,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     return [
         JumpRecord(positions=pos[bounds[b]:bounds[b + 1]].copy(),
                    final_state=final[b].copy(),
-                   seed_info=(int(master_seed), int(idx)),
+                   seed_info=(master_seed, idx),
                    length=length)
         for b, idx in enumerate(indices)
     ]

@@ -623,3 +623,83 @@ def test_trajectories_whose_fields_overflow_exit_two(tmp_path, capsys, geometry)
     assert rc == 2
     assert "no-jump generator Q has non-finite entries" in capsys.readouterr().err
     assert not out.exists()
+
+
+ZERO_2X2 = [[0.0, 0.0], [0.0, 0.0]]
+MINIMAL = {
+    "steady": ({}, {}),
+    "gap": ({}, {}),
+    "kinetic": ({}, {}),
+    "correlate": ({"separations": [0.0, 1.5]}, {}),
+    "g2": ({"separations": [0.0, 1.5]}, {}),
+    "ll-energy": ({"c": 1.0, "mu": 1.0}, {}),
+    "discretize": ({"epsilons": [0.1, 0.05]}, {"order": 1}),
+    "converge": ({"epsilons": [0.02, 0.01]}, {"order": 1, "observable": "occupation"}),
+    "trajectories": ({"length": 10.0, "n_traj": 5, "seed": 4, "bins": [0.0, 1.0]},
+                     {"burn_in": 0.0}),
+    "lindblad-check": ({"moments": {"psi_dag_sq": {"re": 0.3}, "psi_dag_psi": 0.5}},
+                       {"dx": 0.1, "moments": {"psi_dag_sq": {"re": 0.3, "im": 0.0},
+                                               "psi_dag_psi": 0.5}}),
+    "zfunctional-check": ({"eps": 0.1, "h": 0.02, "n_sites": 10}, {"site_pair": [2, 7]}),
+    "family-deriv": ({"dK": {"re": [[0.0, 0.1], [0.1, 0.0]]},
+                      "dR": {"re": [[0.0, 0.0], [0.05, 0.0]]},
+                      "insertions": [{"kind": "create", "position": 0.0},
+                                     {"kind": "annihilate", "position": 1.0}]},
+                     {"dK": {"re": [[0.0, 0.1], [0.1, 0.0]], "im": ZERO_2X2},
+                      "dR": {"re": [[0.0, 0.0], [0.05, 0.0]], "im": ZERO_2X2}}),
+}
+
+
+def _echoed_config(path):
+    text = path.read_text()
+    if text.startswith("#"):  # CSV: the config is a leading comment line
+        line = next(ln for ln in text.splitlines() if ln.startswith("# config: "))
+        return json.loads(line[len("# config: "):])
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_minimal_configs_echo_every_default_and_replay_byte_for_byte(tmp_path, command):
+    # every optional key omitted; the echo is the config with each default
+    # filled in, and feeding it back reproduces the output file exactly
+    given, defaults = MINIMAL[command]
+    # correlate runs a finite chain, so boundary_rho's imaginary part is filled too
+    make = damp_finite_config if command == "correlate" else rf_config
+    rc, out = run_cli(tmp_path, command, make(**given), tag="minimal")
+    assert rc == 0
+    resolved = make(**given)
+    for node in [resolved["model"]["K"], resolved["model"]["R"]] + (
+            [resolved["boundary_rho"]] if "boundary_rho" in resolved else []):
+        node["im"] = ZERO_2X2
+    resolved.update(defaults)
+    assert _echoed_config(out) == resolved
+    rc, again = run_cli(tmp_path, command, _echoed_config(out), tag="replay")
+    assert rc == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("model, geometry, epsilons, message", [
+    # the generator's term norm overflows: K = 1e300 sigma_x / 2, R = 1e160 sigma_minus
+    ({"K": {"re": [[0.0, 5e299], [5e299, 0.0]]}, "R": {"re": [[0.0, 0.0], [1e160, 0.0]]}},
+     "thermodynamic", [0.01], "generator has a non-finite term norm"),
+    ({"K": {"re": [[1e308, 1e308], [1e308, 1e308]]}, "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}},
+     "finite", [0.5, 0.25], "generator has a non-finite term norm"),
+    # the generator's is finite, but (1 + eps ||Q||)^2 is not
+    ({"K": {"re": [[0.0, 5e299], [5e299, 0.0]]}, "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}},
+     "thermodynamic", [0.01], "transfer matrix has a non-finite term norm"),
+], ids=["thermodynamic-generator", "finite-generator", "thermodynamic-transfer"])
+def test_discretize_refuses_an_overflowing_model_before_any_warning(
+        tmp_path, model, geometry, epsilons, message):
+    cfg = {"model": {"dim": 2, **model}, "geometry": geometry, "epsilons": epsilons}
+    if geometry == "finite":
+        cfg.update(length=1.0, boundary_rho={"re": [[0.5, 0.0], [0.0, 0.5]]})
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(cmps_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "cmps_lab.cli", "discretize",
+                          "--config", str(cfg_path), "--output", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == f"numerical failure: {message}\n"
+    assert not out.exists()

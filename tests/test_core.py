@@ -11,6 +11,7 @@ from cmps_lab import (
     Thermodynamic,
     Tolerances,
     kinetic_density,
+    lattice_tensors,
     new_cmps,
     no_jump_survival,
     sample_ensemble,
@@ -236,3 +237,27 @@ def test_finite_and_field_moments_honour_their_tolerances():
         FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9)
     moments = FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9, tol=Tolerances(moment=1e-6))
     assert moments.psi_psi_dag == 1.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: sample_ensemble(p, 2.5, 1.0, 1), "n_traj must be an integer, got 2.5"),
+    (lambda p: sample_ensemble(p, 2, 1.0, 1.5), "master_seed must be an integer, got 1.5"),
+    (lambda p: sample_ensemble(p, 2, 1.0, -1), "master_seed and first_index must be >= 0"),
+    (lambda p: sample_ensemble(p, 2, 1.0, 1, first_index=-1),
+     "master_seed and first_index must be >= 0"),
+    (lambda p: lattice_tensors(p, 0.01, order=2.5), "tensor order must be an integer, got 2.5"),
+    (lambda p: new_cmps(2.5, p.K, p.R), "dim must be an integer, got 2.5"),
+], ids=["n_traj", "master_seed", "negative_seed", "first_index", "order", "dim"])
+def test_counts_seeds_and_dimensions_are_never_truncated(rf, call, message):
+    # each used to raise a bare TypeError or ValueError, or to truncate
+    with pytest.raises(ValidationError, match=message):
+        call(rf)
+
+
+def test_whole_number_floats_are_the_same_counts(rf):
+    records = sample_ensemble(rf, 2.0, 5.0, 7.0, first_index=1.0)
+    assert [r.seed_info for r in records] == [(7, 1), (7, 2)]
+    assert all(np.array_equal(a.positions, b.positions)
+               for a, b in zip(records, sample_ensemble(rf, 2, 5.0, 7, first_index=1)))
+    assert lattice_tensors(rf, 0.01, order=2.0).order == 2
+    assert new_cmps(2.0, rf.K, rf.R).dim == 2

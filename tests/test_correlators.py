@@ -583,3 +583,33 @@ def test_source_check_rejects_fractional_sites(rf):
         source_consistency_check(rf, 0.1, 0.01, 8.5)
     with pytest.raises(ValidationError, match="site index must be an integer, got 2.5"):
         source_consistency_check(rf, 0.1, 0.01, 8, site_pair=(2.5, 6))
+
+
+def test_family_derivative_walks_a_large_direction_scaled_to_order_one(rf):
+    # linear in (dK, dR): 2^1000 ones walks as ones and is scaled back,
+    # where it used to overflow inside expm_frechet
+    ins = [(0.0, "create"), (1.0, "annihilate")]
+    zero = np.zeros((2, 2))
+    at_ones = family_derivative(rf, np.ones((2, 2)), zero, ins)
+    assert at_ones == pytest.approx(0.16164473326528073, rel=1e-14)
+    assert family_derivative(rf, 2.0**1000 * np.ones((2, 2)), zero, ins) == 2.0**1000 * at_ones
+    big = family_derivative(rf, 1e307 * np.ones((2, 2)), zero, ins)
+    assert abs(big - 1e307 * at_ones) <= 1e-15 * abs(1e307 * at_ones)
+
+
+def test_family_derivative_refuses_a_value_that_overflows():
+    # strongly driven, fast decay: the derivative along sigma_minus is about
+    # 2.4e6 per unit, so at 1e303 its value overflows while its term norm does not
+    p = new_cmps(2, 200.0 * RF_K, 10.0 * RF_R)
+    ins = [(10.0 * i, "pair_density") for i in range(4)]
+    per_unit = family_derivative(p, np.zeros((2, 2)), RF_R, ins)
+    assert per_unit.real == pytest.approx(2.4278e6, rel=1e-4)
+    with pytest.raises(NoConvergenceError, match="family derivative overflows"):
+        family_derivative(p, np.zeros((2, 2)), 1e303 * RF_R, ins)
+
+
+@pytest.mark.parametrize("site_pair", [(1, 5, 7), (3,), 4])
+def test_source_consistency_check_needs_exactly_two_sites(rf, site_pair):
+    # a third site used to be dropped without a word
+    with pytest.raises(ShapeMismatchError, match="site_pair must be two site indices"):
+        source_consistency_check(rf, 0.1, 0.02, 40, site_pair=site_pair)

@@ -559,3 +559,10 @@ def test_a_transfer_matrix_whose_term_norm_overflows_is_refused(geometry, k, r, 
     with pytest.raises(NoConvergenceError, match="transfer matrix has a non-finite term norm"):
         convergence_study(p, [0.01, 0.005], order=order)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("observable", ["density", ("occupation", 0.1), ("hopping",), 3])
+def test_convergence_study_names_an_unknown_observable(rf, observable):
+    # "density" used to fail with a bare "too many values to unpack"
+    with pytest.raises(ShapeMismatchError, match="observable must be 'occupation' or a"):
+        convergence_study(rf, [0.02, 0.01], observable)
