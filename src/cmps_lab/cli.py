@@ -306,7 +306,12 @@ def _cmd_discretize(cfg, params, out_path):
         if not np.isfinite(tensors.transfer.scale):
             raise NoConvergenceError("transfer matrix has a non-finite term norm")
         emat = tensors.transfer.mat
-        defects.append(float(np.linalg.norm(emat - eye - eps * superop.mat)))
+        # both terms are finite, but their difference's norm may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = float(np.linalg.norm(emat - eye - eps * superop.mat))
+        if not math.isfinite(defect):
+            raise NoConvergenceError("transfer defect is not finite")
+        defects.append(defect)
         if isinstance(params.geometry, Finite):
             n_sites = finite_site_count(params.geometry.length, eps)
             occ = lattice_correlators(tensors, "occupation", n_sites=n_sites,

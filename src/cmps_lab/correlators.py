@@ -52,7 +52,11 @@ insertion by the squared density.  A source on the field only changes the
 boundary generator: the source term
 lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X) equals the
 shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
-`generating_functional` builds a site that carries sources.
+`generating_functional` builds a site that carries sources.  It walks
+all the source fields it is given as the rows of one block, in one scan:
+a site without a source in any field is the free step exp(eps L), and a
+sourced site applies each distinct (lam, mu) exponential to the rows that
+carry it, each built once per call.
 """
 
 import cmath
@@ -115,23 +119,26 @@ class _Chain:
     """Shared evaluation state: field table, generator, boundary vectors,
     norm, one propagator.
 
-    A chain is walked as a list of legs (dx, op): propagate by exp(L dx),
-    then apply op, which is an `INSERTIONS` kind name, a superoperator
-    matrix (a sourced site), None (nothing) or STOP (hand back the vector
-    there).  A kind is never built as a matrix: `act` applies its
-    `liouville.action` over this chain's own field table to coordinates
-    (`HermitianBasis.act`), and `covector` gives <1| S from the adjoint
-    action: a chain that ends on kind S closes on it, divided by `norm`,
-    the opening state's trace (1, or tr boundary_rho in a finite window).
-    There is no propagator cache: the chain holds one propagator
-    exp(L dx) at a time, built when a leg of a new length is reached and
-    reused while the following legs share that length.  The stationary
-    state is the parameter set's own (`CmpsParams.stationary`), and so, in
-    the thermodynamic geometry, is the generator L, whose field table the
-    chain reads; a finite chain builds its own, whose matrix is built when
-    a leg first reads it, and refuses it as NoConvergenceError when its
-    term norm is not finite, as the fixed point refuses the thermodynamic
-    one.
+    A chain is walked as a list of legs (dx, op) by `scan`, which carries
+    one vector or a (k, D^2) block of vectors, one per row, as
+    `HermitianBasis.act` does: propagate every row by exp(L dx), then apply
+    op, which is an `INSERTIONS` kind name, a site (a sequence of
+    (superoperator matrix, rows) pairs that together cover the block's rows,
+    each matrix applied to its rows), None (nothing) or STOP (hand back the
+    vector or block there).  A kind is never built as a matrix: `act`
+    applies its `liouville.action` over this chain's own field table to
+    coordinates (`HermitianBasis.act`), and `covector` gives <1| S from the
+    adjoint action: a chain that ends on kind S closes on it, divided by
+    `norm`, the opening state's trace (1, or tr boundary_rho in a finite
+    window).  There is no propagator cache: the chain holds one propagator
+    exp(L dx) at a time (`propagator`), built when a leg of a new length is
+    reached and reused while the following legs share that length, for one
+    vector and for a block alike.  The stationary state is the parameter
+    set's own (`CmpsParams.stationary`), and so, in the thermodynamic
+    geometry, is the generator L, whose field table the chain reads; a
+    finite chain builds its own, whose matrix is built when a leg first
+    reads it, and refuses it as NoConvergenceError when its term norm is not
+    finite, as the fixed point refuses the thermodynamic one.
     """
 
     STOP = object()
@@ -195,23 +202,31 @@ class _Chain:
             prev = pos
         return legs
 
+    def propagator(self, dx):
+        """exp(L dx), built unless the last leg walked had this length."""
+        if dx != self._leg[0]:
+            self._leg = (dx, scipy.linalg.expm(self.L.hmat * dx))
+        return self._leg[1]
+
     def scan(self, v, legs):
-        """Carry v along the legs and return the vectors at the stops, one per row."""
+        """Carry v, one vector or a block of them one per row, along the
+        legs and return what it is at the stops, one per row (or block)."""
         stop = self.STOP
-        stops = np.empty((sum(op is stop for _, op in legs), v.size), dtype=complex)
+        stops = np.empty((sum(op is stop for _, op in legs), *v.shape), dtype=complex)
         k = 0
         for dx, op in legs:
             if dx != 0.0:
-                if dx != self._leg[0]:
-                    self._leg = (dx, scipy.linalg.expm(self.L.hmat * dx))
-                v = self._leg[1] @ v
+                v = _apply(self.propagator(dx), v)
             if op is stop:
                 stops[k] = v
                 k += 1
             elif isinstance(op, str):
                 v = self.act(op, v)
             elif op is not None:
-                v = op @ v
+                w = np.empty_like(v)
+                for m, rows in op:
+                    w[rows] = _apply(m, v[rows])
+                v = w
         return stops
 
     def evaluate(self, insertions):
@@ -224,6 +239,12 @@ class _Chain:
         *legs, (dx, last) = legs
         stops = self.scan(self.right, [*legs, (dx, self.STOP)])
         return complex((stops @ self.covector(last))[0]) / self.norm
+
+
+def _apply(m, v):
+    """m on one vector v, or on each row of a block v: (m v^T)^T is the
+    plain product m v for a vector."""
+    return (m @ v.T).T
 
 
 def expectation(params, insertions):
@@ -434,7 +455,13 @@ def family_derivative(params, dK, dR, insertions):
     for name, m in (("dK", dK), ("dR", dR)):
         if not np.isfinite(m).all():
             raise ValidationError(f"{name} must be finite, got {m[~np.isfinite(m)][0]}")
-    if np.abs(dK - dK.conj().T).max() > params.tol.herm * max(1.0, np.abs(dK).max()):
+    # Hermitian relative to dK's largest entry (at least 1), tested on dK
+    # scaled down exactly by a power of two to entries below 2, against the
+    # threshold scaled alike, so that a large dK cannot overflow the test
+    k = max(math.frexp(max(np.abs(dK.real).max(), np.abs(dK.imag).max()))[1] - 1, 0)
+    shrink = math.ldexp(1.0, -k)
+    herm = dK * shrink
+    if np.abs(herm - herm.conj().T).max() > params.tol.herm * max(shrink, np.abs(herm).max()):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
@@ -511,43 +538,72 @@ class SourceField:
 
 
 def generating_functional(params, sources, eps):
-    """Discretized source functional Z[J].
+    """Discretized source functional Z[J], for one `SourceField` or for each
+    of a sequence of them that share one site count.
 
     Z multiplies per-site transfer factors exp[eps (L + J_r)] with
     J_r = lam_r (R, 1) + conj(lam_r) (1, R) + mu_r (X, 1) + conj(mu_r) (1, X)
     over the field table (X = -[Q, R]), between the opening state and the
     trace functional, divided by the chain's norm (L + J_r is the
-    generator with Q -> Q + lam_r R + mu_r X); a site without sources is
-    the free step exp(eps L) of the chain's scan.  All sources zero gives
-    1 in both geometries, up to roundoff.  Wirtinger
-    derivatives with respect to lam_r / conj(lam_r) reproduce eps times the
-    annihilation / creation insertions up to O(eps) lattice error.
+    generator with Q -> Q + lam_r R + mu_r X).  One chain walks every field
+    at once, as one row each of a block: a site without a source in any
+    field is the free step exp(eps L) of the chain's scan, built once; at a
+    sourced site each distinct (lam_r, mu_r) is exponentiated once and
+    applied to the rows that carry it (a row without a source there takes
+    the free step).  One field gives one complex number, a sequence an
+    array of one Z per field.  All sources zero gives 1 in both
+    geometries, up to roundoff.  Wirtinger derivatives with respect to
+    lam_r / conj(lam_r) reproduce eps times the annihilation / creation
+    insertions up to O(eps) lattice error.
     """
-    if not isinstance(sources, SourceField):
-        raise ShapeMismatchError("sources must be a SourceField")
+    try:
+        fields = [sources] if isinstance(sources, SourceField) else list(sources)
+    except TypeError:
+        fields = []
+    if not fields or not all(isinstance(s, SourceField) for s in fields):
+        raise ShapeMismatchError("sources must be a SourceField or a non-empty sequence of them")
+    counts = sorted({s.n_sites for s in fields})
+    if len(counts) > 1:
+        raise ShapeMismatchError(f"source fields must share one site count, got {counts}")
     eps = _lattice_step(eps, "lattice step")
     chain = _Chain(params)
-    n = sources.n_sites
+    n = counts[0]
     if chain.length is not None and finite_site_count(chain.length, eps) != n:
         raise ShapeMismatchError(f"{n} sites of step {eps} do not cover length {chain.length}")
     f = chain.fields
-    legs = []
-    for lam, mu in zip(sources.lam, sources.mu):
-        lam, mu = complex(lam), complex(mu)
+    sites = {}  # (lam, mu) -> exp(eps (L + J)), one per distinct source value
+
+    def site(lam, mu):
         if lam == 0 and mu == 0:
-            legs.append((eps, None))
-        else:
+            return chain.propagator(eps)
+        if (lam, mu) not in sites:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            site = Superoperator(GENERATOR, shifted).hmat
-            legs.append((0.0, scipy.linalg.expm(site * eps)))
-    (v,) = chain.scan(chain.right, legs + [(0.0, chain.STOP)])
-    return complex(chain.left @ v) / chain.norm
+            sites[lam, mu] = scipy.linalg.expm(Superoperator(GENERATOR, shifted).hmat * eps)
+        return sites[lam, mu]
+
+    lam = np.stack([s.lam for s in fields], axis=1)  # (sites, fields)
+    mu = np.stack([s.mu for s in fields], axis=1)
+    legs = []
+    for lam_r, mu_r in zip(lam, mu):
+        if not (lam_r.any() or mu_r.any()):
+            legs.append((eps, None))
+            continue
+        rows = {}
+        for row, key in enumerate(zip(lam_r.tolist(), mu_r.tolist())):
+            rows.setdefault(key, []).append(row)
+        legs.append((0.0, [(site(*key), idx) for key, idx in rows.items()]))
+    block = np.tile(chain.right, (len(fields), 1))
+    (v,) = chain.scan(block, legs + [(0.0, chain.STOP)])
+    z = v @ chain.left / chain.norm
+    return complex(z[0]) if isinstance(sources, SourceField) else z
 
 
 def _wirtinger_pair(f, h):
-    """Wirtinger derivatives (df/dz, df/dzbar) at 0 by central differences."""
-    fx = (f(h) - f(-h)) / (2 * h)
-    fy = (f(1j * h) - f(-1j * h)) / (2 * h)
+    """Wirtinger derivatives (df/dz, df/dzbar) at 0 by central differences,
+    from the values f holds at h, -h, ih and -ih, in that order."""
+    f_h, f_mh, f_ih, f_mih = f
+    fx = (f_h - f_mh) / (2 * h)
+    fy = (f_ih - f_mih) / (2 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -560,6 +616,10 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
     d2 Z / dlam_s dconj(lam_r) against eps^2 * <create(r) ... annihilate(s)>.
     Returns a dict of absolute errors (after dividing out the eps powers);
     both shrink under simultaneous refinement of eps and h (O(eps) + O(h^2)).
+    The differences need Z at 20 source fields (four steps of size h at
+    site r alone, and every pair of them at r and s), which one call of
+    `generating_functional` evaluates in one walk over every site, so Z is
+    still checked independently of the insertion chains it is compared to.
     """
     eps = _lattice_step(eps, "eps")
     h = _lattice_step(h, "h")
@@ -577,13 +637,16 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
         raise ShapeMismatchError(f"site pair {site_pair} invalid for {n_sites} sites")
     zeros = np.zeros(n_sites, dtype=complex)
 
-    def z_pair(lam_r, lam_s):
+    def field(lam_r, lam_s):
         lam = zeros.copy()
         lam[r] = lam_r
         lam[s] = lam_s
-        return generating_functional(params, SourceField(lam, zeros), eps)
+        return SourceField(lam, zeros)
 
-    d_lam, d_lam_bar = _wirtinger_pair(lambda x: z_pair(x, 0.0), h)
+    steps = (h, -h, 1j * h, -1j * h)
+    pairs = [(a, 0.0) for a in steps] + [(a, b) for a in steps for b in steps]
+    z = generating_functional(params, [field(a, b) for a, b in pairs], eps)
+    d_lam, d_lam_bar = _wirtinger_pair(z[:4], h)
     single_ann = expectation(params, [(r * eps, "annihilate")])
     single_cre = expectation(params, [(r * eps, "create")])
     err_single = max(
@@ -592,10 +655,7 @@ def source_consistency_check(params, eps, h, n_sites, site_pair=None):
     )
 
     # d2 Z / d lam_s d conj(lam_r): creation at site r, annihilation at site s.
-    def d_dlam_s(lam_r):
-        d1, _ = _wirtinger_pair(lambda x: z_pair(lam_r, x), h)
-        return d1
-
+    d_dlam_s = [_wirtinger_pair(row, h)[0] for row in z[4:].reshape(4, 4)]
     _, mixed = _wirtinger_pair(d_dlam_s, h)
     lo, hi = sorted((r, s))
     kinds = {r: "create", s: "annihilate"}

@@ -687,7 +687,11 @@ def test_minimal_configs_echo_every_default_and_replay_byte_for_byte(tmp_path, c
     # the generator's is finite, but (1 + eps ||Q||)^2 is not
     ({"K": {"re": [[0.0, 5e299], [5e299, 0.0]]}, "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}},
      "thermodynamic", [0.01], "transfer matrix has a non-finite term norm"),
-], ids=["thermodynamic-generator", "finite-generator", "thermodynamic-transfer"])
+    # both term norms are finite, but the norm of the transfer defect is not
+    ({"K": {"re": [[0.0, 5e151], [5e151, 0.0]]}, "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}},
+     "thermodynamic", [0.01], "transfer defect is not finite"),
+], ids=["thermodynamic-generator", "finite-generator", "thermodynamic-transfer",
+        "thermodynamic-defect"])
 def test_discretize_refuses_an_overflowing_model_before_any_warning(
         tmp_path, model, geometry, epsilons, message):
     cfg = {"model": {"dim": 2, **model}, "geometry": geometry, "epsilons": epsilons}

@@ -26,6 +26,7 @@ from cmps_lab import (
     two_point,
     vectorize,
 )
+from cmps_lab import correlators
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
     GaplessStateError,
@@ -613,3 +614,96 @@ def test_source_consistency_check_needs_exactly_two_sites(rf, site_pair):
     # a third site used to be dropped without a word
     with pytest.raises(ShapeMismatchError, match="site_pair must be two site indices"):
         source_consistency_check(rf, 0.1, 0.02, 40, site_pair=site_pair)
+
+
+@pytest.mark.parametrize("dk", [np.array([[0.0, 1e308], [-1e308, 0.0]]),
+                                np.array([[1e308j, 0.0], [0.0, 0.0]])])
+def test_a_large_nonhermitian_dk_is_refused_without_overflow(rf, dk):
+    # dK - dK^dag used to overflow (a RuntimeWarning) before the test ran
+    with pytest.raises(NonHermitianKError):
+        family_derivative(rf, dk, np.zeros((2, 2)), [(0.0, "pair_density")])
+
+
+def test_the_scaled_hermiticity_test_keeps_the_unscaled_verdict(rf):
+    # where dK - dK^dag does not overflow, the test on the scaled dK agrees
+    # with the unscaled one, also on either side of the threshold's edge
+    rng = np.random.default_rng(8)
+    herm, skew = rand_herm(2, rng), 1j * rand_herm(2, rng)
+    tol = rf.tol.herm
+
+    def unscaled(dk):
+        return np.abs(dk - dk.conj().T).max() > tol * max(1.0, np.abs(dk).max())
+
+    def refused(dk):
+        try:
+            family_derivative(rf, dk, np.zeros((2, 2)), [])
+        except NonHermitianKError:
+            return True
+        return False
+
+    for size in (1e-300, 1e-3, 1.0, 3.7, 2.0**40, 1e150, 1e300):
+        ts = list(tol * np.array([0.1, 0.5, 0.6, 10.0, 1e4]))
+        lo, hi = 0.0, 1e4 * tol
+        if unscaled(size * (herm + hi * skew)):
+            for _ in range(80):  # the last t accepted and the first refused
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if unscaled(size * (herm + mid * skew)) else (mid, hi)
+            ts += [lo, hi]
+        for t in ts:
+            dk = size * (herm + t * skew)
+            assert refused(dk) == unscaled(dk), (size, t)
+
+
+def _finite_instance():
+    rng = np.random.default_rng(19)
+    rho = rand_mat(3, rng)
+    rho = rho @ rho.conj().T
+    window = Finite(length=2.0, boundary_rho=rho / np.trace(rho).real)
+    return new_cmps(3, rand_herm(3, rng), 0.7 * rand_mat(3, rng), window)
+
+
+@pytest.mark.parametrize("params", [random_instance(23, dims=(3, 4)), _finite_instance()],
+                         ids=["thermodynamic", "finite"])
+def test_a_batch_of_source_fields_equals_separate_calls(params):
+    eps, n = 0.25, 8
+    zeros = np.zeros(n, dtype=complex)
+
+    def at(values):
+        out = zeros.copy()
+        for site, value in values.items():
+            out[site] = value
+        return out
+
+    fields = [
+        SourceField(at({2: 0.3 - 0.1j}), at({5: 0.2j})),
+        SourceField(at({2: 0.3 - 0.1j, 6: 0.3 - 0.1j}), zeros),  # one value at two sites
+        SourceField(zeros, zeros),  # no source
+        SourceField(at({6: 0.3 - 0.1j}), at({6: -0.4})),
+        SourceField(at({0: 0.5, 7: -0.2j}), at({2: 0.2j})),
+    ]
+    batch = generating_functional(params, fields, eps)
+    assert batch.shape == (len(fields),)
+    for z, field in zip(batch, fields):
+        assert abs(z - generating_functional(params, field, eps)) < 1e-13
+    assert generating_functional(params, fields[:1], eps)[0] == generating_functional(
+        params, fields[0], eps)
+    with pytest.raises(ShapeMismatchError, match="share one site count"):
+        generating_functional(params, [fields[0], SourceField(zeros[:4], zeros[:4])], eps)
+    for empty in ([], ()):
+        with pytest.raises(ShapeMismatchError, match="non-empty sequence"):
+            generating_functional(params, empty, eps)
+
+
+def test_source_check_evaluates_every_field_in_one_walk(rf, monkeypatch):
+    # 20 fields through one chain: one free step and one exponential per
+    # distinct source value, where 20 chains made 57 expm calls
+    expms, walks = [], []
+    expm = scipy.linalg.expm
+    walk = correlators.generating_functional
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(1) or expm(a))
+    monkeypatch.setattr(correlators, "generating_functional",
+                        lambda *args: walks.append(1) or walk(*args))
+    source_consistency_check(rf, eps=0.05, h=0.01, n_sites=40)
+    monkeypatch.undo()
+    assert len(walks) == 1
+    assert len(expms) <= 10
