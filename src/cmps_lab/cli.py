@@ -36,7 +36,6 @@ from .correlators import (
 )
 from .discretizer import (
     convergence_study,
-    finite_site_count,
     lattice_correlators,
     lattice_tensors,
 )
@@ -312,13 +311,7 @@ def _cmd_discretize(cfg, params, out_path):
         if not math.isfinite(defect):
             raise NoConvergenceError("transfer defect is not finite")
         defects.append(defect)
-        if isinstance(params.geometry, Finite):
-            n_sites = finite_site_count(params.geometry.length, eps)
-            occ = lattice_correlators(tensors, "occupation", n_sites=n_sites,
-                                      boundary_rho=params.geometry.boundary_rho)
-        else:
-            occ = lattice_correlators(tensors, "occupation")
-        occupations.append(float(occ))
+        occupations.append(lattice_correlators(tensors, "occupation"))
     result = {
         "epsilons": eps_list,
         "occupation": occupations,

@@ -12,6 +12,7 @@ regime) or `Finite(length, boundary_rho)` with an explicit boundary density
 matrix at x = 0.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +46,23 @@ def _as_complex_matrix(m, name):
     return arr
 
 
+def _shrunk(m):
+    """(m 2^-k, 2^-k) for the least k >= 0 that brings every real and
+    imaginary part of m below 2.  A power of two scales exactly, so a test
+    on the shrunk matrix, with its threshold scaled alike, cannot overflow
+    and keeps the verdict of the test on m; entries below 2 are not scaled."""
+    k = max(math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1] - 1, 0)
+    shrink = math.ldexp(1.0, -k)
+    return m * shrink, shrink
+
+
+def _is_hermitian(m, herm):
+    """Whether m is Hermitian to within herm relative to its largest entry
+    (at least 1), tested on `_shrunk`(m), so that a large m cannot overflow."""
+    s, shrink = _shrunk(m)
+    return np.abs(s - s.conj().T).max() <= herm * max(shrink, np.abs(s).max())
+
+
 def _frozen(arr):
     out = np.array(arr, dtype=complex, copy=True)
     out.setflags(write=False)
@@ -62,7 +80,9 @@ class Finite:
 
     boundary_rho is Hermitian to within tol.herm; its trace and positivity
     are checked to an absolute 1e-12, because a density matrix is
-    dimensionless and does not change with the length unit.
+    dimensionless and does not change with the length unit.  All three
+    tests run on `_shrunk`(boundary_rho), so that large entries cannot
+    overflow them.
     """
 
     length: float
@@ -73,12 +93,13 @@ class Finite:
         if not (0.0 < float(self.length) < np.inf):
             raise ShapeMismatchError("finite geometry needs a finite length > 0")
         rho = _as_complex_matrix(self.boundary_rho, "boundary_rho")
-        scale = max(1.0, np.abs(rho).max())
-        if np.abs(rho - rho.conj().T).max() > self.tol.herm * scale:
+        if not _is_hermitian(rho, self.tol.herm):
             raise InvalidBoundaryStateError("boundary_rho is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
+        s, shrink = _shrunk(rho)
+        trace = np.trace(s)
+        if abs(trace.real - shrink) > 1e-12 * shrink or abs(trace.imag) > 1e-12 * shrink:
             raise InvalidBoundaryStateError("boundary_rho must have trace 1")
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-12:
+        if np.linalg.eigvalsh((s + s.conj().T) / 2).min() < -1e-12 * shrink:
             raise InvalidBoundaryStateError("boundary_rho must be positive semidefinite")
         object.__setattr__(self, "boundary_rho", _frozen(rho))
         object.__setattr__(self, "length", float(self.length))
@@ -131,8 +152,7 @@ def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
         raise ShapeMismatchError(
             f"K and R must be {dim} x {dim}, got {K.shape} and {R.shape}"
         )
-    scale = max(1.0, np.abs(K).max())
-    if np.abs(K - K.conj().T).max() > tol.herm * scale:
+    if not _is_hermitian(K, tol.herm):
         raise NonHermitianKError(f"K must be Hermitian within {tol.herm} (relative)")
     if geometry is None:
         geometry = Thermodynamic()

@@ -38,7 +38,8 @@ not walked to its edge (Osborne, Eisert & Verstraete, PRL 105, 260401,
 2010).  The generator, a `liouville.Superoperator`, preserves
 Hermiticity, so each propagator exp(L dx) is the exponential of its real
 Hermitian-basis matrix `hmat`, as are the sourced sites of
-`generating_functional`; the vectors stay complex, because an insertion
+`generating_functional`, all by `liouville.exponential`, which refuses a
+result that is not finite; the vectors stay complex, because an insertion
 need not preserve Hermiticity.
 `family_derivative` walks the same legs forward once, carrying the
 tangent of the vector alongside it: each leg applies exp(L dx) together
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, Thermodynamic, _integer
+from .core import Finite, Thermodynamic, _integer, _is_hermitian
 from .discretizer import _lattice_step, finite_site_count
 from .errors import (
     GaplessStateError,
@@ -86,6 +87,7 @@ from .liouville import (
     action,
     action_adjoint,
     build_liouvillian,
+    exponential,
     fields_tangent,
     fixed_mode,
     hermitian_basis,
@@ -205,7 +207,7 @@ class _Chain:
     def propagator(self, dx):
         """exp(L dx), built unless the last leg walked had this length."""
         if dx != self._leg[0]:
-            self._leg = (dx, scipy.linalg.expm(self.L.hmat * dx))
+            self._leg = (dx, exponential(self.L.hmat, dx))
         return self._leg[1]
 
     def scan(self, v, legs):
@@ -436,13 +438,13 @@ def family_derivative(params, dK, dR, insertions):
     in the direction, so the walk runs on (dK, dR) scaled exactly by a
     power of two to entries below 2 and the value is scaled back; a
     direction whose tangent generator's term norm overflows, or whose
-    value does, raises NoConvergenceError.  A thermodynamic
-    chain opens on the stationary state, whose tangent solves
-    `bordered`(L) drho = -dL rho, the fixed point's own bordered system,
-    with the LU factors the fixed point was solved with (invertible when
-    the fixed space is one-dimensional; the solution is traceless, so the
-    border drops out); a finite chain opens on the fixed boundary state,
-    dv = 0.  D = 1 is gapless by convention and raises GaplessStateError in
+    value does, raises NoConvergenceError.  A thermodynamic chain opens
+    on the stationary state, whose tangent solves B drho = -dL rho, B the
+    fixed point's bordered generator, with the `bordered_lu` factors the
+    fixed point was solved with (`SpectralData.solve`; B is invertible
+    when the fixed space is one-dimensional, and the solution is
+    traceless, so the border drops out); a finite chain opens on the fixed
+    boundary state, dv = 0.  D = 1 is gapless by convention and raises GaplessStateError in
     the thermodynamic geometry.  The chain closes on <1| dv / norm after
     its last insertion: nothing to its right adds a dE term and the norm
     does not move, because <1| L = <1| dL = 0.  The result is exact up to
@@ -455,13 +457,7 @@ def family_derivative(params, dK, dR, insertions):
     for name, m in (("dK", dK), ("dR", dR)):
         if not np.isfinite(m).all():
             raise ValidationError(f"{name} must be finite, got {m[~np.isfinite(m)][0]}")
-    # Hermitian relative to dK's largest entry (at least 1), tested on dK
-    # scaled down exactly by a power of two to entries below 2, against the
-    # threshold scaled alike, so that a large dK cannot overflow the test
-    k = max(math.frexp(max(np.abs(dK.real).max(), np.abs(dK.imag).max()))[1] - 1, 0)
-    shrink = math.ldexp(1.0, -k)
-    herm = dK * shrink
-    if np.abs(herm - herm.conj().T).max() > params.tol.herm * max(shrink, np.abs(herm).max()):
+    if not _is_hermitian(dK, params.tol.herm):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
         return 0.0j  # trace preservation along the family: norm derivative is 0
@@ -490,17 +486,19 @@ def family_derivative(params, dK, dR, insertions):
         dv = chain.spectral.solve(-(dgen @ v.real))
     else:
         dv = np.zeros_like(v)
-    for dx, kind in legs:
-        if dx > 0.0:
-            e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
-            v, dv = e @ v, e @ dv + de @ v
-        terms = INSERTIONS[kind]
-        m = chain.basis.matrices(np.stack([v, dv]))
-        w = action(terms, f, m)
-        w[1] += action(tangent_terms(terms), moving, m[0])
-        v, dv = chain.basis.coordinates(w)
-    value = complex(chain.left @ dv) / chain.norm
-    value = complex(value.real * unit, value.imag * unit)
+    # an overflow in the walk leaves the value non-finite, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dx, kind in legs:
+            if dx > 0.0:
+                e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
+                v, dv = e @ v, e @ dv + de @ v
+            terms = INSERTIONS[kind]
+            m = chain.basis.matrices(np.stack([v, dv]))
+            w = action(terms, f, m)
+            w[1] += action(tangent_terms(terms), moving, m[0])
+            v, dv = chain.basis.coordinates(w)
+        value = complex(chain.left @ dv) / chain.norm
+        value = complex(value.real * unit, value.imag * unit)
     if not cmath.isfinite(value):
         raise NoConvergenceError("family derivative overflows")
     return value
@@ -578,7 +576,7 @@ def generating_functional(params, sources, eps):
             return chain.propagator(eps)
         if (lam, mu) not in sites:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            sites[lam, mu] = scipy.linalg.expm(Superoperator(GENERATOR, shifted).hmat * eps)
+            sites[lam, mu] = exponential(Superoperator(GENERATOR, shifted).hmat, eps)
         return sites[lam, mu]
 
     lam = np.stack([s.lam for s in fields], axis=1)  # (sites, fields)

@@ -29,7 +29,9 @@ E, both real because E is a positive map (Evans and Hoegh-Krohn, J.
 London Math. Soc. 17, 345, 1978), from one eigenvalue-only dgeev call and
 one bordered LU factorization (`_dominant_pair`).  Finite chains open on
 the boundary state at the left edge, like the continuum convention, and
-close on covectors <1| E^k from the real binary powers of E.
+close on covectors <1| E^k from the real binary powers of E.  The window
+is the parameter set's geometry, which `lattice_tensors` records on the
+tensors: no caller hands the oracle a site count or a boundary state.
 `_lattice_step` is the one rule for a step, here, in `correlators` and
 for `lindblad`'s dx, and `core._integer` for a count: a value that breaks
 it is a `ValidationError` that names the value.
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg.lapack
 
-from .core import Finite, _integer
+from .core import Finite, Geometry, _integer
 from .errors import (
     NoConvergenceError,
     ShapeMismatchError,
@@ -68,8 +70,15 @@ FIXED_POINT_TOL = 1e-10
 class LatticeTensors:
     eps: float
     matrices: tuple
-    dim: int
-    order: int
+    geometry: Geometry
+
+    @property
+    def dim(self):
+        return self.matrices[0].shape[0]
+
+    @property
+    def order(self):
+        return len(self.matrices) - 1
 
     @cached_property
     def fields(self):
@@ -105,7 +114,7 @@ def lattice_tensors(params, eps, order=1):
     if order == 2:
         with np.errstate(over="ignore", invalid="ignore"):  # the term norm refuses it
             mats.append((eps / np.sqrt(2.0)) * (params.R @ params.R))
-    return LatticeTensors(eps=eps, matrices=tuple(mats), dim=params.dim, order=order)
+    return LatticeTensors(eps=eps, matrices=tuple(mats), geometry=params.geometry)
 
 
 def transfer_matrix(tensors):
@@ -174,29 +183,29 @@ def _dominant_pair(emat):
     return eta, left / overlap, right
 
 
-def lattice_correlators(tensors, observable, distances=None, n_sites=None, boundary_rho=None):
+def lattice_correlators(tensors, observable, distances=None):
     """Lattice estimators of continuum observables.
 
-    observable: "occupation" (scalar density), "hopping" or "pair" (values
-    at integer site distances >= 1, in any order, continuum separation =
-    distance * eps; no distances give an empty array).  The first
-    estimator acts at site 0, one walk with E keeps the vector at each
-    sorted distance, and the second acts on all of them at once.  A
-    thermodynamic chain (n_sites None) opens and closes on the dominant
-    fixed points of E; a finite one of n_sites sites opens on the boundary
-    state (its Hermitian part) and closes each distance with its tail
-    <1| E^k.  Values are rescaled by the eps powers that map lattice
-    operators to field operators.  A transfer matrix whose term norm is
-    not finite is refused as NoConvergenceError before it is built.
+    observable: "occupation" (scalar density, no distances), "hopping" or
+    "pair" (values at integer site distances >= 1, in any order, continuum
+    separation = distance * eps; no distances give an empty array).  The
+    first estimator acts at site 0, one walk with E keeps the vector at
+    each sorted distance, and the second acts on all of them at once.  A
+    thermodynamic window (`tensors.geometry`) opens and closes on the
+    dominant fixed points of E; Finite(length, boundary_rho) has
+    finite_site_count(length, eps) sites, opens on boundary_rho (its
+    Hermitian part) and closes each distance with its tail <1| E^k.
+    Values are rescaled by the eps powers that map lattice operators to
+    field operators.  A transfer matrix whose term norm is not finite is
+    refused as NoConvergenceError before it is built.
     """
     eps = tensors.eps
     d = tensors.dim
-    if boundary_rho is not None and np.shape(boundary_rho) != (d, d):
-        raise ShapeMismatchError(
-            f"boundary_rho has shape {np.shape(boundary_rho)}, the chain needs {(d, d)}")
     if observable not in _SITES:
         raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
     if observable == "occupation":
+        if distances is not None:
+            raise ShapeMismatchError("the occupation takes no distances")
         distances = [0]
     else:
         if distances is None:
@@ -204,10 +213,9 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
         distances = [_integer(m, "site distance") for m in np.atleast_1d(distances)]
         if any(m < 1 for m in distances):
             raise ShapeMismatchError("site distances must be >= 1")
-    if n_sites is not None:
-        n_sites = _integer(n_sites, "n_sites")
-        if boundary_rho is None:
-            raise ShapeMismatchError("finite chains need boundary_rho")
+    n_sites = None
+    if isinstance(tensors.geometry, Finite):
+        n_sites = finite_site_count(tensors.geometry.length, eps)
         # a chain with insertions at sites 0 and m covers m + 1 sites
         if distances and n_sites < max(distances) + 1:
             raise WindowTooSmallError(
@@ -229,7 +237,7 @@ def lattice_correlators(tensors, observable, distances=None, n_sites=None, bound
     if n_sites is None:
         eta, close, open_vec = _dominant_pair(emat)
     else:
-        open_vec = basis.coords(vectorize(boundary_rho)).real
+        open_vec = basis.coords(vectorize(tensors.geometry.boundary_rho)).real
         # closing covectors <1| E^k at the k a chain closes on: the tail
         # after each span, and the full norm.  Each k is reached from the
         # one before by the binary powers E^(2^j), squared once.
@@ -321,19 +329,16 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
                                      f" 'pair', separation) pair, got {observable!r}")
         if not np.isfinite(sep):
             raise ValidationError(f"separation must be finite, got {sep}")
-    finite = isinstance(params.geometry, Finite)
     values = []
     for eps in eps_arr:
         tensors = lattice_tensors(params, eps, order=order)
-        kwargs = {"n_sites": finite_site_count(params.geometry.length, eps),
-                  "boundary_rho": params.geometry.boundary_rho} if finite else {}
         if observable == "occupation":
-            values.append(lattice_correlators(tensors, "occupation", **kwargs))
+            values.append(lattice_correlators(tensors, "occupation"))
         else:
             m = int(round(sep / eps))
             if abs(m * eps - sep) > 1e-9 * abs(sep):
                 raise ShapeMismatchError(f"separation {sep} is not a multiple of eps {eps}")
-            values.append(lattice_correlators(tensors, kind, distances=[m], **kwargs)[0])
+            values.append(lattice_correlators(tensors, kind, distances=[m])[0])
     hopping = observable != "occupation" and observable[0] == "hopping"
     values = np.asarray(values, dtype=complex if hopping else float)
 

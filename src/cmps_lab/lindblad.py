@@ -45,7 +45,8 @@ the jump-sum form has G_J = -i K - (1/2) sum_j M_j^dag M_j and the pairs
 
 Both generators map Hermitian matrices to Hermitian matrices, so
 `compare_forms` exponentiates them as real matrices in the Hermitian basis
-(`Superoperator.hmat`) and maps each exp(G dx) back to row-stacked form
+(`Superoperator.hmat`, by `liouville.exponential`, which refuses a
+non-finite result) and maps each exp(G dx) back to row-stacked form
 (`HermitianBasis.rowstacked`) for the Choi test; the matrix difference
 and the trace defects are read on the row-stacked matrices (`mat`).
 """
@@ -53,7 +54,6 @@ and the trace defects are read on the row-stacked matrices (`mat`).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretizer import _lattice_step
 from .errors import InvalidMomentsError, ShapeMismatchError
@@ -61,6 +61,7 @@ from .liouville import (
     Superoperator,
     Tolerances,
     choi_min_eigenvalue,
+    exponential,
     hermitian_basis,
     trace_functional,
 )
@@ -208,7 +209,7 @@ def compare_forms(K, R, moments, dx=0.1):
 
     def choi_min(hmat):
         """Choi test of exp(G dx), exponentiated in the Hermitian basis."""
-        return choi_min_eigenvalue(basis.rowstacked(scipy.linalg.expm(hmat * dx)))
+        return choi_min_eigenvalue(basis.rowstacked(exponential(hmat, dx)))
 
     return FormComparison(
         max_difference=float(np.abs(gen.mat - jform.mat).max()),

@@ -43,7 +43,9 @@ real coordinates there, and a superoperator that maps Hermitian matrices
 to Hermitian matrices, as every table above does, is the real matrix
 U^dag S U, `Superoperator.hmat`, on which every dense kernel runs: real
 eigenvalue solves, linear solves and exponentials cost a fraction of
-complex ones.  `HermitianBasis.matrices` and `coordinates` are the one
+complex ones.  `exponential` exponentiates every `hmat` but the Frechet
+legs of `correlators.family_derivative`, and refuses a result that is not
+finite.  `HermitianBasis.matrices` and `coordinates` are the one
 conversion between coordinates and D x D matrices, which `act` wraps
 around a table's `action`; `rowstacked` maps exp(G dx) back for the Choi
 test of `lindblad.compare_forms`.  `vectorize`, `trace_functional`
@@ -64,6 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
@@ -368,6 +371,17 @@ def build_liouvillian(K, R):
     if K.ndim != 2 or K.shape != R.shape or K.shape[0] != K.shape[1]:
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
     return Superoperator(GENERATOR, fields(K, R))
+
+
+def exponential(hmat, dx):
+    """exp(hmat dx) of a real Hermitian-basis matrix, by `scipy.linalg.expm`
+    looked up when called.  A result that is not finite (an exponent too
+    large for expm) is refused as NoConvergenceError, before any reader
+    turns it into nan values or a failed eigensolve."""
+    e = scipy.linalg.expm(hmat * dx)
+    if not np.isfinite(e).all():
+        raise NoConvergenceError(f"the exponential at step {dx} is not finite")
+    return e
 
 
 def bordered_lu(hmat, shift, weight):

@@ -697,13 +697,38 @@ def test_discretize_refuses_an_overflowing_model_before_any_warning(
     cfg = {"model": {"dim": 2, **model}, "geometry": geometry, "epsilons": epsilons}
     if geometry == "finite":
         cfg.update(length=1.0, boundary_rho={"re": [[0.5, 0.0], [0.0, 0.5]]})
+    _assert_numerical_failure_under_warnings_as_errors(tmp_path, "discretize", cfg, message)
+
+
+def _assert_numerical_failure_under_warnings_as_errors(tmp_path, command, cfg, message):
+    """Run the CLI in a subprocess under `python -W error`: it must exit 2,
+    print only the numerical-failure line and write no output."""
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
     cfg_path.write_text(json.dumps(cfg))
     src = str(Path(cmps_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-W", "error", "-m", "cmps_lab.cli", "discretize",
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "cmps_lab.cli", command,
                           "--config", str(cfg_path), "--output", str(out)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
     assert run.stderr == f"numerical failure: {message}\n"
     assert not out.exists()
+
+
+# K = 1e50 sigma_x / 2: exp(L dx) is nan.  correlate wrote the row
+# "0.5,nan,nan" and exited 0; lindblad-check exited 1 with a traceback
+# from the Choi eigensolve
+HUGE_DRIVE = {"dim": 2, "K": {"re": [[0.0, 5e49], [5e49, 0.0]]}, "R": DAMP_MODEL["R"]}
+
+
+@pytest.mark.parametrize("command, extra, step", [
+    ("correlate", {"geometry": "finite", "length": 1.0,
+                   "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]}, "separations": [0.5]},
+     0.5),
+    ("lindblad-check", {"geometry": "thermodynamic",
+                        "moments": {"psi_dag_sq": {"re": 0.0}, "psi_dag_psi": 0.0}}, 0.1),
+], ids=["correlate", "lindblad-check"])
+def test_a_non_finite_exponential_exits_2_before_any_warning(tmp_path, command, extra, step):
+    cfg = {"model": json.loads(json.dumps(HUGE_DRIVE)), **extra}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, command, cfg, f"the exponential at step {step} is not finite")

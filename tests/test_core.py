@@ -108,6 +108,25 @@ def test_finite_geometry_validation():
                  Finite(length=1.0, boundary_rho=rho))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: new_cmps(2, [[0.0, 1e308], [-1e308, 0.0]], np.eye(2)),
+     NonHermitianKError, "Hermitian"),
+    (lambda: new_cmps(2, np.diag([1e308j, 0.0]), np.eye(2)), NonHermitianKError, "Hermitian"),
+    (lambda: Finite(1.0, [[0.5, 1e308], [-1e308, 0.5]]),
+     InvalidBoundaryStateError, "not Hermitian"),
+    (lambda: Finite(1.0, [[0.5, 1e308], [1e308, 0.5]]),
+     InvalidBoundaryStateError, "positive semidefinite"),
+    (lambda: Finite(1.0, np.diag([1e308, 1e308])), InvalidBoundaryStateError, "trace 1"),
+], ids=["K-skew", "K-imaginary-diagonal", "rho-skew", "rho-indefinite", "rho-trace"])
+def test_large_inputs_are_refused_without_overflow(build, error, message, capfd):
+    # K - K^dag, rho - rho^dag, (rho + rho^dag) / 2 and tr rho used to
+    # overflow (a RuntimeWarning, an error under -W error) before their tests
+    # ran; every test now runs on the matrix scaled by a power of two
+    with pytest.raises(error, match=message):
+        build()
+    assert capfd.readouterr() == ("", "")
+
+
 def test_q_matrix_dissipation_identity():
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -654,6 +654,37 @@ def test_the_scaled_hermiticity_test_keeps_the_unscaled_verdict(rf):
             assert refused(dk) == unscaled(dk), (size, t)
 
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: two_point(p, [0.5]),
+    lambda p: pair_correlation(p, [0.5]),
+    lambda p: expectation(p, [(0.3, "pair_density")]),
+    lambda p: generating_functional(p, SourceField(np.full(10, 0.1), np.zeros(10)), 0.1),
+    lambda p: source_consistency_check(p, 0.1, 0.01, 10),
+], ids=["two_point", "pair_correlation", "expectation", "generating_functional",
+        "source_consistency_check"])
+def test_a_non_finite_exponential_is_refused(call, capfd):
+    # exp(L dx) at K = 1e50 sigma_x / 2 is nan: every finite chain returned
+    # nan.  The thermodynamic fixed point refuses this K before any chain
+    window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
+    p = new_cmps(2, 0.5e50 * SIGMA_X, DAMP_R, window)
+    with pytest.raises(NoConvergenceError, match="exponential at step .* is not finite"):
+        call(p)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_family_derivative_walk_that_overflows_is_refused(capfd):
+    # at K = 1e20 sigma_x / 2 the finite walk overflowed in a product (a
+    # RuntimeWarning) before its value was found not finite
+    window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
+    p = new_cmps(2, 0.5e20 * SIGMA_X, DAMP_R, window)
+    with pytest.raises(NoConvergenceError, match="family derivative overflows"):
+        family_derivative(p, np.zeros((2, 2)), DAMP_R, [(0.0, "create"), (0.5, "annihilate")])
+    assert capfd.readouterr() == ("", "")
+
+
 def _finite_instance():
     rng = np.random.default_rng(19)
     rho = rand_mat(3, rng)

@@ -10,7 +10,12 @@ from cmps_lab import (
     jump_decomposition,
     trace_functional,
 )
-from cmps_lab.errors import InvalidMomentsError, ShapeMismatchError, ValidationError
+from cmps_lab.errors import (
+    InvalidMomentsError,
+    NoConvergenceError,
+    ShapeMismatchError,
+    ValidationError,
+)
 from cmps_lab.liouville import choi_min_eigenvalue
 
 from conftest import RF_K, RF_R, rand_herm, rand_mat
@@ -190,3 +195,12 @@ def test_compare_forms_rejects_a_step_that_is_not_finite_and_positive(dx):
     # negative Choi eigenvalue as if it were a finding
     with pytest.raises(ValidationError, match=f"dx must be (finite|positive), got {dx}"):
         compare_forms(RF_K, RF_R, FieldMoments(0.2, 0.2, 0.5, 1.5), dx=dx)
+
+
+def test_compare_forms_refuses_a_non_finite_exponential(capfd):
+    # exp(G dx) at K = 1e50 sigma_x / 2 is nan, and the Choi eigensolve
+    # raised a bare LinAlgError on it
+    k = 0.5e50 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NoConvergenceError, match="exponential at step 0.1 is not finite"):
+        compare_forms(k, RF_R, FieldMoments(0.0, 0.0, 0.0, 1.0))
+    assert capfd.readouterr() == ("", "")

@@ -27,6 +27,7 @@ from cmps_lab.liouville import (
     action,
     action_adjoint,
     bordered_lu,
+    exponential,
     fields,
     fields_tangent,
     hermitian_basis,
@@ -402,3 +403,20 @@ def test_bordered_lu_factors_the_bordered_matrix_without_touching_hmat():
                                  scipy.linalg.lapack.dgetrf(dense)):
                 assert np.array_equal(got, want)
         assert np.array_equal(h, before)
+
+
+def test_the_exponential_keeps_expm_bits_and_refuses_a_non_finite_one(monkeypatch):
+    # one dense exponential for every reader: a finite result is expm's to
+    # the bit, found through the module attribute that tracers and
+    # monkeypatches replace; nan or inf in it is NoConvergenceError
+    hmat = build_liouvillian(RF_K, RF_R).hmat
+    assert np.array_equal(exponential(hmat, 0.7), scipy.linalg.expm(hmat * 0.7))
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    exponential(hmat, 0.7)
+    assert calls == [(4, 4)]
+    for bad in (np.nan, np.inf):
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a, _bad=bad: np.full_like(a, _bad))
+        with pytest.raises(NoConvergenceError, match="exponential at step 0.7 is not finite"):
+            exponential(hmat, 0.7)
