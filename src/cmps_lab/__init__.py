@@ -15,12 +15,9 @@ from .liouville import (
     Superoperator,
     Tolerances,
     build_liouvillian,
-    choi_matrix,
     choi_min_eigenvalue,
-    devectorize,
     steady_state,
     trace_functional,
-    vectorize,
 )
 from .correlators import (
     CorrelatorResult,

@@ -295,19 +295,19 @@ def _cmd_ll_energy(cfg, params, out_path):
 
 def _cmd_discretize(cfg, params, out_path):
     eps_list = np.asarray(cfg["epsilons"], dtype=float)
-    superop = build_liouvillian(params.K, params.R)
-    if not np.isfinite(superop.scale):
+    generator = build_liouvillian(params.K, params.R)
+    if not np.isfinite(generator.scale):
         raise NoConvergenceError("generator has a non-finite term norm")
-    eye = np.eye(superop.mat.shape[0])
+    eye = np.eye(generator.dim ** 2)
     occupations, defects = [], []
     for eps in eps_list:
         tensors = lattice_tensors(params, eps, order=cfg["order"])
         if not np.isfinite(tensors.transfer.scale):
             raise NoConvergenceError("transfer matrix has a non-finite term norm")
-        emat = tensors.transfer.mat
+        emat = tensors.transfer.hmat
         # both terms are finite, but their difference's norm may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            defect = float(np.linalg.norm(emat - eye - eps * superop.mat))
+            defect = float(np.linalg.norm(emat - eye - eps * generator.hmat))
         if not math.isfinite(defect):
             raise NoConvergenceError("transfer defect is not finite")
         defects.append(defect)

@@ -2,7 +2,7 @@
 
 Field operators acting on the physical state translate into superoperators
 applied to the flattened boundary state, read left to right in position
-order.  Each is a sandwich rho -> a rho b^dag over the field table
+order.  Each is a product rho -> a rho b^dag over the field table
 `liouville.fields` (1, Q, R and X = -[Q, R]), and `INSERTIONS` holds the
 whole dictionary as one (a, b) pair per kind:
 
@@ -38,16 +38,16 @@ not walked to its edge (Osborne, Eisert & Verstraete, PRL 105, 260401,
 2010).  The generator, a `liouville.Superoperator`, preserves
 Hermiticity, so each propagator exp(L dx) is the exponential of its real
 Hermitian-basis matrix `hmat`, as are the sourced sites of
-`generating_functional`, all by `liouville.exponential`, which refuses a
-result that is not finite; the vectors stay complex, because an insertion
-need not preserve Hermiticity.
+`generating_functional`, all by `liouville.exponential`, which refuses an
+exponent that would overflow and a result that is not finite; the vectors
+stay complex, because an insertion need not preserve Hermiticity.
 `family_derivative` walks the same legs forward once, carrying the
 tangent of the vector alongside it: each leg applies exp(L dx) together
 with its Frechet derivative (both real), so the derivative along a
 family of states needs no backward march and no quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
-vec(1)^dag (R, 1) exp(L d) (1, R) vec(rho_ss), each pair read as its
+<1| (R, 1) exp(L d) (1, R) |rho_ss>, each pair read as its
 action, and the pair correlator g2(d) divides the double pair-density
 insertion by the squared density.  A source on the field only changes the
 boundary generator: the source term
@@ -87,13 +87,13 @@ from .liouville import (
     action,
     action_adjoint,
     build_liouvillian,
+    exponent,
     exponential,
     fields_tangent,
     fixed_mode,
     hermitian_basis,
     tangent_terms,
     trace_functional,
-    vectorize,
 )
 
 # relative to the largest |two_point| on a fit grid, the roundoff scale of
@@ -165,7 +165,7 @@ class _Chain:
             self.length = params.geometry.length
             self.norm = float(np.trace(rho).real)
         self.fields = self.L.fields
-        self.right = self.basis.coords(vectorize(rho))
+        self.right = self.basis.coordinates(rho)
 
     def act(self, kind, x):
         """The insertion `kind` on coordinate vectors x, one per row (or x
@@ -177,7 +177,7 @@ class _Chain:
         = tr(M rho) with M = sum f[b]^dag f[a], the adjoint of the action's
         image of the identity, whose coordinates conjugated read the trace."""
         m = action_adjoint(INSERTIONS[kind], self.fields, np.eye(self.params.dim))
-        return self.basis.coords(vectorize(m)).conj()
+        return self.basis.coordinates(m).conj()
 
     def legs(self, items, start):
         """Legs from `start` through (position, kind name or STOP) items.
@@ -207,7 +207,7 @@ class _Chain:
     def propagator(self, dx):
         """exp(L dx), built unless the last leg walked had this length."""
         if dx != self._leg[0]:
-            self._leg = (dx, exponential(self.L.hmat, dx))
+            self._leg = (dx, exponential(self.L, dx))
         return self._leg[1]
 
     def scan(self, v, legs):
@@ -437,9 +437,10 @@ def family_derivative(params, dK, dR, insertions):
     non-finite dK or dR raises ValidationError.  The derivative is linear
     in the direction, so the walk runs on (dK, dR) scaled exactly by a
     power of two to entries below 2 and the value is scaled back; a
-    direction whose tangent generator's term norm overflows, or whose
-    value does, raises NoConvergenceError.  A thermodynamic chain opens
-    on the stationary state, whose tangent solves B drho = -dL rho, B the
+    direction whose tangent generator's term norm overflows, a leg whose
+    exponent would (`liouville.exponent`), or a value that does, raises
+    NoConvergenceError.  A thermodynamic chain opens on the stationary
+    state, whose tangent solves B drho = -dL rho, B the
     fixed point's bordered generator, with the `bordered_lu` factors the
     fixed point was solved with (`SpectralData.solve`; B is invertible
     when the fixed space is one-dimensional, and the solution is
@@ -490,7 +491,7 @@ def family_derivative(params, dK, dR, insertions):
     with np.errstate(over="ignore", invalid="ignore"):
         for dx, kind in legs:
             if dx > 0.0:
-                e, de = scipy.linalg.expm_frechet(chain.L.hmat * dx, dgen * dx)
+                e, de = scipy.linalg.expm_frechet(exponent(chain.L, dx), exponent(tangent, dx))
                 v, dv = e @ v, e @ dv + de @ v
             terms = INSERTIONS[kind]
             m = chain.basis.matrices(np.stack([v, dv]))
@@ -576,7 +577,7 @@ def generating_functional(params, sources, eps):
             return chain.propagator(eps)
         if (lam, mu) not in sites:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            sites[lam, mu] = exponential(Superoperator(GENERATOR, shifted).hmat, eps)
+            sites[lam, mu] = exponential(Superoperator(GENERATOR, shifted), eps)
         return sites[lam, mu]
 
     lam = np.stack([s.lam for s in fields], axis=1)  # (sites, fields)

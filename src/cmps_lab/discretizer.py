@@ -58,7 +58,6 @@ from .liouville import (
     fields,
     hermitian_basis,
     trace_functional,
-    vectorize,
 )
 
 # absolute, because the dominant transfer eigenvalue is eta = 1 + O(eps)
@@ -145,7 +144,7 @@ def _dominant_pair(emat):
     partner of equal modulus and fails the degeneracy check, so eta is
     real.  Both fixed points then come from one LU factorization
     (`liouville.bordered_lu`) of the bordered matrix B = E - eta + |eta| e <1|,
-    with e = vec(1)/D and <1| the trace functional: B x = <1|^T and
+    with e = |1>/D and <1| the trace functional: B x = <1|^T and
     B^T y = <1|^T solve for multiples of the right and left fixed points,
     because <1| is not in the range of (E - eta)^T and e is not in the
     range of E - eta when the fixed points are positive.  A singular B
@@ -237,7 +236,7 @@ def lattice_correlators(tensors, observable, distances=None):
     if n_sites is None:
         eta, close, open_vec = _dominant_pair(emat)
     else:
-        open_vec = basis.coords(vectorize(tensors.geometry.boundary_rho)).real
+        open_vec = basis.coordinates(tensors.geometry.boundary_rho).real
         # closing covectors <1| E^k at the k a chain closes on: the tail
         # after each span, and the full norm.  Each k is reached from the
         # one before by the binary powers E^(2^j), squared once.

@@ -1,64 +1,43 @@
-"""Vectorized evolution generator and its spectrum.
+"""The boundary generator and its spectrum, in one dense layout.
 
-Density matrices are flattened row-major ("row stacking"): entry (j, k) of M
-sits at index j*D + k of vec(M).  Every superoperator in the package is a
-sum of sandwiches rho -> a rho b^dag, and `sandwich(a, b)` is the only code
-that knows how the row-stacking layout turns one into a matrix:
-vec(a rho b^dag) = (a kron conj(b)) vec(rho).  Only `superop` calls it.
-(`choi_matrix` reads such a matrix back, and `HermitianBasis.transform`,
-called only by `Superoperator.hmat`, moves it to the Hermitian basis
-below.)  The generator of
+The boundary state evolves along the field by
 
     d rho / dx = -i[K, rho] + R rho R^dag - (1/2){R^dag R, rho}
-               = Q rho + rho Q^dag + R rho R^dag,   Q = -i K - (1/2) R^dag R,
-
-is therefore the D^2 x D^2 matrix
-
-    L = sandwich(Q, 1) + sandwich(1, Q) + sandwich(R, R).
+               = Q rho + rho Q^dag + R rho R^dag,   Q = -i K - (1/2) R^dag R.
 
 Every D^2 x D^2 map of the package is one `Superoperator`: a field table,
 a tuple of (a, b) names into a dict f of D x D matrices, read as
-rho -> sum f[a] rho f[b]^dag, whose dense forms are computed from the
-table when first read.  The exact calculus reads one table,
+rho -> sum f[a] rho f[b]^dag.  The exact calculus reads one table,
 `fields(K, R)` = {1, Q, R, X = -[Q, R]}: the generator is `GENERATOR` =
-(Q, 1), (1, Q), (R, R), and the insertions of `correlators.INSERTIONS`
-are one pair each, named by their kind.  `lindblad`'s two generator
-forms are tables (G, 1), (1, G) plus one pair per jump, and the lattice
-transfer matrix (A0, A0), (A1, A1), ... and its estimators are tables
-over the site tensors.  A table acts on a stack of D x D matrices by
-`action`, at O(D^3) per matrix, and by its adjoint `action_adjoint`;
-every insertion and estimator runs through these two, and only the maps
-that are exponentiated, factored or eigen-solved read `Superoperator.mat`
-or `hmat`.  The product rule is one table transform: along K + t dK,
-R + t dR the fields move by `fields_tangent` (dQ, dR, dX), and the map of
-`terms` moves by the map of `tangent_terms(terms)` over the merged table
-f | df.
+(Q, 1), (1, Q), (R, R), and each insertion of `correlators.INSERTIONS` is
+one pair.  `lindblad`'s generator forms, the lattice transfer matrix and
+its estimators are tables too.  A table acts on a stack of D x D matrices
+by `action`, at O(D^3) per matrix, and by its adjoint `action_adjoint`;
+only the maps that are exponentiated, factored or eigen-solved are built
+as matrices.  The product rule is one rewrite of the table: along
+K + t dK, R + t dR the fields move by `fields_tangent`, and the map of
+`terms` by the map of `tangent_terms(terms)` over the merged table f | df.
 
-The dense kernels run in a second layout, the Hermitian basis (Alicki
-and Lendi's coherence vector), which lives here and nowhere else.
-`hermitian_basis(D)` is a unitary U that keeps the diagonal entries E_jj
-and replaces each off-diagonal pair E_jk, E_kj by the Hermitian matrices
-(E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.  A Hermitian matrix has
-real coordinates there, and a superoperator that maps Hermitian matrices
-to Hermitian matrices, as every table above does, is the real matrix
-U^dag S U, `Superoperator.hmat`, on which every dense kernel runs: real
-eigenvalue solves, linear solves and exponentials cost a fraction of
-complex ones.  `exponential` exponentiates every `hmat` but the Frechet
-legs of `correlators.family_derivative`, and refuses a result that is not
-finite.  `HermitianBasis.matrices` and `coordinates` are the one
-conversion between coordinates and D x D matrices, which `act` wraps
-around a table's `action`; `rowstacked` maps exp(G dx) back for the Choi
-test of `lindblad.compare_forms`.  `vectorize`, `trace_functional`
-and `choi_matrix` are row-stacked; the trace functional is the same
-vector in both layouts, because U leaves the diagonal alone.
+The one dense layout is the Hermitian basis (Alicki and Lendi's coherence
+vector): `hermitian_basis(D)` is a unitary U that keeps the diagonal
+matrix units E_jj and replaces each pair E_jk, E_kj by the Hermitian
+matrices (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.  A map that
+takes Hermitian matrices to Hermitian matrices, as every table above
+does, is the real matrix U^dag S U there, `Superoperator.hmat`, built
+from the table in column blocks (`HermitianBasis.dense`); every dense
+kernel runs on it in real arithmetic.  `exponential` exponentiates it and
+refuses an exponent that would overflow (`exponent`) or a result that is
+not finite.  `HermitianBasis.matrices` and `coordinates` are the one
+conversion between coordinates and D x D matrices.  `choi_min_eigenvalue`
+reads a channel in coordinates; its Choi matrix is the one complex
+D^2 x D^2 array of the package.
 
-The trace functional is the row vector vec(1)^dag; trace preservation reads
-vec(1)^dag L = 0.  Spectra live in the closed left half plane.  The fixed
-point needs no spectrum: one LU factorization of the bordered generator
-(`bordered_lu`) gives it by a linear solve, and a condition estimate of
-the same factors certifies that the fixed space is one-dimensional.  The
-eigenvalues, and the gap (minus the largest real part after the fixed
-point's zero), are computed only where they are read.
+The trace functional <1| reads the diagonal coordinates, and trace
+preservation is <1| L = 0.  The fixed point needs no spectrum: one LU
+factorization of the bordered generator (`bordered_lu`) gives it by a
+linear solve, and a condition estimate of the same factors certifies
+that the fixed space is one-dimensional.  The eigenvalues and the gap are
+computed only where they are read.
 """
 
 import math
@@ -85,29 +64,6 @@ class Tolerances:
     moment: float = 1e-12
 
 
-def vectorize(m):
-    """Row-major flattening of a matrix."""
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def devectorize(v):
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ShapeMismatchError(f"vector of length {v.size} is not a flattened square matrix")
-    return v.reshape(d, d)
-
-
-def sandwich(a, b):
-    """Superoperator of rho -> a rho b^dag on row-stacked matrices.
-
-    Entry (i D + k, j D + l) is a[i, j] conj(b[k, l]): np.kron(a, conj(b)),
-    written as one broadcast product.
-    """
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * np.conj(b)[None, :, None, :]).reshape(n, n)
-
-
 GENERATOR = (("Q", "1"), ("1", "Q"), ("R", "R"))
 
 
@@ -123,13 +79,8 @@ def fields(K, R):
         return {"1": np.eye(K.shape[0]), "Q": q, "R": R, "X": -(q @ R - R @ q)}
 
 
-def superop(terms, f):
-    """Row-stacked matrix of rho -> sum over (a, b) in terms of f[a] rho f[b]^dag."""
-    return reduce(np.add, (sandwich(f[a], f[b]) for a, b in terms))
-
-
 def tangent_terms(terms):
-    """The product rule as a table transform, read over the merged table
+    """The product rule as a rewrite of the table, read over the merged table
     f | df (`fields_tangent` names each moving field "d" + name): each
     (a, b) gives ("d" + a, b) and (a, "d" + b); the identity does not move
     and gives no piece."""
@@ -142,7 +93,7 @@ def tangent_terms(terms):
     return tuple(out)
 
 
-def _sandwiched(a, m, b):
+def _product(a, m, b):
     """a m b^dag on a stack m of shape (..., D, D); None is the identity,
     which is never multiplied."""
     if a is not None:
@@ -155,7 +106,7 @@ def action(terms, f, m):
     (..., D, D): the map of the table applied without building its matrix,
     at O(D^3) per matrix instead of O(D^4) to build and O(D^4) to apply."""
     g = {**f, "1": None}
-    return reduce(np.add, (_sandwiched(g[a], m, g[b]) for a, b in terms))
+    return reduce(np.add, (_product(g[a], m, g[b]) for a, b in terms))
 
 
 def action_adjoint(terms, f, m):
@@ -177,24 +128,57 @@ def fields_tangent(f, dK, dR):
 
 
 def trace_functional(dim):
-    """Row vector implementing M -> tr(M) on flattened matrices."""
-    return vectorize(np.eye(dim)).conj()
+    """<1|, the covector of M -> tr(M) in coordinates: 1 at the diagonal
+    coordinates j (D + 1), 0 elsewhere, conjugated as a covector is."""
+    return np.eye(dim, dtype=complex).reshape(-1).conj()
 
 
 _R2 = np.sqrt(0.5)
 
 
+def _mix(view, a, b, phase):
+    """Mix rows a and b of view in place, to (a + b)/sqrt 2 and
+    phase (a - b)/sqrt 2 (U^dag for phase -i, U^T for +i)."""
+    va, vb = view[a], view[b]
+    view[a], view[b] = (va + vb) * _R2, (va - vb) * (phase * _R2)
+    return view
+
+
+def _unmix(view, a, b, phase):
+    """Undo `_mix` of rows a and b of view in place: U for phase +i,
+    conj(U) for -i."""
+    xa, xb = view[a], view[b] * (phase * _R2)
+    view[a] = xa * _R2 + xb
+    view[b] = xa * _R2 - xb
+    return view
+
+
+def _columns(terms, left, right, j, l):
+    """Columns j D + l of the table's map on flattened matrices: the
+    Kronecker columns left[a][:, j] kron right[b][:, l], summed over the
+    terms (a, b) in order, each term written into one reused buffer."""
+    def kron(a, b, out=None):
+        return np.multiply(left[a].take(j, axis=1)[:, None], right[b].take(l, axis=1)[None], out=out)
+
+    (a, b), *rest = terms
+    block = kron(a, b).astype(complex, copy=False)
+    part = np.empty_like(block)
+    for a, b in rest:
+        block += kron(a, b, part)
+    return block.reshape(-1, j.size)
+
+
 class HermitianBasis:
     """Orthonormal Hermitian basis of the D x D matrices, as a unitary U.
 
-    Column j D + j of U is vec(E_jj); for each pair j < k, with a = j D + k
-    and b = k D + j, columns a and b are vec((E_jk + E_kj)/sqrt 2) and
-    vec(i (E_jk - E_kj)/sqrt 2).  U mixes each index pair (a, b) with one
-    2 x 2 block and leaves the diagonal alone, so it is applied by indexing
-    and never stored.  The coordinates U^dag vec(M) of a Hermitian M are
-    real, and a superoperator that maps Hermitian matrices to Hermitian
-    matrices is real in this basis, U^dag S U.  The trace functional is the
-    same row vector in both layouts: it reads only the diagonal.
+    Coordinate j D + j is that of E_jj; for each pair j < k, coordinates
+    a = j D + k and b = k D + j are those of (E_jk + E_kj)/sqrt 2 and
+    i (E_jk - E_kj)/sqrt 2.  U mixes each index pair (a, b) of a flattened
+    matrix (entry (j, k) at j D + k) with one 2 x 2 block and leaves the
+    diagonal alone, so it is applied by indexing and never stored.  The
+    coordinates of a Hermitian matrix are real, and a superoperator that
+    maps Hermitian matrices to Hermitian matrices is a real matrix here,
+    `dense`.  The trace functional <1| reads only the diagonal.
     """
 
     def __init__(self, dim):
@@ -202,54 +186,49 @@ class HermitianBasis:
         self.dim = dim
         self.a = j * dim + k
         self.b = k * dim + j
-
-    def _mix(self, m, phase, axis):
-        """Apply U^dag (phase -i) or U^T (phase +i) along `axis` of complex m, in place."""
-        view = m if axis == 0 else m.T
-        va, vb = view[self.a], view[self.b]
-        view[self.a] = (va + vb) * _R2
-        view[self.b] = (va - vb) * (phase * _R2)
-        return m
-
-    def coords(self, v):
-        """U^dag v: coordinates of row-stacked vectors (along the first axis)."""
-        return self._mix(np.array(v, dtype=complex), -1j, 0)
-
-    def _unmix(self, x, phase, axis):
-        """Apply U (phase +i) or conj(U) (phase -i) along `axis` of complex x, in place."""
-        view = x if axis == 0 else x.T
-        xa, xb = view[self.a], view[self.b] * (phase * _R2)
-        view[self.a] = xa * _R2 + xb
-        view[self.b] = xa * _R2 - xb
-        return x
-
-    def vec(self, x):
-        """U x: the row-stacked vector of coordinates x (along the first axis)."""
-        return self._unmix(np.array(x, dtype=complex), 1j, 0)
+        # the column blocks of `dense`, 4 D index pairs each and the diagonal
+        # in the first: (columns, their (j, l), the a and b columns' slices)
+        self.blocks = []
+        for start in range(0, max(self.a.size, 1), 4 * dim):
+            a, b = self.a[start:start + 4 * dim], self.b[start:start + 4 * dim]
+            lead = np.arange(dim) * (dim + 1) if start == 0 else a[:0]
+            cols = np.concatenate([lead, a, b])
+            m, n = lead.size, a.size
+            self.blocks.append((cols, *np.divmod(cols, dim), slice(m, m + n), slice(m + n, None)))
 
     def matrices(self, x):
-        """The D x D matrices of coordinate vectors x, one per row, as a
+        """The D x D matrices U x of coordinate vectors x, one per row, as a
         stack (k, D, D); a single vector gives a stack of one."""
-        return self.vec(x.T).T.reshape(-1, self.dim, self.dim)
+        v = _unmix(np.array(x.T, dtype=complex), self.a, self.b, 1j)
+        return v.T.reshape(-1, self.dim, self.dim)
 
     def coordinates(self, m):
-        """The coordinate vectors of a stack of D x D matrices, one per row."""
-        return self.coords(m.reshape(len(m), -1).T).T
+        """The coordinates U^dag vec(M) of a D x D matrix M, or of each
+        matrix of a stack (k, D, D), one per row."""
+        v = m.reshape(-1) if m.ndim == 2 else m.reshape(len(m), -1).T
+        return _mix(np.array(v, dtype=complex), self.a, self.b, -1j).T
 
     def act(self, terms, f, x):
         """The `action` of a table on coordinate vectors x, one per row (or
         x alone), as coordinates, one per row."""
         return self.coordinates(action(terms, f, self.matrices(x)))
 
-    def transform(self, m):
-        """U^dag m U: a row-stacked superoperator matrix in this basis (real
-        up to roundoff when the superoperator preserves Hermiticity)."""
-        return self._mix(self._mix(np.array(m, dtype=complex), 1j, 1), -1j, 0)
-
-    def rowstacked(self, x):
-        """U x U^dag: the row-stacked matrix of a superoperator x given in
-        this basis, the inverse of `transform`."""
-        return self._unmix(self._unmix(np.array(x, dtype=complex), -1j, 1), 1j, 0)
+    def dense(self, terms, f):
+        """The real D^2 x D^2 matrix U^dag S U of the table's map S, built
+        in column blocks (`blocks`) so that no complex D^2 x D^2 array is
+        formed: each block sums its Kronecker columns (`_columns`) of the
+        fields f[a] and conj(f[b]), mixes its paired columns, then its rows,
+        and keeps the real part (every table whose matrix is read preserves
+        Hermiticity).  Each entry is the same products, sums and 2 x 2 mixes
+        whatever the block size."""
+        out = np.empty((self.dim ** 2,) * 2)
+        right = {b: np.conj(f[b]) for _, b in terms}
+        for cols, j, l, a, b in self.blocks:
+            block = _columns(terms, f, right, j, l)
+            _mix(block.T, a, b, 1j)
+            _mix(block, self.a, self.b, -1j)
+            out[:, cols] = block.real
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -261,11 +240,11 @@ def hermitian_basis(dim):
 @dataclass(frozen=True)
 class Superoperator:
     """rho -> sum over (a, b) in terms of f[a] rho f[b]^dag over the table
-    `fields`, with its dense forms computed when first read: mat, the
-    row-stacked matrix (`superop`); hmat, mat in the Hermitian basis, real
-    (every map whose hmat is read preserves Hermiticity) and contiguous;
-    scale, the term norm sum ||f[a]||_1 ||f[b]||_1, which bounds ||mat||_1
-    but is not roundoff where the terms cancel (the generator at D = 1)."""
+    `fields`, with its one dense form and its norm computed when first
+    read: hmat, its real matrix in the Hermitian basis (`HermitianBasis.dense`);
+    scale, the term norm sum ||f[a]||_1 ||f[b]||_1, which bounds the map's
+    1-norm, and D times it every entry of hmat, but is not roundoff where
+    the terms cancel (the generator at D = 1)."""
 
     terms: tuple
     fields: dict
@@ -275,12 +254,8 @@ class Superoperator:
         return self.fields[self.terms[0][0]].shape[0]
 
     @cached_property
-    def mat(self):
-        return superop(self.terms, self.fields)
-
-    @cached_property
     def hmat(self):
-        return np.ascontiguousarray(hermitian_basis(self.dim).transform(self.mat).real)
+        return hermitian_basis(self.dim).dense(self.terms, self.fields)
 
     @cached_property
     def scale(self):
@@ -361,7 +336,7 @@ class SpectralData:
 
 
 def build_liouvillian(K, R):
-    """Assemble the vectorized generator for matrices (K, R).
+    """The generator of (K, R), the `Superoperator` of `GENERATOR`.
 
     K is assumed Hermitian (validated upstream by `new_cmps`); shapes must
     agree.
@@ -373,12 +348,24 @@ def build_liouvillian(K, R):
     return Superoperator(GENERATOR, fields(K, R))
 
 
-def exponential(hmat, dx):
-    """exp(hmat dx) of a real Hermitian-basis matrix, by `scipy.linalg.expm`
-    looked up when called.  A result that is not finite (an exponent too
-    large for expm) is refused as NoConvergenceError, before any reader
-    turns it into nan values or a failed eigensolve."""
-    e = scipy.linalg.expm(hmat * dx)
+def exponent(op, dx):
+    """hmat dx of a `Superoperator`, refused as NoConvergenceError before it
+    is formed when it could overflow: |dx| > 1 and D x scale x |dx|, which
+    bounds its entries, is not finite.  A step of at most 1 cannot enlarge
+    an entry, so it reads no term norm."""
+    step = abs(float(dx))
+    if step > 1.0 and not math.isfinite(op.dim * op.scale * step):
+        raise NoConvergenceError(f"the exponent at step {dx} overflows")
+    return op.hmat * dx
+
+
+def exponential(op, dx):
+    """exp(L dx) of a `Superoperator` L, from its real matrix hmat by
+    `scipy.linalg.expm` looked up when called.  An exponent that overflows
+    (`exponent`) or a result that is not finite (an exponent too large for
+    expm) is refused as NoConvergenceError, before any reader turns it into
+    nan values or a failed eigensolve."""
+    e = scipy.linalg.expm(exponent(op, dx))
     if not np.isfinite(e).all():
         raise NoConvergenceError(f"the exponential at step {dx} is not finite")
     return e
@@ -386,8 +373,8 @@ def exponential(hmat, dx):
 
 def bordered_lu(hmat, shift, weight):
     """LAPACK dgetrf's (lu, piv, info) of B = hmat - shift + weight e <1|,
-    e = vec(1)/D, written into one Fortran copy of the real Hermitian-basis
-    matrix hmat, where <1| and vec(1) are 1 at the coordinates j (D + 1).
+    e = |1>/D, written into one Fortran copy of the real Hermitian-basis
+    matrix hmat, where <1| and |1> are 1 at the coordinates j (D + 1).
 
     For a generator L with shift 0 and weight c, B is invertible exactly
     when the fixed space of L is one-dimensional; as <1| L = 0 and
@@ -401,11 +388,11 @@ def bordered_lu(hmat, shift, weight):
     return scipy.linalg.lapack.dgetrf(b, overwrite_a=1)
 
 
-def steady_state(superop, tol=Tolerances()):
+def steady_state(generator, tol=Tolerances()):
     """Unique fixed point of the generator, certified from one LU factorization.
 
     The real bordered matrix B = L + c e <1|, c the term norm
-    `superop.scale`, is factored once (`bordered_lu`), and the fixed point
+    `generator.scale`, is factored once (`bordered_lu`), and the fixed point
     solves B x = c e (so <1|x> = 1 and L x = 0); its coordinates are real,
     so it is Hermitian exactly, and it is trace-normalized.  B is
     invertible exactly when the fixed space is one-dimensional, and every
@@ -413,30 +400,31 @@ def steady_state(superop, tol=Tolerances()):
     so ||B^-1||_1 >= 1 / |lambda|.  An exactly singular B, or one whose
     ||B^-1||_1 (dgecon's estimate, told ||B||_1 = 1) times c reaches
     1 / tol.zero_real, raises
-    DegenerateFixedSpaceError.  The residual ||L rho||_max, taken on the
-    row-stacked `mat`, must not exceed tol.residual times the term norm.
+    DegenerateFixedSpaceError.  The residual ||L rho||_max, from the
+    table's `action` on rho at O(D^3), must not exceed tol.residual times
+    the term norm.
     No spectrum is computed here: `SpectralData` computes it when read.
     """
-    if not np.isfinite(superop.scale):
+    if not np.isfinite(generator.scale):
         raise NoConvergenceError("generator has non-finite entries")
-    lu, piv, info = bordered_lu(superop.hmat, 0.0, superop.scale)
+    lu, piv, info = bordered_lu(generator.hmat, 0.0, generator.scale)
     if info > 0:
         raise DegenerateFixedSpaceError(
             "fixed space is degenerate (the bordered generator is singular);"
             " stationary quantities are ill-defined")
     rcond, _ = scipy.linalg.lapack.dgecon(lu, 1.0, norm="1")
-    if rcond <= tol.zero_real * superop.scale:
+    if rcond <= tol.zero_real * generator.scale:
         raise DegenerateFixedSpaceError(
             f"fixed space is degenerate (||B^-1||_1 x term norm reaches"
             f" 1 / {tol.zero_real}); stationary quantities are ill-defined")
 
-    one = trace_functional(superop.dim).real
-    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, one * (superop.scale / superop.dim))
-    rho = devectorize(hermitian_basis(superop.dim).vec(x))
+    one = trace_functional(generator.dim).real
+    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, one * (generator.scale / generator.dim))
+    rho = hermitian_basis(generator.dim).matrices(x)[0]
     rho = rho / np.trace(rho).real
 
-    residual = np.abs(superop.mat @ vectorize(rho)).max()
-    limit = tol.residual * superop.scale
+    residual = np.abs(action(generator.terms, generator.fields, rho)).max()
+    limit = tol.residual * generator.scale
     if residual > limit:
         raise NoConvergenceError(
             f"fixed-point residual {residual:.3e} above {limit:.3e}"
@@ -445,29 +433,25 @@ def steady_state(superop, tol=Tolerances()):
     for arr in (rho, lu, piv):
         arr.setflags(write=False)
     return SpectralData(
-        generator=superop,
+        generator=generator,
         steady_state=rho,
-        zero_real_tol=tol.zero_real * superop.scale,
+        zero_real_tol=tol.zero_real * generator.scale,
         lu=lu,
         piv=piv,
     )
 
 
-def choi_matrix(channel_mat):
-    """Reshuffle a row-stacking channel matrix into its Choi matrix.
-
-    The channel is completely positive iff the Choi matrix is PSD; the
-    returned matrix is Hermitized before any eigenvalue test the caller
-    runs.
-    """
-    channel_mat = np.asarray(channel_mat, dtype=complex)
-    n = channel_mat.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n or channel_mat.shape != (n, n):
+def choi_min_eigenvalue(x):
+    """Least eigenvalue of the Choi matrix sum_jk E_jk kron S(E_jk) of a
+    channel S given by its real matrix x in the Hermitian basis; S is
+    completely positive iff it is >= 0.  x is mixed back to matrix units,
+    U x U^dag, by the 2 x 2 mixes at O(D^4), reshuffled and Hermitized."""
+    n = x.shape[0]
+    d = math.isqrt(n)
+    if d * d != n or x.shape != (n, n):
         raise ShapeMismatchError("channel matrix must be D^2 x D^2")
-    c = channel_mat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
-    return (c + c.conj().T) / 2
-
-
-def choi_min_eigenvalue(channel_mat):
-    return float(np.linalg.eigvalsh(choi_matrix(channel_mat)).min())
+    basis, m = hermitian_basis(d), np.array(x, dtype=complex)
+    _unmix(m.T, basis.a, basis.b, -1j)
+    _unmix(m, basis.a, basis.b, 1j)
+    c = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    return float(np.linalg.eigvalsh((c + c.conj().T) / 2).min())

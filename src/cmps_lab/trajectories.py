@@ -49,6 +49,12 @@ from .liouville import fields
 EIG_COND_LIMIT = 1e3
 # relative accuracy of each sampled waiting time
 WAIT_RTOL = 1e-12
+# largest ||Q||_1 x span of no-jump evolution sampled or evaluated: the
+# phase of exp(Q tau) is rounded by about ||Q|| tau 2^-53, and the driven
+# emitter's sampled rate (K = k sigma_x / 2, R = sigma_-, length 10) is bit
+# for bit the weakly driven one up to 1e13, drifts from 2.5e13 on and is
+# wrong without a warning from 5e15
+PHASE_LIMIT = 1e13
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,19 @@ class TrajectoryStats:
     n_conditioning_jumps: int
 
 
-def _no_jump_generator(params):
-    """Q, refused as NoConvergenceError when its fields overflow."""
+def _no_jump_generator(params, span):
+    """Q, refused as NoConvergenceError when its fields overflow or when
+    ||Q||_1 x span, the longest no-jump evolution asked for, exceeds
+    PHASE_LIMIT."""
     q = fields(params.K, params.R)["Q"]
     if not np.isfinite(q).all():
         raise NoConvergenceError("no-jump generator Q has non-finite entries")
+    with np.errstate(over="ignore"):
+        phase = float(np.abs(q).sum(axis=0).max()) * span
+    if phase > PHASE_LIMIT:
+        raise NoConvergenceError(
+            f"||Q||_1 x {span:g} = {phase:.3e} exceeds {PHASE_LIMIT:g}: the no-jump"
+            f" evolution is not resolved in double precision")
     return q
 
 
@@ -148,7 +162,8 @@ def _quadratic(mat, vecs):
 
 
 class _NoJumpFlow:
-    """exp(Q tau) on a batch of states held in coordinates z = V^-1 phi.
+    """exp(Q tau), 0 <= tau <= length, on a batch of states held in
+    coordinates z = V^-1 phi.
 
     V diagonalizes Q when it is well conditioned, and propagation is then
     elementwise; otherwise V is the identity and each row takes its own
@@ -157,8 +172,8 @@ class _NoJumpFlow:
     propagated (unnormalized) row.
     """
 
-    def __init__(self, params):
-        q = _no_jump_generator(params)
+    def __init__(self, params, length):
+        q = _no_jump_generator(params, length)
         lam, vecs = np.linalg.eig(q)
         if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
             self.lam, self.q, basis = lam, None, vecs
@@ -258,7 +273,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     if master_seed < 0 or first_index < 0:
         raise ValidationError(
             f"master_seed and first_index must be >= 0, got {master_seed} and {first_index}")
-    flow = _NoJumpFlow(params)
+    flow = _NoJumpFlow(params, length)
     cum, vecs = _initial_ensemble(params)
     indices = [first_index + i for i in range(n_traj)]
     uniforms = _Uniforms([_stream(master_seed, i) for i in indices])
@@ -472,7 +487,7 @@ def _no_jump_oracle(params, taus, initial, weight, dark):
     rho0 = _resolve_initial(params, initial)
     if rho0 is None:
         return np.full_like(taus, dark)
-    q = _no_jump_generator(params)
+    q = _no_jump_generator(params, taus.max(initial=0.0))
     out = np.empty(taus.shape)
     for i, tau in enumerate(taus.ravel()):
         prop = scipy.linalg.expm(q * tau)

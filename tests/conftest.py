@@ -1,4 +1,7 @@
-"""Shared instances and random-matrix helpers for the test suite."""
+"""Shared instances, random-matrix helpers and the row-stacked reference
+for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +34,57 @@ def rand_herm(n, rng):
 
 def rand_mat(n, rng):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+# -- the row-stacked reference.  The package's one dense form is the
+# Hermitian basis; these independent references flatten a matrix row-major
+# (entry (j, k) at j D + k) and write the map rho -> sum f[a] rho f[b]^dag
+# of a table as a sum of Kronecker products.
+
+
+def vec(m):
+    """Row-major flattening of a matrix."""
+    return np.asarray(m, dtype=complex).reshape(-1)
+
+
+def unvec(v):
+    """The D x D matrix of a row-stacked vector."""
+    d = math.isqrt(v.size)
+    return v.reshape(d, d)
+
+
+def kron_map(terms, f):
+    """Row-stacked matrix of a table: vec(a rho b^dag) = (a kron conj b) vec(rho)."""
+    return sum(np.kron(f[a], np.conj(f[b])) for a, b in terms)
+
+
+def basis_unitary(d):
+    """The Hermitian basis as a dense unitary, column by column from its
+    definition: vec(E_jj), and for j < k, with a = j D + k and b = k D + j,
+    vec((E_jk + E_kj)/sqrt 2) and vec(i (E_jk - E_kj)/sqrt 2)."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    r = math.sqrt(0.5)
+    for j in range(d):
+        u[j * d + j, j * d + j] = 1.0
+        for k in range(j + 1, d):
+            a, b = j * d + k, k * d + j
+            u[a, a] = u[b, a] = r
+            u[a, b], u[b, b] = 1j * r, -1j * r
+    return u
+
+
+def hmat_reference(terms, f):
+    """Re(U^dag S U) of a table, with U and S built densely."""
+    d = next(iter(f.values())).shape[0]
+    u = basis_unitary(d)
+    return (u.conj().T @ kron_map(terms, f) @ u).real
+
+
+def choi_reference(channel):
+    """Choi matrix sum_jk E_jk kron S(E_jk) of a row-stacked channel matrix."""
+    n = channel.shape[0]
+    d = math.isqrt(n)
+    return channel.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def coupled_blocks(t, coupling="K", seed=0):

@@ -33,13 +33,12 @@ from cmps_lab import (
     trace_functional,
     transfer_matrix,
     two_point,
-    vectorize,
 )
 from cmps_lab.cli import main
 from cmps_lab.correlators import INSERTIONS
-from cmps_lab.liouville import choi_min_eigenvalue, fields, superop
+from cmps_lab.liouville import GENERATOR, choi_min_eigenvalue, fields
 
-from conftest import RF_K, RF_R, rand_herm, rand_mat, random_instance
+from conftest import RF_K, RF_R, kron_map, rand_herm, rand_mat, random_instance, vec
 
 
 def _report(num, label, details):
@@ -72,8 +71,8 @@ def test_criterion_02_generator_trace_and_positivity():
     for seed in range(100):
         p = random_instance(seed, dims=(2, 7))
         lv = build_liouvillian(p.K, p.R)
-        defect = np.abs(trace_functional(p.dim) @ lv.mat).max()
-        channel = scipy.linalg.expm(lv.mat * 0.1)
+        defect = np.abs(trace_functional(p.dim).real @ lv.hmat).max()
+        channel = scipy.linalg.expm(lv.hmat * 0.1)
         low = choi_min_eigenvalue(channel)
         worst_trace = max(worst_trace, float(defect))
         worst_choi = min(worst_choi, low)
@@ -89,8 +88,8 @@ def test_criterion_03_vacuum_moments_reduce_to_jump_form():
     worst = 0.0
     for seed in range(200, 250):
         p = random_instance(seed)
-        general = build_general_generator(p.K, p.R, vacuum).mat
-        bare = build_liouvillian(p.K, p.R).mat
+        general = build_general_generator(p.K, p.R, vacuum).hmat
+        bare = build_liouvillian(p.K, p.R).hmat
         worst = max(worst, float(np.abs(general - bare).max()))
     _report(3, "vacuum reduction", f"50 instances, worst entry difference {worst:.2e}")
     assert worst < 1e-12
@@ -105,8 +104,8 @@ def test_criterion_04_lattice_refinement_orders(rf):
         tensors = lattice_tensors(rf, eps)
         occ = lattice_correlators(tensors, "occupation")
         dens_errors.append(abs(float(occ) - 1.0 / 3.0))
-        emat = transfer_matrix(tensors).mat
-        defects.append(float(np.linalg.norm(emat - eye - eps * lv.mat)))
+        emat = transfer_matrix(tensors).hmat
+        defects.append(float(np.linalg.norm(emat - eye - eps * lv.hmat)))
     dens_ratios = [dens_errors[i] / dens_errors[i + 1] for i in range(2)]
     defect_ratios = [defects[i] / defects[i + 1] for i in range(2)]
     _report(4, "continuum refinement",
@@ -129,11 +128,11 @@ def _slow_mode_window(params):
     """
     lv = build_liouvillian(params.K, params.R)
     data = steady_state(lv)
-    evals, vecs = np.linalg.eig(lv.mat)
-    winv = np.linalg.inv(vecs)
     f = fields(params.K, params.R)
-    row = trace_functional(params.dim) @ superop(INSERTIONS["annihilate"], f)
-    col = superop(INSERTIONS["create"], f) @ vectorize(data.steady_state)
+    evals, vecs = np.linalg.eig(kron_map(GENERATOR, f))
+    winv = np.linalg.inv(vecs)
+    row = trace_functional(params.dim) @ kron_map(INSERTIONS["annihilate"], f)
+    col = kron_map(INSERTIONS["create"], f) @ vec(data.steady_state)
     coefs = (row @ vecs) * (winv @ col)
     zero_idx = int(np.argmin(np.abs(evals)))
     keep = [k for k in range(evals.size) if k != zero_idx and abs(coefs[k]) > 1e-12]

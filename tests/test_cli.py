@@ -715,6 +715,19 @@ def _assert_numerical_failure_under_warnings_as_errors(tmp_path, command, cfg, m
     assert not out.exists()
 
 
+def test_a_drive_the_sampler_cannot_resolve_exits_2_before_any_warning(tmp_path):
+    # K = 1e20 sigma_x / 2 over a record of length 10: ||Q||_1 x length is
+    # far above what a sampled waiting time resolves
+    cfg = {"model": {"dim": 2, "K": {"re": [[0.0, 5e19], [5e19, 0.0]]}, "R": DAMP_MODEL["R"]},
+           "geometry": "finite", "length": 10.0,
+           "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]},
+           "n_traj": 200, "seed": 3, "bins": [0.0, 1.0]}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "trajectories", cfg,
+        "||Q||_1 x 10 = 5.000e+20 exceeds 1e+13: the no-jump evolution is not resolved"
+        " in double precision")
+
+
 # K = 1e50 sigma_x / 2: exp(L dx) is nan.  correlate wrote the row
 # "0.5,nan,nan" and exited 0; lindblad-check exited 1 with a traceback
 # from the Choi eigensolve

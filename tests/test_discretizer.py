@@ -21,7 +21,7 @@ from cmps_lab import (
 import cmps_lab
 from cmps_lab import core, correlators, discretizer, liouville
 from cmps_lab.discretizer import _dominant_pair
-from cmps_lab.liouville import build_liouvillian, fields, hermitian_basis
+from cmps_lab.liouville import build_liouvillian, fields
 from cmps_lab.errors import (
     NoConvergenceError,
     ShapeMismatchError,
@@ -30,7 +30,16 @@ from cmps_lab.errors import (
     WindowTooSmallError,
 )
 
-from conftest import EXCITED, RF_K, RF_R, rand_herm, rand_mat, random_instance
+from conftest import (
+    EXCITED,
+    RF_K,
+    RF_R,
+    hmat_reference,
+    kron_map,
+    rand_herm,
+    rand_mat,
+    random_instance,
+)
 
 
 def _windowed(p, eps, n_sites, rho0, order=1):
@@ -72,10 +81,10 @@ def test_non_finite_lattice_steps_are_bad_input(rf, bad):
 
 def test_transfer_defect_second_order(rf):
     # E = 1 + eps L + O(eps^2): the defect must shrink by 4 per eps halving
-    L = build_liouvillian(RF_K, RF_R).mat
+    L = build_liouvillian(RF_K, RF_R).hmat
     prev = None
     for eps in (0.01, 0.005, 0.0025):
-        E = transfer_matrix(lattice_tensors(rf, eps)).mat
+        E = transfer_matrix(lattice_tensors(rf, eps)).hmat
         defect = np.abs(E - np.eye(4) - eps * L).max()
         if prev is not None:
             assert 2.8 < prev / defect < 5.2
@@ -85,8 +94,8 @@ def test_transfer_defect_second_order(rf):
 def test_transfer_trace_fixed_point(rf):
     # trace row is an exact left fixed point up to the eps^2 defect
     eps = 0.01
-    E = transfer_matrix(lattice_tensors(rf, eps)).mat
-    tr = np.eye(2).reshape(-1)
+    E = transfer_matrix(lattice_tensors(rf, eps)).hmat
+    tr = np.eye(2).reshape(-1)  # <1| reads the diagonal coordinates
     assert np.abs(tr @ E - tr).max() < 10 * eps**2
 
 
@@ -142,8 +151,8 @@ def test_coherent_lattice_values_exact_to_derived_order(coherent):
 def test_order_two_coincides_on_nilpotent_emission(rf):
     # R^2 = 0 here, so the two-particle tensor vanishes identically
     eps = 0.005
-    e1 = transfer_matrix(lattice_tensors(rf, eps, order=1)).mat
-    e2 = transfer_matrix(lattice_tensors(rf, eps, order=2)).mat
+    e1 = transfer_matrix(lattice_tensors(rf, eps, order=1)).hmat
+    e2 = transfer_matrix(lattice_tensors(rf, eps, order=2)).hmat
     assert np.array_equal(e1, e2)
 
 
@@ -151,8 +160,8 @@ def test_order_two_adds_pair_channel_and_stays_first_order():
     rng = np.random.default_rng(31)
     p = new_cmps(2, rand_herm(2, rng), 0.8 * rand_mat(2, rng))
     eps = 0.01
-    e1 = transfer_matrix(lattice_tensors(p, eps, order=1)).mat
-    e2 = transfer_matrix(lattice_tensors(p, eps, order=2)).mat
+    e1, e2 = (transfer_matrix(lattice_tensors(p, eps, order=order)) for order in (1, 2))
+    e1, e2 = kron_map(e1.terms, e1.fields), kron_map(e2.terms, e2.fields)
     r2 = p.R @ p.R
     extra = (eps**2 / 2.0) * np.kron(r2, r2.conj())
     assert np.abs(e2 - e1 - extra).max() < 1e-15
@@ -260,7 +269,7 @@ def test_finite_occupation_matches_site_by_site_chain(n_sites):
     p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
     t = _windowed(p, 0.05, n_sites, rho0)
-    emat = transfer_matrix(t).mat
+    emat = kron_map(transfer_matrix(t).terms, t.fields)
     number = np.kron(t.matrices[1], t.matrices[1].conj())
     w = np.eye(d, dtype=complex).reshape(-1)
     tails = [w]
@@ -435,10 +444,8 @@ def test_transfer_fixed_point_refusals(rf, monkeypatch):
 
 def test_transfer_hmat_is_the_real_hermitian_basis_image(rf):
     tm = transfer_matrix(lattice_tensors(rf, 0.01, order=2))
-    basis = hermitian_basis(2)
     assert tm.hmat.dtype == np.float64
-    assert np.array_equal(tm.hmat, basis.transform(tm.mat).real)
-    assert np.abs(basis.rowstacked(tm.hmat) - tm.mat).max() < 1e-15
+    assert np.abs(tm.hmat - hmat_reference(tm.terms, tm.fields)).max() < 1e-15
 
 
 def test_degenerate_transfer_fixed_points_still_raise():
@@ -496,19 +503,16 @@ def test_unsorted_and_repeated_distances_match_the_reference(order):
 
 def test_lattice_oracle_builds_only_the_transfer_matrix(monkeypatch):
     # the oracle is independent of the continuum calculus: no generator and
-    # no exponential.  Its one D^2 x D^2 map is E, whose order + 1 sandwiches
-    # are its only ones and whose hmat is its only basis transform; the
-    # estimators act on D x D matrices
+    # no exponential.  Its one D^2 x D^2 map is E, of order + 1 terms, built
+    # by one call of the one builder; the estimators act on D x D matrices
     d = 4
     rng = np.random.default_rng(19)
     p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    built, moved, continuum = [], [], []
-    sandwich, transform = liouville.sandwich, liouville.HermitianBasis.transform
-    monkeypatch.setattr(liouville, "sandwich",
-                        lambda a, b: built.append(a.shape) or sandwich(a, b))
-    monkeypatch.setattr(liouville.HermitianBasis, "transform",
-                        lambda self, m: moved.append(m.shape) or transform(self, m))
+    built, continuum = [], []
+    dense = liouville.HermitianBasis.dense
+    monkeypatch.setattr(liouville.HermitianBasis, "dense",
+                        lambda self, terms, f: built.append(len(terms)) or dense(self, terms, f))
     for module, name in ((liouville, "build_liouvillian"), (core, "build_liouvillian"),
                          (correlators, "build_liouvillian"), (cmps_lab, "build_liouvillian"),
                          (scipy.linalg, "expm"), (scipy.linalg, "expm_frechet"),
@@ -523,10 +527,8 @@ def test_lattice_oracle_builds_only_the_transfer_matrix(monkeypatch):
                                           ("pair", [5, 2])):
                 t = _windowed(p, 0.05, n_sites, rho0, order)
                 built.clear()
-                moved.clear()
                 lattice_correlators(t, observable, distances=distances)
-                assert built == [(d, d)] * (order + 1), (order, observable)
-                assert moved == [(d * d, d * d)], (order, observable)
+                assert built == [order + 1], (order, observable)
     assert continuum == []
 
 

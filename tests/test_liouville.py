@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,16 +9,14 @@ import scipy.linalg.lapack
 
 from cmps_lab import (
     build_liouvillian,
-    choi_matrix,
     choi_min_eigenvalue,
     density,
-    devectorize,
     family_derivative,
     kinetic_density,
     new_cmps,
     steady_state,
     trace_functional,
-    vectorize,
+    two_point,
 )
 from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
 from cmps_lab.correlators import INSERTIONS, _Chain
@@ -24,53 +24,59 @@ from cmps_lab.liouville import (
     GENERATOR,
     Superoperator,
     Tolerances,
+    _columns,
     action,
     action_adjoint,
     bordered_lu,
+    exponent,
     exponential,
     fields,
     fields_tangent,
     hermitian_basis,
-    sandwich,
-    superop,
     tangent_terms,
 )
 
-from conftest import DAMP_K, DAMP_R, RF_K, RF_R, coupled_blocks, rand_herm, rand_mat
-
-
-def test_vectorize_roundtrip():
-    rng = np.random.default_rng(1)
-    m = rand_mat(4, rng)
-    assert np.array_equal(devectorize(vectorize(m)), m)
-    # row-stacking: vec Amat B = (A kron B^T) vec(mat)
-    a, b = rand_mat(4, rng), rand_mat(4, rng)
-    lhs = vectorize(a @ m @ b)
-    rhs = np.kron(a, b.T) @ vectorize(m)
-    assert np.abs(lhs - rhs).max() < 1e-12
+from conftest import (
+    DAMP_K,
+    DAMP_R,
+    RF_K,
+    RF_R,
+    basis_unitary,
+    choi_reference,
+    coupled_blocks,
+    hmat_reference,
+    kron_map,
+    rand_herm,
+    rand_mat,
+    unvec,
+    vec,
+)
 
 
 def test_trace_functional_is_left_null_vector():
     for seed in range(8):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 7))
-        L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng)).mat
-        assert np.abs(trace_functional(d) @ L).max() < 1e-12 * max(1.0, np.abs(L).max())
+        L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng)).hmat
+        assert np.abs(trace_functional(d).real @ L).max() < 1e-12 * max(1.0, np.abs(L).max())
 
 
 def test_liouvillian_matches_dense_action():
-    # L vec(rho) must equal vec of the master-equation right-hand side
+    # L rho must equal the master-equation right-hand side, in coordinates
+    # and in the row-stacked reference the other tests compare against
     rng = np.random.default_rng(7)
     d = 3
     K, R = rand_herm(d, rng), rand_mat(d, rng)
-    L = build_liouvillian(K, R).mat
+    lv = build_liouvillian(K, R)
+    basis = hermitian_basis(d)
     rho = rand_mat(d, rng)
     rhs = (
         -1j * (K @ rho - rho @ K)
         + R @ rho @ R.conj().T
         - 0.5 * (R.conj().T @ R @ rho + rho @ R.conj().T @ R)
     )
-    assert np.abs(devectorize(L @ vectorize(rho)) - rhs).max() < 1e-12
+    assert np.abs(basis.matrices(lv.hmat @ basis.coordinates(rho))[0] - rhs).max() < 1e-12
+    assert np.abs(unvec(kron_map(lv.terms, lv.fields) @ vec(rho)) - rhs).max() < 1e-12
 
 
 def test_build_liouvillian_validates_shapes():
@@ -131,7 +137,7 @@ def test_steady_state_random_instances_are_density_matrices():
         rho = spec.steady_state
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-10
-        assert np.abs(devectorize(L.mat @ vectorize(rho))).max() < 1e-9
+        assert np.abs(unvec(kron_map(L.terms, L.fields) @ vec(rho))).max() < 1e-9
         assert spec.gap > 0
 
 
@@ -203,10 +209,10 @@ def test_fixed_space_decision_holds_in_every_length_unit(s):
         assert _bulk_refuses(s * k, np.sqrt(s) * r) == refused
 
 
-def _zero_mode_reference(superop):
+def _zero_mode_reference(lv):
     """Eigenvector of the eigenvalue closest to zero, Hermitized and trace-normalized."""
-    evals, evecs = np.linalg.eig(superop.mat)
-    rho = devectorize(evecs[:, np.argmin(np.abs(evals))])
+    evals, evecs = np.linalg.eig(kron_map(lv.terms, lv.fields))
+    rho = unvec(evecs[:, np.argmin(np.abs(evals))])
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
 
@@ -243,25 +249,30 @@ def test_propagation_preserves_trace_and_positivity():
     d = 3
     L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-    out = devectorize(scipy.linalg.expm(L.mat * 1.3) @ vectorize(rho))
+    basis = hermitian_basis(d)
+    out = basis.matrices(exponential(L, 1.3) @ basis.coordinates(rho))[0]
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-12
 
 
 def test_choi_positivity_random_channels():
+    # the Choi minimum read from the channel in coordinates is that of the
+    # row-stacked reference channel's Choi matrix
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         d = int(rng.integers(2, 6))
-        L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng)).mat
-        chan = scipy.linalg.expm(L * 0.1)
-        c = choi_matrix(chan)
+        L = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
+        c = choi_reference(scipy.linalg.expm(kron_map(L.terms, L.fields) * 0.1))
         assert np.abs(c - c.conj().T).max() < 1e-10
-        assert choi_min_eigenvalue(chan) > -1e-9
+        low = choi_min_eigenvalue(exponential(L, 0.1))
+        assert low > -1e-9
+        assert abs(low - np.linalg.eigvalsh((c + c.conj().T) / 2).min()) < 1e-12
         # trace-preserving channel: partial trace of Choi over the output
         # index gives the identity
-        d2 = int(np.sqrt(c.shape[0]))
-        pt = c.reshape(d2, d2, d2, d2).trace(axis1=0, axis2=2)
-        assert np.abs(pt - np.eye(d2)).max() < 1e-10
+        pt = c.reshape(d, d, d, d).trace(axis1=0, axis2=2)
+        assert np.abs(pt - np.eye(d)).max() < 1e-10
+    with pytest.raises(ShapeMismatchError):
+        choi_min_eigenvalue(np.eye(3))
 
 
 def test_source_term_is_a_shift_of_q():
@@ -274,18 +285,58 @@ def test_source_term_is_a_shift_of_q():
     f = fields(p.K, p.R)
     coef = {"annihilate": lam, "create": np.conj(lam),
             "deriv_annihilate": mu, "deriv_create": np.conj(mu)}
-    source = sum(c * superop(INSERTIONS[k], f) for k, c in coef.items())
-    want = build_liouvillian(p.K, p.R).mat + source
-    got = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
+    source = sum(c * kron_map(INSERTIONS[k], f) for k, c in coef.items())
+    want = kron_map(GENERATOR, f) + source
+    got = kron_map(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_sandwich_is_the_kronecker_product(d):
+    # the columns that `HermitianBasis.dense` sums are those of
+    # np.kron(a, conj(b)), to the bit, for every column at once
     rng = np.random.default_rng(40 + d)
-    a, b = rand_mat(d, rng), rand_mat(d, rng)
-    assert np.array_equal(sandwich(a, b), np.kron(a, np.conj(b)))
-    assert np.array_equal(sandwich(np.eye(d), b), np.kron(np.eye(d), np.conj(b)))
+    f = {"a": rand_mat(d, rng), "b": rand_mat(d, rng), "1": np.eye(d)}
+    conj = {name: np.conj(x) for name, x in f.items()}
+    j, l = np.divmod(np.arange(d * d), d)
+    for a, b in (("a", "b"), ("1", "b")):
+        assert np.array_equal(_columns(((a, b),), f, conj, j, l), np.kron(f[a], np.conj(f[b])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 18])
+def test_dense_matches_the_kronecker_reference(d):
+    # hmat, built in column blocks, against Re(U^dag S U) with U and S
+    # built densely here; D = 18 spans three blocks of up to 4 D index pairs.
+    # Relative to the same product of |U| and the table of |f|, the
+    # roundoff scale of the dense reference
+    rng = np.random.default_rng(50 + d)
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    f = fields(k, r)
+    df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
+    lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
+    shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
+    u = np.abs(basis_unitary(d))
+    assert len(hermitian_basis(d).blocks) == max(1, math.ceil((d - 1) / 8))
+    for terms, table in ((GENERATOR, f), (tangent_terms(GENERATOR), f | df), (GENERATOR, shifted)):
+        got = Superoperator(terms, table).hmat
+        bound = u.T @ kron_map(terms, {n: np.abs(x) for n, x in table.items()}).real @ u
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.abs(got - hmat_reference(terms, table)).max() <= 1e-14 * bound.max()
+
+
+def test_building_hmat_holds_at_most_four_real_matrices():
+    # the complex row-stacked matrix and its basis change took eight real
+    # D^2 x D^2 arrays at D = 24; the column blocks keep the build under four
+    rng = np.random.default_rng(51)
+    d = 24
+    lv = build_liouvillian(rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    tracemalloc.start()
+    try:
+        lv.hmat
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (d * d) ** 2 * 8
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -294,33 +345,32 @@ def test_hermitian_basis_is_unitary_and_makes_generators_real(d):
     basis = hermitian_basis(d)
     n = d * d
     rng = np.random.default_rng(60 + d)
-    u = basis.vec(np.eye(n))
+    u = basis_unitary(d)
+    assert np.abs(basis.matrices(np.eye(n)).reshape(n, n).T - u).max() <= 1e-16
     assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert np.abs(basis.vec(basis.coords(v)) - v).max() <= 1e-15 * np.abs(v).max()
-    m = rand_mat(n, rng)
-    assert np.abs(basis.transform(m) - u.conj().T @ m @ u).max() <= 1e-14 * np.abs(m).max()
+    assert np.abs(basis.coordinates(basis.matrices(v))[0] - v).max() <= 1e-15 * np.abs(v).max()
     # the trace functional reads the diagonal, which the basis leaves alone
     assert np.array_equal(trace_functional(d) @ u, trace_functional(d))
     h = rand_herm(d, rng)
-    assert np.abs(basis.coords(vectorize(h)).imag).max() == 0.0
+    assert np.abs(basis.coordinates(h).imag).max() == 0.0
+    assert np.array_equal(basis.coordinates(h), basis.coordinates(h[None])[0])
 
     k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
     lv = build_liouvillian(k, r)
     f = fields(k, r)
     df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
     lam, mu = 0.7 - 0.4j, -0.3 + 1.1j
-    site = superop(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
-    for mat in (lv.mat, superop(tangent_terms(GENERATOR), f | df), site):
-        assert np.abs(basis.transform(mat).imag).max() <= 1e-14 * lv.scale
+    site = kron_map(GENERATOR, {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]})
+    for mat in (kron_map(GENERATOR, f), kron_map(tangent_terms(GENERATOR), f | df), site):
+        assert np.abs((u.conj().T @ mat @ u).imag).max() <= 1e-14 * lv.scale
     assert lv.hmat.dtype == np.float64
-    assert np.array_equal(lv.hmat, basis.transform(lv.mat).real)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_field_table_actions_match_the_dense_superoperators(d):
-    # `action`, its adjoint and the action of its `tangent_terms` are
-    # `superop`, its adjoint and the tangent terms' `superop` applied
+    # `action`, its adjoint and the action of its `tangent_terms` are the
+    # row-stacked reference, its adjoint and the tangent terms' applied
     # without being built, on one matrix and on a stack; a chain's
     # insertions and closing covectors are the same maps in the Hermitian
     # basis.  Relative to the sum of |term| |x| over the terms,
@@ -329,7 +379,7 @@ def test_field_table_actions_match_the_dense_superoperators(d):
     p = new_cmps(d, rand_herm(d, rng), rand_mat(d, rng))
     f = fields(p.K, p.R)
     df = fields_tangent(f, rand_herm(d, rng), rand_mat(d, rng))
-    chain, basis, one = _Chain(p), hermitian_basis(d), trace_functional(d)
+    chain, u, one = _Chain(p), basis_unitary(d), trace_functional(d)
     stack = np.array([rand_mat(d, rng) for _ in range(3)])
     rows = stack.reshape(3, d * d)  # row-stacked, one matrix per row
     coords = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
@@ -345,16 +395,16 @@ def test_field_table_actions_match_the_dense_superoperators(d):
     absdf = {name: np.abs(x) for name, x in df.items()}
     tables = {**INSERTIONS, "generator": GENERATOR}
     for kind, terms in tables.items():
-        s, ds = superop(terms, f), superop(tangent_terms(terms), f | df)
-        bound = superop(terms, absf)  # |sandwich(a, b)| = sandwich(|a|, |b|)
-        dbound = superop(tangent_terms(terms), absf | absdf)
+        s, ds = kron_map(terms, f), kron_map(tangent_terms(terms), f | df)
+        bound = kron_map(terms, absf)  # |kron(a, conj b)| = kron(|a|, |b|)
+        dbound = kron_map(tangent_terms(terms), absf | absdf)
         for dense, bnd, act in ((s, bound, lambda m: action(terms, f, m)),
                                 (s.conj().T, bound.T, lambda m: action_adjoint(terms, f, m)),
                                 (ds, dbound, lambda m: action(tangent_terms(terms), f | df, m))):
             close(act(stack).reshape(3, d * d), dense, rows, bnd)
             close(act(stack[0]).reshape(d * d), dense, rows[0], bnd)
         if kind in INSERTIONS:
-            h = basis.transform(s)
+            h = u.conj().T @ s @ u
             close(chain.act(kind, coords), h, coords)
             close(chain.act(kind, coords[0]), h, coords[0])
             close(chain.covector(kind), h.T, one)
@@ -377,9 +427,9 @@ def test_tangent_terms_match_a_central_difference_of_the_maps(d):
     stencil = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
     at = {j: fields(k + j * h * dk, r + j * h * dr) for j in stencil}
     for kind, terms in {**INSERTIONS, "generator": GENERATOR}.items():
-        got = Superoperator(tangent_terms(terms), moving).mat
-        want = sum(c * Superoperator(terms, at[j]).mat for j, c in stencil.items()) / (12 * h)
-        bound = sum(abs(c) * Superoperator(terms, {n: np.abs(x) for n, x in at[j].items()}).mat
+        got = kron_map(tangent_terms(terms), moving)
+        want = sum(c * kron_map(terms, at[j]) for j, c in stencil.items()) / (12 * h)
+        bound = sum(abs(c) * kron_map(terms, {n: np.abs(x) for n, x in at[j].items()})
                     for j, c in stencil.items()).max() / (12 * h)
         assert np.abs(got - want).max() <= 1e-14 * bound, kind
 
@@ -409,14 +459,37 @@ def test_the_exponential_keeps_expm_bits_and_refuses_a_non_finite_one(monkeypatc
     # one dense exponential for every reader: a finite result is expm's to
     # the bit, found through the module attribute that tracers and
     # monkeypatches replace; nan or inf in it is NoConvergenceError
-    hmat = build_liouvillian(RF_K, RF_R).hmat
-    assert np.array_equal(exponential(hmat, 0.7), scipy.linalg.expm(hmat * 0.7))
+    lv = build_liouvillian(RF_K, RF_R)
+    assert np.array_equal(exponential(lv, 0.7), scipy.linalg.expm(lv.hmat * 0.7))
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
-    exponential(hmat, 0.7)
+    exponential(lv, 0.7)
     assert calls == [(4, 4)]
     for bad in (np.nan, np.inf):
         monkeypatch.setattr(scipy.linalg, "expm", lambda a, _bad=bad: np.full_like(a, _bad))
         with pytest.raises(NoConvergenceError, match="exponential at step 0.7 is not finite"):
-            exponential(hmat, 0.7)
+            exponential(lv, 0.7)
+
+
+def test_an_exponent_that_would_overflow_is_refused_before_it_is_formed(monkeypatch):
+    # D x term norm x |dx| bounds every entry of hmat dx: where |dx| > 1 and
+    # the bound is not finite, the product is never formed, so no overflow
+    # warning fires.  Entry for entry, hmat stays inside that bound
+    rng = np.random.default_rng(52)
+    for d in (1, 2, 5):
+        lv = build_liouvillian(rand_herm(d, rng), rand_mat(d, rng))
+        assert np.abs(lv.hmat).max() <= d * lv.scale
+    lv = build_liouvillian(50.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), 10.0 * DAMP_R)
+    assert np.array_equal(exponent(lv, 0.5), lv.hmat * 0.5)
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("expm was called"))
+    for dx in (1e307, -1e307, np.float64(1e307)):
+        with pytest.raises(NoConvergenceError, match="exponent at step .* overflows"):
+            exponential(lv, dx)
+    p = new_cmps(2, 50.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), 10.0 * DAMP_R)
+    with pytest.raises(NoConvergenceError, match="overflows"):
+        two_point(p, [1e307])
+    # the Frechet legs of the family derivative form their exponents alike
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", lambda a, e: pytest.fail("expm_frechet"))
+    with pytest.raises(NoConvergenceError, match="exponent at step .* overflows"):
+        family_derivative(p, RF_K, RF_R, [(0.0, "create"), (1e307, "annihilate")])

@@ -9,7 +9,6 @@ from cmps_lab import (
     Finite,
     build_liouvillian,
     density,
-    devectorize,
     family_derivative,
     generating_functional,
     kinetic_density,
@@ -17,12 +16,11 @@ from cmps_lab import (
     pair_correlation,
     trace_functional,
     two_point,
-    vectorize,
 )
 from cmps_lab.correlators import INSERTIONS, SourceField
-from cmps_lab.liouville import GENERATOR, fields, fields_tangent, superop, tangent_terms
+from cmps_lab.liouville import GENERATOR, fields, fields_tangent, tangent_terms
 
-from conftest import rand_herm, rand_mat
+from conftest import kron_map, rand_herm, rand_mat, unvec, vec
 
 SEPARATIONS = np.array([0.0, 0.4, 1.3])
 
@@ -69,7 +67,8 @@ def _expm_and_frechet(a, e):
        geometry=st.sampled_from(["thermodynamic", "finite"]))
 def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geometry):
     # every chain of the package runs on the real generator of the Hermitian
-    # basis; the reference below propagates the row-stacked complex `mat`
+    # basis; the reference below propagates the row-stacked complex
+    # Kronecker matrix of each table
     rng = np.random.default_rng(seed)
     k, r = rand_herm(dim, rng), 0.7 * rand_mat(dim, rng)
     dk, dr = rand_herm(dim, rng), rand_mat(dim, rng)
@@ -82,12 +81,12 @@ def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geom
     else:
         p = new_cmps(dim, k, r)
     lv = build_liouvillian(k, r)
-    mat, one = lv.mat, trace_functional(dim)
     f = fields(p.K, p.R)
+    mat, one = kron_map(GENERATOR, f), trace_functional(dim)
     df = fields_tangent(f, dk, dr)
-    ins = {kind: superop(INSERTIONS[kind], f) for kind in INSERTIONS}
-    dins = {kind: superop(tangent_terms(INSERTIONS[kind]), f | df) for kind in INSERTIONS}
-    dmat = superop(tangent_terms(GENERATOR), f | df)
+    ins = {kind: kron_map(INSERTIONS[kind], f) for kind in INSERTIONS}
+    dins = {kind: kron_map(tangent_terms(INSERTIONS[kind]), f | df) for kind in INSERTIONS}
+    dmat = kron_map(tangent_terms(GENERATOR), f | df)
 
     def close(got, want, rel=1e-12):
         got, want = np.asarray(got), np.asarray(want)
@@ -96,7 +95,7 @@ def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geom
     # the fixed point and the spectrum, against the complex bordered solve
     border = np.outer(one * (lv.scale / dim), one)
     x = np.linalg.solve(mat + border, one * (lv.scale / dim))
-    rho_ss = devectorize(x)
+    rho_ss = unvec(x)
     rho_ss = (rho_ss + rho_ss.conj().T) / (2 * np.trace(rho_ss).real)
     close(p.stationary.steady_state, rho_ss)
     want = np.linalg.eigvals(mat)
@@ -105,7 +104,7 @@ def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geom
     assert np.abs(got[rows] - want[cols]).max() <= 1e-12 * lv.scale
 
     thermo = geometry == "thermodynamic"
-    start = vectorize(rho_ss if thermo else rho0)
+    start = vec(rho_ss if thermo else rho0)
 
     def closed(v, pos):
         # carry to the right edge of a finite window, trace, normalize
@@ -145,7 +144,7 @@ def test_real_calculus_matches_the_complex_row_stacked_reference(seed, dim, geom
     lam[2], mu[2], lam[5] = 0.4 - 0.3j, 0.2j, -0.5
     v = start
     for lr, mr in zip(lam, mu):
-        site = superop(GENERATOR, {**f, "Q": f["Q"] + lr * f["R"] + mr * f["X"]})
+        site = kron_map(GENERATOR, {**f, "Q": f["Q"] + lr * f["R"] + mr * f["X"]})
         v = scipy.linalg.expm(site * eps) @ v
     want = one @ v
     if not thermo:

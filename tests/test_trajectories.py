@@ -15,7 +15,6 @@ from cmps_lab import (
     Thermodynamic,
     build_liouvillian,
     density,
-    devectorize,
     estimate_stats,
     new_cmps,
     no_jump_survival,
@@ -24,7 +23,6 @@ from cmps_lab import (
     sample_trajectory,
     steady_state,
     two_point,
-    vectorize,
     waiting_bin_probs,
     waiting_time_analytic,
 )
@@ -36,7 +34,7 @@ from cmps_lab.errors import (
 )
 from cmps_lab.trajectories import _record_histograms, _stream
 
-from conftest import EXCITED, RF_K, RF_R, random_instance
+from conftest import DAMP_R, EXCITED, RF_K, RF_R, kron_map, random_instance, unvec, vec
 
 # the driven emitter at its exceptional point: Q = -i sigma_x / 4 - |e><e| / 2
 # has the double eigenvalue -1/4 and a single eigenvector
@@ -262,7 +260,7 @@ def test_finite_ensemble_tracks_driven_relaxation():
     p = new_cmps(2, RF_K, RF_R, Finite(length=4.0, boundary_rho=EXCITED))
     recs = sample_ensemble(p, 16000, 3.5, master_seed=88)
     lv = build_liouvillian(RF_K, RF_R)
-    v0 = vectorize(EXCITED)
+    mat, v0 = kron_map(lv.terms, lv.fields), vec(EXCITED)
     half = 0.125
     for center in (0.5, 1.5, 3.0):
         in_bin = np.array([np.count_nonzero(np.abs(r.positions - center) <= half)
@@ -271,7 +269,7 @@ def test_finite_ensemble_tracks_driven_relaxation():
         stderr = in_bin.std(ddof=1) / np.sqrt(in_bin.size) / (2 * half)
         grid = np.linspace(center - half, center + half, 61)
         exact = [
-            np.trace(RF_R @ devectorize(scipy.linalg.expm(lv.mat * s) @ v0) @ RF_R.conj().T).real
+            np.trace(RF_R @ unvec(scipy.linalg.expm(mat * s) @ v0) @ RF_R.conj().T).real
             for s in grid
         ]
         expected = np.trapezoid(exact, grid) / (2 * half)
@@ -371,6 +369,31 @@ def test_estimator_rejects_bin_edges_that_are_not_finite(edges):
     recs = [_record([1.0, 5.0]), _record([2.0])]
     with pytest.raises(ValidationError, match="bin edges must be a finite ascending 1d array, got"):
         estimate_stats(recs, edges)
+
+
+def test_a_drive_the_sampler_cannot_resolve_is_refused_before_any_propagation(monkeypatch):
+    # K = k sigma_x / 2, R = sigma_-: the density is 1/2 at strong drive.
+    # ||Q||_1 x length = 5e12 is sampled at that density; above PHASE_LIMIT
+    # = 1e13 the sampler and the no-jump oracle refuse the model before
+    # anything is propagated, so no warning fires even at k = 1e20
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    window = Finite(length=10.0, boundary_rho=np.eye(2) / 2)
+    weak, strong = (new_cmps(2, k * sx / 2, DAMP_R, window) for k in (1e2, 1e12))
+    rates = [np.mean([r.positions.size for r in sample_ensemble(p, 200, 10.0, 3)]) / 10.0
+             for p in (weak, strong)]
+    assert rates[0] == rates[1]
+    assert abs(rates[1] - 0.5) < 0.05
+    assert no_jump_survival(new_cmps(2, 5e12 * sx / 2, DAMP_R, window), [1.0])[0] >= 0.0
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("expm was called"))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("Q was diagonalized"))
+    for k in (5e12, 1e20):
+        p = new_cmps(2, k * sx / 2, DAMP_R, window)
+        for call in (lambda: sample_ensemble(p, 200, 10.0, 3),
+                     lambda: no_jump_survival(p, [0.0, 10.0]),
+                     lambda: waiting_time_analytic(p, [10.0]),
+                     lambda: waiting_bin_probs(p, [0.0, 5.0, 10.0])):
+            with pytest.raises(NoConvergenceError, match="not resolved in double precision"):
+                call()
 
 
 @pytest.mark.parametrize("geometry", [Thermodynamic(),
