@@ -41,7 +41,7 @@ from .discretizer import (
 )
 from .errors import ConfigError, NoConvergenceError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
-from .liouville import Tolerances, build_liouvillian
+from .liouville import Tolerances
 from .trajectories import estimate_stats, sample_ensemble
 
 # A schema maps each key of a JSON object to a _Key:
@@ -295,7 +295,7 @@ def _cmd_ll_energy(cfg, params, out_path):
 
 def _cmd_discretize(cfg, params, out_path):
     eps_list = np.asarray(cfg["epsilons"], dtype=float)
-    generator = build_liouvillian(params.K, params.R)
+    generator = params.generator
     if not np.isfinite(generator.scale):
         raise NoConvergenceError("generator has a non-finite term norm")
     eye = np.eye(generator.dim ** 2)

@@ -23,6 +23,7 @@ from .errors import (
     InvalidBoundaryStateError,
     NonHermitianKError,
     ShapeMismatchError,
+    StepNotPositiveError,
     ValidationError,
 )
 from .liouville import Tolerances, build_liouvillian, steady_state
@@ -35,6 +36,28 @@ def _integer(value, name):
             isinstance(value, numbers.Real) and float(value).is_integer()):
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _lattice_step(value, name):
+    """A lattice step as a float: finite (ValidationError) and positive."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise StepNotPositiveError(f"{name} must be positive, got {value}")
+    return value
+
+
+def finite_site_count(length, eps):
+    """Number of step-eps sites that tile a finite window of `length` exactly.
+
+    Exactly means to 1e-9 of the length, so the verdict holds in every
+    length unit.
+    """
+    n_sites = int(round(length / eps))
+    if n_sites < 1 or abs(n_sites * eps - length) > 1e-9 * length:
+        raise ShapeMismatchError(f"eps {eps} does not divide the length {length}")
+    return n_sites
 
 
 def _as_complex_matrix(m, name):
@@ -112,10 +135,14 @@ Geometry = Thermodynamic | Finite
 class CmpsParams:
     """Validated (dim, K, R, geometry, tol) bundle.  Arrays are read-only.
 
-    `stationary` is the unique fixed point of the generator
-    (`liouville.steady_state`: one LU factorization of the bordered
-    generator, no eigenvalues), computed once per parameter set on first
-    use and then shared by every consumer, with the generator it was
+    `generator` is the boundary generator of (K, R), the `Superoperator`
+    of `liouville.GENERATOR`, built on first use and shared, with its
+    matrix `hmat` and its term norm, by every exact reader: the fixed
+    point, the correlator chains of both geometries and the transfer
+    defect of `discretize`.  `stationary` is the unique fixed point of the
+    generator (`liouville.steady_state`: one LU factorization of the
+    bordered generator, no eigenvalues), computed once per parameter set on
+    first use and then shared by every consumer, with the generator it was
     certified on.  The spectrum rides on the same object and is computed
     only where it is read (`steady`, `gap`, `spectral_envelope`).  Both are
     certified against the set's own `tol`, whose thresholds are relative to
@@ -129,9 +156,13 @@ class CmpsParams:
     tol: Tolerances = Tolerances()
 
     @cached_property
+    def generator(self):
+        return build_liouvillian(self.K, self.R)
+
+    @cached_property
     def stationary(self):
         """SpectralData of the generator; raises when the fixed space is degenerate."""
-        return steady_state(build_liouvillian(self.K, self.R), self.tol)
+        return steady_state(self.generator, self.tol)
 
 
 def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):

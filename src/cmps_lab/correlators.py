@@ -23,10 +23,12 @@ place the dictionary is written.  Translation invariance makes the
 derivative insertions commutator form exact (no explicit x dependence of
 R).
 
-Every correlator walks its chain with one scan, `_Chain.scan`: the only
-place where exp(L dx) is applied to a vector.  It carries the opening
-state through ascending positions, applies each insertion as it passes
-it, and hands back the vector at requested stops.  In the thermodynamic
+Every correlator walks its chain with one scan, `_Chain.scan`, over the
+one generator of its parameter set (`CmpsParams.generator`): the only
+exact walk of the package.  It carries the opening state through
+ascending positions, takes each leg by the chain's one leg step, applies
+each insertion as it passes it, and hands back the vector at requested
+stops.  In the thermodynamic
 geometry the chain opens on the stationary state; in a finite geometry
 it opens on the boundary state at x = 0, and insertions are anchored at
 the left edge (the first insertion sits at x1 = 0 for separation grids).
@@ -39,12 +41,15 @@ not walked to its edge (Osborne, Eisert & Verstraete, PRL 105, 260401,
 Hermiticity, so each propagator exp(L dx) is the exponential of its real
 Hermitian-basis matrix `hmat`, as are the sourced sites of
 `generating_functional`, all by `liouville.exponential`, which refuses an
-exponent that would overflow and a result that is not finite; the vectors
-stay complex, because an insertion need not preserve Hermiticity.
-`family_derivative` walks the same legs forward once, carrying the
-tangent of the vector alongside it: each leg applies exp(L dx) together
-with its Frechet derivative (both real), so the derivative along a
-family of states needs no backward march and no quadrature.
+exponent that would overflow or that double precision does not resolve,
+and a result that is not finite; the vectors stay complex, because an
+insertion need not preserve Hermiticity.  `family_derivative` scans the
+same legs forward once on a chain that carries the tangent of the vector
+alongside it (`_TangentChain`, which overrides only the leg step and the
+insertion action): each leg applies exp(L dx) together with its Frechet
+derivative (both real, `liouville.exponential_frechet`), so the
+derivative along a family of states needs no backward march and no
+quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 <1| (R, 1) exp(L d) (1, R) |rho_ss>, each pair read as its
@@ -65,10 +70,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import Finite, Thermodynamic, _integer, _is_hermitian
-from .discretizer import _lattice_step, finite_site_count
+from .core import Thermodynamic, _integer, _is_hermitian, _lattice_step, finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
@@ -86,9 +89,8 @@ from .liouville import (
     Superoperator,
     action,
     action_adjoint,
-    build_liouvillian,
-    exponent,
     exponential,
+    exponential_frechet,
     fields_tangent,
     fixed_mode,
     hermitian_basis,
@@ -119,48 +121,48 @@ class CorrelatorResult:
 
 class _Chain:
     """Shared evaluation state: field table, generator, boundary vectors,
-    norm, one propagator.
+    norm, one leg memo.
 
-    A chain is walked as a list of legs (dx, op) by `scan`, which carries
-    one vector or a (k, D^2) block of vectors, one per row, as
-    `HermitianBasis.act` does: propagate every row by exp(L dx), then apply
-    op, which is an `INSERTIONS` kind name, a site (a sequence of
-    (superoperator matrix, rows) pairs that together cover the block's rows,
-    each matrix applied to its rows), None (nothing) or STOP (hand back the
-    vector or block there).  A kind is never built as a matrix: `act`
+    A chain is walked as a list of legs (dx, op), from `legs`, by `scan`,
+    which carries one vector or a (k, D^2) block of vectors, one per row,
+    as `HermitianBasis.act` does: it takes each leg by `step` (exp(L dx) on
+    every row), then applies op, which is an `INSERTIONS` kind name, a site
+    (a sequence of (superoperator matrix, rows) pairs that together cover
+    the block's rows, each matrix applied to its rows), None (nothing) or
+    STOP (hand back the vector or block there).  A subclass that carries
+    another block overrides `step` and `act`, never `scan`
+    (`_TangentChain`).  A kind is never built as a matrix: `act`
     applies its `liouville.action` over this chain's own field table to
     coordinates (`HermitianBasis.act`), and `covector` gives <1| S from the
     adjoint action: a chain that ends on kind S closes on it, divided by
     `norm`, the opening state's trace (1, or tr boundary_rho in a finite
-    window).  There is no propagator cache: the chain holds one propagator
-    exp(L dx) at a time (`propagator`), built when a leg of a new length is
-    reached and reused while the following legs share that length, for one
-    vector and for a block alike.  The stationary state is the parameter
-    set's own (`CmpsParams.stationary`), and so, in the thermodynamic
-    geometry, is the generator L, whose field table the chain reads; a
-    finite chain builds its own, whose matrix is built when a leg first
-    reads it, and refuses it as NoConvergenceError when its term norm is not
-    finite, as the fixed point refuses the thermodynamic one.
+    window).  There is no propagator cache: the chain holds the
+    exponential of one leg at a time (`leg`), built when a leg of a new
+    length is reached and reused while the following legs share that
+    length, for one vector and for a block alike.  The generator L, whose
+    field table the chain reads, is the parameter set's own
+    (`CmpsParams.generator`), built once per set with its matrix, and so
+    is the stationary state (`CmpsParams.stationary`); a finite chain
+    refuses L as NoConvergenceError when its term norm is not finite, as
+    the fixed point refuses it in the thermodynamic geometry.
     """
 
     STOP = object()
 
     def __init__(self, params):
-        self.params = params
         self.basis = hermitian_basis(params.dim)
         self.left = trace_functional(params.dim)
-        self._leg = (None, None)  # (dx, exp(L dx)) of the last leg walked
+        self.L = params.generator
+        self._last = (None, None)  # (dx, its exponential) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
             self.spectral = params.stationary
-            self.L = self.spectral.generator
             rho = self.spectral.steady_state
             self.length = None
             self.norm = 1.0
         else:
-            self.spectral = None
-            self.L = build_liouvillian(params.K, params.R)
             if not np.isfinite(self.L.scale):
                 raise NoConvergenceError("generator has a non-finite term norm")
+            self.spectral = None
             rho = params.geometry.boundary_rho
             self.length = params.geometry.length
             self.norm = float(np.trace(rho).real)
@@ -176,11 +178,13 @@ class _Chain:
         """<1| S for the insertion S of `kind`, in coordinates: tr(S(rho))
         = tr(M rho) with M = sum f[b]^dag f[a], the adjoint of the action's
         image of the identity, whose coordinates conjugated read the trace."""
-        m = action_adjoint(INSERTIONS[kind], self.fields, np.eye(self.params.dim))
+        m = action_adjoint(INSERTIONS[kind], self.fields, np.eye(self.basis.dim))
         return self.basis.coordinates(m).conj()
 
-    def legs(self, items, start):
-        """Legs from `start` through (position, kind name or STOP) items.
+    def legs(self, items):
+        """Legs through (position, kind name or STOP) items, from the first
+        position in the thermodynamic geometry, where only differences
+        matter, and from the left edge x = 0 of a finite window.
 
         Positions must be finite and ascend and, in a finite geometry, lie
         in the window; a kind outside `INSERTIONS` is rejected here.
@@ -195,7 +199,7 @@ class _Chain:
                 raise PositionOutOfRangeError(
                     f"positions {positions[0]} to {positions[-1]} outside [0, {self.length}]"
                 )
-        legs, prev = [], start
+        legs, prev = [], positions[0] if positions and self.length is None else 0.0
         for pos, (_, kind) in zip(positions, items):
             if kind is not self.STOP and not (isinstance(kind, str) and kind in INSERTIONS):
                 raise ShapeMismatchError(
@@ -204,11 +208,17 @@ class _Chain:
             prev = pos
         return legs
 
-    def propagator(self, dx):
-        """exp(L dx), built unless the last leg walked had this length."""
-        if dx != self._leg[0]:
-            self._leg = (dx, exponential(self.L, dx))
-        return self._leg[1]
+    def leg(self, dx, exp, *ops):
+        """exp(*ops, dx), the exponential of a leg of length dx (exp(L dx)
+        for `liouville.exponential` and L), built unless the last leg walked
+        had this length."""
+        if dx != self._last[0]:
+            self._last = (dx, exp(*ops, dx))
+        return self._last[1]
+
+    def step(self, dx, v):
+        """One leg of length dx on v, one vector or a block: exp(L dx) v."""
+        return _apply(self.leg(dx, exponential, self.L), v)
 
     def scan(self, v, legs):
         """Carry v, one vector or a block of them one per row, along the
@@ -218,7 +228,7 @@ class _Chain:
         k = 0
         for dx, op in legs:
             if dx != 0.0:
-                v = _apply(self.propagator(dx), v)
+                v = self.step(dx, v)
             if op is stop:
                 stops[k] = v
                 k += 1
@@ -234,8 +244,7 @@ class _Chain:
     def evaluate(self, insertions):
         """Close a chain of (position, kind) pairs, ascending order: read
         the vector before its last kind with that kind's covector."""
-        start = float(insertions[0][0]) if insertions and self.length is None else 0.0
-        legs = self.legs(insertions, start)
+        legs = self.legs(insertions)
         if not legs:
             return complex(self.left @ self.right) / self.norm
         *legs, (dx, last) = legs
@@ -279,7 +288,7 @@ def _separation_scan(chain, separations, first, second):
     order = np.argsort(seps, kind="stable")
     items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
     values = np.empty(seps.size, dtype=complex)
-    stops = chain.scan(chain.right, chain.legs(items, 0.0))
+    stops = chain.scan(chain.right, chain.legs(items))
     values[order] = stops @ chain.covector(second) / chain.norm
     return seps, values
 
@@ -354,13 +363,12 @@ def spectral_envelope(params):
     zero_idx, gap = fixed_mode(evals, tol)
     if gap <= tol:
         raise GaplessStateError("no spectral gap; correlations need not decay")
-    try:
-        winv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError as exc:
-        raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
     row = chain.covector("annihilate")
     col = chain.act("create", chain.right)
-    coefs = (row @ vecs) * (winv @ col)
+    try:
+        coefs = (row @ vecs) * np.linalg.solve(vecs, col)
+    except np.linalg.LinAlgError as exc:
+        raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
     c0 = complex(coefs[zero_idx])
     pref = float(sum(abs(coefs[k]) for k in range(coefs.size) if k != zero_idx))
     return c0, pref, gap
@@ -378,8 +386,11 @@ def decay_fit(params, d_min, d_max, n_points=33):
     """Least-squares decay rate of the connected two-point envelope.
 
     Fits log |two_point(d) - c0| over [d_min, d_max], where c0 is the
-    fixed-point-mode constant (subtracting it is what makes the fit see the
-    slowest genuinely decaying mode).  Points below SIGNAL_FLOOR times the
+    fixed-point-mode constant tr(R rho) tr(rho R^dag) of `spectral_envelope`
+    (subtracting it is what makes the fit see the slowest genuinely decaying
+    mode), read from two one-point chains; a gapless state, read from the
+    parameter set's shared spectrum (`SpectralData.gapless`), raises
+    GaplessStateError.  Points below SIGNAL_FLOOR times the
     largest |two_point| on the grid (a floor in any length unit) are
     dropped; fewer than two surviving points is an error.  Complex slow
     modes make the envelope oscillate, so the fitted rate is then only an
@@ -392,12 +403,15 @@ def decay_fit(params, d_min, d_max, n_points=33):
     n_points = _integer(n_points, "n_points")
     if n_points < 2:
         raise ValidationError(f"a decay fit needs n_points >= 2, got {n_points}")
-    if isinstance(params.geometry, Finite):
-        c0 = 0.0  # boundary-driven signal, no stationary mode to subtract
-    else:
-        c0, _, _ = spectral_envelope(params)  # raises GaplessState when unfit
+    chain = _Chain(params)
+    c0 = 0.0  # a finite window's signal is boundary-driven: no stationary mode
+    if chain.spectral is not None:
+        if chain.spectral.gapless:
+            raise GaplessStateError("no spectral gap; correlations need not decay")
+        # the fixed-point mode's coefficient tr(R rho) tr(rho R^dag)
+        c0 = chain.evaluate([(0.0, "annihilate")]) * chain.evaluate([(0.0, "create")])
     grid = np.linspace(d_min, d_max, n_points)
-    vals = two_point(params, grid).values
+    _, vals = _separation_scan(chain, grid, "create", "annihilate")
     y = np.abs(vals - c0)
     floor = SIGNAL_FLOOR * np.abs(vals).max()
     mask = y > floor
@@ -421,35 +435,72 @@ def decay_fit(params, d_min, d_max, n_points=33):
 # -- family derivative -------------------------------------------------------
 
 
+class _TangentChain(_Chain):
+    """A chain that carries its vector v and the tangent dv of v along
+    (K + t dK, R + t dR) at t = 0 as the two rows of one block (v, dv).
+
+    A leg of length dx maps the block to (E v, E dv + dE v), where
+    E = exp(L dx) and dE is the Frechet derivative of the exponential at
+    L dx in the direction dL dx (`liouville.exponential_frechet`, through
+    the chain's `leg`); an insertion S maps it to (S v, S dv + dS v),
+    because the insertions are built from (K, R) and move with the family.
+    S acts on v and dv as one stack of two D x D matrices
+    (`liouville.action`); by the product rule over the chain's table merged
+    with `fields_tangent`, dS v is the action of `tangent_terms(S)` and dL
+    the `Superoperator` of `tangent_terms(GENERATOR)`, so no insertion is
+    built as a matrix.  A direction whose tangent term norm times `unit`
+    is not finite raises NoConvergenceError.  A thermodynamic chain opens
+    on the stationary state, whose tangent solves B drho = -dL rho, B the
+    fixed point's bordered generator, with the `bordered_lu` factors the
+    fixed point was solved with (`SpectralData.solve`; B is invertible when
+    the fixed space is one-dimensional, and the solution is traceless, so
+    the border drops out); D = 1 is gapless by convention and raises
+    GaplessStateError there.  A finite chain opens on the fixed boundary
+    state, dv = 0.
+    """
+
+    def __init__(self, params, dK, dR, unit):
+        super().__init__(params)
+        self.moving = self.fields | fields_tangent(self.fields, dK, dR)
+        self.tangent = Superoperator(tangent_terms(GENERATOR), self.moving)
+        if not math.isfinite(self.tangent.scale * unit):  # the unscaled direction's term norm
+            raise NoConvergenceError("tangent generator's term norm is not finite")
+        if self.length is not None:
+            dv = np.zeros_like(self.right)
+        elif params.dim == 1:
+            raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
+        else:
+            # the fixed point's coordinates are real, so the tangent solve is real
+            dv = self.spectral.solve(-(self.tangent.hmat @ self.right.real))
+        self.right = np.stack([self.right, dv])
+
+    def step(self, dx, x):
+        e, de = self.leg(dx, exponential_frechet, self.L, self.tangent)
+        return np.stack([e @ x[0], e @ x[1] + de @ x[0]])
+
+    def act(self, kind, x):
+        terms = INSERTIONS[kind]
+        m = self.basis.matrices(x)
+        w = action(terms, self.fields, m)
+        w[1] += action(tangent_terms(terms), self.moving, m[0])
+        return self.basis.coordinates(w)
+
+
 def family_derivative(params, dK, dR, insertions):
     """d/dt of an insertion expectation along (K + t dK, R + t dR) at t = 0.
 
-    One forward pass over the chain's legs carries the vector v together
-    with its tangent dv.  A leg of length dx maps (v, dv) to
-    (E v, E dv + dE v), where E = exp(L dx) and dE is the Frechet derivative
-    of the exponential at L dx in the direction dL dx; an insertion S maps
-    it to (S v, S dv + dS v), because the insertions are built from (K, R)
-    and move with the family.  S acts on v and dv as one stack of two
-    D x D matrices (`liouville.action`); by the product rule over the
-    chain's table merged with `fields_tangent`, dS v is the action of
-    `tangent_terms(S)` and dL the `Superoperator` of
-    `tangent_terms(GENERATOR)`, so no insertion is built as a matrix.  A
-    non-finite dK or dR raises ValidationError.  The derivative is linear
-    in the direction, so the walk runs on (dK, dR) scaled exactly by a
-    power of two to entries below 2 and the value is scaled back; a
-    direction whose tangent generator's term norm overflows, a leg whose
-    exponent would (`liouville.exponent`), or a value that does, raises
-    NoConvergenceError.  A thermodynamic chain opens on the stationary
-    state, whose tangent solves B drho = -dL rho, B the
-    fixed point's bordered generator, with the `bordered_lu` factors the
-    fixed point was solved with (`SpectralData.solve`; B is invertible
-    when the fixed space is one-dimensional, and the solution is
-    traceless, so the border drops out); a finite chain opens on the fixed
-    boundary state, dv = 0.  D = 1 is gapless by convention and raises GaplessStateError in
-    the thermodynamic geometry.  The chain closes on <1| dv / norm after
-    its last insertion: nothing to its right adds a dE term and the norm
-    does not move, because <1| L = <1| dL = 0.  The result is exact up to
-    roundoff: there is no quadrature grid.
+    One forward scan of a `_TangentChain` carries the vector together with
+    its tangent through the insertions, so the derivative along a family
+    of states needs no backward march and no quadrature; the scan stops
+    after the last insertion and closes on <1| dv / norm: nothing to its
+    right adds a dE term and the norm does not move, because
+    <1| L = <1| dL = 0.  A non-finite dK or dR raises ValidationError.  The
+    derivative is linear in the direction, so the walk runs on (dK, dR)
+    scaled exactly by a power of two to entries below 2 and the value is
+    scaled back; a direction whose tangent generator's term norm
+    overflows, a leg whose exponent `liouville.exponent` refuses, or a
+    value that overflows, raises NoConvergenceError.  The result is exact
+    up to roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -469,35 +520,12 @@ def family_derivative(params, dK, dR, insertions):
     parts = np.concatenate([dK, dR]).view(float)
     k = math.frexp(np.abs(parts).max())[1] - 1
     scaled = np.ldexp(parts, -k).view(complex)
-    dK, dR, unit = scaled[:params.dim], scaled[params.dim:], math.ldexp(1.0, k)
-    chain = _Chain(params)
-    start = float(insertions[0][0]) if chain.length is None else 0.0
-    legs = chain.legs(insertions, start)
-    f = chain.fields
-    moving = f | fields_tangent(f, dK, dR)
-    tangent = Superoperator(tangent_terms(GENERATOR), moving)
-    if not math.isfinite(tangent.scale * unit):  # the unscaled direction's term norm
-        raise NoConvergenceError("tangent generator's term norm is not finite")
-    dgen = tangent.hmat
-    v = chain.right
-    if chain.length is None:
-        if params.dim == 1:
-            raise GaplessStateError("thermodynamic family derivative needs a spectral gap")
-        # the fixed point's coordinates are real, so the tangent solve is real
-        dv = chain.spectral.solve(-(dgen @ v.real))
-    else:
-        dv = np.zeros_like(v)
+    unit = math.ldexp(1.0, k)
+    chain = _TangentChain(params, scaled[:params.dim], scaled[params.dim:], unit)
+    legs = chain.legs([*insertions, (insertions[-1][0], chain.STOP)])
     # an overflow in the walk leaves the value non-finite, which is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        for dx, kind in legs:
-            if dx > 0.0:
-                e, de = scipy.linalg.expm_frechet(exponent(chain.L, dx), exponent(tangent, dx))
-                v, dv = e @ v, e @ dv + de @ v
-            terms = INSERTIONS[kind]
-            m = chain.basis.matrices(np.stack([v, dv]))
-            w = action(terms, f, m)
-            w[1] += action(tangent_terms(terms), moving, m[0])
-            v, dv = chain.basis.coordinates(w)
+        ((_, dv),) = chain.scan(chain.right, legs)
         value = complex(chain.left @ dv) / chain.norm
         value = complex(value.real * unit, value.imag * unit)
     if not cmath.isfinite(value):
@@ -574,7 +602,7 @@ def generating_functional(params, sources, eps):
 
     def site(lam, mu):
         if lam == 0 and mu == 0:
-            return chain.propagator(eps)
+            return chain.leg(eps, exponential, chain.L)
         if (lam, mu) not in sites:
             shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
             sites[lam, mu] = exponential(Superoperator(GENERATOR, shifted), eps)

@@ -32,9 +32,10 @@ the boundary state at the left edge, like the continuum convention, and
 close on covectors <1| E^k from the real binary powers of E.  The window
 is the parameter set's geometry, which `lattice_tensors` records on the
 tensors: no caller hands the oracle a site count or a boundary state.
-`_lattice_step` is the one rule for a step, here, in `correlators` and
-for `lindblad`'s dx, and `core._integer` for a count: a value that breaks
-it is a `ValidationError` that names the value.
+Its inputs follow the rules `core` owns for every method: `_lattice_step`
+for a step, `_integer` for a count and `finite_site_count` for the sites
+that tile a window; a value that breaks one is a `ValidationError` that
+names the value.
 """
 
 import math
@@ -44,11 +45,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg.lapack
 
-from .core import Finite, Geometry, _integer
+from .core import Finite, Geometry, _integer, _lattice_step, finite_site_count
 from .errors import (
     NoConvergenceError,
     ShapeMismatchError,
-    StepNotPositiveError,
     ValidationError,
     WindowTooSmallError,
 )
@@ -90,16 +90,6 @@ class LatticeTensors:
     def transfer(self):
         """E (`transfer_matrix`), built once however many readers it has."""
         return transfer_matrix(self)
-
-
-def _lattice_step(value, name):
-    """A lattice step as a float: finite (ValidationError) and positive."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    if value <= 0:
-        raise StepNotPositiveError(f"{name} must be positive, got {value}")
-    return value
 
 
 def lattice_tensors(params, eps, order=1):
@@ -276,18 +266,6 @@ def lattice_correlators(tensors, observable, distances=None):
     if observable == "pair":
         return values.real
     return values
-
-
-def finite_site_count(length, eps):
-    """Number of step-eps sites that tile a finite window of `length` exactly.
-
-    Exactly means to 1e-9 of the length, so the verdict holds in every
-    length unit.
-    """
-    n_sites = int(round(length / eps))
-    if n_sites < 1 or abs(n_sites * eps - length) > 1e-9 * length:
-        raise ShapeMismatchError(f"eps {eps} does not divide the length {length}")
-    return n_sites
 
 
 @dataclass(frozen=True)

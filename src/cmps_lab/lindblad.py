@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import _lattice_step
+from .core import _lattice_step
 from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,

@@ -25,9 +25,11 @@ matrices (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2.  A map that
 takes Hermitian matrices to Hermitian matrices, as every table above
 does, is the real matrix U^dag S U there, `Superoperator.hmat`, built
 from the table in column blocks (`HermitianBasis.dense`); every dense
-kernel runs on it in real arithmetic.  `exponential` exponentiates it and
-refuses an exponent that would overflow (`exponent`) or a result that is
-not finite.  `HermitianBasis.matrices` and `coordinates` are the one
+kernel runs on it in real arithmetic.  `exponential` exponentiates it, and
+`exponential_frechet` also gives the Frechet derivative along a second
+map; both refuse an exponent that would overflow or whose exponential is
+not resolved in double precision (`exponent`), and a result that is not
+finite.  `HermitianBasis.matrices` and `coordinates` are the one
 conversion between coordinates and D x D matrices.  `choi_min_eigenvalue`
 reads a channel in coordinates; its Choi matrix is the one complex
 D^2 x D^2 array of the package.
@@ -348,27 +350,51 @@ def build_liouvillian(K, R):
     return Superoperator(GENERATOR, fields(K, R))
 
 
+# largest term norm x |dx| of an exponent: expm resolves exp(L dx) only to
+# about 2^-53 of ||L dx||.  Over [1e9, 1e10] the error against 80-digit
+# mpmath reaches 4.8e-6 relative in `compare_forms`' Choi minimum (driven
+# emitter, dx = 0.1), 4.7e-7 in a finite `family_derivative` and 1.9e-7 in
+# a gapped D = 3 `two_point` past its decay; it grows about tenfold per
+# decade beyond, and the Choi minimum has the wrong sign at 1e15
+EXPONENT_LIMIT = 1e10
+
+
 def exponent(op, dx):
     """hmat dx of a `Superoperator`, refused as NoConvergenceError before it
-    is formed when it could overflow: |dx| > 1 and D x scale x |dx|, which
-    bounds its entries, is not finite.  A step of at most 1 cannot enlarge
-    an entry, so it reads no term norm."""
+    is formed when it could overflow (|dx| > 1 and D x scale x |dx|, which
+    bounds its entries, is not finite) or when its exponential is not
+    resolved in double precision (scale x |dx| above `EXPONENT_LIMIT`)."""
     step = abs(float(dx))
     if step > 1.0 and not math.isfinite(op.dim * op.scale * step):
         raise NoConvergenceError(f"the exponent at step {dx} overflows")
+    if not op.scale * step <= EXPONENT_LIMIT:
+        raise NoConvergenceError(f"term norm x |dx| = {op.scale * step:.3e} exceeds {EXPONENT_LIMIT:g}:"
+                                 f" the exponential at step {dx} is not resolved in double precision")
     return op.hmat * dx
+
+
+def _finite(e, dx):
+    if not np.isfinite(e).all():
+        raise NoConvergenceError(f"the exponential at step {dx} is not finite")
+    return e
 
 
 def exponential(op, dx):
     """exp(L dx) of a `Superoperator` L, from its real matrix hmat by
-    `scipy.linalg.expm` looked up when called.  An exponent that overflows
-    (`exponent`) or a result that is not finite (an exponent too large for
-    expm) is refused as NoConvergenceError, before any reader turns it into
-    nan values or a failed eigensolve."""
-    e = scipy.linalg.expm(exponent(op, dx))
-    if not np.isfinite(e).all():
-        raise NoConvergenceError(f"the exponential at step {dx} is not finite")
-    return e
+    `scipy.linalg.expm` looked up when called.  An exponent that `exponent`
+    refuses, or a result that is not finite, is refused as
+    NoConvergenceError, before any reader turns it into nan values or a
+    failed eigensolve."""
+    return _finite(scipy.linalg.expm(exponent(op, dx)), dx)
+
+
+def exponential_frechet(op, dop, dx):
+    """(exp(L dx), its Frechet derivative at L dx in the direction dL dx) of
+    `Superoperator`s L and dL, by `scipy.linalg.expm_frechet` looked up when
+    called, refused as `exponential` is, for both exponents and both
+    results."""
+    e, de = scipy.linalg.expm_frechet(exponent(op, dx), exponent(dop, dx))
+    return _finite(e, dx), _finite(de, dx)
 
 
 def bordered_lu(hmat, shift, weight):

@@ -375,6 +375,14 @@ def _record_histograms(records, edges, burn_in, window):
     return counts, pair_hist, wait_counts, wait_cond
 
 
+def _stderr(psi):
+    """Standard error of the mean over records, std(psi, ddof=1) / sqrt(n),
+    of per-record values psi (one row per record).  The error of a smooth
+    function of per-record means (the delta method) is that of its
+    linearization about the means, evaluated per record."""
+    return psi.std(axis=0, ddof=1) / np.sqrt(len(psi))
+
+
 def estimate_stats(records, bins, burn_in=0.0):
     """Empirical rate, pair correlation, and waiting-time histogram.
 
@@ -410,7 +418,7 @@ def estimate_stats(records, bins, burn_in=0.0):
 
     rates = counts / window
     rate = float(rates.mean())
-    rate_stderr = float(rates.std(ddof=1) / np.sqrt(n_rec))
+    rate_stderr = float(_stderr(rates))
     if rate <= 0:
         # jump-free ensemble: the rate is an honest zero, the normalized
         # histograms are 0/0 and reported as NaN
@@ -424,15 +432,11 @@ def estimate_stats(records, bins, burn_in=0.0):
 
     widths = np.diff(edges)
     dens = pair_hist / widths
-    pair_g2 = dens.mean(axis=0) / rate**2
-    pair_stderr = np.empty(n_bins)
-    for k in range(n_bins):
-        # delta method for mean pair density over rate^2
-        h = dens[:, k]
-        grad = np.array([1.0 / rate**2, -2.0 * h.mean() / rate**3])
-        cov = np.cov(h, rates, ddof=1)
-        var = grad @ cov @ grad / n_rec
-        pair_stderr[k] = np.sqrt(max(var, 0.0))
+    mean_dens = dens.mean(axis=0)
+    pair_g2 = mean_dens / rate**2
+    # g2 = mean pair density / rate^2, linearized about the means
+    pair_stderr = _stderr((dens - mean_dens) / rate**2
+                          - 2.0 * mean_dens * (rates - rate)[:, None] / rate**3)
 
     total_cond = wait_cond.sum()
     if total_cond < 1:
@@ -442,14 +446,8 @@ def estimate_stats(records, bins, burn_in=0.0):
         wait_stderr = np.full(n_bins, np.nan)
     else:
         probs = wait_counts.sum(axis=0) / total_cond
-        wait_stderr = np.empty(n_bins)
-        m_mean = wait_cond.mean()
-        for k in range(n_bins):
-            c = wait_counts[:, k]
-            p = probs[k]
-            cov = np.cov(c, wait_cond, ddof=1)
-            var = (cov[0, 0] + p * p * cov[1, 1] - 2 * p * cov[0, 1]) / (n_rec * m_mean**2)
-            wait_stderr[k] = np.sqrt(max(var, 0.0))
+        # the ratio of mean counts to mean conditioning jumps, linearized
+        wait_stderr = _stderr((wait_counts - probs * wait_cond[:, None]) / wait_cond.mean())
 
     return TrajectoryStats(
         n_traj=n_rec, length=float(length),

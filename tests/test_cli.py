@@ -730,18 +730,25 @@ def test_a_drive_the_sampler_cannot_resolve_exits_2_before_any_warning(tmp_path)
 
 # K = 1e50 sigma_x / 2: exp(L dx) is nan.  correlate wrote the row
 # "0.5,nan,nan" and exited 0; lindblad-check exited 1 with a traceback
-# from the Choi eigensolve
+# from the Choi eigensolve.  At K = 5e18 sigma_x, scipy's expm warned, so
+# lindblad-check under -W error exited 1 with a traceback
 HUGE_DRIVE = {"dim": 2, "K": {"re": [[0.0, 5e49], [5e49, 0.0]]}, "R": DAMP_MODEL["R"]}
+LARGE_DRIVE = {"dim": 2, "K": {"re": [[0.0, 5e18], [5e18, 0.0]]}, "R": DAMP_MODEL["R"]}
+LINDBLAD_CHECK = {"geometry": "thermodynamic",
+                  "moments": {"psi_dag_sq": {"re": 0.0}, "psi_dag_psi": 0.0}}
 
 
-@pytest.mark.parametrize("command, extra, step", [
-    ("correlate", {"geometry": "finite", "length": 1.0,
-                   "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]}, "separations": [0.5]},
-     0.5),
-    ("lindblad-check", {"geometry": "thermodynamic",
-                        "moments": {"psi_dag_sq": {"re": 0.0}, "psi_dag_psi": 0.0}}, 0.1),
-], ids=["correlate", "lindblad-check"])
-def test_a_non_finite_exponential_exits_2_before_any_warning(tmp_path, command, extra, step):
-    cfg = {"model": json.loads(json.dumps(HUGE_DRIVE)), **extra}
+@pytest.mark.parametrize("command, model, extra, bound, step", [
+    ("correlate", HUGE_DRIVE, {"geometry": "finite", "length": 1.0,
+                               "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]},
+                               "separations": [0.5]}, "5.000e+49", 0.5),
+    ("lindblad-check", HUGE_DRIVE, LINDBLAD_CHECK, "1.000e+49", 0.1),
+    ("lindblad-check", LARGE_DRIVE, LINDBLAD_CHECK, "1.000e+18", 0.1),
+], ids=["correlate", "lindblad-check", "lindblad-check-finite-exponential"])
+def test_a_non_finite_exponential_exits_2_before_any_warning(tmp_path, command, model, extra,
+                                                              bound, step):
+    # the exponent is refused by the term-norm certificate before expm runs
+    cfg = {"model": json.loads(json.dumps(model)), **extra}
     _assert_numerical_failure_under_warnings_as_errors(
-        tmp_path, command, cfg, f"the exponential at step {step} is not finite")
+        tmp_path, command, cfg, f"term norm x |dx| = {bound} exceeds 1e+10: the exponential"
+        f" at step {step} is not resolved in double precision")

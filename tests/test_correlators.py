@@ -25,7 +25,7 @@ from cmps_lab import (
     trace_functional,
     two_point,
 )
-from cmps_lab import correlators
+from cmps_lab import core, correlators
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
     GaplessStateError,
@@ -544,7 +544,7 @@ def test_spectral_envelope_runs_one_eigensolve(rf, monkeypatch):
         assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, abs(want[0]))
         calls.clear()
         decay_fit(new_cmps(q.dim, q.K, q.R), 1.0, 5.0)
-        assert calls == ["eig"]
+        assert calls == ["eigvals"]
 
 
 @pytest.mark.parametrize("bad", ["nan_dK", "inf_dR"])
@@ -671,21 +671,26 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
         "source_consistency_check"])
 def test_a_non_finite_exponential_is_refused(call, capfd):
     # exp(L dx) at K = 1e50 sigma_x / 2 is nan: every finite chain returned
-    # nan.  The thermodynamic fixed point refuses this K before any chain
+    # nan.  Its exponent is now refused before expm runs.  The thermodynamic
+    # fixed point refuses this K before any chain
     window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
     p = new_cmps(2, 0.5e50 * SIGMA_X, DAMP_R, window)
-    with pytest.raises(NoConvergenceError, match="exponential at step .* is not finite"):
+    with pytest.raises(NoConvergenceError, match="exponential at step .* is not resolved"):
         call(p)
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_family_derivative_walk_that_overflows_is_refused(capfd):
+def test_a_family_derivative_walk_that_overflows_is_refused(capfd, monkeypatch):
     # at K = 1e20 sigma_x / 2 the finite walk overflowed in a product (a
-    # RuntimeWarning) before its value was found not finite
+    # RuntimeWarning) before its value was found not finite; at 1e18 it
+    # returned -437.06 (mpmath: 0.4527) and at 1e50 0j.  Every exponent is
+    # now refused before expm_frechet runs
     window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
-    p = new_cmps(2, 0.5e20 * SIGMA_X, DAMP_R, window)
-    with pytest.raises(NoConvergenceError, match="family derivative overflows"):
-        family_derivative(p, np.zeros((2, 2)), DAMP_R, [(0.0, "create"), (0.5, "annihilate")])
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", lambda a, e: pytest.fail("expm_frechet"))
+    for k in (1e18, 1e20, 1e50):
+        p = new_cmps(2, 0.5 * k * SIGMA_X, DAMP_R, window)
+        with pytest.raises(NoConvergenceError, match="exponential at step 0.5 is not resolved"):
+            family_derivative(p, np.zeros((2, 2)), DAMP_R, [(0.0, "create"), (0.5, "annihilate")])
     assert capfd.readouterr() == ("", "")
 
 
@@ -742,3 +747,28 @@ def test_source_check_evaluates_every_field_in_one_walk(rf, monkeypatch):
     monkeypatch.undo()
     assert len(walks) == 1
     assert len(expms) <= 10
+
+
+def test_a_parameter_set_builds_one_generator(monkeypatch):
+    # every chain on a parameter set reads its one generator, and that
+    # generator's one matrix: a finite source_consistency_check builds the
+    # generator once and makes 5 dense builds (it, and the 4 distinct
+    # sourced sites), and three finite correlators build nothing more
+    rng = np.random.default_rng(31)
+    d = 3
+    window = Finite(length=2.0, boundary_rho=np.eye(d) / d)
+    builds, dense = [], []
+    build, build_dense = core.build_liouvillian, liouville.HermitianBasis.dense
+    monkeypatch.setattr(core, "build_liouvillian", lambda k, r: builds.append(1) or build(k, r))
+    monkeypatch.setattr(liouville.HermitianBasis, "dense",
+                        lambda self, terms, f: dense.append(len(terms)) or build_dense(self, terms, f))
+    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng), window)
+    source_consistency_check(p, eps=0.25, h=0.01, n_sites=8)
+    assert (len(builds), len(dense)) == (1, 5)
+    q = new_cmps(d, p.K, p.R, window)
+    builds.clear()
+    dense.clear()
+    two_point(q, [0.5, 1.0])
+    expectation(q, [(0.3, "create"), (1.2, "annihilate")])
+    pair_correlation(q, [0.0, 0.7])
+    assert (len(builds), len(dense)) == (1, 1)

@@ -19,7 +19,7 @@ from cmps_lab import (
     two_point,
 )
 import cmps_lab
-from cmps_lab import core, correlators, discretizer, liouville
+from cmps_lab import core, discretizer, liouville
 from cmps_lab.discretizer import _dominant_pair
 from cmps_lab.liouville import build_liouvillian, fields
 from cmps_lab.errors import (
@@ -514,7 +514,7 @@ def test_lattice_oracle_builds_only_the_transfer_matrix(monkeypatch):
     monkeypatch.setattr(liouville.HermitianBasis, "dense",
                         lambda self, terms, f: built.append(len(terms)) or dense(self, terms, f))
     for module, name in ((liouville, "build_liouvillian"), (core, "build_liouvillian"),
-                         (correlators, "build_liouvillian"), (cmps_lab, "build_liouvillian"),
+                         (cmps_lab, "build_liouvillian"),
                          (scipy.linalg, "expm"), (scipy.linalg, "expm_frechet"),
                          (scipy.sparse.linalg, "expm_multiply")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):

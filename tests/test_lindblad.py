@@ -200,10 +200,21 @@ def test_compare_forms_rejects_a_step_that_is_not_finite_and_positive(dx):
         compare_forms(RF_K, RF_R, FieldMoments(0.2, 0.2, 0.5, 1.5), dx=dx)
 
 
-def test_compare_forms_refuses_a_non_finite_exponential(capfd):
+def test_compare_forms_refuses_a_non_finite_exponential(capfd, monkeypatch):
     # exp(G dx) at K = 1e50 sigma_x / 2 is nan, and the Choi eigensolve
-    # raised a bare LinAlgError on it
-    k = 0.5e50 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NoConvergenceError, match="exponential at step 0.1 is not finite"):
-        compare_forms(k, RF_R, FieldMoments(0.0, 0.0, 0.0, 1.0))
+    # raised a bare LinAlgError on it; at K = 5e15 sigma_x the Choi minimum
+    # read -23.94 where 80-digit mpmath gives 0.02439.  Both exponents are
+    # now refused before expm runs
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("expm was called"))
+    for k in (0.5e50, 5e15):
+        with pytest.raises(NoConvergenceError, match="exponential at step 0.1 is not resolved"):
+            compare_forms(k * np.array([[0.0, 1.0], [1.0, 0.0]]), RF_R, FieldMoments.vacuum())
     assert capfd.readouterr() == ("", "")
+
+
+def test_compare_forms_agrees_with_mpmath_below_the_certificate():
+    # at K = 4e10 sigma_x, term norm x dx = 8e9, just below the bound, the
+    # Choi minimum of exp(G dx) is 80-digit mpmath's 0.0243852877467564 to 1e-5
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    near = compare_forms(4e10 * sx, RF_R, FieldMoments.vacuum())
+    assert near.choi_min_general == pytest.approx(0.0243852877467564, rel=1e-5)

@@ -21,6 +21,7 @@ from cmps_lab import (
 from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
 from cmps_lab.correlators import INSERTIONS, _Chain
 from cmps_lab.liouville import (
+    EXPONENT_LIMIT,
     GENERATOR,
     Superoperator,
     Tolerances,
@@ -493,3 +494,21 @@ def test_an_exponent_that_would_overflow_is_refused_before_it_is_formed(monkeypa
     monkeypatch.setattr(scipy.linalg, "expm_frechet", lambda a, e: pytest.fail("expm_frechet"))
     with pytest.raises(NoConvergenceError, match="exponent at step .* overflows"):
         family_derivative(p, RF_K, RF_R, [(0.0, "create"), (1e307, "annihilate")])
+
+
+def test_an_exponent_past_the_certificate_is_refused_before_expm_runs(monkeypatch):
+    # term norm x |dx| above EXPONENT_LIMIT: expm resolves the exponential
+    # to about 1e-6 at the bound and gets its leading digits wrong by 1e15.
+    # Just below it, a two_point past the decay reads |<R>|^2 = 1/9 to 1e-6
+    # (9e-8 measured)
+    p = new_cmps(2, RF_K, RF_R)
+    step = EXPONENT_LIMIT / p.generator.scale
+    assert abs(two_point(p, [0.999 * step]).values[0] - 1 / 9) <= 1e-6 / 9
+    assert np.array_equal(exponent(p.generator, 0.5 * step), p.generator.hmat * (0.5 * step))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("expm was called"))
+    for dx in (1.001 * step, -1.001 * step):
+        with pytest.raises(NoConvergenceError, match=r"term norm x \|dx\| = 1\.001e\+10 exceeds"
+                                                     r" 1e\+10: the exponential at step"):
+            exponential(p.generator, dx)
+    with pytest.raises(NoConvergenceError, match="not resolved in double precision"):
+        two_point(p, [1.001 * step])
