@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -192,28 +193,71 @@ def _build_params(cfg, tol, record_length=False):
     return new_cmps(model["dim"], k, r, geometry, tol)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        return f if math.isfinite(f) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    return value
+def _json_text(value, indent=None):
+    """`value` as json.dumps(value, indent=indent, sort_keys=True) writes
+    it, byte for byte, compact (no spaces) when indent is None.
+
+    The walk also writes what json cannot: a non-finite float as null, a
+    numpy scalar as its Python value, an ndarray as nested lists, and a
+    complex number as {"re", "im"}.  json's own encoder falls back to
+    pure Python once indent is set, so one walk here is faster.
+    """
+    parts = []
+    key_sep = ": " if indent is not None else ":"
+
+    def walk(value, level):
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is None:
+            parts.append("null")
+        elif isinstance(value, (bool, np.bool_)):
+            parts.append("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            parts.append(int.__repr__(int(value)))
+        elif isinstance(value, (float, np.floating)):
+            f = float(value)
+            parts.append(float.__repr__(f) if math.isfinite(f) else "null")
+        elif isinstance(value, (complex, np.complexfloating)):
+            walk({"re": value.real, "im": value.imag}, level)
+        elif isinstance(value, np.ndarray):
+            walk(value.tolist(), level)
+        elif isinstance(value, (dict, list, tuple)):
+            if not value:
+                parts.append("{}" if isinstance(value, dict) else "[]")
+                return
+            inner = "" if indent is None else "\n" + indent * (level + 1)
+            outer = "" if indent is None else "\n" + indent * level
+            sep = "," + inner
+            if isinstance(value, dict):
+                parts.append("{" + inner)
+                for i, key in enumerate(sorted(value)):
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    parts.append((sep if i else "") + encode_basestring_ascii(key) + key_sep)
+                    walk(value[key], level + 1)
+                parts.append(outer + "}")
+                return
+            if set(map(type, value)) == {float}:
+                text = sep.join(map(float.__repr__, value))
+                if "n" not in text:  # no nan or inf: a finite float's repr has no "n"
+                    parts.append("[" + inner + text + outer + "]")
+                    return
+            parts.append("[" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    parts.append(sep)
+                walk(item, level + 1)
+            parts.append(outer + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    walk(value, 0)
+    return "".join(parts)
 
 
 def _matrix_out(m):
     m = np.asarray(m)
-    return {"re": _jsonable(m.real), "im": _jsonable(m.imag)}
+    return {"re": m.real, "im": m.imag}
 
 
 def _atomic_write(path, text):
@@ -239,20 +283,15 @@ def _atomic_write(path, text):
 
 
 def _emit_json(out_path, command, cfg, result):
-    payload = {
-        "version": __version__,
-        "command": command,
-        "config": _jsonable(cfg),
-        "result": _jsonable(result),
-    }
-    _atomic_write(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {"version": __version__, "command": command, "config": cfg, "result": result}
+    _atomic_write(out_path, _json_text(payload, indent="  ") + "\n")
 
 
 def _emit_csv(out_path, command, cfg, header, rows):
     lines = [
         f"# version: {__version__}",
         f"# command: {command}",
-        "# config: " + json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":")),
+        "# config: " + _json_text(cfg),
         header,
     ]
     for row in rows:

@@ -344,6 +344,12 @@ def lieb_liniger_energy_density(params, c, mu):
 # -- spectral envelope and decay fits ---------------------------------------
 
 
+def _disconnected(chain):
+    """The fixed-point mode's coefficient tr(R rho) tr(rho R^dag) of the
+    two-point function, read from two one-point chains."""
+    return chain.evaluate([(0.0, "annihilate")]) * chain.evaluate([(0.0, "create")])
+
+
 def spectral_envelope(params):
     """Mode decomposition of the two-point function.
 
@@ -353,7 +359,8 @@ def spectral_envelope(params):
     e^{-gap d}, so |two_point(d) - c0| <= prefactor * e^{-gap d} pointwise.
     The gap and the modes come from one eigensolve of the generator, read
     by the rule of `liouville.fixed_mode` that the fixed point's
-    `SpectralData` reads too.
+    `SpectralData` reads too.  c0 is read from two one-point chains, as
+    `decay_fit` reads it, not from the eigenvectors.
     """
     chain = _Chain(params)
     if chain.spectral is None:
@@ -369,7 +376,7 @@ def spectral_envelope(params):
         coefs = (row @ vecs) * np.linalg.solve(vecs, col)
     except np.linalg.LinAlgError as exc:
         raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
-    c0 = complex(coefs[zero_idx])
+    c0 = complex(_disconnected(chain))
     pref = float(sum(abs(coefs[k]) for k in range(coefs.size) if k != zero_idx))
     return c0, pref, gap
 
@@ -408,8 +415,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
     if chain.spectral is not None:
         if chain.spectral.gapless:
             raise GaplessStateError("no spectral gap; correlations need not decay")
-        # the fixed-point mode's coefficient tr(R rho) tr(rho R^dag)
-        c0 = chain.evaluate([(0.0, "annihilate")]) * chain.evaluate([(0.0, "create")])
+        c0 = _disconnected(chain)
     grid = np.linspace(d_min, d_max, n_points)
     _, vals = _separation_scan(chain, grid, "create", "annihilate")
     y = np.abs(vals - c0)

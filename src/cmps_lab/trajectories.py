@@ -20,7 +20,12 @@ condition number of the eigenvector matrix.
 Reproducibility: trajectory index i of master seed s draws from
 Generator(PCG64(SeedSequence([s, i]))), using one uniform for the
 initial-state draw, one per jump and one for the draw that ends the
-record.  The stream is read ahead in blocks (`_Uniforms`), and
+record.  The seeds of a whole ensemble are hashed in one pass
+(`_seed_states`): SeedSequence's entropy pool and its
+generate_state(4, uint64) run as uint32 array operations over every
+index, and each PCG64 takes its row of four words, so no SeedSequence is
+built and the streams are NumPy's, word for word, for any nonnegative s
+and i.  The stream is read ahead in blocks (`_Uniforms`), and
 Generator.random(k) yields the same doubles as k scalar draws, so the
 values a record uses do not change with the block size.  Every
 per-trajectory quantity is computed row by row in a fixed order, and a
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import Finite, _integer
 from .errors import (
@@ -97,10 +103,107 @@ def _no_jump_generator(params, span):
     return q
 
 
-def _stream(master_seed, index):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([master_seed, index]))
-    )
+# SeedSequence's hash constants and pool size (NumPy's bit_generator, NEP 19)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n):
+    """n >= 0 as SeedSequence reads an int: little-endian 32-bit words,
+    at least one."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashed_states(entropy):
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of the
+    (m, n) uint32 entropy array.
+
+    The hash constants advance the same way for every row of n words, so
+    the pool mixing runs column by column on all rows at once; uint32
+    arithmetic wraps modulo 2^32 as the C code's does.
+    """
+    rows, n = entropy.shape
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> 16)
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    const = _INIT_B
+    state = np.empty((rows, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(master_seed, indices):
+    """Row k: SeedSequence([master_seed, indices[k]]).generate_state(4,
+    np.uint64), for a range of nonnegative indices with step 1.
+
+    The entropy of [s, i] is the words of s followed by those of i.  Within
+    a stretch of indices that share everything above their low word, the
+    rows differ in one column and share their word count, so each stretch
+    is hashed as one array.
+    """
+    head = _uint32_words(master_seed)
+    parts = []
+    start, stop = indices.start, indices.stop
+    while start < stop:
+        high = start >> 32
+        end = min(stop, (high + 1) << 32)
+        words = head + [0] + (_uint32_words(high) if high else [])
+        entropy = np.tile(np.array(words, dtype=np.uint32), (end - start, 1))
+        entropy[:, len(head)] = (start & _MASK32) + np.arange(end - start)
+        parts.append(_hashed_states(entropy))
+        start = end
+    return np.concatenate(parts)
+
+
+class _SeedState(ISeedSequence):
+    """One stream's hashed seed, handed to PCG64, which asks it for
+    generate_state(4, np.uint64) once."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a hashed seed holds PCG64's four uint64 words only")
+        return self.words
+
+
+def _streams(master_seed, indices):
+    """Generator(PCG64(SeedSequence([master_seed, i]))) for every i in the
+    range `indices`, seeded from one batch hash."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(words)))
+            for words in _seed_states(master_seed, indices)]
 
 
 class _Uniforms:
@@ -275,8 +378,8 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
             f"master_seed and first_index must be >= 0, got {master_seed} and {first_index}")
     flow = _NoJumpFlow(params, length)
     cum, vecs = _initial_ensemble(params)
-    indices = [first_index + i for i in range(n_traj)]
-    uniforms = _Uniforms([_stream(master_seed, i) for i in indices])
+    indices = range(first_index, first_index + n_traj)
+    uniforms = _Uniforms(_streams(master_seed, indices))
     active = np.arange(n_traj)
     z = flow.coordinates(_pick_initial(uniforms.draw(active), cum, vecs))
     t = np.zeros(n_traj)

@@ -108,6 +108,39 @@ def test_spectrum_outputs_match_recorded_bytes(tmp_path, command):
     assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_json_writer_writes_the_bytes_of_json_dumps():
+    nan, inf = float("nan"), float("inf")
+    payload = {
+        "floats": [nan, inf, -inf, -0.0, 1e-300, 0.1, np.float64(0.25), np.float32(0.1)],
+        "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros(0)},
+        "complex": {"scalars": [complex(1.5, -0.0), np.complex128(2 - 3j)],
+                    "array": np.array([[1 + 2j, complex(nan, 0.0)]]),
+                    "nested": [[{"z": 1j}]]},
+        "matrix": np.array([[1.0, inf], [-0.0, 2.5]]),
+        "scalars": [np.int64(-7), np.bool_(True), np.bool_(False), True, None, 3, 2**70],
+        "text": "café – ∞ \"q\"\n",
+        "Ä": 1,
+    }
+    # what json.dumps must be given to write the same bytes
+    reference = {
+        "floats": [None, None, None, -0.0, 1e-300, 0.1, 0.25, float(np.float32(0.1))],
+        "empty": {"list": [], "dict": {}, "tuple": [], "array": []},
+        "complex": {"scalars": [{"re": 1.5, "im": -0.0}, {"re": 2.0, "im": -3.0}],
+                    "array": [[{"re": 1.0, "im": 2.0}, {"re": None, "im": 0.0}]],
+                    "nested": [[{"z": {"re": 0.0, "im": 1.0}}]]},
+        "matrix": [[1.0, None], [-0.0, 2.5]],
+        "scalars": [-7, True, False, True, None, 3, 2**70],
+        "text": "café – ∞ \"q\"\n",
+        "Ä": 1,
+    }
+    assert cli._json_text(payload, indent="  ") == json.dumps(reference, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == json.dumps(reference, sort_keys=True, separators=(",", ":"))
+    for empty in ([], {}):
+        assert cli._json_text(empty, indent="  ") == json.dumps(empty, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text({"set": {1}})
+
+
 def test_output_temp_file_is_private_and_cleaned(tmp_path, monkeypatch):
     # a directory squatting on the old fixed temp name must not matter
     (tmp_path / "out.json.tmp").mkdir()

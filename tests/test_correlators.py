@@ -164,6 +164,26 @@ def test_rf_envelope_constants(rf):
     assert np.all(conn <= pref * np.exp(-gap * d) + 1e-12)
 
 
+def test_envelope_constant_is_the_product_of_one_point_functions():
+    # spectral_envelope's c0 is tr(R rho) tr(rho R^dag), the constant that
+    # decay_fit subtracts, read the same way; the eigendecomposition's
+    # coefficient was up to 1e-13 off
+    checked = 0
+    for seed in range(500, 540):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+        try:
+            c0, _, _ = spectral_envelope(p)
+        except GaplessStateError:
+            continue
+        rho = p.stationary.steady_state / np.trace(p.stationary.steady_state)
+        want = np.trace(p.R @ rho) * np.trace(rho @ p.R.conj().T)
+        assert abs(c0 - want) <= 1e-14 * abs(want)
+        checked += 1
+    assert checked >= 30
+
+
 def test_clustering_bound_random_instances():
     d = np.linspace(1.0, 15.0, 25)
     found = 0

@@ -32,13 +32,18 @@ from cmps_lab.errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from cmps_lab.trajectories import _record_histograms, _stream
+from cmps_lab.trajectories import _record_histograms, _seed_states, _streams
 
 from conftest import DAMP_R, EXCITED, RF_K, RF_R, kron_map, random_instance, unvec, vec
 
 # the driven emitter at its exceptional point: Q = -i sigma_x / 4 - |e><e| / 2
 # has the double eigenvalue -1/4 and a single eigenvector
 EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
+
+
+def _numpy_stream(master_seed, index):
+    """Trajectory `index`'s stream, seeded by NumPy's own SeedSequence."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, index])))
 
 
 def _record(positions, length=10.0):
@@ -113,7 +118,7 @@ def test_pure_decay_jumps_exactly_once(damping_finite):
     # S(tau) = exp(-tau), so a jump lands at -log u for the stream's draw
     # after the initial-state one
     for i in range(20):
-        gen = _stream(42, i)
+        gen = _numpy_stream(42, i)
         gen.random()
         u = gen.random()
         if u > np.exp(-8.0):
@@ -130,7 +135,7 @@ def test_jump_positions_read_the_stream_across_blocks(coherent):
     recs = sample_ensemble(coherent(r=r), 3, length, master_seed=99, first_index=7)
     for rec in recs:
         assert rec.positions.size >= 40
-        gen = _stream(*rec.seed_info)
+        gen = _numpy_stream(*rec.seed_info)
         gen.random()
         waits = [-np.log(gen.random()) / r**2 for _ in range(rec.positions.size + 1)]
         expected = np.cumsum(waits)
@@ -176,6 +181,48 @@ def test_stationary_rate_matches_density(rf):
     recs = sample_ensemble(rf, 1200, 50.0, master_seed=11)
     stats = estimate_stats(recs, [0.0, 1.0, 2.0], burn_in=20.0)
     assert abs(stats.rate - 1.0 / 3.0) < 3.0 * stats.rate_stderr
+
+
+SEED_EDGES = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100]
+
+
+@pytest.mark.parametrize("master_seed", SEED_EDGES)
+def test_batch_seeds_are_seed_sequence_words(master_seed):
+    # one word, the 32-bit edges, several words, and entropy longer than
+    # the four-word pool
+    for index in SEED_EDGES:
+        ref = np.random.SeedSequence([master_seed, index]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(_seed_states(master_seed, range(index, index + 1)), [ref])
+    # a batch that crosses a change of word count hashes every row as alone
+    for start in (2**32 - 3, 2**64 - 3):
+        batch = _seed_states(master_seed, range(start, start + 6))
+        for row, index in zip(batch, range(start, start + 6)):
+            ref = np.random.SeedSequence([master_seed, index]).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, ref)
+
+
+def test_batch_streams_are_numpy_streams():
+    for gen, index in zip(_streams(2**40 + 5, range(2**32 - 2, 2**32 + 2)),
+                          range(2**32 - 2, 2**32 + 2)):
+        ref = _numpy_stream(2**40 + 5, index)
+        np.testing.assert_array_equal(gen.random(40), ref.random(40))
+
+
+def test_ensemble_builds_no_seed_sequence(rf, monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(np.random.bit_generator, "SeedSequence", counting)
+    recs = sample_ensemble(rf, 500, 10.0, master_seed=5)
+    assert len(recs) == 500 and not built
+    # the count sees a SeedSequence built through either name
+    _numpy_stream(5, 0)
+    assert len(built) == 1
 
 
 def test_bitwise_reproducibility_and_stream_independence(rf):
