@@ -189,7 +189,7 @@ def _build_params(cfg, tol, record_length=False):
         if "length" not in cfg or "boundary_rho" not in cfg:
             raise ConfigError("finite geometry requires 'length' and 'boundary_rho'")
         rho = _complex_matrix(cfg["boundary_rho"], "boundary_rho")
-        geometry = Finite(length=float(cfg["length"]), boundary_rho=rho, tol=tol)
+        geometry = Finite(length=float(cfg["length"]), boundary_rho=rho)
     return new_cmps(model["dim"], k, r, geometry, tol)
 
 

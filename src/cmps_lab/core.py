@@ -101,23 +101,20 @@ class Thermodynamic:
 class Finite:
     """Interval [0, length] with boundary state rho(0) = boundary_rho.
 
-    boundary_rho is Hermitian to within tol.herm; its trace and positivity
-    are checked to an absolute 1e-12, because a density matrix is
-    dimensionless and does not change with the length unit.  All three
-    tests run on `_shrunk`(boundary_rho), so that large entries cannot
-    overflow them.
+    The trace and positivity of boundary_rho are checked here, to an
+    absolute 1e-12, because a density matrix is dimensionless and does not
+    change with the length unit; both tests run on `_shrunk`(boundary_rho),
+    so that large entries cannot overflow them.  Its Hermiticity is checked
+    by `new_cmps`, against the parameter set's own tol.herm.
     """
 
     length: float
     boundary_rho: np.ndarray
-    tol: Tolerances = Tolerances()
 
     def __post_init__(self):
         if not (0.0 < float(self.length) < np.inf):
             raise ShapeMismatchError("finite geometry needs a finite length > 0")
         rho = _as_complex_matrix(self.boundary_rho, "boundary_rho")
-        if not _is_hermitian(rho, self.tol.herm):
-            raise InvalidBoundaryStateError("boundary_rho is not Hermitian")
         s, shrink = _shrunk(rho)
         trace = np.trace(s)
         if abs(trace.real - shrink) > 1e-12 * shrink or abs(trace.imag) > 1e-12 * shrink:
@@ -168,11 +165,12 @@ class CmpsParams:
 def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
     """Validate and freeze a parameter set.
 
-    tol is bound to the set: K must be Hermitian to within tol.herm
-    relative to its largest entry, and `stationary` is certified against
-    it.  Symmetrize explicitly ((K + K^dag)/2) if an input is only
-    approximately Hermitian.  For finite geometry the boundary state must
-    be a density matrix (Hermitian, PSD, trace 1) of matching dimension.
+    tol is bound to the set: K, and boundary_rho in a finite window, must
+    be Hermitian to within tol.herm relative to their largest entry, and
+    `stationary` is certified against it.  Symmetrize explicitly
+    ((K + K^dag)/2) if an input is only approximately Hermitian.  For
+    finite geometry the boundary state must be a density matrix
+    (Hermitian, PSD, trace 1) of matching dimension.
     """
     dim = _integer(dim, "dim")
     if dim < 1:
@@ -187,8 +185,11 @@ def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):
         raise NonHermitianKError(f"K must be Hermitian within {tol.herm} (relative)")
     if geometry is None:
         geometry = Thermodynamic()
-    if isinstance(geometry, Finite) and geometry.boundary_rho.shape != (dim, dim):
-        raise ShapeMismatchError("boundary_rho dimension does not match dim")
+    if isinstance(geometry, Finite):
+        if geometry.boundary_rho.shape != (dim, dim):
+            raise ShapeMismatchError("boundary_rho dimension does not match dim")
+        if not _is_hermitian(geometry.boundary_rho, tol.herm):
+            raise InvalidBoundaryStateError("boundary_rho is not Hermitian")
     if not isinstance(geometry, (Thermodynamic, Finite)):
         raise ShapeMismatchError(f"unknown geometry {geometry!r}")
     return CmpsParams(dim=dim, K=_frozen(K), R=_frozen(R), geometry=geometry, tol=tol)

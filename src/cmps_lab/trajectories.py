@@ -10,7 +10,17 @@ trajectory has no further jump and keeps the normalized
 exp(Q * remaining) phi as its final state.  Jump positions along the
 record are the point process whose statistics (intensity, pair
 correlation, waiting times) the state-space correlators predict; the
-estimators here are the empirical side of that comparison.
+estimators here are the empirical side of that comparison.  Each ratio
+`estimate_stats` reports is one formula, read as 0/0 = NaN where nothing
+is observed: an ensemble with no jump after burn-in has rate 0 and NaN
+pair and waiting values, and one with no conditioning jump (every jump in
+the final tau_max stretch) has NaN waiting values.
+
+The exact side is the no-jump oracle (`no_jump_survival`,
+`waiting_time_analytic`, `waiting_bin_probs`).  It opens on the stationary
+post-jump state R rho R^dag / tr(R rho R^dag) in the thermodynamic
+geometry, or on boundary_rho in a finite window, and propagates it by one
+stacked scipy.linalg.expm over all the taus asked for.
 
 S is a sum of exponentials in the eigenbasis of Q.  Near an exceptional
 point that basis is ill-conditioned (or Q is defective), and S is then
@@ -384,7 +394,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     z = flow.coordinates(_pick_initial(uniforms.draw(active), cum, vecs))
     t = np.zeros(n_traj)
     final = np.empty_like(z)
-    jump_rows, jump_pos = [], []
+    jump_rows, jump_pos = [np.empty(0, dtype=np.intp)], [np.empty(0)]
 
     while active.size:
         u = uniforms.draw(active)
@@ -402,8 +412,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
         jump_rows.append(active)
         jump_pos.append(t[active])
 
-    rows = np.concatenate(jump_rows) if jump_rows else np.empty(0, dtype=np.intp)
-    pos = np.concatenate(jump_pos) if jump_pos else np.empty(0)
+    rows, pos = np.concatenate(jump_rows), np.concatenate(jump_pos)
     order = np.argsort(rows, kind="stable")
     rows, pos = rows[order], pos[order]
     bounds = np.searchsorted(rows, np.arange(n_traj + 1))
@@ -486,21 +495,33 @@ def _stderr(psi):
     return psi.std(axis=0, ddof=1) / np.sqrt(len(psi))
 
 
-def estimate_stats(records, bins, burn_in=0.0):
-    """Empirical rate, pair correlation, and waiting-time histogram.
-
-    bins is one ascending edge array shared by the pair-separation and
-    waiting-time histograms; its last edge is the waiting-time horizon.
-    Non-finite edges and a negative or non-finite burn_in are refused.
-    """
-    if len(records) < 2:
-        raise InsufficientDataError("need at least 2 trajectories")
+def _bin_edges(bins):
+    """bins as a finite, nonnegative, strictly ascending 1d float array of at
+    least two edges (ValidationError)."""
     edges = np.asarray(bins, dtype=float)
     if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
             or np.any(np.diff(edges) <= 0)):
         raise ValidationError(f"bin edges must be a finite ascending 1d array, got {edges.tolist()}")
     if edges[0] < 0:
         raise ValidationError("bin edges must be nonnegative")
+    return edges
+
+
+def estimate_stats(records, bins, burn_in=0.0):
+    """Empirical rate, pair correlation, and waiting-time histogram.
+
+    bins is one ascending edge array shared by the pair-separation and
+    waiting-time histograms; its last edge is the waiting-time horizon.
+    Non-finite edges and a negative or non-finite burn_in are refused.
+    The ratios are 0/0 where nothing is observed, and read NaN there: an
+    ensemble without a jump after burn-in has rate 0 (stderr 0) and NaN
+    pair and waiting values; one whose every jump falls in the final
+    tau_max stretch has NaN waiting values, since a waiting time there
+    could be censored by the record's end.
+    """
+    if len(records) < 2:
+        raise InsufficientDataError("need at least 2 trajectories")
+    edges = _bin_edges(bins)
     if not 0.0 <= burn_in < np.inf:
         raise ValidationError(f"burn_in must be finite and nonnegative, got {burn_in}")
     length = records[0].length
@@ -517,105 +538,82 @@ def estimate_stats(records, bins, burn_in=0.0):
         raise ValidationError("records must share one length")
     counts, pair_hist, wait_counts, wait_cond = _record_histograms(
         records, edges, burn_in, window)
-    n_rec, n_bins = pair_hist.shape
 
     rates = counts / window
     rate = float(rates.mean())
-    rate_stderr = float(_stderr(rates))
-    if rate <= 0:
-        # jump-free ensemble: the rate is an honest zero, the normalized
-        # histograms are 0/0 and reported as NaN
-        nan = np.full(n_bins, np.nan)
-        return TrajectoryStats(
-            n_traj=n_rec, length=float(length),
-            rate=0.0, rate_stderr=0.0, bin_edges=edges.copy(),
-            pair_correlation=nan.copy(), pair_stderr=nan.copy(),
-            waiting_probs=nan.copy(), waiting_stderr=nan.copy(),
-            n_conditioning_jumps=0)
-
-    widths = np.diff(edges)
-    dens = pair_hist / widths
+    dens = pair_hist / np.diff(edges)
     mean_dens = dens.mean(axis=0)
-    pair_g2 = mean_dens / rate**2
-    # g2 = mean pair density / rate^2, linearized about the means
-    pair_stderr = _stderr((dens - mean_dens) / rate**2
-                          - 2.0 * mean_dens * (rates - rate)[:, None] / rate**3)
-
     total_cond = wait_cond.sum()
-    if total_cond < 1:
-        # every jump fell inside the final tau_max stretch; waiting times
-        # are unestimable without censoring bias, so report NaN
-        probs = np.full(n_bins, np.nan)
-        wait_stderr = np.full(n_bins, np.nan)
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair_g2 = mean_dens / rate**2
+        # g2 = mean pair density / rate^2, linearized about the means
+        pair_stderr = _stderr((dens - mean_dens) / rate**2
+                              - 2.0 * mean_dens * (rates - rate)[:, None] / rate**3)
+        # waiting times are conditioned on a jump early enough that any gap
+        # up to tau_max is observable; the ratio of mean counts to mean
+        # conditioning jumps, linearized
         probs = wait_counts.sum(axis=0) / total_cond
-        # the ratio of mean counts to mean conditioning jumps, linearized
         wait_stderr = _stderr((wait_counts - probs * wait_cond[:, None]) / wait_cond.mean())
 
     return TrajectoryStats(
-        n_traj=n_rec, length=float(length),
-        rate=rate, rate_stderr=rate_stderr, bin_edges=edges.copy(),
+        n_traj=len(records), length=float(length),
+        rate=rate, rate_stderr=float(_stderr(rates)), bin_edges=edges.copy(),
         pair_correlation=pair_g2, pair_stderr=pair_stderr,
         waiting_probs=probs, waiting_stderr=wait_stderr,
         n_conditioning_jumps=int(total_cond))
 
 
-def _post_jump_state(params):
-    """Stationary state immediately after a jump, or None when R = 0."""
-    rho = params.R @ params.stationary.steady_state @ params.R.conj().T
+def _opening_state(params):
+    """The state the oracle opens on: boundary_rho in a finite window,
+    else the stationary state right after a jump, R rho R^dag normalized.
+    None when that is dark, tr(R rho R^dag) <= 1e-14 ||R||_F^2: the zero is
+    relative to ||R||_F^2, which bounds the weight and scales with it, so
+    the verdict holds in every length unit."""
+    if isinstance(params.geometry, Finite):
+        return params.geometry.boundary_rho
+    r = params.R
+    rho = r @ params.stationary.steady_state @ r.conj().T
     weight = np.trace(rho).real
-    if weight <= 1e-300:
+    if weight <= 1e-14 * np.linalg.norm(r) ** 2:
         return None
     return rho / weight
 
 
-def _resolve_initial(params, initial):
-    if initial is not None:
-        return np.asarray(initial, dtype=complex)
-    if isinstance(params.geometry, Finite):
-        return params.geometry.boundary_rho
-    return _post_jump_state(params)
-
-
-def _no_jump_oracle(params, taus, initial, weight, dark):
-    """weight(exp(Q tau) rho0 exp(Q tau)^dag) at each tau >= 0, where rho0 is
-    the resolved initial state; `dark` everywhere when there is none (R = 0).
-    Every tau must be finite and nonnegative (ValidationError)."""
+def _no_jump_oracle(params, taus, weight, dark):
+    """Re tr weight(sigma) for the stack of sigma = exp(Q tau) rho0
+    exp(Q tau)^dag over every tau >= 0, from the opening state rho0;
+    `dark` everywhere when it has none.  Every tau must be finite and
+    nonnegative (ValidationError)."""
     taus = np.asarray(taus, dtype=float)
     bad = taus[~(np.isfinite(taus) & (taus >= 0))]
     if bad.size:
         raise ValidationError(f"tau must be finite and nonnegative, got {bad[0]}")
-    rho0 = _resolve_initial(params, initial)
+    rho0 = _opening_state(params)
     if rho0 is None:
         return np.full_like(taus, dark)
     q = _no_jump_generator(params, taus.max(initial=0.0))
-    out = np.empty(taus.shape)
-    for i, tau in enumerate(taus.ravel()):
-        prop = scipy.linalg.expm(q * tau)
-        out.ravel()[i] = weight(prop @ rho0 @ prop.conj().T)
-    return out
+    prop = scipy.linalg.expm(q * taus.reshape(-1, 1, 1))
+    sigma = prop @ rho0 @ prop.conj().transpose(0, 2, 1)
+    return np.trace(weight(sigma), axis1=1, axis2=2).real.reshape(taus.shape)
 
 
-def no_jump_survival(params, taus, initial=None):
-    """Probability that no jump occurs up to each tau."""
-    return _no_jump_oracle(params, taus, initial, lambda sigma: np.trace(sigma).real, 1.0)
+def no_jump_survival(params, taus):
+    """Probability that no jump occurs up to each tau, from the opening
+    state (`_opening_state`)."""
+    return _no_jump_oracle(params, taus, lambda sigma: sigma, 1.0)
 
 
-def waiting_time_analytic(params, taus, initial=None):
-    """Waiting-time density w(tau) = -dS/dtau from the post-jump ensemble.
+def waiting_time_analytic(params, taus):
+    """Waiting-time density w(tau) = -dS/dtau from the opening state.
 
     S is the no-jump survival; w integrates to at most 1 and is defective
     when dark states can trap the evolution.
     """
     r = params.R
-    return _no_jump_oracle(params, taus, initial,
-                           lambda sigma: np.trace(r @ sigma @ r.conj().T).real, 0.0)
+    return _no_jump_oracle(params, taus, lambda sigma: r @ sigma @ r.conj().T, 0.0)
 
 
-def waiting_bin_probs(params, edges, initial=None):
-    """Exact per-bin waiting-time probabilities S(a) - S(b) over edge pairs."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValidationError("bin edges must be a 1d ascending array")
-    surv = no_jump_survival(params, edges, initial=initial)
-    return -np.diff(surv)
+def waiting_bin_probs(params, edges):
+    """Exact per-bin waiting-time probabilities S(a) - S(b) over the edge
+    pairs, which follow the estimator's rule (`_bin_edges`)."""
+    return -np.diff(no_jump_survival(params, _bin_edges(edges)))

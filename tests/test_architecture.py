@@ -45,3 +45,22 @@ def test_the_generator_is_built_only_by_the_parameter_set():
     callers = {module for module, tree in _trees().items() for node in ast.walk(tree)
                if isinstance(node, ast.Call) and "build_liouvillian" in _names(node.func)}
     assert callers == {"core"}
+
+
+def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
+    # the oracle is an independent reference for the correlators: it takes
+    # Q from liouville.fields and exponentiates it itself.  liouville's
+    # certified exponential would refuse (EXPONENT_LIMIT) the drive at
+    # k = 5e12 whose survival the oracle still evaluates
+    imports = {}
+    for node in ast.walk(_trees()["trajectories"]):
+        if isinstance(node, ast.ImportFrom):
+            imports.setdefault(node.module or "", set()).update(_names(node))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imports.setdefault(alias.name, set()).add("*")
+    from_liouville = set().union(*(names for module, names in imports.items()
+                                   if module.rsplit(".", 1)[-1] == "liouville"))
+    assert from_liouville == {"fields"}
+    words = set(imports).union(*imports.values())
+    assert not [word for word in words if "correlators" in word or "discretizer" in word]

@@ -98,7 +98,7 @@ def test_finite_geometry_validation():
         with pytest.raises(ValidationError):
             Finite(length=1.0, boundary_rho=np.array([[1.0, 0.0], [0.0, bad]]))
     with pytest.raises(InvalidBoundaryStateError):
-        Finite(length=1.0, boundary_rho=np.array([[0.5, 0.3], [0.0, 0.5]]))
+        new_cmps(2, RF_K, RF_R, Finite(length=1.0, boundary_rho=np.array([[0.5, 0.3], [0.0, 0.5]])))
     with pytest.raises(InvalidBoundaryStateError):
         Finite(length=1.0, boundary_rho=np.array([[0.7, 0.0], [0.0, 0.5]]))
     with pytest.raises(InvalidBoundaryStateError):
@@ -112,7 +112,7 @@ def test_finite_geometry_validation():
     (lambda: new_cmps(2, [[0.0, 1e308], [-1e308, 0.0]], np.eye(2)),
      NonHermitianKError, "Hermitian"),
     (lambda: new_cmps(2, np.diag([1e308j, 0.0]), np.eye(2)), NonHermitianKError, "Hermitian"),
-    (lambda: Finite(1.0, [[0.5, 1e308], [-1e308, 0.5]]),
+    (lambda: new_cmps(2, RF_K, RF_R, Finite(1.0, [[0.5, 1e308], [-1e308, 0.5]])),
      InvalidBoundaryStateError, "not Hermitian"),
     (lambda: Finite(1.0, [[0.5, 1e308], [1e308, 0.5]]),
      InvalidBoundaryStateError, "positive semidefinite"),
@@ -249,9 +249,9 @@ def test_parameter_sets_with_different_tolerances_coexist(strict_first):
 def test_finite_and_field_moments_honour_their_tolerances():
     rho = np.array([[0.5, 1e-9], [0.0, 0.5]])
     with pytest.raises(InvalidBoundaryStateError):
-        Finite(length=1.0, boundary_rho=rho)
-    window = Finite(length=1.0, boundary_rho=rho, tol=Tolerances(herm=1e-6))
-    assert window.boundary_rho[0, 1] == 1e-9
+        new_cmps(2, RF_K, RF_R, Finite(length=1.0, boundary_rho=rho))
+    p = new_cmps(2, RF_K, RF_R, Finite(length=1.0, boundary_rho=rho), tol=Tolerances(herm=1e-6))
+    assert p.geometry.boundary_rho[0, 1] == 1e-9
     with pytest.raises(InvalidMomentsError):
         FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9)
     moments = FieldMoments(0.0, 0.0, 0.5, 1.5 + 1e-9, tol=Tolerances(moment=1e-6))

@@ -159,8 +159,7 @@ def test_first_jump_times_follow_survival(k, monkeypatch):
     edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
     first = np.array([r.positions[0] for r in recs if r.positions.size])
     observed = np.append(np.histogram(first, edges)[0], len(recs) - first.size) / len(recs)
-    expected = np.append(waiting_bin_probs(p, edges, initial=EXCITED),
-                         no_jump_survival(p, [edges[-1]], initial=EXCITED))
+    expected = np.append(waiting_bin_probs(p, edges), no_jump_survival(p, [edges[-1]]))
     stderr = np.sqrt(expected * (1 - expected) / len(recs))
     assert np.all(np.abs(observed - expected) < 3.0 * stderr)
 
@@ -269,6 +268,20 @@ def test_estimator_semantics_on_synthetic_records():
         want = _loop_histograms(more, edges, burn_in, window)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def test_an_ensemble_without_a_conditioning_jump_has_nan_waiting_times():
+    # every jump lies in the final tau_max = 2 stretch of the length-10
+    # records, so no waiting time is observable without censoring: the
+    # waiting ratios are 0/0, read as NaN without a warning, while the
+    # pairs are still counted
+    recs = [_record([8.5, 9.0, 9.7]), _record([8.2, 9.9]), _record([9.1])]
+    stats = estimate_stats(recs, [0.0, 1.0, 2.0])
+    assert stats.n_conditioning_jumps == 0
+    assert np.isnan(stats.waiting_probs).all() and np.isnan(stats.waiting_stderr).all()
+    assert stats.rate == pytest.approx(0.2, abs=1e-15)
+    assert np.isfinite(stats.pair_correlation).all() and np.isfinite(stats.pair_stderr).all()
+    assert np.all(stats.pair_correlation > 0.0)
 
 
 def test_estimator_rejects_malformed_input():
@@ -384,6 +397,51 @@ def test_no_jump_oracle_rejects_bad_taus(rf, damping_finite, bad):
                 oracle(p, [0.0, bad])
         with pytest.raises(ValidationError):
             waiting_bin_probs(p, [0.0, 1.0, bad])
+
+
+@pytest.mark.parametrize("edges", [[0.0, np.nan], [0.0, 1.0, np.inf], [-0.5, 1.0]],
+                         ids=["nan", "inf", "negative"])
+def test_waiting_bin_probs_reads_its_edges_by_the_estimators_rule(rf, edges):
+    recs = [_record([1.0, 5.0]), _record([2.0])]
+    with pytest.raises(ValidationError, match="bin edges must be") as oracle:
+        waiting_bin_probs(rf, edges)
+    with pytest.raises(ValidationError) as estimator:
+        estimate_stats(recs, edges)
+    assert str(oracle.value) == str(estimator.value)
+
+
+def test_the_oracle_exponentiates_every_tau_in_one_call(rf, monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    taus = np.linspace(0.0, 8.0, 17)
+    surv = no_jump_survival(rf, taus)
+    assert calls == [(17, 2, 2)]
+    # the stack holds each tau's own exponential, so a value does not
+    # depend on the taus asked for with it
+    assert np.array_equal(surv, [no_jump_survival(rf, [t])[0] for t in taus])
+    assert np.array_equal(waiting_time_analytic(rf, taus.reshape(1, 17)),
+                          [[waiting_time_analytic(rf, t) for t in taus]])
+
+
+def test_the_dark_state_verdict_does_not_depend_on_the_length_unit():
+    # K -> sK, R -> sqrt(s) R leaves the survival at tau / s and scales the
+    # density by s.  The post-jump weight tr(R rho R^dag) is about s / 3
+    # here; an absolute zero (1e-300) read it dark at s = 1e-301, as
+    # survival 1 and density 0.  The zero is 1e-14 ||R||_F^2
+    ref = new_cmps(2, RF_K, RF_R)
+    survival, density_at_1 = no_jump_survival(ref, [1.0])[0], waiting_time_analytic(ref, [1.0])[0]
+    assert survival == pytest.approx(0.9445, abs=1e-4)
+    assert density_at_1 == pytest.approx(0.1424, abs=1e-4)
+    for s in (1e-301, 1e-305):
+        p = new_cmps(2, s * RF_K, np.sqrt(s) * RF_R)
+        assert no_jump_survival(p, [1.0 / s])[0] == pytest.approx(survival, rel=1e-12)
+        assert waiting_time_analytic(p, [1.0 / s])[0] / s == pytest.approx(density_at_1, rel=1e-12)
+    # K = 0, R = sigma_-: the stationary state is the ground state, from
+    # which no jump can occur
+    dark = new_cmps(2, np.zeros((2, 2)), DAMP_R)
+    assert np.array_equal(no_jump_survival(dark, [0.0, 1.0]), [1.0, 1.0])
+    assert np.array_equal(waiting_time_analytic(dark, [0.0, 1.0]), [0.0, 0.0])
 
 
 def test_waiting_density_integrates_to_bin_masses(rf):
