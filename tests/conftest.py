@@ -26,6 +26,11 @@ DAMP_K = np.zeros((2, 2))
 DAMP_R = np.array([[0.0, 0.0], [1.0, 0.0]])
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]])
 
+# the driven emitter at its exceptional point: Q = -i sigma_x / 4 - |e><e| / 2
+# has the double eigenvalue -1/4 and a single eigenvector, so the sampler
+# takes S from expm
+EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
+
 
 def rand_herm(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

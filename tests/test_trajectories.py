@@ -32,13 +32,17 @@ from cmps_lab.errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from cmps_lab.trajectories import _record_histograms, _seed_states, _streams
+from cmps_lab import trajectories
+from cmps_lab.trajectories import (
+    WAIT_RTOL,
+    _initial_ensemble,
+    _NoJumpFlow,
+    _record_histograms,
+    _seed_states,
+    _streams,
+)
 
-from conftest import DAMP_R, EXCITED, RF_K, RF_R, kron_map, random_instance, unvec, vec
-
-# the driven emitter at its exceptional point: Q = -i sigma_x / 4 - |e><e| / 2
-# has the double eigenvalue -1/4 and a single eigenvector
-EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
+from conftest import DAMP_R, EP_K, EXCITED, RF_K, RF_R, kron_map, random_instance, unvec, vec
 
 
 def _numpy_stream(master_seed, index):
@@ -162,6 +166,111 @@ def test_first_jump_times_follow_survival(k, monkeypatch):
     expected = np.append(waiting_bin_probs(p, edges), no_jump_survival(p, [edges[-1]]))
     stderr = np.sqrt(expected * (1 - expected) / len(recs))
     assert np.all(np.abs(observed - expected) < 3.0 * stderr)
+
+
+@pytest.mark.parametrize("k", [RF_K, EP_K], ids=["emitter", "exceptional"])
+def test_waiting_times_solve_the_survival_equation(k):
+    # each waiting time solves S(tau) = u for its own uniform, whatever the
+    # solver started from: the first from EXCITED, the second from the
+    # post-jump ground state, with S from an independent expm of Q.  A
+    # relative error WAIT_RTOL in tau moves log S by WAIT_RTOL tau (-S'/S);
+    # the further WAIT_RTOL covers the rounding of log S
+    p = new_cmps(2, k, RF_R, Finite(length=6.0, boundary_rho=EXCITED))
+    q = -1j * k - 0.5 * RF_R.T @ RF_R
+    starts = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    checked = [0, 0]
+    for rec in sample_ensemble(p, 300, 6.0, master_seed=4242):
+        gen = _numpy_stream(*rec.seed_info)
+        gen.random()
+        waits = np.diff(rec.positions[:2], prepend=0.0)
+        for i, (start, tau, u) in enumerate(zip(starts, waits, gen.random(2))):
+            phi = scipy.linalg.expm(q * tau) @ start
+            survival = np.vdot(phi, phi).real
+            hazard = np.vdot(RF_R @ phi, RF_R @ phi).real / survival
+            assert abs(np.log(survival) - np.log(u)) <= WAIT_RTOL * (1.0 + tau * hazard)
+            checked[i] += 1
+    assert min(checked) > 100
+
+
+def test_the_root_finder_starts_near_each_root(monkeypatch):
+    # every solve starts from the post-jump survival's table, not at tau = 0
+    # where the emitter's jump density vanishes: on this ensemble the root
+    # finder propagates 7.9 rows per jump from tau = 0 and 3.25 from the table
+    p = new_cmps(2, RF_K, RF_R)
+    rows = []
+    solve = trajectories._waiting_times
+
+    def counting(flow, *args):
+        propagate = flow.propagate
+        flow.propagate = lambda z, taus: rows.append(taus.size) or propagate(z, taus)
+        try:
+            return solve(flow, *args)
+        finally:
+            del flow.propagate
+
+    monkeypatch.setattr(trajectories, "_waiting_times", counting)
+    recs = sample_ensemble(p, 500, 40.0, master_seed=2024)
+    jumps = sum(rec.positions.size for rec in recs)
+    assert jumps > 6000
+    assert sum(rows) / jumps <= 3.26
+
+
+def test_an_ensemble_that_never_jumps_builds_no_start_table(damping_finite, monkeypatch):
+    monkeypatch.setattr(_NoJumpFlow, "start_table",
+                        lambda *args: pytest.fail("a start table was built"))
+    # R = 0 at D = 70, and records too short for any of their draws to
+    # end in a jump
+    d = 70
+    rho = np.zeros((d, d))
+    rho[0, 0] = 1.0
+    silent = new_cmps(d, np.zeros((d, d)), np.zeros((d, d)), Finite(length=0.5, boundary_rho=rho))
+    assert not any(r.positions.size for r in sample_ensemble(silent, 2, 0.5, master_seed=1))
+    recs = sample_ensemble(damping_finite, 20, 1e-9, master_seed=3)
+    assert not any(r.positions.size for r in recs)
+
+
+def test_a_long_record_samples_where_the_start_table_underflows():
+    # over a record of 2000 the post-jump survival falls below the smallest
+    # double on most of the table's grid, where -log S is held at the floor
+    p = new_cmps(2, RF_K, RF_R)
+    neg_log, taus = _NoJumpFlow(p, 2000.0).start_table(*_initial_ensemble(p))
+    assert neg_log[-1] == -np.log(np.finfo(float).tiny)
+    assert np.all(np.diff(neg_log) >= 0.0) and neg_log[0] < 1e-12
+    recs = sample_ensemble(p, 12, 2000.0, master_seed=17)
+    stats = estimate_stats(recs, [0.0, 1.0, 2.0], burn_in=20.0)
+    assert abs(stats.rate - 1.0 / 3.0) < 3.0 * stats.rate_stderr
+
+
+def test_a_dark_post_jump_image_starts_the_solve_at_zero():
+    # a window opening on the ground state: R rho R^dag = 0, so the table
+    # starts every solve at tau = 0, and the first jumps still follow the
+    # survival from the ground state
+    ground = np.diag([0.0, 1.0])
+    p = new_cmps(2, RF_K, RF_R, Finite(length=6.0, boundary_rho=ground))
+    table = _NoJumpFlow(p, 6.0).start_table(*_initial_ensemble(p))
+    assert [a.tolist() for a in table] == [[0.0], [0.0]]
+    recs = sample_ensemble(p, 4000, 6.0, master_seed=1618)
+    edges = np.array([0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+    first = np.array([r.positions[0] for r in recs if r.positions.size])
+    observed = np.append(np.histogram(first, edges)[0], len(recs) - first.size) / len(recs)
+    expected = np.append(waiting_bin_probs(p, edges), no_jump_survival(p, [edges[-1]]))
+    stderr = np.sqrt(expected * (1 - expected) / len(recs))
+    assert np.all(np.abs(observed - expected) < 3.0 * stderr)
+
+
+def test_a_record_cannot_run_past_its_finite_window():
+    p = new_cmps(2, RF_K, RF_R, Finite(length=4.0, boundary_rho=EXCITED))
+    for length in (100.0, 4.5, np.nextafter(4.0, 5.0)):
+        message = f"record length {length} exceeds the finite window's length 4.0"
+        with pytest.raises(ValidationError, match=message):
+            sample_ensemble(p, 3, length, 1)
+        with pytest.raises(ValidationError, match=message):
+            sample_trajectory(p, length, 1)
+    # a shorter record is a prefix of the window's
+    full = sample_ensemble(p, 20, 4.0, 1)
+    short = sample_ensemble(p, 20, 2.5, 1)
+    for a, b in zip(full, short):
+        np.testing.assert_allclose(b.positions, a.positions[a.positions < 2.5], rtol=1e-12, atol=0)
 
 
 def test_coherent_counts_are_poissonian(coherent):
