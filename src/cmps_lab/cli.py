@@ -1,20 +1,22 @@
 """Batch front end: JSON config in, JSON or CSV results out.
 
-One schema table per command owns the config format (`_BASE_SCHEMA` plus
-`_EXTRA_SCHEMA[command]`): each key's kind, the element kind of an
-array, the choices of a string, a minimum where one applies, and the
-default of each optional key.  `_check_schema` walks a config against it
-and fills the defaults in, so the handlers read a resolved config, and
-every run embeds that config and the tool version into its output: a
-result file is sufficient to reproduce itself bit for bit.  Configs are
-strict: unknown, missing or malformed keys fail with the offending dotted
-key named.  Exit codes: 0 success, 1 invalid input, 2 numerical failure.
+One table, `_COMMANDS`, holds every command, one entry each: the keys the
+command adds to `_BASE_SCHEMA`, a `compute(cfg, params)` that returns its
+result, and the header of a CSV result (the others write JSON).  The
+schema gives each key's kind, the element kind of an array, the choices
+of a string, a minimum where one applies, and the default of each
+optional key.  `_run` checks a config against it with `_check_schema`,
+which fills the defaults in, builds the parameter set, calls `compute`
+and writes the result: every output embeds the resolved config and the
+tool version, so a result file is sufficient to reproduce itself bit for
+bit.  Configs are strict: unknown, missing or malformed keys fail with
+the offending dotted key named.  Exit codes: 0 success, 1 invalid input,
+2 numerical failure.
 """
 
 import argparse
 import collections
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -65,43 +67,6 @@ _BASE_SCHEMA = {
     "length": _Key("num", None),
     "boundary_rho": _Key(_MAT, None),
 }
-_EXTRA_SCHEMA = {
-    "steady": {},
-    "gap": {},
-    "kinetic": {},
-    "correlate": {"separations": _Key(_NUMS, minimum=0.0)},
-    "g2": {"separations": _Key(_NUMS, minimum=0.0)},
-    "ll-energy": {"c": _Key("num"), "mu": _Key("num")},
-    "discretize": {"epsilons": _Key(_NUMS), "order": _Key("int", 1)},
-    "converge": {
-        "epsilons": _Key(_NUMS),
-        "observable": _Key(("occupation", "hopping", "pair"), "occupation"),
-        "separation": _Key("num", None),
-        "order": _Key("int", 1),
-    },
-    "trajectories": {
-        "n_traj": _Key("int"),
-        "seed": _Key("int", minimum=0),
-        "bins": _Key(_NUMS, minimum=0.0),
-        "burn_in": _Key("num", 0.0),
-    },
-    "lindblad-check": {
-        "moments": _Key({"psi_dag_sq": _Key(_CPLX), "psi_dag_psi": _Key("num")}),
-        "dx": _Key("num", 0.1),
-    },
-    "zfunctional-check": {
-        "eps": _Key("num"),
-        "h": _Key("num"),
-        "n_sites": _Key("int"),
-        "site_pair": _Key(["int"], None),
-    },
-    "family-deriv": {
-        "dK": _Key(_MAT),
-        "dR": _Key(_MAT),
-        "insertions": _Key([{"kind": _Key(tuple(INSERTIONS)), "position": _Key("num")}]),
-    },
-}
-
 # the Python types that json gives a number of each kind (a bool is not one)
 _NUMBER_TYPES = {"num": {int, float}, "int": {int}}
 _NUMBER_NAMES = {"num": "a number", "int": "an integer"}
@@ -172,18 +137,17 @@ def _complex_matrix(node, path):
     return re + 1j * im
 
 
-def _build_params(cfg, tol, record_length=False):
-    """The parameter set, after the rules that depend on the geometry."""
+def _build_params(cfg, tol, keys):
+    """The parameter set, after the rules that depend on the geometry;
+    `keys`, the command's own, admit `length` in the thermodynamic one."""
     model = cfg["model"]
     k = _complex_matrix(model["K"], "model.K")
     r = _complex_matrix(model["R"], "model.R")
     if cfg["geometry"] == "thermodynamic":
         if "boundary_rho" in cfg:
             raise ConfigError("'boundary_rho' is only valid for finite geometry")
-        if "length" in cfg and not record_length:
+        if "length" in cfg and "length" not in keys:
             raise ConfigError("'length' is only valid for finite geometry")
-        if record_length and "length" not in cfg:
-            raise ConfigError("missing required key 'length' (record length)")
         geometry = Thermodynamic()
     else:
         if "length" not in cfg or "boundary_rho" not in cfg:
@@ -299,40 +263,18 @@ def _emit_csv(out_path, command, cfg, header, rows):
     _atomic_write(out_path, "\n".join(lines) + "\n")
 
 
-def _cmd_spectrum(command, cfg, params, out_path):
-    """`steady` and `gap`: the spectrum, plus the fixed point for `steady`."""
+def _gap(cfg, params):
     data = params.stationary
-    result = {
-        "gap": data.gap,
-        "gapless": data.gapless,
-        "eigenvalues": {
-            "re": data.eigenvalues.real,
-            "im": data.eigenvalues.imag,
-        },
-    }
-    if command == "steady":
-        result["rho_ss"] = _matrix_out(data.steady_state)
-    _emit_json(out_path, command, cfg, result)
+    return {"gap": data.gap, "gapless": data.gapless, "eigenvalues": _matrix_out(data.eigenvalues)}
 
 
-def _cmd_separations(command, cfg, params, out_path):
-    """`correlate` and `g2`: two-point function or g2 on separations, as CSV."""
-    correlator = two_point if command == "correlate" else pair_correlation
+def _separation_rows(correlator, cfg, params):
+    """The rows (d, re, im) of a correlator on the config's separations."""
     res = correlator(params, cfg["separations"])
-    rows = [(d, v.real, v.imag) for d, v in zip(res.separations, res.values)]
-    _emit_csv(out_path, command, cfg, "d,re,im", rows)
+    return [(d, v.real, v.imag) for d, v in zip(res.separations, res.values)]
 
 
-def _cmd_kinetic(cfg, params, out_path):
-    _emit_json(out_path, "kinetic", cfg, {"kinetic_density": kinetic_density(params)})
-
-
-def _cmd_ll_energy(cfg, params, out_path):
-    value = lieb_liniger_energy_density(params, cfg["c"], cfg["mu"])
-    _emit_json(out_path, "ll-energy", cfg, {"energy_density": value})
-
-
-def _cmd_discretize(cfg, params, out_path):
+def _discretize(cfg, params):
     eps_list = np.asarray(cfg["epsilons"], dtype=float)
     generator = params.generator
     if not np.isfinite(generator.scale):
@@ -351,16 +293,11 @@ def _cmd_discretize(cfg, params, out_path):
             raise NoConvergenceError("transfer defect is not finite")
         defects.append(defect)
         occupations.append(lattice_correlators(tensors, "occupation"))
-    result = {
-        "epsilons": eps_list,
-        "occupation": occupations,
-        "transfer_defect": defects,
-        "order": cfg["order"],
-    }
-    _emit_json(out_path, "discretize", cfg, result)
+    return {"epsilons": eps_list, "occupation": occupations, "transfer_defect": defects,
+            "order": cfg["order"]}
 
 
-def _cmd_converge(cfg, params, out_path):
+def _converge(cfg, params):
     observable = cfg["observable"]
     if observable == "occupation":
         if "separation" in cfg:
@@ -370,65 +307,87 @@ def _cmd_converge(cfg, params, out_path):
             raise ConfigError(f"missing required key 'separation' for observable '{observable}'")
         observable = (observable, float(cfg["separation"]))
     study = convergence_study(params, cfg["epsilons"], observable=observable, order=cfg["order"])
-    result = {
-        "epsilons": study.eps,
-        "values": {"re": study.values.real, "im": study.values.imag},
-        "extrapolated": study.extrapolated,
-        "errors": study.errors,
-        "orders": study.orders,
-    }
-    _emit_json(out_path, "converge", cfg, result)
+    return {"epsilons": study.eps, "values": _matrix_out(study.values),
+            "extrapolated": study.extrapolated, "errors": study.errors, "orders": study.orders}
 
 
-def _cmd_trajectories(cfg, params, out_path):
-    if isinstance(params.geometry, Finite):
-        length = params.geometry.length
-    else:
-        length = float(cfg["length"])
-    records = sample_ensemble(params, cfg["n_traj"], length, cfg["seed"])
+def _trajectories(cfg, params):
+    records = sample_ensemble(params, cfg["n_traj"], float(cfg["length"]), cfg["seed"])
     stats = estimate_stats(records, cfg["bins"], burn_in=float(cfg["burn_in"]))
-    _emit_json(out_path, "trajectories", cfg, dataclasses.asdict(stats))
+    return dataclasses.asdict(stats)
 
 
-def _cmd_lindblad_check(cfg, params, out_path):
+def _lindblad_check(cfg, params):
     alpha = complex(cfg["moments"]["psi_dag_sq"]["re"], cfg["moments"]["psi_dag_sq"]["im"])
     n = float(cfg["moments"]["psi_dag_psi"])
     moments = FieldMoments(
         psi_dag_sq=alpha, psi_sq=np.conj(alpha),
         psi_dag_psi=n, psi_psi_dag=n + 1.0, tol=params.tol,
     )
-    comp = compare_forms(params.K, params.R, moments, dx=cfg["dx"])
-    _emit_json(out_path, "lindblad-check", cfg, dataclasses.asdict(comp))
+    return dataclasses.asdict(compare_forms(params.K, params.R, moments, dx=cfg["dx"]))
 
 
-def _cmd_zfunctional_check(cfg, params, out_path):
+def _zfunctional_check(cfg, params):
     report = source_consistency_check(params, cfg["eps"], cfg["h"], cfg["n_sites"],
                                       site_pair=cfg.get("site_pair"))
     cfg["site_pair"] = report["sites"]
-    _emit_json(out_path, "zfunctional-check", cfg, report)
+    return report
 
 
-def _cmd_family_deriv(cfg, params, out_path):
+def _family_deriv(cfg, params):
     dk = _complex_matrix(cfg["dK"], "dK")
     dr = _complex_matrix(cfg["dR"], "dR")
     insertions = [(float(item["position"]), item["kind"]) for item in cfg["insertions"]]
-    value = family_derivative(params, dk, dr, insertions)
-    _emit_json(out_path, "family-deriv", cfg, {"derivative": complex(value)})
+    return {"derivative": complex(family_derivative(params, dk, dr, insertions))}
 
 
-_HANDLERS = {
-    "steady": functools.partial(_cmd_spectrum, "steady"),
-    "gap": functools.partial(_cmd_spectrum, "gap"),
-    "correlate": functools.partial(_cmd_separations, "correlate"),
-    "g2": functools.partial(_cmd_separations, "g2"),
-    "kinetic": _cmd_kinetic,
-    "ll-energy": _cmd_ll_energy,
-    "discretize": _cmd_discretize,
-    "converge": _cmd_converge,
-    "trajectories": _cmd_trajectories,
-    "lindblad-check": _cmd_lindblad_check,
-    "zfunctional-check": _cmd_zfunctional_check,
-    "family-deriv": _cmd_family_deriv,
+# One entry per command: the keys it adds to _BASE_SCHEMA, compute(cfg,
+# params), which returns its result, and the header of a CSV result (None
+# writes JSON).  The lambdas look the library functions up when called, so
+# a wrapper put on a module attribute sees the call.
+_Command = collections.namedtuple("_Command", "keys compute header", defaults=(None,))
+_SEPARATIONS = {"separations": _Key(_NUMS, minimum=0.0)}
+_COMMANDS = {
+    "steady": _Command({}, lambda cfg, params: _gap(cfg, params) | {
+        "rho_ss": _matrix_out(params.stationary.steady_state)}),
+    "gap": _Command({}, _gap),
+    "kinetic": _Command({}, lambda cfg, params: {"kinetic_density": kinetic_density(params)}),
+    "correlate": _Command(_SEPARATIONS, lambda cfg, params: _separation_rows(
+        two_point, cfg, params), "d,re,im"),
+    "g2": _Command(_SEPARATIONS, lambda cfg, params: _separation_rows(
+        pair_correlation, cfg, params), "d,re,im"),
+    "ll-energy": _Command({"c": _Key("num"), "mu": _Key("num")}, lambda cfg, params: {
+        "energy_density": lieb_liniger_energy_density(params, cfg["c"], cfg["mu"])}),
+    "discretize": _Command({"epsilons": _Key(_NUMS), "order": _Key("int", 1)}, _discretize),
+    "converge": _Command({
+        "epsilons": _Key(_NUMS),
+        "observable": _Key(("occupation", "hopping", "pair"), "occupation"),
+        "separation": _Key("num", None),
+        "order": _Key("int", 1),
+    }, _converge),
+    # the record length is required here, in either geometry
+    "trajectories": _Command({
+        "length": _Key("num"),
+        "n_traj": _Key("int"),
+        "seed": _Key("int", minimum=0),
+        "bins": _Key(_NUMS, minimum=0.0),
+        "burn_in": _Key("num", 0.0),
+    }, _trajectories),
+    "lindblad-check": _Command({
+        "moments": _Key({"psi_dag_sq": _Key(_CPLX), "psi_dag_psi": _Key("num")}),
+        "dx": _Key("num", 0.1),
+    }, _lindblad_check),
+    "zfunctional-check": _Command({
+        "eps": _Key("num"),
+        "h": _Key("num"),
+        "n_sites": _Key("int"),
+        "site_pair": _Key(["int"], None),
+    }, _zfunctional_check),
+    "family-deriv": _Command({
+        "dK": _Key(_MAT),
+        "dR": _Key(_MAT),
+        "insertions": _Key([{"kind": _Key(tuple(INSERTIONS)), "position": _Key("num")}]),
+    }, _family_deriv),
 }
 
 
@@ -486,7 +445,7 @@ def _load_tolerances(path):
 
 def _run(argv):
     parser = _Parser(prog="cmps-lab", description=__doc__)
-    parser.add_argument("command", choices=list(_HANDLERS))
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--output", required=True)
     parser.add_argument("--tolerance-overrides", default=None)
@@ -495,10 +454,14 @@ def _run(argv):
     tol = Tolerances()
     if args.tolerance_overrides:
         tol = _load_tolerances(args.tolerance_overrides)
+    command = _COMMANDS[args.command]
     cfg = _read_json(args.config, "config")
-    _check_schema(cfg, _BASE_SCHEMA | _EXTRA_SCHEMA[args.command])
-    params = _build_params(cfg, tol, record_length=args.command == "trajectories")
-    _HANDLERS[args.command](cfg, params, args.output)
+    _check_schema(cfg, _BASE_SCHEMA | command.keys)
+    result = command.compute(cfg, _build_params(cfg, tol, command.keys))
+    if command.header is None:
+        _emit_json(args.output, args.command, cfg, result)
+    else:
+        _emit_csv(args.output, args.command, cfg, command.header, result)
     return 0
 
 

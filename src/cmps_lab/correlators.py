@@ -34,12 +34,13 @@ it opens on the boundary state at x = 0, and insertions are anchored at
 the left edge (the first insertion sits at x1 = 0 for separation grids).
 Both close alike: a chain that ends on an insertion S reads the vector
 before S with the covector <1| S and divides by the opening state's
-trace.  The boundary right of the last insertion is never read, and the
-generator preserves the trace, <1| exp(L x) = <1|, so a finite window is
-not walked to its edge (Osborne, Eisert & Verstraete, PRL 105, 260401,
-2010).  The generator, a `liouville.Superoperator`, preserves
-Hermiticity, so each propagator exp(L dx) is the exponential of its real
-Hermitian-basis matrix `hmat`, as are the sourced sites of
+trace, and a value that is not finite is refused.  The boundary right
+of the last insertion is never read, and the generator preserves the
+trace, <1| exp(L x) = <1|, so a finite window is not walked to its
+edge (Osborne, Eisert & Verstraete, PRL 105, 260401, 2010).  The
+generator, a `liouville.Superoperator`, preserves Hermiticity, so each
+propagator exp(L dx) is the exponential of its real Hermitian-basis
+matrix `hmat`, as are the sourced sites of
 `generating_functional`, all by `liouville.exponential`, which refuses an
 exponent that would overflow or that double precision does not resolve,
 and a result that is not finite; the vectors stay complex, because an
@@ -136,7 +137,8 @@ class _Chain:
     coordinates (`HermitianBasis.act`), and `covector` gives <1| S from the
     adjoint action: a chain that ends on kind S closes on it, divided by
     `norm`, the opening state's trace (1, or tr boundary_rho in a finite
-    window).  There is no propagator cache: the chain holds the
+    window), in `read`, which refuses a value that is not finite as
+    NoConvergenceError.  There is no propagator cache: the chain holds the
     exponential of one leg at a time (`leg`), built when a leg of a new
     length is reached and reused while the following legs share that
     length, for one vector and for a block alike.  The generator L, whose
@@ -241,6 +243,17 @@ class _Chain:
                 v = w
         return stops
 
+    def read(self, legs, kind):
+        """Scan the legs from the opening state and read the vector at each
+        stop with the covector of `kind`, divided by `norm`.  An overflow in
+        the walk or the read leaves a value that is not finite, which is
+        refused as NoConvergenceError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.scan(self.right, legs) @ self.covector(kind) / self.norm
+        if not np.isfinite(values).all():
+            raise NoConvergenceError(f"correlator value closing on {kind} is not finite")
+        return values
+
     def evaluate(self, insertions):
         """Close a chain of (position, kind) pairs, ascending order: read
         the vector before its last kind with that kind's covector."""
@@ -248,8 +261,7 @@ class _Chain:
         if not legs:
             return complex(self.left @ self.right) / self.norm
         *legs, (dx, last) = legs
-        stops = self.scan(self.right, [*legs, (dx, self.STOP)])
-        return complex((stops @ self.covector(last))[0]) / self.norm
+        return complex(self.read([*legs, (dx, self.STOP)], last)[0])
 
 
 def _apply(m, v):
@@ -288,8 +300,7 @@ def _separation_scan(chain, separations, first, second):
     order = np.argsort(seps, kind="stable")
     items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
     values = np.empty(seps.size, dtype=complex)
-    stops = chain.scan(chain.right, chain.legs(items))
-    values[order] = stops @ chain.covector(second) / chain.norm
+    values[order] = chain.read(chain.legs(items), second)
     return seps, values
 
 

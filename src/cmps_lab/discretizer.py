@@ -164,7 +164,7 @@ def _dominant_pair(emat):
         np.abs(emat @ right - eta * right).max(),
         np.abs(left @ emat - eta * left).max(),
     )
-    if res > FIXED_POINT_TOL * max(1.0, abs(eta)):
+    if not res <= FIXED_POINT_TOL * max(1.0, abs(eta)):  # a nan residual fails too
         raise WindowTooSmallError(f"transfer fixed-point residual {res:.3e}")
     overlap = left @ right
     if abs(overlap) < 1e-12:
@@ -186,7 +186,8 @@ def lattice_correlators(tensors, observable, distances=None):
     Hermitian part) and closes each distance with its tail <1| E^k.
     Values are rescaled by the eps powers that map lattice operators to
     field operators.  A transfer matrix whose term norm is not finite is
-    refused as NoConvergenceError before it is built.
+    refused as NoConvergenceError before it is built, and so is a value
+    that is not finite, which an overflow on the way leaves.
     """
     eps = tensors.eps
     d = tensors.dim
@@ -223,44 +224,48 @@ def lattice_correlators(tensors, observable, distances=None):
     basis = hermitian_basis(d)
     ms = sorted(set(distances))
     used = [m + 1 for m in ms]
-    if n_sites is None:
-        eta, close, open_vec = _dominant_pair(emat)
-    else:
-        open_vec = basis.coordinates(tensors.geometry.boundary_rho).real
-        # closing covectors <1| E^k at the k a chain closes on: the tail
-        # after each span, and the full norm.  Each k is reached from the
-        # one before by the binary powers E^(2^j), squared once.
-        w = trace_functional(d).real
-        tails, at, powers = {}, 0, [emat]
-        for k in sorted({n_sites - u for u in used} | {n_sites}):
-            step, j = k - at, 0
-            while step:
-                if j == len(powers):
-                    powers.append(powers[-1] @ powers[-1])
-                if step & 1:
-                    w = w @ powers[j]
-                step, j = step >> 1, j + 1
-            tails[k], at = w, k
+    # an overflow in the fixed points, the powers of E, the walk or the
+    # rescaling leaves a value that is not finite, which is refused once below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if n_sites is None:
+            eta, close, open_vec = _dominant_pair(emat)
+        else:
+            open_vec = basis.coordinates(tensors.geometry.boundary_rho).real
+            # closing covectors <1| E^k at the k a chain closes on: the tail
+            # after each span, and the full norm.  Each k is reached from the
+            # one before by the binary powers E^(2^j), squared once.
+            w = trace_functional(d).real
+            tails, at, powers = {}, 0, [emat]
+            for k in sorted({n_sites - u for u in used} | {n_sites}):
+                step, j = k - at, 0
+                while step:
+                    if j == len(powers):
+                        powers.append(powers[-1] @ powers[-1])
+                    if step & 1:
+                        w = w @ powers[j]
+                    step, j = step >> 1, j + 1
+                tails[k], at = w, k
 
-    first, *second = tables
-    stops = basis.act(first, tensors.fields, open_vec)
-    if second:
-        # E is real: walk the real and imaginary parts as two columns
-        x = np.column_stack([stops[0].real, stops[0].imag])
-        walk = np.empty((len(ms), *x.shape))
-        for i, (prev, m) in enumerate(zip([1, *ms], ms)):
-            for _ in range(m - prev):
-                x = emat @ x
-            walk[i] = x
-        stops = basis.act(second[0], tensors.fields, walk[..., 0] + 1j * walk[..., 1])
-    if n_sites is None:
-        values = (stops @ close) / (close @ open_vec) / eta ** np.array(used)
-    else:
-        values = np.array([tails[n_sites - u] @ v for u, v in zip(used, stops)])
-        values /= tails[n_sites] @ open_vec
-
-    scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
-    values = values[np.searchsorted(ms, distances)] / scale
+        first, *second = tables
+        stops = basis.act(first, tensors.fields, open_vec)
+        if second:
+            # E is real: walk the real and imaginary parts as two columns
+            x = np.column_stack([stops[0].real, stops[0].imag])
+            walk = np.empty((len(ms), *x.shape))
+            for i, (prev, m) in enumerate(zip([1, *ms], ms)):
+                for _ in range(m - prev):
+                    x = emat @ x
+                walk[i] = x
+            stops = basis.act(second[0], tensors.fields, walk[..., 0] + 1j * walk[..., 1])
+        if n_sites is None:
+            values = (stops @ close) / (close @ open_vec) / eta ** np.array(used)
+        else:
+            values = np.array([tails[n_sites - u] @ v for u, v in zip(used, stops)])
+            values /= tails[n_sites] @ open_vec
+        scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
+        values = values[np.searchsorted(ms, distances)] / scale
+    if not np.isfinite(values).all():
+        raise NoConvergenceError(f"lattice {observable} value is not finite")
     if observable == "occupation":
         return float(values[0].real)
     if observable == "pair":

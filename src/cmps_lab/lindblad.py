@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _lattice_step
-from .errors import InvalidMomentsError, ShapeMismatchError
+from .errors import InvalidMomentsError, NoConvergenceError, ShapeMismatchError
 from .liouville import (
     Superoperator,
     Tolerances,
@@ -144,11 +144,13 @@ def build_general_generator(K, R, moments):
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
     alpha, n = moments.psi_dag_sq, moments.psi_dag_psi
     rd = R.conj().T
-    g = (-1j * K - 0.5 * moments.psi_psi_dag * (rd @ R) - 0.5 * n * (R @ rd)
-         + 0.5 * (alpha * (R @ R) + np.conj(alpha) * (rd @ rd)))
-    up, down = np.sqrt(n), np.sqrt(moments.psi_psi_dag)
-    return _dissipative_form(g, [(down * R, down * R), (up * rd, up * rd),
-                                 (-alpha * R, rd), (-np.conj(alpha) * rd, R)])
+    # an overflow leaves the term norm non-finite, which its readers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (-1j * K - 0.5 * moments.psi_psi_dag * (rd @ R) - 0.5 * n * (R @ rd)
+             + 0.5 * (alpha * (R @ R) + np.conj(alpha) * (rd @ rd)))
+        up, down = np.sqrt(n), np.sqrt(moments.psi_psi_dag)
+        return _dissipative_form(g, [(down * R, down * R), (up * rd, up * rd),
+                                     (-alpha * R, rd), (-np.conj(alpha) * rd, R)])
 
 
 def jump_decomposition(K, R, moments):
@@ -199,13 +201,18 @@ def compare_forms(K, R, moments, dx=0.1):
     the minimum Choi eigenvalue of exp(G dx) for both.  Nothing is
     asserted here; callers decide what counts as agreement (diagonal
     moments should give max_difference at roundoff, anomalous moments a
-    finite discrepancy).  A dx that is not finite and positive is refused.
+    finite discrepancy).  A dx that is not finite and positive is refused,
+    and so is a form whose term norm overflows, as NoConvergenceError,
+    before either matrix is built.
     """
     dx = _lattice_step(dx, "dx")
     gen = build_general_generator(K, R, moments)
-    jumps = jump_decomposition(K, R, moments)
-    g = -1j * jumps.K - 0.5 * sum(m.conj().T @ m for m in jumps.operators)
-    jform = _dissipative_form(g, [(m, m) for m in jumps.operators])
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps = jump_decomposition(K, R, moments)
+        g = -1j * jumps.K - 0.5 * sum(m.conj().T @ m for m in jumps.operators)
+        jform = _dissipative_form(g, [(m, m) for m in jumps.operators])
+    if not (np.isfinite(gen.scale) and np.isfinite(jform.scale)):
+        raise NoConvergenceError("generator has a non-finite term norm")
     one = trace_functional(gen.dim).real
     return FormComparison(
         max_difference=float(np.abs(gen.hmat - jform.hmat).max()),

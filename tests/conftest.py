@@ -31,6 +31,13 @@ EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]])
 # takes S from expm
 EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
 
+# K = 5e150 sigma_x, R = 1e76 sigma_minus: the generator's term norm (about
+# 2e152) is finite and so is its fixed point, but the derivative field
+# X = -[Q, R] is about 1e228, so X^dag X overflows, and so do the lattice
+# oracle's fixed points and powers of E
+HUGE_X_K = np.array([[0.0, 5e150], [5e150, 0.0]])
+HUGE_X_R = np.array([[0.0, 0.0], [1e76, 0.0]])
+
 
 def rand_herm(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

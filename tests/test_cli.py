@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from cmps_lab import cli
 from cmps_lab.cli import main
 from cmps_lab.errors import ConfigError
 
-from conftest import coupled_blocks, rand_herm, rand_mat
+from conftest import HUGE_X_K, HUGE_X_R, coupled_blocks, rand_herm, rand_mat
 
 RF_MODEL = {
     "dim": 2,
@@ -785,3 +786,64 @@ def test_a_non_finite_exponential_exits_2_before_any_warning(tmp_path, command, 
     _assert_numerical_failure_under_warnings_as_errors(
         tmp_path, command, cfg, f"term norm x |dx| = {bound} exceeds 1e+10: the exponential"
         f" at step {step} is not resolved in double precision")
+
+
+# K = 5e150 sigma_x, R = 1e76 sigma_minus: a finite fixed point, but X^dag X
+# and the lattice oracle's fixed points overflow (conftest.HUGE_X_K)
+HUGE_X = {"dim": 2, "K": {"re": HUGE_X_K.tolist()}, "R": {"re": HUGE_X_R.tolist()}}
+# K = 1e300 sigma_x / 2, R = 1e160 sigma_minus: R^dag R overflows
+HUGE_RDR = {"dim": 2, "K": {"re": [[0.0, 5e299], [5e299, 0.0]]},
+            "R": {"re": [[0.0, 0.0], [1e160, 0.0]]}}
+FINITE_WINDOW = {"geometry": "finite", "length": 1.0,
+                 "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]}}
+
+
+@pytest.mark.parametrize("command, model, extra, message", [
+    ("kinetic", HUGE_X, {}, "correlator value closing on deriv_annihilate is not finite"),
+    ("ll-energy", HUGE_X, {"c": 1.0, "mu": 1.0},
+     "correlator value closing on deriv_annihilate is not finite"),
+    ("converge", HUGE_X, {"epsilons": [0.02, 0.01]}, "transfer fixed-point residual nan"),
+    ("converge", HUGE_X, {**FINITE_WINDOW, "epsilons": [0.02, 0.01]},
+     "lattice occupation value is not finite"),
+    ("lindblad-check", HUGE_RDR, {"moments": {"psi_dag_sq": {"re": 0.3}, "psi_dag_psi": 0.5}},
+     "generator has a non-finite term norm"),
+], ids=["kinetic", "ll-energy", "converge", "converge-finite", "lindblad-check"])
+def test_a_value_that_overflows_exits_2_before_any_warning(tmp_path, command, model, extra,
+                                                           message):
+    # each printed overflow warnings and wrote null (converge, lindblad-check
+    # exited 2 on a nan term norm), and exited 1 with a traceback under -W error
+    cfg = {"model": model, "geometry": "thermodynamic", **extra}
+    _assert_numerical_failure_under_warnings_as_errors(tmp_path, command, cfg, message)
+
+
+@pytest.mark.parametrize("model, finishing", [(HUGE_X, {"steady", "gap"}), (HUGE_RDR, set())],
+                         ids=["huge-X", "huge-RdR"])
+def test_every_command_on_an_overflowing_model_finishes_finite_or_exits_2(
+        tmp_path, capfd, model, finishing):
+    # MINIMAL holds one config per command of the table, so a new command
+    # cannot land without its case here.  Each runs with warnings as errors,
+    # as -W error sets them, and either writes finite values or exits 2
+    # with one numerical-failure line
+    assert set(MINIMAL) == set(cli._COMMANDS)
+    finished = set()
+    for command, (given, _) in MINIMAL.items():
+        cfg = (damp_finite_config if command == "correlate" else rf_config)(**given)
+        cfg["model"] = json.loads(json.dumps(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run_cli(tmp_path, command, cfg, tag=command)
+        printed = capfd.readouterr()
+        assert printed.out == "", command
+        if rc == 0:
+            finished.add(command)
+            assert printed.err == "", command
+            if command in ("correlate", "g2"):
+                assert np.isfinite(_csv_values(out)).all(), command
+            else:
+                assert "null" not in out.read_text(), command
+        else:
+            assert rc == 2, command
+            assert printed.err.startswith("numerical failure: "), command
+            assert printed.err.count("\n") == 1, command
+            assert not out.exists(), command
+    assert finished == finishing

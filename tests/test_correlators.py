@@ -42,6 +42,9 @@ from cmps_lab.liouville import GENERATOR, fields
 from conftest import (
     DAMP_K,
     DAMP_R,
+    EXCITED,
+    HUGE_X_K,
+    HUGE_X_R,
     RF_K,
     RF_R,
     kron_map,
@@ -697,6 +700,35 @@ def test_a_non_finite_exponential_is_refused(call, capfd):
     p = new_cmps(2, 0.5e50 * SIGMA_X, DAMP_R, window)
     with pytest.raises(NoConvergenceError, match="exponential at step .* is not resolved"):
         call(p)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("geometry", [Thermodynamic(), Finite(length=1.0, boundary_rho=EXCITED)],
+                         ids=["thermodynamic", "finite"])
+def test_a_derivative_insertion_that_overflows_is_refused(geometry, capfd):
+    # the fixed point is finite, but the covector of X^dag X overflows:
+    # kinetic_density read nan (inf in the window) and expectation nan+nanj,
+    # after overflow warnings
+    p = new_cmps(2, HUGE_X_K, HUGE_X_R, geometry)
+    deriv = [(0.0, "deriv_create"), (0.0, "deriv_annihilate")]
+    for call in (lambda: kinetic_density(p), lambda: expectation(p, deriv),
+                 lambda: lieb_liniger_energy_density(p, 1.0, 1.0)):
+        with pytest.raises(NoConvergenceError,
+                           match="correlator value closing on deriv_annihilate is not finite"):
+            call()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_separation_scan_whose_read_overflows_is_refused(capfd):
+    # R = 1e100 diag(1, 1/2): the density (about 6e199) is finite, but
+    # <pair pair> at d = 0 is about 1e400; the read of the scan overflowed
+    # in a product, and g2 came out inf
+    window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
+    p = new_cmps(2, np.zeros((2, 2)), 1e100 * np.diag([1.0, 0.5]), window)
+    assert two_point(p, [0.0]).values[0] == pytest.approx(6.25e199, rel=1e-14)
+    with pytest.raises(NoConvergenceError,
+                       match="correlator value closing on pair_density is not finite"):
+        pair_correlation(p, [0.0])
     assert capfd.readouterr() == ("", "")
 
 

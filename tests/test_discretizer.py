@@ -32,6 +32,8 @@ from cmps_lab.errors import (
 
 from conftest import (
     EXCITED,
+    HUGE_X_K,
+    HUGE_X_R,
     RF_K,
     RF_R,
     hmat_reference,
@@ -561,6 +563,22 @@ def test_a_transfer_matrix_whose_term_norm_overflows_is_refused(geometry, k, r, 
     p = new_cmps(2, k, r, geometry)
     with pytest.raises(NoConvergenceError, match="transfer matrix has a non-finite term norm"):
         convergence_study(p, [0.01, 0.005], order=order)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("geometry, error, message", [
+    (Thermodynamic(), WindowTooSmallError, "transfer fixed-point residual nan"),
+    (Finite(length=1.0, boundary_rho=np.eye(2) / 2), NoConvergenceError,
+     "lattice (occupation|hopping) value is not finite"),
+], ids=["thermodynamic", "finite"])
+def test_a_lattice_value_that_is_not_finite_is_refused(geometry, error, message, capfd):
+    # the transfer matrix's term norm is finite, but its fixed points (the
+    # residual read nan and passed) or the powers <1| E^k overflow: the
+    # study returned nan values after overflow warnings
+    p = new_cmps(2, HUGE_X_K, HUGE_X_R, geometry)
+    for observable in ("occupation", ("hopping", 0.04)):
+        with pytest.raises(error, match=message):
+            convergence_study(p, [0.02, 0.01], observable=observable)
     assert capfd.readouterr() == ("", "")
 
 

@@ -10,6 +10,7 @@ from cmps_lab import (
     jump_decomposition,
     trace_functional,
 )
+from cmps_lab import liouville
 from cmps_lab.errors import (
     InvalidMomentsError,
     NoConvergenceError,
@@ -209,6 +210,22 @@ def test_compare_forms_refuses_a_non_finite_exponential(capfd, monkeypatch):
     for k in (0.5e50, 5e15):
         with pytest.raises(NoConvergenceError, match="exponential at step 0.1 is not resolved"):
             compare_forms(k * np.array([[0.0, 1.0], [1.0, 0.0]]), RF_R, FieldMoments.vacuum())
+    assert capfd.readouterr() == ("", "")
+
+
+def test_compare_forms_refuses_a_form_whose_term_norm_overflows(capfd, monkeypatch):
+    # K = 1e300 sigma_x / 2, R = 1e160 sigma_minus: R^dag R overflows in the
+    # G of both forms.  The products warned, the dense matrices were built
+    # on inf entries, and the exponent then refused a nan term norm
+    k = np.array([[0.0, 5e299], [5e299, 0.0]])
+    r = np.array([[0.0, 0.0], [1e160, 0.0]])
+    gen = build_general_generator(k, r, FieldMoments.vacuum())
+    assert not np.isfinite(gen.scale)
+    monkeypatch.setattr(liouville.Superoperator, "hmat",
+                        property(lambda self: pytest.fail("a dense form was built")))
+    for moments in (FieldMoments.vacuum(), FieldMoments(0.3, 0.3, 0.5, 1.5)):
+        with pytest.raises(NoConvergenceError, match="generator has a non-finite term norm"):
+            compare_forms(k, r, moments)
     assert capfd.readouterr() == ("", "")
 
 
