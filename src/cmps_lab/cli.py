@@ -44,7 +44,7 @@ from .discretizer import (
 )
 from .errors import ConfigError, NoConvergenceError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
-from .liouville import Tolerances
+from .liouville import Tolerances, finite
 from .trajectories import estimate_stats, sample_ensemble
 
 # A schema maps each key of a JSON object to a _Key:
@@ -289,9 +289,7 @@ def _discretize(cfg, params):
         # both terms are finite, but their difference's norm may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             defect = float(np.linalg.norm(emat - eye - eps * generator.hmat))
-        if not math.isfinite(defect):
-            raise NoConvergenceError("transfer defect is not finite")
-        defects.append(defect)
+        defects.append(finite(defect, "transfer defect"))
         occupations.append(lattice_correlators(tensors, "occupation"))
     return {"epsilons": eps_list, "occupation": occupations, "transfer_defect": defects,
             "order": cfg["order"]}

@@ -38,11 +38,17 @@ def _integer(value, name):
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _lattice_step(value, name):
-    """A lattice step as a float: finite (ValidationError) and positive."""
+def _real(value, name):
+    """A real number as a float, refused as ValidationError unless finite."""
     value = float(value)
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _lattice_step(value, name):
+    """A lattice step as a float: finite (ValidationError) and positive."""
+    value = _real(value, name)
     if value <= 0:
         raise StepNotPositiveError(f"{name} must be positive, got {value}")
     return value
@@ -58,6 +64,13 @@ def finite_site_count(length, eps):
     if n_sites < 1 or abs(n_sites * eps - length) > 1e-9 * length:
         raise ShapeMismatchError(f"eps {eps} does not divide the length {length}")
     return n_sites
+
+
+def _dark(weight, r):
+    """Whether a weight tr(R rho R^dag), a density or a post-jump weight,
+    is zero.  The zero is 1e-14 ||R||_F^2: that bounds the weight and
+    scales with it, so the verdict holds in every length unit."""
+    return weight <= 1e-14 * np.linalg.norm(r) ** 2
 
 
 def _as_complex_matrix(m, name):

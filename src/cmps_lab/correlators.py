@@ -32,9 +32,13 @@ stops.  In the thermodynamic
 geometry the chain opens on the stationary state; in a finite geometry
 it opens on the boundary state at x = 0, and insertions are anchored at
 the left edge (the first insertion sits at x1 = 0 for separation grids).
-Both close alike: a chain that ends on an insertion S reads the vector
-before S with the covector <1| S and divides by the opening state's
-trace, and a value that is not finite is refused.  The boundary right
+Every walk closes through one reader, `_Chain.read`: a chain that ends
+on an insertion S reads the vector before S with the covector <1| S, a
+chain without one (the source functional's block, the family
+derivative's tangent) reads it with <1|, and either divides by the
+opening state's trace.  The reader lets an overflow in the walk pass
+silently and refuses a value that is not finite as NoConvergenceError
+through the package's one gate, `liouville.finite`.  The boundary right
 of the last insertion is never read, and the generator preserves the
 trace, <1| exp(L x) = <1|, so a finite window is not walked to its
 edge (Osborne, Eisert & Verstraete, PRL 105, 260401, 2010).  The
@@ -59,7 +63,8 @@ insertion by the squared density.  A source on the field only changes the
 boundary generator: the source term
 lam (R, 1) + conj(lam) (1, R) + mu (X, 1) + conj(mu) (1, X) equals the
 shift Q -> Q + lam R + mu X in `GENERATOR`, which is how
-`generating_functional` builds a site that carries sources.  It walks
+`generating_functional` builds a site that carries sources
+(`liouville.sourced_generator`).  It walks
 all the source fields it is given as the rows of one block, in one scan:
 a site without a source in any field is the free step exp(eps L), and a
 sourced site applies each distinct (lam, mu) exponential to the rows that
@@ -72,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Thermodynamic, _integer, _is_hermitian, _lattice_step, finite_site_count
+from .core import Thermodynamic, _dark, _integer, _is_hermitian, _lattice_step, _real, finite_site_count
 from .errors import (
     GaplessStateError,
     NegativeDistanceError,
@@ -93,8 +98,10 @@ from .liouville import (
     exponential,
     exponential_frechet,
     fields_tangent,
+    finite,
     fixed_mode,
     hermitian_basis,
+    sourced_generator,
     tangent_terms,
     trace_functional,
 )
@@ -135,10 +142,12 @@ class _Chain:
     (`_TangentChain`).  A kind is never built as a matrix: `act`
     applies its `liouville.action` over this chain's own field table to
     coordinates (`HermitianBasis.act`), and `covector` gives <1| S from the
-    adjoint action: a chain that ends on kind S closes on it, divided by
-    `norm`, the opening state's trace (1, or tr boundary_rho in a finite
-    window), in `read`, which refuses a value that is not finite as
-    NoConvergenceError.  There is no propagator cache: the chain holds the
+    adjoint action: every walk closes in `read`, on the covector of the
+    kind S it ends on or on <1| when it ends on none, divided by `norm`,
+    the opening state's trace (1, or tr boundary_rho in a finite window);
+    `read` refuses a value that is not finite as NoConvergenceError
+    (`liouville.finite`).  A caller that walks a block sets `right`, the
+    opening, to it.  There is no propagator cache: the chain holds the
     exponential of one leg at a time (`leg`), built when a leg of a new
     length is reached and reused while the following legs share that
     length, for one vector and for a block alike.  The generator L, whose
@@ -243,24 +252,22 @@ class _Chain:
                 v = w
         return stops
 
-    def read(self, legs, kind):
-        """Scan the legs from the opening state and read the vector at each
-        stop with the covector of `kind`, divided by `norm`.  An overflow in
-        the walk or the read leaves a value that is not finite, which is
-        refused as NoConvergenceError."""
+    def read(self, legs, kind=None):
+        """Scan the legs from the opening `right` and read the vector or
+        block at each stop with the covector of `kind` (the trace
+        functional <1| for None), divided by `norm`: the one closing of an
+        exact walk.  An overflow in the walk or the read passes silently and
+        leaves a value that is not finite, which `finite` refuses."""
+        row = self.left if kind is None else self.covector(kind)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.scan(self.right, legs) @ self.covector(kind) / self.norm
-        if not np.isfinite(values).all():
-            raise NoConvergenceError(f"correlator value closing on {kind} is not finite")
-        return values
+            values = self.scan(self.right, legs) @ row / self.norm
+        return finite(values, f"correlator value closing on {kind or 'the trace'}")
 
     def evaluate(self, insertions):
         """Close a chain of (position, kind) pairs, ascending order: read
-        the vector before its last kind with that kind's covector."""
-        legs = self.legs(insertions)
-        if not legs:
-            return complex(self.left @ self.right) / self.norm
-        *legs, (dx, last) = legs
+        the vector before its last kind with that kind's covector (no
+        insertion reads the opening state's trace)."""
+        *legs, (dx, last) = self.legs(insertions) or [(0.0, None)]
         return complex(self.read([*legs, (dx, self.STOP)], last)[0])
 
 
@@ -324,8 +331,7 @@ def pair_correlation(params, separations):
     """Normalized pair correlator g2(d); requires nonzero density."""
     chain = _Chain(params)
     n = float(chain.evaluate([(0.0, "pair_density")]).real)  # the density, on this chain
-    # zero relative to ||R||_F^2, which bounds n and scales with it
-    if n <= 1e-14 * np.linalg.norm(params.R) ** 2:
+    if _dark(n, params.R):
         raise ZeroDensityError("pair correlator undefined at zero density")
     seps, values = _separation_scan(chain, separations, "pair_density", "pair_density")
     return CorrelatorResult(
@@ -344,12 +350,16 @@ def kinetic_density(params):
 
 
 def lieb_liniger_energy_density(params, c, mu):
-    """Energy density e = kinetic + c <pair pair at 0> - mu * density."""
+    """Energy density e = kinetic + c <pair pair at 0> - mu * density.
+
+    A c or mu that is not finite raises ValidationError, and an energy that
+    overflows NoConvergenceError."""
+    c, mu = _real(c, "c"), _real(mu, "mu")
     chain = _Chain(params)
     kin = chain.evaluate([(0.0, "deriv_create"), (0.0, "deriv_annihilate")]).real
     inter = chain.evaluate([(0.0, "pair_density"), (0.0, "pair_density")]).real
     n = chain.evaluate([(0.0, "pair_density")]).real
-    return float(kin + c * inter - mu * n)
+    return finite(kin + c * inter - mu * n, "energy density")
 
 
 # -- spectral envelope and decay fits ---------------------------------------
@@ -480,8 +490,8 @@ class _TangentChain(_Chain):
         super().__init__(params)
         self.moving = self.fields | fields_tangent(self.fields, dK, dR)
         self.tangent = Superoperator(tangent_terms(GENERATOR), self.moving)
-        if not math.isfinite(self.tangent.scale * unit):  # the unscaled direction's term norm
-            raise NoConvergenceError("tangent generator's term norm is not finite")
+        # the unscaled direction's term norm
+        finite(self.tangent.scale * unit, "tangent generator's term norm")
         if self.length is not None:
             dv = np.zeros_like(self.right)
         elif params.dim == 1:
@@ -509,8 +519,9 @@ def family_derivative(params, dK, dR, insertions):
     One forward scan of a `_TangentChain` carries the vector together with
     its tangent through the insertions, so the derivative along a family
     of states needs no backward march and no quadrature; the scan stops
-    after the last insertion and closes on <1| dv / norm: nothing to its
-    right adds a dE term and the norm does not move, because
+    after the last insertion and closes on <1| dv / norm through
+    `_Chain.read`: nothing to its right adds a dE term and the norm does
+    not move, because
     <1| L = <1| dL = 0.  A non-finite dK or dR raises ValidationError.  The
     derivative is linear in the direction, so the walk runs on (dK, dR)
     scaled exactly by a power of two to entries below 2 and the value is
@@ -539,12 +550,9 @@ def family_derivative(params, dK, dR, insertions):
     scaled = np.ldexp(parts, -k).view(complex)
     unit = math.ldexp(1.0, k)
     chain = _TangentChain(params, scaled[:params.dim], scaled[params.dim:], unit)
-    legs = chain.legs([*insertions, (insertions[-1][0], chain.STOP)])
-    # an overflow in the walk leaves the value non-finite, which is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        ((_, dv),) = chain.scan(chain.right, legs)
-        value = complex(chain.left @ dv) / chain.norm
-        value = complex(value.real * unit, value.imag * unit)
+    ((_, dv),) = chain.read(chain.legs([*insertions, (insertions[-1][0], chain.STOP)]))
+    # scaled back in Python floats, whose product overflows to inf without a warning
+    value = complex(float(dv.real) * unit, float(dv.imag) * unit)
     if not cmath.isfinite(value):
         raise NoConvergenceError("family derivative overflows")
     return value
@@ -590,7 +598,9 @@ def generating_functional(params, sources, eps):
     over the field table (X = -[Q, R]), between the opening state and the
     trace functional, divided by the chain's norm (L + J_r is the
     generator with Q -> Q + lam_r R + mu_r X).  One chain walks every field
-    at once, as one row each of a block: a site without a source in any
+    at once, as one row each of the block it opens on, and closes through
+    `_Chain.read`, so a Z that overflows raises NoConvergenceError with no
+    warning printed before it.  A site without a source in any
     field is the free step exp(eps L) of the chain's scan, built once; at a
     sourced site each distinct (lam_r, mu_r) is exponentiated once and
     applied to the rows that carry it (a row without a source there takes
@@ -614,15 +624,13 @@ def generating_functional(params, sources, eps):
     n = counts[0]
     if chain.length is not None and finite_site_count(chain.length, eps) != n:
         raise ShapeMismatchError(f"{n} sites of step {eps} do not cover length {chain.length}")
-    f = chain.fields
     sites = {}  # (lam, mu) -> exp(eps (L + J)), one per distinct source value
 
     def site(lam, mu):
         if lam == 0 and mu == 0:
             return chain.leg(eps, exponential, chain.L)
         if (lam, mu) not in sites:
-            shifted = {**f, "Q": f["Q"] + lam * f["R"] + mu * f["X"]}
-            sites[lam, mu] = exponential(Superoperator(GENERATOR, shifted), eps)
+            sites[lam, mu] = exponential(sourced_generator(chain.fields, lam, mu), eps)
         return sites[lam, mu]
 
     lam = np.stack([s.lam for s in fields], axis=1)  # (sites, fields)
@@ -636,9 +644,8 @@ def generating_functional(params, sources, eps):
         for row, key in enumerate(zip(lam_r.tolist(), mu_r.tolist())):
             rows.setdefault(key, []).append(row)
         legs.append((0.0, [(site(*key), idx) for key, idx in rows.items()]))
-    block = np.tile(chain.right, (len(fields), 1))
-    (v,) = chain.scan(block, legs + [(0.0, chain.STOP)])
-    z = v @ chain.left / chain.norm
+    chain.right = np.tile(chain.right, (len(fields), 1))  # one row per field
+    (z,) = chain.read(legs + [(0.0, chain.STOP)])
     return complex(z[0]) if isinstance(sources, SourceField) else z
 
 

@@ -56,6 +56,7 @@ from .liouville import (
     Superoperator,
     bordered_lu,
     fields,
+    finite,
     hermitian_basis,
     trace_functional,
 )
@@ -187,7 +188,8 @@ def lattice_correlators(tensors, observable, distances=None):
     Values are rescaled by the eps powers that map lattice operators to
     field operators.  A transfer matrix whose term norm is not finite is
     refused as NoConvergenceError before it is built, and so is a value
-    that is not finite, which an overflow on the way leaves.
+    that is not finite, which an overflow on the way leaves
+    (`liouville.finite`).
     """
     eps = tensors.eps
     d = tensors.dim
@@ -264,8 +266,7 @@ def lattice_correlators(tensors, observable, distances=None):
             values /= tails[n_sites] @ open_vec
         scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
         values = values[np.searchsorted(ms, distances)] / scale
-    if not np.isfinite(values).all():
-        raise NoConvergenceError(f"lattice {observable} value is not finite")
+    finite(values, f"lattice {observable} value")
     if observable == "occupation":
         return float(values[0].real)
     if observable == "pair":

@@ -29,10 +29,15 @@ kernel runs on it in real arithmetic.  `exponential` exponentiates it, and
 `exponential_frechet` also gives the Frechet derivative along a second
 map; both refuse an exponent that would overflow or whose exponential is
 not resolved in double precision (`exponent`), and a result that is not
-finite.  `HermitianBasis.matrices` and `coordinates` are the one
-conversion between coordinates and D x D matrices.  `choi_min_eigenvalue`
-reads a channel in coordinates; its Choi matrix is the one complex
-D^2 x D^2 array of the package.
+finite.  `finite` is the package's one test of a computed number: every
+value that an overflow may leave non-finite, an exponential, a closed
+correlator chain, a lattice value or a transfer defect, passes through
+it and is refused as NoConvergenceError ("... is not finite").
+`HermitianBasis.matrices` and `coordinates` are the one conversion
+between coordinates and D x D matrices.  `choi_min_eigenvalue` reads a
+channel in coordinates through its complex D^2 x D^2 Choi matrix; the
+other complex D^2 x D^2 arrays are the eigenvectors of the generator and
+their solve in `correlators.spectral_envelope`.
 
 The trace functional <1| reads the diagonal coordinates, and trace
 preservation is <1| L = 0.  The fixed point needs no spectrum: one LU
@@ -350,6 +355,18 @@ def build_liouvillian(K, R):
     return Superoperator(GENERATOR, fields(K, R))
 
 
+def sourced_generator(f, lam, mu):
+    """The generator over the table f with Q -> Q + lam R + mu X: a site of
+    the source functional, whose source term lam (R, 1) + conj(lam) (1, R)
+    + mu (X, 1) + conj(mu) (1, X) is that shift.  A zero source adds
+    nothing, so a field that overflowed (X) enters only with a source; an
+    overflow in the shift leaves the term norm non-finite, silently, as in
+    `fields`, and `exponent` refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = f["Q"] + lam * f["R"] + (mu * f["X"] if mu else 0.0)
+        return Superoperator(GENERATOR, {**f, "Q": q})
+
+
 # largest term norm x |dx| of an exponent: expm resolves exp(L dx) only to
 # about 2^-53 of ||L dx||.  Over [1e9, 1e10] the error against 80-digit
 # mpmath reaches 4.8e-6 relative in `compare_forms`' Choi minimum (driven
@@ -373,19 +390,26 @@ def exponent(op, dx):
     return op.hmat * dx
 
 
-def _finite(e, dx):
-    if not np.isfinite(e).all():
-        raise NoConvergenceError(f"the exponential at step {dx} is not finite")
-    return e
+def finite(values, what):
+    """values, a computed number or array, refused as NoConvergenceError
+    ("<what> is not finite") when any entry is not: the package's one test
+    of a computed number.  Its callers let an overflow on the way pass
+    without a warning (`np.errstate`) and test the result here."""
+    if not np.isfinite(values).all():
+        raise NoConvergenceError(f"{what} is not finite")
+    return values
 
 
 def exponential(op, dx):
     """exp(L dx) of a `Superoperator` L, from its real matrix hmat by
     `scipy.linalg.expm` looked up when called.  An exponent that `exponent`
     refuses, or a result that is not finite, is refused as
-    NoConvergenceError, before any reader turns it into nan values or a
-    failed eigensolve."""
-    return _finite(scipy.linalg.expm(exponent(op, dx)), dx)
+    NoConvergenceError (`finite`), before any reader turns it into nan
+    values or a failed eigensolve, and before an overflow inside expm
+    warns."""
+    a = exponent(op, dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite(scipy.linalg.expm(a), f"the exponential at step {dx}")
 
 
 def exponential_frechet(op, dop, dx):
@@ -393,8 +417,9 @@ def exponential_frechet(op, dop, dx):
     `Superoperator`s L and dL, by `scipy.linalg.expm_frechet` looked up when
     called, refused as `exponential` is, for both exponents and both
     results."""
-    e, de = scipy.linalg.expm_frechet(exponent(op, dx), exponent(dop, dx))
-    return _finite(e, dx), _finite(de, dx)
+    a, da = exponent(op, dx), exponent(dop, dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite(scipy.linalg.expm_frechet(a, da), f"the exponential at step {dx}")
 
 
 def bordered_lu(hmat, shift, weight):
@@ -432,7 +457,7 @@ def steady_state(generator, tol=Tolerances()):
     No spectrum is computed here: `SpectralData` computes it when read.
     """
     if not np.isfinite(generator.scale):
-        raise NoConvergenceError("generator has non-finite entries")
+        raise NoConvergenceError("generator has a non-finite term norm")
     lu, piv, info = bordered_lu(generator.hmat, 0.0, generator.scale)
     if info > 0:
         raise DegenerateFixedSpaceError(

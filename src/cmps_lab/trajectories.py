@@ -65,7 +65,7 @@ import numpy as np
 import scipy.linalg
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import Finite, _integer
+from .core import Finite, _dark, _integer
 from .errors import (
     InsufficientDataError,
     NoConvergenceError,
@@ -287,13 +287,6 @@ def _quadratic(mat, vecs):
     """Row-wise real part of vecs[b]^dag mat vecs[b]; a (k, 1, D, D) stack
     of matrices gives k rows of values."""
     return (vecs.conj() * _matvec(mat, vecs)).real.sum(axis=-1)
-
-
-def _dark(weight, r):
-    """Whether a post-jump weight tr(R rho R^dag) is zero.  The zero is
-    1e-14 ||R||_F^2: that bounds the weight and scales with it, so the
-    verdict holds in every length unit."""
-    return weight <= 1e-14 * np.linalg.norm(r) ** 2
 
 
 class _NoJumpFlow:

@@ -1,5 +1,6 @@
 """The package's structure, read from its syntax trees: which module may
-exponentiate, build the generator, or import which."""
+exponentiate, build the generator, close a walk, refuse a non-finite
+value, or import which."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,35 @@ def _names(node):
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return [alias.name.rsplit(".", 1)[-1] for alias in node.names]
     return []
+
+
+def _owners(tree, found):
+    """The dotted names (class.function) of the definitions whose own body
+    holds a node for which found is true; "" is the module's top level."""
+    owners = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*path, child.name))
+                continue
+            if found(child):
+                owners.add(".".join(path))
+            visit(child, path)
+
+    visit(tree, ())
+    return owners
+
+
+def _message(node):
+    """The literal text of a raise's first argument (the constant tail of
+    an f-string), or None."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    arg = node.exc.args[0]
+    if isinstance(arg, ast.JoinedStr) and arg.values:
+        arg = arg.values[-1]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else None
 
 
 def test_only_liouville_and_the_sampler_reference_the_matrix_exponential():
@@ -64,3 +94,38 @@ def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
     assert from_liouville == {"fields"}
     words = set(imports).union(*imports.values())
     assert not [word for word in words if "correlators" in word or "discretizer" in word]
+
+
+def test_every_exact_walk_closes_in_the_one_reader():
+    # an overflow passes silently only where the closing value is then
+    # tested: the reader of the chain
+    def errstate(node):
+        return isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call) and "errstate" in _names(item.context_expr.func)
+            for item in node.items)
+
+    def scan(node):
+        return isinstance(node, ast.Call) and "scan" in _names(node.func)
+
+    tree = _trees()["correlators"]
+    assert _owners(tree, errstate) == {"_Chain.read"}
+    assert _owners(tree, scan) == {"_Chain.read"}
+
+
+def test_every_non_finite_refusal_is_raised_by_the_one_gate():
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, lambda node: (_message(node) or "").endswith("is not finite"))}
+    assert owners == {("liouville", "finite")}
+    assert not hasattr(cmps_lab, "finite")
+
+
+def test_the_dark_rule_is_written_once():
+    # the zero of a weight tr(R rho R^dag) that the density and the sampler's
+    # post-jump weights are tested against
+    trees = _trees()
+    defined = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_dark"}
+    callers = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "_dark" in _names(node.func)}
+    assert defined == {"core"}
+    assert callers == {"correlators", "trajectories"}

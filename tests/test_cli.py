@@ -816,6 +816,55 @@ def test_a_value_that_overflows_exits_2_before_any_warning(tmp_path, command, mo
     _assert_numerical_failure_under_warnings_as_errors(tmp_path, command, cfg, message)
 
 
+# K = sigma_x / 2, R = diag(1, 1/2), four sites of step 1.  At h = 200 the
+# source functional's walk overflowed: zfunctional-check printed
+# RuntimeWarnings and wrote "two_insertion_error": null.  At h = 1000
+# expm's own overflow warnings printed before the exponential's refusal.
+# Under -W error both exited 1 with a traceback
+SOURCE_MODEL = {"dim": 2, "K": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                "R": {"re": [[1.0, 0.0], [0.0, 0.5]]}}
+
+
+@pytest.mark.parametrize("h, message", [
+    (200.0, "correlator value closing on the trace is not finite"),
+    (1000.0, "the exponential at step 1.0 is not finite"),
+], ids=["walk", "exponential"])
+def test_a_source_functional_that_overflows_exits_2_before_any_warning(tmp_path, h, message):
+    cfg = {"model": SOURCE_MODEL, "geometry": "thermodynamic", "eps": 1.0, "h": h, "n_sites": 4}
+    _assert_numerical_failure_under_warnings_as_errors(tmp_path, "zfunctional-check", cfg, message)
+
+
+def test_a_source_functional_whose_x_overflows_exits_2_before_any_warning(tmp_path):
+    # R = 1e150 sigma_minus: X = -[Q, R] overflows.  The sourced site formed
+    # Q + lam R + 0 X, which warned (0 x inf) before the refusal on a nan
+    # term norm; now the site's finite term norm is refused by the certificate
+    cfg = {"model": {"dim": 2, "K": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                     "R": {"re": [[0.0, 0.0], [1e150, 0.0]]}},
+           "geometry": "thermodynamic", "eps": 0.1, "h": 0.02, "n_sites": 10}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "zfunctional-check", cfg, "term norm x |dx| = 2.000e+299 exceeds 1e+10: the"
+        " exponential at step 0.1 is not resolved in double precision")
+
+
+def test_an_energy_density_that_overflows_exits_2_before_any_warning(tmp_path):
+    # R = diag(2, 1): c <pair pair> at c = 1e308 is not finite; ll-energy
+    # exited 0 and wrote "energy_density": null, also under -W error
+    cfg = {"model": {"dim": 2, "K": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                     "R": {"re": [[2.0, 0.0], [0.0, 1.0]]}},
+           "geometry": "thermodynamic", "c": 1e308, "mu": 0.0}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "ll-energy", cfg, "energy density is not finite")
+
+
+def test_a_fixed_point_whose_term_norm_overflows_exits_2_with_what_is_tested(tmp_path):
+    # every entry of K = 1e308 (1 1; 1 1) is finite: steady said
+    # "generator has non-finite entries"
+    cfg = {"model": {"dim": 2, "K": {"re": [[1e308, 1e308], [1e308, 1e308]]},
+                     "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}}, "geometry": "thermodynamic"}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "steady", cfg, "generator has a non-finite term norm")
+
+
 @pytest.mark.parametrize("model, finishing", [(HUGE_X, {"steady", "gap"}), (HUGE_RDR, set())],
                          ids=["huge-X", "huge-RdR"])
 def test_every_command_on_an_overflowing_model_finishes_finite_or_exits_2(

@@ -746,6 +746,54 @@ def test_a_family_derivative_walk_that_overflows_is_refused(capfd, monkeypatch):
     assert capfd.readouterr() == ("", "")
 
 
+def test_a_source_functional_whose_walk_overflows_is_refused(capfd):
+    # K = sigma_x / 2, R = diag(1, 1/2), four sites of step 1: one source
+    # of 200 gives Z about 2.6e173, but sources of 200 at sites 1 and 3
+    # overflowed the walk, and Z read nan+nanj after RuntimeWarnings
+    p = new_cmps(2, RF_K, np.diag([1.0, 0.5]))
+    zeros = np.zeros(4)
+    one = generating_functional(p, SourceField(np.array([0.0, 200.0, 0.0, 0.0]), zeros), 1.0)
+    assert np.isfinite(one) and one.real > 1e173
+    with pytest.raises(NoConvergenceError,
+                       match="^correlator value closing on the trace is not finite$"):
+        generating_functional(p, SourceField(np.array([0.0, 200.0, 0.0, 200.0]), zeros), 1.0)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("geometry", [Thermodynamic(), Finite(4e-200, np.eye(2) / 2)],
+                         ids=["thermodynamic", "finite"])
+def test_a_source_functional_whose_x_overflows_walks_without_it(geometry, capfd):
+    # R = 1e104 sigma_minus: X = -[Q, R] overflows, but the generator's term
+    # norm (2e208) times eps = 1e-200 is certified.  A sourced site formed
+    # Q + lam R + 0 X, which warned (0 x inf) and was refused on a nan term
+    # norm; a site without a mu source does not read X
+    p = new_cmps(2, RF_K, 1e104 * RF_R, geometry)
+    zeros = np.zeros(4)
+    z = generating_functional(p, [SourceField(np.array([0.0, 0.5, 0.0, 0.5j]), zeros),
+                                  SourceField(zeros, zeros)], 1e-200)
+    assert np.allclose(z, 1.0, rtol=0.0, atol=1e-15)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("c, mu, error, message", [
+    (np.nan, 1.0, ValidationError, "c must be finite, got nan"),
+    (1.0, np.inf, ValidationError, "mu must be finite, got inf"),
+    (1.0, -np.inf, ValidationError, "mu must be finite, got -inf"),
+    (1e308, 0.0, NoConvergenceError, "energy density is not finite"),
+    (np.float64(1e308), 0.0, NoConvergenceError, "energy density is not finite"),
+    (0.0, -1e308, NoConvergenceError, "energy density is not finite"),
+    (1e308, 1e308, NoConvergenceError, "energy density is not finite"),
+], ids=["nan-c", "inf-mu", "minus-inf-mu", "huge-c", "numpy-huge-c", "huge-mu", "inf-minus-inf"])
+def test_an_energy_density_that_is_not_finite_is_refused(c, mu, error, message, capfd):
+    # R = diag(2, 1): <pair pair> and the density exceed 1, so c = 1e308
+    # made the energy inf, c = nan nan and mu = inf -inf, with no error
+    p = new_cmps(2, RF_K, np.diag([2.0, 1.0]))
+    assert np.isfinite(lieb_liniger_energy_density(p, 1e300, -1e300))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        lieb_liniger_energy_density(p, c, mu)
+    assert capfd.readouterr() == ("", "")
+
+
 def _finite_instance():
     rng = np.random.default_rng(19)
     rho = rand_mat(3, rng)

@@ -31,9 +31,11 @@ from cmps_lab.liouville import (
     bordered_lu,
     exponent,
     exponential,
+    exponential_frechet,
     fields,
     fields_tangent,
     hermitian_basis,
+    sourced_generator,
     tangent_terms,
 )
 
@@ -471,6 +473,41 @@ def test_the_exponential_keeps_expm_bits_and_refuses_a_non_finite_one(monkeypatc
         monkeypatch.setattr(scipy.linalg, "expm", lambda a, _bad=bad: np.full_like(a, _bad))
         with pytest.raises(NoConvergenceError, match="exponential at step 0.7 is not finite"):
             exponential(lv, 0.7)
+
+
+def test_an_exponential_that_overflows_inside_expm_is_refused_without_a_warning(capfd):
+    # a sourced site Q -> Q + 1000 R of K = sigma_x / 2, R = diag(1, 1/2):
+    # the exponent is certified (term norm about 2e3), but exp(L) is about
+    # e^2000.  expm and expm_frechet printed overflow warnings before the
+    # refusal, and raised them under warnings as errors
+    f = fields(RF_K, np.diag([1.0, 0.5]).astype(complex))
+    op = Superoperator(GENERATOR, {**f, "Q": f["Q"] + 1000.0 * f["R"]})
+    for call in (lambda: exponential(op, 1.0), lambda: exponential_frechet(op, op, 1.0)):
+        with pytest.raises(NoConvergenceError, match="^the exponential at step 1.0 is not finite$"):
+            call()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_sourced_site_reads_x_only_under_a_source(capfd):
+    # K = sigma_x / 2, R = 1e104 sigma_minus: X = -[Q, R] overflows while the
+    # generator's term norm (2e208) does not.  The source functional formed
+    # Q + lam R + 0 X, where 0 x inf warned and left the site nan
+    f = fields(RF_K.astype(complex), 1e104 * RF_R.astype(complex))
+    assert not np.isfinite(f["X"]).all()
+    site = sourced_generator(f, 0.5, 0.0)
+    assert np.array_equal(site.fields["Q"], f["Q"] + 0.5 * f["R"])
+    assert np.isfinite(exponential(site, 1e-200)).all()
+    with pytest.raises(NoConvergenceError, match=r"^term norm x \|dx\| = (inf|nan) exceeds"):
+        exponential(sourced_generator(f, 0.5, 0.1), 1e-200)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_generator_whose_term_norm_overflows_has_one_message():
+    # every entry of K = 1e308 (1 1; 1 1) is finite but the term norm is
+    # not; the fixed point said "generator has non-finite entries", where
+    # every other reader says what is tested
+    with pytest.raises(NoConvergenceError, match="^generator has a non-finite term norm$"):
+        steady_state(build_liouvillian(np.full((2, 2), 1e308), RF_R))
 
 
 def test_an_exponent_that_would_overflow_is_refused_before_it_is_formed(monkeypatch):
