@@ -48,13 +48,21 @@ matrix `hmat`, as are the sourced sites of
 `generating_functional`, all by `liouville.exponential`, which refuses an
 exponent that would overflow or that double precision does not resolve,
 and a result that is not finite; the vectors stay complex, because an
-insertion need not preserve Hermiticity.  `family_derivative` scans the
-same legs forward once on a chain that carries the tangent of the vector
-alongside it (`_TangentChain`, which overrides only the leg step and the
-insertion action): each leg applies exp(L dx) together with its Frechet
-derivative (both real, `liouville.exponential_frechet`), so the
-derivative along a family of states needs no backward march and no
-quadrature.
+insertion need not preserve Hermiticity.  The stops after the last
+insertion of a chain on one vector, the whole grid of a separation scan,
+are not walked when there are two or more distinct nonzero distances
+among them: each is a
+sum of exponentials over the generator's spectrum, sum_j c_j e^{lambda_j d}
+(Haegeman, Cirac, Osborne & Verstraete, PRB 88, 085118, 2013), read
+from its eigenmodes (`Superoperator.modes`, one eigensolve per parameter
+set) at O(D^2) per stop, when `liouville.eigenmodes` certifies them;
+otherwise every distinct leg takes one exponential.  `family_derivative`
+scans the same legs forward once on a chain that carries the tangent of
+the vector alongside it (`_TangentChain`, which overrides only the leg
+step and the insertion action): each leg applies exp(L dx)
+together with its Frechet derivative (both real,
+`liouville.exponential_frechet`), so the derivative along a family of
+states needs no backward march and no quadrature.
 
 A two-point function <create(0) annihilate(d)> therefore evaluates to
 <1| (R, 1) exp(L d) (1, R) |rho_ss>, each pair read as its
@@ -79,6 +87,7 @@ import numpy as np
 
 from .core import Thermodynamic, _dark, _integer, _is_hermitian, _lattice_step, _real, finite_site_count
 from .errors import (
+    DegenerateFixedSpaceError,
     GaplessStateError,
     NegativeDistanceError,
     NoConvergenceError,
@@ -95,6 +104,7 @@ from .liouville import (
     Superoperator,
     action,
     action_adjoint,
+    certify_step,
     exponential,
     exponential_frechet,
     fields_tangent,
@@ -146,8 +156,11 @@ class _Chain:
     kind S it ends on or on <1| when it ends on none, divided by `norm`,
     the opening state's trace (1, or tr boundary_rho in a finite window);
     `read` refuses a value that is not finite as NoConvergenceError
-    (`liouville.finite`).  A caller that walks a block sets `right`, the
-    opening, to it.  There is no propagator cache: the chain holds the
+    (`liouville.finite`).  `read` takes the stops after the last insertion
+    of one vector (`tail`) from the generator's certified eigenmodes when
+    there are two or more distinct nonzero distances among them, and walks
+    them otherwise.  A caller that walks a block sets `right`, the
+    opening, to it.  There is no propagator cache: a walk holds the
     exponential of one leg at a time (`leg`), built when a leg of a new
     length is reached and reused while the following legs share that
     length, for one vector and for a block alike.  The generator L, whose
@@ -179,6 +192,7 @@ class _Chain:
             self.norm = float(np.trace(rho).real)
         self.fields = self.L.fields
         self.right = self.basis.coordinates(rho)
+        self.zero_real_tol = params.tol.zero_real * self.L.scale
 
     def act(self, kind, x):
         """The insertion `kind` on coordinate vectors x, one per row (or x
@@ -252,15 +266,66 @@ class _Chain:
                 v = w
         return stops
 
+    def tail(self, legs):
+        """(head, separations, modes): the legs up to the last insertion,
+        the distances of the stops after it from it, and the generator's
+        certified eigenmodes that read them; (legs, None, None) when the
+        stops are to be walked: the chain carries a block (the tangent
+        chain's (v, dv), the source functional's fields), the tail has
+        fewer than two distinct nonzero separations, or the modes are not
+        certified."""
+        k = len(legs)
+        while k and legs[k - 1][1] is self.STOP:
+            k -= 1
+        # each nonzero leg of the ascending tail reaches a new separation
+        if (self.right.ndim > 1 or sum(dx != 0.0 for dx, _ in legs[k:]) < 2
+                or not (modes := self.L.modes).certified):
+            return legs, None, None
+        return legs[:k], np.cumsum([dx for dx, _ in legs[k:]]), modes
+
+    def sums(self, modes, row, at_v, seps):
+        """row exp(L d) v at each separation d for one vector v, from the
+        certified eigenmodes: sum_j c_j e^{lambda_j d} with
+        c = `Eigenmodes.coefficients(row, v)`, one stop at a time, so no
+        stops x modes array is built; at d = 0, row v.  at_v is v as a
+        scan's one stop.  The fixed point's eigenvalue, when the rule of
+        `liouville.fixed_mode` picks a unique one, is read as exactly 0,
+        because <1| L = 0."""
+        lam = np.array(modes.values, dtype=complex)
+        try:
+            lam[fixed_mode(lam, self.zero_real_tol)[0]] = 0.0
+        except DegenerateFixedSpaceError:
+            pass
+        # v is read as two rows, by the product that a walk's stops take, so
+        # a stop at d = 0 reads what the walk reads there
+        zero = (np.concatenate([at_v, at_v]) @ row)[0]
+        c = modes.coefficients(row, at_v[0])
+        values = np.empty(seps.size, dtype=complex)
+        for i, d in enumerate(seps):
+            values[i] = c @ np.exp(lam * d) if d else zero
+        return values
+
     def read(self, legs, kind=None):
         """Scan the legs from the opening `right` and read the vector or
-        block at each stop with the covector of `kind` (the trace
+        block at each stop with the covector row of `kind` (the trace
         functional <1| for None), divided by `norm`: the one closing of an
-        exact walk.  An overflow in the walk or the read passes silently and
-        leaves a value that is not finite, which `finite` refuses."""
+        exact walk.  When `tail` gives eigenmodes, the scan stops at the
+        last insertion, each leg after it is certified as its exponential
+        would be (`liouville.certify_step`), and the stops after it are
+        read by `sums`.  An overflow in the walk or the read passes
+        silently and leaves a value that is not finite, which `finite`
+        refuses."""
         row = self.left if kind is None else self.covector(kind)
+        head, seps, modes = self.tail(legs)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.scan(self.right, legs) @ row / self.norm
+            if modes is None:
+                values = self.scan(self.right, legs) @ row
+            else:
+                at_v = self.scan(self.right, [*head, (0.0, self.STOP)])
+                for dx, _ in legs[len(head):]:
+                    certify_step(self.L, dx)
+                values = self.sums(modes, row, at_v, seps)
+            values = values / self.norm
         return finite(values, f"correlator value closing on {kind or 'the trace'}")
 
     def evaluate(self, insertions):
@@ -298,8 +363,9 @@ def density(params):
 def _separation_scan(chain, separations, first, second):
     """<first(0) second(d)> on a grid of separations d >= 0, two kind names.
 
-    One scan carries first(0) through the sorted separations, and the
-    second kind's covector closes every stop at once, in both geometries.
+    One read closes first(0) at every sorted separation with the second
+    kind's covector, in both geometries: from the generator's eigenmodes,
+    or by a scan over the legs between them (`_Chain.read`).
     """
     seps = np.atleast_1d(np.asarray(separations, dtype=float))
     if seps.size and seps.min() < 0:
@@ -328,16 +394,19 @@ def two_point(params, separations):
 
 
 def pair_correlation(params, separations):
-    """Normalized pair correlator g2(d); requires nonzero density."""
+    """Normalized pair correlator g2(d); requires nonzero density, and a
+    squared density that overflows is refused as NoConvergenceError."""
     chain = _Chain(params)
     n = float(chain.evaluate([(0.0, "pair_density")]).real)  # the density, on this chain
     if _dark(n, params.R):
         raise ZeroDensityError("pair correlator undefined at zero density")
     seps, values = _separation_scan(chain, separations, "pair_density", "pair_density")
+    # a product of Python floats overflows to inf without a warning
+    norm = finite(n * n, "squared density")
     return CorrelatorResult(
         separations=seps,
-        values=values / n**2,
-        normalization=n * n,
+        values=values / norm,
+        normalization=norm,
         estimator="insertion-calculus",
     )
 
@@ -378,23 +447,26 @@ def spectral_envelope(params):
     fixed-point mode, the sum of the remaining coefficient magnitudes, and
     the spectral gap.  Every nonzero mode decays at least as fast as
     e^{-gap d}, so |two_point(d) - c0| <= prefactor * e^{-gap d} pointwise.
-    The gap and the modes come from one eigensolve of the generator, read
-    by the rule of `liouville.fixed_mode` that the fixed point's
-    `SpectralData` reads too.  c0 is read from two one-point chains, as
-    `decay_fit` reads it, not from the eigenvectors.
+    The gap and the modes come from the generator's one eigensolve
+    (`Superoperator.modes`, which the separation scans read too), read by
+    the rule of `liouville.fixed_mode` that the fixed point's
+    `SpectralData` reads too, and the coefficients from
+    `Eigenmodes.coefficients`; the basis need not be certified here.  c0
+    is read from two one-point chains, as `decay_fit` reads it, not from
+    the eigenvectors.
     """
     chain = _Chain(params)
     if chain.spectral is None:
         raise ShapeMismatchError("spectral envelope is a thermodynamic quantity")
     tol = chain.spectral.zero_real_tol
-    evals, vecs = np.linalg.eig(chain.L.hmat)
-    zero_idx, gap = fixed_mode(evals, tol)
+    modes = chain.L.modes
+    zero_idx, gap = fixed_mode(modes.values, tol)
     if gap <= tol:
         raise GaplessStateError("no spectral gap; correlations need not decay")
     row = chain.covector("annihilate")
     col = chain.act("create", chain.right)
     try:
-        coefs = (row @ vecs) * np.linalg.solve(vecs, col)
+        coefs = modes.coefficients(row, col)
     except np.linalg.LinAlgError as exc:
         raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
     c0 = complex(_disconnected(chain))
@@ -464,7 +536,8 @@ def decay_fit(params, d_min, d_max, n_points=33):
 
 class _TangentChain(_Chain):
     """A chain that carries its vector v and the tangent dv of v along
-    (K + t dK, R + t dR) at t = 0 as the two rows of one block (v, dv).
+    (K + t dK, R + t dR) at t = 0 as the two rows of one block (v, dv),
+    so it walks every leg (`_Chain.tail`).
 
     A leg of length dx maps the block to (E v, E dv + dE v), where
     E = exp(L dx) and dE is the Frechet derivative of the exponential at

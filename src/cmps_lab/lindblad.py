@@ -87,8 +87,10 @@ class FieldMoments:
             raise InvalidMomentsError("psi_dag_psi must be real and nonnegative")
         if abs(nt - n - 1.0) > self.tol.moment * scale:
             raise InvalidMomentsError("psi_psi_dag must equal psi_dag_psi + 1")
-        # Gaussian admissibility: |<a a>|^2 <= <a^dag a> <a a^dag>
-        if abs(a) ** 2 > n.real * (n.real + 1.0) + self.tol.moment * scale:
+        # Gaussian admissibility: |<a a>|^2 <= <a^dag a> <a a^dag>, divided
+        # by scale^2 so that no side overflows
+        bound = (n.real / scale) * ((n.real + 1.0) / scale) + self.tol.moment / scale
+        if (abs(a) / scale) ** 2 > bound:
             raise InvalidMomentsError(
                 "anomalous moment too large: |psi_dag_sq|^2 must not exceed "
                 "psi_dag_psi * psi_psi_dag"

@@ -36,8 +36,12 @@ it and is refused as NoConvergenceError ("... is not finite").
 `HermitianBasis.matrices` and `coordinates` are the one conversion
 between coordinates and D x D matrices.  `choi_min_eigenvalue` reads a
 channel in coordinates through its complex D^2 x D^2 Choi matrix; the
-other complex D^2 x D^2 arrays are the eigenvectors of the generator and
-their solve in `correlators.spectral_envelope`.
+other complex D^2 x D^2 arrays are the eigenvectors of the generator,
+`Superoperator.modes`, and their solve.  `eigenmodes` is the package's
+one eigenvector solve: it certifies the basis by its condition number
+(EIG_COND_LIMIT) and by the backward error of the eigenpairs, for the
+correlators' separation scans, `correlators.spectral_envelope` and the
+sampler's no-jump flow alike.
 
 The trace functional <1| reads the diagonal coordinates, and trace
 preservation is <1| L = 0.  The fixed point needs no spectrum: one LU
@@ -244,14 +248,60 @@ def hermitian_basis(dim):
     return HermitianBasis(dim)
 
 
+# a sum of exponentials over an eigenbasis V loses about eps x cond(V)^2
+# (relative); at this bound that stays below 1e-10
+EIG_COND_LIMIT = 1e3
+
+
+@dataclass(frozen=True)
+class Eigenmodes:
+    """The eigenpairs a V = V diag(values) of a square matrix a, from one
+    `np.linalg.eig`, and whether V is a certified basis (`eigenmodes`).
+    The arrays are read-only."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    certified: bool
+
+    def coefficients(self, row, col):
+        """c = (row V) * (V^-1 col), so that row exp(a x) col is
+        sum_j c_j exp(values_j x).  LinAlgError when V is singular."""
+        return (row @ self.vectors) * np.linalg.solve(self.vectors, col)
+
+
+def eigenmodes(a, scale):
+    """The `Eigenmodes` of a, the package's one eigenvector solve.
+
+    V is certified as a basis when cond(V) <= EIG_COND_LIMIT and the
+    eigenpairs pass a backward-error test, ||a V - V diag(values)||_1 <=
+    Tolerances.residual x scale x ||V||_1, with scale a bound on ||a||_1
+    (a term norm): a well-conditioned V can still hold a wrong pair, as eig
+    gives for a generator whose entries span 200 decades.  A residual that
+    overflows is not certified.  A failed solve raises NoConvergenceError.
+    """
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigenvector solve failed: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(a @ vectors - vectors * values).sum(axis=0).max()
+        bound = Tolerances.residual * scale * np.abs(vectors).sum(axis=0).max()
+    certified = bool(np.linalg.cond(vectors) <= EIG_COND_LIMIT and defect <= bound)
+    for arr in (values, vectors):
+        arr.setflags(write=False)
+    return Eigenmodes(values, vectors, certified)
+
+
 @dataclass(frozen=True)
 class Superoperator:
     """rho -> sum over (a, b) in terms of f[a] rho f[b]^dag over the table
-    `fields`, with its one dense form and its norm computed when first
-    read: hmat, its real matrix in the Hermitian basis (`HermitianBasis.dense`);
-    scale, the term norm sum ||f[a]||_1 ||f[b]||_1, which bounds the map's
-    1-norm, and D times it every entry of hmat, but is not roundoff where
-    the terms cancel (the generator at D = 1)."""
+    `fields`, with its one dense form, its eigenmodes and its norm computed
+    when first read: hmat, its real matrix in the Hermitian basis
+    (`HermitianBasis.dense`); modes, the `Eigenmodes` of hmat, certified
+    against the term norm (`eigenmodes`); scale, the term norm
+    sum ||f[a]||_1 ||f[b]||_1, which bounds the map's 1-norm, and D times
+    it every entry of hmat, but is not roundoff where the terms cancel
+    (the generator at D = 1)."""
 
     terms: tuple
     fields: dict
@@ -263,6 +313,10 @@ class Superoperator:
     @cached_property
     def hmat(self):
         return hermitian_basis(self.dim).dense(self.terms, self.fields)
+
+    @cached_property
+    def modes(self):
+        return eigenmodes(self.hmat, self.scale)
 
     @cached_property
     def scale(self):
@@ -376,18 +430,26 @@ def sourced_generator(f, lam, mu):
 EXPONENT_LIMIT = 1e10
 
 
-def exponent(op, dx):
-    """hmat dx of a `Superoperator`, refused as NoConvergenceError before it
-    is formed when it could overflow (|dx| > 1 and D x scale x |dx|, which
+def certify_step(op, dx):
+    """dx, refused as NoConvergenceError when the exponent hmat dx of the
+    `Superoperator` op could overflow (|dx| > 1 and D x scale x |dx|, which
     bounds its entries, is not finite) or when its exponential is not
-    resolved in double precision (scale x |dx| above `EXPONENT_LIMIT`)."""
+    resolved in double precision (scale x |dx| above `EXPONENT_LIMIT`):
+    the certificate of every leg, whether it is exponentiated or read from
+    the eigenmodes."""
     step = abs(float(dx))
     if step > 1.0 and not math.isfinite(op.dim * op.scale * step):
         raise NoConvergenceError(f"the exponent at step {dx} overflows")
     if not op.scale * step <= EXPONENT_LIMIT:
         raise NoConvergenceError(f"term norm x |dx| = {op.scale * step:.3e} exceeds {EXPONENT_LIMIT:g}:"
                                  f" the exponential at step {dx} is not resolved in double precision")
-    return op.hmat * dx
+    return dx
+
+
+def exponent(op, dx):
+    """hmat dx of a `Superoperator`, refused by `certify_step` before it is
+    formed."""
+    return op.hmat * certify_step(op, dx)
 
 
 def finite(values, what):
@@ -419,7 +481,9 @@ def exponential_frechet(op, dop, dx):
     results."""
     a, da = exponent(op, dx), exponent(dop, dx)
     with np.errstate(over="ignore", invalid="ignore"):
-        return finite(scipy.linalg.expm_frechet(a, da), f"the exponential at step {dx}")
+        e, de = scipy.linalg.expm_frechet(a, da)
+    what = f"the exponential at step {dx}"
+    return finite(e, what), finite(de, what)
 
 
 def bordered_lu(hmat, shift, weight):

@@ -24,8 +24,10 @@ stacked scipy.linalg.expm over all the taus asked for.
 
 S is a sum of exponentials in the eigenbasis of Q.  Near an exceptional
 point that basis is ill-conditioned (or Q is defective), and S is then
-evaluated with scipy.linalg.expm instead; the choice follows from the
-condition number of the eigenvector matrix.
+evaluated with scipy.linalg.expm instead; the choice is the package's one
+eigenbasis rule, `liouville.eigenmodes`, which certifies the basis by the
+condition number of the eigenvector matrix and the backward error of the
+eigenpairs.
 
 The root finder starts each solve near its root, not at tau = 0, where
 the jump density of a state just after a jump can vanish (the driven
@@ -73,11 +75,8 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import fields
+from .liouville import eigenmodes, fields
 
-# the sum of exponentials loses about eps * cond(V)^2 of S (relative); at
-# this bound that stays below 1e-10, beyond it S comes from expm
-EIG_COND_LIMIT = 1e3
 # relative accuracy of each sampled waiting time
 WAIT_RTOL = 1e-12
 # largest ||Q||_1 x span of no-jump evolution sampled or evaluated: the
@@ -293,9 +292,9 @@ class _NoJumpFlow:
     """exp(Q tau), 0 <= tau <= length, on a batch of states held in
     coordinates z = V^-1 phi.
 
-    V diagonalizes Q when it is well conditioned, and propagation is then
-    elementwise; otherwise V is the identity and each row takes its own
-    expm(Q tau).  gram = V^dag V and rate = (R V)^dag (R V) give the
+    V diagonalizes Q when `liouville.eigenmodes` certifies it against
+    ||Q||_1, and propagation is then elementwise; otherwise V is the
+    identity and each row takes its own expm(Q tau).  gram = V^dag V and rate = (R V)^dag (R V) give the
     survival S = z^dag gram z and the jump density -S' = z^dag rate z of a
     propagated (unnormalized) row.
     """
@@ -309,9 +308,9 @@ class _NoJumpFlow:
 
     def __init__(self, params, length):
         q = _no_jump_generator(params, length)
-        lam, vecs = np.linalg.eig(q)
-        if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
-            self.lam, self.q, basis = lam, None, vecs
+        modes = eigenmodes(q, np.abs(q).sum(axis=0).max())
+        if modes.certified:
+            self.lam, self.q, basis = modes.values, None, modes.vectors
         else:
             self.lam, self.q, basis = None, q, np.eye(params.dim, dtype=complex)
         inv = np.linalg.inv(basis)

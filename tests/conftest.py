@@ -31,6 +31,12 @@ EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]])
 # takes S from expm
 EP_K = np.array([[0.0, 0.25], [0.25, 0.0]])
 
+# the driven emitter at its generator's exceptional point: at drive 1/4 the
+# pair -3/4 +- i sqrt(drive^2 - 1/16) of the generator merges into a Jordan
+# block, so its eigenvectors are no basis (cond(V) about 2e8), and the
+# correlators walk every leg with expm
+JORDAN_K = np.array([[0.0, 0.125], [0.125, 0.0]])
+
 # K = 5e150 sigma_x, R = 1e76 sigma_minus: the generator's term norm (about
 # 2e152) is finite and so is its fixed point, but the derivative field
 # X = -[Q, R] is about 1e228, so X^dag X overflows, and so do the lattice

@@ -62,6 +62,15 @@ def test_only_liouville_and_the_sampler_reference_the_matrix_exponential():
     assert users <= {"liouville", "trajectories"}
 
 
+def test_eigenvectors_are_solved_for_in_one_place():
+    # np.linalg.eig runs only in the helper that certifies its basis, which
+    # the correlators' scans, the spectral envelope and the sampler share
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
+                                   and "eig" in _names(node.func))}
+    assert owners == {("liouville", "eigenmodes")}
+
+
 def test_the_exact_calculus_and_lindblad_do_not_import_the_lattice_oracle():
     for module in ("correlators", "lindblad"):
         for node in ast.walk(_trees()[module]):
@@ -81,7 +90,8 @@ def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
     # the oracle is an independent reference for the correlators: it takes
     # Q from liouville.fields and exponentiates it itself.  liouville's
     # certified exponential would refuse (EXPONENT_LIMIT) the drive at
-    # k = 5e12 whose survival the oracle still evaluates
+    # k = 5e12 whose survival the oracle still evaluates.  The sampler
+    # diagonalizes Q by the package's one eigenbasis rule
     imports = {}
     for node in ast.walk(_trees()["trajectories"]):
         if isinstance(node, ast.ImportFrom):
@@ -91,7 +101,7 @@ def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
                 imports.setdefault(alias.name, set()).add("*")
     from_liouville = set().union(*(names for module, names in imports.items()
                                    if module.rsplit(".", 1)[-1] == "liouville"))
-    assert from_liouville == {"fields"}
+    assert from_liouville == {"fields", "eigenmodes"}
     words = set(imports).union(*imports.values())
     assert not [word for word in words if "correlators" in word or "discretizer" in word]
 

@@ -856,6 +856,31 @@ def test_an_energy_density_that_overflows_exits_2_before_any_warning(tmp_path):
         tmp_path, "ll-energy", cfg, "energy density is not finite")
 
 
+def test_a_squared_density_that_overflows_exits_2_before_any_warning(tmp_path):
+    # R = 1e80 sigma_minus over a window of 1e-155: the density (5e159) and
+    # the pair correlator's values are finite, but g2 divided them by n**2
+    # in Python floats and exited 1 with an OverflowError traceback
+    cfg = {"model": {"dim": 2, "K": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                     "R": {"re": [[0.0, 0.0], [1e80, 0.0]]}},
+           "geometry": "finite", "length": 1e-155,
+           "boundary_rho": {"re": [[0.5, 0.0], [0.0, 0.5]]}, "separations": [0.0, 1e-156]}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "g2", cfg, "squared density is not finite")
+
+
+def test_admissible_moments_whose_square_overflows_exit_2_before_any_warning(tmp_path):
+    # |psi_dag_sq|^2 = 1e400 and psi_dag_psi psi_psi_dag overflow, but the
+    # moments are admissible: the admissibility test raised an OverflowError
+    # (exit 1); the run now reaches the generator's term-norm certificate
+    cfg = {"model": {"dim": 2, "K": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                     "R": {"re": [[0.0, 0.0], [1.0, 0.0]]}},
+           "geometry": "thermodynamic",
+           "moments": {"psi_dag_sq": {"re": 1e200}, "psi_dag_psi": 1e200}}
+    _assert_numerical_failure_under_warnings_as_errors(
+        tmp_path, "lindblad-check", cfg, "term norm x |dx| = 5.000e+199 exceeds 1e+10: the"
+        " exponential at step 0.1 is not resolved in double precision")
+
+
 def test_a_fixed_point_whose_term_norm_overflows_exits_2_with_what_is_tested(tmp_path):
     # every entry of K = 1e308 (1 1; 1 1) is finite: steady said
     # "generator has non-finite entries"

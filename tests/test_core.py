@@ -18,7 +18,7 @@ from cmps_lab import (
     source_consistency_check,
     two_point,
 )
-from cmps_lab import core
+from cmps_lab import core, liouville
 from cmps_lab.cli import main
 from cmps_lab.errors import (
     InvalidBoundaryStateError,
@@ -204,23 +204,31 @@ def test_stationary_state_is_computed_once_per_parameter_set(monkeypatch, tmp_pa
 
 
 def test_two_point_propagates_with_real_exponentials(monkeypatch):
-    # every propagator exp(L dx) of a scan is a real D^2 x D^2 exponential
+    # a certified basis reads every stop from one eig of the real
+    # D^2 x D^2 generator and runs no expm; without it (EIG_COND_LIMIT = 0)
+    # every propagator exp(L dx) of the scan is a real D^2 x D^2 exponential
     rng = np.random.default_rng(6)
     d = 3
-    expm = scipy.linalg.expm
-    calls = []
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    calls = {"expm": [], "eig": []}
 
-    def recording(a, *args, **kwargs):
-        calls.append((np.shape(a), np.asarray(a).dtype))
-        return expm(a, *args, **kwargs)
+    def recording(name, fn):
+        def call(a, *args, **kwargs):
+            calls[name].append((np.shape(a), np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording)
-    for geometry in (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d)):
-        calls.clear()
-        p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng), geometry)
-        two_point(p, [0.0, 0.3, 0.3, 1.1, 2.0])
-        assert len(calls) >= 3
-        assert set(calls) == {((d * d, d * d), np.dtype(np.float64))}
+    monkeypatch.setattr(scipy.linalg, "expm", recording("expm", scipy.linalg.expm))
+    monkeypatch.setattr(np.linalg, "eig", recording("eig", np.linalg.eig))
+    real = ((d * d, d * d), np.dtype(np.float64))
+    for limit, walked in ((liouville.EIG_COND_LIMIT, "eig"), (0.0, "expm")):
+        monkeypatch.setattr(liouville, "EIG_COND_LIMIT", limit)
+        for geometry in (Thermodynamic(), Finite(length=2.0, boundary_rho=np.eye(d) / d)):
+            calls["expm"].clear()
+            calls["eig"].clear()
+            two_point(new_cmps(d, k, r, geometry), [0.0, 0.3, 0.3, 1.1, 2.0])
+            assert calls["eig"] == [real]
+            assert calls["expm"] == ([] if walked == "eig" else [real] * 3)
 
 
 @pytest.mark.parametrize("strict_first", [True, False])

@@ -45,6 +45,7 @@ from conftest import (
     EXCITED,
     HUGE_X_K,
     HUGE_X_R,
+    JORDAN_K,
     RF_K,
     RF_R,
     kron_map,
@@ -458,22 +459,82 @@ def test_kinetic_density_matches_lattice_stencil(rf):
     assert abs(richardson - kin) / kin < 1e-4
 
 
-def test_two_point_holds_one_propagator_at_a_time():
+def test_two_point_holds_one_propagator_at_a_time(monkeypatch):
     # every one of 200 distinct separations needs its own exp(L dx); a chain
-    # that kept them would hold 200 propagators of (D^2)^2 complex entries
+    # that kept them would hold 200 propagators of (D^2)^2 complex entries.
+    # Read from the eigenmodes, the 200 stops build no stops x modes array;
+    # walked (EIG_COND_LIMIT = 0), the chain holds one propagator at a time
     rng = np.random.default_rng(11)
     d = 8
-    p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
     seps = np.sort(rng.uniform(0.0, 10.0, 200))
     assert np.unique(np.diff(seps)).size == seps.size - 1
     propagator_bytes = (d * d) ** 2 * 16
-    tracemalloc.start()
-    try:
-        two_point(p, seps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * propagator_bytes
+    for limit in (liouville.EIG_COND_LIMIT, 0.0):
+        monkeypatch.setattr(liouville, "EIG_COND_LIMIT", limit)
+        p = new_cmps(d, k, r)
+        tracemalloc.start()
+        try:
+            two_point(p, seps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.generator.modes.certified == (limit > 0.0)
+        assert peak < 32 * propagator_bytes
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_scans_read_from_the_eigenmodes_match_the_walked_scans(d, monkeypatch):
+    # the stops of a scan read from the generator's eigenmodes against the
+    # same scan walked leg by leg (EIG_COND_LIMIT = 0), out to d = 200,
+    # in both geometries; d = 0 is read from the vector itself
+    rng = np.random.default_rng([29, d])
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    a = rand_mat(d, rng)
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    seps = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 12)])
+    for geometry in (Thermodynamic(), Finite(length=200.0, boundary_rho=rho)):
+        read = new_cmps(d, k, r, geometry)
+        with monkeypatch.context() as m:
+            m.setattr(liouville, "EIG_COND_LIMIT", 0.0)
+            walked = new_cmps(d, k, r, geometry)
+            want = [f(walked, seps).values for f in (two_point, pair_correlation)]
+        got = [f(read, seps).values for f in (two_point, pair_correlation)]
+        assert read.generator.modes.certified and not walked.generator.modes.certified
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+            assert g[0] == w[0]
+
+
+def test_a_scan_read_from_the_eigenmodes_keeps_the_fixed_point_mode_at_any_distance(rf):
+    # <create(0) annihilate(d)> tends to |<psi>|^2 = 1/9 on the driven
+    # emitter.  eig puts the fixed point's eigenvalue 1.6e-16 off 0, which
+    # moved the value at d = 1e6 by 1.6e-10 relative; it is read as 0
+    seps = [0.0, 1.0, 1e3, 1e5, 1e6]
+    values = two_point(rf, seps).values
+    assert rf.generator.modes.certified
+    assert np.abs(values[2:] - 1.0 / 9.0).max() <= 1e-15
+
+
+def test_the_certificate_refuses_a_well_conditioned_basis_with_a_wrong_pair(monkeypatch):
+    # R = 1e104 sigma_minus: eig gives the generator a basis with cond(V)
+    # about 1, but the vector of its -1e208 mode is wrong by about ||L||.
+    # The trace of the opening state, read at stops across that mode's
+    # decay, is 1 at every stop (<1| exp(L d) = <1|); read from those modes
+    # it fell to 0.5.  The backward error refuses them, and the scan walks
+    p = new_cmps(2, RF_K, 1e104 * RF_R, Finite(4e-200, np.eye(2) / 2))
+    modes = p.generator.modes
+    h, v = p.generator.hmat, modes.vectors
+    assert np.linalg.cond(v) <= liouville.EIG_COND_LIMIT
+    assert np.abs(h @ v - v * modes.values).sum(axis=0).max() > 1e-3 * p.generator.scale
+    assert not modes.certified
+    expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    chain = correlators._Chain(p)
+    seps = [0.0, 1e-209, 5e-209, 1e-208, 3e-208, 1e-200]
+    traces = chain.read(chain.legs([(d, chain.STOP) for d in seps]))
+    assert len(calls) == 5
+    assert np.abs(traces - 1.0).max() <= 1e-14
 
 
 def test_insertions_act_without_building_a_superoperator(monkeypatch):
@@ -508,18 +569,22 @@ def test_insertions_act_without_building_a_superoperator(monkeypatch):
 @pytest.mark.parametrize("seps, legs", [([0.0, 0.3, 0.3, 1.1, 2.0], 3), ([0.5, 1.0, 1.5], 1)])
 def test_finite_two_point_runs_one_exponential_per_leg_length(monkeypatch, seps, legs):
     # the generator preserves the trace, so nothing right of the last
-    # insertion is walked: a finite scan makes one expm per distinct
-    # nonzero leg, as a thermodynamic one does
+    # insertion is walked.  A certified basis reads every stop from the
+    # eigenmodes and runs no expm; the driven emitter at its generator's
+    # exceptional point has none, and a scan there makes one expm per
+    # distinct nonzero leg, in a finite window as in the thermodynamic limit
     rng = np.random.default_rng(13)
     d = 3
     k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
     expm, calls = scipy.linalg.expm, []
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
-    for geometry in (Thermodynamic(), Finite(length=2.5, boundary_rho=np.eye(d) / d)):
-        p = new_cmps(d, k, r, geometry)
-        calls.clear()
-        two_point(p, seps)
-        assert calls == [(d * d, d * d)] * legs
+    for model, dim, expected in (((k, r), d, 0), ((JORDAN_K, RF_R), 2, legs)):
+        for geometry in (Thermodynamic(), Finite(length=2.5, boundary_rho=np.eye(dim) / dim)):
+            p = new_cmps(dim, *model, geometry)
+            calls.clear()
+            two_point(p, seps)
+            assert p.generator.modes.certified == (expected == 0)
+            assert calls == [(dim * dim, dim * dim)] * expected
 
 
 def test_a_finite_chain_at_one_point_reads_the_boundary_state():
@@ -567,7 +632,23 @@ def test_spectral_envelope_runs_one_eigensolve(rf, monkeypatch):
         assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, abs(want[0]))
         calls.clear()
         decay_fit(new_cmps(q.dim, q.K, q.R), 1.0, 5.0)
-        assert calls == ["eigvals"]
+        assert calls == ["eigvals", "eig"]
+
+
+def test_one_eigensolve_serves_every_scan_of_a_parameter_set(monkeypatch):
+    # the generator's eigenmodes are computed once per parameter set and
+    # read by the envelope, the decay fit and both separation scans; the
+    # decay fit's gap is the fixed point's eigenvalue solve
+    p = random_instance(7003)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    spectral_envelope(p)
+    decay_fit(p, 1.0, 5.0)
+    two_point(p, np.linspace(0.0, 4.0, 9))
+    pair_correlation(p, np.linspace(0.0, 4.0, 9))
+    assert calls == [(p.dim**2, p.dim**2)]
+    assert p.generator.modes.certified
 
 
 @pytest.mark.parametrize("bad", ["nan_dK", "inf_dR"])
@@ -690,12 +771,15 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
     lambda p: expectation(p, [(0.3, "pair_density")]),
     lambda p: generating_functional(p, SourceField(np.full(10, 0.1), np.zeros(10)), 0.1),
     lambda p: source_consistency_check(p, 0.1, 0.01, 10),
+    lambda p: two_point(p, [0.0, 0.25, 0.5]),
+    lambda p: decay_fit(p, 0.1, 0.5),
 ], ids=["two_point", "pair_correlation", "expectation", "generating_functional",
-        "source_consistency_check"])
+        "source_consistency_check", "two_point_from_modes", "decay_fit_from_modes"])
 def test_a_non_finite_exponential_is_refused(call, capfd):
     # exp(L dx) at K = 1e50 sigma_x / 2 is nan: every finite chain returned
     # nan.  Its exponent is now refused before expm runs.  The thermodynamic
-    # fixed point refuses this K before any chain
+    # fixed point refuses this K before any chain.  A grid read from the
+    # (certified) eigenmodes refuses each leg as its exponential would be
     window = Finite(length=1.0, boundary_rho=np.eye(2) / 2)
     p = new_cmps(2, 0.5e50 * SIGMA_X, DAMP_R, window)
     with pytest.raises(NoConvergenceError, match="exponential at step .* is not resolved"):

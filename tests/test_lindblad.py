@@ -46,6 +46,19 @@ def test_moment_validation():
     assert th.psi_dag_psi == 0.7 and th.psi_psi_dag == 1.7
 
 
+def test_the_gaussian_bound_is_tested_without_overflow():
+    # |psi_dag_sq|^2 <= psi_dag_psi psi_psi_dag: squeezed vacuum sits on the
+    # bound.  At psi_dag_sq = psi_dag_psi = 1e200 (on it, in floats) the
+    # square overflowed a Python float; both sides are now divided by the
+    # moments' scale
+    r = 0.8
+    n, m = np.sinh(r) ** 2, np.sinh(r) * np.cosh(r)
+    for a, occ in ((m, n), (1e200, 1e200)):
+        FieldMoments(a, a, occ, occ + 1.0)
+        with pytest.raises(InvalidMomentsError, match="anomalous moment too large"):
+            FieldMoments(1.01 * a, 1.01 * a, occ, occ + 1.0)
+
+
 def test_vacuum_reduces_to_liouvillian():
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
