@@ -458,7 +458,7 @@ def spectral_envelope(params):
     chain = _Chain(params)
     if chain.spectral is None:
         raise ShapeMismatchError("spectral envelope is a thermodynamic quantity")
-    tol = chain.spectral.zero_real_tol
+    tol = chain.zero_real_tol
     modes = chain.L.modes
     zero_idx, gap = fixed_mode(modes.values, tol)
     if gap <= tol:
