@@ -42,9 +42,9 @@ from .discretizer import (
     lattice_correlators,
     lattice_tensors,
 )
-from .errors import ConfigError, NoConvergenceError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
-from .liouville import Tolerances, finite
+from .liouville import Tolerances, finite, term_norm
 from .trajectories import estimate_stats, sample_ensemble
 
 # A schema maps each key of a JSON object to a _Key:
@@ -277,14 +277,12 @@ def _separation_rows(correlator, cfg, params):
 def _discretize(cfg, params):
     eps_list = np.asarray(cfg["epsilons"], dtype=float)
     generator = params.generator
-    if not np.isfinite(generator.scale):
-        raise NoConvergenceError("generator has a non-finite term norm")
+    term_norm(generator, "generator")
     eye = np.eye(generator.dim ** 2)
     occupations, defects = [], []
     for eps in eps_list:
         tensors = lattice_tensors(params, eps, order=cfg["order"])
-        if not np.isfinite(tensors.transfer.scale):
-            raise NoConvergenceError("transfer matrix has a non-finite term norm")
+        term_norm(tensors.transfer, "transfer matrix")
         emat = tensors.transfer.hmat
         # both terms are finite, but their difference's norm may overflow
         with np.errstate(over="ignore", invalid="ignore"):

@@ -153,10 +153,12 @@ class CmpsParams:
     generator (`liouville.steady_state`: one LU factorization of the
     bordered generator, no eigenvalues), computed once per parameter set on
     first use and then shared by every consumer, with the generator it was
-    certified on.  The spectrum rides on the same object and is computed
-    only where it is read (`steady`, `gap`, `spectral_envelope`).  Both are
-    certified against the set's own `tol`, whose thresholds are relative to
-    the generator's term norm 2 ||Q||_1 + ||R||_1^2.
+    certified on.  Its eigenvalues ride on the same object and are computed
+    only where they are read (`steady`, `gap`); the generator's eigenmodes
+    (`Superoperator.modes`) are computed once where a separation scan,
+    `spectral_envelope` or `decay_fit` reads them.  Both are certified
+    against the set's own `tol`, whose thresholds are relative to the
+    generator's term norm 2 ||Q||_1 + ||R||_1^2.
     """
 
     dim: int

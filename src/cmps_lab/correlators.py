@@ -27,18 +27,20 @@ Every correlator walks its chain with one scan, `_Chain.scan`, over the
 one generator of its parameter set (`CmpsParams.generator`): the only
 exact walk of the package.  It carries the opening state through
 ascending positions, takes each leg by the chain's one leg step, applies
-each insertion as it passes it, and hands back the vector at requested
-stops.  In the thermodynamic
+each insertion as it passes it, and hands back the vector at the end
+of its legs.  In the thermodynamic
 geometry the chain opens on the stationary state; in a finite geometry
 it opens on the boundary state at x = 0, and insertions are anchored at
 the left edge (the first insertion sits at x1 = 0 for separation grids).
-Every walk closes through one reader, `_Chain.read`: a chain that ends
-on an insertion S reads the vector before S with the covector <1| S, a
-chain without one (the source functional's block, the family
-derivative's tangent) reads it with <1|, and either divides by the
-opening state's trace.  The reader lets an overflow in the walk pass
-silently and refuses a value that is not finite as NoConvergenceError
-through the package's one gate, `liouville.finite`.  The boundary right
+Every walk closes through one reader, `_Chain.read`, which takes the
+chain's tail, the steps after the end of its legs, explicitly and reads
+the vector at the end of each step: a chain that ends on an insertion S
+reads the vector before S with the covector <1| S, a chain without one
+(the source functional's block, the family derivative's tangent) reads
+it with <1|, and either divides by the opening state's trace.  The
+reader lets an overflow in the walk pass silently and refuses a value
+that is not finite as NoConvergenceError through the package's one
+gate, `liouville.finite`.  The boundary right
 of the last insertion is never read, and the generator preserves the
 trace, <1| exp(L x) = <1|, so a finite window is not walked to its
 edge (Osborne, Eisert & Verstraete, PRL 105, 260401, 2010).  The
@@ -48,15 +50,14 @@ matrix `hmat`, as are the sourced sites of
 `generating_functional`, all by `liouville.exponential`, which refuses an
 exponent that would overflow or that double precision does not resolve,
 and a result that is not finite; the vectors stay complex, because an
-insertion need not preserve Hermiticity.  The stops after the last
-insertion of a chain on one vector, the whole grid of a separation scan,
-are not walked when there are two or more distinct nonzero distances
-among them: each is a
+insertion need not preserve Hermiticity.  A tail of two or more
+nonzero steps, the whole grid of a separation scan, is not walked: the
+value at the end of each step is a
 sum of exponentials over the generator's spectrum, sum_j c_j e^{lambda_j d}
 (Haegeman, Cirac, Osborne & Verstraete, PRB 88, 085118, 2013), read
 from its eigenmodes (`Superoperator.modes`, one eigensolve per parameter
-set) at O(D^2) per stop, when `liouville.eigenmodes` certifies them;
-otherwise every distinct leg takes one exponential.  `family_derivative`
+set) at O(D^2) per step, when `liouville.eigenmodes` certifies them;
+otherwise every distinct step takes one exponential.  `family_derivative`
 scans the same legs forward once on a chain that carries the tangent of
 the vector alongside it (`_TangentChain`, which overrides only the leg
 step and the insertion action): each leg applies exp(L dx)
@@ -113,6 +114,7 @@ from .liouville import (
     hermitian_basis,
     sourced_generator,
     tangent_terms,
+    term_norm,
     trace_functional,
 )
 
@@ -146,20 +148,20 @@ class _Chain:
     as `HermitianBasis.act` does: it takes each leg by `step` (exp(L dx) on
     every row), then applies op, which is an `INSERTIONS` kind name, a site
     (a sequence of (superoperator matrix, rows) pairs that together cover
-    the block's rows, each matrix applied to its rows), None (nothing) or
-    STOP (hand back the vector or block there).  A subclass that carries
-    another block overrides `step` and `act`, never `scan`
+    the block's rows, each matrix applied to its rows) or None (nothing),
+    and hands back the vector or block at the end of the legs.  A subclass
+    that carries another block overrides `step` and `act`, never `scan`
     (`_TangentChain`).  A kind is never built as a matrix: `act`
     applies its `liouville.action` over this chain's own field table to
     coordinates (`HermitianBasis.act`), and `covector` gives <1| S from the
-    adjoint action: every walk closes in `read`, on the covector of the
-    kind S it ends on or on <1| when it ends on none, divided by `norm`,
-    the opening state's trace (1, or tr boundary_rho in a finite window);
-    `read` refuses a value that is not finite as NoConvergenceError
-    (`liouville.finite`).  `read` takes the stops after the last insertion
-    of one vector (`tail`) from the generator's certified eigenmodes when
-    there are two or more distinct nonzero distances among them, and walks
-    them otherwise.  A caller that walks a block sets `right`, the
+    adjoint action: every walk closes in `read`, which reads the vector or
+    block at the end of each step of the chain's tail on the covector of
+    the kind S it ends on, or on <1| when it ends on none, divided by
+    `norm`, the opening state's trace (1, or tr boundary_rho in a finite
+    window); `read` refuses a value that is not finite as
+    NoConvergenceError (`liouville.finite`).  A tail of two or more nonzero
+    steps is read from the generator's certified eigenmodes, and walked
+    otherwise.  A caller that walks a block sets `right`, the
     opening, to it.  There is no propagator cache: a walk holds the
     exponential of one leg at a time (`leg`), built when a leg of a new
     length is reached and reused while the following legs share that
@@ -167,11 +169,10 @@ class _Chain:
     field table the chain reads, is the parameter set's own
     (`CmpsParams.generator`), built once per set with its matrix, and so
     is the stationary state (`CmpsParams.stationary`); a finite chain
-    refuses L as NoConvergenceError when its term norm is not finite, as
-    the fixed point refuses it in the thermodynamic geometry.
+    refuses L as NoConvergenceError when its term norm is not finite
+    (`liouville.term_norm`), as the fixed point refuses it in the
+    thermodynamic geometry.
     """
-
-    STOP = object()
 
     def __init__(self, params):
         self.basis = hermitian_basis(params.dim)
@@ -184,8 +185,7 @@ class _Chain:
             self.length = None
             self.norm = 1.0
         else:
-            if not np.isfinite(self.L.scale):
-                raise NoConvergenceError("generator has a non-finite term norm")
+            term_norm(self.L, "generator")
             self.spectral = None
             rho = params.geometry.boundary_rho
             self.length = params.geometry.length
@@ -207,7 +207,7 @@ class _Chain:
         return self.basis.coordinates(m).conj()
 
     def legs(self, items):
-        """Legs through (position, kind name or STOP) items, from the first
+        """Legs through (position, kind name) items, from the first
         position in the thermodynamic geometry, where only differences
         matter, and from the left edge x = 0 of a finite window.
 
@@ -226,7 +226,7 @@ class _Chain:
                 )
         legs, prev = [], positions[0] if positions and self.length is None else 0.0
         for pos, (_, kind) in zip(positions, items):
-            if kind is not self.STOP and not (isinstance(kind, str) and kind in INSERTIONS):
+            if not (isinstance(kind, str) and kind in INSERTIONS):
                 raise ShapeMismatchError(
                     f"unknown insertion kind {kind!r}; known: {sorted(INSERTIONS)}")
             legs.append((pos - prev, kind))
@@ -247,84 +247,66 @@ class _Chain:
 
     def scan(self, v, legs):
         """Carry v, one vector or a block of them one per row, along the
-        legs and return what it is at the stops, one per row (or block)."""
-        stop = self.STOP
-        stops = np.empty((sum(op is stop for _, op in legs), *v.shape), dtype=complex)
-        k = 0
+        legs and return it at their end."""
         for dx, op in legs:
             if dx != 0.0:
                 v = self.step(dx, v)
-            if op is stop:
-                stops[k] = v
-                k += 1
-            elif isinstance(op, str):
+            if isinstance(op, str):
                 v = self.act(op, v)
             elif op is not None:
                 w = np.empty_like(v)
                 for m, rows in op:
                     w[rows] = _apply(m, v[rows])
                 v = w
-        return stops
+        return v
 
-    def tail(self, legs):
-        """(head, separations, modes): the legs up to the last insertion,
-        the distances of the stops after it from it, and the generator's
-        certified eigenmodes that read them; (legs, None, None) when the
-        stops are to be walked: the chain carries a block (the tangent
-        chain's (v, dv), the source functional's fields), the tail has
-        fewer than two distinct nonzero separations, or the modes are not
-        certified."""
-        k = len(legs)
-        while k and legs[k - 1][1] is self.STOP:
-            k -= 1
-        # each nonzero leg of the ascending tail reaches a new separation
-        if (self.right.ndim > 1 or sum(dx != 0.0 for dx, _ in legs[k:]) < 2
-                or not (modes := self.L.modes).certified):
-            return legs, None, None
-        return legs[:k], np.cumsum([dx for dx, _ in legs[k:]]), modes
-
-    def sums(self, modes, row, at_v, seps):
+    def sums(self, row, v, seps):
         """row exp(L d) v at each separation d for one vector v, from the
-        certified eigenmodes: sum_j c_j e^{lambda_j d} with
-        c = `Eigenmodes.coefficients(row, v)`, one stop at a time, so no
-        stops x modes array is built; at d = 0, row v.  at_v is v as a
-        scan's one stop.  The fixed point's eigenvalue, when the rule of
-        `liouville.fixed_mode` picks a unique one, is read as exactly 0,
-        because <1| L = 0."""
+        generator's certified eigenmodes: sum_j c_j e^{lambda_j d} with
+        c = `Eigenmodes.coefficients(row, v)`, one separation at a time, so
+        no separations x modes array is built; at d = 0, row v.  The fixed
+        point's eigenvalue, when the rule of `liouville.fixed_mode` picks a
+        unique one, is read as exactly 0, because <1| L = 0."""
+        modes = self.L.modes
         lam = np.array(modes.values, dtype=complex)
         try:
             lam[fixed_mode(lam, self.zero_real_tol)[0]] = 0.0
         except DegenerateFixedSpaceError:
             pass
-        # v is read as two rows, by the product that a walk's stops take, so
-        # a stop at d = 0 reads what the walk reads there
-        zero = (np.concatenate([at_v, at_v]) @ row)[0]
-        c = modes.coefficients(row, at_v[0])
+        # v is read as two rows, by the product that a walked tail takes, so
+        # a step of length 0 reads what the walk reads there
+        zero = (np.stack([v, v]) @ row)[0]
+        c = modes.coefficients(row, v)
         values = np.empty(seps.size, dtype=complex)
         for i, d in enumerate(seps):
             values[i] = c @ np.exp(lam * d) if d else zero
         return values
 
-    def read(self, legs, kind=None):
-        """Scan the legs from the opening `right` and read the vector or
-        block at each stop with the covector row of `kind` (the trace
-        functional <1| for None), divided by `norm`: the one closing of an
-        exact walk.  When `tail` gives eigenmodes, the scan stops at the
-        last insertion, each leg after it is certified as its exponential
-        would be (`liouville.certify_step`), and the stops after it are
-        read by `sums`.  An overflow in the walk or the read passes
-        silently and leaves a value that is not finite, which `finite`
-        refuses."""
+    def read(self, legs, steps=(0.0,), kind=None):
+        """Scan the legs from the opening `right`, then read the vector or
+        block at the end of each tail step with the covector row of `kind`
+        (the trace functional <1| for None), divided by `norm`: the one
+        closing of an exact walk.  A tail of two or more nonzero steps, which
+        only a chain on one vector has, is read by `sums` at their partial
+        sums when the generator's eigenmodes are certified, each step
+        certified as its exponential would be (`liouville.certify_step`);
+        otherwise each nonzero step is walked.  An overflow in the walk or
+        the read passes silently and leaves a value that is not finite,
+        which `finite` refuses."""
         row = self.left if kind is None else self.covector(kind)
-        head, seps, modes = self.tail(legs)
+        # each nonzero step of the ascending tail reaches a new separation
+        from_modes = sum(dx != 0.0 for dx in steps) > 1 and self.L.modes.certified
         with np.errstate(over="ignore", invalid="ignore"):
-            if modes is None:
-                values = self.scan(self.right, legs) @ row
-            else:
-                at_v = self.scan(self.right, [*head, (0.0, self.STOP)])
-                for dx, _ in legs[len(head):]:
+            v = self.scan(self.right, legs)
+            if from_modes:
+                for dx in steps:
                     certify_step(self.L, dx)
-                values = self.sums(modes, row, at_v, seps)
+                values = self.sums(row, v, np.cumsum(steps))
+            else:
+                ends = np.empty((len(steps), *v.shape), dtype=complex)
+                for i, dx in enumerate(steps):
+                    ends[i] = v = self.scan(v, [(dx, None)])
+                values = ends @ row
             values = values / self.norm
         return finite(values, f"correlator value closing on {kind or 'the trace'}")
 
@@ -333,7 +315,7 @@ class _Chain:
         the vector before its last kind with that kind's covector (no
         insertion reads the opening state's trace)."""
         *legs, (dx, last) = self.legs(insertions) or [(0.0, None)]
-        return complex(self.read([*legs, (dx, self.STOP)], last)[0])
+        return complex(self.read(legs, (dx,), last)[0])
 
 
 def _apply(m, v):
@@ -364,16 +346,20 @@ def _separation_scan(chain, separations, first, second):
     """<first(0) second(d)> on a grid of separations d >= 0, two kind names.
 
     One read closes first(0) at every sorted separation with the second
-    kind's covector, in both geometries: from the generator's eigenmodes,
-    or by a scan over the legs between them (`_Chain.read`).
+    kind's covector, in both geometries: the steps between the sorted
+    separations are the chain's tail, read from the generator's eigenmodes
+    or walked (`_Chain.read`).  A grid that is not 1-D raises
+    ShapeMismatchError.
     """
     seps = np.atleast_1d(np.asarray(separations, dtype=float))
+    if seps.ndim != 1:
+        raise ShapeMismatchError(f"separations must be a 1-D grid, got shape {seps.shape}")
     if seps.size and seps.min() < 0:
         raise NegativeDistanceError("separations must be >= 0")
     order = np.argsort(seps, kind="stable")
-    items = [(0.0, first)] + [(seps[i], chain.STOP) for i in order]
+    head, *tail = chain.legs([(0.0, first)] + [(seps[i], second) for i in order])
     values = np.empty(seps.size, dtype=complex)
-    values[order] = chain.read(chain.legs(items), second)
+    values[order] = chain.read([head], [dx for dx, _ in tail], second)
     return seps, values
 
 
@@ -440,6 +426,16 @@ def _disconnected(chain):
     return chain.evaluate([(0.0, "annihilate")]) * chain.evaluate([(0.0, "create")])
 
 
+def _gap(chain):
+    """(index of the fixed point's zero, gap) of the generator's eigenmodes
+    (`Superoperator.modes`), by the rule of `liouville.fixed_mode`; a
+    gapless state raises GaplessStateError."""
+    zero, gap = fixed_mode(chain.L.modes.values, chain.zero_real_tol)
+    if gap <= chain.zero_real_tol:
+        raise GaplessStateError("no spectral gap; correlations need not decay")
+    return zero, gap
+
+
 def spectral_envelope(params):
     """Mode decomposition of the two-point function.
 
@@ -448,9 +444,8 @@ def spectral_envelope(params):
     the spectral gap.  Every nonzero mode decays at least as fast as
     e^{-gap d}, so |two_point(d) - c0| <= prefactor * e^{-gap d} pointwise.
     The gap and the modes come from the generator's one eigensolve
-    (`Superoperator.modes`, which the separation scans read too), read by
-    the rule of `liouville.fixed_mode` that the fixed point's
-    `SpectralData` reads too, and the coefficients from
+    (`Superoperator.modes`, which the separation scans and `decay_fit` read
+    too), the gap read by `_gap`, and the coefficients from
     `Eigenmodes.coefficients`; the basis need not be certified here.  c0
     is read from two one-point chains, as `decay_fit` reads it, not from
     the eigenvectors.
@@ -458,15 +453,11 @@ def spectral_envelope(params):
     chain = _Chain(params)
     if chain.spectral is None:
         raise ShapeMismatchError("spectral envelope is a thermodynamic quantity")
-    tol = chain.zero_real_tol
-    modes = chain.L.modes
-    zero_idx, gap = fixed_mode(modes.values, tol)
-    if gap <= tol:
-        raise GaplessStateError("no spectral gap; correlations need not decay")
+    zero_idx, gap = _gap(chain)
     row = chain.covector("annihilate")
     col = chain.act("create", chain.right)
     try:
-        coefs = modes.coefficients(row, col)
+        coefs = chain.L.modes.coefficients(row, col)
     except np.linalg.LinAlgError as exc:
         raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
     c0 = complex(_disconnected(chain))
@@ -489,7 +480,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
     fixed-point-mode constant tr(R rho) tr(rho R^dag) of `spectral_envelope`
     (subtracting it is what makes the fit see the slowest genuinely decaying
     mode), read from two one-point chains; a gapless state, read from the
-    parameter set's shared spectrum (`SpectralData.gapless`), raises
+    generator's eigenmodes that the scan reads too (`_gap`), raises
     GaplessStateError.  Points below SIGNAL_FLOOR times the
     largest |two_point| on the grid (a floor in any length unit) are
     dropped; fewer than two surviving points is an error.  Complex slow
@@ -506,8 +497,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
     chain = _Chain(params)
     c0 = 0.0  # a finite window's signal is boundary-driven: no stationary mode
     if chain.spectral is not None:
-        if chain.spectral.gapless:
-            raise GaplessStateError("no spectral gap; correlations need not decay")
+        _gap(chain)
         c0 = _disconnected(chain)
     grid = np.linspace(d_min, d_max, n_points)
     _, vals = _separation_scan(chain, grid, "create", "annihilate")
@@ -537,7 +527,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
 class _TangentChain(_Chain):
     """A chain that carries its vector v and the tangent dv of v along
     (K + t dK, R + t dR) at t = 0 as the two rows of one block (v, dv),
-    so it walks every leg (`_Chain.tail`).
+    and closes on a tail of one step of length 0 (`_Chain.read`).
 
     A leg of length dx maps the block to (E v, E dv + dE v), where
     E = exp(L dx) and dE is the Frechet derivative of the exponential at
@@ -623,7 +613,7 @@ def family_derivative(params, dK, dR, insertions):
     scaled = np.ldexp(parts, -k).view(complex)
     unit = math.ldexp(1.0, k)
     chain = _TangentChain(params, scaled[:params.dim], scaled[params.dim:], unit)
-    ((_, dv),) = chain.read(chain.legs([*insertions, (insertions[-1][0], chain.STOP)]))
+    ((_, dv),) = chain.read(chain.legs(insertions))
     # scaled back in Python floats, whose product overflows to inf without a warning
     value = complex(float(dv.real) * unit, float(dv.imag) * unit)
     if not cmath.isfinite(value):
@@ -718,7 +708,7 @@ def generating_functional(params, sources, eps):
             rows.setdefault(key, []).append(row)
         legs.append((0.0, [(site(*key), idx) for key, idx in rows.items()]))
     chain.right = np.tile(chain.right, (len(fields), 1))  # one row per field
-    (z,) = chain.read(legs + [(0.0, chain.STOP)])
+    (z,) = chain.read(legs)
     return complex(z[0]) if isinstance(sources, SourceField) else z
 
 

@@ -58,6 +58,7 @@ from .liouville import (
     fields,
     finite,
     hermitian_basis,
+    term_norm,
     trace_functional,
 )
 
@@ -220,8 +221,7 @@ def lattice_correlators(tensors, observable, distances=None):
         values = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
         return float(values[0]) if observable == "occupation" else values
 
-    if not np.isfinite(tensors.transfer.scale):
-        raise NoConvergenceError("transfer matrix has a non-finite term norm")
+    term_norm(tensors.transfer, "transfer matrix")
     emat = tensors.transfer.hmat
     basis = hermitian_basis(d)
     ms = sorted(set(distances))

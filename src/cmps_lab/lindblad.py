@@ -54,12 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _lattice_step
-from .errors import InvalidMomentsError, NoConvergenceError, ShapeMismatchError
+from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,
     Tolerances,
     choi_min_eigenvalue,
     exponential,
+    term_norm,
     trace_functional,
 )
 
@@ -213,8 +214,8 @@ def compare_forms(K, R, moments, dx=0.1):
         jumps = jump_decomposition(K, R, moments)
         g = -1j * jumps.K - 0.5 * sum(m.conj().T @ m for m in jumps.operators)
         jform = _dissipative_form(g, [(m, m) for m in jumps.operators])
-    if not (np.isfinite(gen.scale) and np.isfinite(jform.scale)):
-        raise NoConvergenceError("generator has a non-finite term norm")
+    term_norm(gen, "generator")
+    term_norm(jform, "generator")
     one = trace_functional(gen.dim).real
     return FormComparison(
         max_difference=float(np.abs(gen.hmat - jform.hmat).max()),

@@ -452,6 +452,15 @@ def exponent(op, dx):
     return op.hmat * certify_step(op, dx)
 
 
+def term_norm(op, what):
+    """The term norm of the `Superoperator` op, refused as
+    NoConvergenceError ("<what> has a non-finite term norm") when it
+    overflowed: the one test of a map before it is built or factored."""
+    if not np.isfinite(op.scale):
+        raise NoConvergenceError(f"{what} has a non-finite term norm")
+    return op.scale
+
+
 def finite(values, what):
     """values, a computed number or array, refused as NoConvergenceError
     ("<what> is not finite") when any entry is not: the package's one test
@@ -507,22 +516,22 @@ def steady_state(generator, tol=Tolerances()):
     """Unique fixed point of the generator, certified from one LU factorization.
 
     The real bordered matrix B = L + c e <1|, c the term norm
-    `generator.scale`, is factored once (`bordered_lu`), and the fixed point
-    solves B x = c e (so <1|x> = 1 and L x = 0); its coordinates are real,
-    so it is Hermitian exactly, and it is trace-normalized.  B is
-    invertible exactly when the fixed space is one-dimensional, and every
-    eigenvalue lambda of L other than the fixed point's zero is one of B,
-    so ||B^-1||_1 >= 1 / |lambda|.  An exactly singular B, or one whose
-    ||B^-1||_1 (dgecon's estimate, told ||B||_1 = 1) times c reaches
-    1 / tol.zero_real, raises
+    `generator.scale` (`term_norm`), or 1 where that is 0 (L = 0, whose
+    one fixed point at D = 1 is the vacuum), is factored once
+    (`bordered_lu`), and the fixed point solves B x = c e (so <1|x> = 1 and
+    L x = 0); its coordinates are real, so it is Hermitian exactly, and it
+    is trace-normalized.  B is invertible exactly when the fixed space is
+    one-dimensional, and every eigenvalue lambda of L other than the fixed
+    point's zero is one of B, so ||B^-1||_1 >= 1 / |lambda|.  An exactly
+    singular B, or one whose ||B^-1||_1 (dgecon's estimate, told
+    ||B||_1 = 1) times the term norm reaches 1 / tol.zero_real, raises
     DegenerateFixedSpaceError.  The residual ||L rho||_max, from the
     table's `action` on rho at O(D^3), must not exceed tol.residual times
     the term norm.
     No spectrum is computed here: `SpectralData` computes it when read.
     """
-    if not np.isfinite(generator.scale):
-        raise NoConvergenceError("generator has a non-finite term norm")
-    lu, piv, info = bordered_lu(generator.hmat, 0.0, generator.scale)
+    weight = term_norm(generator, "generator") or 1.0
+    lu, piv, info = bordered_lu(generator.hmat, 0.0, weight)
     if info > 0:
         raise DegenerateFixedSpaceError(
             "fixed space is degenerate (the bordered generator is singular);"
@@ -534,7 +543,7 @@ def steady_state(generator, tol=Tolerances()):
             f" 1 / {tol.zero_real}); stationary quantities are ill-defined")
 
     one = trace_functional(generator.dim).real
-    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, one * (generator.scale / generator.dim))
+    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, one * (weight / generator.dim))
     rho = hermitian_basis(generator.dim).matrices(x)[0]
     rho = rho / np.trace(rho).real
 

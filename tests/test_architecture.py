@@ -71,6 +71,16 @@ def test_eigenvectors_are_solved_for_in_one_place():
     assert owners == {("liouville", "eigenmodes")}
 
 
+def test_eigenvalues_alone_are_solved_for_in_one_place():
+    # np.linalg.eigvals runs only for the fixed point's spectrum, which
+    # steady and gap report; every other reader of the spectrum reads the
+    # eigenmodes
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
+                                   and "eigvals" in _names(node.func))}
+    assert owners == {("liouville", "SpectralData.eigenvalues")}
+
+
 def test_the_exact_calculus_and_lindblad_do_not_import_the_lattice_oracle():
     for module in ("correlators", "lindblad"):
         for node in ast.walk(_trees()[module]):
@@ -127,6 +137,14 @@ def test_every_non_finite_refusal_is_raised_by_the_one_gate():
               for owner in _owners(tree, lambda node: (_message(node) or "").endswith("is not finite"))}
     assert owners == {("liouville", "finite")}
     assert not hasattr(cmps_lab, "finite")
+
+
+def test_every_term_norm_refusal_is_raised_in_one_place():
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, lambda node: (_message(node) or "").endswith(
+                  "has a non-finite term norm"))}
+    assert owners == {("liouville", "term_norm")}
+    assert not hasattr(cmps_lab, "term_norm")
 
 
 def test_the_dark_rule_is_written_once():

@@ -74,6 +74,19 @@ def test_steady_reports_stationary_state(tmp_path):
     assert payload["result"]["gapless"] is False
 
 
+def test_steady_reports_the_one_dimensional_vacuum(tmp_path):
+    # K = R = 0 at D = 1 has term norm 0; steady refused it as degenerate
+    # and exited 2
+    model = {"dim": 1, "K": {"re": [[0.0]]}, "R": {"re": [[0.0]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(tmp_path, "steady", {"model": model, "geometry": "thermodynamic"})
+    assert rc == 0
+    result = load_json(out)["result"]
+    assert result["rho_ss"]["re"] == [[1.0]]
+    assert result["gap"] == 0.0 and result["gapless"] is True
+
+
 # The emitter's spectrum and fixed point as the real solves in the Hermitian
 # basis write them (the eigenvalues, the eigenvalue solve; rho, the bordered
 # solve); the roundoff-level entries come from LAPACK and are specific to the

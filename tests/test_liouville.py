@@ -14,11 +14,18 @@ from cmps_lab import (
     family_derivative,
     kinetic_density,
     new_cmps,
+    pair_correlation,
+    sample_ensemble,
     steady_state,
     trace_functional,
     two_point,
 )
-from cmps_lab.errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
+from cmps_lab.errors import (
+    DegenerateFixedSpaceError,
+    NoConvergenceError,
+    ShapeMismatchError,
+    ZeroDensityError,
+)
 from cmps_lab.correlators import INSERTIONS, _Chain
 from cmps_lab.liouville import (
     EXPONENT_LIMIT,
@@ -500,6 +507,24 @@ def test_a_sourced_site_reads_x_only_under_a_source(capfd):
     with pytest.raises(NoConvergenceError, match=r"^term norm x \|dx\| = (inf|nan) exceeds"):
         exponential(sourced_generator(f, 0.5, 0.1), 1e-200)
     assert capfd.readouterr() == ("", "")
+
+
+def test_the_one_dimensional_vacuum_is_its_own_fixed_point():
+    # K = R = 0 at D = 1: L = 0 has term norm 0, and a border of that weight
+    # was singular, so the vacuum was refused as degenerate.  A
+    # one-dimensional boundary space has one fixed point; L = 0 at D = 2
+    # still has two
+    p = new_cmps(1, [[0.0]], [[0.0]])
+    assert p.generator.scale == 0.0
+    assert p.stationary.steady_state.tolist() == [[1.0]]
+    assert p.stationary.gap == 0.0 and p.stationary.gapless
+    assert density(p) == 0.0
+    assert not two_point(p, [0.0, 1.0, 2.5]).values.any()
+    with pytest.raises(ZeroDensityError):
+        pair_correlation(p, [0.0, 1.0])
+    assert not any(r.positions.size for r in sample_ensemble(p, 3, 5.0, master_seed=1))
+    with pytest.raises(DegenerateFixedSpaceError, match="singular"):
+        steady_state(build_liouvillian(np.zeros((2, 2)), np.zeros((2, 2))))
 
 
 def test_a_generator_whose_term_norm_overflows_has_one_message():
