@@ -56,7 +56,8 @@ value at the end of each step is a
 sum of exponentials over the generator's spectrum, sum_j c_j e^{lambda_j d}
 (Haegeman, Cirac, Osborne & Verstraete, PRB 88, 085118, 2013), read
 from its eigenmodes (`Superoperator.modes`, one eigensolve per parameter
-set) at O(D^2) per step, when `liouville.eigenmodes` certifies them;
+set) at O(D^2) per step, all steps in a few products, when
+`liouville.eigenmodes` certifies them;
 otherwise every distinct step takes one exponential.  `family_derivative`
 scans the same legs forward once on a chain that carries the tangent of
 the vector alongside it (`_TangentChain`, which overrides only the leg
@@ -121,6 +122,11 @@ from .liouville import (
 # relative to the largest |two_point| on a fit grid, the roundoff scale of
 # the values
 SIGNAL_FLOOR = 1e-13
+
+# entries of the separations x modes table of exponentials that `_Chain.sums`
+# builds at once: 1 MiB of complex values, so a grid of any length reads in
+# bounded memory, and a 50-stop grid at D = 8 (64 modes) in one product
+SUMS_CHUNK = 2**16
 
 INSERTIONS = {
     "annihilate": (("R", "1"),),
@@ -263,23 +269,25 @@ class _Chain:
     def sums(self, row, v, seps):
         """row exp(L d) v at each separation d for one vector v, from the
         generator's certified eigenmodes: sum_j c_j e^{lambda_j d} with
-        c = `Eigenmodes.coefficients(row, v)`, one separation at a time, so
-        no separations x modes array is built; at d = 0, row v.  The fixed
-        point's eigenvalue, when the rule of `liouville.fixed_mode` picks a
-        unique one, is read as exactly 0, because <1| L = 0."""
+        c = `Eigenmodes.coefficients(row, v)`, read as exp(d lambda^T) c
+        for SUMS_CHUNK entries of the separations x modes table at a time;
+        at d = 0, row v.  The fixed point's eigenvalue, when the rule of
+        `liouville.fixed_mode` picks a unique one, is read as exactly 0,
+        because <1| L = 0."""
         modes = self.L.modes
         lam = np.array(modes.values, dtype=complex)
         try:
             lam[fixed_mode(lam, self.zero_real_tol)[0]] = 0.0
         except DegenerateFixedSpaceError:
             pass
-        # v is read as two rows, by the product that a walked tail takes, so
-        # a step of length 0 reads what the walk reads there
-        zero = (np.stack([v, v]) @ row)[0]
         c = modes.coefficients(row, v)
         values = np.empty(seps.size, dtype=complex)
-        for i, d in enumerate(seps):
-            values[i] = c @ np.exp(lam * d) if d else zero
+        rows = max(1, SUMS_CHUNK // lam.size)
+        for start in range(0, seps.size, rows):
+            values[start:start + rows] = np.exp(np.multiply.outer(seps[start:start + rows], lam)) @ c
+        # v is read as two rows, by the product that a walked tail takes, so
+        # a step of length 0 reads what the walk reads there
+        values[seps == 0.0] = (np.stack([v, v]) @ row)[0]
         return values
 
     def read(self, legs, steps=(0.0,), kind=None):
@@ -288,19 +296,20 @@ class _Chain:
         (the trace functional <1| for None), divided by `norm`: the one
         closing of an exact walk.  A tail of two or more nonzero steps, which
         only a chain on one vector has, is read by `sums` at their partial
-        sums when the generator's eigenmodes are certified, each step
-        certified as its exponential would be (`liouville.certify_step`);
-        otherwise each nonzero step is walked.  An overflow in the walk or
-        the read passes silently and leaves a value that is not finite,
-        which `finite` refuses."""
+        sums when the generator's eigenmodes are certified, every step
+        certified as its exponential would be (`liouville.certify_step` on
+        the longest); otherwise each nonzero step is walked.  An overflow in
+        the walk or the read passes silently and leaves a value that is not
+        finite, which `finite` refuses."""
         row = self.left if kind is None else self.covector(kind)
         # each nonzero step of the ascending tail reaches a new separation
         from_modes = sum(dx != 0.0 for dx in steps) > 1 and self.L.modes.certified
         with np.errstate(over="ignore", invalid="ignore"):
             v = self.scan(self.right, legs)
             if from_modes:
-                for dx in steps:
-                    certify_step(self.L, dx)
+                # the certificate grows with |dx|: every step passes when the
+                # longest does
+                certify_step(self.L, max(steps, key=abs))
                 values = self.sums(row, v, np.cumsum(steps))
             else:
                 ends = np.empty((len(steps), *v.shape), dtype=complex)

@@ -37,11 +37,13 @@ it and is refused as NoConvergenceError ("... is not finite").
 between coordinates and D x D matrices.  `choi_min_eigenvalue` reads a
 channel in coordinates through its complex D^2 x D^2 Choi matrix; the
 other complex D^2 x D^2 arrays are the eigenvectors of the generator,
-`Superoperator.modes`, and their solve.  `eigenmodes` is the package's
-one eigenvector solve: it certifies the basis by its condition number
-(EIG_COND_LIMIT) and by the backward error of the eigenpairs, for the
+`Superoperator.modes`, and their inverse.  `eigenmodes` is the package's
+one eigenvector solve and the one inverse of its basis: it certifies the
+basis by its condition number (EIG_COND_LIMIT), bounded first by the
+Frobenius norms of V and V^-1 and taken from an SVD only where that bound
+cannot decide, and by the backward error of the eigenpairs, for the
 correlators' separation scans, `correlators.spectral_envelope` and the
-sampler's no-jump flow alike.
+sampler's no-jump flow alike, which all read the same inverse.
 
 The trace functional <1| reads the diagonal coordinates, and trace
 preservation is <1| L = 0.  The fixed point needs no spectrum: one LU
@@ -256,40 +258,63 @@ EIG_COND_LIMIT = 1e3
 @dataclass(frozen=True)
 class Eigenmodes:
     """The eigenpairs a V = V diag(values) of a square matrix a, from one
-    `np.linalg.eig`, and whether V is a certified basis (`eigenmodes`).
-    The arrays are read-only."""
+    `np.linalg.eig`, the inverse of V (None when V is singular) and whether
+    V is a certified basis (`eigenmodes`).  The arrays are read-only."""
 
     values: np.ndarray
     vectors: np.ndarray
+    inverse: np.ndarray | None
     certified: bool
 
     def coefficients(self, row, col):
         """c = (row V) * (V^-1 col), so that row exp(a x) col is
         sum_j c_j exp(values_j x).  LinAlgError when V is singular."""
-        return (row @ self.vectors) * np.linalg.solve(self.vectors, col)
+        if self.inverse is None:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return (row @ self.vectors) * (self.inverse @ col)
 
 
 def eigenmodes(a, scale):
-    """The `Eigenmodes` of a, the package's one eigenvector solve.
+    """The `Eigenmodes` of a, the package's one eigenvector solve, and the
+    one inverse of its basis V.
 
     V is certified as a basis when cond(V) <= EIG_COND_LIMIT and the
     eigenpairs pass a backward-error test, ||a V - V diag(values)||_1 <=
     Tolerances.residual x scale x ||V||_1, with scale a bound on ||a||_1
     (a term norm): a well-conditioned V can still hold a wrong pair, as eig
     gives for a generator whose entries span 200 decades.  A residual that
-    overflows is not certified.  A failed solve raises NoConvergenceError.
+    overflows is not certified, nor is a singular V.  cond(V) is bounded
+    first by ||V||_F ||V^-1||_F, from the inverse the coefficients and the
+    sampler read anyway; only when that bound exceeds the limit does one
+    SVD give cond(V) itself, so the verdict is that of cond(V) alone.  A
+    failed solve raises NoConvergenceError.
     """
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvector solve failed: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.abs(a @ vectors - vectors * values).sum(axis=0).max()
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        inverse = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if np.iscomplexobj(a) or not np.iscomplexobj(vectors):
+            av = a @ vectors
+        else:
+            # a real a on a complex V: two real products, half the work of
+            # one complex product with a cast to complex
+            av = np.empty_like(vectors)
+            av.real, av.imag = a @ vectors.real.copy(), a @ vectors.imag.copy()
+        defect = np.abs(av - vectors * values).sum(axis=0).max()
         bound = Tolerances.residual * scale * np.abs(vectors).sum(axis=0).max()
-    certified = bool(np.linalg.cond(vectors) <= EIG_COND_LIMIT and defect <= bound)
-    for arr in (values, vectors):
-        arr.setflags(write=False)
-    return Eigenmodes(values, vectors, certified)
+        certified = bool(inverse is not None and defect <= bound)
+        if certified and not np.linalg.norm(vectors) * np.linalg.norm(inverse) <= EIG_COND_LIMIT:
+            s = np.linalg.svd(vectors, compute_uv=False)
+            certified = bool(s[0] / s[-1] <= EIG_COND_LIMIT)
+    for arr in (values, vectors, inverse):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Eigenmodes(values, vectors, inverse, certified)
 
 
 @dataclass(frozen=True)
@@ -298,7 +323,8 @@ class Superoperator:
     `fields`, with its one dense form, its eigenmodes and its norm computed
     when first read: hmat, its real matrix in the Hermitian basis
     (`HermitianBasis.dense`); modes, the `Eigenmodes` of hmat, certified
-    against the term norm (`eigenmodes`); scale, the term norm
+    against the term norm (`eigenmodes`), which hold two complex D^2 x D^2
+    arrays, V and V^-1 (16 MB each at D = 32); scale, the term norm
     sum ||f[a]||_1 ||f[b]||_1, which bounds the map's 1-norm, and D times
     it every entry of hmat, but is not roundoff where the terms cancel
     (the generator at D = 1)."""

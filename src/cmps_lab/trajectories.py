@@ -293,8 +293,10 @@ class _NoJumpFlow:
     coordinates z = V^-1 phi.
 
     V diagonalizes Q when `liouville.eigenmodes` certifies it against
-    ||Q||_1, and propagation is then elementwise; otherwise V is the
-    identity and each row takes its own expm(Q tau).  gram = V^dag V and rate = (R V)^dag (R V) give the
+    ||Q||_1, and propagation is then elementwise, with V^-1 the inverse
+    `Eigenmodes.inverse` that the certificate computed; otherwise V and
+    V^-1 are the identity and each row takes its own expm(Q tau).
+    gram = V^dag V and rate = (R V)^dag (R V) give the
     survival S = z^dag gram z and the jump density -S' = z^dag rate z of a
     propagated (unnormalized) row.
     """
@@ -310,10 +312,10 @@ class _NoJumpFlow:
         q = _no_jump_generator(params, length)
         modes = eigenmodes(q, np.abs(q).sum(axis=0).max())
         if modes.certified:
-            self.lam, self.q, basis = modes.values, None, modes.vectors
+            self.lam, self.q, basis, inv = modes.values, None, modes.vectors, modes.inverse
         else:
-            self.lam, self.q, basis = None, q, np.eye(params.dim, dtype=complex)
-        inv = np.linalg.inv(basis)
+            self.lam, self.q = None, q
+            basis = inv = np.eye(params.dim, dtype=complex)
         r_basis = params.R @ basis
         self.length = length
         self.r = params.R

@@ -5,7 +5,13 @@ value, or import which."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import cmps_lab
+from cmps_lab import new_cmps, trajectories
+from cmps_lab.liouville import eigenmodes
+
+from conftest import EP_K, RF_K, RF_R
 
 PACKAGE = Path(cmps_lab.__file__).parent
 
@@ -69,6 +75,33 @@ def test_eigenvectors_are_solved_for_in_one_place():
               for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
                                    and "eig" in _names(node.func))}
     assert owners == {("liouville", "eigenmodes")}
+
+
+def test_the_eigenbasis_is_inverted_in_one_place(monkeypatch):
+    # np.linalg.inv and np.linalg.solve run only in the helper that
+    # certifies the eigenbasis and keeps its inverse; the coefficients of
+    # the scans and the spectral envelope and the sampler's coordinates all
+    # read that one inverse
+    def inverts(node):
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr in {"inv", "solve"} and "linalg" in _names(func.value))
+
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, inverts)}
+    assert owners == {("liouville", "eigenmodes")}
+    # the sampler's V^-1 is the certified inverse, bit for bit the inverse
+    # of its basis, and the identity on its expm path (the exceptional point)
+    solved = []
+    monkeypatch.setattr(trajectories, "eigenmodes", lambda *a: solved.append(eigenmodes(*a)) or solved[-1])
+    for k, certified in ((RF_K, True), (EP_K, False)):
+        flow = trajectories._NoJumpFlow(new_cmps(2, k, RF_R), 10.0)
+        assert solved[-1].certified == certified
+        if certified:
+            assert flow.inv is solved[-1].inverse and flow.basis is solved[-1].vectors
+        else:
+            assert np.array_equal(flow.basis, np.eye(2)) and np.array_equal(flow.inv, np.eye(2))
+        assert np.array_equal(flow.inv, np.linalg.inv(flow.basis))
 
 
 def test_eigenvalues_alone_are_solved_for_in_one_place():

@@ -490,6 +490,40 @@ def test_two_point_holds_one_propagator_at_a_time(monkeypatch):
         assert peak < 32 * propagator_bytes
 
 
+def test_a_long_scan_is_read_from_the_eigenmodes_in_bounded_memory():
+    # 20 000 stops at D = 8 (64 modes): the stops x modes table of
+    # exponentials would take 20.5 MB; read SUMS_CHUNK entries at a time the
+    # whole call peaks at about 5.3 MB.  The values agree with a per-stop
+    # sum over the same modes, and every d = 0 value is the walked one
+    rng = np.random.default_rng(31)
+    d = 8
+    k, r = rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+    seps = rng.uniform(0.0, 10.0, 20000)
+    zeros = rng.choice(seps.size, 5, replace=False)
+    seps[zeros] = 0.0
+    p = new_cmps(d, k, r)
+    tracemalloc.start()
+    try:
+        got = two_point(p, seps).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    modes = p.generator.modes
+    assert modes.certified
+    table_bytes = seps.size * modes.values.size * 16
+    assert peak < table_bytes / 2
+    chain = correlators._Chain(p)
+    row, v = chain.covector("annihilate"), chain.act("create", chain.right)
+    lam = modes.values.astype(complex)
+    lam[liouville.fixed_mode(lam, chain.zero_real_tol)[0]] = 0.0
+    c = (row @ modes.vectors) * np.linalg.solve(modes.vectors, v)
+    want = np.array([c @ np.exp(lam * x) for x in seps])
+    nonzero = seps != 0.0
+    assert np.abs(got - want)[nonzero].max() <= 1e-14 * np.abs(want).max()
+    walked = two_point(p, [0.0, 0.0, 1.0]).values[0]  # one nonzero step: walked
+    assert np.array_equal(got[zeros], np.full(zeros.size, walked))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 def test_scans_read_from_the_eigenmodes_match_the_walked_scans(d, monkeypatch):
     # the stops of a scan read from the generator's eigenmodes against the

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from cmps_lab import (
+    Finite,
     build_liouvillian,
     choi_min_eigenvalue,
     density,
@@ -28,6 +29,7 @@ from cmps_lab.errors import (
 )
 from cmps_lab.correlators import INSERTIONS, _Chain
 from cmps_lab.liouville import (
+    EIG_COND_LIMIT,
     EXPONENT_LIMIT,
     GENERATOR,
     Superoperator,
@@ -36,6 +38,7 @@ from cmps_lab.liouville import (
     action,
     action_adjoint,
     bordered_lu,
+    eigenmodes,
     exponent,
     exponential,
     exponential_frechet,
@@ -49,6 +52,8 @@ from cmps_lab.liouville import (
 from conftest import (
     DAMP_K,
     DAMP_R,
+    EP_K,
+    JORDAN_K,
     RF_K,
     RF_R,
     basis_unitary,
@@ -574,3 +579,77 @@ def test_an_exponent_past_the_certificate_is_refused_before_expm_runs(monkeypatc
             exponential(p.generator, dx)
     with pytest.raises(NoConvergenceError, match="not resolved in double precision"):
         two_point(p, [1.001 * step])
+
+
+def _verdict_by_the_svd(a, scale):
+    # the certificate's rule as it reads without the cheap bound: cond(V)
+    # from the SVD and the backward error from one complex product
+    values, vectors = np.linalg.eig(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(a @ vectors - vectors * values).sum(axis=0).max()
+        bound = Tolerances.residual * scale * np.abs(vectors).sum(axis=0).max()
+    return bool(np.linalg.cond(vectors) <= EIG_COND_LIMIT and defect <= bound)
+
+
+def _instance(d, seed):
+    rng = np.random.default_rng(seed)
+    return rand_herm(d, rng), 0.7 * rand_mat(d, rng)
+
+
+def test_every_certificate_verdict_is_that_of_the_svd():
+    # cond(V) <= ||V||_F ||V^-1||_F, so a bound at or below the limit
+    # certifies cond(V) without an SVD, and only a larger bound runs one:
+    # the verdict is the same either way.  Real generators at D = 2-12,
+    # complex no-jump generators, two Jordan blocks (no basis) and a
+    # well-conditioned basis with a wrong pair (R = 1e104 sigma_minus)
+    cases = []
+    for d in range(2, 13):
+        k, r = _instance(d, [61, d])
+        generator = build_liouvillian(k, r)
+        cases.append((generator.hmat, generator.scale))
+        if d <= 5:
+            q = fields(k, r)["Q"]
+            cases.append((q, np.abs(q).sum(axis=0).max()))
+    for k, r in ((JORDAN_K, RF_R), (RF_K, 1e104 * RF_R)):
+        generator = build_liouvillian(k, r)
+        cases.append((generator.hmat, generator.scale))
+    q = fields(EP_K.astype(complex), RF_R.astype(complex))["Q"]
+    cases.append((q, np.abs(q).sum(axis=0).max()))
+    verdicts = []
+    for a, scale in cases:
+        modes = eigenmodes(a, scale)
+        verdicts.append(modes.certified)
+        assert modes.certified == _verdict_by_the_svd(a, scale)
+        assert np.array_equal(modes.inverse, np.linalg.inv(modes.vectors))
+    assert verdicts[-3:] == [False, False, False] and all(verdicts[:-3])
+
+
+def test_the_svd_runs_only_where_the_cheap_bound_cannot_decide(monkeypatch):
+    # a certified D = 8 scan needs no SVD.  On the D = 12 instance of
+    # test_scans_read_from_the_eigenmodes_match_the_walked_scans the bound
+    # reads about 1116 against cond(V) = 110, so one SVD decides
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    for d, svds in ((8, 0), (12, 1)):
+        rng = np.random.default_rng([29, d])
+        p = new_cmps(d, rand_herm(d, rng), 0.7 * rand_mat(d, rng))
+        calls.clear()
+        two_point(p, np.linspace(0.0, 5.0, 11))
+        modes = p.generator.modes
+        assert modes.certified and len(calls) == svds
+        assert _verdict_by_the_svd(p.generator.hmat, p.generator.scale)
+        bound = np.linalg.norm(modes.vectors) * np.linalg.norm(modes.inverse)
+        assert (bound > EIG_COND_LIMIT) == (svds == 1)
+    assert 1000 < bound < 1200 and 100 < np.linalg.cond(modes.vectors) < 120
+
+
+def test_a_singular_basis_has_no_inverse_and_no_certificate():
+    # the 3 x 3 shift, one Jordan block, whose eigenvectors eig returns with
+    # an exactly zero row: no inverse, so the basis is not certified, and
+    # the coefficients refuse, as the solve they replace did
+    a = np.diag([1.0, 1.0], 1)
+    modes = eigenmodes(a, 1.0)
+    assert modes.inverse is None and not modes.certified
+    assert not _verdict_by_the_svd(a, 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        modes.coefficients(np.ones(3), np.ones(3))
