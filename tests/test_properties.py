@@ -3,24 +3,29 @@
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmps_lab import (
     Finite,
     build_liouvillian,
+    convergence_study,
     density,
+    estimate_stats,
     family_derivative,
     generating_functional,
     kinetic_density,
     new_cmps,
     pair_correlation,
+    sample_ensemble,
     trace_functional,
     two_point,
+    waiting_bin_probs,
 )
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.liouville import GENERATOR, fields, fields_tangent, tangent_terms
 
 from conftest import kron_map, rand_herm, rand_mat, unvec, vec
+from test_discretizer import THERMO_RTOL_TIMES_EPS
 
 SEPARATIONS = np.array([0.0, 0.4, 1.3])
 
@@ -54,6 +59,123 @@ def test_exact_outputs_are_covariant_under_a_change_of_length_unit(seed, dim, lo
         return family_derivative(p, unit_scale * dk, np.sqrt(unit_scale) * dr, chain) / unit_scale
 
     close(derivative(scaled, s), derivative(unit, 1.0))
+
+
+def _random_state(seed, dim, geometry, length):
+    """(K, R, geometry, rng) of a seeded instance, rng to draw on from; a
+    finite window opens on a random density matrix."""
+    rng = np.random.default_rng(seed)
+    k, r = rand_herm(dim, rng), 0.7 * rand_mat(dim, rng)
+    a = rand_mat(dim, rng)
+    rho0 = a @ a.conj().T
+    window = Finite(length=length, boundary_rho=rho0 / np.trace(rho0).real)
+    return k, r, window if geometry == "finite" else None, rng
+
+
+LATTICE_EPS = np.array([0.1, 0.05])
+LATTICE_SEPARATION = 0.2
+RECORD_BINS = np.array([0.0, 0.5, 1.0])
+# Two outputs do not follow a change of unit to the last bit, and may move
+# by this many ulps of their largest |value|.  LAPACK's real eigensolver
+# (dlanv2) decides the nature of a converged 2 x 2 block's eigenvalues by
+# comparing about half their spread with the absolute 4 eps, so a close pair
+# can take the other branch in the other unit: the scans read from the
+# eigenmodes (d > 0) move.  The estimator squares its rate as `rate**2`,
+# through libm's pow, which is not correctly rounded: its pair correlation
+# moves.
+UNIT_ULPS = 4
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]),
+       geometry=st.sampled_from(["thermodynamic", "finite"]),
+       k=st.sampled_from([-30, 24]) | st.integers(-30, 24))
+def test_every_method_keeps_every_bit_under_a_change_of_length_unit_by_4_to_the_k(
+        seed, dim, geometry, k):
+    # K -> K / 4^k, R -> R / 2^k and every length x 4^k change the unit by a
+    # power of two, which binary arithmetic carries exactly; so does every
+    # threshold that is relative to the generator's term norm.  Each output,
+    # times its power of 4, must therefore keep every bit (but UNIT_ULPS).
+    # The ends of the range, drawn often, move every value across any
+    # absolute threshold: at k = 24 a density of order 1 reads below 1e-14
+    length = 6.0
+    K, R, window, rng = _random_state(seed, dim, geometry, length)
+    dk, dr = rand_herm(dim, rng), rand_mat(dim, rng)
+    # sources on 8 sites of step 0.75: lam R and mu X, with X = -[Q, R]
+    lam, mu = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
+    lam[2], mu[2], lam[5] = 0.4 - 0.3j, 0.2j, -0.5
+
+    def outputs(s):
+        geo = window and Finite(length=window.length * s, boundary_rho=window.boundary_rho)
+        p = new_cmps(dim, K / s, R / np.sqrt(s), geo)
+        scan, g2 = two_point(p, SEPARATIONS * s).values * s, pair_correlation(p, SEPARATIONS * s)
+        chain = [(0.0, "create"), (1.3 * s, "annihilate")]
+        out = {"density": density(p) * s, "d = 0": [scan[0], g2.values[0]],
+               "kinetic_density": kinetic_density(p) * s**3, "gap": p.stationary.gap * s,
+               "family_derivative": family_derivative(p, dk / s, dr / np.sqrt(s), chain) * s,
+               "generating_functional": generating_functional(
+                   p, SourceField(lam / np.sqrt(s), mu * np.sqrt(s)), 0.75 * s),
+               "waiting_bin_probs": waiting_bin_probs(p, RECORD_BINS * s)}
+        # the lattice reads densities: per unit length, and per unit length
+        # squared for the pair
+        for observable, unit in (("occupation", s), ("hopping", s), ("pair", s * s)):
+            study = convergence_study(p, LATTICE_EPS * s, observable if observable == "occupation"
+                                      else (observable, LATTICE_SEPARATION * s))
+            out[observable] = np.append(study.values, study.extrapolated) * unit
+        records = sample_ensemble(p, 20, length * s, 7)
+        out["positions"] = np.concatenate([rec.positions for rec in records]) / s
+        stats = estimate_stats(records, RECORD_BINS * s, burn_in=1.0 * s)
+        out["rate"] = np.array([stats.rate, stats.rate_stderr]) * s
+        out["waiting_probs"] = stats.waiting_probs
+        return out, {"two_point": scan, "pair_correlation": g2.values,
+                     "record pair_correlation": stats.pair_correlation}
+
+    (unit, unit_ulps), (scaled, scaled_ulps) = outputs(1.0), outputs(4.0**k)
+    for key, value in unit.items():
+        np.testing.assert_array_equal(scaled[key], value, err_msg=key)
+    for key, value in unit_ulps.items():
+        # the estimator reads NaN where no pair was observed
+        largest = np.abs(value[~np.isnan(value)]).max(initial=0.0)
+        np.testing.assert_allclose(scaled_ulps[key], value, rtol=0.0, err_msg=key,
+                                   atol=UNIT_ULPS * np.finfo(float).eps * largest)
+
+
+GAUGE_RTOL = 1e-13
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]),
+       geometry=st.sampled_from(["thermodynamic", "finite"]))
+def test_exact_and_lattice_outputs_do_not_see_a_gauge_or_a_field_phase(seed, dim, geometry):
+    # (K, R, boundary_rho) -> (U K U^dag, e^{i phi} U R U^dag, U rho U^dag)
+    # for a random unitary U is the same field state (Haegeman, Cirac,
+    # Osborne & Verstraete, PRB 88, 085118, 2013); the phase cancels in every
+    # observable that pairs a creation with an annihilation
+    K, R, window, rng = _random_state(seed, dim, geometry, 2.0)
+    u, _ = np.linalg.qr(rand_mat(dim, rng))
+    phase = np.exp(2j * np.pi * rng.uniform())
+    eps = np.array([0.02, 0.01])
+
+    def outputs(k, r, geo):
+        p = new_cmps(dim, k, r, geo)
+        out = {"two_point": two_point(p, SEPARATIONS).values,
+               "pair_correlation": pair_correlation(p, SEPARATIONS).values,
+               "kinetic_density": kinetic_density(p), "gap": p.stationary.gap}
+        lattice = {kind: convergence_study(p, eps, (kind, LATTICE_SEPARATION)).values
+                   for kind in ("hopping", "pair")}
+        return out, lattice
+
+    gauged = window and Finite(length=window.length,
+                               boundary_rho=u @ window.boundary_rho @ u.conj().T)
+    (exact, lattice), (exact_g, lattice_g) = (
+        outputs(K, R, window),
+        outputs(u @ K @ u.conj().T, phase * u @ R @ u.conj().T, gauged))
+    for key, want in exact.items():
+        err = np.abs(np.asarray(exact_g[key]) - want).max() / np.abs(want).max()
+        assert err <= GAUGE_RTOL, (key, err)
+    for key, want in lattice.items():
+        err = np.abs(lattice_g[key] - want) / np.abs(want).max()
+        assert np.all(err <= THERMO_RTOL_TIMES_EPS / eps), (key, err)
 
 
 def _expm_and_frechet(a, e):
