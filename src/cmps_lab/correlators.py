@@ -517,14 +517,20 @@ def decay_fit(params, d_min, d_max, n_points=33):
         raise SignalBelowFloorError(
             f"connected signal below {floor:.3e} on [{d_min}, {d_max}]"
         )
-    x = grid[mask]
-    logy = np.log(y[mask])
+    # the fit runs on x / 2^ex and log(y / 2^ey), the same bits in every
+    # length unit, and the rate and the prefactor are scaled back exactly;
+    # the prefactor exp(c) 2^ey is read as exp(c - n ln 2) 2^(n + ey), which
+    # overflows only where the prefactor does
+    ex, ey = math.frexp(d_max)[1], math.frexp(y.max())[1]
+    x = np.ldexp(grid[mask], -ex)
+    logy = np.log(np.ldexp(y[mask], -ey))
     coeffs = np.polyfit(x, logy, 1)
     fit = np.polyval(coeffs, x)
     residual = float(np.sqrt(np.mean((logy - fit) ** 2)))
+    n = round(coeffs[1] / math.log(2))
     return DecayFit(
-        rate=float(-coeffs[0]),
-        prefactor=float(np.exp(coeffs[1])),
+        rate=math.ldexp(-coeffs[0], -ex),
+        prefactor=float(np.ldexp(np.exp(coeffs[1] - n * math.log(2)), n + ey)),
         residual=residual,
         n_used=int(mask.sum()),
     )

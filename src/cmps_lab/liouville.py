@@ -37,8 +37,12 @@ it and is refused as NoConvergenceError ("... is not finite").
 between coordinates and D x D matrices.  `choi_min_eigenvalue` reads a
 channel in coordinates through its complex D^2 x D^2 Choi matrix; the
 other complex D^2 x D^2 arrays are the eigenvectors of the generator,
-`Superoperator.modes`, and their inverse.  `eigenmodes` is the package's
-one eigenvector solve and the one inverse of its basis: it certifies the
+`Superoperator.modes`, and their inverse.  `spectrum` is the package's
+one non-Hermitian eigensolve: it divides the matrix by the power of two
+of the term norm its caller holds and multiplies the eigenvalues back, so
+no bit of a spectrum depends on the length unit, and it is the one place
+where a failed solve becomes NoConvergenceError.  `eigenmodes` runs it
+with eigenvectors and is the one inverse of its basis: it certifies the
 basis by its condition number (EIG_COND_LIMIT), bounded first by the
 Frobenius norms of V and V^-1 and taken from an SVD only where that bound
 cannot decide, and by the backward error of the eigenpairs, for the
@@ -274,38 +278,54 @@ class Eigenmodes:
         return (row @ self.vectors) * (self.inverse @ col)
 
 
+def spectrum(a, scale, vectors=False):
+    """The eigenvalues of a square matrix a (`np.linalg.eigvals`), or with
+    vectors=True the pair (eigenvalues, eigenvectors) (`np.linalg.eig`):
+    the package's one non-Hermitian eigensolve, which the generator's
+    modes and spectrum and the sampler's no-jump generator all run.
+
+    scale is the bound on ||a|| that the caller holds (a term norm).  The
+    solve runs on a / 2^e, e the binary exponent of scale (e = 0 when
+    scale is 0 or not finite), and the eigenvalues are multiplied back by
+    2^e.  Both products are exact, and a change of length unit by a power
+    of two leaves a / 2^e the same bits, so it leaves every bit of the
+    solve as it was, where LAPACK's absolute thresholds (the 4 eps of its
+    2 x 2 blocks) would see the unit.  A failed solve raises
+    NoConvergenceError.
+    """
+    # frexp gives e = 0 at 0, inf and nan; the clamp keeps 2^e and 2^-e normal
+    e = min(max(math.frexp(scale)[1], -1022), 1022)
+    b = a * math.ldexp(1.0, -e)
+    try:
+        if vectors:
+            values, vecs = np.linalg.eig(b)
+            return values * math.ldexp(1.0, e), vecs
+        return np.linalg.eigvals(b) * math.ldexp(1.0, e)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolve failed: {exc}") from exc
+
+
 def eigenmodes(a, scale):
-    """The `Eigenmodes` of a, the package's one eigenvector solve, and the
-    one inverse of its basis V.
+    """The `Eigenmodes` of a from its `spectrum` (scale a bound on
+    ||a||_1, a term norm), and the package's one inverse of the basis V.
 
     V is certified as a basis when cond(V) <= EIG_COND_LIMIT and the
     eigenpairs pass a backward-error test, ||a V - V diag(values)||_1 <=
-    Tolerances.residual x scale x ||V||_1, with scale a bound on ||a||_1
-    (a term norm): a well-conditioned V can still hold a wrong pair, as eig
-    gives for a generator whose entries span 200 decades.  A residual that
-    overflows is not certified, nor is a singular V.  cond(V) is bounded
-    first by ||V||_F ||V^-1||_F, from the inverse the coefficients and the
-    sampler read anyway; only when that bound exceeds the limit does one
-    SVD give cond(V) itself, so the verdict is that of cond(V) alone.  A
-    failed solve raises NoConvergenceError.
+    Tolerances.residual x scale x ||V||_1, from the one product a V: a
+    well-conditioned V can still hold a wrong pair, as eig gives for a
+    generator whose entries span 200 decades.  A residual that overflows
+    is not certified, nor is a singular V.  cond(V) is bounded first by
+    ||V||_F ||V^-1||_F, from the inverse the coefficients and the sampler
+    read anyway; only when that bound exceeds the limit does one SVD give
+    cond(V) itself, so the verdict is that of cond(V) alone.
     """
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvector solve failed: {exc}") from exc
+    values, vectors = spectrum(a, scale, vectors=True)
     try:
         inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
         inverse = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.iscomplexobj(a) or not np.iscomplexobj(vectors):
-            av = a @ vectors
-        else:
-            # a real a on a complex V: two real products, half the work of
-            # one complex product with a cast to complex
-            av = np.empty_like(vectors)
-            av.real, av.imag = a @ vectors.real.copy(), a @ vectors.imag.copy()
-        defect = np.abs(av - vectors * values).sum(axis=0).max()
+        defect = np.abs(a @ vectors - vectors * values).sum(axis=0).max()
         bound = Tolerances.residual * scale * np.abs(vectors).sum(axis=0).max()
         certified = bool(inverse is not None and defect <= bound)
         if certified and not np.linalg.norm(vectors) * np.linalg.norm(inverse) <= EIG_COND_LIMIT:
@@ -325,9 +345,9 @@ class Superoperator:
     (`HermitianBasis.dense`); modes, the `Eigenmodes` of hmat, certified
     against the term norm (`eigenmodes`), which hold two complex D^2 x D^2
     arrays, V and V^-1 (16 MB each at D = 32); scale, the term norm
-    sum ||f[a]||_1 ||f[b]||_1, which bounds the map's 1-norm, and D times
-    it every entry of hmat, but is not roundoff where the terms cancel
-    (the generator at D = 1)."""
+    sum ||f[a]||_1 ||f[b]||_1, each term one product (a square term too),
+    which bounds the map's 1-norm, and D times it every entry of hmat, but
+    is not roundoff where the terms cancel (the generator at D = 1)."""
 
     terms: tuple
     fields: dict
@@ -346,13 +366,13 @@ class Superoperator:
 
     @cached_property
     def scale(self):
-        # "1" is the identity; a square term is a power, so the generator's is
-        # 2 ||Q||_1 + ||R||_1 ** 2 to the bit (pow(x, 2) and x * x can differ in
-        # the last bit); an overflow gives inf, which the readers refuse
+        # "1" is the identity, so every term is one product norm[a] * norm[b]
+        # and a change of unit by a power of two scales it exactly; an
+        # overflow gives inf, which the readers refuse
         with np.errstate(over="ignore", invalid="ignore"):
             names = set().union(*self.terms) - {"1"}
             norm = {"1": 1.0} | {name: np.abs(self.fields[name]).sum(axis=0).max() for name in names}
-            return float(sum(norm[a] ** 2 if a == b else norm[a] * norm[b] for a, b in self.terms))
+            return float(sum(norm[a] * norm[b] for a, b in self.terms))
 
 
 def fixed_mode(evals, zero_real_tol):
@@ -384,7 +404,8 @@ class SpectralData:
     which `solve` reuses.  zero_real_tol is Tolerances.zero_real times the
     generator's term norm.  eigenvalues (descending real part), gap and
     gapless are computed from the generator when first read, by one
-    eigenvalue solve of its real matrix `hmat`, and read by `fixed_mode`:
+    eigenvalue solve of its real matrix `hmat` (`spectrum`, against the
+    generator's term norm), and read by `fixed_mode`:
     the read raises DegenerateFixedSpaceError when more than one eigenvalue
     has |Re| <= zero_real_tol, and the gap is minus the largest real part
     after the fixed point's zero (0.0 for the one-dimensional generator,
@@ -404,10 +425,7 @@ class SpectralData:
 
     @cached_property
     def eigenvalues(self):
-        try:
-            evals = np.linalg.eigvals(self.generator.hmat).astype(complex)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+        evals = spectrum(self.generator.hmat, self.generator.scale).astype(complex)
         evals = evals[np.lexsort((evals.imag, -evals.real))]
         fixed_mode(evals, self.zero_real_tol)  # refuses a degenerate fixed space
         evals.setflags(write=False)
@@ -456,16 +474,25 @@ def sourced_generator(f, lam, mu):
 EXPONENT_LIMIT = 1e10
 
 
+def bounded_step(op, dx):
+    """dx, refused as NoConvergenceError when the exponent hmat dx of the
+    `Superoperator` op could overflow: D x scale x |dx|, which bounds its
+    entries, is not finite."""
+    if not math.isfinite(op.dim * op.scale * abs(float(dx))):
+        raise NoConvergenceError(f"the exponent at step {dx} overflows")
+    return dx
+
+
 def certify_step(op, dx):
     """dx, refused as NoConvergenceError when the exponent hmat dx of the
-    `Superoperator` op could overflow (|dx| > 1 and D x scale x |dx|, which
-    bounds its entries, is not finite) or when its exponential is not
-    resolved in double precision (scale x |dx| above `EXPONENT_LIMIT`):
-    the certificate of every leg, whether it is exponentiated or read from
-    the eigenmodes."""
+    `Superoperator` op could overflow (|dx| > 1 and `bounded_step` refuses
+    it) or when its exponential is not resolved in double precision (scale
+    x |dx| above `EXPONENT_LIMIT`, which also covers an overflow at
+    |dx| <= 1): the certificate of every leg, whether it is exponentiated
+    or read from the eigenmodes."""
     step = abs(float(dx))
-    if step > 1.0 and not math.isfinite(op.dim * op.scale * step):
-        raise NoConvergenceError(f"the exponent at step {dx} overflows")
+    if step > 1.0:
+        bounded_step(op, dx)
     if not op.scale * step <= EXPONENT_LIMIT:
         raise NoConvergenceError(f"term norm x |dx| = {op.scale * step:.3e} exceeds {EXPONENT_LIMIT:g}:"
                                  f" the exponential at step {dx} is not resolved in double precision")
@@ -512,9 +539,11 @@ def exponential(op, dx):
 def exponential_frechet(op, dop, dx):
     """(exp(L dx), its Frechet derivative at L dx in the direction dL dx) of
     `Superoperator`s L and dL, by `scipy.linalg.expm_frechet` looked up when
-    called, refused as `exponential` is, for both exponents and both
-    results."""
-    a, da = exponent(op, dx), exponent(dop, dx)
+    called, refused as `exponential` is, for L's exponent and both results.
+    The derivative is linear in its direction, so it is resolved as L's
+    exponent is: dL dx is refused, before it is formed, only where it could
+    overflow (`bounded_step`), in any length unit."""
+    a, da = exponent(op, dx), dop.hmat * bounded_step(dop, dx)
     with np.errstate(over="ignore", invalid="ignore"):
         e, de = scipy.linalg.expm_frechet(a, da)
     what = f"the exponential at step {dx}"

@@ -612,10 +612,12 @@ def estimate_stats(records, bins, burn_in=0.0):
     mean_dens = dens.mean(axis=0)
     total_cond = wait_cond.sum()
     with np.errstate(divide="ignore", invalid="ignore"):
-        pair_g2 = mean_dens / rate**2
+        # powers as products: libm's pow is not correctly rounded, and a
+        # product keeps every bit under a change of unit by a power of two
+        pair_g2 = mean_dens / (rate * rate)
         # g2 = mean pair density / rate^2, linearized about the means
-        pair_stderr = _stderr((dens - mean_dens) / rate**2
-                              - 2.0 * mean_dens * (rates - rate)[:, None] / rate**3)
+        pair_stderr = _stderr((dens - mean_dens) / (rate * rate)
+                              - 2.0 * mean_dens * (rates - rate)[:, None] / (rate * rate * rate))
         # waiting times are conditioned on a jump early enough that any gap
         # up to tau_max is observable; the ratio of mean counts to mean
         # conditioning jumps, linearized

@@ -68,13 +68,15 @@ def test_only_liouville_and_the_sampler_reference_the_matrix_exponential():
     assert users <= {"liouville", "trajectories"}
 
 
-def test_eigenvectors_are_solved_for_in_one_place():
-    # np.linalg.eig runs only in the helper that certifies its basis, which
-    # the correlators' scans, the spectral envelope and the sampler share
+def test_the_spectrum_is_solved_for_in_one_place():
+    # np.linalg.eig and np.linalg.eigvals run only in the one eigensolve,
+    # which divides out the length unit: the generator's eigenmodes (the
+    # correlators' scans, the spectral envelope), the fixed point's
+    # spectrum (steady, gap) and the sampler's no-jump generator all call it
     owners = {(module, owner) for module, tree in _trees().items()
               for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
-                                   and "eig" in _names(node.func))}
-    assert owners == {("liouville", "eigenmodes")}
+                                   and {"eig", "eigvals"} & set(_names(node.func)))}
+    assert owners == {("liouville", "spectrum")}
 
 
 def test_the_eigenbasis_is_inverted_in_one_place(monkeypatch):
@@ -102,16 +104,6 @@ def test_the_eigenbasis_is_inverted_in_one_place(monkeypatch):
         else:
             assert np.array_equal(flow.basis, np.eye(2)) and np.array_equal(flow.inv, np.eye(2))
         assert np.array_equal(flow.inv, np.linalg.inv(flow.basis))
-
-
-def test_eigenvalues_alone_are_solved_for_in_one_place():
-    # np.linalg.eigvals runs only for the fixed point's spectrum, which
-    # steady and gap report; every other reader of the spectrum reads the
-    # eigenmodes
-    owners = {(module, owner) for module, tree in _trees().items()
-              for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
-                                   and "eigvals" in _names(node.func))}
-    assert owners == {("liouville", "SpectralData.eigenvalues")}
 
 
 def test_the_exact_calculus_and_lindblad_do_not_import_the_lattice_oracle():

@@ -217,6 +217,15 @@ def test_damping_two_point_and_fit(damping_finite):
     assert fit.residual < 1e-8
 
 
+def test_decay_fit_reads_a_tail_below_the_range_of_its_prefactor():
+    # on [1430, 1440] the signal e^{-d/2} is below 2^-1022 of its prefactor
+    # 1: the fit, run on log(y / 2^ey), reads the prefactor exp(c) 2^ey as
+    # exp(c - n ln 2) 2^(n + ey), so exp(c), about 2^1032, never overflows
+    p = new_cmps(2, DAMP_K, DAMP_R, Finite(length=1500.0, boundary_rho=EXCITED))
+    fit = decay_fit(p, 1430.0, 1440.0, n_points=9)
+    assert abs(fit.rate - 0.5) < 1e-10 and abs(fit.prefactor - 1.0) < 1e-8
+
+
 def test_decay_fit_does_not_depend_on_the_length_unit(rf):
     # the signal floor is relative to the values, which scale like 1/length
     ref = decay_fit(rf, 1.0, 30.0)
@@ -745,6 +754,20 @@ def test_family_derivative_walks_a_large_direction_scaled_to_order_one(rf):
     assert family_derivative(rf, 2.0**1000 * np.ones((2, 2)), zero, ins) == 2.0**1000 * at_ones
     big = family_derivative(rf, 1e307 * np.ones((2, 2)), zero, ins)
     assert abs(big - 1e307 * at_ones) <= 1e-15 * abs(1e307 * at_ones)
+
+
+def test_family_derivative_certifies_the_tangent_exponent_only_against_overflow(rf):
+    # in a unit 4^36 times shorter the walk runs on the direction scaled to
+    # order one, whose tangent term norm x |dx| is 3.4e11, past
+    # EXPONENT_LIMIT, while L's is 3.  The derivative is linear in its
+    # direction, so it is resolved as L's exponent is: the value keeps every
+    # bit, where the tangent's exponent used to be refused
+    ins = [(0.0, "create"), (1.0, "annihilate")]
+    want = family_derivative(rf, RF_K, RF_R, ins)
+    s = 4.0**36
+    p = new_cmps(2, RF_K / s, RF_R / np.sqrt(s))
+    got = family_derivative(p, RF_K / s, RF_R / np.sqrt(s), [(0.0, "create"), (s, "annihilate")])
+    assert got * s == want
 
 
 def test_family_derivative_refuses_a_value_that_overflows():

@@ -46,6 +46,7 @@ from cmps_lab.liouville import (
     fields_tangent,
     hermitian_basis,
     sourced_generator,
+    spectrum,
     tangent_terms,
 )
 
@@ -448,9 +449,10 @@ def test_tangent_terms_match_a_central_difference_of_the_maps(d):
                     for j, c in stencil.items()).max() / (12 * h)
         assert np.abs(got - want).max() <= 1e-14 * bound, kind
 
-    # the generator's term norm is 2 ||Q||_1 + ||R||_1^2 to the bit
+    # the generator's term norm is 2 ||Q||_1 + ||R||_1 ||R||_1 to the bit
     gen = build_liouvillian(k, r)
-    assert gen.scale == 2.0 * np.linalg.norm(f["Q"], 1) + np.linalg.norm(f["R"], 1) ** 2
+    norm_r = np.linalg.norm(f["R"], 1)
+    assert gen.scale == 2.0 * np.linalg.norm(f["Q"], 1) + norm_r * norm_r
 
 
 def test_bordered_lu_factors_the_bordered_matrix_without_touching_hmat():
@@ -579,6 +581,30 @@ def test_an_exponent_past_the_certificate_is_refused_before_expm_runs(monkeypatc
             exponential(p.generator, dx)
     with pytest.raises(NoConvergenceError, match="not resolved in double precision"):
         two_point(p, [1.001 * step])
+
+
+def test_the_one_eigensolve_divides_out_the_unit():
+    # spectrum solves a / 2^e, e the binary exponent of scale, so a and
+    # 4^k a give the same eigenvectors and eigenvalues 4^k apart, bit for
+    # bit, in real and complex arithmetic; a scale of 0, inf or nan leaves a
+    # unscaled, and a failed solve is a NoConvergenceError.  A term norm
+    # past 2^1023 (a finite window at K = 4.7e307 sigma_x) or below 2^-1022
+    # (the sampler at K = 1e-310 sigma_x) keeps 2^e and 2^-e finite
+    rng = np.random.default_rng(53)
+    for a in (rng.normal(size=(9, 9)), rand_mat(4, rng)):
+        scale = np.abs(a).sum(axis=0).max()
+        values, vectors = spectrum(a, scale, vectors=True)
+        assert np.array_equal(spectrum(a, scale), values)
+        for k in (-60, -7, 1, 60):
+            v, w = spectrum(a * 4.0**k, scale * 4.0**k, vectors=True)
+            assert np.array_equal(v, values * 4.0**k) and np.array_equal(w, vectors)
+        for unscaled in (0.0, np.inf, np.nan):
+            assert np.array_equal(spectrum(a, unscaled), np.linalg.eigvals(a))
+        for k, end in ((1000, 1.5e308), (-1000, 1e-320)):
+            got = np.sort_complex(spectrum(a * 2.0**k, end) / 2.0**k)
+            assert np.abs(got - np.sort_complex(values)).max() <= 1e-12 * np.abs(values).max()
+    with pytest.raises(NoConvergenceError, match="^eigensolve failed: "):
+        spectrum(np.full((2, 2), np.nan), 1.0)
 
 
 def _verdict_by_the_svd(a, scale):

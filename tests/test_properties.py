@@ -3,12 +3,13 @@
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmps_lab import (
     Finite,
     build_liouvillian,
     convergence_study,
+    decay_fit,
     density,
     estimate_stats,
     family_derivative,
@@ -17,11 +18,13 @@ from cmps_lab import (
     new_cmps,
     pair_correlation,
     sample_ensemble,
+    spectral_envelope,
     trace_functional,
     two_point,
     waiting_bin_probs,
 )
 from cmps_lab.correlators import INSERTIONS, SourceField
+from cmps_lab.errors import CmpsError
 from cmps_lab.liouville import GENERATOR, fields, fields_tangent, tangent_terms
 
 from conftest import kron_map, rand_herm, rand_mat, unvec, vec
@@ -75,29 +78,38 @@ def _random_state(seed, dim, geometry, length):
 LATTICE_EPS = np.array([0.1, 0.05])
 LATTICE_SEPARATION = 0.2
 RECORD_BINS = np.array([0.0, 0.5, 1.0])
-# Two outputs do not follow a change of unit to the last bit, and may move
-# by this many ulps of their largest |value|.  LAPACK's real eigensolver
-# (dlanv2) decides the nature of a converged 2 x 2 block's eigenvalues by
-# comparing about half their spread with the absolute 4 eps, so a close pair
-# can take the other branch in the other unit: the scans read from the
-# eigenmodes (d > 0) move.  The estimator squares its rate as `rate**2`,
-# through libm's pow, which is not correctly rounded: its pair correlation
-# moves.
-UNIT_ULPS = 4
+
+
+def _or_refusal(call):
+    """call(), or the line of the package error it raised."""
+    try:
+        return call()
+    except CmpsError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=12)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]),
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 4]),
        geometry=st.sampled_from(["thermodynamic", "finite"]),
-       k=st.sampled_from([-30, 24]) | st.integers(-30, 24))
+       k=st.sampled_from([-60, 60]) | st.integers(-60, 60))
+# a close pair of eigenvalues that LAPACK's 2 x 2 blocks tell apart by an
+# absolute 4 eps, unless the eigensolve divides out the unit
+@example(seed=510185034, dim=2, geometry="thermodynamic", k=23)
+@example(seed=510185034, dim=2, geometry="thermodynamic", k=24)
+# an estimator rate whose square through libm's pow is not x * x
+@example(seed=3095719690, dim=2, geometry="thermodynamic", k=24)
+# a tangent exponent that a resolution limit would refuse in this unit only
+@example(seed=9, dim=2, geometry="thermodynamic", k=28)
 def test_every_method_keeps_every_bit_under_a_change_of_length_unit_by_4_to_the_k(
         seed, dim, geometry, k):
     # K -> K / 4^k, R -> R / 2^k and every length x 4^k change the unit by a
     # power of two, which binary arithmetic carries exactly; so does every
     # threshold that is relative to the generator's term norm.  Each output,
-    # times its power of 4, must therefore keep every bit (but UNIT_ULPS).
-    # The ends of the range, drawn often, move every value across any
-    # absolute threshold: at k = 24 a density of order 1 reads below 1e-14
+    # times its power of 4, must therefore keep every bit, and a refusal
+    # (D = 1 is gapless; the envelope is a thermodynamic quantity) must be
+    # the same refusal.  The ends of the range, drawn often, move every value
+    # across any absolute threshold: at k = 24 a density of order 1 reads
+    # below 1e-14
     length = 6.0
     K, R, window, rng = _random_state(seed, dim, geometry, length)
     dk, dr = rand_herm(dim, rng), rand_mat(dim, rng)
@@ -108,11 +120,23 @@ def test_every_method_keeps_every_bit_under_a_change_of_length_unit_by_4_to_the_
     def outputs(s):
         geo = window and Finite(length=window.length * s, boundary_rho=window.boundary_rho)
         p = new_cmps(dim, K / s, R / np.sqrt(s), geo)
-        scan, g2 = two_point(p, SEPARATIONS * s).values * s, pair_correlation(p, SEPARATIONS * s)
         chain = [(0.0, "create"), (1.3 * s, "annihilate")]
-        out = {"density": density(p) * s, "d = 0": [scan[0], g2.values[0]],
+
+        def envelope():
+            c0, prefactor, gap = spectral_envelope(p)
+            return np.array([c0, prefactor, gap]) * s
+
+        def fit():
+            f = decay_fit(p, 0.5 * s, 4.0 * s, n_points=9)
+            return np.array([f.rate * s, f.prefactor * s, f.residual, f.n_used])
+
+        out = {"density": density(p) * s,
+               "two_point": two_point(p, SEPARATIONS * s).values * s,
+               "pair_correlation": pair_correlation(p, SEPARATIONS * s).values,
                "kinetic_density": kinetic_density(p) * s**3, "gap": p.stationary.gap * s,
-               "family_derivative": family_derivative(p, dk / s, dr / np.sqrt(s), chain) * s,
+               "family_derivative": _or_refusal(
+                   lambda: family_derivative(p, dk / s, dr / np.sqrt(s), chain) * s),
+               "spectral_envelope": _or_refusal(envelope), "decay_fit": _or_refusal(fit),
                "generating_functional": generating_functional(
                    p, SourceField(lam / np.sqrt(s), mu * np.sqrt(s)), 0.75 * s),
                "waiting_bin_probs": waiting_bin_probs(p, RECORD_BINS * s)}
@@ -127,17 +151,12 @@ def test_every_method_keeps_every_bit_under_a_change_of_length_unit_by_4_to_the_
         stats = estimate_stats(records, RECORD_BINS * s, burn_in=1.0 * s)
         out["rate"] = np.array([stats.rate, stats.rate_stderr]) * s
         out["waiting_probs"] = stats.waiting_probs
-        return out, {"two_point": scan, "pair_correlation": g2.values,
-                     "record pair_correlation": stats.pair_correlation}
+        out["record pair_correlation"] = stats.pair_correlation
+        return out
 
-    (unit, unit_ulps), (scaled, scaled_ulps) = outputs(1.0), outputs(4.0**k)
+    unit, scaled = outputs(1.0), outputs(4.0**k)
     for key, value in unit.items():
         np.testing.assert_array_equal(scaled[key], value, err_msg=key)
-    for key, value in unit_ulps.items():
-        # the estimator reads NaN where no pair was observed
-        largest = np.abs(value[~np.isnan(value)]).max(initial=0.0)
-        np.testing.assert_allclose(scaled_ulps[key], value, rtol=0.0, err_msg=key,
-                                   atol=UNIT_ULPS * np.finfo(float).eps * largest)
 
 
 GAUGE_RTOL = 1e-13
