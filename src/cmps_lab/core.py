@@ -156,9 +156,13 @@ class CmpsParams:
     certified on.  Its eigenvalues ride on the same object and are computed
     only where they are read (`steady`, `gap`); the generator's eigenmodes
     (`Superoperator.modes`) are computed once where a separation scan,
-    `spectral_envelope` or `decay_fit` reads them.  Both are certified
-    against the set's own `tol`, whose thresholds are relative to the
-    generator's term norm 2 ||Q||_1 + ||R||_1^2.
+    `spectral_envelope` or `decay_fit` reads them.  The fixed point is
+    certified against the set's own `tol`, whose thresholds are relative
+    to the generator's term norm 2 ||Q||_1 + ||R||_1^2, and the gap and
+    the fixed point's mode are told from the rest by its `zero_real`.  The
+    eigenmodes are not: `liouville.eigenmodes` certifies them against the
+    class default `Tolerances.residual` and `liouville.EIG_COND_LIMIT`, so
+    neither a set's `tol` nor the CLI's `--tolerance-overrides` reach them.
     """
 
     dim: int

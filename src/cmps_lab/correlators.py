@@ -81,7 +81,6 @@ sourced site applies each distinct (lam, mu) exponential to the rows that
 carry it, each built once per call.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -92,7 +91,6 @@ from .errors import (
     DegenerateFixedSpaceError,
     GaplessStateError,
     NegativeDistanceError,
-    NoConvergenceError,
     NonHermitianKError,
     PositionOutOfRangeError,
     ShapeMismatchError,
@@ -455,7 +453,8 @@ def spectral_envelope(params):
     The gap and the modes come from the generator's one eigensolve
     (`Superoperator.modes`, which the separation scans and `decay_fit` read
     too), the gap read by `_gap`, and the coefficients from
-    `Eigenmodes.coefficients`; the basis need not be certified here.  c0
+    `Eigenmodes.coefficients`; the basis need not be certified here, but a
+    singular one, which has no inverse, raises GaplessStateError.  c0
     is read from two one-point chains, as `decay_fit` reads it, not from
     the eigenvectors.
     """
@@ -465,10 +464,9 @@ def spectral_envelope(params):
     zero_idx, gap = _gap(chain)
     row = chain.covector("annihilate")
     col = chain.act("create", chain.right)
-    try:
-        coefs = chain.L.modes.coefficients(row, col)
-    except np.linalg.LinAlgError as exc:
-        raise GaplessStateError(f"generator not diagonalizable: {exc}") from exc
+    if chain.L.modes.inverse is None:
+        raise GaplessStateError("generator not diagonalizable: its eigenvectors are singular")
+    coefs = chain.L.modes.coefficients(row, col)
     c0 = complex(_disconnected(chain))
     pref = float(sum(abs(coefs[k]) for k in range(coefs.size) if k != zero_idx))
     return c0, pref, gap
@@ -605,8 +603,8 @@ def family_derivative(params, dK, dR, insertions):
     scaled exactly by a power of two to entries below 2 and the value is
     scaled back; a direction whose tangent generator's term norm
     overflows, a leg whose exponent `liouville.exponent` refuses, or a
-    value that overflows, raises NoConvergenceError.  The result is exact
-    up to roundoff: there is no quadrature grid.
+    value that overflows (`liouville.finite`), raises NoConvergenceError.
+    The result is exact up to roundoff: there is no quadrature grid.
     """
     dK = np.asarray(dK, dtype=complex)
     dR = np.asarray(dR, dtype=complex)
@@ -630,10 +628,7 @@ def family_derivative(params, dK, dR, insertions):
     chain = _TangentChain(params, scaled[:params.dim], scaled[params.dim:], unit)
     ((_, dv),) = chain.read(chain.legs(insertions))
     # scaled back in Python floats, whose product overflows to inf without a warning
-    value = complex(float(dv.real) * unit, float(dv.imag) * unit)
-    if not cmath.isfinite(value):
-        raise NoConvergenceError("family derivative overflows")
-    return value
+    return finite(complex(float(dv.real) * unit, float(dv.imag) * unit), "family derivative")
 
 
 # -- discretized generating functional ---------------------------------------

@@ -26,16 +26,16 @@ estimators runs in real arithmetic; they act through `HermitianBasis.act`.
 
 Thermodynamic values use the dominant left/right fixed points of the real
 E, both real because E is a positive map (Evans and Hoegh-Krohn, J.
-London Math. Soc. 17, 345, 1978), from one eigenvalue-only dgeev call and
-one bordered LU factorization (`_dominant_pair`).  Finite chains open on
-the boundary state at the left edge, like the continuum convention, and
-close on covectors <1| E^k from the real binary powers of E.  The window
-is the parameter set's geometry, which `lattice_tensors` records on the
-tensors: no caller hands the oracle a site count or a boundary state.
-Its inputs follow the rules `core` owns for every method: `_lattice_step`
-for a step, `_integer` for a count and `finite_site_count` for the sites
-that tile a window; a value that breaks one is a `ValidationError` that
-names the value.
+London Math. Soc. 17, 345, 1978), from the eigenvalues alone of
+`liouville.spectrum` and one bordered LU factorization
+(`_dominant_pair`).  Finite chains open on the boundary state at the left
+edge, like the continuum convention, and close on covectors <1| E^k from
+the real binary powers of E.  The window is the parameter set's geometry,
+which `lattice_tensors` records on the tensors: no caller hands the
+oracle a site count or a boundary state.  Its inputs follow the rules
+`core` owns for every method: `_lattice_step` for a step, `_integer` for
+a count and `finite_site_count` for the sites that tile a window; a value
+that breaks one is a `ValidationError` that names the value.
 """
 
 import math
@@ -47,7 +47,6 @@ import scipy.linalg.lapack
 
 from .core import Finite, Geometry, _integer, _lattice_step, finite_site_count
 from .errors import (
-    NoConvergenceError,
     ShapeMismatchError,
     ValidationError,
     WindowTooSmallError,
@@ -58,6 +57,7 @@ from .liouville import (
     fields,
     finite,
     hermitian_basis,
+    spectrum,
     term_norm,
     trace_functional,
 )
@@ -130,7 +130,9 @@ def _dominant_pair(emat):
     """Dominant eigenvalue eta with left/right fixed points of the real
     matrix E (`Superoperator.hmat`), as (eta, left / <left|right>, right).
 
-    The eigenvalues come from one LAPACK dgeev call without eigenvectors.
+    The eigenvalues come from the package's one eigensolve,
+    `liouville.spectrum`, without eigenvectors and at scale 1: E is
+    dimensionless, and a failed solve is its NoConvergenceError.
     E is a positive map, so its spectral radius is an eigenvalue with a
     positive fixed point; a dominant eigenvalue of a complex pair has a
     partner of equal modulus and fails the degeneracy check, so eta is
@@ -144,12 +146,10 @@ def _dominant_pair(emat):
     check, so FIXED_POINT_TOL bounds the same quantity as for unit
     eigenvectors.
     """
-    wr, wi, _, _, info = scipy.linalg.lapack.dgeev(emat, compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise NoConvergenceError(f"transfer eigensolve failed (LAPACK info {info})")
-    mags = np.hypot(wr, wi)
+    w = spectrum(emat, 1.0)
+    mags = np.abs(w)
     i = int(np.argmax(mags))
-    eta = wr[i]
+    eta = w.real[i]
     mags = np.sort(mags)[::-1]
     if mags.size > 1 and mags[0] - mags[1] < 1e-12 * max(1.0, mags[0]):
         raise WindowTooSmallError("dominant transfer eigenvalue is degenerate")

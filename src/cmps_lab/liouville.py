@@ -41,13 +41,15 @@ other complex D^2 x D^2 arrays are the eigenvectors of the generator,
 one non-Hermitian eigensolve: it divides the matrix by the power of two
 of the term norm its caller holds and multiplies the eigenvalues back, so
 no bit of a spectrum depends on the length unit, and it is the one place
-where a failed solve becomes NoConvergenceError.  `eigenmodes` runs it
-with eigenvectors and is the one inverse of its basis: it certifies the
-basis by its condition number (EIG_COND_LIMIT), bounded first by the
-Frobenius norms of V and V^-1 and taken from an SVD only where that bound
-cannot decide, and by the backward error of the eigenpairs, for the
-correlators' separation scans, `correlators.spectral_envelope` and the
-sampler's no-jump flow alike, which all read the same inverse.
+where a failed solve becomes NoConvergenceError; the lattice oracle's
+transfer matrix, which has no unit, runs it at scale 1.  `eigenmodes`
+runs it with eigenvectors and is the one inverse of its basis: it
+certifies the basis by its condition number (EIG_COND_LIMIT), bounded
+first by the Frobenius norms of V and V^-1 and taken from an SVD only
+where that bound cannot decide, and by the backward error of the
+eigenpairs, for the correlators' separation scans,
+`correlators.spectral_envelope` and the sampler's no-jump flow alike,
+which all read the same inverse.
 
 The trace functional <1| reads the diagonal coordinates, and trace
 preservation is <1| L = 0.  The fixed point needs no spectrum: one LU
@@ -272,9 +274,7 @@ class Eigenmodes:
 
     def coefficients(self, row, col):
         """c = (row V) * (V^-1 col), so that row exp(a x) col is
-        sum_j c_j exp(values_j x).  LinAlgError when V is singular."""
-        if self.inverse is None:
-            raise np.linalg.LinAlgError("Singular matrix")
+        sum_j c_j exp(values_j x); V must have its inverse."""
         return (row @ self.vectors) * (self.inverse @ col)
 
 
@@ -282,7 +282,8 @@ def spectrum(a, scale, vectors=False):
     """The eigenvalues of a square matrix a (`np.linalg.eigvals`), or with
     vectors=True the pair (eigenvalues, eigenvectors) (`np.linalg.eig`):
     the package's one non-Hermitian eigensolve, which the generator's
-    modes and spectrum and the sampler's no-jump generator all run.
+    modes and spectrum, the sampler's no-jump generator and the lattice
+    oracle's transfer matrix all run.
 
     scale is the bound on ||a|| that the caller holds (a term norm).  The
     solve runs on a / 2^e, e the binary exponent of scale (e = 0 when

@@ -75,7 +75,7 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .liouville import eigenmodes, fields
+from .liouville import eigenmodes, fields, finite
 
 # relative accuracy of each sampled waiting time
 WAIT_RTOL = 1e-12
@@ -112,19 +112,18 @@ class TrajectoryStats:
 
 
 def _no_jump_generator(params, span):
-    """Q, refused as NoConvergenceError when its fields overflow or when
-    ||Q||_1 x span, the longest no-jump evolution asked for, exceeds
-    PHASE_LIMIT."""
-    q = fields(params.K, params.R)["Q"]
-    if not np.isfinite(q).all():
-        raise NoConvergenceError("no-jump generator Q has non-finite entries")
+    """(Q, ||Q||_1), refused as NoConvergenceError when its fields overflow
+    (`liouville.finite`) or when ||Q||_1 x span, the longest no-jump
+    evolution asked for, exceeds PHASE_LIMIT."""
+    q = finite(fields(params.K, params.R)["Q"], "no-jump generator Q")
     with np.errstate(over="ignore"):
-        phase = float(np.abs(q).sum(axis=0).max()) * span
+        norm = float(np.abs(q).sum(axis=0).max())
+        phase = norm * span
     if phase > PHASE_LIMIT:
         raise NoConvergenceError(
             f"||Q||_1 x {span:g} = {phase:.3e} exceeds {PHASE_LIMIT:g}: the no-jump"
             f" evolution is not resolved in double precision")
-    return q
+    return q, norm
 
 
 # SeedSequence's hash constants and pool size (NumPy's bit_generator, NEP 19)
@@ -309,8 +308,8 @@ class _NoJumpFlow:
     START_FLOOR = 2.0**-26
 
     def __init__(self, params, length):
-        q = _no_jump_generator(params, length)
-        modes = eigenmodes(q, np.abs(q).sum(axis=0).max())
+        q, norm = _no_jump_generator(params, length)
+        modes = eigenmodes(q, norm)
         if modes.certified:
             self.lam, self.q, basis, inv = modes.values, None, modes.vectors, modes.inverse
         else:
@@ -658,7 +657,7 @@ def _no_jump_oracle(params, taus, weight, dark):
     rho0 = _opening_state(params)
     if rho0 is None:
         return np.full_like(taus, dark)
-    q = _no_jump_generator(params, taus.max(initial=0.0))
+    q, _ = _no_jump_generator(params, taus.max(initial=0.0))
     prop = scipy.linalg.expm(q * taus.reshape(-1, 1, 1))
     sigma = prop @ rho0 @ prop.conj().transpose(0, 2, 1)
     return np.trace(weight(sigma), axis1=1, axis2=2).real.reshape(taus.shape)

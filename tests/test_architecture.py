@@ -69,13 +69,17 @@ def test_only_liouville_and_the_sampler_reference_the_matrix_exponential():
 
 
 def test_the_spectrum_is_solved_for_in_one_place():
-    # np.linalg.eig and np.linalg.eigvals run only in the one eigensolve,
-    # which divides out the length unit: the generator's eigenmodes (the
-    # correlators' scans, the spectral envelope), the fixed point's
-    # spectrum (steady, gap) and the sampler's no-jump generator all call it
+    # np.linalg.eig, np.linalg.eigvals and LAPACK's geev drivers run only in
+    # the one eigensolve, which divides out the length unit and refuses a
+    # failed solve: the generator's eigenmodes (the correlators' scans, the
+    # spectral envelope), the fixed point's spectrum (steady, gap), the
+    # sampler's no-jump generator and the lattice's transfer matrix all call it
+    def solves(node):
+        return isinstance(node, ast.Call) and any(
+            name in {"eig", "eigvals"} or name.endswith("geev") for name in _names(node.func))
+
     owners = {(module, owner) for module, tree in _trees().items()
-              for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
-                                   and {"eig", "eigvals"} & set(_names(node.func)))}
+              for owner in _owners(tree, solves)}
     assert owners == {("liouville", "spectrum")}
 
 
@@ -126,7 +130,8 @@ def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
     # Q from liouville.fields and exponentiates it itself.  liouville's
     # certified exponential would refuse (EXPONENT_LIMIT) the drive at
     # k = 5e12 whose survival the oracle still evaluates.  The sampler
-    # diagonalizes Q by the package's one eigenbasis rule
+    # diagonalizes Q by the package's one eigenbasis rule and refuses a Q
+    # that overflowed through the one gate
     imports = {}
     for node in ast.walk(_trees()["trajectories"]):
         if isinstance(node, ast.ImportFrom):
@@ -136,7 +141,7 @@ def test_the_waiting_time_oracle_reads_only_the_fields_of_the_exact_calculus():
                 imports.setdefault(alias.name, set()).add("*")
     from_liouville = set().union(*(names for module, names in imports.items()
                                    if module.rsplit(".", 1)[-1] == "liouville"))
-    assert from_liouville == {"fields", "eigenmodes"}
+    assert from_liouville == {"fields", "eigenmodes", "finite"}
     words = set(imports).union(*imports.values())
     assert not [word for word in words if "correlators" in word or "discretizer" in word]
 
@@ -162,6 +167,37 @@ def test_every_non_finite_refusal_is_raised_by_the_one_gate():
               for owner in _owners(tree, lambda node: (_message(node) or "").endswith("is not finite"))}
     assert owners == {("liouville", "finite")}
     assert not hasattr(cmps_lab, "finite")
+
+
+def _raises(name):
+    """Whether a node raises the exception class `name` (called or not)."""
+    def found(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return name in _names(exc)
+    return found
+
+
+def test_every_numerical_failure_is_raised_by_liouville_but_the_phase_certificate():
+    # an eigensolve, an exponential, a term norm and a non-finite number are
+    # refused by liouville's gates; the one other NoConvergenceError is the
+    # sampler's own certificate that its no-jump phase is resolved
+    def refusal(phase):
+        return lambda node: _raises("NoConvergenceError")(node) and phase == (
+            _message(node) or "").endswith("is not resolved in double precision")
+
+    trees = _trees()
+    assert {module for module, tree in trees.items() if _owners(tree, refusal(False))} == {"liouville"}
+    assert {(module, owner) for module, tree in trees.items() if module != "liouville"
+            for owner in _owners(tree, refusal(True))} == {("trajectories", "_no_jump_generator")}
+
+
+def test_no_package_code_raises_numpys_linalg_error():
+    # a failed solve is NoConvergenceError (`liouville.spectrum`), a singular
+    # eigenbasis is refused by its one reader that can meet it
+    assert not {module for module, tree in _trees().items()
+                if any(_raises("LinAlgError")(node) for node in ast.walk(tree))}
 
 
 def test_every_term_norm_refusal_is_raised_in_one_place():

@@ -735,7 +735,7 @@ REFUSALS = {
         "tangent generator's term norm is not finite"),
     **{f"fields/{geometry['geometry']}": (
         "trajectories", {**geometry, "model": HUGE_RDR, "length": 1.0, "n_traj": 3, "seed": 1,
-                         "bins": [0.0, 0.5]}, 2, "no-jump generator Q has non-finite entries")
+                         "bins": [0.0, 0.5]}, 2, "no-jump generator Q is not finite")
        for geometry in (BULK, WINDOW)},
     "discretize/thermodynamic-generator": ("discretize", {"model": HUGE_RDR, **BULK,
                                                           "epsilons": [0.01]}, 2,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from cmps_lab import (
@@ -21,7 +20,7 @@ from cmps_lab import (
 import cmps_lab
 from cmps_lab import core, discretizer, liouville
 from cmps_lab.discretizer import _dominant_pair
-from cmps_lab.liouville import build_liouvillian, fields
+from cmps_lab.liouville import build_liouvillian, fields, spectrum
 from cmps_lab.errors import (
     NoConvergenceError,
     ShapeMismatchError,
@@ -408,21 +407,20 @@ def test_thermodynamic_lattice_matches_two_sided_eigenvectors(seed):
 
 
 def test_thermodynamic_chain_runs_one_eigenvalue_only_dgeev(monkeypatch):
-    # the fixed points come from a factorization, not from eigenvectors
-    dgeev = scipy.linalg.lapack.dgeev
-    calls = []
-
-    def counting_dgeev(a, compute_vl=1, compute_vr=1, **kwargs):
-        calls.append((compute_vl, compute_vr))
-        return dgeev(a, compute_vl=compute_vl, compute_vr=compute_vr, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting_dgeev)
+    # the fixed points come from a factorization, not from eigenvectors: the
+    # one eigensolve, liouville.spectrum, runs np.linalg.eigvals (LAPACK
+    # dgeev without vectors) once on E, which has no unit, at scale 1
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eigenvectors were solved for"))
+    monkeypatch.setattr(discretizer, "spectrum",
+                        lambda a, scale: calls.append(scale) or spectrum(a, scale))
     p = random_instance(5, dims=(4, 5))
     t = lattice_tensors(p, 0.01, order=2)
     for observable, distances in (("occupation", None), ("hopping", [1, 3]), ("pair", [2])):
         calls.clear()
         lattice_correlators(t, observable, distances=distances)
-        assert calls == [(0, 0)], observable
+        assert calls == [1.0, (p.dim ** 2,) * 2], observable
 
 
 def test_transfer_fixed_point_refusals(rf, monkeypatch):

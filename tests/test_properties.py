@@ -197,6 +197,36 @@ def test_exact_and_lattice_outputs_do_not_see_a_gauge_or_a_field_phase(seed, dim
         assert np.all(err <= THERMO_RTOL_TIMES_EPS / eps), (key, err)
 
 
+# measured over 12000 records (40 seeds, D = 2-4, both geometries): no jump
+# count differed, and no position by more than 9e-14 of itself
+SAMPLER_GAUGE_RTOL = 1e-10
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]),
+       geometry=st.sampled_from(["thermodynamic", "finite"]))
+def test_the_sampler_does_not_see_a_permutation_of_the_boundary_basis(seed, dim, geometry):
+    # a permutation P relabels the boundary basis, so (P K P^T, P R P^T,
+    # P rho P^T) is the same field state: from the same master seed the
+    # sampler draws the same jumps, up to its root finder's roundoff.  P is
+    # a D-cycle, which moves every basis vector; R is scaled by 0.7 / sqrt D
+    # to keep the jump counts of D = 4 near those of D = 2
+    length = 6.0
+    K, R, window, rng = _random_state(seed, dim, geometry, length)
+    R = R / np.sqrt(dim)
+    order = rng.permutation(dim)
+    cycle = np.empty_like(order)
+    cycle[order] = np.roll(order, 1)
+    perm = np.eye(dim)[cycle]
+    gauged = window and Finite(length=length, boundary_rho=perm @ window.boundary_rho @ perm.T)
+    records = sample_ensemble(new_cmps(dim, K, R, window), 50, length, 11)
+    records_g = sample_ensemble(new_cmps(dim, perm @ K @ perm.T, perm @ R @ perm.T, gauged),
+                                50, length, 11)
+    for rec, rec_g in zip(records, records_g, strict=True):
+        assert rec_g.positions.size == rec.positions.size
+        np.testing.assert_allclose(rec_g.positions, rec.positions, rtol=SAMPLER_GAUGE_RTOL, atol=0)
+
+
 def _expm_and_frechet(a, e):
     """exp(a) and its Frechet derivative in direction e, from one block exponential."""
     n = a.shape[0]

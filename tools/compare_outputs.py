@@ -7,14 +7,17 @@ PARENT and CHANGE are checkouts of the repository (directories holding
 workload, seeds 1 to 3, full size and smoke) is written once as a config
 file, from this checkout's `perfbench`, and run through each tree's
 `cmps_lab.cli.main`, all jobs of one tree in one fresh process with BLAS
-pinned to one thread.  Each output gets one line: "byte-identical", or for
+pinned to one thread.  Each output gets one line: "byte-identical"; for
 a CSV separation scan the largest change of a value relative to the
-largest |value| and whether its d = 0 rows are byte-identical, or
-"differs" for any other output.  The exit status is 1 when a job fails in
-either tree, else 0.
+largest |value| and whether its d = 0 rows are byte-identical; for a JSON
+output with the same structure and the same non-numeric values the
+largest |change| / |value| over its numbers, a {re, im} pair read as one
+complex number, and the key path of that number; "differs" for any other
+output.  The exit status is 1 when a job fails in either tree, else 0.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +79,48 @@ def csv_rows(text):
     return [[float(x) for x in line.split(",")] for line in lines[1:]]
 
 
+def leaves(node, path=""):
+    """(key path, leaf) for every leaf of a JSON tree: a number as a
+    complex number, a {re, im} pair of numbers (or of lists nested alike)
+    as complex numbers, anything else (a string, a bool, null, an empty
+    list or dict) as itself."""
+    if isinstance(node, dict) and set(node) == {"re", "im"}:
+        re, im = list(leaves(node["re"], path)), list(leaves(node["im"], path))
+        if [p for p, _ in re] == [p for p, _ in im] and all(
+                isinstance(x, complex) for _, x in re + im):
+            yield from ((p, complex(x.real, y.real)) for (p, x), (_, y) in zip(re, im))
+            return
+    if isinstance(node, dict) and node:
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
+        for i, item in enumerate(node):
+            yield from leaves(item, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, complex(node)
+    else:
+        yield path, node
+
+
+def json_change(before, after):
+    """The line for two JSON texts of the same structure and non-numeric
+    values: the largest |change| / |value| over their numbers and its key
+    path; None when they differ otherwise."""
+    a, b = list(leaves(json.loads(before))), list(leaves(json.loads(after)))
+    if [p for p, _ in a] != [p for p, _ in b]:
+        return None
+    worst, where = 0.0, None
+    for (path, x), (_, y) in zip(a, b):
+        if not (isinstance(x, complex) and isinstance(y, complex)):
+            if x != y:
+                return None
+            continue
+        change = 0.0 if x == y else abs(x - y) / abs(x) if x else math.inf
+        if where is None or change > worst:
+            worst, where = change, path
+    return None if where is None else f"max |change| / |value| = {worst:.2e} at {where}"
+
+
 def compare(before, after):
     """One line comparing two outputs' bytes (None for an output not written)."""
     if before is None or after is None:
@@ -90,7 +135,11 @@ def compare(before, after):
             zero = all(x == y for x, y in zip(a, b) if x[0] == 0.0)
             return (f"max |change| / max |value| = {diff / scale if scale else diff:.2e};"
                     f" d = 0 rows {'byte-identical' if zero else 'differ'}")
-    return "differs"
+        return "differs"
+    try:
+        return json_change(before, after) or "differs"
+    except ValueError:
+        return "differs"
 
 
 def read(path):
