@@ -47,6 +47,7 @@ import scipy.linalg.lapack
 
 from .core import Finite, Geometry, _integer, _lattice_step, finite_site_count
 from .errors import (
+    PositionOutOfRangeError,
     ShapeMismatchError,
     ValidationError,
     WindowTooSmallError,
@@ -211,7 +212,7 @@ def lattice_correlators(tensors, observable, distances=None):
         n_sites = finite_site_count(tensors.geometry.length, eps)
         # a chain with insertions at sites 0 and m covers m + 1 sites
         if distances and n_sites < max(distances) + 1:
-            raise WindowTooSmallError(
+            raise PositionOutOfRangeError(
                 f"chain of {n_sites} sites cannot hold span {max(distances) + 1}")
 
     tables = [tuple(ESTIMATORS[kind](n) for n in range(1, tensors.order + 1))

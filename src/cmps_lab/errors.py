@@ -84,7 +84,3 @@ class WindowTooSmallError(NumericalError):
 
 class NonNormalizableStateError(NumericalError):
     pass
-
-
-class InsufficientDataError(NumericalError):
-    pass

@@ -49,32 +49,32 @@ initial-state draw, one per jump and one for the draw that ends the
 record.  The seeds of a whole ensemble are hashed in one pass
 (`_seed_states`): SeedSequence's entropy pool and its
 generate_state(4, uint64) run as uint32 array operations over every
-index, and each PCG64 takes its row of four words, so no SeedSequence is
-built and the streams are NumPy's, word for word, for any nonnegative s
-and i.  The stream is read ahead in blocks (`_Uniforms`), and
-Generator.random(k) yields the same doubles as k scalar draws, so the
-values a record uses do not change with the block size.  Every
-per-trajectory quantity is computed row by row in a fixed order, and a
-row leaves the root finder as soon as it converges, so a record is
+index.  The streams are then drawn by one array-wide PCG64 (`_Uniforms`)
+that holds every stream's 128-bit state as uint64 arrays and reads each
+stream ahead in blocks, so the sampler builds no SeedSequence, PCG64 or
+Generator, and the streams are NumPy's, word for word, for any
+nonnegative s and i.  Generator.random(k) yields the same doubles as k
+scalar draws, so the values a record uses do not change with the block
+size.
+
+The batch is held rows-last: the states of all rows are the columns of a
+(D, rows) array, and every product runs elementwise along the rows axis.
+Every per-trajectory quantity is computed row by row in a fixed order
+(the sums over D in NumPy's own pairwise order, `_sum_d`), and a row
+leaves the root finder as soon as it converges, so a record is
 bit-identical whichever trajectories share its batch: an ensemble member
 equals the single trajectory sampled at its index.  The start table is
 part of the model, not of the batch, so it keeps that true.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import Finite, _dark, _integer
-from .errors import (
-    InsufficientDataError,
-    NoConvergenceError,
-    NonNormalizableStateError,
-    ValidationError,
-    WindowTooSmallError,
-)
+from .errors import NoConvergenceError, NonNormalizableStateError, ValidationError
 from .liouville import eigenmodes, fields, finite
 
 # relative accuracy of each sampled waiting time
@@ -209,43 +209,90 @@ def _seed_states(master_seed, indices):
     return np.concatenate(parts)
 
 
-class _SeedState(ISeedSequence):
-    """One stream's hashed seed, handed to PCG64, which asks it for
-    generate_state(4, np.uint64) once."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("a hashed seed holds PCG64's four uint64 words only")
-        return self.words
+# PCG64 (O'Neill, HMC-CS-2014-0905) as NumPy runs it: a 128-bit LCG whose
+# state steps to state * _PCG_MULT + inc before each XSL-RR output.  Entry
+# k - 1 of the jump-ahead tables is a^k and sum_{i<k} a^i mod 2^128, for
+# k = 1 ... _BLOCK, as uint64 (high, low) words: k steps from the state s
+# land on a^k s + (sum_{i<k} a^i) inc
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MOD128 = 1 << 128
+_BLOCK = 16
 
 
-def _streams(master_seed, indices):
-    """Generator(PCG64(SeedSequence([master_seed, i]))) for every i in the
-    range `indices`, seeded from one batch hash."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(words)))
-            for words in _seed_states(master_seed, indices)]
+def _words128(values):
+    """Nonnegative ints below 2^128 as uint64 (high, low) arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
+
+
+_POWERS = [pow(_PCG_MULT, k, _MOD128) for k in range(_BLOCK + 1)]
+_JUMP_MULT = _words128(_POWERS[1:])
+_JUMP_INC = _words128([v % _MOD128 for v in itertools.accumulate(_POWERS[:-1])])
+_LOW32 = np.uint64(_MASK32)
+
+
+def _mul_high(a, b):
+    """The high words of the 128-bit products a * b of uint64 arrays, from
+    their 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> 32
+    b0, b1 = b & _LOW32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(x, y):
+    """x * y mod 2^128 of (high, low) uint64 arrays, which wrap modulo 2^64."""
+    (xh, xl), (yh, yl) = x, y
+    return _mul_high(xl, yl) + xh * yl + xl * yh, xl * yl
+
+
+def _add128(x, y):
+    """x + y mod 2^128 of (high, low) uint64 arrays."""
+    (xh, xl), (yh, yl) = x, y
+    low = xl + yl
+    return xh + yh + (low < xl), low
 
 
 class _Uniforms:
     """The uniforms of a batch of streams, one row per stream, read from
-    each stream `BLOCK` at a time and refilled when a row runs out."""
+    each stream `_BLOCK` at a time and refilled when a row runs out.
 
-    BLOCK = 16
+    Row k is the PCG64 stream that NumPy's pcg64_set_seed starts from the
+    four words words[k]: the initial state is (words[k][0], words[k][1])
+    and the sequence (words[k][2], words[k][3]), high word first.  Every
+    stream's 128-bit state and increment are held as uint64 (high, low)
+    arrays, and a refill takes a row's next `_BLOCK` states at once from
+    the jump-ahead tables.  A draw is (x >> 11) 2^-53 of the XSL-RR output
+    x, which is what Generator.random returns, so each row is NumPy's
+    stream word for word.
+    """
 
-    def __init__(self, gens):
-        self.gens = gens
-        self.buf = np.empty((len(gens), self.BLOCK))
-        self.used = np.full(len(gens), self.BLOCK)
+    def __init__(self, words):
+        w = np.asarray(words, dtype=np.uint64).T
+        self.inc = ((w[2] << 1) | (w[3] >> 63), (w[3] << 1) | 1)
+        # srandom: step from 0 (which lands on inc), add the initial state, step
+        mult = (_JUMP_MULT[0][:1], _JUMP_MULT[1][:1])
+        self.state = _add128(_mul128(_add128(self.inc, (w[0], w[1])), mult), self.inc)
+        self.buf = np.empty((w.shape[1], _BLOCK))
+        self.used = np.full(w.shape[1], _BLOCK)
+
+    def _refill(self, rows):
+        state = _add128(_mul128(tuple(a[rows, None] for a in self.state), _JUMP_MULT),
+                        _mul128(tuple(a[rows, None] for a in self.inc), _JUMP_INC))
+        for held, new in zip(self.state, state):
+            held[rows] = new[:, -1]
+        high, low = state
+        x, rot = high ^ low, high >> 58
+        out = (x >> rot) | (x << ((64 - rot) & 63))
+        self.buf[rows] = (out >> 11).astype(float) * 2.0**-53
+        self.used[rows] = 0
 
     def draw(self, rows):
         """The next uniform of each stream in rows."""
-        empty = rows[self.used[rows] == self.BLOCK]
-        for b in empty:
-            self.buf[b] = self.gens[b].random(self.BLOCK)
-        self.used[empty] = 0
+        empty = rows[self.used[rows] == _BLOCK]
+        if empty.size:
+            self._refill(empty)
         u = self.buf[rows, self.used[rows]]
         self.used[rows] += 1
         return u
@@ -262,34 +309,69 @@ def _initial_ensemble(params):
     return probs / probs.sum(), vecs
 
 
+def _sum_d(terms):
+    """The sum over the D axis of (..., D, rows) terms, row by row, in the
+    order np.sum takes along a contiguous axis (NumPy's pairwise sum): in
+    order below 8 terms; up to 128 terms, eight running sums over blocks of
+    8 added as a tree, then the rest in order; above 128, the sums of two
+    parts split at a multiple of 8.  A row's sum is then the same whatever
+    rows share its batch and however the batch lies in memory, and bit for
+    bit the sum over the last axis of the (rows, D) transpose.
+    """
+    n = terms.shape[-2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_d(terms[..., :half, :]) + _sum_d(terms[..., half:, :])
+    if n < 8:
+        out, rest = terms[..., 0, :].copy(), 1
+    else:
+        rest = n - n % 8
+        blocks = terms[..., :8, :].copy()
+        for i in range(8, rest, 8):
+            blocks += terms[..., i:i + 8, :]
+        pairs = blocks[..., 0::2, :] + blocks[..., 1::2, :]
+        quads = pairs[..., 0::2, :] + pairs[..., 1::2, :]
+        out = quads[..., 0, :] + quads[..., 1, :]
+    for i in range(rest, n):
+        out += terms[..., i, :]
+    return out
+
+
+def _norms(vecs):
+    """The 2-norm of each row of a (D, rows) batch."""
+    return np.sqrt(_sum_d(vecs.real**2 + vecs.imag**2))
+
+
 def _pick_initial(u, cum, vecs):
-    """Pure initial states, one per uniform, drawn from the ensemble."""
+    """Pure initial states, one row per uniform, drawn from the ensemble."""
     idx = np.minimum(np.searchsorted(cum, u, side="right"), vecs.shape[1] - 1)
-    phi = vecs[:, idx].T
-    return phi / np.sqrt((phi.real**2 + phi.imag**2).sum(axis=1))[:, None]
+    phi = vecs[:, idx]
+    return phi / _norms(phi)
 
 
 def _matvec(mat, vecs):
-    """Row-wise mat @ vecs[b] for a (D, D) or per-row (B, D, D) matrix.
+    """mat @ vecs[:, b] for every row b of the (D, rows) batch vecs, where
+    mat is a (..., D, D, 1) matrix that every row shares or a (D, D, rows)
+    stack of one per row.
 
-    Accumulates over the columns in a fixed order with elementwise
-    operations, so a row's result never depends on the other rows.
+    Accumulates over j in order with elementwise operations along the rows
+    axis, so a row's result never depends on the other rows.
     """
-    out = mat[..., 0] * vecs[:, :1]
-    for j in range(1, vecs.shape[1]):
-        out = out + mat[..., j] * vecs[:, j:j + 1]
+    out = mat[..., 0, :] * vecs[0]
+    for j in range(1, vecs.shape[0]):
+        out += mat[..., j, :] * vecs[j]
     return out
 
 
 def _quadratic(mat, vecs):
-    """Row-wise real part of vecs[b]^dag mat vecs[b]; a (k, 1, D, D) stack
-    of matrices gives k rows of values."""
-    return (vecs.conj() * _matvec(mat, vecs)).real.sum(axis=-1)
+    """Real part of vecs[:, b]^dag mat vecs[:, b] for every row b; a
+    (k, D, D, 1) stack of matrices gives (k, rows) values."""
+    return _sum_d((vecs.conj() * _matvec(mat, vecs)).real)
 
 
 class _NoJumpFlow:
     """exp(Q tau), 0 <= tau <= length, on a batch of states held in
-    coordinates z = V^-1 phi.
+    coordinates z = V^-1 phi, one row per column of a (D, rows) array.
 
     V diagonalizes Q when `liouville.eigenmodes` certifies it against
     ||Q||_1, and propagation is then elementwise, with V^-1 the inverse
@@ -320,24 +402,24 @@ class _NoJumpFlow:
         self.r = params.R
         self.basis = basis
         self.inv = inv
-        self.gram = basis.conj().T @ basis
-        self.rate = r_basis.conj().T @ r_basis
-        self.forms = np.stack([self.gram, self.rate])[:, None]
+        # (gram, rate), each with a trailing axis that every row shares
+        self.forms = np.stack([basis.conj().T @ basis, r_basis.conj().T @ r_basis])[..., None]
         self.jump_op = inv @ r_basis
 
     def coordinates(self, phi):
-        return _matvec(self.inv, phi)
+        return _matvec(self.inv[..., None], phi)
 
     def propagate(self, z, taus):
         if self.lam is not None:
-            return np.exp(taus[:, None] * self.lam) * z
-        return _matvec(scipy.linalg.expm(self.q * taus[:, None, None]), z)
+            return np.exp(taus * self.lam[:, None]) * z
+        prop = scipy.linalg.expm(self.q * taus[:, None, None])
+        return _matvec(prop.transpose(1, 2, 0), z)
 
     def survival(self, y):
-        return _quadratic(self.gram, y)
+        return _quadratic(self.forms[0], y)
 
     def jump_density(self, y):
-        return _quadratic(self.rate, y)
+        return _quadratic(self.forms[1], y)
 
     def survival_and_density(self, y):
         """S and -S' of every propagated row, as one stacked quadratic."""
@@ -348,15 +430,15 @@ class _NoJumpFlow:
         weight = self.jump_density(y)
         if not np.all(weight > 0.0):
             raise NonNormalizableStateError("post-jump state has zero norm")
-        return _matvec(self.jump_op, y) / np.sqrt(weight)[:, None]
+        return _matvec(self.jump_op[..., None], y) / np.sqrt(weight)
 
     def state(self, y):
         """Normalized phi for every propagated row."""
-        phi = _matvec(self.basis, y)
-        norm = np.sqrt((phi.real**2 + phi.imag**2).sum(axis=1))
+        phi = _matvec(self.basis[..., None], y)
+        norm = _norms(phi)
         if not np.all(norm > 0.0):
             raise NonNormalizableStateError("state norm underflow")
-        return phi / norm[:, None]
+        return phi / norm
 
     def start_table(self, probs, vecs):
         """(-log S, tau) on a grid of (0, length], where S is the survival
@@ -371,21 +453,22 @@ class _NoJumpFlow:
         reaches, and -log S is made nondecreasing against rounding, so the
         interpolation is well defined.
         """
-        z = self.coordinates(vecs.T)
+        z = self.coordinates(vecs)
         weight = probs * self.jump_density(z)
         if _dark(weight.sum(), self.r):
             return np.zeros(1), np.zeros(1)
         keep = weight > 0.0
-        post, weight = self.jump(z[keep]), weight[keep]
+        post, weight = self.jump(z[:, keep]), weight[keep]
+        n_post = post.shape[1]
         taus = self.length * np.geomspace(self.START_FLOOR, 1.0, self.START_POINTS)
-        y = self.propagate(np.repeat(post, taus.size, axis=0), np.tile(taus, post.shape[0]))
-        surv = weight @ self.survival(y).reshape(post.shape[0], taus.size) / weight.sum()
+        y = self.propagate(np.repeat(post, taus.size, axis=1), np.tile(taus, n_post))
+        surv = weight @ self.survival(y).reshape(n_post, taus.size) / weight.sum()
         neg_log = -np.log(np.maximum(surv, np.finfo(float).tiny))
         return np.maximum.accumulate(neg_log), taus
 
 
 def _waiting_times(flow, z, u, rem, table):
-    """Solve S(tau) = u on (0, rem) for each row, where S(rem) < u.
+    """Solve S(tau) = u on (0, rem) for each row of z, where S(rem) < u.
 
     Newton on log S, safeguarded by bisection of the bracket [lo, hi]
     (rtsafe, Numerical Recipes 9.4).  Each row starts where the post-jump
@@ -420,8 +503,9 @@ def _waiting_times(flow, z, u, rem, table):
             done = close | (np.abs(dx) <= WAIT_RTOL * tau)
             out[rows[done]] = tau[done]
             keep = ~done
-            rows, z, log_u, lo, hi, tau, dx, dx_old = (
-                a[keep] for a in (rows, z, log_u, lo, hi, tau, dx, dx_old))
+            z = z[:, keep]
+            rows, log_u, lo, hi, tau, dx, dx_old = (
+                a[keep] for a in (rows, log_u, lo, hi, tau, dx, dx_old))
     return out
 
 
@@ -452,7 +536,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     flow = _NoJumpFlow(params, length)
     probs, vecs = _initial_ensemble(params)
     indices = range(first_index, first_index + n_traj)
-    uniforms = _Uniforms(_streams(master_seed, indices))
+    uniforms = _Uniforms(_seed_states(master_seed, indices))
     active = np.arange(n_traj)
     z = flow.coordinates(_pick_initial(uniforms.draw(active), np.cumsum(probs), vecs))
     t = np.zeros(n_traj)
@@ -463,17 +547,17 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     while active.size:
         u = uniforms.draw(active)
         rem = length - t[active]
-        y_end = flow.propagate(z[active], rem)
+        y_end = flow.propagate(z[:, active], rem)
         ends = flow.survival(y_end) >= u
-        final[active[ends]] = flow.state(y_end[ends])
+        final[:, active[ends]] = flow.state(y_end[:, ends])
         go = ~ends
         active = active[go]
         if not active.size:
             break
         if table is None:
             table = flow.start_table(probs, vecs)
-        tau = _waiting_times(flow, z[active], u[go], rem[go], table)
-        z[active] = flow.jump(flow.propagate(z[active], tau))
+        tau = _waiting_times(flow, z[:, active], u[go], rem[go], table)
+        z[:, active] = flow.jump(flow.propagate(z[:, active], tau))
         t[active] += tau
         jump_rows.append(active)
         jump_pos.append(t[active])
@@ -481,13 +565,12 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
     rows, pos = np.concatenate(jump_rows), np.concatenate(jump_pos)
     order = np.argsort(rows, kind="stable")
     rows, pos = rows[order], pos[order]
-    bounds = np.searchsorted(rows, np.arange(n_traj + 1))
+    bounds = np.searchsorted(rows, np.arange(n_traj + 1)).tolist()
+    # each record's positions and final state are views of one array
     return [
-        JumpRecord(positions=pos[bounds[b]:bounds[b + 1]].copy(),
-                   final_state=final[b].copy(),
-                   seed_info=(master_seed, idx),
-                   length=length)
-        for b, idx in enumerate(indices)
+        JumpRecord(positions=pos[lo:hi], final_state=state,
+                   seed_info=(master_seed, idx), length=length)
+        for lo, hi, state, idx in zip(bounds[:-1], bounds[1:], final.T.copy(), indices)
     ]
 
 
@@ -586,7 +669,7 @@ def estimate_stats(records, bins, burn_in=0.0):
     could be censored by the record's end.
     """
     if len(records) < 2:
-        raise InsufficientDataError("need at least 2 trajectories")
+        raise ValidationError("need at least 2 trajectories")
     edges = _bin_edges(bins)
     if not 0.0 <= burn_in < np.inf:
         raise ValidationError(f"burn_in must be finite and nonnegative, got {burn_in}")
@@ -594,7 +677,7 @@ def estimate_stats(records, bins, burn_in=0.0):
     tau_max = edges[-1]
     window = length - burn_in
     if window <= tau_max:
-        raise WindowTooSmallError(
+        raise ValidationError(
             "record length after burn-in (%g) must exceed the largest bin edge (%g)"
             % (window, tau_max))
 

@@ -715,6 +715,16 @@ REFUSALS = {
     "negative-burn-in": ("trajectories", rf_config(length=30.0, n_traj=20, seed=3,
                                                    bins=[0.0, 0.5, 1.0], burn_in=-10.0), 1,
                          "burn_in must be finite and nonnegative, got -10.0"),
+    # bad input that only shows deep in a computation is still refused as input
+    "input/one-record": ("trajectories", rf_config(length=10.0, n_traj=1, seed=1,
+                                                   bins=[0.0, 1.0]), 1,
+                         "need at least 2 trajectories"),
+    "input/short-window": ("trajectories", rf_config(length=10.0, burn_in=9.5, n_traj=3, seed=1,
+                                                     bins=[0.0, 1.0]), 1,
+                           "record length after burn-in (0.5) must exceed the largest bin edge (1)"),
+    "input/short-chain": ("converge", {"model": RF_MODEL, **WINDOW, "epsilons": [0.02, 0.01],
+                                       "observable": "hopping", "separation": 3.0}, 1,
+                          "chain of 50 sites cannot hold span 151"),
     **{f"dx/{dx}": ("lindblad-check", rf_config(moments=MOMENTS, dx=dx), 1,
                     f"dx must be positive, got {dx}") for dx in (-1.0, 0.0)},
     # K = R = 0 and K = diag(1, 2), R = 0: every diagonal state is fixed
@@ -851,6 +861,11 @@ def test_thermodynamic_trajectories_need_record_length(tmp_path, capfd):
 
 def test_trajectories_negative_burn_in_exits_one(tmp_path, capfd):
     assert_refused(tmp_path, capfd, "negative-burn-in")
+
+
+@refusals("input")
+def test_a_refusal_the_config_decides_exits_one(tmp_path, capfd, row):
+    assert_refused(tmp_path, capfd, row)
 
 
 @refusals("dx")

@@ -23,6 +23,7 @@ from cmps_lab.discretizer import _dominant_pair
 from cmps_lab.liouville import build_liouvillian, fields, spectrum
 from cmps_lab.errors import (
     NoConvergenceError,
+    PositionOutOfRangeError,
     ShapeMismatchError,
     StepNotPositiveError,
     ValidationError,
@@ -192,7 +193,8 @@ def test_lattice_validation_errors(rf):
     # a distance given for the occupation used to be ignored
     with pytest.raises(ShapeMismatchError, match="occupation takes no distances"):
         lattice_correlators(t, "occupation", distances=[3])
-    with pytest.raises(WindowTooSmallError):
+    # a span the chain cannot hold is bad input, as for the continuum chain
+    with pytest.raises(PositionOutOfRangeError, match="chain of 10 sites cannot hold span 31"):
         lattice_correlators(_windowed(rf, 0.01, 10, np.eye(2) / 2), "hopping", distances=[30])
 
 

@@ -26,12 +26,7 @@ from cmps_lab import (
     waiting_bin_probs,
     waiting_time_analytic,
 )
-from cmps_lab.errors import (
-    InsufficientDataError,
-    NoConvergenceError,
-    ValidationError,
-    WindowTooSmallError,
-)
+from cmps_lab.errors import NoConvergenceError, ValidationError
 from cmps_lab import trajectories
 from cmps_lab.trajectories import (
     WAIT_RTOL,
@@ -39,7 +34,7 @@ from cmps_lab.trajectories import (
     _NoJumpFlow,
     _record_histograms,
     _seed_states,
-    _streams,
+    _Uniforms,
 )
 
 from conftest import DAMP_R, EP_K, EXCITED, RF_K, RF_R, kron_map, random_instance, unvec, vec
@@ -310,10 +305,40 @@ def test_batch_seeds_are_seed_sequence_words(master_seed):
 
 
 def test_batch_streams_are_numpy_streams():
-    for gen, index in zip(_streams(2**40 + 5, range(2**32 - 2, 2**32 + 2)),
-                          range(2**32 - 2, 2**32 + 2)):
-        ref = _numpy_stream(2**40 + 5, index)
-        np.testing.assert_array_equal(gen.random(40), ref.random(40))
+    # master seeds of one, two and three words; rows on both sides of the
+    # 2^32 and 2^64 index boundaries.  Row r draws on every (r % 3 + 1)-th
+    # call, so rows run out of a block at different calls and some refill
+    # while others do not; every row reads at least three blocks of 16
+    for master_seed in (5, 2**40 + 5, 2**64 + 3):
+        for start in (0, 2**32 - 3, 2**64 - 3):
+            indices = range(start, start + 6)
+            uniforms = _Uniforms(_seed_states(master_seed, indices))
+            drawn = [[] for _ in indices]
+            for call in range(120):
+                rows = np.flatnonzero(call % (np.arange(6) % 3 + 1) == 0)
+                for row, u in zip(rows, uniforms.draw(rows)):
+                    drawn[row].append(u)
+            for row, index in enumerate(indices):
+                assert len(drawn[row]) > 32
+                ref = _numpy_stream(master_seed, index).random(len(drawn[row]))
+                np.testing.assert_array_equal(drawn[row], ref)
+
+
+def test_ensemble_builds_no_bit_generator(rf, monkeypatch):
+    built = []
+    for name in ("PCG64", "Generator"):
+        cls = getattr(np.random, name)
+
+        def counting(*args, _cls=cls, **kwargs):
+            built.append(_cls)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    recs = sample_ensemble(rf, 500, 10.0, master_seed=5)
+    assert len(recs) == 500 and not built
+    # the count sees both
+    _numpy_stream(5, 0)
+    assert len(built) == 2
 
 
 def test_ensemble_builds_no_seed_sequence(rf, monkeypatch):
@@ -395,7 +420,8 @@ def test_an_ensemble_without_a_conditioning_jump_has_nan_waiting_times():
 
 def test_estimator_rejects_malformed_input():
     recs = [_record([1.0]), _record([2.0])]
-    with pytest.raises(InsufficientDataError):
+    # too few records and a window too short for the bins are bad input
+    with pytest.raises(ValidationError, match="need at least 2 trajectories"):
         estimate_stats(recs[:1], [0.0, 1.0])
     with pytest.raises(ValidationError):
         estimate_stats(recs, [1.0, 0.5])
@@ -403,9 +429,9 @@ def test_estimator_rejects_malformed_input():
         estimate_stats(recs, [-1.0, 1.0])
     with pytest.raises(ValidationError):
         estimate_stats(recs, [0.0])
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(ValidationError, match=r"after burn-in \(10\) must exceed"):
         estimate_stats(recs, [0.0, 10.0])
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(ValidationError, match=r"after burn-in \(4\) must exceed"):
         estimate_stats(recs, [0.0, 4.0], burn_in=6.0)
     mixed = [_record([1.0]), _record([2.0], length=12.0)]
     with pytest.raises(ValidationError):
