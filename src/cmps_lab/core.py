@@ -38,9 +38,20 @@ def _integer(value, name):
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _float(value, name):
+    """value as float() reads it; a value it cannot read (None, a word, a
+    complex number) is a ValidationError that names it, as `_integer`
+    names a value that is not a whole number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _real(value, name):
-    """A real number as a float, refused as ValidationError unless finite."""
-    value = float(value)
+    """A real number as a float (`_float`), refused as ValidationError
+    unless finite."""
+    value = _float(value, name)
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
     return value
@@ -125,7 +136,8 @@ class Finite:
     boundary_rho: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < float(self.length) < np.inf):
+        length = _float(self.length, "finite geometry length")
+        if not 0.0 < length < np.inf:
             raise ShapeMismatchError("finite geometry needs a finite length > 0")
         rho = _as_complex_matrix(self.boundary_rho, "boundary_rho")
         s, shrink = _shrunk(rho)
@@ -135,7 +147,7 @@ class Finite:
         if np.linalg.eigvalsh((s + s.conj().T) / 2).min() < -1e-12 * shrink:
             raise InvalidBoundaryStateError("boundary_rho must be positive semidefinite")
         object.__setattr__(self, "boundary_rho", _frozen(rho))
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", length)
 
 
 Geometry = Thermodynamic | Finite

@@ -86,7 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Thermodynamic, _dark, _integer, _is_hermitian, _lattice_step, _real, finite_site_count
+from .core import (Thermodynamic, _dark, _float, _integer, _is_hermitian, _lattice_step, _real,
+                   finite_site_count)
 from .errors import (
     DegenerateFixedSpaceError,
     GaplessStateError,
@@ -494,6 +495,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
     modes make the envelope oscillate, so the fitted rate is then only an
     envelope-scale estimate (callers should check the residual).
     """
+    d_min, d_max = _float(d_min, "d_min"), _float(d_max, "d_max")
     if not (np.isfinite(d_min) and np.isfinite(d_max)):
         raise ValidationError(f"fit window must be finite, got [{d_min}, {d_max}]")
     if d_max <= d_min:

@@ -58,13 +58,16 @@ scalar draws, so the values a record uses do not change with the block
 size.
 
 The batch is held rows-last: the states of all rows are the columns of a
-(D, rows) array, and every product runs elementwise along the rows axis.
-Every per-trajectory quantity is computed row by row in a fixed order
-(the sums over D in NumPy's own pairwise order, `_sum_d`), and a row
-leaves the root finder as soon as it converges, so a record is
-bit-identical whichever trajectories share its batch: an ensemble member
-equals the single trajectory sampled at its index.  The start table is
-part of the model, not of the batch, so it keeps that true.
+(D, rows) array, laid out C-ordered with at least two rows wherever the
+kernels multiply or sum (`_rows_fast`; a lone row is computed as the
+first of two).  Every product then runs elementwise along the rows axis,
+and every sum over D is one sum(axis=-2), which NumPy takes term by term
+in index order.  So each per-trajectory quantity is computed row by row
+in a fixed order, and a row leaves the root finder as soon as it
+converges: a record is bit-identical whichever trajectories share its
+batch, and an ensemble member equals the single trajectory sampled at its
+index, at every D.  The start table is part of the model, not of the
+batch, so it keeps that true.
 """
 
 import itertools
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, _dark, _integer
+from .core import Finite, _dark, _float, _integer
 from .errors import NoConvergenceError, NonNormalizableStateError, ValidationError
 from .liouville import eigenmodes, fields, finite
 
@@ -309,32 +312,27 @@ def _initial_ensemble(params):
     return probs / probs.sum(), vecs
 
 
-def _sum_d(terms):
-    """The sum over the D axis of (..., D, rows) terms, row by row, in the
-    order np.sum takes along a contiguous axis (NumPy's pairwise sum): in
-    order below 8 terms; up to 128 terms, eight running sums over blocks of
-    8 added as a tree, then the rest in order; above 128, the sums of two
-    parts split at a multiple of 8.  A row's sum is then the same whatever
-    rows share its batch and however the batch lies in memory, and bit for
-    bit the sum over the last axis of the (rows, D) transpose.
+def _rows_fast(batch):
+    """A (..., D, rows) batch as a C-ordered array of at least two rows,
+    a lone row read as the first of two.
+
+    NumPy then runs every elementwise product along the rows axis, and a
+    sum over D, which is not the fast axis in memory, term by term in index
+    order (the np.sum notes).  A lone row would make D the fast axis, and
+    at D = 1 its products one-element arrays, which NumPy rounds otherwise
+    than the same product broadcast over a batch; a column-major gather
+    such as vecs[:, idx] would make D the fast axis too.  So a row's values
+    never depend on the rows beside it.
     """
-    n = terms.shape[-2]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_d(terms[..., :half, :]) + _sum_d(terms[..., half:, :])
-    if n < 8:
-        out, rest = terms[..., 0, :].copy(), 1
-    else:
-        rest = n - n % 8
-        blocks = terms[..., :8, :].copy()
-        for i in range(8, rest, 8):
-            blocks += terms[..., i:i + 8, :]
-        pairs = blocks[..., 0::2, :] + blocks[..., 1::2, :]
-        quads = pairs[..., 0::2, :] + pairs[..., 1::2, :]
-        out = quads[..., 0, :] + quads[..., 1, :]
-    for i in range(rest, n):
-        out += terms[..., i, :]
-    return out
+    if batch.shape[-1] == 1:
+        return np.concatenate([batch, batch], axis=-1)
+    return np.ascontiguousarray(batch)
+
+
+def _sum_d(terms):
+    """The sum over the D axis of (..., D, rows) terms, row by row, term by
+    term in index order (`_rows_fast`)."""
+    return _rows_fast(terms).sum(axis=-2)[..., :terms.shape[-1]]
 
 
 def _norms(vecs):
@@ -355,12 +353,14 @@ def _matvec(mat, vecs):
     stack of one per row.
 
     Accumulates over j in order with elementwise operations along the rows
-    axis, so a row's result never depends on the other rows.
+    axis of `_rows_fast`(vecs), so a row's result never depends on the
+    other rows.
     """
-    out = mat[..., 0, :] * vecs[0]
-    for j in range(1, vecs.shape[0]):
-        out += mat[..., j, :] * vecs[j]
-    return out
+    batch = _rows_fast(vecs)
+    out = mat[..., 0, :] * batch[0]
+    for j in range(1, batch.shape[0]):
+        out += mat[..., j, :] * batch[j]
+    return out[..., :vecs.shape[-1]]
 
 
 def _quadratic(mat, vecs):
@@ -376,7 +376,8 @@ class _NoJumpFlow:
     V diagonalizes Q when `liouville.eigenmodes` certifies it against
     ||Q||_1, and propagation is then elementwise, with V^-1 the inverse
     `Eigenmodes.inverse` that the certificate computed; otherwise V and
-    V^-1 are the identity and each row takes its own expm(Q tau).
+    V^-1 are the identity and each row takes expm(Q tau), one per
+    distinct tau of the batch.
     gram = V^dag V and rate = (R V)^dag (R V) give the
     survival S = z^dag gram z and the jump density -S' = z^dag rate z of a
     propagated (unnormalized) row.
@@ -412,7 +413,8 @@ class _NoJumpFlow:
     def propagate(self, z, taus):
         if self.lam is not None:
             return np.exp(taus * self.lam[:, None]) * z
-        prop = scipy.linalg.expm(self.q * taus[:, None, None])
+        steps, which = np.unique(taus, return_inverse=True)
+        prop = scipy.linalg.expm(self.q * steps[:, None, None])[which]
         return _matvec(prop.transpose(1, 2, 0), z)
 
     def survival(self, y):
@@ -519,7 +521,7 @@ def sample_ensemble(params, n_traj, length, master_seed, first_index=0):
 
     In a finite window a record is a prefix of the window: a length above
     the window's is refused (ValidationError)."""
-    length = float(length)
+    length = _float(length, "record length")
     if not 0.0 < length < np.inf:
         raise ValidationError("record length must be finite and positive")
     if isinstance(params.geometry, Finite) and length > params.geometry.length:
@@ -671,6 +673,7 @@ def estimate_stats(records, bins, burn_in=0.0):
     if len(records) < 2:
         raise ValidationError("need at least 2 trajectories")
     edges = _bin_edges(bins)
+    burn_in = _float(burn_in, "burn_in")
     if not 0.0 <= burn_in < np.inf:
         raise ValidationError(f"burn_in must be finite and nonnegative, got {burn_in}")
     length = records[0].length

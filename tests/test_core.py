@@ -8,10 +8,16 @@ import scipy.linalg.lapack
 from cmps_lab import (
     FieldMoments,
     Finite,
+    SourceField,
     Thermodynamic,
     Tolerances,
+    compare_forms,
+    decay_fit,
+    estimate_stats,
+    generating_functional,
     kinetic_density,
     lattice_tensors,
+    lieb_liniger_energy_density,
     new_cmps,
     no_jump_survival,
     sample_ensemble,
@@ -288,3 +294,24 @@ def test_whole_number_floats_are_the_same_counts(rf):
                for a, b in zip(records, sample_ensemble(rf, 2, 5.0, 7, first_index=1)))
     assert lattice_tensors(rf, 0.01, order=2.0).order == 2
     assert new_cmps(2.0, rf.K, rf.R).dim == 2
+
+
+# one call per scalar read; each value is one that float() cannot read
+NOT_NUMBERS = {
+    "ll-energy-c": lambda p: lieb_liniger_energy_density(p, "x", 1),
+    "ll-energy-c-none": lambda p: lieb_liniger_energy_density(p, None, 1),
+    "lattice-step": lambda p: lattice_tensors(p, "x"),
+    "record-length": lambda p: sample_ensemble(p, 2, None, 1),
+    "burn-in": lambda p: estimate_stats(sample_ensemble(p, 2, 5.0, 1), [0.0, 1.0], burn_in="x"),
+    "fit-window": lambda p: decay_fit(p, "x", 2.0),
+    "finite-length": lambda p: Finite(length="x", boundary_rho=np.eye(2) / 2),
+    "dx": lambda p: compare_forms(RF_K, RF_R, FieldMoments.vacuum(), dx="x"),
+    "source-eps": lambda p: generating_functional(p, SourceField(np.zeros(8), np.zeros(8)), eps=None),
+}
+
+
+@pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_a_scalar_that_is_not_a_number_is_bad_input(rf, call):
+    # a raw ValueError or TypeError would break the error contract
+    with pytest.raises(ValidationError, match=r"must be a real number, got ('x'|None)$"):
+        call(rf)

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from cmps_lab import sample_ensemble
+
 
 def _tool(name):
     spec = importlib.util.spec_from_file_location(
@@ -14,6 +18,7 @@ def _tool(name):
 
 code_lines = _tool("code_lines")
 compare_outputs = _tool("compare_outputs")
+sampler_cost = _tool("sampler_cost")
 
 SNIPPET = '''"""A module docstring
 over two lines."""
@@ -51,3 +56,23 @@ def test_compare_reads_the_numbers_of_json_outputs():
     assert compare_outputs.compare(PAYLOAD, moved) == "max |change| / |value| = 1.00e-12 at values[1]"
     assert compare_outputs.compare(PAYLOAD, renamed) == "differs"
     assert compare_outputs.compare(PAYLOAD, PAYLOAD[:-1]) == "differs"
+
+
+def test_sampler_cost_times_the_fluorescence_family(monkeypatch, capsys):
+    # K = omega J_x and R = J_- / sqrt(N) of a spin 3/2: [J_+, J_-] = 2 J_z
+    p = sampler_cost.fluorescence(4, 1.0)
+    j_minus = p.R * np.sqrt(3)
+    np.testing.assert_allclose(j_minus.conj().T @ j_minus - j_minus @ j_minus.conj().T,
+                               np.diag([3.0, 1.0, -1.0, -3.0]), atol=1e-12)
+    np.testing.assert_allclose(p.K, (j_minus + j_minus.conj().T) / 2, atol=1e-15)
+    monkeypatch.setattr(sampler_cost, "CASES", ((1.0, 5), (0.25, 3)))
+    sampler_cost.main(["4", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["D = 4, length 40, master seed 1, best of 2 runs",
+                         " omega   path  records   jumps   us/jump"]
+    for line, (omega, n_traj) in zip(lines[2:], sampler_cost.CASES, strict=True):
+        records = sample_ensemble(sampler_cost.fluorescence(4, omega), n_traj, 40.0, 1)
+        fields = line.split()
+        assert fields[:4] == [f"{omega:g}", "modes", str(n_traj),
+                              str(sum(rec.positions.size for rec in records))]
+        assert float(fields[4]) > 0.0

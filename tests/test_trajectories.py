@@ -163,6 +163,23 @@ def test_first_jump_times_follow_survival(k, monkeypatch):
     assert np.all(np.abs(observed - expected) < 3.0 * stderr)
 
 
+@pytest.mark.parametrize("geometry", [None, Finite(length=6.0, boundary_rho=EXCITED)],
+                         ids=["thermodynamic", "finite"])
+def test_the_expm_path_exponentiates_each_step_once(geometry, monkeypatch):
+    # at the exceptional point every propagation takes expm: the start
+    # table's rows share its grid, and the first draw of every record asks
+    # for the record's length, so a stack holds each distinct step once
+    p = new_cmps(2, EP_K, RF_R, geometry)
+    stacks = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: stacks.append(a) or expm(a))
+    recs = sample_ensemble(p, 100, 6.0, master_seed=31)
+    assert sum(rec.positions.size for rec in recs) > 50
+    assert any(len(a) == _NoJumpFlow.START_POINTS for a in stacks)
+    for a in stacks:
+        assert len(np.unique(a.reshape(len(a), -1), axis=0)) == len(a)
+
+
 @pytest.mark.parametrize("k", [RF_K, EP_K], ids=["emitter", "exceptional"])
 def test_waiting_times_solve_the_survival_equation(k):
     # each waiting time solves S(tau) = u for its own uniform, whatever the
