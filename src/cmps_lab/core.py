@@ -14,6 +14,7 @@ matrix at x = 0.
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +47,16 @@ def _float(value, name):
         return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _array(value, name, dtype=float):
+    """value as np.asarray(value, dtype) reads it; what that cannot convert
+    (a word, a ragged nesting, a complex entry read as real) is a
+    ValidationError that names it, as `_float` names a scalar."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must hold numbers only, got {reprlib.repr(value)}") from None
 
 
 def _real(value, name):
@@ -85,7 +96,7 @@ def _dark(weight, r):
 
 
 def _as_complex_matrix(m, name):
-    arr = np.asarray(m, dtype=complex)
+    arr = _array(m, name, complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatchError(f"{name} must be a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():

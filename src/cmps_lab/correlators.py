@@ -86,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Thermodynamic, _dark, _float, _integer, _is_hermitian, _lattice_step, _real,
-                   finite_site_count)
+from .core import (Thermodynamic, _array, _dark, _float, _integer, _is_hermitian, _lattice_step,
+                   _real, finite_site_count)
 from .errors import (
     DegenerateFixedSpaceError,
     GaplessStateError,
@@ -142,6 +142,17 @@ class CorrelatorResult:
     values: np.ndarray
     normalization: float
     estimator: str
+
+
+def _insertion(item):
+    """A (position, kind) item as (float, kind); an item that is not a
+    pair, or a position that float() cannot read, is a ValidationError."""
+    try:
+        pos, kind = item
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"an insertion must be a (position, kind) pair, got {item!r}") from None
+    return _float(pos, "insertion position"), kind
 
 
 class _Chain:
@@ -216,10 +227,12 @@ class _Chain:
         position in the thermodynamic geometry, where only differences
         matter, and from the left edge x = 0 of a finite window.
 
-        Positions must be finite and ascend and, in a finite geometry, lie
-        in the window; a kind outside `INSERTIONS` is rejected here.
+        Each item must be a pair with a real position, and positions must
+        be finite and ascend and, in a finite geometry, lie in the window;
+        a kind outside `INSERTIONS` is rejected here.
         """
-        positions = [float(p) for p, _ in items]
+        items = [_insertion(item) for item in items]
+        positions = [p for p, _ in items]
         if not np.isfinite(positions).all():
             raise ValidationError(f"insertion positions must be finite, got {positions}")
         if any(b < a for a, b in zip(positions, positions[1:])):
@@ -359,7 +372,7 @@ def _separation_scan(chain, separations, first, second):
     or walked (`_Chain.read`).  A grid that is not 1-D raises
     ShapeMismatchError.
     """
-    seps = np.atleast_1d(np.asarray(separations, dtype=float))
+    seps = np.atleast_1d(_array(separations, "separations"))
     if seps.ndim != 1:
         raise ShapeMismatchError(f"separations must be a 1-D grid, got shape {seps.shape}")
     if seps.size and seps.min() < 0:
@@ -608,8 +621,7 @@ def family_derivative(params, dK, dR, insertions):
     value that overflows (`liouville.finite`), raises NoConvergenceError.
     The result is exact up to roundoff: there is no quadrature grid.
     """
-    dK = np.asarray(dK, dtype=complex)
-    dR = np.asarray(dR, dtype=complex)
+    dK, dR = _array(dK, "dK", complex), _array(dR, "dR", complex)
     if dK.shape != (params.dim, params.dim) or dR.shape != (params.dim, params.dim):
         raise ShapeMismatchError("dK and dR must match the parameter dimension")
     for name, m in (("dK", dK), ("dR", dR)):
@@ -646,8 +658,8 @@ class SourceField:
     mu: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=complex))
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=complex))
+        lam = np.atleast_1d(_array(self.lam, "source lam", complex))
+        mu = np.atleast_1d(_array(self.mu, "source mu", complex))
         if lam.shape != mu.shape or lam.ndim != 1 or lam.size < 1:
             raise ShapeMismatchError(
                 f"lam and mu must be equal-length 1d arrays, got {lam.shape}, {mu.shape}"

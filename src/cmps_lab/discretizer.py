@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg.lapack
 
-from .core import Finite, Geometry, _integer, _lattice_step, finite_site_count
+from .core import Finite, Geometry, _array, _integer, _lattice_step, _real, finite_site_count
 from .errors import (
     PositionOutOfRangeError,
     ShapeMismatchError,
@@ -296,7 +296,7 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     their extrapolation are complex, and the errors are the moduli of the
     complex differences; occupation and pair values are real.
     """
-    eps_arr = np.asarray(eps_list, dtype=float).ravel()
+    eps_arr = _array(eps_list, "eps").ravel()
     if eps_arr.size < 2:
         raise ShapeMismatchError("need at least two eps values")
     eps_arr = np.sort([_lattice_step(eps, "eps") for eps in eps_arr])[::-1]
@@ -311,8 +311,7 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
         if kind not in ("hopping", "pair"):
             raise ShapeMismatchError(f"observable must be 'occupation' or a ('hopping' or"
                                      f" 'pair', separation) pair, got {observable!r}")
-        if not np.isfinite(sep):
-            raise ValidationError(f"separation must be finite, got {sep}")
+        sep = _real(sep, "separation")
     values = []
     for eps in eps_arr:
         tensors = lattice_tensors(params, eps, order=order)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _lattice_step
+from .core import _array, _float, _lattice_step
 from .errors import InvalidMomentsError, ShapeMismatchError
 from .liouville import (
     Superoperator,
@@ -77,10 +77,12 @@ class FieldMoments:
     tol: Tolerances = Tolerances()
 
     def __post_init__(self):
-        a = complex(self.psi_dag_sq)
-        b = complex(self.psi_sq)
-        n = complex(self.psi_dag_psi)
-        nt = complex(self.psi_psi_dag)
+        moments = _array([self.psi_dag_sq, self.psi_sq, self.psi_dag_psi, self.psi_psi_dag],
+                         "field moments", complex)
+        if moments.shape != (4,) or not np.isfinite(moments).all():
+            raise InvalidMomentsError(
+                f"field moments must be four finite numbers, got {moments.tolist()}")
+        a, b, n, nt = moments.tolist()
         scale = 1.0 + max(abs(a), abs(n))
         if abs(b - a.conjugate()) > self.tol.moment * scale:
             raise InvalidMomentsError("psi_sq must equal conj(psi_dag_sq)")
@@ -108,9 +110,10 @@ class FieldMoments:
 
     @classmethod
     def thermal(cls, nbar):
+        nbar = _float(nbar, "thermal occupation")
         if nbar < 0:
             raise InvalidMomentsError("thermal occupation must be >= 0")
-        return cls(0.0, 0.0, float(nbar), float(nbar) + 1.0)
+        return cls(0.0, 0.0, nbar, nbar + 1.0)
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,7 @@ def build_general_generator(K, R, moments):
     """
     if not isinstance(moments, FieldMoments):
         moments = FieldMoments(*moments)
-    K = np.asarray(K, dtype=complex)
-    R = np.asarray(R, dtype=complex)
+    K, R = _array(K, "K", complex), _array(R, "R", complex)
     if K.shape != R.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
     alpha, n = moments.psi_dag_sq, moments.psi_dag_psi
@@ -165,8 +167,7 @@ def jump_decomposition(K, R, moments):
     """
     if not isinstance(moments, FieldMoments):
         moments = FieldMoments(*moments)
-    R = np.asarray(R, dtype=complex)
-    K = np.asarray(K, dtype=complex)
+    K, R = _array(K, "K", complex), _array(R, "R", complex)
     a = np.sqrt(complex(moments.psi_dag_sq) / 2.0)
     b = np.sqrt(complex(moments.psi_sq) / 2.0)
     c = np.sqrt(complex(moments.psi_dag_psi))

@@ -50,12 +50,10 @@ record.  The seeds of a whole ensemble are hashed in one pass
 (`_seed_states`): SeedSequence's entropy pool and its
 generate_state(4, uint64) run as uint32 array operations over every
 index.  The streams are then drawn by one array-wide PCG64 (`_Uniforms`)
-that holds every stream's 128-bit state as uint64 arrays and reads each
-stream ahead in blocks, so the sampler builds no SeedSequence, PCG64 or
+that holds every stream's 128-bit state as uint64 arrays and steps a
+stream once per draw, so the sampler builds no SeedSequence, PCG64 or
 Generator, and the streams are NumPy's, word for word, for any
-nonnegative s and i.  Generator.random(k) yields the same doubles as k
-scalar draws, so the values a record uses do not change with the block
-size.
+nonnegative s and i.
 
 The batch is held rows-last: the states of all rows are the columns of a
 (D, rows) array, laid out C-ordered with at least two rows wherever the
@@ -70,13 +68,12 @@ index, at every D.  The start table is part of the model, not of the
 batch, so it keeps that true.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import Finite, _dark, _float, _integer
+from .core import Finite, _array, _dark, _float, _integer
 from .errors import NoConvergenceError, NonNormalizableStateError, ValidationError
 from .liouville import eigenmodes, fields, finite
 
@@ -147,23 +144,31 @@ def _uint32_words(n):
     return words
 
 
+def _hasher(const, mult):
+    """SeedSequence's hash of uint32 arrays, started at the constant const:
+    each call xors the value with the constant, steps the constant by mult,
+    multiplies and folds, wrapping modulo 2^32 as the C code does."""
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hash_words
+
+
 def _hashed_states(entropy):
     """SeedSequence(row).generate_state(4, np.uint64) for every row of the
     (m, n) uint32 entropy array.
 
     The hash constants advance the same way for every row of n words, so
-    the pool mixing runs column by column on all rows at once; uint32
-    arithmetic wraps modulo 2^32 as the C code's does.
+    the pool mixing (`_INIT_A`, `_MULT_A`) and generate_state (`_INIT_B`,
+    `_MULT_B`) run column by column on all rows at once.
     """
     rows, n = entropy.shape
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
+    hashmix = _hasher(_INIT_A, _MULT_A)
 
     def mix(x, y):
         out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
@@ -179,13 +184,8 @@ def _hashed_states(entropy):
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
 
-    const = _INIT_B
-    state = np.empty((rows, 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> 16)
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([generate(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -213,92 +213,63 @@ def _seed_states(master_seed, indices):
 
 
 # PCG64 (O'Neill, HMC-CS-2014-0905) as NumPy runs it: a 128-bit LCG whose
-# state steps to state * _PCG_MULT + inc before each XSL-RR output.  Entry
-# k - 1 of the jump-ahead tables is a^k and sum_{i<k} a^i mod 2^128, for
-# k = 1 ... _BLOCK, as uint64 (high, low) words: k steps from the state s
-# land on a^k s + (sum_{i<k} a^i) inc
+# state steps to state * multiplier + inc before each XSL-RR output.  The
+# multiplier is held as its high word and the 32-bit halves of its low
+# word.  The constants are 0-d uint64 arrays, which NumPy combines with an
+# array in less time than a uint64 scalar
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MOD128 = 1 << 128
-_BLOCK = 16
 
 
-def _words128(values):
-    """Nonnegative ints below 2^128 as uint64 (high, low) arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
+def _u64(value):
+    return np.array(value, dtype=np.uint64)
 
 
-_POWERS = [pow(_PCG_MULT, k, _MOD128) for k in range(_BLOCK + 1)]
-_JUMP_MULT = _words128(_POWERS[1:])
-_JUMP_INC = _words128([v % _MOD128 for v in itertools.accumulate(_POWERS[:-1])])
-_LOW32 = np.uint64(_MASK32)
+_LOW32, _HALF, _WORD = _u64(_MASK32), _u64(32), _u64(64)
+_MULT_HIGH, _MULT_LOW = _u64(_PCG_MULT >> 64), _u64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LOW0, _MULT_LOW1 = _MULT_LOW & _LOW32, _MULT_LOW >> _HALF
+# the XSL-RR rotation is the state's top 6 bits; a double keeps 53 bits
+_ROT_SHIFT, _DOUBLE_SHIFT = _u64(58), _u64(11)
 
 
-def _mul_high(a, b):
-    """The high words of the 128-bit products a * b of uint64 arrays, from
-    their 32-bit halves."""
-    a0, a1 = a & _LOW32, a >> 32
-    b0, b1 = b & _LOW32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _mul128(x, y):
-    """x * y mod 2^128 of (high, low) uint64 arrays, which wrap modulo 2^64."""
-    (xh, xl), (yh, yl) = x, y
-    return _mul_high(xl, yl) + xh * yl + xl * yh, xl * yl
-
-
-def _add128(x, y):
-    """x + y mod 2^128 of (high, low) uint64 arrays."""
-    (xh, xl), (yh, yl) = x, y
-    low = xl + yl
-    return xh + yh + (low < xl), low
+def _step(state, inc):
+    """state * multiplier + inc mod 2^128 of (high, low) uint64 arrays,
+    which wrap modulo 2^64.  The high word of the low words' product is
+    summed from 32-bit halves (Warren, Hacker's Delight, mulhu)."""
+    (high, low), (inc_high, inc_low) = state, inc
+    a0, a1 = low & _LOW32, low >> _HALF
+    t = a1 * _MULT_LOW0 + (a0 * _MULT_LOW0 >> _HALF)
+    product_high = a1 * _MULT_LOW1 + (t >> _HALF) + ((a0 * _MULT_LOW1 + (t & _LOW32)) >> _HALF)
+    new_low = low * _MULT_LOW + inc_low
+    return product_high + high * _MULT_LOW + low * _MULT_HIGH + inc_high + (new_low < inc_low), new_low
 
 
 class _Uniforms:
-    """The uniforms of a batch of streams, one row per stream, read from
-    each stream `_BLOCK` at a time and refilled when a row runs out.
+    """The uniforms of a batch of streams, one row per stream.
 
     Row k is the PCG64 stream that NumPy's pcg64_set_seed starts from the
     four words words[k]: the initial state is (words[k][0], words[k][1])
-    and the sequence (words[k][2], words[k][3]), high word first.  Every
-    stream's 128-bit state and increment are held as uint64 (high, low)
-    arrays, and a refill takes a row's next `_BLOCK` states at once from
-    the jump-ahead tables.  A draw is (x >> 11) 2^-53 of the XSL-RR output
-    x, which is what Generator.random returns, so each row is NumPy's
-    stream word for word.
+    and the sequence (words[k][2], words[k][3]), high word first.  The
+    batch holds each stream's 128-bit state and increment as uint64 (high,
+    low) arrays and nothing else.  A draw steps a row's state once, as
+    NumPy's pcg64_next64 does, and is (x >> 11) 2^-53 of the XSL-RR output
+    x of the new state, which is what Generator.random returns, so each row
+    is NumPy's stream word for word and holds its state after its draws.
     """
 
     def __init__(self, words):
         w = np.asarray(words, dtype=np.uint64).T
         self.inc = ((w[2] << 1) | (w[3] >> 63), (w[3] << 1) | 1)
-        # srandom: step from 0 (which lands on inc), add the initial state, step
-        mult = (_JUMP_MULT[0][:1], _JUMP_MULT[1][:1])
-        self.state = _add128(_mul128(_add128(self.inc, (w[0], w[1])), mult), self.inc)
-        self.buf = np.empty((w.shape[1], _BLOCK))
-        self.used = np.full(w.shape[1], _BLOCK)
-
-    def _refill(self, rows):
-        state = _add128(_mul128(tuple(a[rows, None] for a in self.state), _JUMP_MULT),
-                        _mul128(tuple(a[rows, None] for a in self.inc), _JUMP_INC))
-        for held, new in zip(self.state, state):
-            held[rows] = new[:, -1]
-        high, low = state
-        x, rot = high ^ low, high >> 58
-        out = (x >> rot) | (x << ((64 - rot) & 63))
-        self.buf[rows] = (out >> 11).astype(float) * 2.0**-53
-        self.used[rows] = 0
+        # srandom: a step from 0 lands on inc; add the initial state and
+        # step again, (init + inc) * a + inc = init * a + (inc * a + inc)
+        self.state = _step((w[0], w[1]), _step(self.inc, self.inc))
 
     def draw(self, rows):
-        """The next uniform of each stream in rows."""
-        empty = rows[self.used[rows] == _BLOCK]
-        if empty.size:
-            self._refill(empty)
-        u = self.buf[rows, self.used[rows]]
-        self.used[rows] += 1
-        return u
+        """The next uniform of each stream in rows, which are distinct."""
+        high, low = _step(*((a[rows], b[rows]) for a, b in (self.state, self.inc)))
+        self.state[0][rows], self.state[1][rows] = high, low
+        x, rot = high ^ low, high >> _ROT_SHIFT
+        # NumPy shifts a uint64 by 64 to 0, so rot = 0 needs no case
+        return (((x >> rot) | (x << (_WORD - rot))) >> _DOUBLE_SHIFT) * 2.0**-53
 
 
 def _initial_ensemble(params):
@@ -649,7 +620,7 @@ def _stderr(psi):
 def _bin_edges(bins):
     """bins as a finite, nonnegative, strictly ascending 1d float array of at
     least two edges (ValidationError)."""
-    edges = np.asarray(bins, dtype=float)
+    edges = _array(bins, "bin edges")
     if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
             or np.any(np.diff(edges) <= 0)):
         raise ValidationError(f"bin edges must be a finite ascending 1d array, got {edges.tolist()}")
@@ -736,7 +707,7 @@ def _no_jump_oracle(params, taus, weight, dark):
     exp(Q tau)^dag over every tau >= 0, from the opening state rho0;
     `dark` everywhere when it has none.  Every tau must be finite and
     nonnegative (ValidationError)."""
-    taus = np.asarray(taus, dtype=float)
+    taus = _array(taus, "tau")
     bad = taus[~(np.isfinite(taus) & (taus >= 0))]
     if bad.size:
         raise ValidationError(f"tau must be finite and nonnegative, got {bad[0]}")

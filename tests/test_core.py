@@ -12,17 +12,23 @@ from cmps_lab import (
     Thermodynamic,
     Tolerances,
     compare_forms,
+    convergence_study,
     decay_fit,
     estimate_stats,
+    expectation,
+    family_derivative,
     generating_functional,
     kinetic_density,
     lattice_tensors,
     lieb_liniger_energy_density,
     new_cmps,
     no_jump_survival,
+    pair_correlation,
     sample_ensemble,
     source_consistency_check,
     two_point,
+    waiting_bin_probs,
+    waiting_time_analytic,
 )
 from cmps_lab import core, liouville
 from cmps_lab.cli import main
@@ -314,4 +320,52 @@ NOT_NUMBERS = {
 def test_a_scalar_that_is_not_a_number_is_bad_input(rf, call):
     # a raw ValueError or TypeError would break the error contract
     with pytest.raises(ValidationError, match=r"must be a real number, got ('x'|None)$"):
+        call(rf)
+
+
+ZERO = np.zeros((2, 2))
+WORD_MATRIX = [["x", 0.0], [0.0, 0.0]]
+NUMBERS_ONLY = r"must hold numbers only, got .*'x'"
+NOT_A_PAIR = r"an insertion must be a \(position, kind\) pair, got "
+# one call per array, matrix, moment or insertion read; each input holds
+# something that is not a number
+NOT_NUMBER_ARRAYS = {
+    "two-point": (lambda p: two_point(p, ["x"]), "separations " + NUMBERS_ONLY),
+    "pair-correlation": (lambda p: pair_correlation(p, [0.0, "x"]), "separations " + NUMBERS_ONLY),
+    "no-jump-survival": (lambda p: no_jump_survival(p, ["x"]), "tau " + NUMBERS_ONLY),
+    "waiting-analytic": (lambda p: waiting_time_analytic(p, ["x"]), "tau " + NUMBERS_ONLY),
+    "waiting-bins": (lambda p: waiting_bin_probs(p, ["x", 1.0]), "bin edges " + NUMBERS_ONLY),
+    "estimate-stats": (lambda p: estimate_stats(sample_ensemble(p, 2, 5.0, 1), ["x", 1.0]),
+                       "bin edges " + NUMBERS_ONLY),
+    "convergence-eps": (lambda p: convergence_study(p, ["x", 0.01]), "eps " + NUMBERS_ONLY),
+    "convergence-separation": (lambda p: convergence_study(p, [0.02, 0.01], ("pair", "x")),
+                               "separation must be a real number, got 'x'$"),
+    "convergence-separation-none": (lambda p: convergence_study(p, [0.02, 0.01], ("pair", None)),
+                                    "separation must be a real number, got None$"),
+    "insertion-position": (lambda p: expectation(p, [("x", "create")]),
+                           "insertion position must be a real number, got 'x'$"),
+    "insertion-swapped": (lambda p: family_derivative(p, ZERO, ZERO, [("create", 0.0)]),
+                          "insertion position must be a real number, got 'create'$"),
+    "insertion-short": (lambda p: family_derivative(p, ZERO, ZERO, [(0.0,)]),
+                        NOT_A_PAIR + r"\(0.0,\)$"),
+    "insertion-long": (lambda p: family_derivative(p, ZERO, ZERO, [(0.0, "create", 1)]),
+                       NOT_A_PAIR + r"\(0.0, 'create', 1\)$"),
+    "direction": (lambda p: family_derivative(p, "x", ZERO, [(0.0, "create")]),
+                  "dK " + NUMBERS_ONLY),
+    "new-cmps": (lambda p: new_cmps(2, WORD_MATRIX, p.R), "K " + NUMBERS_ONLY),
+    "boundary-rho": (lambda p: Finite(length=1.0, boundary_rho=WORD_MATRIX),
+                     "boundary_rho " + NUMBERS_ONLY),
+    "source-field": (lambda p: SourceField(["x"], [0.0]), "source lam " + NUMBERS_ONLY),
+    "compare-forms": (lambda p: compare_forms(WORD_MATRIX, RF_R, FieldMoments.vacuum()),
+                      "K " + NUMBERS_ONLY),
+    "field-moments": (lambda p: FieldMoments("x", 0, 0, 1), "field moments " + NUMBERS_ONLY),
+    "thermal": (lambda p: FieldMoments.thermal("x"),
+                "thermal occupation must be a real number, got 'x'$"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_NUMBER_ARRAYS.values(), ids=NOT_NUMBER_ARRAYS.keys())
+def test_an_input_that_is_not_numbers_is_bad_input(rf, call, message):
+    # each used to raise a raw ValueError or TypeError
+    with pytest.raises(ValidationError, match=message):
         call(rf)

@@ -46,6 +46,17 @@ def test_moment_validation():
     assert th.psi_dag_psi == 0.7 and th.psi_psi_dag == 1.7
 
 
+@pytest.mark.parametrize("moments", [
+    (np.nan, np.nan, 0.0, 1.0), (0.0, 0.0, np.nan, np.nan), (0.0, 0.0, np.inf, np.inf),
+    (None, 0.0, 0.0, 1.0), ([0.0], [0.0], [0.0], [1.0]),
+], ids=["nan-anomalous", "nan-occupation", "inf-occupation", "none", "lists"])
+def test_moments_that_are_not_four_finite_numbers_are_refused(moments):
+    # a NaN occupation used to read as the vacuum, and a NaN or infinite
+    # moment passed every other check
+    with pytest.raises(InvalidMomentsError, match="field moments must be four finite numbers"):
+        FieldMoments(*moments)
+
+
 def test_the_gaussian_bound_is_tested_without_overflow():
     # |psi_dag_sq|^2 <= psi_dag_psi psi_psi_dag: squeezed vacuum sits on the
     # bound.  At psi_dag_sq = psi_dag_psi = 1e200 (on it, in floats) the

@@ -324,8 +324,8 @@ def test_batch_seeds_are_seed_sequence_words(master_seed):
 def test_batch_streams_are_numpy_streams():
     # master seeds of one, two and three words; rows on both sides of the
     # 2^32 and 2^64 index boundaries.  Row r draws on every (r % 3 + 1)-th
-    # call, so rows run out of a block at different calls and some refill
-    # while others do not; every row reads at least three blocks of 16
+    # call, so some rows step while others do not, and the rows reach each
+    # count of draws at different calls; every row draws more than 32
     for master_seed in (5, 2**40 + 5, 2**64 + 3):
         for start in (0, 2**32 - 3, 2**64 - 3):
             indices = range(start, start + 6)
@@ -339,6 +339,33 @@ def test_batch_streams_are_numpy_streams():
                 assert len(drawn[row]) > 32
                 ref = _numpy_stream(master_seed, index).random(len(drawn[row]))
                 np.testing.assert_array_equal(drawn[row], ref)
+
+
+def test_each_stream_holds_numpy_state_after_its_draws():
+    # a draw steps its stream once and reads nothing ahead: under the draw
+    # pattern of test_batch_streams_are_numpy_streams, each row holds the
+    # state and increment of NumPy's stream after as many random() calls
+    def assert_numpy_states(uniforms, master_seed, indices, counts):
+        (high, low), (inc_high, inc_low) = uniforms.state, uniforms.inc
+        for row, index in enumerate(indices):
+            stream = _numpy_stream(master_seed, index)
+            stream.random(counts[row])
+            held = {"state": int(high[row]) << 64 | int(low[row]),
+                    "inc": int(inc_high[row]) << 64 | int(inc_low[row])}
+            assert held == stream.bit_generator.state["state"]
+
+    for master_seed in (5, 2**40 + 5, 2**64 + 3):
+        for start in (0, 2**32 - 3, 2**64 - 3):
+            indices = range(start, start + 6)
+            uniforms = _Uniforms(_seed_states(master_seed, indices))
+            counts = np.zeros(6, dtype=int)
+            assert_numpy_states(uniforms, master_seed, indices, counts)
+            for call in range(120):
+                rows = np.flatnonzero(call % (np.arange(6) % 3 + 1) == 0)
+                uniforms.draw(rows)
+                counts[rows] += 1
+                if call in (0, 1, 119):
+                    assert_numpy_states(uniforms, master_seed, indices, counts)
 
 
 def test_ensemble_builds_no_bit_generator(rf, monkeypatch):
