@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .core import Finite, Thermodynamic, new_cmps
+from .core import Finite, Thermodynamic, _array, new_cmps
 from .correlators import (
     INSERTIONS,
     family_derivative,
@@ -37,11 +37,7 @@ from .correlators import (
     source_consistency_check,
     two_point,
 )
-from .discretizer import (
-    convergence_study,
-    lattice_correlators,
-    lattice_tensors,
-)
+from .discretizer import OBSERVABLES, convergence_study, lattice_correlators, lattice_tensors
 from .errors import ConfigError, NumericalError, ValidationError
 from .lindblad import FieldMoments, compare_forms
 from .liouville import Tolerances, finite, term_norm
@@ -127,11 +123,7 @@ def _all_numbers(items, kind, minimum):
 
 
 def _complex_matrix(node, path):
-    try:
-        re = np.asarray(node["re"], dtype=float)
-        im = np.asarray(node["im"], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}' entries must be rectangular numeric arrays: {exc}")
+    re, im = _array(node["re"], f"'{path}.re'"), _array(node["im"], f"'{path}.im'")
     if im.shape != re.shape:
         raise ConfigError(f"'{path}' re/im must be matching 2d row-major matrices")
     return re + 1j * im
@@ -295,13 +287,12 @@ def _discretize(cfg, params):
 
 def _converge(cfg, params):
     observable = cfg["observable"]
-    if observable == "occupation":
-        if "separation" in cfg:
-            raise ConfigError("'separation' is only valid for hopping/pair observables")
-    else:
+    if OBSERVABLES[observable].paired:
         if "separation" not in cfg:
             raise ConfigError(f"missing required key 'separation' for observable '{observable}'")
         observable = (observable, float(cfg["separation"]))
+    elif "separation" in cfg:
+        raise ConfigError("'separation' is only valid for hopping/pair observables")
     study = convergence_study(params, cfg["epsilons"], observable=observable, order=cfg["order"])
     return {"epsilons": study.eps, "values": _matrix_out(study.values),
             "extrapolated": study.extrapolated, "errors": study.errors, "orders": study.orders}
@@ -357,7 +348,7 @@ _COMMANDS = {
     "discretize": _Command({"epsilons": _Key(_NUMS), "order": _Key("int", 1)}, _discretize),
     "converge": _Command({
         "epsilons": _Key(_NUMS),
-        "observable": _Key(("occupation", "hopping", "pair"), "occupation"),
+        "observable": _Key(tuple(OBSERVABLES), "occupation"),
         "separation": _Key("num", None),
         "order": _Key("int", 1),
     }, _converge),
@@ -426,7 +417,8 @@ def _read_json(path, what):
 
 
 def _load_tolerances(path):
-    """The run's Tolerances: defaults, overridden where the file names `<field>_tol`."""
+    """The run's Tolerances: defaults, overridden where the file names
+    `<field>_tol`; `Tolerances` itself refuses a value that is not positive."""
     overrides = _read_json(path, "tolerance overrides file")
     if not isinstance(overrides, dict):
         raise ConfigError("tolerance overrides must be a JSON object")
@@ -434,8 +426,8 @@ def _load_tolerances(path):
     for name, value in overrides.items():
         if name not in names:
             raise ConfigError(f"unknown tolerance '{name}'")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance '{name}' must be a positive number")
+        if type(value) not in _NUMBER_TYPES["num"]:
+            raise ConfigError(f"tolerance '{name}' must be {_NUMBER_NAMES['num']}")
     return Tolerances(**{names[name]: float(value) for name, value in overrides.items()})
 
 

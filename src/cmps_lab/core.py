@@ -51,21 +51,32 @@ def _float(value, name):
 
 def _array(value, name, dtype=float):
     """value as np.asarray(value, dtype) reads it; what that cannot convert
-    (a word, a ragged nesting, a complex entry read as real) is a
-    ValidationError that names it, as `_float` names a scalar."""
+    (a word, a ragged nesting) is a ValidationError that names it, as
+    `_float` names a scalar, and so is a complex array where dtype is
+    float, which NumPy would read as its real part."""
     try:
-        return np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
+        if dtype is float and arr.dtype.kind == "c":
+            raise ValidationError(f"{name} must be real, got {reprlib.repr(value)}")
+        return arr.astype(dtype, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must hold numbers only, got {reprlib.repr(value)}") from None
 
 
+def _finite_array(value, name, dtype=float):
+    """`_array`(value, name, dtype), refused as ValidationError unless every
+    entry is finite: "<name> must be finite, got <the first that is not>"."""
+    arr = _array(value, name, dtype)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValidationError(f"{name} must be finite, got {bad[0]}")
+    return arr
+
+
 def _real(value, name):
     """A real number as a float (`_float`), refused as ValidationError
-    unless finite."""
-    value = _float(value, name)
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    return value
+    unless finite (`_finite_array`)."""
+    return float(_finite_array(_float(value, name), name))
 
 
 def _lattice_step(value, name):
@@ -96,11 +107,9 @@ def _dark(weight, r):
 
 
 def _as_complex_matrix(m, name):
-    arr = _array(m, name, complex)
+    arr = _finite_array(m, name, complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatchError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} has non-finite entries")
     return arr
 
 

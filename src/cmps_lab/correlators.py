@@ -86,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Thermodynamic, _array, _dark, _float, _integer, _is_hermitian, _lattice_step,
-                   _real, finite_site_count)
+from .core import (Thermodynamic, _array, _dark, _finite_array, _float, _integer, _is_hermitian,
+                   _lattice_step, _real, finite_site_count)
 from .errors import (
     DegenerateFixedSpaceError,
     GaplessStateError,
@@ -233,8 +233,7 @@ class _Chain:
         """
         items = [_insertion(item) for item in items]
         positions = [p for p, _ in items]
-        if not np.isfinite(positions).all():
-            raise ValidationError(f"insertion positions must be finite, got {positions}")
+        _finite_array(positions, "insertion positions")
         if any(b < a for a, b in zip(positions, positions[1:])):
             raise UnsortedPositionsError(f"insertion positions must ascend, got {positions}")
         if self.length is not None and positions:
@@ -508,9 +507,7 @@ def decay_fit(params, d_min, d_max, n_points=33):
     modes make the envelope oscillate, so the fitted rate is then only an
     envelope-scale estimate (callers should check the residual).
     """
-    d_min, d_max = _float(d_min, "d_min"), _float(d_max, "d_max")
-    if not (np.isfinite(d_min) and np.isfinite(d_max)):
-        raise ValidationError(f"fit window must be finite, got [{d_min}, {d_max}]")
+    d_min, d_max = _real(d_min, "d_min"), _real(d_max, "d_max")
     if d_max <= d_min:
         raise NegativeDistanceError("need d_max > d_min")
     n_points = _integer(n_points, "n_points")
@@ -621,12 +618,9 @@ def family_derivative(params, dK, dR, insertions):
     value that overflows (`liouville.finite`), raises NoConvergenceError.
     The result is exact up to roundoff: there is no quadrature grid.
     """
-    dK, dR = _array(dK, "dK", complex), _array(dR, "dR", complex)
+    dK, dR = _finite_array(dK, "dK", complex), _finite_array(dR, "dR", complex)
     if dK.shape != (params.dim, params.dim) or dR.shape != (params.dim, params.dim):
         raise ShapeMismatchError("dK and dR must match the parameter dimension")
-    for name, m in (("dK", dK), ("dR", dR)):
-        if not np.isfinite(m).all():
-            raise ValidationError(f"{name} must be finite, got {m[~np.isfinite(m)][0]}")
     if not _is_hermitian(dK, params.tol.herm):
         raise NonHermitianKError("dK must be Hermitian (K stays Hermitian along the family)")
     if not insertions:
@@ -658,16 +652,12 @@ class SourceField:
     mu: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(_array(self.lam, "source lam", complex))
-        mu = np.atleast_1d(_array(self.mu, "source mu", complex))
+        lam = np.atleast_1d(_finite_array(self.lam, "source lam", complex))
+        mu = np.atleast_1d(_finite_array(self.mu, "source mu", complex))
         if lam.shape != mu.shape or lam.ndim != 1 or lam.size < 1:
             raise ShapeMismatchError(
                 f"lam and mu must be equal-length 1d arrays, got {lam.shape}, {mu.shape}"
             )
-        for name, values in (("lam", lam), ("mu", mu)):
-            bad = values[~np.isfinite(values)]
-            if bad.size:
-                raise ValidationError(f"source {name} must be finite, got {bad[0]}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 

@@ -12,12 +12,14 @@ The transfer matrix E, rho -> sum_n A_n rho A_n^dag, is the
 reproduces the continuum generator to first order, E = 1 + eps L +
 O(eps^2).  The estimators are tables over the same fields (`ESTIMATORS`)
 that act on D x D matrices by `liouville.action`, at O(D^3), as the
-continuum insertions do.  Lattice expectation values (occupation / eps,
-hopping / eps, pair occupation / eps^2) converge to the continuum
-density, two-point function and pair correlator with O(eps) error, which
-is what makes this module an independent check on the insertion
-calculus: everything here is contracted directly from the tensors, with
-no use of the continuum generator or its exponential.
+continuum insertions do.  `OBSERVABLES` is the one list of what the
+oracle reads: each observable's estimators, power of eps and value type.
+Lattice expectation values (occupation / eps, hopping / eps, pair
+occupation / eps^2) converge to the continuum density, two-point function
+and pair correlator with O(eps) error, which is what makes this module an
+independent check on the insertion calculus: everything here is
+contracted directly from the tensors, with no use of the continuum
+generator or its exponential.
 
 E preserves Hermiticity, so in the Hermitian basis of
 `liouville.hermitian_basis` it is a real matrix (`Superoperator.hmat`),
@@ -39,6 +41,7 @@ that breaks one is a `ValidationError` that names the value.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,9 +125,24 @@ ESTIMATORS = {
     "lowering": lambda n: (f"B{n}", f"A{n - 1}"),
     "raising": lambda n: (f"A{n - 1}", f"B{n}"),
 }
-# each observable's estimator at site 0 and, for a pair, the one at site m
-_SITES = {"occupation": ("number",), "hopping": ("raising", "lowering"),
-          "pair": ("number", "number")}
+
+
+class _Observable(namedtuple("_Observable", "sites power dtype")):
+    """A lattice observable: its estimators (the one at site 0 and, for a
+    pair, the one at site m), the power of eps that maps it to its field
+    operator, and the type of its values."""
+
+    @property
+    def paired(self):
+        """Whether it is read at site distances, not as one number."""
+        return len(self.sites) > 1
+
+
+OBSERVABLES = {
+    "occupation": _Observable(("number",), 1, float),
+    "hopping": _Observable(("raising", "lowering"), 1, complex),
+    "pair": _Observable(("number", "number"), 2, float),
+}
 
 
 def _dominant_pair(emat):
@@ -178,32 +196,33 @@ def _dominant_pair(emat):
 def lattice_correlators(tensors, observable, distances=None):
     """Lattice estimators of continuum observables.
 
-    observable: "occupation" (scalar density, no distances), "hopping" or
-    "pair" (values at integer site distances >= 1, in any order, continuum
-    separation = distance * eps; no distances give an empty array).  The
-    first estimator acts at site 0, one walk with E keeps the vector at
-    each sorted distance, and the second acts on all of them at once.  A
-    thermodynamic window (`tensors.geometry`) opens and closes on the
-    dominant fixed points of E; Finite(length, boundary_rho) has
-    finite_site_count(length, eps) sites, opens on boundary_rho (its
+    observable: a name in `OBSERVABLES`, "occupation" (scalar density, no
+    distances), "hopping" or "pair" (values at integer site distances >= 1,
+    in any order, continuum separation = distance * eps; no distances give
+    an empty array).  The first estimator acts at site 0, one walk with E
+    keeps the vector at each sorted distance, and the second acts on all of
+    them at once.  A thermodynamic window (`tensors.geometry`) opens and
+    closes on the dominant fixed points of E; Finite(length, boundary_rho)
+    has finite_site_count(length, eps) sites, opens on boundary_rho (its
     Hermitian part) and closes each distance with its tail <1| E^k.
-    Values are rescaled by the eps powers that map lattice operators to
-    field operators.  A transfer matrix whose term norm is not finite is
-    refused as NoConvergenceError before it is built, and so is a value
-    that is not finite, which an overflow on the way leaves
-    (`liouville.finite`).
+    Values are divided by the observable's power of eps, which maps its
+    lattice operator to the field operator.  A transfer matrix whose term
+    norm is not finite is refused as NoConvergenceError before it is built,
+    and so is a value that is not finite, which an overflow on the way
+    leaves (`liouville.finite`).
     """
     eps = tensors.eps
     d = tensors.dim
-    if observable not in _SITES:
+    obs = OBSERVABLES.get(observable) if isinstance(observable, str) else None
+    if obs is None:
         raise ShapeMismatchError(f"unknown lattice observable {observable!r}")
-    if observable == "occupation":
+    if not obs.paired:
         if distances is not None:
-            raise ShapeMismatchError("the occupation takes no distances")
+            raise ShapeMismatchError(f"the {observable} takes no distances")
         distances = [0]
     else:
         if distances is None:
-            raise ShapeMismatchError("hopping/pair observables need distances")
+            raise ShapeMismatchError(f"the {observable} needs distances")
         distances = [_integer(m, "site distance") for m in np.atleast_1d(distances)]
         if any(m < 1 for m in distances):
             raise ShapeMismatchError("site distances must be >= 1")
@@ -215,12 +234,10 @@ def lattice_correlators(tensors, observable, distances=None):
             raise PositionOutOfRangeError(
                 f"chain of {n_sites} sites cannot hold span {max(distances) + 1}")
 
-    tables = [tuple(ESTIMATORS[kind](n) for n in range(1, tensors.order + 1))
-              for kind in _SITES[observable]]
+    tables = [tuple(ESTIMATORS[kind](n) for n in range(1, tensors.order + 1)) for kind in obs.sites]
     # a chain that emits nothing (every B_n zero) has every estimator zero
     if not distances or not any(a.any() for a in tensors.matrices[1:]):
-        values = np.zeros(len(distances), dtype=complex if observable == "hopping" else float)
-        return float(values[0]) if observable == "occupation" else values
+        return _typed(np.zeros(len(distances), dtype=obs.dtype), obs)
 
     term_norm(tensors.transfer, "transfer matrix")
     emat = tensors.transfer.hmat
@@ -265,14 +282,16 @@ def lattice_correlators(tensors, observable, distances=None):
         else:
             values = np.array([tails[n_sites - u] @ v for u, v in zip(used, stops)])
             values /= tails[n_sites] @ open_vec
-        scale = {"occupation": eps, "hopping": eps, "pair": eps**2}[observable]
-        values = values[np.searchsorted(ms, distances)] / scale
+        values = values[np.searchsorted(ms, distances)] / eps**obs.power
     finite(values, f"lattice {observable} value")
-    if observable == "occupation":
-        return float(values[0].real)
-    if observable == "pair":
-        return values.real
-    return values
+    return _typed(values, obs)
+
+
+def _typed(values, obs):
+    """Lattice values as the observable's type: an array at the site
+    distances of a pair, one number for a one-site observable."""
+    values = values.real if obs.dtype is float else values
+    return values if obs.paired else obs.dtype(values[0])
 
 
 @dataclass(frozen=True)
@@ -303,27 +322,29 @@ def convergence_study(params, eps_list, observable="occupation", order=1):
     if np.any(eps_arr[1:] == eps_arr[:-1]):
         raise ValidationError(f"eps values must be distinct, got {eps_arr.tolist()}")
 
-    if observable != "occupation":
-        try:
-            kind, sep = observable
-        except (TypeError, ValueError):
-            kind = None
-        if kind not in ("hopping", "pair"):
-            raise ShapeMismatchError(f"observable must be 'occupation' or a ('hopping' or"
-                                     f" 'pair', separation) pair, got {observable!r}")
+    # a one-site observable is named alone, a pair with its separation
+    bare = isinstance(observable, str)
+    try:
+        kind, sep = (observable, None) if bare else observable
+    except (TypeError, ValueError):
+        kind = None
+    obs = OBSERVABLES.get(kind) if isinstance(kind, str) else None
+    if obs is None or obs.paired == bare:
+        raise ShapeMismatchError(f"observable must be 'occupation' or a ('hopping' or"
+                                 f" 'pair', separation) pair, got {observable!r}")
+    if obs.paired:
         sep = _real(sep, "separation")
     values = []
     for eps in eps_arr:
         tensors = lattice_tensors(params, eps, order=order)
-        if observable == "occupation":
-            values.append(lattice_correlators(tensors, "occupation"))
+        if not obs.paired:
+            values.append(lattice_correlators(tensors, kind))
         else:
             m = int(round(sep / eps))
             if abs(m * eps - sep) > 1e-9 * abs(sep):
                 raise ShapeMismatchError(f"separation {sep} is not a multiple of eps {eps}")
             values.append(lattice_correlators(tensors, kind, distances=[m])[0])
-    hopping = observable != "occupation" and observable[0] == "hopping"
-    values = np.asarray(values, dtype=complex if hopping else float)
+    values = np.asarray(values, dtype=obs.dtype)
 
     ratio = eps_arr[-2] / eps_arr[-1]
     extrapolated = (ratio * values[-1] - values[-2]) / (ratio - 1.0)

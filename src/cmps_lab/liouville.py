@@ -60,6 +60,7 @@ computed only where they are read.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -67,7 +68,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError
+from .errors import (DegenerateFixedSpaceError, NoConvergenceError, ShapeMismatchError,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,19 @@ class Tolerances:
     """Thresholds of a parameter set: herm for K, dK and boundary_rho
     (relative to the largest entry), zero_real and residual for the fixed
     point (relative to the generator's term norm, which a change of length
-    unit scales like L), moment for the field moments."""
+    unit scales like L), moment for the field moments.  Each must be a
+    finite positive number (ValidationError, naming the field)."""
 
     herm: float = 1e-12
     zero_real: float = 1e-10
     residual: float = 1e-10
     moment: float = 1e-12
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValidationError(
+                    f"tolerance {name} must be a finite positive number, got {value!r}")
 
 
 GENERATOR = (("Q", "1"), ("1", "Q"), ("R", "R"))

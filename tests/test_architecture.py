@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import cmps_lab
-from cmps_lab import new_cmps, trajectories
+from cmps_lab import cli, new_cmps, trajectories
+from cmps_lab.discretizer import OBSERVABLES
 from cmps_lab.liouville import eigenmodes
 
 from conftest import EP_K, RF_K, RF_R
@@ -167,6 +168,41 @@ def test_every_non_finite_refusal_is_raised_by_the_one_gate():
               for owner in _owners(tree, lambda node: (_message(node) or "").endswith("is not finite"))}
     assert owners == {("liouville", "finite")}
     assert not hasattr(cmps_lab, "finite")
+
+
+def test_every_finite_input_refusal_is_raised_by_the_one_reader():
+    # "<name> must be finite, got <value>": a scalar (`core._real`), an
+    # array, a matrix, a direction, the sources and the insertion positions
+    # are all read through `core._finite_array`
+    def refusal(node):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            return False
+        arg = node.exc.args[0]
+        parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+        return any(isinstance(part, ast.Constant) and "must be finite, got" in str(part.value)
+                   for part in parts)
+
+    owners = {(module, owner) for module, tree in _trees().items()
+              for owner in _owners(tree, refusal)}
+    assert owners == {("core", "_finite_array")}
+
+
+def test_the_lattice_observables_are_listed_once():
+    # each observable's estimators, power of eps and value type are one
+    # entry of discretizer.OBSERVABLES; no other dict, tuple, list or set
+    # names two of them, and the CLI's converge choices are its keys
+    def listing(node):
+        items = node.keys if isinstance(node, ast.Dict) else (
+            node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [])
+        return len({item.value for item in items if isinstance(item, ast.Constant)}
+                   & set(OBSERVABLES)) > 1
+
+    trees = _trees()
+    (table,) = [node.value for node in ast.walk(trees["discretizer"])
+                if isinstance(node, ast.Assign) and _names(node.targets[0]) == ["OBSERVABLES"]]
+    found = [node for tree in trees.values() for node in ast.walk(tree) if listing(node)]
+    assert found == [table]
+    assert cli._COMMANDS["converge"].keys["observable"].kind == tuple(OBSERVABLES)
 
 
 def _raises(name):

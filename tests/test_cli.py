@@ -657,14 +657,14 @@ def test_minimal_configs_write_the_same_bytes_in_any_call_order(tmp_path):
     assert passes[0] == passes[1] == passes[2]
 
 
-def run_strict(tmp_path, capfd, command, cfg, tag="out"):
+def run_strict(tmp_path, capfd, command, cfg, tag="out", extra=()):
     """Run cli.main in-process with every warning an error, as `python -W
     error` sets them; return the exit code, what it printed (stdout and
     stderr) and the output path."""
     capfd.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc, out = run_cli(tmp_path, command, cfg, tag)
+        rc, out = run_cli(tmp_path, command, cfg, tag, extra)
     return rc, capfd.readouterr(), out
 
 
@@ -697,11 +697,39 @@ VACUUM_MOMENTS = {"psi_dag_sq": {"re": 0.0}, "psi_dag_psi": 0.0}
 
 # Every config the CLI refuses: row id -> (command, config, exit code, the
 # one line printed after "error: " (exit 1) or "numerical failure: " (exit
-# 2)).  Ids "group/case" are the cases of one parametrized test.  Each row
-# runs in-process under warnings as errors, so an overflow warning that
-# escapes before the refusal fails it, as it would under `python -W error`.
+# 2)[, the JSON of a --tolerance-overrides file]).  Ids "group/case" are the
+# cases of one parametrized test.  Each row runs in-process under warnings
+# as errors, so an overflow warning that escapes before the refusal fails
+# it, as it would under `python -W error`.
 REFUSALS = {
     # config validation
+    "config/not-an-object": ("steady", [RF_MODEL], 1, "'config' must be a JSON object"),
+    "config/not-an-array": ("correlate", rf_config(separations=0.5), 1,
+                            "'separations' must be an array"),
+    "config/empty-array": ("correlate", rf_config(separations=[]), 1,
+                           "'separations' must not be empty"),
+    "config/not-a-number": ("ll-energy", rf_config(c="1.0", mu=1.0), 1, "'c' must be a number"),
+    "config/row-not-an-array": ("steady", rf_config(model={**RF_MODEL, "K": {"re": [0.0, 0.5]}}),
+                                1, "'model.K.re[0]' must be an array"),
+    "config/ragged-matrix": ("steady", rf_config(model={**RF_MODEL, "K": {
+        "re": [[0.0, 0.5], [0.5]]}}), 1,
+        "'model.K.re' must hold numbers only, got [[0.0, 0.5], [0.5]]"),
+    "config/re-im-shapes": ("steady", rf_config(model={**RF_MODEL, "K": {
+        "re": [[0.0, 0.5], [0.5, 0.0]], "im": [[0.0]]}}), 1,
+        "'model.K' re/im must be matching 2d row-major matrices"),
+    "config/thermodynamic-length": ("steady", rf_config(length=1.0), 1,
+                                    "'length' is only valid for finite geometry"),
+    "config/finite-without-rho": ("steady", {"model": RF_MODEL, "geometry": "finite",
+                                             "length": 1.0}, 1,
+                                  "finite geometry requires 'length' and 'boundary_rho'"),
+    "config/overrides-not-an-object": ("steady", rf_config(), 1,
+                                       "tolerance overrides must be a JSON object", [1e-6]),
+    "config/tolerance-not-a-number": ("steady", rf_config(), 1,
+                                      "tolerance 'herm_tol' must be a number", {"herm_tol": "x"}),
+    # Tolerances refuses it, naming its field
+    "config/tolerance-not-positive": ("steady", rf_config(), 1,
+                                      "tolerance herm must be a finite positive number, got -1.0",
+                                      {"herm_tol": -1.0}),
     "repeated-epsilons": ("converge", rf_config(epsilons=[0.01, 0.01, 0.02]), 1,
                           "eps values must be distinct, got [0.02, 0.01, 0.01]"),
     "grid-step": ("family-deriv", rf_config(
@@ -831,16 +859,26 @@ def refusals(group):
 def check_refusal(row, rc, stdout, stderr, out):
     """A refused run exits with the row's code, prints its one line to
     stderr and nothing to stdout, and writes no output."""
-    _, _, code, message = REFUSALS[row]
+    _, _, code, message, *_ = REFUSALS[row]
     assert (rc, stderr, stdout) == (code, f"{REFUSAL_PREFIX[code]}: {message}\n", "")
     assert not out.exists()
 
 
 def assert_refused(tmp_path, capfd, row):
     """Run a REFUSALS row in-process under warnings as errors; check its refusal."""
-    command, cfg, _, _ = REFUSALS[row]
-    rc, printed, out = run_strict(tmp_path, capfd, command, cfg)
+    command, cfg, _, _, *overrides = REFUSALS[row]
+    extra = ()
+    if overrides:
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps(overrides[0]))
+        extra = ("--tolerance-overrides", str(path))
+    rc, printed, out = run_strict(tmp_path, capfd, command, cfg, extra=extra)
     check_refusal(row, rc, printed.out, printed.err, out)
+
+
+@refusals("config")
+def test_a_config_the_schema_or_the_geometry_refuses_exits_one(tmp_path, capfd, row):
+    assert_refused(tmp_path, capfd, row)
 
 
 def test_converge_repeated_epsilons_exit_one(tmp_path, capfd):

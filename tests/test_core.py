@@ -278,6 +278,17 @@ def test_finite_and_field_moments_honour_their_tolerances():
     assert moments.psi_psi_dag == 1.5
 
 
+@pytest.mark.parametrize("field", ["herm", "zero_real", "residual", "moment"])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf, "x"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(field, bad):
+    # only the CLI's loader refused them: with the coupled blocks at t = 1e-7,
+    # which the defaults refuse as degenerate, zero_real = nan certified the
+    # fixed point with gap 0.0 but gapless False
+    with pytest.raises(ValidationError,
+                       match=f"^tolerance {field} must be a finite positive number, got "):
+        Tolerances(**{field: bad})
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda p: sample_ensemble(p, 2.5, 1.0, 1), "n_traj must be an integer, got 2.5"),
     (lambda p: sample_ensemble(p, 2, 1.0, 1.5), "master_seed must be an integer, got 1.5"),
@@ -361,6 +372,14 @@ NOT_NUMBER_ARRAYS = {
     "field-moments": (lambda p: FieldMoments("x", 0, 0, 1), "field moments " + NUMBERS_ONLY),
     "thermal": (lambda p: FieldMoments.thermal("x"),
                 "thermal occupation must be a real number, got 'x'$"),
+    # a complex array where a real one is asked for: NumPy read its real part
+    "complex-separations": (lambda p: two_point(p, np.array([1.0 + 1j])),
+                            r"separations must be real, got array\(\[1.\+1.j\]\)$"),
+    "complex-tau": (lambda p: no_jump_survival(p, np.array([0.5j])), "tau must be real, got "),
+    "complex-bin-edges": (lambda p: waiting_bin_probs(p, np.array([0.0, 1.0 + 0j])),
+                          "bin edges must be real, got "),
+    "complex-eps": (lambda p: convergence_study(p, np.array([0.02, 0.01 + 1e-3j])),
+                    "eps must be real, got "),
 }
 
 

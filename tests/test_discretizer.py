@@ -186,6 +186,9 @@ def test_lattice_validation_errors(rf):
     t = lattice_tensors(rf, 0.01)
     with pytest.raises(ShapeMismatchError):
         lattice_correlators(t, "nonsense")
+    # a name that is not a string raised a bare TypeError (unhashable)
+    with pytest.raises(ShapeMismatchError, match=r"unknown lattice observable \['pair'\]"):
+        lattice_correlators(t, ["pair"], distances=[1])
     with pytest.raises(ShapeMismatchError):
         lattice_correlators(t, "hopping")
     with pytest.raises(ShapeMismatchError):

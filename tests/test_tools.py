@@ -18,7 +18,6 @@ def _tool(name):
 
 code_lines = _tool("code_lines")
 compare_outputs = _tool("compare_outputs")
-compare_records = _tool("compare_records")
 sampler_cost = _tool("sampler_cost")
 
 SNIPPET = '''"""A module docstring
@@ -79,17 +78,24 @@ def test_sampler_cost_times_the_fluorescence_family(monkeypatch, capsys):
         assert float(fields[4]) > 0.0
 
 
-def test_compare_records_finds_this_checkout_bit_identical_to_itself(monkeypatch, capsys):
-    monkeypatch.setattr(compare_records, "DIMS", (1, 3))
-    monkeypatch.setattr(compare_records, "FAMILY_DIM", 4)
+def test_compare_outputs_finds_this_checkout_identical_to_itself(monkeypatch, capsys):
+    # one workload's smoke jobs and the record models at D = 1 and 3 and
+    # the family at D = 4, each tree in one process
+    for name, value in (("WORKLOADS", ("exact-spectrum",)), ("SEEDS", (1,)), ("SMOKE", (True,)),
+                        ("DIMS", (1, 3)), ("FAMILY_DIM", 4)):
+        monkeypatch.setattr(compare_outputs, name, value)
     root = str(Path(__file__).resolve().parents[1])
-    assert compare_records.main([root, root]) == 0
+    assert compare_outputs.main([root, root]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # two random models per D, two of the family, two at the exceptional point
-    assert len(lines) == 8 * 3 + 1
-    assert lines[0] == "random D=1 thermodynamic seed 0: bit-identical"
-    assert all(line.endswith(": bit-identical") for line in lines[:-1])
-    assert lines[-1] == "24 of 24 cases bit-identical"
+    # twelve commands; two random models per D, two of the family, two at
+    # the exceptional point, three seeds each
+    assert len(lines) == 12 + 1 + 8 * 3 + 1
+    assert lines[0] == "exact-spectrum seed 1 smoke steady: byte-identical"
+    assert all(line.endswith(": byte-identical") for line in lines[:12])
+    assert lines[12] == "12 of 12 outputs byte-identical"
+    assert lines[13] == "random D=1 thermodynamic seed 0: bit-identical"
+    assert all(line.endswith(": bit-identical") for line in lines[13:-1])
+    assert lines[-1] == "24 of 24 record cases bit-identical"
 
 
 def test_compare_records_reports_counts_and_position_changes():
@@ -97,8 +103,9 @@ def test_compare_records_reports_counts_and_position_changes():
               "states0": np.eye(2)}
     moved = dict(before, positions0=np.array([1.0, 2.0, 3.0 + 3e-12]))
     extra = dict(before, counts0=np.array([3, 1]), positions0=np.array([1.0, 2.0, 2.5, 3.0]))
-    assert compare_records.compare(before, before, "0") == "bit-identical"
-    assert (compare_records.compare(before, moved, "0")
+    assert compare_outputs.compare_records(before, before, "0") == "bit-identical"
+    assert (compare_outputs.compare_records(before, moved, "0")
             == "jump counts equal; max relative position change 1.00e-12")
-    assert (compare_records.compare(before, extra, "0")
+    assert (compare_outputs.compare_records(before, extra, "0")
             == "jump counts differ in 1 of 2 records; max relative position change 0.00e+00")
+    assert compare_outputs.compare_records(None, before, "0") == "missing"

@@ -1,19 +1,36 @@
-"""Compare the CLI outputs of two source trees on every benchmark config.
+"""Compare the CLI outputs and the jump records of two source trees.
 
     python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of the repository (directories holding
-`src/cmps_lab`).  Every job of `perfbench/workloads.make_jobs` (every
-workload, seeds 1 to 3, full size and smoke) is written once as a config
-file, from this checkout's `perfbench`, and run through each tree's
-`cmps_lab.cli.main`, all jobs of one tree in one fresh process with BLAS
-pinned to one thread.  Each output gets one line: "byte-identical"; for
-a CSV separation scan the largest change of a value relative to the
-largest |value| and whether its d = 0 rows are byte-identical; for a JSON
-output with the same structure and the same non-numeric values the
-largest |change| / |value| over its numbers, a {re, im} pair read as one
-complex number, and the key path of that number; "differs" for any other
-output.  The exit status is 1 when a job fails in either tree, else 0.
+`src/cmps_lab`).  Each tree runs in one fresh process with BLAS pinned to
+one thread, which does two things:
+
+- it runs every job of `perfbench/workloads.make_jobs` (every workload,
+  seeds 1 to 3, full size and smoke) through the tree's `cmps_lab.cli.main`;
+  the configs are written once, from this checkout's `perfbench`;
+- it samples `sample_ensemble(p, 30, 6.0, seed)` for master seeds 0, 1 and
+  2 on each record model: a random instance at each D of 1 to 16 and 32
+  (K Hermitian, R complex Gaussian scaled by 0.7 / sqrt(D)), in the
+  thermodynamic geometry and in a finite window of length 6 opening on a
+  random density matrix; collective resonance fluorescence at D = 32
+  (`tools/sampler_cost.py`) for omega = 1 and 0.25, whose no-jump
+  generator is propagated in its eigenmodes and by expm respectively; and
+  the driven emitter at the exceptional point of its no-jump generator
+  (K = sigma_x / 4, R = sigma_-), in both geometries.  The models are built
+  here, with this checkout's package.
+
+The outputs section gives each output one line: "byte-identical"; for a
+CSV separation scan the largest change of a value relative to the largest
+|value| and whether its d = 0 rows are byte-identical; for a JSON output
+with the same structure and the same non-numeric values the largest
+|change| / |value| over its numbers, a {re, im} pair read as one complex
+number, and the key path of that number; "differs" for any other output.
+The records section gives each case one line: "bit-identical" when every
+record's positions and final state are, else whether the jump counts are
+equal and the largest change of a position relative to it over the
+records whose counts are.  Each section ends with its total.  The exit
+status is 1 when a job or a tree's process fails, else 0.
 """
 
 import json
@@ -24,24 +41,49 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import WORKLOADS, make_jobs  # noqa: E402
+from tools.sampler_cost import fluorescence  # noqa: E402
 
 SEEDS = (1, 2, 3)
+SMOKE = (False, True)
+DIMS = (*range(1, 17), 32)
+FAMILY_DIM = 32
+OMEGAS = (1.0, 0.25)
+RECORD_SEEDS = (0, 1, 2)
+N_TRAJ = 30
+LENGTH = 6.0
 
-# run in a fresh interpreter per tree: argv[1] is the tree's src, argv[2] the
-# job list; prints one line per job that exits non-zero
+# run in a fresh interpreter per tree: argv[1] is the tree's src, argv[2]
+# the job list, argv[3] the record models, argv[4] the file the records go
+# to; prints one line per job that exits non-zero
 RUNNER = """
 import json, sys
 from pathlib import Path
+import numpy as np
 sys.path.insert(0, sys.argv[1])
-from cmps_lab import cli
+from cmps_lab import Finite, cli, new_cmps, sample_ensemble
 for command, config, output in json.loads(Path(sys.argv[2]).read_text()):
     code = cli.main([command, "--config", config, "--output", output])
     if code:
         print(f"{output}: exit {code}")
+models = np.load(sys.argv[3])
+out = {}
+for i in range(int(models["count"])):
+    rho = models[f"rho{i}"]
+    geometry = Finite(float(models["length"]), rho) if rho.size else None
+    k = models[f"K{i}"]
+    p = new_cmps(k.shape[0], k, models[f"R{i}"], geometry)
+    for seed in models["seeds"]:
+        records = sample_ensemble(p, int(models["n_traj"]), float(models["length"]), int(seed))
+        out[f"counts{i}-{seed}"] = [rec.positions.size for rec in records]
+        out[f"positions{i}-{seed}"] = np.concatenate([rec.positions for rec in records])
+        out[f"states{i}-{seed}"] = np.array([rec.final_state for rec in records])
+np.savez(sys.argv[4], **out)
 """
 
 
@@ -50,27 +92,62 @@ def write_jobs(work):
     jobs = []
     for workload in WORKLOADS:
         for seed in SEEDS:
-            for smoke in (False, True):
+            for smoke in SMOKE:
                 for job in make_jobs(workload, seed, smoke):
                     label = f"{workload} seed {seed} {'smoke' if smoke else 'full'} {job.command}"
                     stem = label.replace(" ", "-")
                     config = work / f"{stem}.config.json"
                     config.write_text(json.dumps(job.config), encoding="utf-8")
-                    ext = "csv" if job.command in ("correlate", "g2") else "json"
-                    jobs.append((label, job.command, str(config), f"{stem}.{ext}"))
+                    jobs.append((label, job.command, str(config), f"{stem}.out"))
     return jobs
 
 
-def run_tree(tree, jobs, out):
-    """Run every job through the tree's CLI in one fresh process; return
-    the lines naming failed jobs."""
+def random_instance(d, rng):
+    """(K, R): K Hermitian, R complex Gaussian scaled by 0.7 / sqrt(d)."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    r = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * 0.7 / np.sqrt(d)
+    return (a + a.conj().T) / 2, r
+
+
+def random_density(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return (rho + rho.conj().T) / 2 / np.trace(rho).real
+
+
+def models():
+    """[(label, K, R, boundary_rho or None for the thermodynamic geometry)]."""
+    out = []
+    for d in DIMS:
+        rng = np.random.default_rng(d)
+        k, r = random_instance(d, rng)
+        out.append((f"random D={d} thermodynamic", k, r, None))
+        out.append((f"random D={d} finite", k, r, random_density(d, rng)))
+    for omega in OMEGAS:
+        p = fluorescence(FAMILY_DIM, omega)
+        out.append((f"fluorescence D={FAMILY_DIM} omega={omega:g}", p.K, p.R, None))
+    ep_k, ep_r = np.array([[0.0, 0.25], [0.25, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    out.append(("exceptional point thermodynamic", ep_k, ep_r, None))
+    out.append(("exceptional point finite", ep_k, ep_r, np.eye(2) / 2))
+    return out
+
+
+def run_tree(tree, jobs, work, out):
+    """Run every job and sample every record model through the tree in one
+    fresh process; return the lines naming failures and the records (None
+    when the process failed)."""
     out.mkdir()
     manifest = out / "jobs.json"
     manifest.write_text(json.dumps([(cmd, cfg, str(out / name)) for _, cmd, cfg, name in jobs]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", RUNNER, str(Path(tree).resolve() / "src"), str(manifest)],
-                          env=env, capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()
+    done = subprocess.run([sys.executable, "-c", RUNNER, str(Path(tree).resolve() / "src"),
+                           str(manifest), str(work / "models.npz"), str(out / "records.npz")],
+                          env=env, capture_output=True, text=True)
+    failed = done.stdout.splitlines()
+    if done.returncode:
+        return [*failed, f"process failed\n{done.stderr}"], None
+    with np.load(out / "records.npz") as records:
+        return failed, dict(records)
 
 
 def csv_rows(text):
@@ -142,6 +219,26 @@ def compare(before, after):
         return "differs"
 
 
+def compare_records(before, after, key):
+    """One line comparing the records of one case in two trees (None for
+    a tree whose process failed)."""
+    if before is None or after is None:
+        return "missing"
+    counts, other = before[f"counts{key}"], after[f"counts{key}"]
+    if (np.array_equal(counts, other)
+            and all(before[f"{name}{key}"].tobytes() == after[f"{name}{key}"].tobytes()
+                    for name in ("positions", "states"))):
+        return "bit-identical"
+    # the positions of the records whose jump counts agree
+    a = before[f"positions{key}"][np.repeat(counts == other, counts)]
+    b = after[f"positions{key}"][np.repeat(counts == other, other)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        change = np.max(np.abs(a - b) / np.abs(a), initial=0.0)
+    equal = "equal" if np.array_equal(counts, other) else (
+        f"differ in {np.count_nonzero(counts != other)} of {counts.size} records")
+    return f"jump counts {equal}; max relative position change {change:.2e}"
+
+
 def read(path):
     return path.read_bytes() if path.exists() else None
 
@@ -151,18 +248,32 @@ def main(argv=None):
     if len(argv) != 2:
         print("usage: python3 tools/compare_outputs.py PARENT CHANGE", file=sys.stderr)
         return 2
+    cases = models()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs = write_jobs(work)
-        failed = []
+        arrays = {"count": len(cases), "seeds": RECORD_SEEDS, "n_traj": N_TRAJ, "length": LENGTH}
+        for i, (_, k, r, rho) in enumerate(cases):
+            arrays.update({f"K{i}": k, f"R{i}": r, f"rho{i}": np.zeros(0) if rho is None else rho})
+        np.savez(work / "models.npz", **arrays)
+        failed, records = [], []
         for name, tree in zip(("parent", "change"), argv):
-            failed += [f"{name}: {line}" for line in run_tree(tree, jobs, work / name)]
+            lines, tree_records = run_tree(tree, jobs, work, work / name)
+            failed += [f"{name}: {line}" for line in lines]
+            records.append(tree_records)
         same = 0
         for label, _, _, output in jobs:
             line = compare(read(work / "parent" / output), read(work / "change" / output))
             same += line == "byte-identical"
             print(f"{label}: {line}")
     print(f"{same} of {len(jobs)} outputs byte-identical")
+    same = 0
+    for i, (label, *_) in enumerate(cases):
+        for seed in RECORD_SEEDS:
+            line = compare_records(*records, f"{i}-{seed}")
+            same += line == "bit-identical"
+            print(f"{label} seed {seed}: {line}")
+    print(f"{same} of {len(cases) * len(RECORD_SEEDS)} record cases bit-identical")
     for line in failed:
         print(line)
     return 1 if failed else 0
