@@ -149,9 +149,9 @@ def _build_params(cfg, tol, keys):
     return new_cmps(model["dim"], k, r, geometry, tol)
 
 
-def _json_text(value, indent=None):
-    """`value` as json.dumps(value, indent=indent, sort_keys=True) writes
-    it, byte for byte, compact (no spaces) when indent is None.
+def _json_text(value):
+    """`value` as json.dumps(value, indent=2, sort_keys=True) writes it,
+    byte for byte.
 
     The walk also writes what json cannot: a non-finite float as null, a
     numpy scalar as its Python value, an ndarray as nested lists, and a
@@ -159,7 +159,6 @@ def _json_text(value, indent=None):
     pure Python once indent is set, so one walk here is faster.
     """
     parts = []
-    key_sep = ": " if indent is not None else ":"
 
     def walk(value, level):
         if isinstance(value, str):
@@ -181,15 +180,14 @@ def _json_text(value, indent=None):
             if not value:
                 parts.append("{}" if isinstance(value, dict) else "[]")
                 return
-            inner = "" if indent is None else "\n" + indent * (level + 1)
-            outer = "" if indent is None else "\n" + indent * level
+            inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
             sep = "," + inner
             if isinstance(value, dict):
                 parts.append("{" + inner)
                 for i, key in enumerate(sorted(value)):
                     if not isinstance(key, str):
                         raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    parts.append((sep if i else "") + encode_basestring_ascii(key) + key_sep)
+                    parts.append((sep if i else "") + encode_basestring_ascii(key) + ": ")
                     walk(value[key], level + 1)
                 parts.append(outer + "}")
                 return
@@ -240,14 +238,14 @@ def _atomic_write(path, text):
 
 def _emit_json(out_path, command, cfg, result):
     payload = {"version": __version__, "command": command, "config": cfg, "result": result}
-    _atomic_write(out_path, _json_text(payload, indent="  ") + "\n")
+    _atomic_write(out_path, _json_text(payload) + "\n")
 
 
 def _emit_csv(out_path, command, cfg, header, rows):
     lines = [
         f"# version: {__version__}",
         f"# command: {command}",
-        "# config: " + _json_text(cfg),
+        "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":")),
         header,
     ]
     for row in rows:

@@ -65,11 +65,13 @@ def _array(value, name, dtype=float):
 
 def _finite_array(value, name, dtype=float):
     """`_array`(value, name, dtype), refused as ValidationError unless every
-    entry is finite: "<name> must be finite, got <the first that is not>"."""
+    entry is finite: "<name> must be finite, got <the first that is not>",
+    written as a real number when its imaginary part is 0."""
     arr = _array(value, name, dtype)
     bad = arr[~np.isfinite(arr)]
     if bad.size:
-        raise ValidationError(f"{name} must be finite, got {bad[0]}")
+        first = bad[0].real if bad[0].imag == 0 else bad[0]
+        raise ValidationError(f"{name} must be finite, got {first}")
     return arr
 
 
@@ -211,6 +213,14 @@ class CmpsParams:
     def stationary(self):
         """SpectralData of the generator; raises when the fixed space is degenerate."""
         return steady_state(self.generator, self.tol)
+
+    @property
+    def initial_state(self):
+        """rho(0), the state every exact chain and every jump record opens
+        on: boundary_rho in a finite window, else the stationary state."""
+        if isinstance(self.geometry, Finite):
+            return self.geometry.boundary_rho
+        return self.stationary.steady_state
 
 
 def new_cmps(dim, K, R, geometry=None, tol=Tolerances()):

@@ -173,9 +173,9 @@ class _Chain:
     adjoint action: every walk closes in `read`, which reads the vector or
     block at the end of each step of the chain's tail on the covector of
     the kind S it ends on, or on <1| when it ends on none, divided by
-    `norm`, the opening state's trace (1, or tr boundary_rho in a finite
-    window); `read` refuses a value that is not finite as
-    NoConvergenceError (`liouville.finite`).  A tail of two or more nonzero
+    `norm`, the trace of the opening state `CmpsParams.initial_state` (1
+    in the thermodynamic geometry); `read` refuses a value that is not
+    finite as NoConvergenceError (`liouville.finite`).  A tail of two or more nonzero
     steps is read from the generator's certified eigenmodes, and walked
     otherwise.  A caller that walks a block sets `right`, the
     opening, to it.  There is no propagator cache: a walk holds the
@@ -196,18 +196,13 @@ class _Chain:
         self.L = params.generator
         self._last = (None, None)  # (dx, its exponential) of the last leg walked
         if isinstance(params.geometry, Thermodynamic):
-            self.spectral = params.stationary
-            rho = self.spectral.steady_state
-            self.length = None
-            self.norm = 1.0
+            self.spectral, self.length, self.norm = params.stationary, None, 1.0
         else:
             term_norm(self.L, "generator")
-            self.spectral = None
-            rho = params.geometry.boundary_rho
-            self.length = params.geometry.length
-            self.norm = float(np.trace(rho).real)
+            self.spectral, self.length = None, params.geometry.length
+            self.norm = float(np.trace(params.initial_state).real)
         self.fields = self.L.fields
-        self.right = self.basis.coordinates(rho)
+        self.right = self.basis.coordinates(params.initial_state)
         self.zero_real_tol = params.tol.zero_real * self.L.scale
 
     def act(self, kind, x):

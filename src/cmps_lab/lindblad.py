@@ -53,11 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array, _float, _lattice_step
-from .errors import InvalidMomentsError, ShapeMismatchError
+from .core import _array, _finite_array, _float, _lattice_step
+from .errors import InvalidMomentsError
 from .liouville import (
     Superoperator,
     Tolerances,
+    boundary_pair,
     choi_min_eigenvalue,
     exponential,
     term_norm,
@@ -135,18 +136,25 @@ def _dissipative_form(g, pairs):
     return Superoperator(tuple(terms), f)
 
 
+def _inputs(K, R, moments):
+    """(K, R, moments) as both generator forms read them: K and R finite
+    (`core._finite_array`) square complex matrices of one shape
+    (`liouville.boundary_pair`), and moments a `FieldMoments`, built from
+    the four numbers when they are not one."""
+    K, R = boundary_pair(_finite_array(K, "K", complex), _finite_array(R, "R", complex))
+    if not isinstance(moments, FieldMoments):
+        moments = FieldMoments(*moments)
+    return K, R, moments
+
+
 def build_general_generator(K, R, moments):
     """The generator for the given field moments, a `Superoperator`.
 
-    The field table of the module docstring.  Equals
-    `build_liouvillian(K, R)` entrywise at vacuum moments and is trace
-    preserving for every admissible moment set.
+    The field table of the module docstring, over the inputs of `_inputs`.
+    Equals `build_liouvillian(K, R)` entrywise at vacuum moments and is
+    trace preserving for every admissible moment set.
     """
-    if not isinstance(moments, FieldMoments):
-        moments = FieldMoments(*moments)
-    K, R = _array(K, "K", complex), _array(R, "R", complex)
-    if K.shape != R.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
+    K, R, moments = _inputs(K, R, moments)
     alpha, n = moments.psi_dag_sq, moments.psi_dag_psi
     rd = R.conj().T
     # an overflow leaves the term norm non-finite, which its readers refuse
@@ -163,11 +171,10 @@ def jump_decomposition(K, R, moments):
 
     Diagnostic companion to `build_general_generator`: the sum of standard
     dissipators over these operators matches the generator exactly only for
-    diagonal moments (psi_dag_sq = 0); see `compare_forms`.
+    diagonal moments (psi_dag_sq = 0); see `compare_forms`.  The inputs are
+    read by `_inputs`, as the generator's are.
     """
-    if not isinstance(moments, FieldMoments):
-        moments = FieldMoments(*moments)
-    K, R = _array(K, "K", complex), _array(R, "R", complex)
+    K, R, moments = _inputs(K, R, moments)
     a = np.sqrt(complex(moments.psi_dag_sq) / 2.0)
     b = np.sqrt(complex(moments.psi_sq) / 2.0)
     c = np.sqrt(complex(moments.psi_dag_psi))

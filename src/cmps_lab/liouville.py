@@ -450,17 +450,23 @@ class SpectralData:
         return self.gap <= self.zero_real_tol
 
 
+def boundary_pair(K, R):
+    """(K, R) as complex arrays, refused as ShapeMismatchError unless they
+    are square matrices of one shape: the rule every generator of a pair
+    reads them by."""
+    K, R = np.asarray(K, dtype=complex), np.asarray(R, dtype=complex)
+    if K.ndim != 2 or K.shape != R.shape or K.shape[0] != K.shape[1]:
+        raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
+    return K, R
+
+
 def build_liouvillian(K, R):
     """The generator of (K, R), the `Superoperator` of `GENERATOR`.
 
-    K is assumed Hermitian (validated upstream by `new_cmps`); shapes must
-    agree.
+    K is assumed Hermitian (validated upstream by `new_cmps`); the pair is
+    read by `boundary_pair`.
     """
-    K = np.asarray(K, dtype=complex)
-    R = np.asarray(R, dtype=complex)
-    if K.ndim != 2 or K.shape != R.shape or K.shape[0] != K.shape[1]:
-        raise ShapeMismatchError(f"K and R must be square and equal-shaped, got {K.shape}, {R.shape}")
-    return Superoperator(GENERATOR, fields(K, R))
+    return Superoperator(GENERATOR, fields(*boundary_pair(K, R)))
 
 
 def sourced_generator(f, lam, mu):
@@ -634,12 +640,13 @@ def choi_min_eigenvalue(x):
     """Least eigenvalue of the Choi matrix sum_jk E_jk kron S(E_jk) of a
     channel S given by its real matrix x in the Hermitian basis; S is
     completely positive iff it is >= 0.  x is mixed back to matrix units,
-    U x U^dag, by the 2 x 2 mixes at O(D^4), reshuffled and Hermitized."""
+    U x U^dag, by the 2 x 2 mixes at O(D^4), reshuffled and Hermitized.
+    A channel that is not finite is refused (`finite`) before the solve."""
     n = x.shape[0]
     d = math.isqrt(n)
     if d * d != n or x.shape != (n, n):
         raise ShapeMismatchError("channel matrix must be D^2 x D^2")
-    basis, m = hermitian_basis(d), np.array(x, dtype=complex)
+    basis, m = hermitian_basis(d), np.array(finite(x, "channel matrix"), dtype=complex)
     _unmix(m.T, basis.a, basis.b, -1j)
     _unmix(m, basis.a, basis.b, 1j)
     c = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)

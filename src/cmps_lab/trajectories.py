@@ -273,12 +273,9 @@ class _Uniforms:
 
 
 def _initial_ensemble(params):
-    """Eigen-decomposed rho(0): the weights and the pure states (columns)."""
-    if isinstance(params.geometry, Finite):
-        rho = params.geometry.boundary_rho
-    else:
-        rho = params.stationary.steady_state
-    vals, vecs = np.linalg.eigh(rho)
+    """Eigen-decomposed rho(0) (`CmpsParams.initial_state`): the weights
+    and the pure states (columns)."""
+    vals, vecs = np.linalg.eigh(params.initial_state)
     probs = np.clip(vals.real, 0.0, None)
     return probs / probs.sum(), vecs
 
@@ -689,13 +686,14 @@ def estimate_stats(records, bins, burn_in=0.0):
 
 
 def _opening_state(params):
-    """The state the oracle opens on: boundary_rho in a finite window,
-    else the stationary state right after a jump, R rho R^dag normalized.
-    None when that is dark (`_dark`)."""
+    """The state the oracle opens on: rho(0) (`CmpsParams.initial_state`)
+    in a finite window, else the stationary state right after a jump,
+    R rho(0) R^dag normalized.  None when that is dark (`_dark`)."""
+    rho = params.initial_state
     if isinstance(params.geometry, Finite):
-        return params.geometry.boundary_rho
+        return rho
     r = params.R
-    rho = r @ params.stationary.steady_state @ r.conj().T
+    rho = r @ rho @ r.conj().T
     weight = np.trace(rho).real
     if _dark(weight, r):
         return None

@@ -170,21 +170,44 @@ def test_every_non_finite_refusal_is_raised_by_the_one_gate():
     assert not hasattr(cmps_lab, "finite")
 
 
-def test_every_finite_input_refusal_is_raised_by_the_one_reader():
-    # "<name> must be finite, got <value>": a scalar (`core._real`), an
-    # array, a matrix, a direction, the sources and the insertion positions
-    # are all read through `core._finite_array`
-    def refusal(node):
+def _refusal(text):
+    """Whether a node raises a message with `text` in a literal part."""
+    def found(node):
         if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
             return False
         arg = node.exc.args[0]
         parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
-        return any(isinstance(part, ast.Constant) and "must be finite, got" in str(part.value)
-                   for part in parts)
+        return any(isinstance(part, ast.Constant) and text in str(part.value) for part in parts)
+    return found
 
+
+def test_every_finite_input_refusal_is_raised_by_the_one_reader():
+    # "<name> must be finite, got <value>": a scalar (`core._real`), an
+    # array, a matrix, a direction, the sources and the insertion positions
+    # are all read through `core._finite_array`
     owners = {(module, owner) for module, tree in _trees().items()
-              for owner in _owners(tree, refusal)}
+              for owner in _owners(tree, _refusal("must be finite, got"))}
     assert owners == {("core", "_finite_array")}
+
+
+def test_the_opening_state_the_pair_rule_and_the_moments_are_read_once():
+    # rho(0) is picked by `CmpsParams.initial_state`: the exact chains and
+    # the jump records read no boundary_rho of their own (the lattice
+    # oracle, which has its own fixed points, opens on it directly); every
+    # (K, R) pair is held to `liouville.boundary_pair`, and four numbers
+    # become FieldMoments in lindblad's one reader
+    trees = _trees()
+    readers = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "boundary_rho"}
+    assert readers == {"core", "discretizer"}
+    assert {(module, owner) for module, tree in trees.items()
+            for owner in _owners(tree, _refusal("square and equal-shaped"))} == {
+        ("liouville", "boundary_pair")}
+    assert {(module, owner) for module, tree in trees.items()
+            for owner in _owners(tree, lambda node: isinstance(node, ast.Call)
+                                 and _names(node.func) == ["FieldMoments"]
+                                 and any(isinstance(a, ast.Starred) for a in node.args))} == {
+        ("lindblad", "_inputs")}
 
 
 def test_the_lattice_observables_are_listed_once():

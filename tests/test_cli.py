@@ -48,11 +48,14 @@ def damp_finite_config(**extra):
 
 
 def run_cli(tmp_path, command, cfg, tag="out", extra=()):
-    cfg_path = tmp_path / f"{tag}_cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    """Run cli.main on cfg written to a file; a cfg of None passes no --config."""
     out_path = tmp_path / f"{tag}.json"
-    rc = main([command, "--config", str(cfg_path), "--output", str(out_path), *extra])
-    return rc, out_path
+    argv = [command, "--output", str(out_path), *extra]
+    if cfg is not None:
+        cfg_path = tmp_path / f"{tag}_cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv += ["--config", str(cfg_path)]
+    return main(argv), out_path
 
 
 def load_json(path):
@@ -146,10 +149,9 @@ def test_json_writer_writes_the_bytes_of_json_dumps():
         "text": "café – ∞ \"q\"\n",
         "Ä": 1,
     }
-    assert cli._json_text(payload, indent="  ") == json.dumps(reference, indent=2, sort_keys=True)
-    assert cli._json_text(payload) == json.dumps(reference, sort_keys=True, separators=(",", ":"))
+    assert cli._json_text(payload) == json.dumps(reference, indent=2, sort_keys=True)
     for empty in ([], {}):
-        assert cli._json_text(empty, indent="  ") == json.dumps(empty, indent=2)
+        assert cli._json_text(empty) == json.dumps(empty, indent=2)
     with pytest.raises(TypeError):
         cli._json_text({"set": {1}})
 
@@ -207,7 +209,10 @@ def test_correlate_csv_matches_pure_decay(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == f"# version: {__version__}"
     assert lines[1] == "# command: correlate"
-    assert lines[2].startswith("# config: {")
+    # the resolved config, as compact sorted json.dumps writes it
+    for node in (cfg["model"]["K"], cfg["model"]["R"], cfg["boundary_rho"]):
+        node["im"] = [[0.0, 0.0], [0.0, 0.0]]
+    assert lines[2] == "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     assert lines[3] == "d,re,im"
     rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[4:]])
     assert np.allclose(rows[:, 1], np.exp(-rows[:, 0] / 2.0), atol=1e-9)
@@ -879,6 +884,21 @@ def assert_refused(tmp_path, capfd, row):
 @refusals("config")
 def test_a_config_the_schema_or_the_geometry_refuses_exits_one(tmp_path, capfd, row):
     assert_refused(tmp_path, capfd, row)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("bogus", rf_config(), "argument command: invalid choice: 'bogus' "),
+    ("steady", None, "the following arguments are required: --config\n"),
+], ids=["unknown-command", "missing-config"])
+def test_an_argument_the_parser_refuses_exits_one(tmp_path, capfd, command, cfg, message):
+    # argparse would print its usage and exit 2; the parser raises its one
+    # line as a ConfigError instead.  The choices' spelling varies with the
+    # Python version, so the unknown command is matched up to them
+    rc, printed, out = run_strict(tmp_path, capfd, command, cfg)
+    assert (rc, printed.out) == (1, "")
+    assert printed.err.startswith("error: " + message)
+    assert printed.err.count("\n") == 1 and printed.err.endswith("\n")
+    assert not out.exists()
 
 
 def test_converge_repeated_epsilons_exit_one(tmp_path, capfd):

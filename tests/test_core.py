@@ -11,6 +11,8 @@ from cmps_lab import (
     SourceField,
     Thermodynamic,
     Tolerances,
+    build_general_generator,
+    choi_min_eigenvalue,
     compare_forms,
     convergence_study,
     decay_fit,
@@ -18,6 +20,7 @@ from cmps_lab import (
     expectation,
     family_derivative,
     generating_functional,
+    jump_decomposition,
     kinetic_density,
     lattice_tensors,
     lieb_liniger_energy_density,
@@ -33,10 +36,14 @@ from cmps_lab import (
 from cmps_lab import core, liouville
 from cmps_lab.cli import main
 from cmps_lab.errors import (
+    DegenerateFixedSpaceError,
     InvalidBoundaryStateError,
     InvalidMomentsError,
+    NegativeDistanceError,
+    NoConvergenceError,
     NonHermitianKError,
     ShapeMismatchError,
+    SignalBelowFloorError,
     ValidationError,
 )
 from cmps_lab.liouville import fields
@@ -387,4 +394,63 @@ NOT_NUMBER_ARRAYS = {
 def test_an_input_that_is_not_numbers_is_bad_input(rf, call, message):
     # each used to raise a raw ValueError or TypeError
     with pytest.raises(ValidationError, match=message):
+        call(rf)
+
+
+VACUUM = FieldMoments.vacuum()
+NAN_K = np.full((2, 2), np.nan)
+PAIR_SHAPES = r"K and R must be square and equal-shaped, got "
+
+
+def _window(k, r, length=1.0):
+    return new_cmps(2, k, r, Finite(length=length, boundary_rho=np.eye(2) / 2))
+
+
+# one call per refusal that no other test reaches, with its error and
+# message.  The first rows are inputs that lindblad read without the (K, R)
+# pair rule or a finiteness check: jump_decomposition returned 3 x 3
+# operators beside a 2 x 2 K, or 1-d "operators", and a NaN K gave an
+# all-NaN generator, which compare_forms refused as a numerical failure
+REFUSED = {
+    "jump-shapes": (lambda p: jump_decomposition(np.eye(2), np.eye(3), VACUUM),
+                    ShapeMismatchError, PAIR_SHAPES + r"\(2, 2\), \(3, 3\)$"),
+    "jump-vectors": (lambda p: jump_decomposition(np.ones(2), np.ones(2), VACUUM),
+                     ShapeMismatchError, PAIR_SHAPES + r"\(2,\), \(2,\)$"),
+    "generator-nan-k": (lambda p: build_general_generator(NAN_K, RF_R, VACUUM),
+                        ValidationError, "^K must be finite, got nan$"),
+    "compare-nan-k": (lambda p: compare_forms(NAN_K, np.eye(2), VACUUM),
+                      ValidationError, "^K must be finite, got nan$"),
+    "jump-inf-r": (lambda p: jump_decomposition(RF_K, np.full((2, 2), np.inf), VACUUM),
+                   ValidationError, "^R must be finite, got inf$"),
+    "moments-tuple": (lambda p: jump_decomposition(RF_K, RF_R, (0.0, 0.0, 0.0, 2.0)),
+                      InvalidMomentsError, "^psi_psi_dag must equal psi_dag_psi \\+ 1$"),
+    # NumPy's eigensolve raised its own LinAlgError, outside the error contract
+    "choi-nan": (lambda p: choi_min_eigenvalue(np.full((4, 4), np.nan)), NoConvergenceError,
+                 "^channel matrix is not finite$"),
+    "decay-fit-window": (lambda p: decay_fit(p, 2.0, 2.0), NegativeDistanceError,
+                         "^need d_max > d_min$"),
+    # R = 0 emits nothing: every value of the window's scan is 0
+    "decay-fit-no-signal": (lambda p: decay_fit(_window(RF_K, ZERO, 4.0), 0.0, 2.0),
+                            SignalBelowFloorError, r"^connected signal below 0.000e\+00 on "),
+    "source-lengths": (lambda p: SourceField(np.zeros(3), np.zeros(2)), ShapeMismatchError,
+                       r"^lam and mu must be equal-length 1d arrays, got \(3,\), \(2,\)$"),
+    "sources-not-iterable": (lambda p: generating_functional(p, 1.0, 0.1), ShapeMismatchError,
+                             "^sources must be a SourceField or a non-empty sequence of them$"),
+    "sources-short-of-window": (lambda p: generating_functional(
+        _window(RF_K, RF_R), SourceField(np.zeros(3), np.zeros(3)), 0.25), ShapeMismatchError,
+        "^3 sites of step 0.25 do not cover length 1.0$"),
+    "consistency-three-sites": (lambda p: source_consistency_check(p, 0.1, 1e-3, 3),
+                                ShapeMismatchError, "^need at least 4 lattice sites$"),
+    "consistency-one-site": (lambda p: source_consistency_check(p, 0.1, 1e-3, 4, (2, 2)),
+                             ShapeMismatchError, r"^site pair \(2, 2\) invalid for 4 sites$"),
+    "fixed-mode-degenerate": (lambda p: liouville.fixed_mode(np.array([0.0, 1e-12, -1.0]), 1e-10),
+                              DegenerateFixedSpaceError, "^fixed space is degenerate; "),
+    "geometry-name": (lambda p: new_cmps(2, RF_K, RF_R, "finite"), ShapeMismatchError,
+                      "^unknown geometry 'finite'$"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED.values(), ids=REFUSED.keys())
+def test_each_refusal_raises_its_error(rf, call, error, message):
+    with pytest.raises(error, match=message):
         call(rf)

@@ -28,6 +28,7 @@ from cmps_lab import (
 from cmps_lab import core, correlators
 from cmps_lab.correlators import INSERTIONS, SourceField
 from cmps_lab.errors import (
+    DegenerateFixedSpaceError,
     GaplessStateError,
     NoConvergenceError,
     NonHermitianKError,
@@ -48,6 +49,7 @@ from conftest import (
     JORDAN_K,
     RF_K,
     RF_R,
+    coupled_blocks,
     kron_map,
     rand_herm,
     rand_mat,
@@ -635,6 +637,21 @@ def test_finite_two_point_runs_one_exponential_per_leg_length(monkeypatch, seps,
             two_point(p, seps)
             assert p.generator.modes.certified == (expected == 0)
             assert calls == [(dim * dim, dim * dim)] * expected
+
+
+def test_a_finite_scan_reads_a_generator_with_two_fixed_points_from_its_modes():
+    # two uncoupled blocks each have a fixed point, so `fixed_mode` finds no
+    # unique zero; a finite window needs none, and the scan reads every
+    # eigenvalue as the modes give it, matching each separation walked alone
+    k, r = coupled_blocks(0.0)
+    p = new_cmps(6, k, r, Finite(length=3.0, boundary_rho=np.eye(6) / 6))
+    assert p.generator.modes.certified
+    with pytest.raises(DegenerateFixedSpaceError):
+        liouville.fixed_mode(np.array(p.generator.modes.values), p.tol.zero_real * p.generator.scale)
+    seps = np.linspace(0.0, 2.0, 5)
+    scanned = two_point(p, seps).values
+    walked = np.array([two_point(p, [d]).values[0] for d in seps])
+    assert np.abs(scanned - walked).max() <= 1e-12 * np.abs(walked).max()
 
 
 def test_a_finite_chain_at_one_point_reads_the_boundary_state():
